@@ -164,7 +164,7 @@ def _vertex_decision(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         det = a[i] * b[j] - a[j] * b[i]
         if abs(det) < 1e-13:
             continue
-        rest = np.array([t for t in range(k) if t not in (i, j)])
+        rest = np.array([t for t in range(k) if t not in (i, j)], dtype=int)
         rhs0 = -(pats @ a[rest])
         rhs1 = 1.0 - (pats @ b[rest])
         x = (b[j] * rhs0 - a[j] * rhs1) / det
@@ -326,10 +326,10 @@ def compression_channel(
     The two-Kraus map K0 = |0><0| + t |1><1|, K1 = sqrt((1-t^2)/2)(|0>+|1>)<1|
     acts on the 2-dimensional span of the tensor powers; the rest of the
     input space is dumped onto |0> by extra Kraus branches so the channel is
-    exactly trace preserving.  The parameter t is ambiguous between reading
-    the overlap gamma as an angle (t = tan gamma) and as a sine
-    (t = tan arcsin gamma); both are tried and the one passing the output
-    verification is kept, with the choice recorded in the result.
+    exactly trace preserving.  With gamma = |<psi^n|phi^n>| the map needs
+    t = gamma / sqrt(1 - gamma^2) = tan(arcsin gamma), which lies in [0, 1]
+    because gamma <= 1/sqrt(2); ``parametrization`` records this choice as
+    "tan_arcsin_gamma".  Both outputs are verified against their targets.
     """
     psi = linalg.as_ket(psi)
     phi = linalg.as_ket(phi)
@@ -365,42 +365,34 @@ def compression_channel(
     rho_psi = DensityMatrix.from_ket(psi_n)
     rho_phi = DensityMatrix.from_ket(phi_n)
 
-    candidates = (
-        ("tan_gamma", float(np.tan(gamma))),
-        ("tan_arcsin_gamma", float(gamma / np.sqrt(1.0 - gamma * gamma))),
-    )
-    failures = []
-    for name, t in candidates:
-        if not 0.0 <= t <= 1.0 + 1e-12:
-            failures.append(f"{name}: t = {t:.6f} outside [0, 1]")
-            continue
-        t = min(t, 1.0)
-        k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
-        k1 = np.sqrt((1.0 - t * t) / 2.0) * np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
-        dump = np.array([[1.0], [0.0]], dtype=complex)
-        kraus = [k0 @ w, k1 @ w]
-        kraus += [dump @ complement[:, j].conj()[None, :] for j in range(dim - 2)]
-        channel = Channel(tuple(kraus))
-        out_psi = apply_channel(channel, rho_psi)
-        out_phi = apply_channel(channel, rho_phi)
-        res_psi = linalg.max_abs(out_psi.matrix - proj0.matrix)
-        res_phi = linalg.max_abs(out_phi.matrix - proj_plus.matrix)
-        if res_psi <= tol and res_phi <= tol:
-            return CompressionResult(
-                channel=channel,
-                n=n,
-                gamma=gamma,
-                parametrization=name,
-                psi_n=psi_n,
-                phi_n=phi_n,
-                output_psi=out_psi,
-                output_phi=out_phi,
-                residual_psi=float(res_psi),
-                residual_phi=float(res_phi),
-            )
-        failures.append(f"{name}: residuals ({res_psi:.3e}, {res_phi:.3e})")
-    raise VerificationFailedError(
-        "no parametrization reproduced (|0><0|, |+><+|): " + "; ".join(failures)
+    # gamma may exceed 1/sqrt(2) by rounding; the residual check below decides
+    t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
+    k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
+    k1 = np.sqrt((1.0 - t * t) / 2.0) * np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+    dump = np.array([[1.0], [0.0]], dtype=complex)
+    kraus = [k0 @ w, k1 @ w]
+    kraus += [dump @ complement[:, j].conj()[None, :] for j in range(dim - 2)]
+    channel = Channel(tuple(kraus))
+    out_psi = apply_channel(channel, rho_psi)
+    out_phi = apply_channel(channel, rho_phi)
+    res_psi = linalg.max_abs(out_psi.matrix - proj0.matrix)
+    res_phi = linalg.max_abs(out_phi.matrix - proj_plus.matrix)
+    if res_psi > tol or res_phi > tol:
+        raise VerificationFailedError(
+            f"compression did not reproduce (|0><0|, |+><+|): "
+            f"residuals ({res_psi:.3e}, {res_phi:.3e})"
+        )
+    return CompressionResult(
+        channel=channel,
+        n=n,
+        gamma=gamma,
+        parametrization="tan_arcsin_gamma",
+        psi_n=psi_n,
+        phi_n=phi_n,
+        output_psi=out_psi,
+        output_phi=out_phi,
+        residual_psi=float(res_psi),
+        residual_phi=float(res_phi),
     )
 
 

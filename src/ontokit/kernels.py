@@ -144,12 +144,6 @@ def uniform(space: FiniteSpace) -> Distribution:
     return Distribution(space, np.full(space.size, 1.0 / space.size))
 
 
-def distribution_as_kernel(mu: Distribution) -> SignedKernel:
-    """A state is a kernel from the one-point space."""
-    bound = max(1.0, float(np.max(np.abs(mu.weights))))
-    return SignedKernel(UNIT_SPACE, mu.space, mu.weights[:, None], entry_bound=bound)
-
-
 def response_as_kernel(chi: ResponseFunction) -> SignedKernel:
     """A measurement is a kernel into the distinguished two-point space."""
     return SignedKernel(chi.space, TWO, np.vstack([chi.values, 1.0 - chi.values]))
@@ -183,12 +177,6 @@ def ktensor(f: SignedKernel, g: SignedKernel) -> SignedKernel:
 def dtensor(mu: Distribution, nu: Distribution) -> Distribution:
     """Product distribution on the product space."""
     return Distribution(product_space(mu.space, nu.space), np.kron(mu.weights, nu.weights))
-
-
-def apply_kernel(f: SignedKernel, mu: Distribution) -> Distribution:
-    if mu.space != f.source:
-        raise SpaceMismatchError("distribution space does not match kernel domain")
-    return Distribution(f.target, f.matrix @ mu.weights)
 
 
 def evaluate(p: Distribution) -> float:

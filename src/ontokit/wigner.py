@@ -127,30 +127,14 @@ class WignerFrame:
 # construction
 # ---------------------------------------------------------------------------
 
-def shift_clock(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generalised Pauli pair: X|x> = |x+1>, Z|x> = omega^x |x>."""
-    om = np.exp(2j * np.pi / n)
-    x = np.zeros((n, n), dtype=complex)
-    z = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        x[(k + 1) % n, k] = 1.0
-        z[k, k] = om ** k
-    return x, z
-
-
 def displacement(n: int, q: int, p: int) -> np.ndarray:
-    """Weyl displacement with the odd-dimension phase convention."""
-    om = np.exp(2j * np.pi / n)
-    tau = om ** ((n + 1) // 2) if n > 1 else 1.0
-    x, z = shift_clock(n)
-    return tau ** (q * p) * np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
-
-
-def parity_operator(n: int) -> np.ndarray:
-    a0 = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        a0[(-x) % n, x] = 1.0
-    return a0
+    """Weyl displacement tau^{qp} X^q Z^p, with X|x> = |x+1>, Z|x> = omega^x |x>
+    and tau = omega^{(n+1)/2}: the monomial matrix |x> -> tau^{qp} omega^{px} |x+q>.
+    """
+    x = np.arange(n)
+    d = np.zeros((n, n), dtype=complex)
+    d[(x + q) % n, x] = np.exp(2j * np.pi * (((n + 1) // 2 * q * p + p * x) % n) / n)
+    return d
 
 
 def phase_space(n: int) -> FiniteSpace:
@@ -166,14 +150,11 @@ def phase_point_operators(n: int) -> WignerFrame:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
     if n == 1:
         return commutative_frame(1)
-    a0 = parity_operator(n)
-    ops = np.array(
-        [
-            displacement(n, q, p) @ a0 @ displacement(n, q, p).conj().T
-            for q in range(n)
-            for p in range(n)
-        ]
-    )
+    # A_(q,p) = D(q,p) A0 D(q,p)^dag is the monomial map |x> -> omega^{2p(q-x)} |2q-x>
+    q, p, x = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    ops = np.zeros((n, n, n, n), dtype=complex)
+    ops[q, p, (2 * q - x) % n, x] = np.exp(2j * np.pi * ((2 * p * (q - x)) % n) / n)
+    ops = ops.reshape(n * n, n, n)
     return WignerFrame(matrix_algebra(n), ops, float(n), phase_space(n))
 
 
@@ -241,6 +222,20 @@ def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
     return Distribution(frame.space, v)
 
 
+def _frame_images(ch: Channel, frame: WignerFrame) -> np.ndarray:
+    """Channel images f(s_j) of the frame operators, shape (points, out, out).
+
+    One product with the superoperator sum_k K (x) conj(K), which maps the
+    row-major vectorisation of an operator X to that of sum_k K X K^dag.
+    """
+    kraus = np.array(ch.kraus)
+    superop = np.einsum("rai,rbj->abij", kraus, kraus.conj()).reshape(
+        ch.out_dim ** 2, ch.in_dim ** 2
+    )
+    flat = frame.operators.reshape(frame.n_points, ch.in_dim ** 2)
+    return (flat @ superop.T).reshape(frame.n_points, ch.out_dim, ch.out_dim)
+
+
 def transfer_matrix(
     ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame
 ) -> np.ndarray:
@@ -252,14 +247,7 @@ def transfer_matrix(
     """
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
-    images = np.zeros(
-        (in_frame.n_points, out_frame.hilbert_dim, out_frame.hilbert_dim), dtype=complex
-    )
-    for j, sigma in enumerate(in_frame.operators):
-        acc = np.zeros_like(images[j])
-        for k in ch.kraus:
-            acc += k @ sigma @ k.conj().T
-        images[j] = acc
+    images = _frame_images(ch, in_frame)
     t = np.einsum("ikl,jlk->ij", out_frame.operators, images) / out_frame.norm_const
     if linalg.max_abs(t.imag) > TRANSFER_IMAG_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
@@ -291,14 +279,11 @@ def functor_morphism(
     if in_frame.hilbert_dim != ch.in_dim or out_frame.hilbert_dim != ch.out_dim:
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
     if out_algebra.kind == "commutative":
-        for sigma in in_frame.operators:
-            img = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-            for k in ch.kraus:
-                img += k @ sigma @ k.conj().T
-            if linalg.max_abs(img - np.diag(np.diag(img))) > 1e-9:
-                raise UnrepresentableAlgebraError(
-                    "channel output is not diagonal; not a morphism into C^k"
-                )
+        images = _frame_images(ch, in_frame)
+        if linalg.max_abs(images * (1.0 - np.eye(ch.out_dim))) > 1e-9:
+            raise UnrepresentableAlgebraError(
+                "channel output is not diagonal; not a morphism into C^k"
+            )
     t = transfer_matrix(ch, in_frame, out_frame)
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     return SignedKernel(in_frame.space, out_frame.space, t, entry_bound=bound)

@@ -95,6 +95,21 @@ class TestClassicalDecision:
             got = antidist_classical(AntidistProblem((a, b), 0))
             want = scipy_feasible(a.weights, b.weights)
             assert (got is not None) == want
+        # signed ensembles over exactly two points, two to four members
+        verdicts = set()
+        for _ in range(40):
+            first = rng.uniform(-1.0, 2.0, int(rng.integers(2, 5)))
+            members = tuple(Distribution(S2, [w, 1.0 - w]) for w in first)
+            if all(m.is_probability for m in members):
+                continue
+            target = int(rng.integers(len(members)))
+            a = members[target].weights
+            b = sum(m.weights for i, m in enumerate(members) if i != target)
+            got = antidist_classical(AntidistProblem(members, target))
+            want = scipy_feasible(a, b)
+            assert (got is not None) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_certificate_residuals_within_tolerance(self):
         rng = rng_for(72)
@@ -315,6 +330,12 @@ class TestCompressionChannel:
     def test_selected_parametrization_reported(self):
         res = compression_channel([1, 0], [0.6, 0.8])
         assert res.parametrization == "tan_arcsin_gamma"
+
+    def test_small_overlap_uses_exact_parametrization(self):
+        res = compression_channel([1, 0], [0.01, np.sqrt(1 - 0.01 ** 2)])
+        assert res.n == 1
+        assert res.parametrization == "tan_arcsin_gamma"
+        assert res.residual_psi < 1e-12 and res.residual_phi < 1e-12
 
     def test_channel_fixes_compressed_inputs(self):
         # the channel maps the tensor-power projectors exactly as claimed

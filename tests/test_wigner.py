@@ -53,6 +53,37 @@ from ontokit.wigner import (
 QUTRIT = phase_point_operators(3)
 
 
+def displacement_oracle(n, q, p):
+    """tau^{qp} X^q Z^p from shift and clock matrix powers."""
+    om = np.exp(2j * np.pi / n)
+    x = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    z = np.diag(om ** np.arange(n))
+    tau = om ** ((n + 1) // 2)
+    return tau ** (q * p) * np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
+
+
+def phase_point_oracle(n):
+    """D(q,p) A0 D(q,p)^dag in q*n+p order, with A0|x> = |-x mod n>."""
+    a0 = np.eye(n, dtype=complex)[(-np.arange(n)) % n]
+    return np.array(
+        [
+            displacement_oracle(n, q, p) @ a0 @ displacement_oracle(n, q, p).conj().T
+            for q in range(n)
+            for p in range(n)
+        ]
+    )
+
+
+def transfer_oracle(ch, in_frame, out_frame):
+    """Tr(s_i K s_j K^dag) / c summed over Kraus operators one at a time."""
+    t = np.zeros((out_frame.n_points, in_frame.n_points), dtype=complex)
+    for i, s_out in enumerate(out_frame.operators):
+        for j, s_in in enumerate(in_frame.operators):
+            for k in ch.kraus:
+                t[i, j] += np.trace(s_out @ k @ s_in @ k.conj().T)
+    return (t / out_frame.norm_const).real
+
+
 class TestFrames:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     def test_conditions_hold(self, n):
@@ -67,6 +98,15 @@ class TestFrames:
         gram = np.einsum("ikl,jlk->ij", ops, ops)
         assert linalg.max_abs(gram - n * np.eye(n * n)) <= 1e-10 * max(1, n)
         assert linalg.max_abs(ops.sum(axis=0) - n * np.eye(n)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_closed_form_matches_matrix_power_oracle(self, n):
+        ops = phase_point_operators(n).operators
+        assert linalg.max_abs(ops - phase_point_oracle(n)) <= 1e-12
+        for q in range(n):
+            for p in range(n):
+                err = linalg.max_abs(displacement(n, q, p) - displacement_oracle(n, q, p))
+                assert err <= 1e-12
 
     def test_even_dimension_rejected(self):
         with pytest.raises(EvenDimensionError):
@@ -148,6 +188,32 @@ class TestTransferMatrix:
                 for i, op in enumerate(QUTRIT.operators):
                     conj = d @ op @ d.conj().T
                     assert linalg.max_abs(conj - QUTRIT.operators[perm[i]]) < 1e-9
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_matches_per_kraus_oracle_random(self, d):
+        rng = rng_for(88, d)
+        frame = phase_point_operators(d)
+        for _ in range(3):
+            ch = random_cptp_channel(rng, d, d)
+            assert linalg.max_abs(
+                transfer_matrix(ch, frame, frame) - transfer_oracle(ch, frame, frame)
+            ) <= 1e-12
+
+    def test_matches_per_kraus_oracle_padded_commutative_and_product(self):
+        rng = rng_for(89)
+        padded = pad_odd(random_cptp_channel(rng, 2, 4))
+        meas = measurement_channel(random_effect(rng, 3))
+        pair = tensor(random_cptp_channel(rng, 3, 3), random_cptp_channel(rng, 3, 3))
+        prod = product_frame(QUTRIT, QUTRIT)
+        cases = (
+            (padded, QUTRIT, phase_point_operators(5)),
+            (meas, QUTRIT, commutative_frame(2)),
+            (pair, prod, prod),
+        )
+        for ch, fin, fout in cases:
+            assert linalg.max_abs(
+                transfer_matrix(ch, fin, fout) - transfer_oracle(ch, fin, fout)
+            ) <= 1e-12
 
     def test_measurement_channel_columns_sum_to_one(self):
         rng = rng_for(82)
