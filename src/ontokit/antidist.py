@@ -3,13 +3,13 @@
 A measurement response ``chi`` anti-distinguishes a designated member of an
 ensemble when it never fires on that member while collecting total weight 1
 from the rest.  On finite spaces with responses in ``[0,1]`` this is a box
-LP with two equality constraints, decided here exactly:
-
-* all-probability ensembles reduce to a support computation (the measure
-  pair is anti-distinguishable iff the complement of the target's support
-  carries enough weight), and
-* signed ensembles are decided by exhaustive vertex enumeration, since any
-  vertex of the feasible polytope has at most two fractional coordinates.
+LP with two equality constraints, decided here exactly and by one path for
+probability and signed ensembles alike.  With a the target's weights and b
+the rest's, the slice {chi in [0,1]^k : chi.a = 0} is convex and contains
+chi = 0, so the target is anti-distinguishable iff the greatest chi.b on it
+reaches 1.  That maximum is a one-constraint fractional knapsack (Dantzig
+1957), solved through its piecewise-linear LP dual with one sort, in
+O(k log k).
 
 The module also houses the quantum side: the four-outcome entangled
 measurement on two qubits, the two-Kraus compression channel sending a
@@ -20,7 +20,6 @@ the resulting four product states are anti-distinguished.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ from . import linalg
 from .errors import (
     BadOverlapError,
     DimMismatchError,
-    SignedUnsupportedError,
     SpaceMismatchError,
     TooLargeError,
     VerificationFailedError,
@@ -40,7 +38,6 @@ from .sampling import rng_for
 
 CERT_RESIDUAL_TOL = 1e-7
 FEAS_TOL = 1e-9
-VERTEX_MAX_POINTS = 16
 MAX_COMPRESSION_DIM = 2048
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -77,147 +74,72 @@ class AntidistCertificate:
             raise ValueError(f"certificate residuals {self.residuals} exceed tolerance")
 
 
-def _residuals(chi: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    return float(chi @ a), float(chi @ b)
-
-
 def _certificate(chi: np.ndarray, problem: AntidistProblem,
                  a: np.ndarray, b: np.ndarray) -> AntidistCertificate:
     chi = np.clip(chi, 0.0, 1.0)
     return AntidistCertificate(
         response=ResponseFunction(problem.ensemble[0].space, chi),
-        residuals=_residuals(chi, a, b),
+        residuals=(float(chi @ a), float(chi @ b)),
     )
 
 
-def _support_decision(a: np.ndarray, b: np.ndarray, eps: float) -> Optional[np.ndarray]:
-    """Exact decision for nonnegative ensembles.
+def _knapsack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Maximiser of chi.b over {chi in [0,1]^m : chi.a = 0}, every a_i nonzero.
 
-    chi must vanish on supp(target), so the best it can collect from the
-    rest is the complement mass; feasible iff that reaches 1.
+    By LP duality the maximum is min over lambda of
+    f(lambda) = sum_i max(0, b_i - lambda a_i), convex and piecewise linear
+    with breakpoints r_i = b_i / a_i.  Just right of the j-th smallest
+    breakpoint its slope is the cumulative |a| up to j minus the total
+    positive weight, so one argsort and one cumulative sum find the minimum
+    lambda*.  Complementary slackness fixes chi_i = 1 where
+    b_i - lambda* a_i > 0 and 0 where it is < 0; the coordinates tied at
+    lambda* share the a-weight that brings chi.a back to 0.
     """
-    free = a <= eps
-    capacity = float(b[free].sum())
-    if capacity < 1.0 - FEAS_TOL:
-        return None
-    chi = np.zeros_like(a)
-    chi[free] = min(1.0, 1.0 / capacity)
+    pos = a > 0
+    if pos.all() or not pos.any():
+        return np.zeros_like(a)  # only chi = 0 on these coordinates meets chi.a = 0
+    r = b / a
+    order = np.argsort(r)
+    cum = np.cumsum(np.abs(a[order]))
+    lam = r[order[min(int(np.searchsorted(cum, a[pos].sum())), a.size - 1)]]
+    chi = np.where(pos, r > lam, r < lam).astype(float)
+    need = -float(chi @ a)
+    tied = (r == lam) & (pos if need > 0 else ~pos)
+    supply = float(a[tied].sum())
+    if need and supply:
+        chi[tied] = min(need / supply, 1.0)
     return chi
 
 
-def _bit_patterns(m: int) -> np.ndarray:
-    if m == 0:
-        return np.zeros((1, 0))
-    return ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(float)
+def antidist_classical(problem: AntidistProblem) -> Optional[AntidistCertificate]:
+    """Decide anti-distinguishability of the target; None means REFUTED.
 
-
-def _vertex_decision(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Exhaustive vertex enumeration for the signed case.
-
-    Any vertex of {chi in [0,1]^k : chi.a = 0, chi.b = 1} has at most two
-    coordinates strictly between the bounds, and when exactly two are
-    fractional their 2x2 constraint block is nonsingular.  Enumerating all
-    bound patterns for 0, 1, and 2 free coordinates is therefore complete.
+    chi = 0 lies on the convex slice {chi in [0,1]^k : chi.a = 0} with
+    chi.b = 0, so chi.b = 1 is reachable on it iff the greatest chi.b there,
+    hi, reaches 1, and then chi_hi / hi is a certificate.  Weights with
+    |a_i| <= SUPPORT_EPS are read as 0: chi_i is free there and fires unless
+    b_i < -SUPPORT_EPS.  For a probability ensemble hi is thus the rest's
+    mass off the target's support, and the certificate is 1/hi there.
     """
-    k = a.size
-    if k > VERTEX_MAX_POINTS:
-        raise TooLargeError(
-            f"signed vertex enumeration supports at most {VERTEX_MAX_POINTS} points, got {k}"
-        )
-
-    def _check(chi: np.ndarray) -> Optional[np.ndarray]:
-        r0, r1 = _residuals(chi, a, b)
-        if abs(r0) <= FEAS_TOL and abs(r1 - 1.0) <= FEAS_TOL:
-            return chi
-        return None
-
-    # no fractional coordinates
-    pats = _bit_patterns(k)
-    hits = np.flatnonzero(
-        (np.abs(pats @ a) <= FEAS_TOL) & (np.abs(pats @ b - 1.0) <= FEAS_TOL)
-    )
-    if hits.size:
-        return pats[hits[0]].copy()
-
-    # one fractional coordinate
-    pats = _bit_patterns(k - 1)
-    for i in range(k):
-        rest = np.array([j for j in range(k) if j != i])
-        sa = pats @ a[rest]
-        sb = pats @ b[rest]
-        for coef, target_vec in ((a[i], -sa), (b[i], 1.0 - sb)):
-            if abs(coef) < 1e-13:
-                continue
-            x = target_vec / coef
-            ok = (x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL)
-            for idx in np.flatnonzero(ok):
-                chi = np.zeros(k)
-                chi[rest] = pats[idx]
-                chi[i] = min(max(x[idx], 0.0), 1.0)
-                found = _check(chi)
-                if found is not None:
-                    return found
-
-    # two fractional coordinates
-    pats = _bit_patterns(k - 2)
-    for i, j in combinations(range(k), 2):
-        det = a[i] * b[j] - a[j] * b[i]
-        if abs(det) < 1e-13:
-            continue
-        rest = np.array([t for t in range(k) if t not in (i, j)], dtype=int)
-        rhs0 = -(pats @ a[rest])
-        rhs1 = 1.0 - (pats @ b[rest])
-        x = (b[j] * rhs0 - a[j] * rhs1) / det
-        y = (-b[i] * rhs0 + a[i] * rhs1) / det
-        ok = (
-            (x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL)
-            & (y >= -FEAS_TOL) & (y <= 1.0 + FEAS_TOL)
-        )
-        for idx in np.flatnonzero(ok):
-            chi = np.zeros(k)
-            chi[rest] = pats[idx]
-            chi[i] = min(max(x[idx], 0.0), 1.0)
-            chi[j] = min(max(y[idx], 0.0), 1.0)
-            found = _check(chi)
-            if found is not None:
-                return found
-    return None
-
-
-def antidist_classical(
-    problem: AntidistProblem, method: str = "auto", eps: float = SUPPORT_EPS
-) -> Optional[AntidistCertificate]:
-    """Decide anti-distinguishability of the target; None means REFUTED."""
     a = problem.ensemble[problem.target].weights
     b = np.zeros_like(a)
     for i, d in enumerate(problem.ensemble):
         if i != problem.target:
             b = b + d.weights
-    all_probability = all(d.is_probability for d in problem.ensemble)
-    if method == "auto":
-        method = "support" if all_probability else "vertex"
-    if method == "support":
-        if not all_probability:
-            raise SignedUnsupportedError("support decision requires probability ensembles")
-        chi = _support_decision(a, b, eps)
-    elif method == "vertex":
-        chi = _vertex_decision(a, b)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if chi is None:
+    zero = np.abs(a) <= SUPPORT_EPS
+    fire = zero & (b >= -SUPPORT_EPS)
+    chi = fire.astype(float)
+    chi[~zero] = _knapsack(a[~zero], b[~zero])
+    hi = float(b[fire].sum()) + float(chi[~zero] @ b[~zero])
+    if hi < 1.0 - FEAS_TOL:
         return None
-    return _certificate(chi, problem, a, b)
+    return _certificate(min(1.0, 1.0 / hi) * chi, problem, a, b)
 
 
-def antidist_family(
-    ensemble: Sequence[Distribution], method: str = "auto"
-) -> list[Optional[AntidistCertificate]]:
+def antidist_family(ensemble: Sequence[Distribution]) -> list[Optional[AntidistCertificate]]:
     """Decide every member; the family is anti-distinguishable iff all succeed."""
     ensemble = tuple(ensemble)
-    return [
-        antidist_classical(AntidistProblem(ensemble, i), method=method)
-        for i in range(len(ensemble))
-    ]
+    return [antidist_classical(AntidistProblem(ensemble, i)) for i in range(len(ensemble))]
 
 
 def antidist_partition(

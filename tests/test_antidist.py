@@ -1,10 +1,14 @@
 """Anti-distinguishability decisions, compression channel, PBR pipeline."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from ontokit.antidist import (
+    FEAS_TOL,
+    AntidistCertificate,
     AntidistProblem,
     antidist_classical,
     antidist_family,
@@ -17,9 +21,17 @@ from ontokit.antidist import (
     smallest_compression_power,
 )
 from ontokit.errors import BadOverlapError
-from ontokit.kernels import Distribution, FiniteSpace, dtensor, point_mass
+from ontokit.kernels import (
+    SUPPORT_EPS,
+    Distribution,
+    FiniteSpace,
+    ResponseFunction,
+    dtensor,
+    point_mass,
+)
 from ontokit.quantum import DensityMatrix, apply_channel, overlap
 from ontokit.sampling import random_nonorthogonal_pair, rng_for
+from ontokit.serialize import dumps_report
 from ontokit.wigner import phase_point_operators, wigner_vector
 
 S2 = FiniteSpace(("x0", "x1"))
@@ -39,6 +51,132 @@ def scipy_feasible(a, b):
     return res.status == 0
 
 
+def support_oracle(a, b):
+    """Support argument for probability ensembles: chi must vanish on
+    supp(target), so the best it can collect from the rest is the
+    complement mass; feasible iff that reaches 1."""
+    free = a <= SUPPORT_EPS
+    capacity = float(b[free].sum())
+    if capacity < 1.0 - FEAS_TOL:
+        return None
+    chi = np.zeros_like(a)
+    chi[free] = min(1.0, 1.0 / capacity)
+    return chi
+
+
+def bit_patterns(m):
+    if m == 0:
+        return np.zeros((1, 0))
+    return ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(float)
+
+
+def vertex_oracle(a, b):
+    """Exhaustive vertex enumeration of {chi in [0,1]^k : chi.a = 0, chi.b = 1}.
+
+    Any vertex has at most two coordinates strictly between the bounds, and
+    when exactly two are fractional their 2x2 constraint block is
+    nonsingular, so enumerating every bound pattern for 0, 1 and 2 free
+    coordinates is complete.  O(k^2 2^k): keep k <= 12.
+    """
+    k = a.size
+
+    def feasible(chi):
+        return abs(chi @ a) <= FEAS_TOL and abs(chi @ b - 1.0) <= FEAS_TOL
+
+    pats = bit_patterns(k)
+    hits = np.flatnonzero(
+        (np.abs(pats @ a) <= FEAS_TOL) & (np.abs(pats @ b - 1.0) <= FEAS_TOL)
+    )
+    if hits.size:
+        return pats[hits[0]].copy()
+
+    pats = bit_patterns(k - 1)
+    for i in range(k):
+        rest = np.array([j for j in range(k) if j != i], dtype=int)
+        sa = pats @ a[rest]
+        sb = pats @ b[rest]
+        for coef, target_vec in ((a[i], -sa), (b[i], 1.0 - sb)):
+            if abs(coef) < 1e-13:
+                continue
+            x = target_vec / coef
+            for idx in np.flatnonzero((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL)):
+                chi = np.zeros(k)
+                chi[rest] = pats[idx]
+                chi[i] = min(max(x[idx], 0.0), 1.0)
+                if feasible(chi):
+                    return chi
+
+    if k < 2:
+        return None
+    pats = bit_patterns(k - 2)
+    for i, j in combinations(range(k), 2):
+        det = a[i] * b[j] - a[j] * b[i]
+        if abs(det) < 1e-13:
+            continue
+        rest = np.array([t for t in range(k) if t not in (i, j)], dtype=int)
+        rhs0 = -(pats @ a[rest])
+        rhs1 = 1.0 - (pats @ b[rest])
+        x = (b[j] * rhs0 - a[j] * rhs1) / det
+        y = (-b[i] * rhs0 + a[i] * rhs1) / det
+        ok = (
+            (x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL)
+            & (y >= -FEAS_TOL) & (y <= 1.0 + FEAS_TOL)
+        )
+        for idx in np.flatnonzero(ok):
+            chi = np.zeros(k)
+            chi[rest] = pats[idx]
+            chi[i] = min(max(x[idx], 0.0), 1.0)
+            chi[j] = min(max(y[idx], 0.0), 1.0)
+            if feasible(chi):
+                return chi
+    return None
+
+
+def target_and_rest(members, target):
+    a = members[target].weights
+    b = np.zeros_like(a)
+    for i, m in enumerate(members):
+        if i != target:
+            b = b + m.weights
+    return a, b
+
+
+def cli_report(space, target, cert):
+    """The `ontokit antidist` report for a certificate (None for REFUTED)."""
+    report = {
+        "command": "antidist",
+        "points": list(space.points),
+        "target": target,
+        "result": "certified" if cert is not None else "REFUTED",
+    }
+    if cert is not None:
+        report["response"] = [float(x) for x in cert.response.values]
+        report["residuals"] = {
+            "target_weight": cert.residuals[0],
+            "rest_weight": cert.residuals[1],
+        }
+    return dumps_report(report)
+
+
+def assert_report_matches_support_oracle(members, target):
+    space = members[0].space
+    a, b = target_and_rest(members, target)
+    cert = antidist_classical(AntidistProblem(members, target))
+    chi = support_oracle(a, b)
+    want = None if chi is None else AntidistCertificate(
+        ResponseFunction(space, chi), (float(chi @ a), float(chi @ b))
+    )
+    assert cli_report(space, target, cert) == cli_report(space, target, want)
+    return cert
+
+
+def random_probability_ensemble(rng, k, members):
+    while True:
+        w = rng.uniform(0.05, 1.0, (members, k)) * (rng.random((members, k)) < 0.6)
+        if (w.sum(axis=1) > 0).all():
+            return w / w.sum(axis=1, keepdims=True)
+
+
 def wig3(ket):
     return wigner_vector(DensityMatrix.from_ket(ket), phase_point_operators(3))
 
@@ -56,8 +194,9 @@ class TestClassicalDecision:
         nu = Distribution(S3, [0.0, 0.5, 0.5])
         prob = AntidistProblem((mu, nu), 0)
         assert antidist_classical(prob) is None
-        # vertex-enumeration oracle agrees
-        assert antidist_classical(prob, method="vertex") is None
+        # the vertex-enumeration and support oracles agree
+        assert vertex_oracle(mu.weights, nu.weights) is None
+        assert support_oracle(mu.weights, nu.weights) is None
 
     def test_signed_wigner_pair_refuted(self):
         v0 = wig3(np.array([1, 0, 0], dtype=complex))
@@ -67,7 +206,9 @@ class TestClassicalDecision:
         assert antidist_classical(AntidistProblem((v0, v01), 1)) is None
 
     def test_support_and_vertex_paths_agree_exhaustively(self):
-        """Cross-check on exhaustive small rational instances."""
+        """Cross-check on exhaustive small rational instances: the decision,
+        both oracles and the disjoint-support criterion agree, and the
+        report is byte-identical to the support argument's."""
         quarters = [
             np.array([i, j, 4 - i - j]) / 4.0
             for i in range(5)
@@ -76,14 +217,77 @@ class TestClassicalDecision:
         space = S3
         for wa in quarters:
             for wb in quarters:
-                prob = AntidistProblem(
-                    (Distribution(space, wa), Distribution(space, wb)), 0
-                )
-                got_support = antidist_classical(prob, method="support")
-                got_vertex = antidist_classical(prob, method="vertex")
-                assert (got_support is None) == (got_vertex is None)
+                members = (Distribution(space, wa), Distribution(space, wb))
+                cert = assert_report_matches_support_oracle(members, 0)
+                assert (cert is None) == (vertex_oracle(wa, wb) is None)
                 disjoint = not np.any((wa > 0) & (wb > 0))
-                assert (got_support is not None) == disjoint
+                assert (cert is not None) == disjoint
+
+    def test_probability_reports_match_support_oracle(self):
+        rng = rng_for(78)
+        verdicts = set()
+        for _ in range(300):
+            k = int(rng.integers(1, 40))
+            space = FiniteSpace(tuple(f"x{i}" for i in range(k)))
+            w = random_probability_ensemble(rng, k, int(rng.integers(1, 6)))
+            members = tuple(Distribution(space, row) for row in w)
+            target = int(rng.integers(len(members)))
+            cert = assert_report_matches_support_oracle(members, target)
+            verdicts.add(cert is None)
+        assert verdicts == {True, False}
+
+    def test_target_weights_at_support_threshold(self):
+        """Weights SUPPORT_EPS * (1 - 1/2) are read as zero, weights
+        SUPPORT_EPS * (1 + 1/2) as support, for every ensemble."""
+        rng = rng_for(79)
+        for scale, certified in ((0.5, True), (1.5, False)):
+            tiny = scale * SUPPORT_EPS
+            mu = Distribution(S3, [1.0 - tiny, tiny, 0.0])
+            nu = point_mass(S3, "x1")
+            cert = assert_report_matches_support_oracle((mu, nu), 0)
+            assert (cert is not None) == certified
+            for _ in range(40):
+                k = int(rng.integers(2, 12))
+                space = FiniteSpace(tuple(f"x{i}" for i in range(k)))
+                w = random_probability_ensemble(rng, k, int(rng.integers(2, 5)))
+                target = int(rng.integers(w.shape[0]))
+                w[target][w[target] == 0.0] = tiny
+                w[target] /= w[target].sum()
+                members = tuple(Distribution(space, row) for row in w)
+                assert_report_matches_support_oracle(members, target)
+        # a signed target with a tiny entry: a tiny positive weight is paid
+        # for by the negative one, so both readings are certified exactly
+        for scale in (0.5, 1.5):
+            tiny = scale * SUPPORT_EPS
+            mu = Distribution(S3, [1.2 - tiny, -0.2, tiny])
+            nu = point_mass(S3, "x2")
+            cert = antidist_classical(AntidistProblem((mu, nu), 0))
+            assert cert is not None
+            assert vertex_oracle(mu.weights, nu.weights) is not None
+            assert scipy_feasible(mu.weights, nu.weights)
+
+    def test_negative_rest_weight_off_target_support_is_skipped(self):
+        """Where the target weighs 0 the response is free, so it must skip
+        points where the rest is negative to collect weight 1."""
+        s4 = FiniteSpace(("x0", "x1", "x2", "x3"))
+        mu = point_mass(s4, "x0")
+        nu = Distribution(s4, [0.2, 1.0, -0.2, 0.0])
+        cert = antidist_classical(AntidistProblem((mu, nu), 0))
+        assert cert is not None
+        assert cert.response.values[2] == 0.0
+        assert vertex_oracle(mu.weights, nu.weights) is not None
+        assert scipy_feasible(mu.weights, nu.weights)
+
+    def test_single_point_and_single_member_refuted(self):
+        one = FiniteSpace(("x0",))
+        for members in range(1, 4):
+            ensemble = tuple(point_mass(one, "x0") for _ in range(members))
+            for target in range(members):
+                assert antidist_classical(AntidistProblem(ensemble, target)) is None
+        signed = Distribution(S3, [1.5, -1.0, 0.5])
+        for member in (point_mass(S3, "x1"), Distribution(S3, [0.2, 0.3, 0.5]), signed):
+            assert antidist_classical(AntidistProblem((member,), 0)) is None
+            assert antidist_family((member,)) == [None]
 
     def test_vertex_path_matches_scipy_on_signed_instances(self):
         rng = rng_for(71)
@@ -95,6 +299,7 @@ class TestClassicalDecision:
             got = antidist_classical(AntidistProblem((a, b), 0))
             want = scipy_feasible(a.weights, b.weights)
             assert (got is not None) == want
+            assert (vertex_oracle(a.weights, b.weights) is not None) == want
         # signed ensembles over exactly two points, two to four members
         verdicts = set()
         for _ in range(40):
@@ -103,13 +308,35 @@ class TestClassicalDecision:
             if all(m.is_probability for m in members):
                 continue
             target = int(rng.integers(len(members)))
-            a = members[target].weights
-            b = sum(m.weights for i, m in enumerate(members) if i != target)
+            a, b = target_and_rest(members, target)
             got = antidist_classical(AntidistProblem(members, target))
             want = scipy_feasible(a, b)
             assert (got is not None) == want
             verdicts.add(want)
         assert verdicts == {True, False}
+        # random signed ensembles on k = 1..12 points against both oracles
+        for k in range(1, 13):
+            space = FiniteSpace(tuple(f"x{i}" for i in range(k)))
+            verdicts = set()
+            for trial in range(12):
+                n_members = int(rng.integers(1, 5))
+                p = rng.dirichlet(np.ones(k), n_members)
+                z = rng.normal(size=(n_members, k))
+                spread = (0.02 if trial % 2 else 1.0) / k
+                w = p + spread * (z - z.mean(axis=1, keepdims=True))
+                members = tuple(Distribution(space, row) for row in w)
+                target = int(rng.integers(n_members))
+                a, b = target_and_rest(members, target)
+                cert = antidist_classical(AntidistProblem(members, target))
+                want = scipy_feasible(a, b)
+                assert (cert is not None) == want
+                assert (vertex_oracle(a, b) is not None) == want
+                if cert is not None:
+                    r0, r1 = cert.residuals
+                    assert abs(r0) <= 1e-7 and abs(r1 - 1.0) <= 1e-7
+                verdicts.add(want)
+            if k >= 3:
+                assert verdicts == {True, False}
 
     def test_certificate_residuals_within_tolerance(self):
         rng = rng_for(72)

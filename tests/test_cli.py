@@ -108,6 +108,19 @@ class TestWigner:
         doc = json.loads(out)
         assert doc["epistemic_witness"] is True and doc["bound_ok"] is True
 
+    def test_epistemic_on_25_points(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(dumps_report(ket_to_json(np.array([1, 0, 0, 0, 0], dtype=complex))))
+        b.write_text(
+            dumps_report(ket_to_json(np.array([1, 1, 0, 0, 0], dtype=complex) / np.sqrt(2)))
+        )
+        code, out, _ = run_cli(capsys, "wigner", "epistemic", "--psi", str(a), "--phi", str(b))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == 5 and doc["bound_ok"] is True
+        assert doc["epistemic_witness"] is True
+
 
 class TestLemmas:
     def test_byte_identical_reruns(self, capsys):

@@ -26,6 +26,7 @@ from ontokit.sampling import (
     random_density,
     random_effect,
     random_ket,
+    random_nonorthogonal_pair,
     rng_for,
 )
 from ontokit.wigner import (
@@ -461,3 +462,27 @@ class TestEpistemicReport:
             rep = epistemic_report(psi, phi)
             assert abs(rep.overlap) < 1e-9
             assert not rep.refuted_psi and not rep.refuted_phi
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_non_stabilizer_pairs_beyond_sixteen_points_match_linprog(self, n):
+        from scipy.optimize import linprog
+
+        def feasible(a, b):
+            res = linprog(np.zeros(a.size), A_eq=np.vstack([a, b]), b_eq=[0.0, 1.0],
+                          bounds=[(0.0, 1.0)] * a.size, method="highs")
+            return res.status == 0
+
+        rng = rng_for(92, n)
+        frame = phase_point_operators(n)
+        verdicts = set()
+        for _ in range(8):
+            psi, phi, _ = random_nonorthogonal_pair(rng, n, 0.3, 0.99)
+            v_psi = wigner_vector(DensityMatrix.from_ket(psi), frame).weights
+            v_phi = wigner_vector(DensityMatrix.from_ket(phi), frame).weights
+            # pure states with nonnegative Wigner vectors are stabilizer states
+            assert v_psi.min() < 0.0 and v_phi.min() < 0.0
+            rep = epistemic_report(psi, phi, frame)
+            assert rep.refuted_psi == (not feasible(v_psi, v_phi))
+            assert rep.refuted_phi == (not feasible(v_phi, v_psi))
+            verdicts.add(rep.refuted_psi)
+        assert verdicts == {True, False}
