@@ -20,6 +20,7 @@ from .ontomodel import classify_model, validate_model
 from .qmeasure import (
     DecoherenceFunctional,
     measure_from_decoherence,
+    validate_decoherence,
     validate_quantum_measure,
 )
 from .serialize import (
@@ -36,13 +37,18 @@ from .wigner import epistemic_report, monoidality_check, phase_point_operators, 
 from .quantum import DensityMatrix
 
 
-def _default_tol(fallback: float) -> float:
-    env = os.environ.get("ONTOKIT_TOL")
-    if env is None:
+def _tolerance(flag: str | None, fallback: float) -> float:
+    """--tol, else ONTOKIT_TOL, else the command's default; finite and positive."""
+    name = "--tol" if flag is not None else "ONTOKIT_TOL"
+    raw = flag if flag is not None else os.environ.get(name)
+    if raw is None:
         return fallback
-    tol = float(env)
-    if tol <= 0:
-        raise SchemaError("ONTOKIT_TOL", "tolerance must be positive")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = float("nan")  # rejected below with the raw text
+    if not 0 < tol < float("inf"):
+        raise SchemaError(name, f"tolerance must be a finite positive number, got {raw!r}")
     return tol
 
 
@@ -51,8 +57,8 @@ def _emit(report: dict) -> None:
 
 
 def _cmd_validate_model(args) -> int:
+    tol = _tolerance(args.tol, 1e-7)
     model = parse_model(load_json(args.file))
-    tol = args.tol if args.tol is not None else _default_tol(1e-7)
     validation = validate_model(model, tol=tol)
     verdict = classify_model(model)
     report = {
@@ -94,9 +100,9 @@ def _cmd_antidist(args) -> int:
 
 
 def _cmd_pbr_demo(args) -> int:
+    tol = _tolerance(args.tol, 1e-8)
     psi = parse_ket(load_json(args.psi))
     phi = parse_ket(load_json(args.phi))
-    tol = args.tol if args.tol is not None else _default_tol(1e-8)
     result = pbr_demo(psi, phi, n=args.n, tol=tol)
     report = {
         "command": "pbr-demo",
@@ -175,7 +181,7 @@ def _cmd_wigner_functor_check(args) -> int:
     from .sampling import random_cptp_channel, random_density, random_effect, rng_for
     from .wigner import commutative_algebra, functor_morphism
 
-    tol = args.tol if args.tol is not None else _default_tol(1e-8)
+    tol = _tolerance(args.tol, 1e-8)
     dim = args.dim
     worst_comp = 0.0
     worst_eval = 0.0
@@ -256,7 +262,7 @@ def _cmd_wigner_epistemic(args) -> int:
 
 
 def _cmd_qmeasure_validate(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(1e-9)
+    tol = _tolerance(args.tol, 1e-9)
     obj = parse_qmeasure_doc(load_json(args.file))
     if isinstance(obj, DecoherenceFunctional):
         dreport = validate_decoherence_report(obj, tol)
@@ -289,8 +295,6 @@ def _cmd_qmeasure_validate(args) -> int:
 
 
 def validate_decoherence_report(d: DecoherenceFunctional, tol: float) -> dict:
-    from .qmeasure import validate_decoherence
-
     rep = validate_decoherence(d, tol)
     return {
         "command": "qmeasure-validate",
@@ -320,7 +324,7 @@ input schemas (numbers are decimal; outputs use 17 significant digits):
             or {"points": [labels], "measure": {"<bitmask>": real}}
 
 exit codes: 0 all checks pass, 1 check failure, 2 schema/IO error.
-ONTOKIT_TOL overrides the default tolerance of the invoked command.
+--tol, else ONTOKIT_TOL, overrides the default tolerance; it must be finite and > 0.
 """
 
 
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-model", help="validate an ontological model file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.set_defaults(func=_cmd_validate_model)
 
     p = sub.add_parser("antidist", help="decide anti-distinguishability of an ensemble member")
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.set_defaults(func=_cmd_pbr_demo)
 
     p = sub.add_parser("lemmas", help="randomised product-state property suite")
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.set_defaults(func=_cmd_wigner_functor_check)
 
     p = wsub.add_parser("epistemic", help="anti-distinguishability of Wigner images")
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     qsub = q.add_subparsers(dest="qmeasure_command", required=True)
     p = qsub.add_parser("validate", help="validate a measure or decoherence functional")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.set_defaults(func=_cmd_qmeasure_validate)
 
     return parser

@@ -281,7 +281,10 @@ def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
                 raise SchemaError(f"measure[{key}]", "bitmask keys must be integers") from exc
             if not 0 <= mask < 2 ** space.size:
                 raise SchemaError(f"measure[{key}]", "bitmask out of range")
-            values[mask] = float(v)
+            try:
+                values[mask] = float(v)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}") from exc
             seen[mask] = True
         if not seen.all():
             raise SchemaError("measure", "values must cover every subset bitmask")

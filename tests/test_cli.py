@@ -244,6 +244,14 @@ class TestQmeasureCli:
         assert code == 1
         assert json.loads(out)["clean"] is False
 
+    def test_non_numeric_measure_value_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"points": ["a"], "measure": {"0": 0.0, "1": "x"}}))
+        code, out, err = run_cli(capsys, "qmeasure", "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "measure[1]" in err
+
 
 class TestTolOverride:
     def test_env_var_tolerance(self, capsys, tmp_path, monkeypatch):
@@ -268,3 +276,40 @@ class TestTolOverride:
         path.write_text(dumps_report(doc))
         code, out, _ = run_cli(capsys, "validate-model", str(path))
         assert code == 0  # 0.3 deviation tolerated at 0.5
+
+
+def _tol_command(name, tmp_path, state_files):
+    """argv for each subcommand that reads a tolerance, on valid inputs."""
+    if name == "validate-model":
+        path = tmp_path / "model.json"
+        path.write_text(dumps_report(TestValidateModel()._model_doc()))
+        return ["validate-model", str(path)]
+    if name == "pbr-demo":
+        zero, plus = state_files
+        return ["pbr-demo", "--psi", zero, "--phi", plus]
+    if name == "wigner functor-check":
+        return ["wigner", "functor-check", "--trials", "1"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"points": ["a"], "measure": {"0": 0.0, "1": 1.0}}))
+    return ["qmeasure", "validate", str(path)]
+
+
+@pytest.mark.parametrize(
+    "source,raw",
+    [("flag", "abc"), ("flag", "nan"), ("flag", "inf"), ("flag", "-1"), ("flag", "0"),
+     ("env", "abc"), ("env", "nan"), ("env", "inf")],
+)
+@pytest.mark.parametrize(
+    "command", ["validate-model", "pbr-demo", "wigner functor-check", "qmeasure validate"]
+)
+def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, command, source, raw):
+    argv = _tol_command(command, tmp_path, state_files)
+    if source == "flag":
+        argv += ["--tol", raw]
+    else:
+        monkeypatch.setenv("ONTOKIT_TOL", raw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert ("--tol" if source == "flag" else "ONTOKIT_TOL") in err
+    assert raw in err
