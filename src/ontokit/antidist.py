@@ -13,8 +13,9 @@ O(k log k).
 
 The module also houses the quantum side: the four-outcome entangled
 measurement on two qubits, the two-Kraus compression channel sending a
-tensor-power pair onto {|0>, |+>}, and the end-to-end demonstration that
-the resulting four product states are anti-distinguished.
+tensor-power pair onto {|0>, |+>} (built on the 2-dimensional span of the
+powers, so its cost does not grow with n or d), and the end-to-end
+demonstration that the resulting four product states are anti-distinguished.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     BadOverlapError,
     DimMismatchError,
     SpaceMismatchError,
-    TooLargeError,
     VerificationFailedError,
 )
 from .kernels import Distribution, ResponseFunction, SUPPORT_EPS, support_mask
@@ -38,7 +38,6 @@ from .sampling import rng_for
 
 CERT_RESIDUAL_TOL = 1e-7
 FEAS_TOL = 1e-9
-MAX_COMPRESSION_DIM = 2048
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -209,33 +208,37 @@ def pbr_measurement() -> ProjectiveMeasurement:
 
 @dataclass(frozen=True)
 class CompressionResult:
-    """Compression channel with its verification data."""
+    """Compression channel with its verification data.
+
+    ``channel`` acts on span coordinates, in which the tensor powers are
+    ``psi_span`` and ``phi_span`` (see ``compression_channel``).
+    """
 
     channel: Channel
     n: int
     gamma: float
     parametrization: str
-    psi_n: np.ndarray
-    phi_n: np.ndarray
+    psi_span: np.ndarray
+    phi_span: np.ndarray
     output_psi: DensityMatrix
     output_phi: DensityMatrix
     residual_psi: float
     residual_phi: float
 
 
-def _tensor_power(psi: np.ndarray, n: int) -> np.ndarray:
-    out = psi
-    for _ in range(n - 1):
-        out = np.kron(out, psi)
-    return out
-
-
 def smallest_compression_power(overlap_mod: float) -> int:
-    """Least n with overlap^n <= 1/sqrt(2)."""
+    """Least n with overlap^n <= 1/sqrt(2), in closed form.
+
+    The steps after the logarithm make n the first power that passes the
+    bound in floating point, as a search from n = 1 would find it.
+    """
     if not 0.0 < overlap_mod < 1.0:
         raise BadOverlapError(f"overlap modulus {overlap_mod!r} must be in (0, 1)")
-    n = 1
-    while overlap_mod ** n > INV_SQRT2 + 1e-12:
+    bound = INV_SQRT2 + 1e-12
+    n = max(1, int(np.ceil(np.log(bound) / np.log(overlap_mod))))
+    while n > 1 and overlap_mod ** (n - 1) <= bound:
+        n -= 1
+    while overlap_mod ** n > bound:
         n += 1
     return n
 
@@ -245,60 +248,45 @@ def compression_channel(
 ) -> CompressionResult:
     """Channel mapping the pair (psi^n, phi^n) onto (|0><0|, |+><+|).
 
-    The two-Kraus map K0 = |0><0| + t |1><1|, K1 = sqrt((1-t^2)/2)(|0>+|1>)<1|
-    acts on the 2-dimensional span of the tensor powers; the rest of the
-    input space is dumped onto |0> by extra Kraus branches so the channel is
-    exactly trace preserving.  With gamma = |<psi^n|phi^n>| the map needs
-    t = gamma / sqrt(1 - gamma^2) = tan(arcsin gamma), which lies in [0, 1]
-    because gamma <= 1/sqrt(2); ``parametrization`` records this choice as
-    "tan_arcsin_gamma".  Both outputs are verified against their targets.
+    Only span{psi^n, phi^n} matters.  Its Gram matrix is [[1, c], [c*, 1]]
+    with c = <psi|phi>^n, and its Cholesky columns are the span coordinates
+    psi^n -> (e^{-i arg c}, 0), phi^n -> (gamma, sqrt(1 - gamma^2)), gamma = |c|.
+    The channel is the two-Kraus map K0 = |0><0| + t |1><1|,
+    K1 = sqrt((1-t^2)/2)(|0>+|1>)<1| on these coordinates; dumping the
+    complement onto |0> adds exactly I - P_span to its Kraus sum, so it
+    extends to a trace-preserving channel on all d^n dimensions without
+    building them.  The map needs t = gamma / sqrt(1 - gamma^2) =
+    tan(arcsin gamma), in [0, 1] because gamma <= 1/sqrt(2);
+    ``parametrization`` records this choice as "tan_arcsin_gamma".  Both
+    outputs are verified against their targets.
     """
     psi = linalg.as_ket(psi)
     phi = linalg.as_ket(phi)
     if psi.size != phi.size:
         raise DimMismatchError("states must share a dimension")
-    g0 = abs(overlap(psi, phi))
+    ov = overlap(psi, phi)
+    g0 = abs(ov)
     if g0 < 1e-10 or g0 > 1.0 - 1e-10:
         raise BadOverlapError(f"|<psi|phi>| = {g0!r} must lie strictly inside (0, 1)")
     if n is None:
         n = smallest_compression_power(g0)
     elif n < 1 or g0 ** n > INV_SQRT2 + 1e-12:
         raise BadOverlapError(f"n = {n} leaves overlap {g0 ** max(n, 1):.6f} above 1/sqrt(2)")
-    dim = psi.size ** n
-    if dim > MAX_COMPRESSION_DIM:
-        raise TooLargeError(
-            f"compression at n = {n} needs dimension {dim} > {MAX_COMPRESSION_DIM}; "
-            "overlap is too close to 1"
-        )
 
-    psi_n = _tensor_power(psi, n)
-    phi_n = _tensor_power(phi, n)
-    c = np.vdot(psi_n, phi_n)
+    c = ov ** n
     gamma = abs(c)
-    u0 = np.exp(1j * np.angle(c)) * psi_n
-    u1 = phi_n - gamma * u0
-    u1 = u1 / np.linalg.norm(u1)
-    w = np.vstack([u0.conj(), u1.conj()])
-    q, _ = np.linalg.qr(np.hstack([u0[:, None], u1[:, None], np.eye(dim, dtype=complex)]))
-    complement = q[:, 2:dim]
-
-    proj0 = DensityMatrix.from_ket([1, 0])
-    proj_plus = DensityMatrix.from_ket([INV_SQRT2, INV_SQRT2])
-    rho_psi = DensityMatrix.from_ket(psi_n)
-    rho_phi = DensityMatrix.from_ket(phi_n)
+    psi_span = np.array([np.exp(-1j * np.angle(c)), 0.0])
+    phi_span = np.array([gamma, np.sqrt(1.0 - gamma * gamma)], dtype=complex)
 
     # gamma may exceed 1/sqrt(2) by rounding; the residual check below decides
     t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
     k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
     k1 = np.sqrt((1.0 - t * t) / 2.0) * np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
-    dump = np.array([[1.0], [0.0]], dtype=complex)
-    kraus = [k0 @ w, k1 @ w]
-    kraus += [dump @ complement[:, j].conj()[None, :] for j in range(dim - 2)]
-    channel = Channel(tuple(kraus))
-    out_psi = apply_channel(channel, rho_psi)
-    out_phi = apply_channel(channel, rho_phi)
-    res_psi = linalg.max_abs(out_psi.matrix - proj0.matrix)
-    res_phi = linalg.max_abs(out_phi.matrix - proj_plus.matrix)
+    channel = Channel((k0, k1))
+    out_psi = apply_channel(channel, DensityMatrix.from_ket(psi_span))
+    out_phi = apply_channel(channel, DensityMatrix.from_ket(phi_span))
+    res_psi = linalg.max_abs(out_psi.matrix - np.diag([1.0, 0.0]))
+    res_phi = linalg.max_abs(out_phi.matrix - np.full((2, 2), 0.5))
     if res_psi > tol or res_phi > tol:
         raise VerificationFailedError(
             f"compression did not reproduce (|0><0|, |+><+|): "
@@ -309,8 +297,8 @@ def compression_channel(
         n=n,
         gamma=gamma,
         parametrization="tan_arcsin_gamma",
-        psi_n=psi_n,
-        phi_n=phi_n,
+        psi_span=psi_span,
+        phi_span=phi_span,
         output_psi=out_psi,
         output_phi=out_phi,
         residual_psi=float(res_psi),

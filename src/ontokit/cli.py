@@ -52,6 +52,12 @@ def _tolerance(flag: str | None, fallback: float) -> float:
     return tol
 
 
+def _positive(name: str, value: int) -> int:
+    if value < 1:
+        raise SchemaError(name, f"expected a positive integer, got {value}")
+    return value
+
+
 def _emit(report: dict) -> None:
     sys.stdout.write(dumps_report(report) + "\n")
 
@@ -122,7 +128,7 @@ def _cmd_pbr_demo(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    result = lemma_suite(trials=args.trials, seed=args.seed)
+    result = lemma_suite(trials=_positive("--trials", args.trials), seed=args.seed)
     report = {
         "command": "lemmas",
         "trials": result.trials,
@@ -136,7 +142,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_wigner_frame(args) -> int:
-    frame = phase_point_operators(args.n)
+    frame = phase_point_operators(_positive("n", args.n))
     report = {
         "command": "wigner-frame",
         "dim": args.n,
@@ -182,7 +188,8 @@ def _cmd_wigner_functor_check(args) -> int:
     from .wigner import commutative_algebra, functor_morphism
 
     tol = _tolerance(args.tol, 1e-8)
-    dim = args.dim
+    _positive("--trials", args.trials)
+    dim = _positive("--dim", args.dim)
     worst_comp = 0.0
     worst_eval = 0.0
     for trial in range(args.trials):

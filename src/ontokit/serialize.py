@@ -192,12 +192,19 @@ def parse_kernel(doc) -> SignedKernel:
         raise SchemaError("matrix", str(exc)) from exc
 
 
+def _space(labels, field: str) -> FiniteSpace:
+    if not isinstance(labels, list) or not labels:
+        raise SchemaError(field, "expected a nonempty label list")
+    try:
+        return FiniteSpace(tuple(labels))
+    except ValueError as exc:
+        raise SchemaError(field, str(exc)) from exc
+
+
 def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
     points = _need(doc, "points")
     weights = _need(doc, "weights")
-    if not isinstance(points, list) or not points:
-        raise SchemaError("points", "expected a nonempty label list")
-    space = FiniteSpace(tuple(points))
+    space = _space(points, "points")
     if not isinstance(weights, list) or not weights:
         raise SchemaError("weights", "expected a nonempty list of weight vectors")
     dists = []
@@ -214,9 +221,7 @@ def parse_model(doc) -> OntModel:
     states_doc = _need(doc, "states")
     dists_doc = _need(doc, "distributions")
     meas_doc = _need(doc, "measurements")
-    if not isinstance(ontic_labels, list) or not ontic_labels:
-        raise SchemaError("ontic", "expected a nonempty label list")
-    ontic = FiniteSpace(tuple(ontic_labels))
+    ontic = _space(ontic_labels, "ontic")
     states = []
     for i, s in enumerate(states_doc):
         label = _need(s, "label", f"states[{i}].")
@@ -258,9 +263,7 @@ def parse_model(doc) -> OntModel:
 
 def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
     points = _need(doc, "points")
-    if not isinstance(points, list) or not points:
-        raise SchemaError("points", "expected a nonempty label list")
-    space = FiniteSpace(tuple(points))
+    space = _space(points, "points")
     if "decoherence" in doc:
         try:
             return DecoherenceFunctional(space, parse_matrix(doc["decoherence"], "decoherence"))

@@ -1,5 +1,6 @@
 """Anti-distinguishability decisions, compression channel, PBR pipeline."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +30,7 @@ from ontokit.kernels import (
     dtensor,
     point_mass,
 )
-from ontokit.quantum import DensityMatrix, apply_channel, overlap
+from ontokit.quantum import Channel, DensityMatrix, apply_channel, born, overlap
 from ontokit.sampling import random_nonorthogonal_pair, rng_for
 from ontokit.serialize import dumps_report
 from ontokit.wigner import phase_point_operators, wigner_vector
@@ -527,6 +528,67 @@ class TestPbrMeasurement:
         assert abs(abs(np.vdot(m.vectors[0], ket)) ** 2 - 0.25) < 1e-12
 
 
+def tensor_power(psi, n):
+    out = psi
+    for _ in range(n - 1):
+        out = np.kron(out, psi)
+    return out
+
+
+def dense_compression_oracle(psi, phi, n):
+    """The compression built on the whole d^n-dimensional space.
+
+    The span basis u0 = e^{i arg c} psi^n, u1 ~ phi^n - |c| u0 forms the
+    rows of ``w``; the two span Kraus operators act through ``w``, and a QR
+    completion of (u0, u1) supplies one dump branch onto |0> per remaining
+    basis vector, so ``Channel`` checks the full d^n-dimensional Kraus sum.
+    """
+    psi_n = tensor_power(np.asarray(psi, dtype=complex), n)
+    phi_n = tensor_power(np.asarray(phi, dtype=complex), n)
+    dim = psi_n.size
+    c = np.vdot(psi_n, phi_n)
+    gamma = abs(c)
+    u0 = np.exp(1j * np.angle(c)) * psi_n
+    u1 = phi_n - gamma * u0
+    u1 = u1 / np.linalg.norm(u1)
+    w = np.vstack([u0.conj(), u1.conj()])
+    q, _ = np.linalg.qr(np.hstack([u0[:, None], u1[:, None], np.eye(dim, dtype=complex)]))
+    t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
+    k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
+    k1 = np.sqrt((1.0 - t * t) / 2.0) * np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+    dump = np.array([[1.0], [0.0]], dtype=complex)
+    kraus = [k0 @ w, k1 @ w] + [dump @ q[:, j].conj()[None, :] for j in range(2, dim)]
+    channel = Channel(tuple(kraus))
+    out_psi = apply_channel(channel, DensityMatrix.from_ket(psi_n))
+    out_phi = apply_channel(channel, DensityMatrix.from_ket(phi_n))
+    return {
+        "channel": channel,
+        "w": w,
+        "psi_n": psi_n,
+        "phi_n": phi_n,
+        "gamma": gamma,
+        "output_psi": out_psi.matrix,
+        "output_phi": out_phi.matrix,
+        "residual_psi": np.max(np.abs(out_psi.matrix - DensityMatrix.from_ket([1, 0]).matrix)),
+        "residual_phi": np.max(np.abs(
+            out_phi.matrix - DensityMatrix.from_ket([INV_SQRT2, INV_SQRT2]).matrix)),
+    }
+
+
+def pbr_table(out_psi, out_phi):
+    """Born table of the four product states under the PBR measurement."""
+    m = pbr_measurement()
+    states = [DensityMatrix(np.kron(x, y)) for x in (out_psi, out_phi) for y in (out_psi, out_phi)]
+    return np.array([[born(st, m, k) for k in range(4)] for st in states])
+
+
+def search_power(g):
+    n = 1
+    while g ** n > INV_SQRT2 + 1e-12:
+        n += 1
+    return n
+
+
 class TestCompressionChannel:
     def test_canonical_fixed_point(self):
         res = compression_channel([1, 0], [INV_SQRT2, INV_SQRT2])
@@ -534,12 +596,19 @@ class TestCompressionChannel:
         assert res.residual_psi < 1e-10 and res.residual_phi < 1e-10
 
     def test_auto_power_oracle(self):
-        # smallest n with overlap^n <= 1/sqrt(2), by naive search
-        for overlap_mod in (0.3, 0.7071, 0.75, 0.9, 0.95):
-            n = 1
-            while overlap_mod ** n > INV_SQRT2 + 1e-12:
-                n += 1
-            assert smallest_compression_power(overlap_mod) == n
+        # smallest n with overlap^n <= 1/sqrt(2), by naive search; the sweep
+        # adds a few ulp either side of every threshold overlap up to n = 400
+        overlaps = [0.3, 0.7071, 0.75, 0.9, 0.95, *np.linspace(0.001, 0.999, 400)]
+        for k in range(1, 401):
+            for edge in (INV_SQRT2 ** (1.0 / k), (INV_SQRT2 + 1e-12) ** (1.0 / k)):
+                g = edge
+                for _ in range(3):
+                    g = math.nextafter(g, 0.0)
+                for _ in range(7):
+                    overlaps.append(g)
+                    g = math.nextafter(g, 1.0)
+        for overlap_mod in overlaps:
+            assert smallest_compression_power(overlap_mod) == search_power(overlap_mod), overlap_mod
         assert smallest_compression_power(0.9) == 4  # 0.9^4 = 0.6561 <= 0.7071 < 0.9^3
 
     def test_outputs_on_random_pairs(self):
@@ -565,10 +634,42 @@ class TestCompressionChannel:
         assert res.residual_psi < 1e-12 and res.residual_phi < 1e-12
 
     def test_channel_fixes_compressed_inputs(self):
-        # the channel maps the tensor-power projectors exactly as claimed
-        res = compression_channel([1, 0], [INV_SQRT2, INV_SQRT2], n=1)
-        out = apply_channel(res.channel, DensityMatrix.from_ket([1, 0]))
+        # the span channel maps the coordinate projectors exactly as claimed,
+        # and the coordinates keep the tensor powers' inner product
+        psi = np.array([1, 0], dtype=complex)
+        phi = np.exp(0.4j) * np.array([0.8, 0.6j])
+        res = compression_channel(psi, phi, n=3)
+        assert res.channel.in_dim == res.channel.out_dim == 2
+        assert abs(np.vdot(res.psi_span, res.phi_span) - overlap(psi, phi) ** 3) < 1e-12
+        out = apply_channel(res.channel, DensityMatrix.from_ket(res.psi_span))
         assert np.max(np.abs(out.matrix - np.diag([1.0, 0.0]))) < 1e-10
+        out = apply_channel(res.channel, DensityMatrix.from_ket(res.phi_span))
+        assert np.max(np.abs(out.matrix - np.full((2, 2), 0.5))) < 1e-10
+
+    @pytest.mark.parametrize("d,n_max", [(2, 7), (3, 4)])
+    def test_span_matches_dense_oracle(self, d, n_max):
+        # every d^n <= 128; n runs from the smallest power to n_max
+        rng = rng_for(75, d)
+        for trial in range(6):
+            psi, phi, g = random_nonorthogonal_pair(rng, d, 0.1, INV_SQRT2 ** (1.0 / n_max))
+            for n in range(smallest_compression_power(g), n_max + 1):
+                res = compression_channel(psi, phi, n=n)
+                dense = dense_compression_oracle(psi, phi, n)
+                assert abs(res.gamma - dense["gamma"]) < 1e-12
+                assert np.max(np.abs(res.output_psi.matrix - dense["output_psi"])) < 1e-12
+                assert np.max(np.abs(res.output_phi.matrix - dense["output_phi"])) < 1e-12
+                assert abs(res.residual_psi - dense["residual_psi"]) < 1e-12
+                assert abs(res.residual_phi - dense["residual_phi"]) < 1e-12
+                # the span channel is the dense one read in span coordinates; the
+                # phase of psi_span = (e^{-i arg c}, 0) is ill-conditioned when c
+                # is tiny, so it is checked through the inner product
+                assert np.max(np.abs(dense["w"] @ dense["phi_n"] - res.phi_span)) < 1e-12
+                c = np.vdot(dense["psi_n"], dense["phi_n"])
+                assert abs(np.vdot(res.psi_span, res.phi_span) - c) < 1e-12
+                for k_span, k_dense in zip(res.channel.kraus, dense["channel"].kraus[:2]):
+                    assert np.max(np.abs(k_span @ dense["w"] - k_dense)) < 1e-12
+                table = pbr_table(dense["output_psi"], dense["output_phi"])
+                assert np.max(np.abs(pbr_demo(psi, phi, n=n).table - table)) < 1e-12
 
     def test_bad_overlap_rejected(self):
         with pytest.raises(BadOverlapError):
@@ -598,6 +699,21 @@ class TestPbrDemo:
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(BadOverlapError):
             pbr_demo([1, 0], [0, 1])
+
+    @pytest.mark.parametrize("g,n", [(0.97, 12), (0.99, 35), (0.999, 347)])
+    def test_overlaps_beyond_old_dimension_cap(self, g, n):
+        # qubit and qutrit pairs whose tensor powers span 2^n and 3^n dimensions
+        s = np.sqrt(1.0 - g * g)
+        pairs = [
+            ([1, 0], [g, s]),
+            ([1, 0, 0], np.exp(0.7j) * np.array([g, 0.6 * s, 0.8j * s])),
+        ]
+        for psi, phi in pairs:
+            rep = pbr_demo(psi, phi)
+            assert abs(rep.overlap - g) < 1e-12
+            assert rep.n == n == search_power(rep.overlap)
+            assert rep.anti_distinguished
+            assert rep.max_assigned <= 1e-8
 
 
 class TestLemmaSuite:

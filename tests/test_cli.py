@@ -49,6 +49,17 @@ class TestPbrDemo:
         assert code == 2
         assert "BadOverlap" in err
 
+    def test_overlap_beyond_old_dimension_cap_exits_zero(self, capsys, tmp_path):
+        # n = 12: the dense construction needed 2^12 dimensions and was refused
+        psi, phi = tmp_path / "psi.json", tmp_path / "phi.json"
+        psi.write_text(dumps_report(ket_to_json(np.array([1, 0], dtype=complex))))
+        g = 0.97
+        phi.write_text(dumps_report(ket_to_json(np.array([g, np.sqrt(1 - g * g)], dtype=complex))))
+        code, out, _ = run_cli(capsys, "pbr-demo", "--psi", str(psi), "--phi", str(phi))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 12 and doc["anti_distinguished"] is True
+
 
 class TestWigner:
     def test_even_frame_exits_two(self, capsys):
@@ -130,6 +141,20 @@ class TestLemmas:
         assert out1 == out2
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv,field", [
+    (["lemmas", "--trials"], "--trials"),
+    (["wigner", "functor-check", "--trials"], "--trials"),
+    (["wigner", "functor-check", "--dim"], "--dim"),
+    (["wigner", "frame"], "n"),
+])
+def test_nonpositive_count_exits_two(capsys, argv, field, value):
+    code, out, err = run_cli(capsys, *argv, value)
+    assert code == 2
+    assert out == ""
+    assert f"{field}: expected a positive integer, got {value}" in err
+
+
 class TestAntidist:
     def test_certified_and_refuted(self, capsys, tmp_path):
         ens = tmp_path / "ens.json"
@@ -160,6 +185,14 @@ class TestAntidist:
         code, _, err = run_cli(capsys, "antidist", str(ens), "--target", "5")
         assert code == 2
         assert "target" in err
+
+    def test_duplicate_labels_exit_two(self, capsys, tmp_path):
+        ens = tmp_path / "ens.json"
+        ens.write_text(dumps_report({"points": ["a", "a"], "weights": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, out, err = run_cli(capsys, "antidist", str(ens), "--target", "0")
+        assert code == 2
+        assert out == ""
+        assert "points" in err and "distinct" in err
 
 
 class TestValidateModel:
@@ -211,6 +244,17 @@ class TestValidateModel:
         assert code == 2
         assert "distributions" in err
 
+    def test_duplicate_ontic_labels_exit_two(self, capsys, tmp_path):
+        def tweak(doc):
+            doc["ontic"] = ["a", "a"]
+
+        path = tmp_path / "model.json"
+        path.write_text(dumps_report(self._model_doc(tweak)))
+        code, out, err = run_cli(capsys, "validate-model", str(path))
+        assert code == 2
+        assert out == ""
+        assert "ontic" in err and "distinct" in err
+
 
 class TestQmeasureCli:
     def test_decoherence_validates(self, capsys, tmp_path):
@@ -251,6 +295,18 @@ class TestQmeasureCli:
         assert code == 2
         assert out == ""
         assert "measure[1]" in err
+
+    @pytest.mark.parametrize("form", [
+        {"measure": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}},
+        {"decoherence": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    ])
+    def test_duplicate_labels_exit_two(self, capsys, tmp_path, form):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"points": ["a", "a"], **form}))
+        code, out, err = run_cli(capsys, "qmeasure", "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "points" in err and "distinct" in err
 
 
 class TestTolOverride:
