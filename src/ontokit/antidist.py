@@ -21,6 +21,7 @@ demonstration that the resulting four product states are anti-distinguished.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -186,6 +187,7 @@ def antidist_quantum_check(
     )
 
 
+@lru_cache(maxsize=None)
 def pbr_measurement() -> ProjectiveMeasurement:
     """The entangled four-outcome basis on two qubits used by the PBR argument."""
     z0 = np.array([1, 0], dtype=complex)

@@ -195,8 +195,7 @@ def variational_distance(mu: Distribution, nu: Distribution) -> float:
     if mu.space != nu.space:
         raise SpaceMismatchError("distributions live on different spaces")
     diff = mu.weights - nu.weights
-    return float(max(diff[diff > 0].sum() if np.any(diff > 0) else 0.0,
-                     -diff[diff < 0].sum() if np.any(diff < 0) else 0.0))
+    return float(max(diff[diff > 0].sum(), -diff[diff < 0].sum()))
 
 
 def support(mu: Distribution, eps: float = SUPPORT_EPS) -> tuple[str, ...]:

@@ -2,7 +2,7 @@
 
 A finite ontological model pins down an ontic space, one distribution per
 catalogued state, and one response function per measurement outcome; the
-validator replays every Born probability by direct summation.  Functor
+validators work on its stacked kets and weights as matrices.  Functor
 fragments are finite tables of (channel, kernel) pairs checked for
 composition, identity, evaluation preservation, and equivariance under a
 tabulated action.
@@ -15,8 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MissingActionError, MissingMorphismError, SpaceMismatchError
+from . import linalg
+from .errors import DimMismatchError, MissingActionError, MissingMorphismError, SpaceMismatchError
 from .kernels import (
+    SUPPORT_EPS,
     TWO,
     UNIT_SPACE,
     Distribution,
@@ -26,10 +28,8 @@ from .kernels import (
     evaluate,
     kcompose,
     point_mass,
-    support_mask,
-    variational_distance,
 )
-from .quantum import Channel, DensityMatrix, ProjectiveMeasurement, apply_channel, born, compose, overlap
+from .quantum import Channel, ProjectiveMeasurement, compose
 
 STRICT_MARGIN = 1e-9
 
@@ -40,13 +40,16 @@ class OntModel:
 
     ``states`` catalogues (label, ket) pairs; ``distributions`` maps each
     label to its ontic distribution; ``measurements`` pairs a projective
-    measurement with one response function per outcome.
+    measurement with one response function per outcome.  ``kets``
+    (states x dim) and ``weights`` (states x ontic) stack them row by row.
     """
 
     ontic: FiniteSpace
     states: tuple[tuple[str, np.ndarray], ...]
     distributions: dict[str, Distribution]
     measurements: tuple[tuple[ProjectiveMeasurement, tuple[ResponseFunction, ...]], ...]
+    kets: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = [lab for lab, _ in self.states]
@@ -66,6 +69,28 @@ class OntModel:
             for xi in responses:
                 if xi.space != self.ontic:
                     raise SpaceMismatchError("response function lives off the ontic space")
+        kets = _stack_kets(self.states, [m for m, _ in self.measurements])
+        weights = np.array([self.distributions[lab].weights for lab in labels])
+        object.__setattr__(self, "kets", kets)
+        object.__setattr__(self, "weights", weights.reshape(len(labels), self.ontic.size))
+
+
+def _stack_kets(
+    states: Sequence[tuple[str, np.ndarray]], measurements: Sequence[ProjectiveMeasurement]
+) -> np.ndarray:
+    """Unit kets as rows; every ket and measurement shares the first's dimension."""
+    kets = [linalg.as_ket(k) for _, k in states]
+    dims = [(f"state {lab!r}", k.size) for (lab, _), k in zip(states, kets)]
+    dims += [(f"measurement {mi}", m.dim) for mi, m in enumerate(measurements)]
+    for name, dim in dims:
+        if dim != dims[0][1]:
+            raise DimMismatchError(f"{name} has dimension {dim}, expected {dims[0][1]}")
+    return np.array(kets, dtype=complex).reshape(len(kets), dims[0][1] if dims else 0)
+
+
+def _born_table(kets: np.ndarray, m: ProjectiveMeasurement) -> np.ndarray:
+    """(states, outcomes) table of |<v_k|psi_s>|^2, clamped to [0, 1]."""
+    return np.clip(np.abs(kets.conj() @ m.vectors.T) ** 2, 0.0, 1.0)
 
 
 @dataclass
@@ -80,32 +105,24 @@ class ModelValidation:
 
 
 def validate_model(model: OntModel, tol: float = 1e-7) -> ModelValidation:
-    """Replay every (state, measurement, outcome) Born probability and the
-    pointwise response sum rule; list what deviates beyond ``tol``."""
+    """Compare every (state, measurement, outcome) Born probability with the
+    model's W R^T and the pointwise response sum rule; list what deviates
+    beyond ``tol``."""
     report = ModelValidation(tolerance=tol)
     for mi, (m, responses) in enumerate(model.measurements):
-        totals = np.sum([xi.values for xi in responses], axis=0)
-        for li, lam in enumerate(model.ontic.points):
-            if abs(totals[li] - 1.0) > tol:
-                report.sum_rule_violations.append(
-                    {"measurement": mi, "point": lam, "total": float(totals[li])}
-                )
-        for label, ket in model.states:
-            mu = model.distributions[label]
-            rho = DensityMatrix.from_ket(ket)
-            for k in range(m.n_outcomes):
-                reproduced = float(responses[k].values @ mu.weights)
-                expected = born(rho, m, k)
-                if abs(reproduced - expected) > tol:
-                    report.born_violations.append(
-                        {
-                            "state": label,
-                            "measurement": mi,
-                            "outcome": k,
-                            "reproduced": reproduced,
-                            "expected": expected,
-                        }
-                    )
+        r = np.array([xi.values for xi in responses])
+        totals = r.sum(axis=0)
+        for li in np.flatnonzero(np.abs(totals - 1.0) > tol).tolist():
+            report.sum_rule_violations.append(
+                {"measurement": mi, "point": model.ontic.points[li], "total": float(totals[li])}
+            )
+        reproduced = model.weights @ r.T
+        expected = _born_table(model.kets, m)
+        for s, k in np.argwhere(np.abs(reproduced - expected) > tol).tolist():
+            report.born_violations.append(
+                {"state": model.states[s][0], "measurement": mi, "outcome": k,
+                 "reproduced": float(reproduced[s, k]), "expected": float(expected[s, k])}
+            )
     return report
 
 
@@ -120,17 +137,22 @@ class Classification:
 def classify_model(model: OntModel) -> Classification:
     """Epistemic iff some catalogue pair overlaps (strictly between 0 and 1)
     while its ontic distributions have variational distance below 1."""
-    for i, (la, ka) in enumerate(model.states):
-        for lb, kb in model.states[i + 1:]:
-            ov = abs(overlap(ka, kb))
-            if not (STRICT_MARGIN < ov < 1.0 - STRICT_MARGIN):
-                continue
-            d = variational_distance(model.distributions[la], model.distributions[lb])
-            if d < 1.0 - STRICT_MARGIN:
-                return Classification(
-                    kind="epistemic", witness=(la, lb),
-                    witness_overlap=float(ov), witness_distance=float(d),
-                )
+    ov = np.abs(model.kets.conj() @ model.kets.T)  # moduli of the Gram matrix
+    strict = (ov > STRICT_MARGIN) & (ov < 1.0 - STRICT_MARGIN)
+    w = model.weights
+    for i in range(len(w)):
+        # one row of the upper triangle at a time: O(states * ontic) memory,
+        # and the first hit is the first witness in catalogue order
+        js = i + 1 + np.flatnonzero(strict[i, i + 1:])
+        diff = w[i] - w[js]
+        dist = np.maximum(np.maximum(diff, 0.0).sum(axis=1), np.maximum(-diff, 0.0).sum(axis=1))
+        hits = np.flatnonzero(dist < 1.0 - STRICT_MARGIN)
+        if hits.size:
+            j = js[hits[0]]
+            return Classification(
+                kind="epistemic", witness=(model.states[i][0], model.states[j][0]),
+                witness_overlap=float(ov[i, j]), witness_distance=float(dist[hits[0]]),
+            )
     return Classification(kind="ontic")
 
 
@@ -144,18 +166,21 @@ class MaximalPredicates:
 
 def maximal_predicates(model: OntModel, tol: float = 1e-7) -> MaximalPredicates:
     """Check mu_psi(supp mu_phi) = |<phi|psi>|^2 over all ordered pairs, and
-    the if-and-only-if between orthogonality and vanishing support mass."""
-    me, mn = [], []
-    for la, ka in model.states:
-        mu_a = model.distributions[la]
-        for lb, kb in model.states:
-            mask_b = support_mask(model.distributions[lb])
-            mass = float(mu_a.weights[mask_b].sum())
-            ov_sq = float(abs(overlap(kb, ka)) ** 2)
-            if abs(mass - ov_sq) > tol:
-                me.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
-            if (ov_sq <= tol) != (mass <= tol):
-                mn.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
+    the if-and-only-if between orthogonality and vanishing support mass.
+    Row psi, column phi: the masses are W S^T with S = W > eps."""
+    w = model.weights
+    mass = w @ (w > SUPPORT_EPS).T
+    born = np.abs(model.kets.conj() @ model.kets.T) ** 2
+
+    def records(bad: np.ndarray) -> list:
+        pairs = np.argwhere(bad).tolist()
+        return [
+            {"psi": model.states[a][0], "phi": model.states[b][0], "support_mass": sm, "born": bv}
+            for (a, b), sm, bv in zip(pairs, mass[bad].tolist(), born[bad].tolist())
+        ]
+
+    me = records(np.abs(mass - born) > tol)
+    mn = records((born <= tol) != (mass <= tol))
     return MaximalPredicates(
         maximally_epistemic=not me,
         maximally_nontrivial=not mn,
@@ -174,17 +199,11 @@ def dirac_restriction_model(
     catalog = tuple((str(lab), np.asarray(k, dtype=complex)) for lab, k in catalog)
     ontic = FiniteSpace(tuple(lab for lab, _ in catalog))
     distributions = {lab: point_mass(ontic, lab) for lab, _ in catalog}
-    packed = []
-    for m in measurements:
-        responses = tuple(
-            ResponseFunction(
-                ontic,
-                [born(DensityMatrix.from_ket(k), m, out) for _, k in catalog],
-            )
-            for out in range(m.n_outcomes)
-        )
-        packed.append((m, responses))
-    return OntModel(ontic, catalog, distributions, tuple(packed))
+    kets = _stack_kets(catalog, measurements)
+    packed = tuple(
+        (m, tuple(ResponseFunction(ontic, p) for p in _born_table(kets, m).T)) for m in measurements
+    )
+    return OntModel(ontic, catalog, distributions, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +256,8 @@ class OperationalModelReport:
 
 def _quantum_probability(meas: Channel, state: Channel) -> float:
     """Born probability of outcome 0 through a state/measurement composite
-    ending at the diagonal 2x2 algebra."""
-    composite = compose(meas, state)
-    trivial = DensityMatrix(np.eye(1, dtype=complex))
-    out = apply_channel(composite, trivial)
-    return float(out.matrix[0, 0].real)
+    ending at the diagonal 2x2 algebra: sum_k |K_k[0, 0]|^2 over its Kraus set."""
+    return float(sum((k @ k.conj().T)[0, 0].real for k in compose(meas, state).kraus))
 
 
 def check_operational_model(

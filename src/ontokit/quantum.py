@@ -118,7 +118,7 @@ class Channel:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Orthonormal family of outcome vectors (rows of ``vectors``)."""
+    """Orthonormal basis of outcome vectors (rows of ``vectors``)."""
 
     vectors: np.ndarray
 
@@ -126,6 +126,8 @@ class ProjectiveMeasurement:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
+        if v.shape[0] != v.shape[1]:
+            raise ValueError(f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}")
         gram = v.conj() @ v.T
         err = linalg.max_abs(gram - np.eye(v.shape[0]))
         if err > GRAM_TOL:

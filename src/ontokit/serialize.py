@@ -222,6 +222,9 @@ def parse_model(doc) -> OntModel:
     dists_doc = _need(doc, "distributions")
     meas_doc = _need(doc, "measurements")
     ontic = _space(ontic_labels, "ontic")
+    for name, value in (("states", states_doc), ("measurements", meas_doc)):
+        if not isinstance(value, list):
+            raise SchemaError(name, "expected a list")
     states = []
     for i, s in enumerate(states_doc):
         label = _need(s, "label", f"states[{i}].")
@@ -238,10 +241,9 @@ def parse_model(doc) -> OntModel:
     for i, m in enumerate(meas_doc):
         basis = _need(m, "basis", f"measurements[{i}].")
         responses = _need(m, "responses", f"measurements[{i}].")
-        vectors = np.array([parse_ket(b) for b in basis])
         try:
-            pm = ProjectiveMeasurement(vectors)
-        except ValueError as exc:
+            pm = ProjectiveMeasurement(np.array([parse_ket(b) for b in basis]))
+        except Exception as exc:
             raise SchemaError(f"measurements[{i}].basis", str(exc)) from exc
         if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
             raise SchemaError(

@@ -510,6 +510,9 @@ class TestQuantumCheck:
 
 
 class TestPbrMeasurement:
+    def test_built_once(self):
+        assert pbr_measurement() is pbr_measurement()
+
     def test_gram_identity(self):
         m = pbr_measurement()
         gram = m.vectors.conj() @ m.vectors.T

@@ -256,6 +256,82 @@ class TestValidateModel:
         assert "ontic" in err and "distinct" in err
 
 
+QUTRIT_KETS = [
+    {"dim": 3, "amplitudes": [[float(i == j), 0.0] for j in range(3)]} for i in range(3)
+]
+
+
+def _mixed_ket_dims(doc):
+    doc["states"].append({"label": "tri", "ket": QUTRIT_KETS[0]})
+    doc["distributions"]["tri"] = [0.0, 1.0]
+
+
+def _qutrit_basis(doc):
+    doc["measurements"][0]["basis"] = QUTRIT_KETS
+    doc["measurements"][0]["responses"] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+def _incomplete_basis(doc):
+    del doc["measurements"][0]["basis"][1]
+    doc["measurements"][0]["responses"] = [[1.0, 1.0]]
+
+
+def _ragged_basis(doc):
+    doc["measurements"][0]["basis"][1] = QUTRIT_KETS[1]
+
+
+def _one_response(doc):
+    doc["measurements"][0]["responses"] = [[1.0, 1.0]]
+
+
+def _signed_distribution(doc):
+    doc["distributions"]["zero"] = [1.5, -0.5]
+
+
+def _no_distribution(doc):
+    doc["distributions"] = {}
+
+
+def _duplicate_state(doc):
+    doc["states"].append(dict(doc["states"][0]))
+
+
+def _states_not_a_list(doc):
+    doc["states"] = 5
+
+
+def _measurements_not_a_list(doc):
+    doc["measurements"] = {"basis": []}
+
+
+MALFORMED_MODELS = [
+    (_mixed_ket_dims, ["model", "state 'tri'", "dimension 3"]),
+    (_qutrit_basis, ["model", "measurement 0", "dimension 3"]),
+    (_incomplete_basis, ["measurements[0].basis", "C^2"]),
+    (_ragged_basis, ["measurements[0].basis"]),
+    (_one_response, ["measurements[0].responses"]),
+    (_signed_distribution, ["model", "'zero'", "signed"]),
+    (_no_distribution, ["model", "'zero'", "no distribution"]),
+    (_duplicate_state, ["model", "state labels must be distinct"]),
+    (_states_not_a_list, ["states", "expected a list"]),
+    (_measurements_not_a_list, ["measurements", "expected a list"]),
+]
+
+
+@pytest.mark.parametrize(
+    "tweak,named", MALFORMED_MODELS, ids=[t.__name__.strip("_") for t, _ in MALFORMED_MODELS]
+)
+def test_malformed_model_exits_two(capsys, tmp_path, tweak, named):
+    path = tmp_path / "model.json"
+    path.write_text(dumps_report(TestValidateModel()._model_doc(tweak)))
+    code, out, err = run_cli(capsys, "validate-model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("schema error: ") and "Traceback" not in err
+    for text in named:
+        assert text in err
+
+
 class TestQmeasureCli:
     def test_decoherence_validates(self, capsys, tmp_path):
         path = tmp_path / "d.json"

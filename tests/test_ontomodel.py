@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from ontokit.antidist import AntidistProblem, antidist_classical
-from ontokit.errors import MissingActionError, MissingMorphismError
+from ontokit.errors import DimMismatchError, MissingActionError, MissingMorphismError
 from ontokit.kernels import (
+    SUPPORT_EPS,
     Distribution,
     FiniteSpace,
     ResponseFunction,
     SignedKernel,
+    support_mask,
     variational_distance,
 )
 from ontokit.ontomodel import (
+    STRICT_MARGIN,
     ActionTable,
+    Classification,
     FunctorFragment,
+    MaximalPredicates,
+    ModelValidation,
     OntModel,
     check_equivariance,
     check_operational_model,
@@ -23,9 +29,22 @@ from ontokit.ontomodel import (
     maximal_predicates,
     validate_model,
 )
-from ontokit.quantum import Channel, ProjectiveMeasurement, compose, preparation_channel
-from ontokit.quantum import DensityMatrix
-from ontokit.sampling import random_cptp_channel, random_density, random_ket, rng_for
+from ontokit.quantum import (
+    Channel,
+    DensityMatrix,
+    ProjectiveMeasurement,
+    born,
+    compose,
+    overlap,
+    preparation_channel,
+)
+from ontokit.sampling import (
+    random_cptp_channel,
+    random_density,
+    random_ket,
+    random_unitary,
+    rng_for,
+)
 from ontokit.wigner import (
     commutative_algebra,
     displacement_channel,
@@ -197,6 +216,256 @@ class TestMaximalPredicates:
         preds = maximal_predicates(model)
         assert preds.maximally_epistemic and preds.maximally_nontrivial
         assert classify_model(model).kind == "epistemic"
+
+
+# ---------------------------------------------------------------------------
+# loop oracles: the validators written one pair (or one outcome) at a time
+# ---------------------------------------------------------------------------
+
+def validate_oracle(model, tol=1e-7):
+    """Per-(state, measurement, outcome) replay by direct summation."""
+    report = ModelValidation(tolerance=tol)
+    for mi, (m, responses) in enumerate(model.measurements):
+        totals = np.sum([xi.values for xi in responses], axis=0)
+        for li, lam in enumerate(model.ontic.points):
+            if abs(totals[li] - 1.0) > tol:
+                report.sum_rule_violations.append(
+                    {"measurement": mi, "point": lam, "total": float(totals[li])}
+                )
+        for label, ket in model.states:
+            mu = model.distributions[label]
+            rho = DensityMatrix.from_ket(ket)
+            for k in range(m.n_outcomes):
+                reproduced = float(responses[k].values @ mu.weights)
+                expected = born(rho, m, k)
+                if abs(reproduced - expected) > tol:
+                    report.born_violations.append(
+                        {"state": label, "measurement": mi, "outcome": k,
+                         "reproduced": reproduced, "expected": expected}
+                    )
+    return report
+
+
+def classify_oracle(model):
+    """First catalogue pair, in row-major order, that overlaps strictly while
+    its distributions stay below variational distance 1."""
+    for i, (la, ka) in enumerate(model.states):
+        for lb, kb in model.states[i + 1:]:
+            ov = abs(overlap(ka, kb))
+            if not (STRICT_MARGIN < ov < 1.0 - STRICT_MARGIN):
+                continue
+            d = variational_distance(model.distributions[la], model.distributions[lb])
+            if d < 1.0 - STRICT_MARGIN:
+                return Classification(
+                    kind="epistemic", witness=(la, lb),
+                    witness_overlap=float(ov), witness_distance=float(d),
+                )
+    return Classification(kind="ontic")
+
+
+def predicates_oracle(model, tol=1e-7):
+    """mu_psi(supp mu_phi) against |<phi|psi>|^2, one ordered pair at a time."""
+    me, mn = [], []
+    for la, ka in model.states:
+        mu_a = model.distributions[la]
+        for lb, kb in model.states:
+            mass = float(mu_a.weights[support_mask(model.distributions[lb])].sum())
+            ov_sq = float(abs(overlap(kb, ka)) ** 2)
+            if abs(mass - ov_sq) > tol:
+                me.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
+            if (ov_sq <= tol) != (mass <= tol):
+                mn.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
+    return MaximalPredicates(not me, not mn, me, mn)
+
+
+def assert_same(got, want, path="report"):
+    """Equal structure, keys, order and verdicts; floats within 1e-15."""
+    if hasattr(want, "__dataclass_fields__"):
+        got, want = vars(got), vars(want)
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-15, (path, got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), (path, got, want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def assert_matches_oracles(model, tol=1e-7):
+    assert_same(validate_model(model, tol), validate_oracle(model, tol))
+    assert_same(classify_model(model), classify_oracle(model))
+    assert_same(maximal_predicates(model, tol), predicates_oracle(model, tol))
+
+
+def random_bases(rng, dim, count):
+    return [ProjectiveMeasurement(random_unitary(rng, dim).T) for _ in range(count)]
+
+
+def random_dirac(rng, size, dim, bases):
+    catalog = [(f"s{i}", random_ket(rng, dim)) for i in range(size)]
+    return dirac_restriction_model(catalog, random_bases(rng, dim, bases))
+
+
+def with_distributions(model, weights):
+    """The same catalogue and measurements with some distributions replaced."""
+    dists = {**model.distributions}
+    dists.update({lab: Distribution(model.ontic, w) for lab, w in weights.items()})
+    return OntModel(model.ontic, model.states, dists, model.measurements)
+
+
+def free_model(rng, kets, weights, bases, spread=0.0):
+    """Catalogue ``kets`` with ontic ``weights`` (states x ontic) and random
+    responses; ``spread`` moves each response column off the sum rule."""
+    ontic = FiniteSpace(tuple(f"x{j}" for j in range(weights.shape[1])))
+    states = tuple((f"s{i}", k) for i, k in enumerate(kets))
+    dists = {lab: Distribution(ontic, w) for (lab, _), w in zip(states, weights)}
+    measurements = []
+    for m in random_bases(rng, len(kets[0]), bases):
+        r = rng.uniform(0, 1, (m.n_outcomes, ontic.size))
+        r = r / r.sum(axis=0) * (1 - spread * rng.uniform(0, 1, ontic.size))
+        measurements.append((m, tuple(ResponseFunction(ontic, row) for row in r)))
+    return OntModel(ontic, states, dists, tuple(measurements))
+
+
+class TestMatrixFormAgainstOracles:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_dirac_models(self, seed):
+        rng = rng_for(601, seed)
+        size, dim, bases = (int(rng.integers(lo, hi)) for lo, hi in ((1, 41), (2, 6), (1, 5)))
+        model = random_dirac(rng, size, dim, bases)
+        assert_matches_oracles(model)
+        assert_matches_oracles(model, tol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_perturbed_mixtures(self, seed):
+        rng = rng_for(602, seed)
+        size = int(rng.integers(3, 30))
+        model = random_dirac(rng, size, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        mixed = {}
+        for i in rng.choice(size, size=3, replace=False):
+            w = np.zeros(size)
+            w[i] = rng.uniform(0.2, 0.8)
+            w[int(rng.integers(size))] += 1.0 - w[i]
+            mixed[f"s{i}"] = w
+        assert_matches_oracles(with_distributions(model, mixed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_free_models_with_sum_rule_violations(self, seed):
+        rng = rng_for(603, seed)
+        size, dim, points = (int(rng.integers(lo, hi)) for lo, hi in ((2, 25), (2, 5), (2, 9)))
+        weights = rng.uniform(0, 1, (size, points)) * (rng.random((size, points)) < 0.5)
+        weights[:, 0] += 1e-3
+        weights /= weights.sum(axis=1, keepdims=True)
+        kets = [random_ket(rng, dim) for _ in range(size)]
+        assert_matches_oracles(free_model(rng, kets, weights, int(rng.integers(1, 4)), spread=1e-6))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_weights_at_the_support_threshold(self, scale):
+        rng = rng_for(604)
+        e = scale * SUPPORT_EPS
+        weights = np.array([
+            [1.0 - e, e, 0.0, 0.0],
+            [e, 1.0 - e, 0.0, 0.0],
+            [0.0, e, 0.5 - e, 0.5],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        kets = [random_ket(rng, 2) for _ in range(4)]
+        model = free_model(rng, kets, weights, 2)
+        assert_matches_oracles(model)
+        # an e-weight belongs to the support iff it clears SUPPORT_EPS
+        records = maximal_predicates(model, tol=0.0).epistemic_violations
+        mass = {(v["psi"], v["phi"]): v["support_mass"] for v in records}
+        assert mass[("s0", "s1")] == pytest.approx(1.0 if scale > 1 else e, abs=1e-15)
+
+    @pytest.mark.parametrize("ov,kind", [
+        (0.5 * STRICT_MARGIN, "ontic"),
+        (2.0 * STRICT_MARGIN, "epistemic"),
+        (1.0 - 0.5 * STRICT_MARGIN, "ontic"),
+        (1.0 - 2.0 * STRICT_MARGIN, "epistemic"),
+    ])
+    def test_overlap_at_the_strict_margin(self, ov, kind):
+        rng = rng_for(605)
+        u = random_unitary(rng, 3)
+        kets = [u[:, 0], u @ np.array([ov, np.sqrt(1.0 - ov * ov), 0.0]), u[:, 2]]
+        weights = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        model = free_model(rng, kets, weights, 2)
+        assert_matches_oracles(model)
+        verdict = classify_model(model)
+        assert verdict.kind == kind
+        assert verdict.witness == (("s0", "s1") if kind == "epistemic" else None)
+
+    def test_duplicated_ket(self):
+        rng = rng_for(606)
+        psi = random_ket(rng, 3)
+        catalog = [("a", psi), ("b", random_ket(rng, 3)), ("a_again", psi.copy())]
+        model = dirac_restriction_model(catalog, random_bases(rng, 3, 2))
+        assert_matches_oracles(model)
+        assert ("a", "a_again") in [
+            (v["psi"], v["phi"]) for v in maximal_predicates(model).epistemic_violations
+        ]
+
+    def test_orthogonal_catalogue(self):
+        rng = rng_for(607)
+        u = random_unitary(rng, 4)
+        catalog = [(f"e{i}", u[:, i]) for i in range(4)]
+        model = dirac_restriction_model(catalog, random_bases(rng, 4, 3))
+        assert_matches_oracles(model)
+        preds = maximal_predicates(model)
+        assert classify_model(model).kind == "ontic"
+        assert preds.maximally_epistemic and preds.maximally_nontrivial
+
+
+def test_two_hundred_state_dirac_model():
+    """Maximal psi-epistemicity at catalogue scale: every ordered pair of
+    distinct random kets overlaps while their point masses are disjoint."""
+    rng = rng_for(608)
+    s = 200
+    model = random_dirac(rng, s, 4, 2)
+    assert validate_model(model, tol=1e-10).clean
+    assert classify_model(model).kind == "ontic"
+    preds = maximal_predicates(model)
+    assert len(preds.epistemic_violations) == s * (s - 1)
+    assert len(preds.nontrivial_violations) == s * (s - 1)
+    for v in preds.epistemic_violations:
+        assert v["psi"] != v["phi"] and v["support_mass"] == 0.0
+
+
+class TestModelDimensions:
+    def test_mixed_state_dimensions_without_measurements(self):
+        ontic = FiniteSpace(("a", "b"))
+        states = (("zero", Z0), ("qutrit", np.array([1, 0, 0], dtype=complex)))
+        dists = {"zero": Distribution(ontic, [1.0, 0.0]), "qutrit": Distribution(ontic, [0.0, 1.0])}
+        with pytest.raises(DimMismatchError, match="'qutrit'"):
+            OntModel(ontic, states, dists, ())
+
+    def test_mixed_state_dimensions_with_measurements(self):
+        rng = rng_for(609)
+        catalog = [("zero", Z0), ("qutrit", random_ket(rng, 3))]
+        with pytest.raises(DimMismatchError, match="'qutrit'"):
+            dirac_restriction_model(catalog, [ZBASIS])
+
+    def test_qubit_states_with_a_qutrit_basis(self):
+        ontic = FiniteSpace(("a",))
+        responses = tuple(ResponseFunction(ontic, [v]) for v in (1.0, 0.0, 0.0))
+        with pytest.raises(DimMismatchError, match="measurement 1"):
+            OntModel(
+                ontic, (("zero", Z0),), {"zero": Distribution(ontic, [1.0])},
+                ((ZBASIS, responses[:2]), (ProjectiveMeasurement.computational(3), responses)),
+            )
+
+    def test_stacked_arrays(self):
+        model = overlapping_epistemic_model()
+        assert model.kets.shape == (2, 2) and model.weights.shape == (2, 3)
+        point = FiniteSpace(("a",))
+        responses = (ResponseFunction(point, [1.0]), ResponseFunction(point, [0.0]))
+        empty = OntModel(point, (), {}, ((ZBASIS, responses),))
+        assert empty.kets.shape == (0, 2) and empty.weights.shape == (0, 1)
+        assert validate_model(empty).clean and classify_model(empty).kind == "ontic"
 
 
 def wigner_fragment(rng, with_composite=True):

@@ -45,6 +45,15 @@ def channel_action(ch, m):
     return out
 
 
+class TestProjectiveMeasurement:
+    def test_incomplete_basis_rejected(self):
+        with pytest.raises(ValueError, match="basis of C\\^2"):
+            ProjectiveMeasurement(np.array([Z0]))
+
+    def test_complete_basis_accepted(self):
+        assert ProjectiveMeasurement(np.array([PLUS, (Z0 - Z1) / np.sqrt(2)])).n_outcomes == 2
+
+
 class TestBorn:
     def test_zero_state_z_basis(self):
         assert born(DensityMatrix.from_ket(Z0), ZBASIS, 0) == 1.0
