@@ -26,7 +26,7 @@ from ontokit.wigner import (
 def frame_summary(n):
     frame = phase_point_operators(n)
     ops = frame.operators
-    gram = np.einsum("ikl,jlk->ij", ops, ops)
+    gram = frame.vectors @ frame.vectors.conj().T
     return {
         "dim": n,
         "operators": len(ops),

@@ -332,19 +332,17 @@ class PbrReport:
 
 
 def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = 1e-8) -> PbrReport:
-    """Compress, tensor the pair, and verify the four-outcome exclusion."""
+    """Compress, tensor the pair, and verify the four-outcome exclusion.
+
+    Row 2a + b of the table holds <v_k| x_a (x) x_b |v_k> on the validated
+    outputs x_0, x_1, clamped to [0, 1] as ``born`` clamps it."""
     comp = compression_channel(psi, phi, n=n)
-    pair_states = [
-        DensityMatrix(np.kron(x.matrix, y.matrix))
-        for x in (comp.output_psi, comp.output_phi)
-        for y in (comp.output_psi, comp.output_phi)
-    ]
-    m = pbr_measurement()
-    assignment = (0, 1, 2, 3)
-    table = np.array(
-        [[born(s, m, k) for k in range(4)] for s in pair_states]
-    )
-    assigned = tuple(float(table[j, assignment[j]]) for j in range(4))
+    outputs = np.array([comp.output_psi.matrix, comp.output_phi.matrix])
+    basis = pbr_measurement().vectors.reshape(4, 2, 2)
+    table = np.einsum("kij,aix,bjy,kxy->abk", basis.conj(), outputs, outputs, basis)
+    table = np.clip(table.real.reshape(4, 4), 0.0, 1.0)
+    assigned = tuple(float(p) for p in np.diag(table))
+    max_assigned = float(max(assigned))
     return PbrReport(
         overlap=float(abs(overlap(psi, phi))),
         n=comp.n,
@@ -353,8 +351,8 @@ def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = 1e-8) -> PbrReport:
         pair_labels=PBR_PAIR_LABELS,
         table=table,
         assigned_probabilities=assigned,
-        max_assigned=float(max(assigned)),
-        anti_distinguished=antidist_quantum_check(pair_states, m, assignment, tol=tol),
+        max_assigned=max_assigned,
+        anti_distinguished=max_assigned <= tol,
         compression_residuals=(comp.residual_psi, comp.residual_phi),
     )
 

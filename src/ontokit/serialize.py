@@ -47,6 +47,18 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     Dictionary order is preserved, so reports are byte-identical across
     runs with the same inputs and seed.
     """
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        return dumps_report(obj.tolist(), indent)
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
@@ -62,18 +74,6 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{dumps_report(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return dumps_report(obj.tolist(), indent)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 

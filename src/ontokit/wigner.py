@@ -78,44 +78,51 @@ def commutative_algebra(k: int) -> Algebra:
 class WignerFrame:
     """Operator frame: Hermitian, unit trace, Tr(s_i s_j) = c delta_ij,
     sum_i s_i = c I.  Matrix-algebra frames are additionally involutive
-    (s^2 = I); commutative frames are idempotent (s^2 = s) instead."""
+    (s^2 = I); commutative frames are idempotent (s^2 = s) instead.
+
+    The frame is stored once as its row-major frame matrix ``vectors``
+    (points x d^2, row i = vec(s_i)); ``operators`` is its (points, d, d)
+    view.  For Hermitian s_j, Tr(X s_j) = conj(vec(s_j)) . vec(X), so the
+    Gram matrix, Wigner vectors and transfer matrices are matrix products.
+    """
 
     algebra: Algebra
     operators: np.ndarray
     norm_const: float
     space: FiniteSpace
     hilbert_dim: int = field(init=False)
+    vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = np.asarray(self.operators, dtype=complex)
+        ops = np.ascontiguousarray(self.operators, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = ops.shape
         if count != self.space.size:
             raise DimMismatchError("operator count does not match the point space")
         c = float(self.norm_const)
+        vecs = ops.reshape(count, d * d)
         herm = linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1))))
         if herm > FRAME_COND_TOL:
             raise VerificationFailedError(f"frame operators not Hermitian: {herm:.3e}")
-        traces = np.einsum("kii->k", ops)
-        if linalg.max_abs(traces - 1.0) > FRAME_COND_TOL:
+        if linalg.max_abs(vecs[:, :: d + 1].sum(axis=1) - 1.0) > FRAME_COND_TOL:
             raise VerificationFailedError("frame operators must have unit trace")
+        squares = ops @ ops
         if self.algebra.kind == "matrix":
-            sq_err = max(
-                linalg.max_abs(op @ op - np.eye(d)) for op in ops
-            )
+            sq_err = linalg.max_abs(squares - np.eye(d))
             if sq_err > FRAME_COND_TOL:
                 raise VerificationFailedError(f"frame operators not involutive: {sq_err:.3e}")
         else:
-            sq_err = max(linalg.max_abs(op @ op - op) for op in ops)
+            sq_err = linalg.max_abs(squares - ops)
             if sq_err > FRAME_COND_TOL:
                 raise VerificationFailedError(f"frame projectors not idempotent: {sq_err:.3e}")
-        gram = np.einsum("ikl,jlk->ij", ops, ops)
+        gram = vecs @ vecs.conj().T
         if linalg.max_abs(gram - c * np.eye(count)) > FRAME_COND_TOL * max(1.0, c):
             raise VerificationFailedError("frame operators are not trace-orthogonal")
-        if linalg.max_abs(ops.sum(axis=0) - c * np.eye(d)) > FRAME_SUM_TOL:
+        if linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)) > FRAME_SUM_TOL:
             raise VerificationFailedError("frame operators do not sum to c.I")
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "hilbert_dim", d)
 
     @property
@@ -178,19 +185,9 @@ def frame_for(algebra: Algebra) -> WignerFrame:
         return commutative_frame(algebra.dim)
     if algebra.dim % 2 == 0:
         raise UnrepresentableAlgebraError(
-            f"matrix algebra of even dimension {algebra.dim}; pad first (pad_odd)"
+            f"dimension {algebra.dim} is even: pad with pad_odd or annotate a commutative algebra"
         )
     return phase_point_operators(algebra.dim)
-
-
-def _default_algebra(dim: int) -> Algebra:
-    if dim == 1:
-        return commutative_algebra(1)
-    if dim % 2 == 0:
-        raise UnrepresentableAlgebraError(
-            f"dimension {dim} is even: pad with pad_odd or annotate a commutative algebra"
-        )
-    return matrix_algebra(dim)
 
 
 def functor_object(algebra: Algebra) -> FiniteSpace:
@@ -209,12 +206,11 @@ def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
     """Quasiprobability vector v_i = Tr(rho s_i)/c with verified reconstruction."""
     if rho.dim != frame.hilbert_dim:
         raise DimMismatchError("state dimension does not match the frame")
-    raw = np.einsum("kij,ji->k", frame.operators, rho.matrix) / frame.norm_const
+    raw = frame.vectors.conj() @ rho.matrix.reshape(-1) / frame.norm_const
     if linalg.max_abs(raw.imag) > TRANSFER_IMAG_TOL:
         raise VerificationFailedError("Wigner vector has a nonreal component")
     v = raw.real
-    recon = np.tensordot(v, frame.operators, axes=(0, 0))
-    err = linalg.max_abs(recon - rho.matrix)
+    err = linalg.max_abs(v @ frame.vectors - rho.matrix.reshape(-1))
     if err > RECONSTRUCTION_TOL:
         raise VerificationFailedError(
             f"frame reconstruction error {err:.3e}; state not representable in this frame"
@@ -222,18 +218,14 @@ def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
     return Distribution(frame.space, v)
 
 
-def _frame_images(ch: Channel, frame: WignerFrame) -> np.ndarray:
-    """Channel images f(s_j) of the frame operators, shape (points, out, out).
-
-    One product with the superoperator sum_k K (x) conj(K), which maps the
-    row-major vectorisation of an operator X to that of sum_k K X K^dag.
-    """
-    kraus = np.array(ch.kraus)
-    superop = np.einsum("rai,rbj->abij", kraus, kraus.conj()).reshape(
-        ch.out_dim ** 2, ch.in_dim ** 2
-    )
-    flat = frame.operators.reshape(frame.n_points, ch.in_dim ** 2)
-    return (flat @ superop.T).reshape(frame.n_points, ch.out_dim, ch.out_dim)
+def _superoperator(ch: Channel) -> np.ndarray:
+    """sum_k K (x) conj(K), shape (out^2, in^2), mapping the row-major vec(X) to
+    vec(sum_k K X K^dag): the entries of sum_k vec(K) vec(K)^dag regrouped
+    from [(a, i), (b, j)] to [(a, b), (i, j)]."""
+    o, i = ch.out_dim, ch.in_dim
+    kraus = np.array(ch.kraus).reshape(len(ch.kraus), o * i)
+    outer = kraus.T @ kraus.conj()
+    return outer.reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
 
 def transfer_matrix(
@@ -247,8 +239,7 @@ def transfer_matrix(
     """
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
-    images = _frame_images(ch, in_frame)
-    t = np.einsum("ikl,jlk->ij", out_frame.operators, images) / out_frame.norm_const
+    t = out_frame.vectors.conj() @ _superoperator(ch) @ in_frame.vectors.T / out_frame.norm_const
     if linalg.max_abs(t.imag) > TRANSFER_IMAG_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
     t = t.real
@@ -272,14 +263,14 @@ def functor_morphism(
     """
     if not ch.trace_preserving:
         raise NotTracePreservingError("the functor is defined on trace-preserving maps")
-    in_algebra = in_algebra if in_algebra is not None else _default_algebra(ch.in_dim)
-    out_algebra = out_algebra if out_algebra is not None else _default_algebra(ch.out_dim)
+    in_algebra = in_algebra if in_algebra is not None else matrix_algebra(ch.in_dim)
+    out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
     in_frame = frame_for(in_algebra)
     out_frame = frame_for(out_algebra)
     if in_frame.hilbert_dim != ch.in_dim or out_frame.hilbert_dim != ch.out_dim:
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
     if out_algebra.kind == "commutative":
-        images = _frame_images(ch, in_frame)
+        images = (in_frame.vectors @ _superoperator(ch).T).reshape(-1, ch.out_dim, ch.out_dim)
         if linalg.max_abs(images * (1.0 - np.eye(ch.out_dim))) > 1e-9:
             raise UnrepresentableAlgebraError(
                 "channel output is not diagonal; not a morphism into C^k"
@@ -291,7 +282,7 @@ def functor_morphism(
 
 def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Distribution:
     """State map: F of a preparation, i.e. the Wigner vector."""
-    algebra = algebra if algebra is not None else _default_algebra(rho.dim)
+    algebra = algebra if algebra is not None else matrix_algebra(rho.dim)
     return wigner_vector(rho, frame_for(algebra))
 
 

@@ -699,6 +699,26 @@ class TestPbrDemo:
         assert rep.max_assigned <= 1e-8
         assert rep.anti_distinguished
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_table_matches_per_entry_born_oracle(self, d):
+        rng = rng_for(76, d)
+        m = pbr_measurement()
+        for _ in range(50):
+            psi, phi, _ = random_nonorthogonal_pair(rng, d, 0.05, 0.95)
+            rep = pbr_demo(psi, phi)
+            comp = compression_channel(psi, phi)
+            table = pbr_table(comp.output_psi.matrix, comp.output_phi.matrix)
+            assert np.max(np.abs(rep.table - table)) <= 2.5e-16
+            assert rep.assigned_probabilities == tuple(float(p) for p in np.diag(rep.table))
+            states = [
+                DensityMatrix(np.kron(x.matrix, y.matrix))
+                for x in (comp.output_psi, comp.output_phi)
+                for y in (comp.output_psi, comp.output_phi)
+            ]
+            assert rep.anti_distinguished == antidist_quantum_check(
+                states, m, [0, 1, 2, 3], tol=1e-8
+            )
+
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(BadOverlapError):
             pbr_demo([1, 0], [0, 1])

@@ -5,6 +5,7 @@ import pytest
 
 from ontokit import linalg
 from ontokit.errors import (
+    DimMismatchError,
     EvenDimensionError,
     NotTracePreservingError,
     UnrepresentableAlgebraError,
@@ -30,6 +31,7 @@ from ontokit.sampling import (
     rng_for,
 )
 from ontokit.wigner import (
+    WignerFrame,
     commutative_algebra,
     commutative_frame,
     displacement,
@@ -109,6 +111,12 @@ class TestFrames:
                 err = linalg.max_abs(displacement(n, q, p) - displacement_oracle(n, q, p))
                 assert err <= 1e-12
 
+    @pytest.mark.parametrize("n", [25, 35])
+    def test_large_frames_verify_and_match_matrix_power_oracle(self, n):
+        frame = phase_point_operators(n)
+        assert frame.norm_const == n and frame.n_points == n * n
+        assert linalg.max_abs(frame.operators - phase_point_oracle(n)) <= 1e-12
+
     def test_even_dimension_rejected(self):
         with pytest.raises(EvenDimensionError):
             phase_point_operators(4)
@@ -122,6 +130,46 @@ class TestFrames:
         assert commutative_frame(2).space == TWO
         assert commutative_frame(1).space == UNIT_SPACE
         assert frame_for(commutative_algebra(4)).norm_const == 1.0
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("non_hermitian", "not Hermitian"),
+            ("trace", "must have unit trace"),
+            ("not_involutive", "not involutive"),
+            ("not_idempotent", "not idempotent"),
+            ("not_orthogonal", "not trace-orthogonal"),
+            ("sum", r"do not sum to c\.I"),
+        ],
+    )
+    def test_each_failed_condition_is_named(self, case, message):
+        ops = QUTRIT.operators.copy()
+        projectors = commutative_frame(3).operators
+        algebra, const, space = matrix_algebra(3), 3.0, QUTRIT.space
+        if case == "non_hermitian":
+            ops[0, 0, 1] += 0.1
+        elif case == "trace":
+            ops[0] *= 2.0
+        elif case == "not_involutive":
+            # Hermitian unit-trace projectors, but P^2 = P != I
+            ops, const, space = projectors, 1.0, commutative_frame(3).space
+        elif case == "not_idempotent":
+            # involutive phase-point operators declared commutative
+            algebra = commutative_algebra(3)
+        elif case == "not_orthogonal":
+            ops[1] = ops[0]
+        else:
+            # two of the three diagonal projectors: orthonormal, but sum diag(1, 1, 0)
+            ops, const, space = projectors[:2], 1.0, TWO
+            algebra = commutative_algebra(3)
+        with pytest.raises(VerificationFailedError, match=message):
+            WignerFrame(algebra, ops, const, space)
+
+    def test_shape_and_count_mismatch_rejected(self):
+        with pytest.raises(DimMismatchError):
+            WignerFrame(matrix_algebra(3), QUTRIT.operators[:, :, :2], 3.0, QUTRIT.space)
+        with pytest.raises(DimMismatchError):
+            WignerFrame(matrix_algebra(3), QUTRIT.operators[:8], 3.0, QUTRIT.space)
 
 
 class TestWignerVector:
@@ -374,6 +422,17 @@ class TestMonoidality:
         rep = monoidality_check(3, 3, trials=5, seed=13)
         assert rep.passed
         assert rep.max_transfer_residual < 1e-8
+
+    def test_transfer_factorises_at_five_by_seven(self):
+        rep = monoidality_check(5, 7, 1, seed=17)
+        assert rep.frame_ok and rep.passed
+
+    def test_product_frame_transfer_matches_per_kraus_oracle(self):
+        prod = product_frame(QUTRIT, phase_point_operators(5))
+        ch = random_cptp_channel(rng_for(93), 15, 15, n_kraus=2)
+        assert linalg.max_abs(
+            transfer_matrix(ch, prod, prod) - transfer_oracle(ch, prod, prod)
+        ) <= 1e-12
 
 
 class TestCertificateTransport:
