@@ -148,7 +148,7 @@ def _cmd_wigner_frame(args) -> int:
         "dim": args.n,
         "points": list(frame.space.points),
         "norm_const": frame.norm_const,
-        "operators": [matrix_to_json(op) for op in frame.operators],
+        "operators": matrix_to_json(frame.operators),
     }
     _emit(report)
     return 0

@@ -20,7 +20,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -30,7 +30,7 @@ def as_ket(v, norm_tol: float = KET_NORM_TOL) -> np.ndarray:
     k = np.asarray(v, dtype=complex).reshape(-1)
     if k.size < 1:
         raise DimMismatchError("ket must have at least one amplitude")
-    if not (np.all(np.isfinite(k.real)) and np.all(np.isfinite(k.imag))):
+    if not np.isfinite(k).all():
         raise ValueError("ket contains NaN or Inf amplitudes")
     nrm = np.linalg.norm(k)
     if abs(nrm - 1.0) > norm_tol:

@@ -256,8 +256,9 @@ class OperationalModelReport:
 
 def _quantum_probability(meas: Channel, state: Channel) -> float:
     """Born probability of outcome 0 through a state/measurement composite
-    ending at the diagonal 2x2 algebra: sum_k |K_k[0, 0]|^2 over its Kraus set."""
-    return float(sum((k @ k.conj().T)[0, 0].real for k in compose(meas, state).kraus))
+    ending at the diagonal 2x2 algebra: sum_k ||row 0 of K_k||^2 over its Kraus set."""
+    first = compose(meas, state).stack[:, 0]
+    return float(np.vdot(first, first).real)
 
 
 def check_operational_model(

@@ -8,7 +8,7 @@ throughout; transfer-matrix representations live in :mod:`ontokit.wigner`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,28 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
+def _kraus_stack(kraus) -> np.ndarray:
+    """The Kraus set as one finite (count, out, in) complex array."""
+    try:
+        stack = np.asarray(kraus, dtype=complex)
+    except ValueError:
+        # operators of different shapes; as_matrix names the first one that
+        # is malformed in itself
+        list(map(linalg.as_matrix, kraus))
+        raise DimMismatchError("all Kraus operators must share one shape") from None
+    if stack.ndim != 3 or 0 in stack.shape[1:]:
+        raise DimMismatchError(f"expected a 2-d matrix, got shape {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Completely positive map in Kraus form.
 
+    The Kraus set is stored once as the (count, out, in) complex array
+    ``stack``; ``kraus`` is the tuple of its operators (views into it).
     When ``trace_preserving`` the Kraus operators resolve the identity;
     otherwise the map may only be trace non-increasing (sub-normalised
     branches are allowed and flagged).
@@ -67,53 +85,48 @@ class Channel:
 
     kraus: tuple[np.ndarray, ...]
     trace_preserving: bool = True
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(linalg.as_matrix(k) for k in self.kraus)
-        if not ops:
+        if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise DimMismatchError("all Kraus operators must share one shape")
-        total = np.zeros((shape[1], shape[1]), dtype=complex)
-        for k in ops:
-            total += k.conj().T @ k
+        stack = _kraus_stack(self.kraus)
+        count, out, inp = stack.shape
+        # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
+        flat = stack.reshape(count * out, inp)
+        total = flat.conj().T @ flat
         if self.trace_preserving:
-            err = linalg.max_abs(total - np.eye(shape[1]))
+            err = linalg.max_abs(total - np.eye(inp))
             if err > KRAUS_SUM_TOL:
                 raise ValueError(f"Kraus sum deviates from identity by {err:.3e}")
         else:
             top = linalg.hermitian_eigenvalues(total, herm_tol=KRAUS_SUM_TOL)[-1]
             if top > 1.0 + KRAUS_SUM_TOL:
                 raise ValueError(f"Kraus sum exceeds identity: max eigenvalue {top:.6f}")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.stack.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.stack.shape[1]
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
-        return cls((np.eye(dim, dtype=complex),))
+        return cls(np.eye(dim, dtype=complex)[None])
 
     @classmethod
     def from_unitary(cls, u) -> "Channel":
-        return cls((linalg.as_matrix(u),))
+        return cls((u,))
 
     @classmethod
     def depolarizing(cls, dim: int) -> "Channel":
-        """Completely depolarizing: every input goes to I/dim."""
-        ops = []
-        for i in range(dim):
-            for j in range(dim):
-                k = np.zeros((dim, dim), dtype=complex)
-                k[i, j] = 1.0 / np.sqrt(dim)
-                ops.append(k)
-        return cls(tuple(ops))
+        """Completely depolarizing: every input goes to I/dim, one matrix
+        unit |i><j| / sqrt(dim) per Kraus operator."""
+        return cls(np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim) / np.sqrt(dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +222,9 @@ def apply_channel(ch: Channel, state: DensityMatrix) -> DensityMatrix:
     """Kraus action; output revalidated when the channel is trace preserving."""
     if ch.in_dim != state.dim:
         raise DimMismatchError("channel input dimension does not match state")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus:
-        out += k @ state.matrix @ k.conj().T
+    k = ch.stack
+    # summed from zero, as a running total would be, so no entry is -0.0
+    out = (k @ state.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0)
     if ch.trace_preserving:
         return DensityMatrix(out)
     obj = object.__new__(DensityMatrix)
@@ -220,18 +233,22 @@ def apply_channel(ch: Channel, state: DensityMatrix) -> DensityMatrix:
 
 
 def compose(g: Channel, f: Channel) -> Channel:
-    """Sequential composition g after f; Kraus sets multiply pairwise."""
+    """Sequential composition g after f; Kraus sets multiply pairwise,
+    g-major: operator a * len(f.kraus) + b is g.kraus[a] @ f.kraus[b]."""
     if f.out_dim != g.in_dim:
         raise DimMismatchError(
             f"cannot compose: f outputs dim {f.out_dim}, g expects {g.in_dim}"
         )
-    ops = tuple(kg @ kf for kg in g.kraus for kf in f.kraus)
+    ops = (g.stack[:, None] @ f.stack[None]).reshape(-1, g.out_dim, f.in_dim)
     return Channel(ops, trace_preserving=f.trace_preserving and g.trace_preserving)
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
-    """Parallel composition; Kraus sets combine by Kronecker product."""
-    ops = tuple(np.kron(kf, kg) for kf in f.kraus for kg in g.kraus)
+    """Parallel composition; Kraus sets combine by Kronecker product, f-major."""
+    a, b = f.stack, g.stack
+    # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l]
+    ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    ops = ops.reshape(len(a) * len(b), f.out_dim * g.out_dim, f.in_dim * g.in_dim)
     return Channel(ops, trace_preserving=f.trace_preserving and g.trace_preserving)
 
 
@@ -242,26 +259,23 @@ def dual_state_quantum(psi) -> TwoOutcomeMeasurement:
 
 
 def preparation_channel(state: DensityMatrix) -> Channel:
-    """State as a channel from the trivial system C."""
+    """State as a channel from the trivial system C: one Kraus column
+    sqrt(p) v per eigenpair (p, v) with p > 1e-14."""
     w, v = linalg.hermitian_eigensystem(state.matrix, herm_tol=DENSITY_TOL)
-    ops = []
-    for p, col in zip(w, v.T):
-        if p > 1e-14:
-            ops.append(np.sqrt(p) * col[:, None])
-    return Channel(tuple(ops))
+    keep = w > 1e-14
+    return Channel((np.sqrt(w[keep]) * v[:, keep]).T[:, :, None])
 
 
 def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
     """Two-outcome measurement as a channel into the diagonal 2x2 algebra.
 
-    Output is always diagonal: diag(Tr(E rho), Tr((I-E) rho)).
+    Output is always diagonal: diag(Tr(E rho), Tr((I-E) rho)).  E = V w V^dag
+    and I - E = V (1 - w) V^dag share the eigenbasis V, so outcome r gets
+    one Kraus operator sqrt(p) |r><v| per eigenpair with weight p > 1e-14.
     """
-    ops = []
-    for row, eff in ((0, m.effect), (1, np.eye(m.dim) - m.effect)):
-        w, v = linalg.hermitian_eigensystem(eff, herm_tol=DENSITY_TOL)
-        for p, col in zip(w, v.T):
-            if p > 1e-14:
-                k = np.zeros((2, m.dim), dtype=complex)
-                k[row] = np.sqrt(p) * col.conj()
-                ops.append(k)
-    return Channel(tuple(ops))
+    w, v = linalg.hermitian_eigensystem(m.effect, herm_tol=DENSITY_TOL)
+    weights = np.stack([w, 1.0 - w])
+    outcome, j = np.nonzero(weights > 1e-14)
+    ops = np.zeros((outcome.size, 2, m.dim), dtype=complex)
+    ops[np.arange(outcome.size), outcome] = np.sqrt(weights[outcome, j])[:, None] * v[:, j].T.conj()
+    return Channel(ops)

@@ -45,15 +45,15 @@ def random_effect(rng: np.random.Generator, dim: int) -> TwoOutcomeMeasurement:
 def random_cptp_channel(
     rng: np.random.Generator, in_dim: int, out_dim: int, n_kraus: int = 3
 ) -> Channel:
-    """Random trace-preserving CP map: Gaussian Kraus set, renormalised."""
-    raw = [
-        rng.normal(size=(out_dim, in_dim)) + 1j * rng.normal(size=(out_dim, in_dim))
-        for _ in range(n_kraus)
-    ]
-    total = sum(k.conj().T @ k for k in raw)
+    """Random trace-preserving CP map: Gaussian Kraus set, renormalised.
+
+    Operator k draws its real part, then its imaginary part."""
+    g = rng.normal(size=(n_kraus, 2, out_dim, in_dim))
+    raw = g[:, 0] + 1j * g[:, 1]
+    total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0, initial=0)
     w, v = linalg.hermitian_eigensystem(total)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return Channel(tuple(k @ inv_sqrt for k in raw))
+    return Channel(raw @ inv_sqrt)
 
 
 def random_nonorthogonal_pair(

@@ -20,6 +20,7 @@ float64 round-trips are bit exact):
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -72,8 +73,14 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [f"{inner}{dumps_report(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if all(type(v) is float for v in obj):
+            # a row of plain floats, the bulk of every report: one pass
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("cannot serialise non-finite float")
+            items = [format(v, ".17g") for v in obj]
+        else:
+            items = [dumps_report(v, indent + 2) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
@@ -82,7 +89,9 @@ def complex_pair(z: complex) -> list[float]:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    """Rows of [re, im] pairs; a stack of matrices gives one list per matrix."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def ket_to_json(psi: np.ndarray) -> dict:
@@ -94,7 +103,7 @@ def channel_to_json(ch: Channel) -> dict:
     return {
         "in_dim": ch.in_dim,
         "out_dim": ch.out_dim,
-        "kraus": [matrix_to_json(k) for k in ch.kraus],
+        "kraus": matrix_to_json(ch.stack),
         "trace_preserving": ch.trace_preserving,
     }
 
@@ -103,7 +112,7 @@ def kernel_to_json(k: SignedKernel) -> dict:
     return {
         "from": list(k.source.points),
         "to": list(k.target.points),
-        "matrix": [[float(x) for x in row] for row in k.matrix],
+        "matrix": k.matrix.tolist(),
         "convention": "column-stochastic",
     }
 

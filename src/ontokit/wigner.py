@@ -84,6 +84,8 @@ class WignerFrame:
     (points x d^2, row i = vec(s_i)); ``operators`` is its (points, d, d)
     view.  For Hermitian s_j, Tr(X s_j) = conj(vec(s_j)) . vec(X), so the
     Gram matrix, Wigner vectors and transfer matrices are matrix products.
+    Both arrays are read-only once verified: cached frames are shared by
+    every caller.
     """
 
     algebra: Algebra
@@ -121,6 +123,8 @@ class WignerFrame:
             raise VerificationFailedError("frame operators are not trace-orthogonal")
         if linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)) > FRAME_SUM_TOL:
             raise VerificationFailedError("frame operators do not sum to c.I")
+        ops, vecs = ops.view(), vecs.view()
+        ops.flags.writeable = vecs.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "hilbert_dim", d)
@@ -222,8 +226,8 @@ def _superoperator(ch: Channel) -> np.ndarray:
     """sum_k K (x) conj(K), shape (out^2, in^2), mapping the row-major vec(X) to
     vec(sum_k K X K^dag): the entries of sum_k vec(K) vec(K)^dag regrouped
     from [(a, i), (b, j)] to [(a, b), (i, j)]."""
-    o, i = ch.out_dim, ch.in_dim
-    kraus = np.array(ch.kraus).reshape(len(ch.kraus), o * i)
+    count, o, i = ch.stack.shape
+    kraus = ch.stack.reshape(count, o * i)
     outer = kraus.T @ kraus.conj()
     return outer.reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
@@ -310,16 +314,12 @@ def pad_odd(ch: Channel) -> Channel:
         return ch
     new_in = ch.in_dim + pad_in
     new_out = ch.out_dim + pad_out
-    ops = []
-    for k in ch.kraus:
-        padded = np.zeros((new_out, new_in), dtype=complex)
-        padded[: ch.out_dim, : ch.in_dim] = k
-        ops.append(padded)
+    count = len(ch.stack)
+    ops = np.zeros((count + pad_in, new_out, new_in), dtype=complex)
+    ops[:count, : ch.out_dim, : ch.in_dim] = ch.stack
     if pad_in:
-        extra = np.zeros((new_out, new_in), dtype=complex)
-        extra[new_out - 1 if pad_out else 0, new_in - 1] = 1.0
-        ops.append(extra)
-    return Channel(tuple(ops), trace_preserving=ch.trace_preserving)
+        ops[count, new_out - 1 if pad_out else 0, new_in - 1] = 1.0
+    return Channel(ops, trace_preserving=ch.trace_preserving)
 
 
 # ---------------------------------------------------------------------------

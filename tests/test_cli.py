@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, schemas."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -445,3 +446,33 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
     assert out == ""
     assert ("--tol" if source == "flag" else "ONTOKIT_TOL") in err
     assert raw in err
+
+
+# sha256 of stdout for the README commands (and one d = 7 run), recorded
+# before the Kraus stack and the flat-float emitter replaced the per-Kraus
+# and per-value loops, with numpy 2.4 and OpenBLAS on x86-64.
+GOLDEN_STDOUT = {
+    "functor-check-dim3": "e0c9a7a14ddd13829ece11ce996ff2c7912e1817526dde3c16a6e6a8375a7496",
+    "functor-check-dim7": "52e4ffe13a72b301d9e31eacc773ed6ddde2c92933fd5ca2262ccdf7884681ab",
+    "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, tmp_path, name):
+    if name == "pbr-demo":
+        # the kets of scripts/make_example_inputs.py, written the same way
+        inv = 1.0 / np.sqrt(2.0)
+        files = []
+        for label, psi in (("zero", [1, 0]), ("plus", [inv, inv])):
+            path = tmp_path / f"{label}.json"
+            path.write_text(dumps_report(ket_to_json(np.array(psi, dtype=complex))) + "\n")
+            files.append(str(path))
+        argv = ["pbr-demo", "--psi", files[0], "--phi", files[1]]
+    elif name == "functor-check-dim3":
+        argv = ["wigner", "functor-check", "--dim", "3", "--trials", "200", "--seed", "7"]
+    else:
+        argv = ["wigner", "functor-check", "--dim", "7", "--trials", "2", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[name]

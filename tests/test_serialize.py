@@ -22,6 +22,82 @@ from ontokit.serialize import (
     parse_model,
     parse_qmeasure_doc,
 )
+from ontokit.wigner import functor_morphism
+
+
+def recursive_dumps_oracle(obj, indent=0):
+    """The emitter before its flat-float fast path: one call per value."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError("cannot serialise non-finite float")
+        return format(x, ".17g")
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        return recursive_dumps_oracle(obj.tolist(), indent)
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{inner}{json.dumps(str(k))}: {recursive_dumps_oracle(v, indent + 2)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        items = [f"{inner}{recursive_dumps_oracle(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialise {type(obj)!r}")
+
+
+class TestEmitterFastPath:
+    """Lists and tuples of plain floats are emitted in one pass; the output
+    must match the recursive emitter byte for byte."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [-0.0, 5e-324, 1e308, 0.1],
+            [0.0, -1.5, 2.5e-17, -1e-300, 123456789.0],
+            [1, 2.5, -3, 0.0],
+            [True, False, True],
+            [True, 1.0],
+            [np.float64(0.1), np.float64(-0.0), np.float64(5e-324)],
+            [0.1, np.float64(0.2)],
+            (0.25, -0.0, 1e-7),
+            [],
+            (),
+            [[]],
+            [[0.1, 0.2], [], [[-0.0, 1e308]], (3.0,)],
+            {"rows": [[0.5, -0.5], [1.0, 2.0]], "empty": [], "n": 3, "flag": True},
+            {"outer": {"inner": [0.1, None, "x", 2.0]}},
+            np.linspace(-1.0, 1.0, 7),
+        ],
+    )
+    def test_matches_recursive_emitter(self, doc):
+        assert dumps_report(doc) == recursive_dumps_oracle(doc)
+
+    def test_matches_on_a_kernel_report(self):
+        ch = random_cptp_channel(rng_for(9), 3, 3)
+        doc = {"kernel": kernel_to_json(functor_morphism(ch)), "channel": channel_to_json(ch)}
+        assert dumps_report(doc) == recursive_dumps_oracle(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["flat", "nested", "tuple"])
+    def test_non_finite_raises(self, bad, where):
+        doc = {"flat": [0.1, bad], "nested": [[0.1], [bad, 2.0]], "tuple": (bad,)}[where]
+        with pytest.raises(ValueError, match="^cannot serialise non-finite float$"):
+            dumps_report(doc)
 
 
 class TestEmitter:

@@ -165,6 +165,27 @@ class TestFrames:
         with pytest.raises(VerificationFailedError, match=message):
             WignerFrame(algebra, ops, const, space)
 
+    @pytest.mark.parametrize(
+        "build, arg", [(phase_point_operators, 3), (phase_point_operators, 5), (commutative_frame, 2)]
+    )
+    def test_cached_frames_are_read_only(self, build, arg):
+        frame = build(arg)
+        assert build(arg) is frame
+        for array in (frame.operators, frame.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 1.0 + 1e-12
+        d = frame.hilbert_dim
+        if frame.algebra.kind == "commutative":
+            rho = DensityMatrix(np.diag(np.arange(1.0, d + 1) / (d * (d + 1) / 2)))
+        else:
+            rho = random_density(rng_for(17, arg), d)
+        uncached = build.__wrapped__(arg)
+        assert uncached is not frame
+        assert np.array_equal(wigner_vector(rho, frame).weights,
+                              wigner_vector(rho, uncached).weights)
+
     def test_shape_and_count_mismatch_rejected(self):
         with pytest.raises(DimMismatchError):
             WignerFrame(matrix_algebra(3), QUTRIT.operators[:, :, :2], 3.0, QUTRIT.space)
