@@ -78,6 +78,7 @@ class Channel:
 
     The Kraus set is stored once as the (count, out, in) complex array
     ``stack``; ``kraus`` is the tuple of its operators (views into it).
+    Both are read-only once the Kraus sum is checked.
     When ``trace_preserving`` the Kraus operators resolve the identity;
     otherwise the map may only be trace non-increasing (sub-normalised
     branches are allowed and flagged).
@@ -103,6 +104,10 @@ class Channel:
             top = linalg.hermitian_eigenvalues(total, herm_tol=KRAUS_SUM_TOL)[-1]
             if top > 1.0 + KRAUS_SUM_TOL:
                 raise ValueError(f"Kraus sum exceeds identity: max eigenvalue {top:.6f}")
+        # a read-only view: writes into a checked channel fail at once, while
+        # the caller's own array stays writable
+        stack = stack.view()
+        stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
 

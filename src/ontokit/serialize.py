@@ -127,6 +127,49 @@ def _need(doc: dict, field: str, context: str = ""):
     return doc[field]
 
 
+def _number_array(doc) -> np.ndarray | None:
+    """A regular nested list of JSON numbers (bool, int or float) as one
+    float array, or None when ``doc`` is anything else."""
+    try:
+        arr = np.array(doc)
+    except (ValueError, OverflowError):
+        return None
+    if arr.dtype.kind not in "biuf":
+        return None
+    return arr.astype(float, copy=False)
+
+
+def _pairs_array(doc, ndim: int) -> np.ndarray | None:
+    """A nonempty list of ``ndim - 1`` nested levels of [re, im] pairs as a
+    complex array (the float pairs viewed in place), or None."""
+    arr = _number_array(doc)
+    if arr is None or arr.ndim != ndim or arr.shape[-1] != 2 or arr.size == 0:
+        return None
+    return arr.view(complex).reshape(arr.shape[:-1])
+
+
+def _real_array(doc, field: str) -> np.ndarray:
+    """A list (of lists) of real numbers as a float array.  A non-number
+    entry (a string, null, a map) is named by its index; any other
+    malformation keeps numpy's text."""
+    arr = _number_array(doc)
+    if arr is not None:
+        return arr
+    _reject_non_numbers(doc, field)
+    try:
+        return np.asarray(doc, dtype=float)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(field, str(exc)) from exc
+
+
+def _reject_non_numbers(doc, field: str) -> None:
+    if isinstance(doc, list):
+        for i, v in enumerate(doc):
+            _reject_non_numbers(v, f"{field}[{i}]")
+    elif not isinstance(doc, (int, float)):
+        raise SchemaError(field, f"expected a number, got {doc!r}")
+
+
 def _pair_to_complex(v, field: str) -> complex:
     if (
         not isinstance(v, (list, tuple))
@@ -138,6 +181,11 @@ def _pair_to_complex(v, field: str) -> complex:
 
 
 def parse_matrix(doc, field: str = "matrix") -> np.ndarray:
+    if isinstance(doc, list) and all(isinstance(row, list) for row in doc):
+        m = _pairs_array(doc, 3)
+        if m is not None:
+            return m
+    # entry by entry, to name what is malformed
     if not isinstance(doc, list) or not doc:
         raise SchemaError(field, "expected a nonempty list of rows")
     rows = []
@@ -158,7 +206,10 @@ def parse_ket(doc) -> np.ndarray:
         raise SchemaError("dim", "expected a positive integer")
     if not isinstance(amps, list) or len(amps) != dim:
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
-    psi = np.array([_pair_to_complex(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
+    psi = _pairs_array(amps, 2)
+    if psi is None:
+        # entry by entry, to name what is malformed
+        psi = np.array([_pair_to_complex(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
@@ -191,7 +242,7 @@ def parse_kernel(doc) -> SignedKernel:
         raise SchemaError("convention", f"unsupported convention {convention!r}")
     if not isinstance(src, list) or not isinstance(dst, list):
         raise SchemaError("from", "expected label lists")
-    m = np.asarray(mat, dtype=float)
+    m = _real_array(mat, "matrix")
     try:
         return SignedKernel(
             FiniteSpace(tuple(src)), FiniteSpace(tuple(dst)), m,
@@ -218,8 +269,9 @@ def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
         raise SchemaError("weights", "expected a nonempty list of weight vectors")
     dists = []
     for i, w in enumerate(weights):
+        values = _real_array(w, f"weights[{i}]")
         try:
-            dists.append(Distribution(space, np.asarray(w, dtype=float)))
+            dists.append(Distribution(space, values))
         except Exception as exc:
             raise SchemaError(f"weights[{i}]", str(exc)) from exc
     return space, dists
@@ -242,8 +294,9 @@ def parse_model(doc) -> OntModel:
     if not isinstance(dists_doc, dict):
         raise SchemaError("distributions", "expected a label-to-weights map")
     for label, w in dists_doc.items():
+        values = _real_array(w, f"distributions[{label}]")
         try:
-            distributions[label] = Distribution(ontic, np.asarray(w, dtype=float))
+            distributions[label] = Distribution(ontic, values)
         except Exception as exc:
             raise SchemaError(f"distributions[{label}]", str(exc)) from exc
     measurements = []
@@ -259,10 +312,11 @@ def parse_model(doc) -> OntModel:
                 f"measurements[{i}].responses",
                 f"expected {pm.n_outcomes} response vectors",
             )
+        values = [
+            _real_array(r, f"measurements[{i}].responses[{j}]") for j, r in enumerate(responses)
+        ]
         try:
-            packed = tuple(
-                ResponseFunction(ontic, np.asarray(r, dtype=float)) for r in responses
-            )
+            packed = tuple(ResponseFunction(ontic, r) for r in values)
         except Exception as exc:
             raise SchemaError(f"measurements[{i}].responses", str(exc)) from exc
         measurements.append((pm, packed))

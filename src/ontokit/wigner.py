@@ -74,6 +74,24 @@ def commutative_algebra(k: int) -> Algebra:
     return Algebra("commutative", k)
 
 
+@dataclass(frozen=True)
+class FrameResiduals:
+    """How far a frame is from each of its conditions, as max entry moduli.
+
+    ``hermitian`` is max|s - s^dag|, ``trace`` max|Tr s - 1|, ``square``
+    max|s^2 - I| (matrix kind) or max|s^2 - s| (commutative kind), ``gram``
+    max|G - c.I| for the Gram matrix G, ``sum`` max|sum_i s_i - c.I|, and
+    ``max_entry`` the largest entry modulus of any operator.
+    """
+
+    hermitian: float
+    trace: float
+    square: float
+    gram: float
+    sum: float
+    max_entry: float
+
+
 @dataclass(frozen=True, eq=False)
 class WignerFrame:
     """Operator frame: Hermitian, unit trace, Tr(s_i s_j) = c delta_ij,
@@ -86,6 +104,14 @@ class WignerFrame:
     Gram matrix, Wigner vectors and transfer matrices are matrix products.
     Both arrays are read-only once verified: cached frames are shared by
     every caller.
+
+    The constructor checks every condition densely (one batched ``ops @ ops``,
+    the Gram matrix F F^dag, the column sums of F) and keeps what it measured
+    as ``residuals``.  Each residual must stay within ``FRAME_COND_TOL``,
+    except the Gram residual (``FRAME_COND_TOL * max(1, c)``) and the sum
+    residual (``FRAME_SUM_TOL``).  Frames built by :func:`product_frame`
+    skip the dense checks: their residuals are upper bounds derived from the
+    two factors, held to the same tolerances.
     """
 
     algebra: Algebra
@@ -94,6 +120,7 @@ class WignerFrame:
     space: FiniteSpace
     hilbert_dim: int = field(init=False)
     vectors: np.ndarray = field(init=False, repr=False)
+    residuals: FrameResiduals = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = np.ascontiguousarray(self.operators, dtype=complex)
@@ -104,30 +131,48 @@ class WignerFrame:
             raise DimMismatchError("operator count does not match the point space")
         c = float(self.norm_const)
         vecs = ops.reshape(count, d * d)
-        herm = linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1))))
-        if herm > FRAME_COND_TOL:
-            raise VerificationFailedError(f"frame operators not Hermitian: {herm:.3e}")
-        if linalg.max_abs(vecs[:, :: d + 1].sum(axis=1) - 1.0) > FRAME_COND_TOL:
+        target = np.eye(d) if self.algebra.kind == "matrix" else ops
+        self._accept(ops, FrameResiduals(
+            hermitian=linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1)))),
+            trace=linalg.max_abs(vecs[:, :: d + 1].sum(axis=1) - 1.0),
+            square=linalg.max_abs(ops @ ops - target),
+            gram=linalg.max_abs(vecs @ vecs.conj().T - c * np.eye(count)),
+            sum=linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)),
+            max_entry=linalg.max_abs(vecs),
+        ))
+
+    @classmethod
+    def _from_residuals(cls, algebra, operators, norm_const, space, residuals):
+        """A frame whose residuals are already bounded, without the dense checks."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "algebra", algebra)
+        object.__setattr__(frame, "norm_const", norm_const)
+        object.__setattr__(frame, "space", space)
+        frame._accept(np.ascontiguousarray(operators, dtype=complex), residuals)
+        return frame
+
+    def _accept(self, ops: np.ndarray, res: FrameResiduals) -> None:
+        """Hold the residuals to the tolerances, then freeze and store ops."""
+        if res.hermitian > FRAME_COND_TOL:
+            raise VerificationFailedError(f"frame operators not Hermitian: {res.hermitian:.3e}")
+        if res.trace > FRAME_COND_TOL:
             raise VerificationFailedError("frame operators must have unit trace")
-        squares = ops @ ops
-        if self.algebra.kind == "matrix":
-            sq_err = linalg.max_abs(squares - np.eye(d))
-            if sq_err > FRAME_COND_TOL:
-                raise VerificationFailedError(f"frame operators not involutive: {sq_err:.3e}")
-        else:
-            sq_err = linalg.max_abs(squares - ops)
-            if sq_err > FRAME_COND_TOL:
-                raise VerificationFailedError(f"frame projectors not idempotent: {sq_err:.3e}")
-        gram = vecs @ vecs.conj().T
-        if linalg.max_abs(gram - c * np.eye(count)) > FRAME_COND_TOL * max(1.0, c):
+        if res.square > FRAME_COND_TOL:
+            if self.algebra.kind == "matrix":
+                raise VerificationFailedError(f"frame operators not involutive: {res.square:.3e}")
+            raise VerificationFailedError(f"frame projectors not idempotent: {res.square:.3e}")
+        if res.gram > FRAME_COND_TOL * max(1.0, float(self.norm_const)):
             raise VerificationFailedError("frame operators are not trace-orthogonal")
-        if linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)) > FRAME_SUM_TOL:
+        if res.sum > FRAME_SUM_TOL:
             raise VerificationFailedError("frame operators do not sum to c.I")
-        ops, vecs = ops.view(), vecs.view()
+        count, d, _ = ops.shape
+        ops = ops.view()
+        vecs = ops.reshape(count, d * d)
         ops.flags.writeable = vecs.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "hilbert_dim", d)
+        object.__setattr__(self, "residuals", res)
 
     @property
     def n_points(self) -> int:
@@ -343,23 +388,74 @@ class MonoidalityReport:
 
 
 def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
-    """Tensor frame {s (x) t}; invariants re-verified at construction.
+    """Tensor frame {s (x) t}, verified from its two verified factors.
+
+    The operators are the Kronecker products, in (a, b) point order.  No
+    dense check runs on them, so a product frame costs its einsum and no
+    Gram matrix of (mn)^2 operators.  Each condition factorises instead:
+    (s (x) t)^dag = s^dag (x) t^dag, Tr(s (x) t) = Tr s Tr t,
+    (s (x) t)^2 = s^2 (x) t^2, the Gram matrix is G_a (x) G_b and the sum
+    is (sum s) (x) (sum t).  Writing each factor quantity as its target plus
+    an error bounded entrywise by the factor's residual (h, t, q, g, s, with
+    m the largest entry modulus and c the frame constant) bounds the
+    product's residuals by
+
+        hermitian  h_a m_b + m_a h_b
+        trace      t_a + t_b + t_a t_b
+        square     q_a u_b + u_a q_b + q_a q_b   (u = 1 involutive, u = m idempotent)
+        gram       g_a (c_b + g_b) + c_a g_b
+        sum        s_a (c_b + s_b) + c_a s_b
+
+    plus (L_a + L_b + 6) eps S each, and m_a m_b (1 + 4 eps) bounds m.
+    Here eps = 2^-52, S bounds the sum of the moduli of the terms the dense
+    check would accumulate, and L_a, L_b are the lengths the factor checks
+    accumulated over.  The allowance covers the rounding of the einsum
+    products (at most sqrt(2) eps relative each) and of the factor checks'
+    own measurements, so each bound holds for the exact residual of the
+    product operators as stored; a dense check measures that residual only
+    up to the rounding of its own accumulation.  The bounds become the
+    product's ``residuals`` and are held to the tolerances of
+    :class:`WignerFrame`, with its error messages.
 
     Factors must share a kind: mixed products are neither involutive nor
     idempotent, so no frame conditions could hold for them.
     """
     if fa.algebra.kind != fb.algebra.kind:
         raise UnrepresentableAlgebraError("cannot tensor frames of different kinds")
-    count_a, da, _ = fa.operators.shape
-    count_b, db, _ = fb.operators.shape
+    na, da, _ = fa.operators.shape
+    nb, db, _ = fb.operators.shape
     ops = np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(
-        count_a * count_b, da * db, da * db
+        na * nb, da * db, da * db
     )
-    return WignerFrame(
+    a, b = fa.residuals, fb.residuals
+    ca, cb = float(fa.norm_const), float(fb.norm_const)
+    # entry scales, floored at 1 so that S also covers subtracting a unit target
+    scale = max(1.0, a.max_entry) * max(1.0, b.max_entry)
+    eps = float(np.finfo(float).eps)
+
+    def slack(len_a: int, len_b: int, terms: float) -> float:
+        return (len_a + len_b + 6) * eps * terms
+
+    if fa.algebra.kind == "matrix":
+        unit_a = unit_b = 1.0
+    else:
+        unit_a, unit_b = a.max_entry, b.max_entry
+    residuals = FrameResiduals(
+        hermitian=a.hermitian * b.max_entry + a.max_entry * b.hermitian + slack(0, 0, scale),
+        trace=a.trace + b.trace + a.trace * b.trace + slack(da, db, da * db * scale),
+        square=a.square * unit_b + unit_a * b.square + a.square * b.square
+        + slack(da, db, da * db * scale * scale),
+        gram=a.gram * (cb + b.gram) + ca * b.gram
+        + slack(da * da, db * db, (ca + a.gram) * (cb + b.gram)),
+        sum=a.sum * (cb + b.sum) + ca * b.sum + slack(na, nb, na * nb * scale),
+        max_entry=a.max_entry * b.max_entry * (1.0 + 4.0 * eps),
+    )
+    return WignerFrame._from_residuals(
         Algebra(fa.algebra.kind, da * db),
         ops,
         fa.norm_const * fb.norm_const,
         product_space(fa.space, fb.space),
+        residuals,
     )
 
 

@@ -127,6 +127,18 @@ def test_kraus_views_share_the_stack():
     assert (ch.in_dim, ch.out_dim) == (3, 2)
 
 
+def test_checked_stack_is_read_only_and_the_given_array_is_not():
+    given = np.eye(3, dtype=complex)[None].copy()
+    ch = Channel(given)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.kraus[0][0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        ch.stack[0, 0, 0] = 2.0
+    given[0, 1, 1] = 1.0  # the caller's own array stays writable
+    with pytest.raises(ValueError, match="read-only"):
+        Channel.from_unitary(np.eye(3)).kraus[0][0, 0] = 2.0
+
+
 def test_constructor_keeps_the_given_operators():
     u = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]
     ops = (u / np.sqrt(2), 1j * u / np.sqrt(2))

@@ -187,6 +187,15 @@ class TestAntidist:
         assert code == 2
         assert "target" in err
 
+    def test_numbers_written_as_strings_exit_two(self, capsys, tmp_path):
+        ens = tmp_path / "ens.json"
+        doc = {"points": ["a", "b"], "weights": [["0.5", "0.5"], [1.0, 0.0]]}
+        ens.write_text(dumps_report(doc))
+        code, out, err = run_cli(capsys, "antidist", str(ens), "--target", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "schema error: weights[0][0]: expected a number, got '0.5'\n"
+
     def test_duplicate_labels_exit_two(self, capsys, tmp_path):
         ens = tmp_path / "ens.json"
         ens.write_text(dumps_report({"points": ["a", "a"], "weights": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -305,6 +314,14 @@ def _measurements_not_a_list(doc):
     doc["measurements"] = {"basis": []}
 
 
+def _string_distribution(doc):
+    doc["distributions"]["zero"] = ["1.0", 0.0]
+
+
+def _string_response(doc):
+    doc["measurements"][0]["responses"][1] = [0.0, "1"]
+
+
 MALFORMED_MODELS = [
     (_mixed_ket_dims, ["model", "state 'tri'", "dimension 3"]),
     (_qutrit_basis, ["model", "measurement 0", "dimension 3"]),
@@ -316,6 +333,8 @@ MALFORMED_MODELS = [
     (_duplicate_state, ["model", "state labels must be distinct"]),
     (_states_not_a_list, ["states", "expected a list"]),
     (_measurements_not_a_list, ["measurements", "expected a list"]),
+    (_string_distribution, ["distributions[zero][0]", "expected a number, got '1.0'"]),
+    (_string_response, ["measurements[0].responses[1][1]", "expected a number, got '1'"]),
 ]
 
 

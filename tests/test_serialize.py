@@ -19,6 +19,7 @@ from ontokit.serialize import (
     parse_ensemble,
     parse_kernel,
     parse_ket,
+    parse_matrix,
     parse_model,
     parse_qmeasure_doc,
 )
@@ -120,6 +121,169 @@ class TestEmitter:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_report({"x": float("nan")})
+
+
+# ---------------------------------------------------------------------------
+# the numeric reader against the per-entry parsers it replaced
+# ---------------------------------------------------------------------------
+
+def _pair_oracle(v, field):
+    if (
+        not isinstance(v, (list, tuple))
+        or len(v) != 2
+        or not all(isinstance(x, (int, float)) for x in v)
+    ):
+        raise SchemaError(field, "expected a [re, im] number pair")
+    return complex(v[0], v[1])
+
+
+def parse_matrix_oracle(doc, field="matrix"):
+    """The matrix parser before the one-call reader: one entry at a time."""
+    if not isinstance(doc, list) or not doc:
+        raise SchemaError(field, "expected a nonempty list of rows")
+    rows = []
+    for i, row in enumerate(doc):
+        if not isinstance(row, list) or not row:
+            raise SchemaError(f"{field}[{i}]", "expected a nonempty row")
+        rows.append([_pair_oracle(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise SchemaError(field, "ragged rows")
+    return np.array(rows, dtype=complex)
+
+
+def parse_ket_oracle(doc):
+    """The ket parser before the one-call reader: one amplitude at a time."""
+    for name in ("dim", "amplitudes"):
+        if name not in doc:
+            raise SchemaError(name, "missing required field")
+    dim, amps = doc["dim"], doc["amplitudes"]
+    if not isinstance(dim, int) or dim < 1:
+        raise SchemaError("dim", "expected a positive integer")
+    if not isinstance(amps, list) or len(amps) != dim:
+        raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
+    psi = np.array([_pair_oracle(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
+    nrm = np.linalg.norm(psi)
+    if abs(nrm - 1.0) > 1e-10:
+        raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
+    return psi
+
+
+SPECIAL_NUMBERS = [-0.0, 5e-324, 0, 3, -7, True, False, 2**53 + 1, -(2**60) - 3, 2**63 + 5]
+
+
+def _random_number(rng):
+    if rng.random() < 0.4:
+        return SPECIAL_NUMBERS[int(rng.integers(len(SPECIAL_NUMBERS)))]
+    return float(rng.standard_normal())
+
+
+def _same_outcome(parse, oracle, doc):
+    """Both parsers return bit-equal arrays, or both raise the same SchemaError."""
+    try:
+        expected = oracle(doc)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            parse(doc)
+        assert (err.value.field, str(err.value)) == (exc.field, str(exc))
+        return
+    got = parse(doc)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestNumericReader:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_random_matrices_parse_bit_equal(self, d):
+        rng = rng_for(130, d)
+        for _ in range(20):
+            rows, cols = d, int(rng.integers(1, 10))
+            doc = [[[_random_number(rng), _random_number(rng)] for _ in range(cols)]
+                   for _ in range(rows)]
+            # through JSON text too: what the CLI reads
+            for form in (doc, json.loads(json.dumps(doc))):
+                _same_outcome(parse_matrix, parse_matrix_oracle, form)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_random_kets_parse_bit_equal(self, d):
+        rng = rng_for(131, d)
+        psi = random_ket(rng, d)
+        doc = json.loads(dumps_report(ket_to_json(psi)))
+        _same_outcome(parse_ket, parse_ket_oracle, doc)
+        # a unit ket of special entries, and unnormalised ones, which both reject
+        unit = [[True, False]] + [[-0.0, 5e-324]] * (d - 1)
+        _same_outcome(parse_ket, parse_ket_oracle, {"dim": d, "amplitudes": unit})
+        for _ in range(10):
+            amps = [[_random_number(rng), _random_number(rng)] for _ in range(d)]
+            _same_outcome(parse_ket, parse_ket_oracle, {"dim": d, "amplitudes": amps})
+
+    def test_huge_integers_parse_as_the_oracle_does(self):
+        for pair in ([2**70, 0.5], [-(2**63) - 7, 1], [2**64 + 3, 1], [2**63 + 1, 3]):
+            _same_outcome(parse_matrix, parse_matrix_oracle, [[pair, [1.0, 0.0]]])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[[1.0, 0.0], ["0.5", 0.0]]],
+            [[[1.0, 0.0], [None, 0.0]]],
+            [[[1.0, 0.0], None]],
+            [[[1.0, 0.0], [0.0, 0.0, 1.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]],
+            [[[1.0, 0.0]], []],
+            [[]],
+            [[[[1.0, 0.0]], [[0.0, 0.0]]]],
+            [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+            [],
+            [[1.0, 0.0]],
+            "matrix",
+            {"rows": []},
+            [([1.0, 0.0],)],
+        ],
+        ids=["string", "null", "null-pair", "triple", "ragged", "empty-row", "only-empty-row",
+             "too-deep", "too-deep-regular", "empty", "too-shallow", "string-doc", "map",
+             "tuple-row"],
+    )
+    def test_malformed_matrix_named_as_the_oracle_does(self, doc):
+        _same_outcome(parse_matrix, parse_matrix_oracle, doc)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [[1.0, 0.0], ["0", 0.0]],
+            [[1.0, 0.0], None],
+            [[1.0, 0.0, 0.0], [0.0, 0.0]],
+            [[1.0], [0.0, 0.0]],
+            [[[1.0, 0.0]], [[0.0, 0.0]]],
+            [[], []],
+            [],
+        ],
+        ids=["string", "null", "triple", "single", "too-deep", "empty-pairs", "empty"],
+    )
+    def test_malformed_ket_named_as_the_oracle_does(self, amps):
+        doc = {"dim": max(1, len(amps)), "amplitudes": amps}
+        _same_outcome(parse_ket, parse_ket_oracle, doc)
+
+    def test_numbers_written_as_strings_are_named(self):
+        space = {"points": ["a", "b"]}
+        cases = [
+            (lambda: parse_ensemble({**space, "weights": [["0.5", "0.5"], [1.0, 0.0]]}),
+             "weights[0][0]"),
+            (lambda: parse_kernel({"from": ["a"], "to": ["a"], "matrix": [["1"]]}),
+             "matrix[0][0]"),
+            (lambda: parse_ensemble({**space, "weights": [[0.5, None]]}), "weights[0][1]"),
+        ]
+        for parse, field in cases:
+            with pytest.raises(SchemaError) as err:
+                parse()
+            assert err.value.field == field
+            assert "expected a number" in str(err.value)
+
+    def test_real_weights_keep_their_values(self):
+        _, dists = parse_ensemble(
+            {"points": ["a", "b"], "weights": [[1, 0], [True, False], [0.25, 0.75]]}
+        )
+        assert [d.weights.tolist() for d in dists] == [[1.0, 0.0], [1.0, 0.0], [0.25, 0.75]]
+        assert all(d.weights.dtype == float for d in dists)
 
 
 class TestKetSchema:

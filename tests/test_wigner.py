@@ -1,5 +1,7 @@
 """Phase-point frames, transfer matrices, functor laws, padding."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ontokit.errors import (
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
-from ontokit.kernels import TWO, UNIT_SPACE, evaluate, kcompose
+from ontokit.kernels import TWO, UNIT_SPACE, evaluate, kcompose, product_space
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
@@ -31,6 +33,9 @@ from ontokit.sampling import (
     rng_for,
 )
 from ontokit.wigner import (
+    FRAME_COND_TOL,
+    Algebra,
+    FrameResiduals,
     WignerFrame,
     commutative_algebra,
     commutative_frame,
@@ -454,6 +459,94 @@ class TestMonoidality:
         assert linalg.max_abs(
             transfer_matrix(ch, prod, prod) - transfer_oracle(ch, prod, prod)
         ) <= 1e-12
+
+
+def product_operators(fa, fb):
+    """{s (x) t} in (a, b) point order, as one einsum of the factor stacks."""
+    d = fa.hilbert_dim * fb.hilbert_dim
+    return np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(-1, d, d)
+
+
+def dense_product(fa, fb):
+    """The oracle: every dense frame check run on the product operators."""
+    ops = product_operators(fa, fb)
+    return WignerFrame(
+        Algebra(fa.algebra.kind, ops.shape[1]), ops, fa.norm_const * fb.norm_const,
+        product_space(fa.space, fb.space),
+    )
+
+
+def perturbed(frame, size, rng):
+    """The frame with every entry moved by at most ``size``, densely re-verified."""
+    ops = frame.operators
+    noise = rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)
+    noise *= size / np.abs(noise).max()
+    return WignerFrame(frame.algebra, ops + noise, frame.norm_const, frame.space)
+
+
+def assert_bounds_cover(bounds, measured):
+    for f in fields(FrameResiduals):
+        assert getattr(bounds, f.name) >= getattr(measured, f.name), f.name
+
+
+FACTORS = {
+    "3x3": lambda: (phase_point_operators(3), phase_point_operators(3)),
+    "3x5": lambda: (phase_point_operators(3), phase_point_operators(5)),
+    "5x5": lambda: (phase_point_operators(5), phase_point_operators(5)),
+    "5x7": lambda: (phase_point_operators(5), phase_point_operators(7)),
+    "c2xc3": lambda: (commutative_frame(2), commutative_frame(3)),
+}
+
+
+class TestProductFrameBounds:
+    @pytest.mark.parametrize("pair", list(FACTORS))
+    def test_both_paths_accept_with_einsum_operators(self, pair):
+        fa, fb = FACTORS[pair]()
+        prod = product_frame(fa, fb)
+        einsum = product_operators(fa, fb)
+        # bit-equal, signed zeros included
+        assert prod.vectors.tobytes() == einsum.tobytes()
+        assert prod.vectors.shape == (fa.n_points * fb.n_points, einsum.shape[1] ** 2)
+        assert_bounds_cover(prod.residuals, dense_product(fa, fb).residuals)
+
+    @pytest.mark.parametrize("size", [1e-13, 1e-12, 1e-11])
+    @pytest.mark.parametrize("pair", ["3x3", "3x5", "c2xc3"])
+    def test_bounds_cover_the_dense_residuals_of_perturbed_factors(self, pair, size):
+        fa, fb = FACTORS[pair]()
+        for seed in range(3):
+            rng = rng_for(61, seed)
+            pa, pb = perturbed(fa, size, rng), perturbed(fb, size, rng)
+            prod = product_frame(pa, pb)
+            assert_bounds_cover(prod.residuals, dense_product(pa, pb).residuals)
+
+    def test_bounds_of_a_product_of_products_cover_the_dense_residuals(self):
+        rng = rng_for(62)
+        inner = product_frame(perturbed(QUTRIT, 1e-12, rng), perturbed(QUTRIT, 1e-12, rng))
+        outer_factor = perturbed(QUTRIT, 1e-12, rng)
+        prod = product_frame(inner, outer_factor)
+        assert_bounds_cover(prod.residuals, dense_product(inner, outer_factor).residuals)
+
+    def test_bound_past_the_tolerance_raises_as_the_dense_check_does(self):
+        # A_(0,0) has unit entries at (1, 2) and (2, 1); moving one breaks
+        # Hermiticity by 6e-11 per factor, 1.2e-10 in the product
+        ops = QUTRIT.operators.copy()
+        ops[0, 1, 2] += 6e-11
+        factor = WignerFrame(matrix_algebra(3), ops, 3.0, QUTRIT.space)
+        assert factor.residuals.hermitian <= FRAME_COND_TOL
+        with pytest.raises(VerificationFailedError, match="not Hermitian: 1.2"):
+            product_frame(factor, factor)
+        with pytest.raises(VerificationFailedError, match="not Hermitian: 1.2"):
+            dense_product(factor, factor)
+
+    def test_product_frames_are_read_only(self):
+        prod = product_frame(QUTRIT, QUTRIT)
+        for array in (prod.operators, prod.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 2.0
+
+    def test_transfer_factorises_at_seven_by_seven(self):
+        rep = monoidality_check(7, 7, 1, seed=19)
+        assert rep.frame_ok and rep.passed
 
 
 class TestCertificateTransport:
