@@ -33,12 +33,13 @@ from .errors import (
     SpaceMismatchError,
     VerificationFailedError,
 )
-from .kernels import Distribution, ResponseFunction, SUPPORT_EPS, support_mask
+from .kernels import Distribution, ResponseFunction, support_mask
 from .quantum import Channel, DensityMatrix, ProjectiveMeasurement, apply_channel, born, overlap
 from .sampling import rng_for
-
-CERT_RESIDUAL_TOL = 1e-7
-FEAS_TOL = 1e-9
+from .tolerances import (
+    CERTIFICATE_TOL, DERIVED_TOL, FEAS_TOL, LEMMA_MARGIN, NEVER_FIRES_TOL,
+    OVERLAP_INTERIOR_MARGIN, PBR_TOL, POWER_MARGIN, SUPPORT_EPS, TIGHT_IDENTITY_TOL,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -70,7 +71,7 @@ class AntidistCertificate:
 
     def __post_init__(self):
         r0, r1 = self.residuals
-        if abs(r0) > CERT_RESIDUAL_TOL or abs(r1 - 1.0) > CERT_RESIDUAL_TOL:
+        if abs(r0) > CERTIFICATE_TOL or abs(r1 - 1.0) > CERTIFICATE_TOL:
             raise ValueError(f"certificate residuals {self.residuals} exceed tolerance")
 
 
@@ -142,9 +143,7 @@ def antidist_family(ensemble: Sequence[Distribution]) -> list[Optional[AntidistC
     return [antidist_classical(AntidistProblem(ensemble, i)) for i in range(len(ensemble))]
 
 
-def antidist_partition(
-    ensemble: Sequence[Distribution], eps: float = SUPPORT_EPS
-) -> Optional[list[ResponseFunction]]:
+def antidist_partition(ensemble: Sequence[Distribution]) -> Optional[list[ResponseFunction]]:
     """Single-measurement form: a partition of unity whose k-th outcome
     never fires on the k-th member.
 
@@ -159,7 +158,7 @@ def antidist_partition(
     space = ensemble[0].space
     if any(d.space != space for d in ensemble):
         raise SpaceMismatchError("ensemble members live on different spaces")
-    masks = [support_mask(d, eps) for d in ensemble]
+    masks = [support_mask(d) for d in ensemble]
     responses = np.zeros((len(ensemble), space.size))
     for lam in range(space.size):
         avoiding = [k for k, m in enumerate(masks) if not m[lam]]
@@ -177,7 +176,7 @@ def antidist_quantum_check(
     states: Sequence[DensityMatrix],
     m: ProjectiveMeasurement,
     assignment: Sequence[int],
-    tol: float = 1e-9,
+    tol: float = NEVER_FIRES_TOL,
 ) -> bool:
     """True iff each state's assigned outcome never occurs on it."""
     if len(assignment) != len(states):
@@ -203,7 +202,7 @@ def pbr_measurement() -> ProjectiveMeasurement:
         ]
     )
     gram_err = linalg.max_abs(vecs.conj() @ vecs.T - np.eye(4))
-    if gram_err > 1e-10:
+    if gram_err > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError(f"PBR basis Gram error {gram_err:.3e}")
     return ProjectiveMeasurement(vecs)
 
@@ -236,7 +235,7 @@ def smallest_compression_power(overlap_mod: float) -> int:
     """
     if not 0.0 < overlap_mod < 1.0:
         raise BadOverlapError(f"overlap modulus {overlap_mod!r} must be in (0, 1)")
-    bound = INV_SQRT2 + 1e-12
+    bound = INV_SQRT2 + POWER_MARGIN
     n = max(1, int(np.ceil(np.log(bound) / np.log(overlap_mod))))
     while n > 1 and overlap_mod ** (n - 1) <= bound:
         n -= 1
@@ -246,7 +245,7 @@ def smallest_compression_power(overlap_mod: float) -> int:
 
 
 def compression_channel(
-    psi, phi, n: Optional[int] = None, tol: float = 1e-8
+    psi, phi, n: Optional[int] = None, tol: float = DERIVED_TOL
 ) -> CompressionResult:
     """Channel mapping the pair (psi^n, phi^n) onto (|0><0|, |+><+|).
 
@@ -268,11 +267,11 @@ def compression_channel(
         raise DimMismatchError("states must share a dimension")
     ov = overlap(psi, phi)
     g0 = abs(ov)
-    if g0 < 1e-10 or g0 > 1.0 - 1e-10:
+    if g0 < OVERLAP_INTERIOR_MARGIN or g0 > 1.0 - OVERLAP_INTERIOR_MARGIN:
         raise BadOverlapError(f"|<psi|phi>| = {g0!r} must lie strictly inside (0, 1)")
     if n is None:
         n = smallest_compression_power(g0)
-    elif n < 1 or g0 ** n > INV_SQRT2 + 1e-12:
+    elif n < 1 or g0 ** n > INV_SQRT2 + POWER_MARGIN:
         raise BadOverlapError(f"n = {n} leaves overlap {g0 ** max(n, 1):.6f} above 1/sqrt(2)")
 
     c = ov ** n
@@ -331,7 +330,7 @@ class PbrReport:
         return self.anti_distinguished
 
 
-def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = 1e-8) -> PbrReport:
+def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = PBR_TOL) -> PbrReport:
     """Compress, tensor the pair, and verify the four-outcome exclusion.
 
     Row 2a + b of the table holds <v_k| x_a (x) x_b |v_k> on the validated
@@ -377,7 +376,7 @@ def _random_support_distribution(rng: np.random.Generator, space) -> Distributio
     """Random distribution with a random support and entries bounded below.
 
     Weights on the support are at least 0.05 before normalisation so that
-    support computations are far from the 1e-12 threshold.
+    support computations are far from the ``SUPPORT_EPS`` threshold.
     """
     size = space.size
     while True:
@@ -449,10 +448,10 @@ def lemma_suite(trials: int, seed: int) -> LemmaSuiteReport:
             )
 
         d_base = variational_distance(phi, psi)
-        if d_base < 1.0 - 1e-9:
+        if d_base < 1.0 - LEMMA_MARGIN:
             counts["overlap_pairs"] += 1
             d_prod = variational_distance(dtensor(phi, phi), dtensor(psi, psi))
-            if d_prod >= 1.0 - 1e-9:
+            if d_prod >= 1.0 - LEMMA_MARGIN:
                 report.violations.append(
                     {"trial": trial, "kind": "overlap_persistence",
                      "detail": f"D base {d_base:.6f} but D product {d_prod:.12f}"}

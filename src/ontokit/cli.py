@@ -35,6 +35,7 @@ from .serialize import (
 )
 from .wigner import epistemic_report, monoidality_check, phase_point_operators, wigner_vector
 from .quantum import DensityMatrix
+from .tolerances import FUNCTOR_TOL, MODEL_TOL, PBR_TOL, QMEASURE_TOL
 
 
 def _tolerance(flag: str | None, fallback: float) -> float:
@@ -58,12 +59,18 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
+def _seed(value: int) -> int:
+    if value < 0:
+        raise SchemaError("--seed", f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _emit(report: dict) -> None:
     sys.stdout.write(dumps_report(report) + "\n")
 
 
 def _cmd_validate_model(args) -> int:
-    tol = _tolerance(args.tol, 1e-7)
+    tol = _tolerance(args.tol, MODEL_TOL)
     model = parse_model(load_json(args.file))
     validation = validate_model(model, tol=tol)
     verdict = classify_model(model)
@@ -106,7 +113,7 @@ def _cmd_antidist(args) -> int:
 
 
 def _cmd_pbr_demo(args) -> int:
-    tol = _tolerance(args.tol, 1e-8)
+    tol = _tolerance(args.tol, PBR_TOL)
     psi = parse_ket(load_json(args.psi))
     phi = parse_ket(load_json(args.phi))
     result = pbr_demo(psi, phi, n=args.n, tol=tol)
@@ -128,7 +135,7 @@ def _cmd_pbr_demo(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    result = lemma_suite(trials=_positive("--trials", args.trials), seed=args.seed)
+    result = lemma_suite(trials=_positive("--trials", args.trials), seed=_seed(args.seed))
     report = {
         "command": "lemmas",
         "trials": result.trials,
@@ -187,8 +194,9 @@ def _cmd_wigner_functor_check(args) -> int:
     from .sampling import random_cptp_channel, random_density, random_effect, rng_for
     from .wigner import commutative_algebra, functor_morphism
 
-    tol = _tolerance(args.tol, 1e-8)
+    tol = _tolerance(args.tol, FUNCTOR_TOL)
     _positive("--trials", args.trials)
+    _seed(args.seed)
     dim = _positive("--dim", args.dim)
     worst_comp = 0.0
     worst_eval = 0.0
@@ -269,7 +277,7 @@ def _cmd_wigner_epistemic(args) -> int:
 
 
 def _cmd_qmeasure_validate(args) -> int:
-    tol = _tolerance(args.tol, 1e-9)
+    tol = _tolerance(args.tol, QMEASURE_TOL)
     obj = parse_qmeasure_doc(load_json(args.file))
     if isinstance(obj, DecoherenceFunctional):
         dreport = validate_decoherence_report(obj, tol)

@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SignedUnsupportedError, SpaceMismatchError, WrongSpaceError
-
-COLUMN_SUM_TOL = 1e-9
-NONNEG_TOL = 1e-9
-SUPPORT_EPS = 1e-12
+from .tolerances import IDENTITY_TOL, NONNEG_TOL, SUPPORT_EPS
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class SignedKernel:
         if not np.all(np.isfinite(m)):
             raise ValueError("kernel matrix contains NaN or Inf")
         col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-        if col_err > COLUMN_SUM_TOL:
+        if col_err > IDENTITY_TOL:
             raise ValueError(f"column sums deviate from 1 by {col_err:.3e}")
         if float(np.max(np.abs(m))) > self.entry_bound + NONNEG_TOL:
             raise ValueError(
@@ -100,7 +97,7 @@ class Distribution:
             raise SpaceMismatchError("weight vector length does not match space")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain NaN or Inf")
-        if abs(w.sum() - 1.0) > COLUMN_SUM_TOL:
+        if abs(w.sum() - 1.0) > IDENTITY_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         object.__setattr__(self, "weights", w)
 
@@ -198,17 +195,15 @@ def variational_distance(mu: Distribution, nu: Distribution) -> float:
     return float(max(diff[diff > 0].sum(), -diff[diff < 0].sum()))
 
 
-def support(mu: Distribution, eps: float = SUPPORT_EPS) -> tuple[str, ...]:
-    """Points carrying mass above ``eps``; probability distributions only."""
-    if not mu.is_probability:
-        raise SignedUnsupportedError("support of a signed distribution is not defined")
-    return tuple(p for p, w in zip(mu.space.points, mu.weights) if w > eps)
+def support(mu: Distribution) -> tuple[str, ...]:
+    """Points carrying mass above ``SUPPORT_EPS``; probability distributions only."""
+    return tuple(p for p, inside in zip(mu.space.points, support_mask(mu)) if inside)
 
 
-def support_mask(mu: Distribution, eps: float = SUPPORT_EPS) -> np.ndarray:
+def support_mask(mu: Distribution) -> np.ndarray:
     if not mu.is_probability:
         raise SignedUnsupportedError("support of a signed distribution is not defined")
-    return mu.weights > eps
+    return mu.weights > SUPPORT_EPS
 
 
 def dual_state_kernel(mu: Distribution) -> ResponseFunction:

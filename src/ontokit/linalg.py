@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, NotHermitianError
-
-KET_NORM_TOL = 1e-10
-HERMITIAN_TOL = 1e-9
+from .tolerances import IDENTITY_TOL, TIGHT_IDENTITY_TOL
 
 
 def as_matrix(a) -> np.ndarray:
@@ -25,7 +23,7 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_ket(v, norm_tol: float = KET_NORM_TOL) -> np.ndarray:
+def as_ket(v) -> np.ndarray:
     """Coerce to a finite 1-d complex unit vector."""
     k = np.asarray(v, dtype=complex).reshape(-1)
     if k.size < 1:
@@ -33,8 +31,8 @@ def as_ket(v, norm_tol: float = KET_NORM_TOL) -> np.ndarray:
     if not np.isfinite(k).all():
         raise ValueError("ket contains NaN or Inf amplitudes")
     nrm = np.linalg.norm(k)
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"ket norm {nrm!r} deviates from 1 beyond {norm_tol}")
+    if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
+        raise ValueError(f"ket norm {nrm!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}")
     return k
 
 
@@ -53,37 +51,31 @@ def dagger(a) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_matrix(a)
-    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol
-
-
-def _require_hermitian(a, tol: float) -> np.ndarray:
-    m = as_matrix(a)
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of a matrix from :func:`as_matrix`, which must be
+    square and Hermitian to within ``IDENTITY_TOL``."""
     if m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"matrix must be square, got shape {m.shape}")
     dev = max_abs(m - m.conj().T)
-    if dev > tol:
-        raise NotHermitianError(f"max |a - a^dag| = {dev:.3e} exceeds {tol}")
-    return m
+    if dev > IDENTITY_TOL:
+        raise NotHermitianError(f"max |a - a^dag| = {dev:.3e} exceeds {IDENTITY_TOL}")
+    return (m + m.conj().T) / 2
 
 
-def hermitian_eigensystem(a, herm_tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
     Returns ``(w, V)`` with ``a = V @ diag(w) @ V^dag`` and ``V`` unitary,
     from ``numpy.linalg.eigh`` on the Hermitian part of ``a``.
     """
-    A = _require_hermitian(a, herm_tol)
-    return np.linalg.eigh((A + A.conj().T) / 2)
+    return np.linalg.eigh(hermitian_part(as_matrix(a)))
 
 
-def hermitian_eigenvalues(a, herm_tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in nondecreasing order."""
-    w, _ = hermitian_eigensystem(a, herm_tol=herm_tol)
-    return w
+    return hermitian_eigensystem(a)[0]
 
 
-def trace_norm(a, herm_tol: float = HERMITIAN_TOL) -> float:
+def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(a, herm_tol=herm_tol))))
+    return float(np.sum(np.abs(hermitian_eigenvalues(a))))

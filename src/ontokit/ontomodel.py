@@ -18,7 +18,6 @@ import numpy as np
 from . import linalg
 from .errors import DimMismatchError, MissingActionError, MissingMorphismError, SpaceMismatchError
 from .kernels import (
-    SUPPORT_EPS,
     TWO,
     UNIT_SPACE,
     Distribution,
@@ -30,8 +29,7 @@ from .kernels import (
     point_mass,
 )
 from .quantum import Channel, ProjectiveMeasurement, compose
-
-STRICT_MARGIN = 1e-9
+from .tolerances import FUNCTOR_TOL, MODEL_TOL, STRICT_MARGIN, SUPPORT_EPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +102,7 @@ class ModelValidation:
         return not self.born_violations and not self.sum_rule_violations
 
 
-def validate_model(model: OntModel, tol: float = 1e-7) -> ModelValidation:
+def validate_model(model: OntModel, tol: float = MODEL_TOL) -> ModelValidation:
     """Compare every (state, measurement, outcome) Born probability with the
     model's W R^T and the pointwise response sum rule; list what deviates
     beyond ``tol``."""
@@ -164,10 +162,10 @@ class MaximalPredicates:
     nontrivial_violations: list = field(default_factory=list)
 
 
-def maximal_predicates(model: OntModel, tol: float = 1e-7) -> MaximalPredicates:
+def maximal_predicates(model: OntModel, tol: float = MODEL_TOL) -> MaximalPredicates:
     """Check mu_psi(supp mu_phi) = |<phi|psi>|^2 over all ordered pairs, and
     the if-and-only-if between orthogonality and vanishing support mass.
-    Row psi, column phi: the masses are W S^T with S = W > eps."""
+    Row psi, column phi: the masses are W S^T with S = W > SUPPORT_EPS."""
     w = model.weights
     mass = w @ (w > SUPPORT_EPS).T
     born = np.abs(model.kets.conj() @ model.kets.T) ** 2
@@ -266,7 +264,7 @@ def check_operational_model(
     composition_tests: Sequence[tuple[str, str, str]] = (),
     identity_names: Sequence[str] = (),
     evaluation_tests: Sequence[tuple[str, str]] = (),
-    tol: float = 1e-8,
+    tol: float = FUNCTOR_TOL,
 ) -> OperationalModelReport:
     """Verify functor laws on the tabulated fragment.
 
@@ -345,7 +343,7 @@ def check_equivariance(
     action: ActionTable,
     state_names: Sequence[str],
     channel_names: Sequence[str],
-    tol: float = 1e-8,
+    tol: float = FUNCTOR_TOL,
 ) -> EquivarianceReport:
     """Verify F(f . psi)({u}) = F(psi)(f . {u}) for tabulated singletons."""
     report = EquivarianceReport(tolerance=tol)

@@ -21,11 +21,12 @@ import numpy as np
 from . import linalg
 from .errors import InvalidFunctionalError, TooLargeError
 from .kernels import FiniteSpace
+from .tolerances import QMEASURE_TOL, ZERO_TOTAL_EPS
 
 MAX_POINTS = 16
 
 
-def _check_size(n: int) -> None:
+def check_size(n: int) -> None:
     if n > MAX_POINTS:
         raise TooLargeError(
             f"at most {MAX_POINTS} points supported, got {n}: a measure on n points "
@@ -41,7 +42,7 @@ class QuantumMeasure:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.space.size)
+        check_size(self.space.size)
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size != 2 ** self.space.size:
             raise ValueError(
@@ -64,7 +65,7 @@ class DecoherenceFunctional:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.space.size)
+        check_size(self.space.size)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.space.size, self.space.size):
             raise ValueError("singleton matrix shape must match the space")
@@ -113,7 +114,7 @@ def _records(values: np.ndarray, hits: np.ndarray) -> list:
     return [{"mask": int(s), "value": float(values[s])} for s in np.flatnonzero(hits)]
 
 
-def validate_quantum_measure(q: QuantumMeasure, tol: float = 1e-9) -> QuantumMeasureReport:
+def validate_quantum_measure(q: QuantumMeasure, tol: float = QMEASURE_TOL) -> QuantumMeasureReport:
     """Positivity, range, normalisation, and the three-set quantum sum rule.
 
     mu obeys the sum rule on every disjoint triple iff it is 2-additive: its
@@ -166,7 +167,7 @@ class DecoherenceReport:
         )
 
 
-def validate_decoherence(d: DecoherenceFunctional, tol: float = 1e-9) -> DecoherenceReport:
+def validate_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL) -> DecoherenceReport:
     """Hermiticity, normalisation D(all, all) = 1, and strong positivity of
     the singleton matrix (any subset-family matrix is a congruence of it,
     so positive semidefiniteness transfers)."""
@@ -182,7 +183,7 @@ def validate_decoherence(d: DecoherenceFunctional, tol: float = 1e-9) -> Decoher
     return report
 
 
-def measure_from_decoherence(d: DecoherenceFunctional, tol: float = 1e-9) -> QuantumMeasure:
+def measure_from_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL) -> QuantumMeasure:
     """The diagonal mu(U) = D(U, U); the functional is validated first."""
     check = validate_decoherence(d, tol)
     if not check.clean:
@@ -207,7 +208,7 @@ def double_slit_functional(space: FiniteSpace, amplitudes) -> DecoherenceFunctio
     if psi.size != space.size:
         raise ValueError("amplitude count must match the space")
     total = complex(psi.sum())
-    if abs(total) < 1e-12:
+    if abs(total) < ZERO_TOTAL_EPS:
         raise InvalidFunctionalError("amplitudes interfere to zero total; cannot normalise")
     psi = psi / abs(total)
     return DecoherenceFunctional(space, np.outer(psi, psi.conj()))

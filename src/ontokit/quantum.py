@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatchError, NotHermitianError
-
-DENSITY_TOL = 1e-9
-KRAUS_SUM_TOL = 1e-9
-GRAM_TOL = 1e-9
+from .errors import DimMismatchError
+from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,12 +27,11 @@ class DensityMatrix:
         m = linalg.as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimMismatchError("density matrix must be square")
-        if not linalg.is_hermitian(m, DENSITY_TOL):
-            raise NotHermitianError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:
+        h = linalg.hermitian_part(m)
+        if abs(np.trace(m).real - 1.0) > IDENTITY_TOL or abs(np.trace(m).imag) > IDENTITY_TOL:
             raise ValueError(f"trace {np.trace(m)!r} deviates from 1")
-        lo = linalg.hermitian_eigenvalues(m, herm_tol=DENSITY_TOL)[0]
-        if lo < -DENSITY_TOL:
+        lo = np.linalg.eigh(h)[0][0]
+        if lo < -IDENTITY_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -57,9 +53,10 @@ class DensityMatrix:
 
 
 def _kraus_stack(kraus) -> np.ndarray:
-    """The Kraus set as one finite (count, out, in) complex array."""
+    """The Kraus set as one finite (count, out, in) complex array, a copy
+    that the caller's arrays do not share."""
     try:
-        stack = np.asarray(kraus, dtype=complex)
+        stack = np.array(kraus, dtype=complex)
     except ValueError:
         # operators of different shapes; as_matrix names the first one that
         # is malformed in itself
@@ -98,15 +95,13 @@ class Channel:
         total = flat.conj().T @ flat
         if self.trace_preserving:
             err = linalg.max_abs(total - np.eye(inp))
-            if err > KRAUS_SUM_TOL:
+            if err > IDENTITY_TOL:
                 raise ValueError(f"Kraus sum deviates from identity by {err:.3e}")
         else:
-            top = linalg.hermitian_eigenvalues(total, herm_tol=KRAUS_SUM_TOL)[-1]
-            if top > 1.0 + KRAUS_SUM_TOL:
+            top = linalg.hermitian_eigenvalues(total)[-1]
+            if top > 1.0 + IDENTITY_TOL:
                 raise ValueError(f"Kraus sum exceeds identity: max eigenvalue {top:.6f}")
-        # a read-only view: writes into a checked channel fail at once, while
-        # the caller's own array stays writable
-        stack = stack.view()
+        # read-only: writes into a checked channel fail at once
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
@@ -148,7 +143,7 @@ class ProjectiveMeasurement:
             raise ValueError(f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}")
         gram = v.conj() @ v.T
         err = linalg.max_abs(gram - np.eye(v.shape[0]))
-        if err > GRAM_TOL:
+        if err > IDENTITY_TOL:
             raise ValueError(f"outcome vectors are not orthonormal: Gram error {err:.3e}")
         object.__setattr__(self, "vectors", v)
 
@@ -177,10 +172,8 @@ class TwoOutcomeMeasurement:
 
     def __post_init__(self):
         e = linalg.as_matrix(self.effect)
-        if not linalg.is_hermitian(e, DENSITY_TOL):
-            raise NotHermitianError("effect must be Hermitian")
-        w = linalg.hermitian_eigenvalues(e, herm_tol=DENSITY_TOL)
-        if w[0] < -DENSITY_TOL or w[-1] > 1.0 + DENSITY_TOL:
+        w = np.linalg.eigh(linalg.hermitian_part(e))[0]
+        if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:
             raise ValueError(f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]")
         object.__setattr__(self, "effect", e)
 
@@ -210,7 +203,7 @@ def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:
         raise IndexError(f"outcome index {k} out of range")
     v = m.vectors[k]
     p = float(np.real(np.vdot(v, state.matrix @ v)))
-    if p < -DENSITY_TOL or p > 1.0 + DENSITY_TOL:
+    if p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
         raise ValueError(f"Born probability {p!r} outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
@@ -265,9 +258,9 @@ def dual_state_quantum(psi) -> TwoOutcomeMeasurement:
 
 def preparation_channel(state: DensityMatrix) -> Channel:
     """State as a channel from the trivial system C: one Kraus column
-    sqrt(p) v per eigenpair (p, v) with p > 1e-14."""
-    w, v = linalg.hermitian_eigensystem(state.matrix, herm_tol=DENSITY_TOL)
-    keep = w > 1e-14
+    sqrt(p) v per eigenpair (p, v) with p > EIGEN_WEIGHT_EPS."""
+    w, v = linalg.hermitian_eigensystem(state.matrix)
+    keep = w > EIGEN_WEIGHT_EPS
     return Channel((np.sqrt(w[keep]) * v[:, keep]).T[:, :, None])
 
 
@@ -276,11 +269,11 @@ def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
 
     Output is always diagonal: diag(Tr(E rho), Tr((I-E) rho)).  E = V w V^dag
     and I - E = V (1 - w) V^dag share the eigenbasis V, so outcome r gets
-    one Kraus operator sqrt(p) |r><v| per eigenpair with weight p > 1e-14.
+    one Kraus operator sqrt(p) |r><v| per eigenpair with weight p > EIGEN_WEIGHT_EPS.
     """
-    w, v = linalg.hermitian_eigensystem(m.effect, herm_tol=DENSITY_TOL)
+    w, v = linalg.hermitian_eigensystem(m.effect)
     weights = np.stack([w, 1.0 - w])
-    outcome, j = np.nonzero(weights > 1e-14)
+    outcome, j = np.nonzero(weights > EIGEN_WEIGHT_EPS)
     ops = np.zeros((outcome.size, 2, m.dim), dtype=complex)
     ops[np.arange(outcome.size), outcome] = np.sqrt(weights[outcome, j])[:, None] * v[:, j].T.conj()
     return Channel(ops)

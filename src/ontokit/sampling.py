@@ -11,6 +11,7 @@ import numpy as np
 
 from . import linalg
 from .quantum import Channel, DensityMatrix, TwoOutcomeMeasurement
+from .tolerances import DEGENERATE_DRAW_EPS
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -72,7 +73,7 @@ def random_nonorthogonal_pair(
     beta = float(rng.uniform(0.0, 2.0 * np.pi))
     raw = random_ket(rng, dim)
     perp = raw - np.vdot(psi, raw) * psi
-    while np.linalg.norm(perp) < 1e-8:
+    while np.linalg.norm(perp) < DEGENERATE_DRAW_EPS:
         raw = random_ket(rng, dim)
         perp = raw - np.vdot(psi, raw) * psi
     perp = perp / np.linalg.norm(perp)
@@ -87,7 +88,7 @@ def random_orthogonal_pair(
     psi = random_ket(rng, dim)
     raw = random_ket(rng, dim)
     perp = raw - np.vdot(psi, raw) * psi
-    while np.linalg.norm(perp) < 1e-8:
+    while np.linalg.norm(perp) < DEGENERATE_DRAW_EPS:
         raw = random_ket(rng, dim)
         perp = raw - np.vdot(psi, raw) * psi
     return psi, perp / np.linalg.norm(perp)

@@ -28,8 +28,9 @@ import numpy as np
 from .errors import SchemaError
 from .kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
 from .ontomodel import OntModel
-from .qmeasure import DecoherenceFunctional, QuantumMeasure
+from .qmeasure import DecoherenceFunctional, QuantumMeasure, check_size
 from .quantum import Channel, ProjectiveMeasurement
+from .tolerances import TIGHT_IDENTITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,10 @@ def _pair_to_complex(v, field: str) -> complex:
         or not all(isinstance(x, (int, float)) for x in v)
     ):
         raise SchemaError(field, "expected a [re, im] number pair")
-    return complex(v[0], v[1])
+    try:
+        return complex(v[0], v[1])
+    except OverflowError as exc:
+        raise SchemaError(field, str(exc)) from exc
 
 
 def parse_matrix(doc, field: str = "matrix") -> np.ndarray:
@@ -211,7 +215,7 @@ def parse_ket(doc) -> np.ndarray:
         # entry by entry, to name what is malformed
         psi = np.array([_pair_to_complex(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
         raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
     return psi
 
@@ -340,6 +344,7 @@ def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
         table = doc["measure"]
         if not isinstance(table, dict):
             raise SchemaError("measure", "expected a bitmask-to-value map")
+        check_size(space.size)  # before the 2^n table is allocated
         values = np.zeros(2 ** space.size)
         seen = np.zeros(2 ** space.size, dtype=bool)
         for key, v in table.items():

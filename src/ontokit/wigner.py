@@ -37,12 +37,9 @@ from .errors import (
 )
 from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, product_space
 from .quantum import Channel, DensityMatrix
-
-FRAME_COND_TOL = 1e-10
-FRAME_SUM_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-9
-TRANSFER_IMAG_TOL = 1e-10
-TRANSFER_COLSUM_TOL = 1e-8
+from .tolerances import (
+    DERIVED_TOL, DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, TIGHT_IDENTITY_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,9 @@ class WignerFrame:
 
     The constructor checks every condition densely (one batched ``ops @ ops``,
     the Gram matrix F F^dag, the column sums of F) and keeps what it measured
-    as ``residuals``.  Each residual must stay within ``FRAME_COND_TOL``,
-    except the Gram residual (``FRAME_COND_TOL * max(1, c)``) and the sum
-    residual (``FRAME_SUM_TOL``).  Frames built by :func:`product_frame`
+    as ``residuals``.  Each residual must stay within ``TIGHT_IDENTITY_TOL``,
+    except the Gram residual (``TIGHT_IDENTITY_TOL * max(1, c)``) and the sum
+    residual (``IDENTITY_TOL``).  Frames built by :func:`product_frame`
     skip the dense checks: their residuals are upper bounds derived from the
     two factors, held to the same tolerances.
     """
@@ -123,7 +120,8 @@ class WignerFrame:
     residuals: FrameResiduals = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = np.ascontiguousarray(self.operators, dtype=complex)
+        # a copy, so that writes through the caller's array cannot reach the frame
+        ops = np.array(self.operators, dtype=complex, order="C")
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = ops.shape
@@ -153,17 +151,17 @@ class WignerFrame:
 
     def _accept(self, ops: np.ndarray, res: FrameResiduals) -> None:
         """Hold the residuals to the tolerances, then freeze and store ops."""
-        if res.hermitian > FRAME_COND_TOL:
+        if res.hermitian > TIGHT_IDENTITY_TOL:
             raise VerificationFailedError(f"frame operators not Hermitian: {res.hermitian:.3e}")
-        if res.trace > FRAME_COND_TOL:
+        if res.trace > TIGHT_IDENTITY_TOL:
             raise VerificationFailedError("frame operators must have unit trace")
-        if res.square > FRAME_COND_TOL:
+        if res.square > TIGHT_IDENTITY_TOL:
             if self.algebra.kind == "matrix":
                 raise VerificationFailedError(f"frame operators not involutive: {res.square:.3e}")
             raise VerificationFailedError(f"frame projectors not idempotent: {res.square:.3e}")
-        if res.gram > FRAME_COND_TOL * max(1.0, float(self.norm_const)):
+        if res.gram > TIGHT_IDENTITY_TOL * max(1.0, float(self.norm_const)):
             raise VerificationFailedError("frame operators are not trace-orthogonal")
-        if res.sum > FRAME_SUM_TOL:
+        if res.sum > IDENTITY_TOL:
             raise VerificationFailedError("frame operators do not sum to c.I")
         count, d, _ = ops.shape
         ops = ops.view()
@@ -256,11 +254,11 @@ def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
     if rho.dim != frame.hilbert_dim:
         raise DimMismatchError("state dimension does not match the frame")
     raw = frame.vectors.conj() @ rho.matrix.reshape(-1) / frame.norm_const
-    if linalg.max_abs(raw.imag) > TRANSFER_IMAG_TOL:
+    if linalg.max_abs(raw.imag) > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("Wigner vector has a nonreal component")
     v = raw.real
     err = linalg.max_abs(v @ frame.vectors - rho.matrix.reshape(-1))
-    if err > RECONSTRUCTION_TOL:
+    if err > IDENTITY_TOL:
         raise VerificationFailedError(
             f"frame reconstruction error {err:.3e}; state not representable in this frame"
         )
@@ -289,12 +287,12 @@ def transfer_matrix(
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
     t = out_frame.vectors.conj() @ _superoperator(ch) @ in_frame.vectors.T / out_frame.norm_const
-    if linalg.max_abs(t.imag) > TRANSFER_IMAG_TOL:
+    if linalg.max_abs(t.imag) > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
     t = t.real
     if ch.trace_preserving:
         col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
-        if col_err > TRANSFER_COLSUM_TOL:
+        if col_err > DERIVED_TOL:
             raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
     return t
 
@@ -320,7 +318,7 @@ def functor_morphism(
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
     if out_algebra.kind == "commutative":
         images = (in_frame.vectors @ _superoperator(ch).T).reshape(-1, ch.out_dim, ch.out_dim)
-        if linalg.max_abs(images * (1.0 - np.eye(ch.out_dim))) > 1e-9:
+        if linalg.max_abs(images * (1.0 - np.eye(ch.out_dim))) > IDENTITY_TOL:
             raise UnrepresentableAlgebraError(
                 "channel output is not diagonal; not a morphism into C^k"
             )
@@ -460,7 +458,7 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
 
 
 def monoidality_check(
-    m: int, n: int, trials: int, seed: int, tol: float = 1e-8
+    m: int, n: int, trials: int, seed: int, tol: float = FUNCTOR_TOL
 ) -> MonoidalityReport:
     """Verify the tensor structure: product operators form a frame and
     transfer matrices factorise over channel tensor products."""
@@ -537,7 +535,7 @@ def epistemic_report(psi, phi, frame: Optional[WignerFrame] = None) -> Epistemic
         refuted_phi=cert_phi is None,
         trace_distance=float(tdist),
         scaled_l1=scaled,
-        bound_ok=bool(tdist <= scaled + 1e-9),
+        bound_ok=bool(tdist <= scaled + DISTANCE_BOUND_MARGIN),
         gap=float(scaled - tdist),
     )
 

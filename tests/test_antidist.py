@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import linprog
 
 from ontokit.antidist import (
-    FEAS_TOL,
     AntidistCertificate,
     AntidistProblem,
     antidist_classical,
@@ -23,7 +22,6 @@ from ontokit.antidist import (
 )
 from ontokit.errors import BadOverlapError
 from ontokit.kernels import (
-    SUPPORT_EPS,
     Distribution,
     FiniteSpace,
     ResponseFunction,
@@ -33,6 +31,7 @@ from ontokit.kernels import (
 from ontokit.quantum import Channel, DensityMatrix, apply_channel, born, overlap
 from ontokit.sampling import random_nonorthogonal_pair, rng_for
 from ontokit.serialize import dumps_report
+from ontokit.tolerances import FEAS_TOL, SUPPORT_EPS
 from ontokit.wigner import phase_point_operators, wigner_vector
 
 S2 = FiniteSpace(("x0", "x1"))

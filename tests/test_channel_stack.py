@@ -139,6 +139,14 @@ def test_checked_stack_is_read_only_and_the_given_array_is_not():
         Channel.from_unitary(np.eye(3)).kraus[0][0, 0] = 2.0
 
 
+def test_writes_through_the_given_array_do_not_reach_the_channel():
+    given = np.eye(3, dtype=complex)[None].copy()
+    ch = Channel(given)
+    given[0, 0, 0] = 2.0
+    assert ch.stack[0, 0, 0] == 1.0
+    assert not np.shares_memory(given, ch.stack)
+
+
 def test_constructor_keeps_the_given_operators():
     u = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]
     ops = (u / np.sqrt(2), 1j * u / np.sqrt(2))

@@ -156,6 +156,33 @@ def test_nonpositive_count_exits_two(capsys, argv, field, value):
     assert f"{field}: expected a positive integer, got {value}" in err
 
 
+def _measure_on(n):
+    return {"points": [f"x{i}" for i in range(n)], "measure": {"0": 0.0}}
+
+
+HUGE = 10 ** 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("argv,doc,named", [
+    # the size cap comes before the 2^n table is allocated
+    (["qmeasure", "validate", "DOC"], _measure_on(17), "TooLargeError: at most 16 points supported, got 17"),
+    (["qmeasure", "validate", "DOC"], _measure_on(65), "TooLargeError: at most 16 points supported, got 65"),
+    (["lemmas", "--seed", "-1"], None, "--seed: expected a non-negative integer, got -1"),
+    (["wigner", "functor-check", "--seed", "-3"], None, "--seed: expected a non-negative integer, got -3"),
+    (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
+     {"dim": 3, "amplitudes": [[HUGE, 0], [0, 0], [0, 0]]}, "amplitudes[0]: int too large"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a"], "decoherence": [[[HUGE, 0]]]}, "decoherence[0][0]: int too large"),
+], ids=["measure-17", "measure-65", "lemmas-seed", "functor-check-seed", "huge-ket", "huge-matrix"])
+def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 class TestAntidist:
     def test_certified_and_refuted(self, capsys, tmp_path):
         ens = tmp_path / "ens.json"

@@ -6,7 +6,6 @@ import pytest
 from ontokit.antidist import AntidistProblem, antidist_classical
 from ontokit.errors import DimMismatchError, MissingActionError, MissingMorphismError
 from ontokit.kernels import (
-    SUPPORT_EPS,
     Distribution,
     FiniteSpace,
     ResponseFunction,
@@ -15,7 +14,6 @@ from ontokit.kernels import (
     variational_distance,
 )
 from ontokit.ontomodel import (
-    STRICT_MARGIN,
     ActionTable,
     Classification,
     FunctorFragment,
@@ -45,6 +43,7 @@ from ontokit.sampling import (
     random_unitary,
     rng_for,
 )
+from ontokit.tolerances import STRICT_MARGIN, SUPPORT_EPS
 from ontokit.wigner import (
     commutative_algebra,
     displacement_channel,

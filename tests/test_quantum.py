@@ -5,7 +5,7 @@ import pytest
 
 from ontokit import linalg
 from ontokit.antidist import pbr_measurement
-from ontokit.errors import DimMismatchError
+from ontokit.errors import DimMismatchError, NotHermitianError
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
@@ -43,6 +43,18 @@ def channel_action(ch, m):
     for k in ch.kraus:
         out += k @ m @ k.conj().T
     return out
+
+
+@pytest.mark.parametrize("build", [DensityMatrix, TwoOutcomeMeasurement])
+def test_non_hermitian_matrix_rejected(build):
+    # unit trace and real spectrum {0, 1}, but m != m^dag
+    with pytest.raises(NotHermitianError):
+        build(np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+def test_non_square_density_matrix_rejected():
+    with pytest.raises(DimMismatchError):
+        DensityMatrix(np.ones((2, 3)) / 2)
 
 
 class TestProjectiveMeasurement:

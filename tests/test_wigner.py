@@ -32,8 +32,8 @@ from ontokit.sampling import (
     random_nonorthogonal_pair,
     rng_for,
 )
+from ontokit.tolerances import TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
-    FRAME_COND_TOL,
     Algebra,
     FrameResiduals,
     WignerFrame,
@@ -190,6 +190,13 @@ class TestFrames:
         assert uncached is not frame
         assert np.array_equal(wigner_vector(rho, frame).weights,
                               wigner_vector(rho, uncached).weights)
+
+    def test_writes_through_the_given_operators_do_not_reach_the_frame(self):
+        given = np.array(QUTRIT.operators)
+        frame = WignerFrame(matrix_algebra(3), given, 3.0, QUTRIT.space)
+        given[0, 0, 0] = 5.0
+        assert np.array_equal(frame.operators, QUTRIT.operators)
+        assert not np.shares_memory(given, frame.vectors)
 
     def test_shape_and_count_mismatch_rejected(self):
         with pytest.raises(DimMismatchError):
@@ -532,7 +539,7 @@ class TestProductFrameBounds:
         ops = QUTRIT.operators.copy()
         ops[0, 1, 2] += 6e-11
         factor = WignerFrame(matrix_algebra(3), ops, 3.0, QUTRIT.space)
-        assert factor.residuals.hermitian <= FRAME_COND_TOL
+        assert factor.residuals.hermitian <= TIGHT_IDENTITY_TOL
         with pytest.raises(VerificationFailedError, match="not Hermitian: 1.2"):
             product_frame(factor, factor)
         with pytest.raises(VerificationFailedError, match="not Hermitian: 1.2"):
