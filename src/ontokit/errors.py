@@ -66,4 +66,5 @@ class SchemaError(OntokitError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")

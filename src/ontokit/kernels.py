@@ -93,12 +93,7 @@ class Distribution:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size != self.space.size:
-            raise SpaceMismatchError("weight vector length does not match space")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights contain NaN or Inf")
-        if abs(w.sum() - 1.0) > IDENTITY_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+        _check_weight_rows(self.space, w[None])
         object.__setattr__(self, "weights", w)
 
     @property
@@ -115,11 +110,61 @@ class ResponseFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        if v.size != self.space.size:
-            raise SpaceMismatchError("response length does not match space")
-        if np.min(v) < -NONNEG_TOL or np.max(v) > 1.0 + NONNEG_TOL:
-            raise ValueError("response values must lie in [0, 1]")
+        _check_response_rows(self.space, v[None])
         object.__setattr__(self, "values", v)
+
+
+def _check_weight_rows(space: FiniteSpace, w: np.ndarray) -> None:
+    """The Distribution checks on each row of a (rows x points) matrix; the
+    first row that fails raises its error."""
+    if w.ndim != 2 or w.shape[1] != space.size:
+        raise SpaceMismatchError("weight vector length does not match space")
+    if np.isfinite(w).all() and abs(w.sum(axis=1) - 1.0).max(initial=0.0) <= IDENTITY_TOL:
+        return
+    for row in w:
+        if not np.isfinite(row).all():
+            raise ValueError("weights contain NaN or Inf")
+        if abs(row.sum() - 1.0) > IDENTITY_TOL:
+            raise ValueError(f"weights sum to {row.sum()!r}, expected 1")
+
+
+def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
+    """The ResponseFunction checks on each row of a (rows x points) matrix."""
+    if v.ndim != 2 or v.shape[1] != space.size:
+        raise SpaceMismatchError("response length does not match space")
+    if v.min(initial=0.0) >= -NONNEG_TOL and v.max(initial=1.0) <= 1.0 + NONNEG_TOL:
+        return
+    # row by row: a NaN voids the comparisons of its own row only
+    for row in v:
+        if np.min(row) < -NONNEG_TOL or np.max(row) > 1.0 + NONNEG_TOL:
+            raise ValueError("response values must lie in [0, 1]")
+
+
+def _wrap_rows(cls, space: FiniteSpace, field_name: str, rows: np.ndarray) -> list:
+    """One ``cls`` per row of a matrix already checked as a whole."""
+    out = []
+    for row in rows:
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, field_name, row)
+        out.append(obj)
+    return out
+
+
+def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
+    """One Distribution per row of a (rows x points) weight matrix, checked
+    once as a whole; each Distribution's weights are a row of it."""
+    w = np.asarray(weights, dtype=float)
+    _check_weight_rows(space, w)
+    return _wrap_rows(Distribution, space, "weights", w)
+
+
+def response_rows(space: FiniteSpace, values) -> list[ResponseFunction]:
+    """One ResponseFunction per row of a (rows x points) matrix, checked
+    once as a whole; each function's values are a row of it."""
+    v = np.asarray(values, dtype=float)
+    _check_response_rows(space, v)
+    return _wrap_rows(ResponseFunction, space, "values", v)
 
 
 # ---------------------------------------------------------------------------

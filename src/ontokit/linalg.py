@@ -36,6 +36,17 @@ def as_ket(v) -> np.ndarray:
     return k
 
 
+def clearly_unit_rows(kets: np.ndarray) -> np.ndarray:
+    """Which rows of a 2-d complex array have a norm within half of
+    ``TIGHT_IDENTITY_TOL`` of 1.  The other half is kept in reserve for the
+    rounding of a single ket's norm, so that :func:`as_ket` accepts every
+    such row, and so does parse_ket; a non-finite or huge row is not clear,
+    and raises no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(kets, axis=1)
+    return np.abs(norms - 1.0) <= TIGHT_IDENTITY_TOL / 2
+
+
 def max_abs(a) -> float:
     """Largest entrywise modulus; the workhorse comparison metric."""
     return float(np.max(np.abs(np.asarray(a))))

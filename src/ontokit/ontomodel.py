@@ -24,12 +24,13 @@ from .kernels import (
     FiniteSpace,
     ResponseFunction,
     SignedKernel,
+    distribution_rows,
     evaluate,
     kcompose,
-    point_mass,
+    response_rows,
 )
 from .quantum import Channel, ProjectiveMeasurement, compose
-from .tolerances import FUNCTOR_TOL, MODEL_TOL, STRICT_MARGIN, SUPPORT_EPS
+from .tolerances import FUNCTOR_TOL, MODEL_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +54,23 @@ class OntModel:
         labels = [lab for lab, _ in self.states]
         if len(set(labels)) != len(labels):
             raise ValueError("state labels must be distinct")
-        for lab in labels:
-            if lab not in self.distributions:
+        # the first state without a distribution on the ontic space; the
+        # states before it are checked for signs as one weight matrix
+        dists = self.distributions
+        stop = next(
+            (i for i, lab in enumerate(labels) if lab not in dists or dists[lab].space != self.ontic),
+            len(labels),
+        )
+        weights = np.array([dists[lab].weights for lab in labels[:stop]])
+        weights = weights.reshape(stop, self.ontic.size)
+        signed = weights.min(axis=1) < -NONNEG_TOL
+        if signed.any():
+            raise ValueError(f"distribution for {labels[signed.argmax()]!r} is signed")
+        if stop < len(labels):
+            lab = labels[stop]
+            if lab not in dists:
                 raise ValueError(f"state {lab!r} has no distribution")
-            mu = self.distributions[lab]
-            if mu.space != self.ontic:
-                raise SpaceMismatchError(f"distribution for {lab!r} lives off the ontic space")
-            if not mu.is_probability:
-                raise ValueError(f"distribution for {lab!r} is signed")
+            raise SpaceMismatchError(f"distribution for {lab!r} lives off the ontic space")
         for m, responses in self.measurements:
             if len(responses) != m.n_outcomes:
                 raise ValueError("each outcome needs exactly one response function")
@@ -68,22 +78,28 @@ class OntModel:
                 if xi.space != self.ontic:
                     raise SpaceMismatchError("response function lives off the ontic space")
         kets = _stack_kets(self.states, [m for m, _ in self.measurements])
-        weights = np.array([self.distributions[lab].weights for lab in labels])
         object.__setattr__(self, "kets", kets)
-        object.__setattr__(self, "weights", weights.reshape(len(labels), self.ontic.size))
+        object.__setattr__(self, "weights", weights)
 
 
 def _stack_kets(
     states: Sequence[tuple[str, np.ndarray]], measurements: Sequence[ProjectiveMeasurement]
 ) -> np.ndarray:
     """Unit kets as rows; every ket and measurement shares the first's dimension."""
-    kets = [linalg.as_ket(k) for _, k in states]
-    dims = [(f"state {lab!r}", k.size) for (lab, _), k in zip(states, kets)]
+    rows = [np.asarray(k, dtype=complex).reshape(-1) for _, k in states]
+    if len({r.size for r in rows}) == 1:
+        kets = np.array(rows)
+        suspects = np.flatnonzero(~linalg.clearly_unit_rows(kets))
+    else:  # no kets, or kets of several sizes, which the dimension check refuses
+        kets, suspects = None, range(len(rows))
+    for i in suspects:  # as_ket decides each in catalogue order
+        linalg.as_ket(rows[i])
+    dims = [(f"state {lab!r}", r.size) for (lab, _), r in zip(states, rows)]
     dims += [(f"measurement {mi}", m.dim) for mi, m in enumerate(measurements)]
     for name, dim in dims:
         if dim != dims[0][1]:
             raise DimMismatchError(f"{name} has dimension {dim}, expected {dims[0][1]}")
-    return np.array(kets, dtype=complex).reshape(len(kets), dims[0][1] if dims else 0)
+    return kets if kets is not None else np.zeros((0, dims[0][1] if dims else 0), dtype=complex)
 
 
 def _born_table(kets: np.ndarray, m: ProjectiveMeasurement) -> np.ndarray:
@@ -134,14 +150,34 @@ class Classification:
 
 def classify_model(model: OntModel) -> Classification:
     """Epistemic iff some catalogue pair overlaps (strictly between 0 and 1)
-    while its ontic distributions have variational distance below 1."""
+    while its ontic distributions have variational distance below 1.
+
+    Only pairs whose positive supports meet are measured: the product
+    (W > 0) (W > 0)^T screens the rest out.  Let w_i and w_j be rows of W,
+    with entries >= -NONNEG_TOL and sums 1, and let P = {x : w_i[x] > 0}.
+    If w_j[x] <= 0 on all of P, then
+
+        sum max(w_i - w_j, 0) >= sum_P w_i = 1 - sum_{x not in P} w_i >= 1,
+
+    so the pair can never pass dist < 1 - STRICT_MARGIN.  The sums are 1
+    only within IDENTITY_TOL (= STRICT_MARGIN), and rounding keeps the
+    bound: max(w_i - w_j, 0) >= w_i entry by entry, numpy sums both rows in
+    the same order and rounded addition is monotone, so the computed
+    distance is at least the row sum that Distribution admitted, which is at
+    least 1 - STRICT_MARGIN.  The screen is on W > 0, not on SUPPORT_EPS:
+    shared entries at or below SUPPORT_EPS, over enough points or with row
+    sums at the low end of their tolerance, can bring a pair below
+    1 - STRICT_MARGIN.  The per-row loop then runs on the rows with a
+    candidate and measures only their candidates, so the first witness in
+    catalogue order and its distance are those of the unscreened loop.
+    """
     ov = np.abs(model.kets.conj() @ model.kets.T)  # moduli of the Gram matrix
-    strict = (ov > STRICT_MARGIN) & (ov < 1.0 - STRICT_MARGIN)
     w = model.weights
-    for i in range(len(w)):
-        # one row of the upper triangle at a time: O(states * ontic) memory,
-        # and the first hit is the first witness in catalogue order
-        js = i + 1 + np.flatnonzero(strict[i, i + 1:])
+    positive = (w > 0).astype(float)
+    candidates = (ov > STRICT_MARGIN) & (ov < 1.0 - STRICT_MARGIN) & (positive @ positive.T > 0)
+    for i in np.flatnonzero(candidates.any(axis=1)).tolist():
+        # one row of the upper triangle at a time: O(states * ontic) memory
+        js = i + 1 + np.flatnonzero(candidates[i, i + 1:])
         diff = w[i] - w[js]
         dist = np.maximum(np.maximum(diff, 0.0).sum(axis=1), np.maximum(-diff, 0.0).sum(axis=1))
         hits = np.flatnonzero(dist < 1.0 - STRICT_MARGIN)
@@ -196,11 +232,9 @@ def dirac_restriction_model(
     are the Born probabilities evaluated at each point."""
     catalog = tuple((str(lab), np.asarray(k, dtype=complex)) for lab, k in catalog)
     ontic = FiniteSpace(tuple(lab for lab, _ in catalog))
-    distributions = {lab: point_mass(ontic, lab) for lab, _ in catalog}
+    distributions = dict(zip(ontic.points, distribution_rows(ontic, np.eye(ontic.size))))
     kets = _stack_kets(catalog, measurements)
-    packed = tuple(
-        (m, tuple(ResponseFunction(ontic, p) for p in _born_table(kets, m).T)) for m in measurements
-    )
+    packed = tuple((m, tuple(response_rows(ontic, _born_table(kets, m).T))) for m in measurements)
     return OntModel(ontic, catalog, distributions, packed)
 
 

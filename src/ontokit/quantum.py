@@ -172,6 +172,8 @@ class TwoOutcomeMeasurement:
 
     def __post_init__(self):
         e = linalg.as_matrix(self.effect)
+        if e.shape[0] != e.shape[1]:
+            raise DimMismatchError("effect must be square")
         w = np.linalg.eigh(linalg.hermitian_part(e))[0]
         if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:
             raise ValueError(f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]")

@@ -25,8 +25,16 @@ from typing import Any
 
 import numpy as np
 
+from . import linalg
 from .errors import SchemaError
-from .kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
+from .kernels import (
+    Distribution,
+    FiniteSpace,
+    ResponseFunction,
+    SignedKernel,
+    distribution_rows,
+    response_rows,
+)
 from .ontomodel import OntModel
 from .qmeasure import DecoherenceFunctional, QuantumMeasure, check_size
 from .quantum import Channel, ProjectiveMeasurement
@@ -265,23 +273,107 @@ def _space(labels, field: str) -> FiniteSpace:
         raise SchemaError(field, str(exc)) from exc
 
 
+def _distributions(space: FiniteSpace, rows: list, keys, name: str) -> list[Distribution]:
+    """One Distribution per weight row, the rows read and checked as one
+    matrix.  When that fails they are read row by row, so the first bad row
+    is named as ``name[key]``."""
+    w = _number_array(rows)
+    if w is not None and w.ndim == 2 and w.shape[1] == space.size:
+        try:
+            return distribution_rows(space, w)
+        except ValueError:
+            pass
+    dists = []
+    for key, row in zip(keys, rows):
+        values = _real_array(row, f"{name}[{key}]")
+        try:
+            dists.append(Distribution(space, values))
+        except Exception as exc:
+            raise SchemaError(f"{name}[{key}]", str(exc)) from exc
+    return dists
+
+
 def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
     points = _need(doc, "points")
     weights = _need(doc, "weights")
     space = _space(points, "points")
     if not isinstance(weights, list) or not weights:
         raise SchemaError("weights", "expected a nonempty list of weight vectors")
-    dists = []
-    for i, w in enumerate(weights):
-        values = _real_array(w, f"weights[{i}]")
-        try:
-            dists.append(Distribution(space, values))
-        except Exception as exc:
-            raise SchemaError(f"weights[{i}]", str(exc)) from exc
-    return space, dists
+    return space, _distributions(space, weights, range(len(weights)), "weights")
+
+
+def _ket_rows(docs: list) -> np.ndarray | None:
+    """Ket documents as the rows of one complex array, read with one reader
+    call; None unless parse_ket would accept each of them, all of one
+    dimension."""
+    if not all(isinstance(d, dict) and "dim" in d and "amplitudes" in d for d in docs):
+        return None
+    kets = _pairs_array([d["amplitudes"] for d in docs], 3)
+    if kets is None or not all(
+        isinstance(d["dim"], int) and d["dim"] == kets.shape[1]
+        and isinstance(d["amplitudes"], list)
+        for d in docs
+    ):
+        return None
+    return kets if linalg.clearly_unit_rows(kets).all() else None
+
+
+def _ket_at(doc, place: str) -> np.ndarray:
+    """parse_ket, naming a malformed ket's field under ``place``."""
+    try:
+        return parse_ket(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{place}.{exc.field}", exc.message) from None
+
+
+def _model_states(docs: list) -> list[tuple[str, np.ndarray]]:
+    if all(isinstance(s, dict) and "label" in s and "ket" in s for s in docs):
+        kets = _ket_rows([s["ket"] for s in docs])
+        if kets is not None:
+            return [(str(s["label"]), k) for s, k in zip(docs, kets)]
+    # state by state, to name the first that is malformed
+    states = []
+    for i, s in enumerate(docs):
+        label = _need(s, "label", f"states[{i}].")
+        states.append((str(label), _ket_at(_need(s, "ket", f"states[{i}]."), f"states[{i}].ket")))
+    return states
+
+
+def _model_measurement(
+    ontic: FiniteSpace, doc, place: str
+) -> tuple[ProjectiveMeasurement, tuple[ResponseFunction, ...]]:
+    basis = _need(doc, "basis", place + ".")
+    responses = _need(doc, "responses", place + ".")
+    vectors = _ket_rows(basis) if isinstance(basis, list) else None
+    try:
+        if vectors is None:
+            # vector by vector, to name the first that is malformed
+            vectors = np.array([_ket_at(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)])
+        pm = ProjectiveMeasurement(vectors)
+    except SchemaError:
+        raise
+    except Exception as exc:
+        raise SchemaError(f"{place}.basis", str(exc)) from exc
+    if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
+        raise SchemaError(f"{place}.responses", f"expected {pm.n_outcomes} response vectors")
+    values = _number_array(responses)
+    try:
+        if values is not None and values.ndim == 2:
+            return pm, tuple(response_rows(ontic, values))
+        # row by row, to name a non-number entry and to read nested rows flat
+        rows = [_real_array(r, f"{place}.responses[{j}]") for j, r in enumerate(responses)]
+        return pm, tuple(ResponseFunction(ontic, r) for r in rows)
+    except SchemaError:
+        raise
+    except Exception as exc:
+        raise SchemaError(f"{place}.responses", str(exc)) from exc
 
 
 def parse_model(doc) -> OntModel:
+    """A model document read as matrices: all state kets, all distribution
+    rows, and each measurement's basis and responses are read and checked
+    with one call each.  A part whose array checks fail is read again entry
+    by entry, which names the first malformed entry."""
     ontic_labels = _need(doc, "ontic")
     states_doc = _need(doc, "states")
     dists_doc = _need(doc, "distributions")
@@ -290,40 +382,15 @@ def parse_model(doc) -> OntModel:
     for name, value in (("states", states_doc), ("measurements", meas_doc)):
         if not isinstance(value, list):
             raise SchemaError(name, "expected a list")
-    states = []
-    for i, s in enumerate(states_doc):
-        label = _need(s, "label", f"states[{i}].")
-        states.append((str(label), parse_ket(_need(s, "ket", f"states[{i}]."))))
-    distributions = {}
+    states = _model_states(states_doc)
     if not isinstance(dists_doc, dict):
         raise SchemaError("distributions", "expected a label-to-weights map")
-    for label, w in dists_doc.items():
-        values = _real_array(w, f"distributions[{label}]")
-        try:
-            distributions[label] = Distribution(ontic, values)
-        except Exception as exc:
-            raise SchemaError(f"distributions[{label}]", str(exc)) from exc
-    measurements = []
-    for i, m in enumerate(meas_doc):
-        basis = _need(m, "basis", f"measurements[{i}].")
-        responses = _need(m, "responses", f"measurements[{i}].")
-        try:
-            pm = ProjectiveMeasurement(np.array([parse_ket(b) for b in basis]))
-        except Exception as exc:
-            raise SchemaError(f"measurements[{i}].basis", str(exc)) from exc
-        if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
-            raise SchemaError(
-                f"measurements[{i}].responses",
-                f"expected {pm.n_outcomes} response vectors",
-            )
-        values = [
-            _real_array(r, f"measurements[{i}].responses[{j}]") for j, r in enumerate(responses)
-        ]
-        try:
-            packed = tuple(ResponseFunction(ontic, r) for r in values)
-        except Exception as exc:
-            raise SchemaError(f"measurements[{i}].responses", str(exc)) from exc
-        measurements.append((pm, packed))
+    distributions = dict(
+        zip(dists_doc, _distributions(ontic, list(dists_doc.values()), dists_doc, "distributions"))
+    )
+    measurements = [
+        _model_measurement(ontic, m, f"measurements[{i}]") for i, m in enumerate(meas_doc)
+    ]
     try:
         return OntModel(ontic, tuple(states), distributions, tuple(measurements))
     except Exception as exc:
@@ -334,6 +401,7 @@ def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
     points = _need(doc, "points")
     space = _space(points, "points")
     if "decoherence" in doc:
+        check_size(space.size)  # before the n x n matrix is parsed
         try:
             return DecoherenceFunctional(space, parse_matrix(doc["decoherence"], "decoherence"))
         except SchemaError:

@@ -160,6 +160,11 @@ def _measure_on(n):
     return {"points": [f"x{i}" for i in range(n)], "measure": {"0": 0.0}}
 
 
+def _decoherence_on(n):
+    row = [[1.0 / n, 0.0]] * n
+    return {"points": [f"x{i}" for i in range(n)], "decoherence": [row] * n}
+
+
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 
 
@@ -167,13 +172,15 @@ HUGE = 10 ** 400  # a JSON integer beyond the float range
     # the size cap comes before the 2^n table is allocated
     (["qmeasure", "validate", "DOC"], _measure_on(17), "TooLargeError: at most 16 points supported, got 17"),
     (["qmeasure", "validate", "DOC"], _measure_on(65), "TooLargeError: at most 16 points supported, got 65"),
+    (["qmeasure", "validate", "DOC"], _decoherence_on(17),
+     "error: TooLargeError: at most 16 points supported, got 17"),
     (["lemmas", "--seed", "-1"], None, "--seed: expected a non-negative integer, got -1"),
     (["wigner", "functor-check", "--seed", "-3"], None, "--seed: expected a non-negative integer, got -3"),
     (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
      {"dim": 3, "amplitudes": [[HUGE, 0], [0, 0], [0, 0]]}, "amplitudes[0]: int too large"),
     (["qmeasure", "validate", "DOC"],
      {"points": ["a"], "decoherence": [[[HUGE, 0]]]}, "decoherence[0][0]: int too large"),
-], ids=["measure-17", "measure-65", "lemmas-seed", "functor-check-seed", "huge-ket", "huge-matrix"])
+], ids=["measure-17", "measure-65", "decoherence-17", "lemmas-seed", "functor-check-seed", "huge-ket", "huge-matrix"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -349,6 +356,15 @@ def _string_response(doc):
     doc["measurements"][0]["responses"][1] = [0.0, "1"]
 
 
+def _unnormalised_state(doc):
+    doc["states"].append({"label": "long", "ket": {"dim": 2, "amplitudes": [[1.1, 0.0], [0.0, 0.0]]}})
+    doc["distributions"]["long"] = [0.0, 1.0]
+
+
+def _unnormalised_basis_vector(doc):
+    doc["measurements"][0]["basis"][1] = {"dim": 2, "amplitudes": [[0.0, 0.0], [1.1, 0.0]]}
+
+
 MALFORMED_MODELS = [
     (_mixed_ket_dims, ["model", "state 'tri'", "dimension 3"]),
     (_qutrit_basis, ["model", "measurement 0", "dimension 3"]),
@@ -362,6 +378,10 @@ MALFORMED_MODELS = [
     (_measurements_not_a_list, ["measurements", "expected a list"]),
     (_string_distribution, ["distributions[zero][0]", "expected a number, got '1.0'"]),
     (_string_response, ["measurements[0].responses[1][1]", "expected a number, got '1'"]),
+    (_unnormalised_state,
+     ["schema error: states[1].ket.amplitudes: ket norm np.float64(1.1) deviates from 1\n"]),
+    (_unnormalised_basis_vector,
+     ["schema error: measurements[0].basis[1].amplitudes: ket norm np.float64(1.1) deviates from 1\n"]),
 ]
 
 
@@ -496,25 +516,41 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 
 # sha256 of stdout for the README commands (and one d = 7 run), recorded
 # before the Kraus stack and the flat-float emitter replaced the per-Kraus
-# and per-value loops, with numpy 2.4 and OpenBLAS on x86-64.
+# and per-value loops, with numpy 2.4 and OpenBLAS on x86-64; the
+# validate-model row was recorded before models were parsed as matrices.
 GOLDEN_STDOUT = {
     "functor-check-dim3": "e0c9a7a14ddd13829ece11ce996ff2c7912e1817526dde3c16a6e6a8375a7496",
     "functor-check-dim7": "52e4ffe13a72b301d9e31eacc773ed6ddde2c92933fd5ca2262ccdf7884681ab",
     "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
+    "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
 def test_golden_stdout(capsys, tmp_path, name):
+    # the inputs of scripts/make_example_inputs.py, written the same way
+    inv = 1.0 / np.sqrt(2.0)
+    zero, plus = (ket_to_json(np.array(psi, dtype=complex)) for psi in ([1, 0], [inv, inv]))
     if name == "pbr-demo":
-        # the kets of scripts/make_example_inputs.py, written the same way
-        inv = 1.0 / np.sqrt(2.0)
         files = []
-        for label, psi in (("zero", [1, 0]), ("plus", [inv, inv])):
+        for label, ket in (("zero", zero), ("plus", plus)):
             path = tmp_path / f"{label}.json"
-            path.write_text(dumps_report(ket_to_json(np.array(psi, dtype=complex))) + "\n")
+            path.write_text(dumps_report(ket) + "\n")
             files.append(str(path))
         argv = ["pbr-demo", "--psi", files[0], "--phi", files[1]]
+    elif name == "validate-model":
+        one = ket_to_json(np.array([0, 1], dtype=complex))
+        doc = {
+            "ontic": ["a", "b", "c"],
+            "states": [{"label": "zero", "ket": zero}, {"label": "plus", "ket": plus}],
+            "distributions": {"zero": [0.5, 0.5, 0.0], "plus": [0.5, 0.0, 0.5]},
+            "measurements": [
+                {"basis": [zero, one], "responses": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+            ],
+        }
+        path = tmp_path / "model_epistemic.json"
+        path.write_text(dumps_report(doc) + "\n")
+        argv = ["validate-model", str(path)]
     elif name == "functor-check-dim3":
         argv = ["wigner", "functor-check", "--dim", "3", "--trials", "200", "--seed", "7"]
     else:

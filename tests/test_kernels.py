@@ -10,7 +10,9 @@ from ontokit.kernels import (
     TWO,
     Distribution,
     FiniteSpace,
+    ResponseFunction,
     SignedKernel,
+    distribution_rows,
     dtensor,
     dual_state_kernel,
     evaluate,
@@ -19,6 +21,7 @@ from ontokit.kernels import (
     ktensor,
     point_mass,
     product_space,
+    response_rows,
     support,
     uniform,
     variational_distance,
@@ -230,3 +233,47 @@ class TestValidation:
     def test_markov_flag(self):
         assert SignedKernel(AB, AB, [[0.7, 0.2], [0.3, 0.8]]).markov
         assert not SignedKernel(AB, AB, [[1.0, -0.2], [0.0, 1.2]], entry_bound=1.2).markov
+
+
+class TestRowConstructors:
+    """A matrix checked once gives the objects that its rows give one at a
+    time, and fails with the first failing row's error."""
+
+    def test_rows_match_one_at_a_time(self):
+        rng = rng_for(41)
+        w = rng.uniform(0, 1, (6, 3))
+        w /= w.sum(axis=1, keepdims=True)
+        w[2] = [1.5, -0.5, 0.0]
+        for got, row in zip(distribution_rows(ABC, w), w):
+            want = Distribution(ABC, row)
+            assert got.space == ABC and got.weights.tobytes() == want.weights.tobytes()
+            assert got.is_probability == want.is_probability
+        r = rng.uniform(0, 1, (4, 3))
+        assert [x.values.tolist() for x in response_rows(ABC, r)] == r.tolist()
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.5, 0.0], [0.7, 0.7, 0.0], [np.nan, 0.5, 0.5]],
+        [[0.5, 0.5, 0.0], [np.inf, -np.inf, 1.0], [0.7, 0.7, 0.0]],
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.1], [0.7, 0.7, 0.0]],
+        [[0.5, 0.5]],
+    ])
+    def test_distribution_errors(self, rows):
+        first = next(e for e in map(_error, [lambda r=r: Distribution(ABC, r) for r in rows]) if e)
+        assert _error(lambda: distribution_rows(ABC, np.array(rows))) == first
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.5, 0.0], [0.5, 1.5, 0.0]],
+        [[0.5, np.nan, 0.0], [0.5, -0.5, 0.0]],
+        [[0.5, 0.5]],
+    ])
+    def test_response_errors(self, rows):
+        first = next(e for e in map(_error, [lambda r=r: ResponseFunction(ABC, r) for r in rows]) if e)
+        assert _error(lambda: response_rows(ABC, np.array(rows))) == first
+
+
+def _error(build):
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None

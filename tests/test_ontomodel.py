@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ontokit.antidist import AntidistProblem, antidist_classical
-from ontokit.errors import DimMismatchError, MissingActionError, MissingMorphismError
+from ontokit.errors import (
+    DimMismatchError,
+    MissingActionError,
+    MissingMorphismError,
+    SpaceMismatchError,
+)
 from ontokit.kernels import (
     Distribution,
     FiniteSpace,
@@ -43,7 +48,7 @@ from ontokit.sampling import (
     random_unitary,
     rng_for,
 )
-from ontokit.tolerances import STRICT_MARGIN, SUPPORT_EPS
+from ontokit.tolerances import IDENTITY_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
 from ontokit.wigner import (
     commutative_algebra,
     displacement_channel,
@@ -419,6 +424,152 @@ class TestMatrixFormAgainstOracles:
         assert preds.maximally_epistemic and preds.maximally_nontrivial
 
 
+def classify_rows_oracle(model):
+    """classify_model before the support screen: one pass per catalogue row
+    over all of its strictly overlapping partners further down."""
+    ov = np.abs(model.kets.conj() @ model.kets.T)
+    strict = (ov > STRICT_MARGIN) & (ov < 1.0 - STRICT_MARGIN)
+    w = model.weights
+    for i in range(len(w)):
+        js = i + 1 + np.flatnonzero(strict[i, i + 1:])
+        diff = w[i] - w[js]
+        dist = np.maximum(np.maximum(diff, 0.0).sum(axis=1), np.maximum(-diff, 0.0).sum(axis=1))
+        hits = np.flatnonzero(dist < 1.0 - STRICT_MARGIN)
+        if hits.size:
+            j = js[hits[0]]
+            return Classification(
+                kind="epistemic", witness=(model.states[i][0], model.states[j][0]),
+                witness_overlap=float(ov[i, j]), witness_distance=float(dist[hits[0]]),
+            )
+    return Classification(kind="ontic")
+
+
+def assert_same_verdict(model):
+    """The screened classification equals the per-row loop's, bit for bit."""
+    got, want = classify_model(model), classify_rows_oracle(model)
+    assert got.kind == want.kind
+    assert got.witness == want.witness
+    assert got.witness_overlap == want.witness_overlap
+    assert got.witness_distance == want.witness_distance
+    return got
+
+
+def bench_dirac(rng, size, dim, bases, perturbed):
+    """A Dirac model drawn as the validators benchmark draws one; perturbed,
+    one state is mixed half and half with the state whose Born row differs
+    most from its own."""
+    model = random_dirac(rng, size, dim, bases)
+    if not perturbed:
+        return model
+    i = int(rng.integers(size))
+    rows = np.concatenate([[xi.values for xi in rs] for _, rs in model.measurements])
+    j = int(np.argmax(np.abs(rows - rows[:, [i]]).max(axis=0)))
+    mixed = np.zeros(size)
+    mixed[i] = mixed[j] = 0.5
+    return with_distributions(model, {f"s{i}": mixed})
+
+
+def two_state_model(rng, w0, w1, ov=0.5):
+    """Two kets at overlap ``ov`` with the given ontic weight rows."""
+    u = random_unitary(rng, 2)
+    kets = [u[:, 0], u @ np.array([ov, np.sqrt(1.0 - ov * ov)])]
+    return free_model(rng, kets, np.array([w0, w1]), 0)
+
+
+def lowest_admitted_sum():
+    """The smallest float row sum that Distribution admits."""
+    s = 1.0 - IDENTITY_TOL
+    while abs(s - 1.0) <= IDENTITY_TOL:
+        s = np.nextafter(s, 0.0)
+    return float(np.nextafter(s, 2.0))
+
+
+class TestSupportScreen:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bench_dirac_models(self, seed, perturbed):
+        rng = rng_for(610, seed)
+        for size in (8, 11, 17, 23, 29, 40):
+            model = bench_dirac(rng, size, int(rng.integers(2, 5)), int(rng.integers(2, 5)), perturbed)
+            verdict = assert_same_verdict(model)
+            assert verdict.kind == ("epistemic" if perturbed else "ontic")
+
+    @pytest.mark.parametrize("density", [0.15, 0.4, 1.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_overlapping_supports(self, seed, density):
+        rng = rng_for(611, seed)
+        size, points = int(rng.integers(2, 40)), int(rng.integers(2, 30))
+        weights = rng.uniform(0, 1, (size, points)) * (rng.random((size, points)) < density)
+        weights[np.arange(size), rng.integers(points, size=size)] += 0.05
+        weights /= weights.sum(axis=1, keepdims=True)
+        kets = [random_ket(rng, 3) for _ in range(size)]
+        assert_same_verdict(free_model(rng, kets, weights, 0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_at_minus_half_nonneg_tol(self, seed):
+        rng = rng_for(612, seed)
+        size, points = 12, 10
+        weights = rng.uniform(0, 1, (size, points)) * (rng.random((size, points)) < 0.3)
+        weights[:, 0] += 0.1
+        weights /= weights.sum(axis=1, keepdims=True)
+        weights[weights == 0] = -0.5 * NONNEG_TOL
+        weights[:, 0] -= weights.sum(axis=1) - 1.0
+        model = free_model(rng, [random_ket(rng, 2) for _ in range(size)], weights, 0)
+        assert all(mu.is_probability for mu in model.distributions.values())
+        assert_same_verdict(model)
+
+    @pytest.mark.parametrize("shared,kind", [
+        (0.5 * STRICT_MARGIN, "ontic"),
+        (STRICT_MARGIN, None),
+        (2.0 * STRICT_MARGIN, "epistemic"),
+    ])
+    def test_distance_at_the_strict_margin(self, shared, kind):
+        w0 = [1.0 - shared, shared, 0.0]
+        w1 = [0.0, shared, 1.0 - shared]
+        verdict = assert_same_verdict(two_state_model(rng_for(613), w0, w1))
+        assert kind is None or verdict.kind == kind
+
+    @pytest.mark.parametrize("ov,kind", [
+        (1.0 - 0.5 * STRICT_MARGIN, "ontic"),
+        (1.0 - 2.0 * STRICT_MARGIN, "epistemic"),
+    ])
+    def test_overlap_at_the_strict_margin(self, ov, kind):
+        model = two_state_model(rng_for(614), [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], ov)
+        assert assert_same_verdict(model).kind == kind
+
+    def test_disjoint_rows_at_the_lowest_admitted_sum(self):
+        # the screen's bound needs admitted row sums of at least 1 - STRICT_MARGIN
+        assert IDENTITY_TOL <= STRICT_MARGIN
+        s = lowest_admitted_sum()
+        for w0, w1 in (
+            ([s, 0.0, 0.0], [0.0, 0.0, s]),
+            ([s + 0.5 * NONNEG_TOL, -0.5 * NONNEG_TOL, 0.0], [-0.5 * NONNEG_TOL, 0.0, s + 0.5 * NONNEG_TOL]),
+        ):
+            model = two_state_model(rng_for(615), w0, w1)
+            assert assert_same_verdict(model).kind == "ontic"
+
+    def test_mass_below_support_eps_can_witness(self):
+        # shared entries at or below SUPPORT_EPS still count: over 4000
+        # points they add up to 2 STRICT_MARGIN, and on one point they tip
+        # rows that sum to the lowest admitted value
+        e = 0.5 * SUPPORT_EPS
+        many = np.full(4000, e)
+        s = lowest_admitted_sum()
+        for w0, w1 in (
+            (np.r_[1.0 - many.sum(), many, 0.0], np.r_[0.0, many, 1.0 - many.sum()]),
+            ([s - e, e, 0.0], [0.0, e, s - e]),
+        ):
+            verdict = assert_same_verdict(two_state_model(rng_for(616), w0, w1))
+            assert verdict.kind == "epistemic" and verdict.witness == ("s0", "s1")
+
+    def test_every_pair_overlapping(self):
+        rng = rng_for(617)
+        weights = rng.uniform(0.1, 1.0, (200, 50))
+        weights /= weights.sum(axis=1, keepdims=True)
+        model = free_model(rng, [random_ket(rng, 3) for _ in range(200)], weights, 0)
+        assert assert_same_verdict(model).witness == ("s0", "s1")
+
+
 def test_two_hundred_state_dirac_model():
     """Maximal psi-epistemicity at catalogue scale: every ordered pair of
     distinct random kets overlaps while their point masses are disjoint."""
@@ -432,6 +583,45 @@ def test_two_hundred_state_dirac_model():
     assert len(preds.nontrivial_violations) == s * (s - 1)
     for v in preds.epistemic_violations:
         assert v["psi"] != v["phi"] and v["support_mass"] == 0.0
+
+
+class TestModelChecksInCatalogueOrder:
+    """The stacked checks raise for the first state that fails, with the
+    message and type of the check that fails first on it."""
+
+    ONTIC = FiniteSpace(("a", "b"))
+
+    def dist(self, fault):
+        if fault == "missing":
+            return None
+        space = FiniteSpace(("c", "d")) if fault == "offspace" else self.ONTIC
+        return Distribution(space, [1.5, -0.5] if fault == "signed" else [0.5, 0.5])
+
+    @pytest.mark.parametrize("faults,exc,message", [
+        (("signed", "missing"), ValueError, "distribution for 's0' is signed"),
+        (("missing", "signed"), ValueError, "state 's0' has no distribution"),
+        (("ok", "offspace", "signed"), SpaceMismatchError, "distribution for 's1' lives off"),
+        (("ok", "signed", "offspace"), ValueError, "distribution for 's1' is signed"),
+        (("ok", "ok", "missing"), ValueError, "state 's2' has no distribution"),
+    ])
+    def test_distribution_faults(self, faults, exc, message):
+        states = tuple((f"s{i}", Z0) for i in range(len(faults)))
+        dists = {lab: self.dist(f) for (lab, _), f in zip(states, faults) if f != "missing"}
+        with pytest.raises(exc, match=message):
+            OntModel(self.ONTIC, states, dists, ())
+
+    @pytest.mark.parametrize("kets,exc,message", [
+        ([Z0, 1.1 * Z0, np.array([np.nan, 0])], ValueError, "ket norm np.float64\\(1.1"),
+        ([Z0, np.array([np.inf, 0]), 1.1 * Z0], ValueError, "NaN or Inf"),
+        ([Z0, np.array([1, 0, 0]), 1.1 * Z0], ValueError, "ket norm np.float64\\(1.1"),
+        ([Z0, np.array([1, 0, 0]), Z1], DimMismatchError, "'s1' has dimension 3"),
+        ([np.zeros(0), np.zeros(0)], DimMismatchError, "at least one amplitude"),
+    ])
+    def test_ket_faults(self, kets, exc, message):
+        states = tuple((f"s{i}", k) for i, k in enumerate(kets))
+        dists = {lab: Distribution(self.ONTIC, [0.5, 0.5]) for lab, _ in states}
+        with pytest.raises(exc, match=message):
+            OntModel(self.ONTIC, states, dists, ())
 
 
 class TestModelDimensions:

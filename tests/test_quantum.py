@@ -52,9 +52,10 @@ def test_non_hermitian_matrix_rejected(build):
         build(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
-def test_non_square_density_matrix_rejected():
-    with pytest.raises(DimMismatchError):
-        DensityMatrix(np.ones((2, 3)) / 2)
+@pytest.mark.parametrize("build", [DensityMatrix, TwoOutcomeMeasurement])
+def test_non_square_density_matrix_rejected(build):
+    with pytest.raises(DimMismatchError, match="must be square"):
+        build(np.ones((2, 3)) / 2)
 
 
 class TestProjectiveMeasurement:

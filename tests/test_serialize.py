@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ontokit.errors import SchemaError
-from ontokit.kernels import FiniteSpace, SignedKernel
-from ontokit.ontomodel import dirac_restriction_model
+from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
+from ontokit.ontomodel import OntModel, dirac_restriction_model
 from ontokit.quantum import Channel, ProjectiveMeasurement
-from ontokit.sampling import random_cptp_channel, random_ket, rng_for
+from ontokit.sampling import random_cptp_channel, random_ket, random_unitary, rng_for
 from ontokit.serialize import (
     channel_to_json,
     dumps_report,
@@ -284,6 +284,277 @@ class TestNumericReader:
         )
         assert [d.weights.tolist() for d in dists] == [[1.0, 0.0], [1.0, 0.0], [0.25, 0.75]]
         assert all(d.weights.dtype == float for d in dists)
+
+
+# ---------------------------------------------------------------------------
+# model and ensemble documents read as matrices against the per-entry readers
+# ---------------------------------------------------------------------------
+
+def _space_oracle(labels, field):
+    if not isinstance(labels, list) or not labels:
+        raise SchemaError(field, "expected a nonempty label list")
+    try:
+        return FiniteSpace(tuple(labels))
+    except ValueError as exc:
+        raise SchemaError(field, str(exc)) from exc
+
+
+def _need_oracle(doc, field, context=""):
+    if not isinstance(doc, dict) or field not in doc:
+        raise SchemaError(context + field, "missing required field")
+    return doc[field]
+
+
+def _real_oracle(doc, field):
+    """A list of real numbers, a non-number entry named by its index."""
+    def reject(v, where):
+        if isinstance(v, list):
+            for i, x in enumerate(v):
+                reject(x, f"{where}[{i}]")
+        elif not isinstance(v, (int, float)):
+            raise SchemaError(where, f"expected a number, got {v!r}")
+
+    reject(doc, field)
+    try:
+        return np.asarray(doc, dtype=float)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(field, str(exc)) from exc
+
+
+def _ket_at_oracle(doc, place):
+    try:
+        return parse_ket(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{place}.{exc.field}", str(exc)[len(exc.field) + 2:]) from None
+
+
+def _distributions_oracle(space, rows, keys, name):
+    dists = []
+    for key, row in zip(keys, rows):
+        values = _real_oracle(row, f"{name}[{key}]")
+        try:
+            dists.append(Distribution(space, values))
+        except Exception as exc:
+            raise SchemaError(f"{name}[{key}]", str(exc)) from exc
+    return dists
+
+
+def parse_ensemble_oracle(doc):
+    """The ensemble reader one weight row at a time."""
+    points = _need_oracle(doc, "points")
+    weights = _need_oracle(doc, "weights")
+    space = _space_oracle(points, "points")
+    if not isinstance(weights, list) or not weights:
+        raise SchemaError("weights", "expected a nonempty list of weight vectors")
+    return space, _distributions_oracle(space, weights, range(len(weights)), "weights")
+
+
+def parse_model_oracle(doc):
+    """The model reader one ket, weight row and response row at a time."""
+    ontic_labels = _need_oracle(doc, "ontic")
+    states_doc = _need_oracle(doc, "states")
+    dists_doc = _need_oracle(doc, "distributions")
+    meas_doc = _need_oracle(doc, "measurements")
+    ontic = _space_oracle(ontic_labels, "ontic")
+    for name, value in (("states", states_doc), ("measurements", meas_doc)):
+        if not isinstance(value, list):
+            raise SchemaError(name, "expected a list")
+    states = []
+    for i, s in enumerate(states_doc):
+        label = _need_oracle(s, "label", f"states[{i}].")
+        ket = _need_oracle(s, "ket", f"states[{i}].")
+        states.append((str(label), _ket_at_oracle(ket, f"states[{i}].ket")))
+    if not isinstance(dists_doc, dict):
+        raise SchemaError("distributions", "expected a label-to-weights map")
+    rows = _distributions_oracle(ontic, list(dists_doc.values()), dists_doc, "distributions")
+    distributions = dict(zip(dists_doc, rows))
+    measurements = []
+    for i, m in enumerate(meas_doc):
+        place = f"measurements[{i}]"
+        basis = _need_oracle(m, "basis", place + ".")
+        responses = _need_oracle(m, "responses", place + ".")
+        try:
+            vectors = np.array([_ket_at_oracle(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)])
+            pm = ProjectiveMeasurement(vectors)
+        except SchemaError:
+            raise
+        except Exception as exc:
+            raise SchemaError(f"{place}.basis", str(exc)) from exc
+        if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
+            raise SchemaError(f"{place}.responses", f"expected {pm.n_outcomes} response vectors")
+        values = [_real_oracle(r, f"{place}.responses[{j}]") for j, r in enumerate(responses)]
+        try:
+            packed = tuple(ResponseFunction(ontic, r) for r in values)
+        except Exception as exc:
+            raise SchemaError(f"{place}.responses", str(exc)) from exc
+        measurements.append((pm, packed))
+    try:
+        return OntModel(ontic, tuple(states), distributions, tuple(measurements))
+    except Exception as exc:
+        raise SchemaError("model", str(exc)) from exc
+
+
+def _bit_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _same_model(got, want):
+    assert got.ontic == want.ontic
+    assert [lab for lab, _ in got.states] == [lab for lab, _ in want.states]
+    for (_, a), (_, b) in zip(got.states, want.states):
+        _bit_equal(a, b)
+    _bit_equal(got.kets, want.kets)
+    _bit_equal(got.weights, want.weights)
+    assert list(got.distributions) == list(want.distributions)
+    for lab, mu in want.distributions.items():
+        _bit_equal(got.distributions[lab].weights, mu.weights)
+    assert len(got.measurements) == len(want.measurements)
+    for (pm, rs), (qm, qs) in zip(got.measurements, want.measurements):
+        _bit_equal(pm.vectors, qm.vectors)
+        assert len(rs) == len(qs)
+        for a, b in zip(rs, qs):
+            _bit_equal(a.values, b.values)
+
+
+def _same_ensemble(got, want):
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        _bit_equal(a.weights, b.weights)
+
+
+def _same_doc_outcome(parse, oracle, same, doc):
+    """Both readers return bit-equal values, or raise the same SchemaError;
+    says which."""
+    try:
+        want = oracle(doc)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            parse(doc)
+        assert (err.value.field, str(err.value)) == (exc.field, str(exc))
+        return "error"
+    same(parse(doc), want)
+    return "parsed"
+
+
+def _model_doc(rng):
+    """A model document: random kets and weights, responses that keep the
+    sum rule; numbers as the emitter writes them."""
+    size, dim, points = (int(rng.integers(lo, hi)) for lo, hi in ((1, 7), (1, 4), (1, 6)))
+    ontic = [f"x{i}" for i in range(points)]
+    weights = rng.uniform(0, 1, (size, points)) * (rng.random((size, points)) < 0.6)
+    weights[:, 0] += 0.1
+    weights /= weights.sum(axis=1, keepdims=True)
+    measurements = []
+    for _ in range(int(rng.integers(0, 3))):
+        r = rng.uniform(0, 1, (dim, points))
+        measurements.append({
+            "basis": [ket_to_json(v) for v in random_unitary(rng, dim).T],
+            "responses": (r / r.sum(axis=0)).tolist(),
+        })
+    doc = {
+        "ontic": ontic,
+        "states": [{"label": f"s{i}", "ket": ket_to_json(random_ket(rng, dim))} for i in range(size)],
+        "distributions": {f"s{i}": w.tolist() for i, w in enumerate(weights)},
+        "measurements": measurements,
+    }
+    return json.loads(dumps_report(doc))
+
+
+BAD_VALUES = ["0.5", None, float("nan"), float("inf"), 10 ** 400, [1.0], [], {"re": 1.0}, 1.1, -0.5]
+
+
+def _slots(doc, path=()):
+    """Paths to every list entry and map value of a document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+def _malformed(rng, doc):
+    """The document with one entry replaced, removed or nested."""
+    slots = list(_slots(doc))
+    path = slots[int(rng.integers(len(slots)))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, roll = path[-1], rng.random()
+    if roll < 0.5:
+        pool = BAD_VALUES + SPECIAL_NUMBERS
+        parent[key] = pool[int(rng.integers(len(pool)))]
+    elif roll < 0.7:
+        del parent[key]
+    elif roll < 0.85:
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = _random_number(rng)
+    return doc
+
+
+class TestDocumentsAsMatrices:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_models_match_the_per_entry_reader(self, seed):
+        rng = rng_for(132, seed)
+        seen = {"parsed": 0, "error": 0}
+        for trial in range(60):
+            doc = _model_doc(rng)
+            if trial % 3:
+                doc = _malformed(rng, doc)
+            for form in (doc, json.loads(json.dumps(doc))):
+                seen[_same_doc_outcome(parse_model, parse_model_oracle, _same_model, form)] += 1
+        assert seen["parsed"] and seen["error"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_ensembles_match_the_per_entry_reader(self, seed):
+        rng = rng_for(133, seed)
+        seen = {"parsed": 0, "error": 0}
+        for trial in range(60):
+            points = int(rng.integers(1, 6))
+            w = rng.uniform(0, 1, (int(rng.integers(1, 5)), points))
+            doc = {"points": [f"p{i}" for i in range(points)], "weights": (w / w.sum(axis=1, keepdims=True)).tolist()}
+            doc = json.loads(dumps_report(doc))
+            if trial % 3:
+                doc = _malformed(rng, doc)
+            for form in (doc, json.loads(json.dumps(doc))):
+                seen[_same_doc_outcome(parse_ensemble, parse_ensemble_oracle, _same_ensemble, form)] += 1
+        assert seen["parsed"] and seen["error"]
+
+    @pytest.mark.parametrize("where", ["states", "basis"])
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 2.0), ("dim", "2"), ("dim", True), ("dim", 3), ("dim", 0),
+        ("amplitudes", ((1.0, 0.0), (0.0, 0.0))), ("amplitudes", [[1.0, 0.0]]),
+        ("amplitudes", [[True, False], [False, False]]), ("amplitudes", [[1, 0], [0, 0]]),
+    ])
+    def test_ket_fields_read_as_parse_ket_reads_them(self, where, field, value):
+        doc = {
+            "ontic": ["a"],
+            "states": [{"label": "s", "ket": ket_to_json(np.array([1.0, 0.0]))},
+                       {"label": "t", "ket": ket_to_json(np.array([0.0, 1.0]))}],
+            "distributions": {"s": [1.0], "t": [1.0]},
+            "measurements": [{"basis": [ket_to_json(v) for v in np.eye(2)],
+                              "responses": [[1.0], [0.0]]}],
+        }
+        ket = doc["states"][1]["ket"] if where == "states" else doc["measurements"][0]["basis"][0]
+        ket[field] = value
+        _same_doc_outcome(parse_model, parse_model_oracle, _same_model, doc)
+
+    @pytest.mark.parametrize("where", ["states", "basis"])
+    @pytest.mark.parametrize("scale", [1.0 + 0.4e-10, 1.0 + 0.6e-10, 1.0 + 1.5e-10, 1.1])
+    def test_ket_norms_at_the_tolerance(self, where, scale):
+        # between half the norm tolerance and all of it, parse_ket decides
+        doc = json.loads(dumps_report({
+            "ontic": ["a"],
+            "states": [{"label": "s", "ket": ket_to_json(np.array([1.0, 0.0]))}],
+            "distributions": {"s": [1.0]},
+            "measurements": [{"basis": [ket_to_json(v) for v in np.eye(2)],
+                              "responses": [[1.0], [0.0]]}],
+        }))
+        ket = doc["states"][0]["ket"] if where == "states" else doc["measurements"][0]["basis"][1]
+        ket["amplitudes"] = [[scale * x for x in pair] for pair in ket["amplitudes"]]
+        assert _same_doc_outcome(parse_model, parse_model_oracle, _same_model, doc) == (
+            "parsed" if scale - 1.0 < 1e-10 else "error"
+        )
 
 
 class TestKetSchema:
