@@ -25,14 +25,12 @@ from ontokit.wigner import (
 
 def frame_summary(n):
     frame = phase_point_operators(n)
-    ops = frame.operators
-    gram = frame.vectors @ frame.vectors.conj().T
     return {
         "dim": n,
-        "operators": len(ops),
-        "hermitian_residual": linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1)))),
-        "orthogonality_residual": linalg.max_abs(gram - n * np.eye(n * n)),
-        "sum_residual": linalg.max_abs(ops.sum(axis=0) - n * np.eye(n)),
+        "operators": frame.n_points,
+        "hermitian_residual": frame.residuals.hermitian,
+        "orthogonality_residual": frame.residuals.gram,
+        "sum_residual": frame.residuals.sum,
     }
 
 

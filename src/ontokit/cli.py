@@ -16,7 +16,7 @@ import numpy as np
 
 from .antidist import AntidistProblem, antidist_classical, lemma_suite, pbr_demo
 from .errors import OntokitError, SchemaError
-from .ontomodel import classify_model, validate_model
+from .ontomodel import FunctorFragment, check_operational_model, classify_model, validate_model
 from .qmeasure import (
     DecoherenceFunctional,
     measure_from_decoherence,
@@ -33,8 +33,16 @@ from .serialize import (
     parse_model,
     parse_qmeasure_doc,
 )
-from .wigner import epistemic_report, monoidality_check, phase_point_operators, wigner_vector
-from .quantum import DensityMatrix
+from .quantum import Channel, DensityMatrix, compose, measurement_channel, preparation_channel
+from .sampling import random_cptp_channel, random_density, random_effect, rng_for
+from .wigner import (
+    commutative_algebra,
+    epistemic_report,
+    functor_morphism,
+    monoidality_check,
+    phase_point_operators,
+    wigner_vector,
+)
 from .tolerances import FUNCTOR_TOL, MODEL_TOL, PBR_TOL, QMEASURE_TOL
 
 
@@ -163,11 +171,7 @@ def _cmd_wigner_frame(args) -> int:
 
 def _cmd_wigner_state(args) -> int:
     psi = parse_ket(load_json(args.file))
-    dim = args.dim if args.dim is not None else psi.size
-    if dim != psi.size:
-        raise SchemaError("dim", f"state has dimension {psi.size}, not {dim}")
-    frame = phase_point_operators(dim)
-    vec = wigner_vector(DensityMatrix.from_ket(psi), frame)
+    vec = wigner_vector(DensityMatrix.from_ket(psi), phase_point_operators(psi.size))
     if args.csv:
         lines = ["point,weight"]
         lines += [
@@ -178,7 +182,7 @@ def _cmd_wigner_state(args) -> int:
         return 0
     report = {
         "command": "wigner-state",
-        "dim": dim,
+        "dim": psi.size,
         "points": list(vec.space.points),
         "weights": [float(w) for w in vec.weights],
         "min_weight": float(np.min(vec.weights)),
@@ -189,48 +193,39 @@ def _cmd_wigner_state(args) -> int:
 
 
 def _cmd_wigner_functor_check(args) -> int:
-    from .ontomodel import FunctorFragment, check_operational_model
-    from .quantum import Channel, compose, measurement_channel, preparation_channel
-    from .sampling import random_cptp_channel, random_density, random_effect, rng_for
-    from .wigner import commutative_algebra, functor_morphism
-
     tol = _tolerance(args.tol, FUNCTOR_TOL)
     _positive("--trials", args.trials)
     _seed(args.seed)
     dim = _positive("--dim", args.dim)
+    identity = Channel.identity(dim)
+    identity_kernel = functor_morphism(identity)
     worst_comp = 0.0
     worst_eval = 0.0
     for trial in range(args.trials):
         rng = rng_for(args.seed, trial)
         f = random_cptp_channel(rng, dim, dim)
         g = random_cptp_channel(rng, dim, dim)
+        prep = preparation_channel(random_density(rng, dim))
+        meas = measurement_channel(random_effect(rng, dim))
+        gf = compose(g, f)
         frag = FunctorFragment(
-            channels={"f": f, "g": g, "gf": compose(g, f), "id": Channel.identity(dim)},
+            channels={"f": f, "g": g, "gf": gf, "id": identity, "state": prep, "meas": meas},
             kernels={
                 "f": functor_morphism(f),
                 "g": functor_morphism(g),
-                "gf": functor_morphism(compose(g, f)),
-                "id": functor_morphism(Channel.identity(dim)),
-            },
-        )
-        rep = check_operational_model(
-            frag, composition_tests=[("g", "f", "gf")], identity_names=["id"], tol=tol
-        )
-        for v in rep.composition_violations + rep.identity_violations:
-            worst_comp = max(worst_comp, float(v.get("error", 1.0)))
-        rho = random_density(rng, dim)
-        effect = random_effect(rng, dim)
-        prep = preparation_channel(rho)
-        meas = measurement_channel(effect)
-        frag2 = FunctorFragment(
-            channels={"state": prep, "meas": meas},
-            kernels={
+                "gf": functor_morphism(gf),
+                "id": identity_kernel,
                 "state": functor_morphism(prep),
                 "meas": functor_morphism(meas, out_algebra=commutative_algebra(2)),
             },
         )
-        rep2 = check_operational_model(frag2, evaluation_tests=[("meas", "state")], tol=tol)
-        for v in rep2.evaluation_violations:
+        rep = check_operational_model(
+            frag, composition_tests=[("g", "f", "gf")], identity_names=["id"],
+            evaluation_tests=[("meas", "state")], tol=tol,
+        )
+        for v in rep.composition_violations + rep.identity_violations:
+            worst_comp = max(worst_comp, float(v.get("error", 1.0)))
+        for v in rep.evaluation_violations:
             worst_eval = max(worst_eval, abs(v["quantum"] - v["classical"]))
     mono = monoidality_check(dim, dim, max(1, args.trials // 4), args.seed, tol=tol)
     passed = worst_comp == 0.0 and worst_eval == 0.0 and mono.passed
@@ -383,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = wsub.add_parser("state", help="emit a state's Wigner vector")
     p.add_argument("file")
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_wigner_state)
 

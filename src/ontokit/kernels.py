@@ -51,17 +51,14 @@ class SignedKernel:
     """Signed Markov kernel between finite spaces.
 
     ``matrix`` has shape ``(|target|, |source|)``; every column sums to 1.
-    ``entry_bound`` is the allowed pointwise range: the Markov case and
-    kernels between like frames satisfy ``|entry| <= 1``, but images of
-    measurement channels under the Wigner functor can legitimately exceed
-    that (up to the ratio of frame constants), so the bound is a parameter
-    rather than a hard-coded 1.
+    Entries may have any sign and size: kernels composed from signed ones
+    leave [-1, 1], and so do images of channels between frames of different
+    constants (:func:`ontokit.wigner.functor_morphism` bounds those).
     """
 
     source: FiniteSpace
     target: FiniteSpace
     matrix: np.ndarray
-    entry_bound: float = 1.0
     markov: bool = field(init=False)
 
     def __post_init__(self):
@@ -76,10 +73,6 @@ class SignedKernel:
         col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
         if col_err > IDENTITY_TOL:
             raise ValueError(f"column sums deviate from 1 by {col_err:.3e}")
-        if float(np.max(np.abs(m))) > self.entry_bound + NONNEG_TOL:
-            raise ValueError(
-                f"entry magnitude {np.max(np.abs(m)):.6f} exceeds bound {self.entry_bound}"
-            )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "markov", bool(np.min(m) >= -NONNEG_TOL))
 
@@ -132,12 +125,9 @@ def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
     """The ResponseFunction checks on each row of a (rows x points) matrix."""
     if v.ndim != 2 or v.shape[1] != space.size:
         raise SpaceMismatchError("response length does not match space")
-    if v.min(initial=0.0) >= -NONNEG_TOL and v.max(initial=1.0) <= 1.0 + NONNEG_TOL:
-        return
-    # row by row: a NaN voids the comparisons of its own row only
-    for row in v:
-        if np.min(row) < -NONNEG_TOL or np.max(row) > 1.0 + NONNEG_TOL:
-            raise ValueError("response values must lie in [0, 1]")
+    # min and max propagate a NaN, which fails both comparisons
+    if not (v.min(initial=0.0) >= -NONNEG_TOL and v.max(initial=1.0) <= 1.0 + NONNEG_TOL):
+        raise ValueError("response values must lie in [0, 1]")
 
 
 def _wrap_rows(cls, space: FiniteSpace, field_name: str, rows: np.ndarray) -> list:
@@ -199,20 +189,15 @@ def kcompose(g: SignedKernel, f: SignedKernel) -> SignedKernel:
     """Kernel composition by integration: plain matrix product."""
     if f.target != g.source:
         raise SpaceMismatchError("codomain of f must equal domain of g")
-    m = g.matrix @ f.matrix
-    bound = max(1.0, float(np.max(np.abs(m))))
-    return SignedKernel(f.source, g.target, m, entry_bound=bound)
+    return SignedKernel(f.source, g.target, g.matrix @ f.matrix)
 
 
 def ktensor(f: SignedKernel, g: SignedKernel) -> SignedKernel:
     """Monoidal product: Kronecker product on matrices, product spaces."""
-    m = np.kron(f.matrix, g.matrix)
-    bound = max(1.0, float(np.max(np.abs(m))))
     return SignedKernel(
         product_space(f.source, g.source),
         product_space(f.target, g.target),
-        m,
-        entry_bound=bound,
+        np.kron(f.matrix, g.matrix),
     )
 
 

@@ -246,20 +246,14 @@ def dirac_restriction_model(
 class FunctorFragment:
     """Finite table of a functor: named channels with their kernel images.
 
-    The unit object must map to the one-point space and the distinguishing
-    object to the two-point space; both are fixed here by construction.
+    The unit object maps to the one-point space ``UNIT_SPACE`` and the
+    distinguishing object to the two-point space ``TWO``; both are fixed.
     """
 
     channels: dict[str, Channel]
     kernels: dict[str, SignedKernel]
-    unit_space: FiniteSpace = UNIT_SPACE
-    distinguished_space: FiniteSpace = TWO
 
     def __post_init__(self):
-        if self.unit_space.size != 1:
-            raise SpaceMismatchError("F(I) must be the one-point space")
-        if self.distinguished_space.size != 2:
-            raise SpaceMismatchError("F(2) must be the two-point space")
         missing = set(self.channels) ^ set(self.kernels)
         if missing:
             raise MissingMorphismError(f"unpaired morphism names: {sorted(missing)}")
@@ -328,7 +322,7 @@ def check_operational_model(
     for meas_name, state_name in evaluation_tests:
         ch_m, k_m = frag.pair(meas_name)
         ch_s, k_s = frag.pair(state_name)
-        if k_s.source != frag.unit_space or k_m.target != frag.distinguished_space:
+        if k_s.source != UNIT_SPACE or k_m.target != TWO:
             report.evaluation_violations.append(
                 {"measurement": meas_name, "state": state_name,
                  "error": "not a state/measurement composite into 2"}
@@ -383,7 +377,7 @@ def check_equivariance(
     report = EquivarianceReport(tolerance=tol)
     for s_name in state_names:
         _, ks = frag.pair(s_name)
-        if ks.source != frag.unit_space:
+        if ks.source != UNIT_SPACE:
             raise SpaceMismatchError(f"{s_name!r} is not a state (source is not F(I))")
         state_weights = ks.matrix[:, 0]
         for c_name in channel_names:

@@ -170,17 +170,16 @@ class DecoherenceReport:
 def validate_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL) -> DecoherenceReport:
     """Hermiticity, normalisation D(all, all) = 1, and strong positivity of
     the singleton matrix (any subset-family matrix is a congruence of it,
-    so positive semidefiniteness transfers)."""
+    so positive semidefiniteness transfers).  ``min_eigenvalue`` is that of
+    the Hermitian part (m + m^dag) / 2, which is m itself when m is Hermitian."""
     m = d.matrix
-    report = DecoherenceReport(tolerance=tol)
-    report.hermitian_error = linalg.max_abs(m - m.conj().T)
-    report.normalisation_error = abs(complex(m.sum()) - 1.0)
-    if report.hermitian_error <= tol:
-        sym = (m + m.conj().T) / 2
-        report.min_eigenvalue = float(linalg.hermitian_eigenvalues(sym)[0])
-    else:
-        report.min_eigenvalue = float("-inf")
-    return report
+    sym = (m + m.conj().T) / 2
+    return DecoherenceReport(
+        tolerance=tol,
+        hermitian_error=linalg.max_abs(m - m.conj().T),
+        normalisation_error=abs(complex(m.sum()) - 1.0),
+        min_eigenvalue=float(linalg.hermitian_eigenvalues(sym)[0]),
+    )
 
 
 def measure_from_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL) -> QuantumMeasure:

@@ -143,7 +143,7 @@ class ProjectiveMeasurement:
             raise ValueError(f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}")
         gram = v.conj() @ v.T
         err = linalg.max_abs(gram - np.eye(v.shape[0]))
-        if err > IDENTITY_TOL:
+        if not err <= IDENTITY_TOL:  # a NaN error fails too
             raise ValueError(f"outcome vectors are not orthonormal: Gram error {err:.3e}")
         object.__setattr__(self, "vectors", v)
 

@@ -223,7 +223,7 @@ def parse_ket(doc) -> np.ndarray:
         # entry by entry, to name what is malformed
         psi = np.array([_pair_to_complex(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
+    if not abs(nrm - 1.0) <= TIGHT_IDENTITY_TOL:  # a NaN norm fails too
         raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
     return psi
 
@@ -256,10 +256,7 @@ def parse_kernel(doc) -> SignedKernel:
         raise SchemaError("from", "expected label lists")
     m = _real_array(mat, "matrix")
     try:
-        return SignedKernel(
-            FiniteSpace(tuple(src)), FiniteSpace(tuple(dst)), m,
-            entry_bound=max(1.0, float(np.max(np.abs(m)))),
-        )
+        return SignedKernel(FiniteSpace(tuple(src)), FiniteSpace(tuple(dst)), m)
     except Exception as exc:
         raise SchemaError("matrix", str(exc)) from exc
 

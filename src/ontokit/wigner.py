@@ -38,7 +38,7 @@ from .errors import (
 from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, product_space
 from .quantum import Channel, DensityMatrix
 from .tolerances import (
-    DERIVED_TOL, DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, TIGHT_IDENTITY_TOL,
+    DERIVED_TOL, DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
 )
 
 
@@ -151,17 +151,18 @@ class WignerFrame:
 
     def _accept(self, ops: np.ndarray, res: FrameResiduals) -> None:
         """Hold the residuals to the tolerances, then freeze and store ops."""
-        if res.hermitian > TIGHT_IDENTITY_TOL:
+        # written as not (residual <= tol), so that a NaN residual fails
+        if not res.hermitian <= TIGHT_IDENTITY_TOL:
             raise VerificationFailedError(f"frame operators not Hermitian: {res.hermitian:.3e}")
-        if res.trace > TIGHT_IDENTITY_TOL:
+        if not res.trace <= TIGHT_IDENTITY_TOL:
             raise VerificationFailedError("frame operators must have unit trace")
-        if res.square > TIGHT_IDENTITY_TOL:
+        if not res.square <= TIGHT_IDENTITY_TOL:
             if self.algebra.kind == "matrix":
                 raise VerificationFailedError(f"frame operators not involutive: {res.square:.3e}")
             raise VerificationFailedError(f"frame projectors not idempotent: {res.square:.3e}")
-        if res.gram > TIGHT_IDENTITY_TOL * max(1.0, float(self.norm_const)):
+        if not res.gram <= TIGHT_IDENTITY_TOL * max(1.0, float(self.norm_const)):
             raise VerificationFailedError("frame operators are not trace-orthogonal")
-        if res.sum > IDENTITY_TOL:
+        if not res.sum <= IDENTITY_TOL:
             raise VerificationFailedError("frame operators do not sum to c.I")
         count, d, _ = ops.shape
         ops = ops.view()
@@ -304,9 +305,9 @@ def functor_morphism(
 ) -> SignedKernel:
     """Morphism map: a trace-preserving channel to its signed kernel.
 
-    Kernel entries are bounded by the ratio of frame constants c_in / c_out
-    (trace-norm contraction against the involutive frame); for like frames
-    this is the usual [-1, 1] range.
+    Kernel entries are bounded by max(1, c_in / c_out), the ratio of frame
+    constants (trace-norm contraction against the involutive frame); for
+    like frames this is the usual [-1, 1] range.  The bound is verified.
     """
     if not ch.trace_preserving:
         raise NotTracePreservingError("the functor is defined on trace-preserving maps")
@@ -323,8 +324,12 @@ def functor_morphism(
                 "channel output is not diagonal; not a morphism into C^k"
             )
     t = transfer_matrix(ch, in_frame, out_frame)
+    kernel = SignedKernel(in_frame.space, out_frame.space, t)
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
-    return SignedKernel(in_frame.space, out_frame.space, t, entry_bound=bound)
+    largest = linalg.max_abs(kernel.matrix)
+    if largest > bound + NONNEG_TOL:
+        raise VerificationFailedError(f"entry magnitude {largest:.6f} exceeds bound {bound}")
+    return kernel
 
 
 def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Distribution:
@@ -337,8 +342,8 @@ def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Dist
 # padding to odd dimension
 # ---------------------------------------------------------------------------
 
-def pad_density(rho: DensityMatrix, extra: int = 1) -> DensityMatrix:
-    m = np.zeros((rho.dim + extra, rho.dim + extra), dtype=complex)
+def pad_density(rho: DensityMatrix) -> DensityMatrix:
+    m = np.zeros((rho.dim + 1, rho.dim + 1), dtype=complex)
     m[: rho.dim, : rho.dim] = rho.matrix
     return DensityMatrix(m)
 
@@ -376,7 +381,6 @@ class MonoidalityReport:
     trials: int
     seed: int
     frame_ok: bool
-    frame_error: str
     max_transfer_residual: float
     tolerance: float
 
@@ -467,11 +471,10 @@ def monoidality_check(
 
     fm = phase_point_operators(m)
     fn = phase_point_operators(n)
-    frame_ok, frame_error = True, ""
     try:
         prod = product_frame(fm, fn)
-    except VerificationFailedError as exc:
-        frame_ok, frame_error, prod = False, str(exc), None
+    except VerificationFailedError:
+        prod = None
     worst = 0.0
     if prod is not None:
         for trial in range(trials):
@@ -483,7 +486,7 @@ def monoidality_check(
             worst = max(worst, linalg.max_abs(lhs - rhs))
     return MonoidalityReport(
         m=m, n=n, trials=trials, seed=seed,
-        frame_ok=frame_ok, frame_error=frame_error,
+        frame_ok=prod is not None,
         max_transfer_residual=float(worst), tolerance=tol,
     )
 
@@ -506,7 +509,7 @@ class EpistemicReport:
         return self.refuted_psi and self.refuted_phi and 0.0 < self.overlap < 1.0
 
 
-def epistemic_report(psi, phi, frame: Optional[WignerFrame] = None) -> EpistemicReport:
+def epistemic_report(psi, phi) -> EpistemicReport:
     """Compare a pair's quantum distinguishability with its Wigner image.
 
     Reports whether either Wigner vector is anti-distinguishable within the
@@ -516,8 +519,7 @@ def epistemic_report(psi, phi, frame: Optional[WignerFrame] = None) -> Epistemic
     """
     psi = linalg.as_ket(psi)
     phi = linalg.as_ket(phi)
-    if frame is None:
-        frame = phase_point_operators(psi.size)
+    frame = phase_point_operators(psi.size)
     rho = DensityMatrix.from_ket(psi)
     tau = DensityMatrix.from_ket(phi)
     v_rho = wigner_vector(rho, frame)

@@ -1,7 +1,12 @@
 """Command-line surface: exit codes, determinism, schemas."""
 
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +171,8 @@ def _decoherence_on(n):
 
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
+NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
+NAN_NORM = "amplitudes: ket norm np.float64(nan) deviates from 1"
 
 
 @pytest.mark.parametrize("argv,doc,named", [
@@ -180,7 +187,12 @@ HUGE = 10 ** 400  # a JSON integer beyond the float range
      {"dim": 3, "amplitudes": [[HUGE, 0], [0, 0], [0, 0]]}, "amplitudes[0]: int too large"),
     (["qmeasure", "validate", "DOC"],
      {"points": ["a"], "decoherence": [[[HUGE, 0]]]}, "decoherence[0][0]: int too large"),
-], ids=["measure-17", "measure-65", "decoherence-17", "lemmas-seed", "functor-check-seed", "huge-ket", "huge-matrix"])
+    (["wigner", "state", "DOC"], {"dim": 3, "amplitudes": [[NAN, 0], [0, 0], [0, 0]]}, NAN_NORM),
+    (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
+     {"dim": 3, "amplitudes": [[1, 0], [0, NAN], [0, 0]]}, NAN_NORM),
+    (["pbr-demo", "--psi", "DOC", "--phi", "DOC"], {"dim": 2, "amplitudes": [[NAN, 0], [0, 0]]}, NAN_NORM),
+], ids=["measure-17", "measure-65", "decoherence-17", "lemmas-seed", "functor-check-seed", "huge-ket",
+        "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -365,6 +377,18 @@ def _unnormalised_basis_vector(doc):
     doc["measurements"][0]["basis"][1] = {"dim": 2, "amplitudes": [[0.0, 0.0], [1.1, 0.0]]}
 
 
+def _nan_state(doc):
+    doc["states"][0]["ket"]["amplitudes"][1] = [NAN, 0.0]
+
+
+def _nan_basis_vector(doc):
+    doc["measurements"][0]["basis"][1]["amplitudes"][1] = [NAN, 0.0]
+
+
+def _nan_responses(doc):
+    doc["measurements"][0]["responses"] = [[1.0, NAN], [0.0, NAN]]
+
+
 MALFORMED_MODELS = [
     (_mixed_ket_dims, ["model", "state 'tri'", "dimension 3"]),
     (_qutrit_basis, ["model", "measurement 0", "dimension 3"]),
@@ -382,6 +406,10 @@ MALFORMED_MODELS = [
      ["schema error: states[1].ket.amplitudes: ket norm np.float64(1.1) deviates from 1\n"]),
     (_unnormalised_basis_vector,
      ["schema error: measurements[0].basis[1].amplitudes: ket norm np.float64(1.1) deviates from 1\n"]),
+    (_nan_state, [f"schema error: states[0].ket.{NAN_NORM}\n"]),
+    (_nan_basis_vector, [f"schema error: measurements[0].basis[1].{NAN_NORM}\n"]),
+    (_nan_responses,
+     ["schema error: measurements[0].responses: response values must lie in [0, 1]\n"]),
 ]
 
 
@@ -390,7 +418,7 @@ MALFORMED_MODELS = [
 )
 def test_malformed_model_exits_two(capsys, tmp_path, tweak, named):
     path = tmp_path / "model.json"
-    path.write_text(dumps_report(TestValidateModel()._model_doc(tweak)))
+    path.write_text(json.dumps(TestValidateModel()._model_doc(tweak)))
     code, out, err = run_cli(capsys, "validate-model", str(path))
     assert code == 2
     assert out == ""
@@ -417,15 +445,14 @@ class TestQmeasureCli:
         assert parsed["clean"] is True
         assert parsed["derived_measure"]["clean"] is True
 
-    def test_invalid_functional_exits_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize("decoherence", [
+        [[[0.5, 0.0], [-0.25, 0.0]], [[-0.25, 0.0], [0.5, 0.0]]],
+        # not Hermitian: its report gives the Hermitian part's least eigenvalue
+        [[[0.5, 0.0], [0.0, 1e-3]], [[0.0, 0.0], [0.5, 0.0]]],
+    ], ids=["not-normalised", "not-hermitian"])
+    def test_invalid_functional_exits_one(self, capsys, tmp_path, decoherence):
         path = tmp_path / "d.json"
-        doc = {
-            "points": ["a", "b"],
-            "decoherence": [
-                [[0.5, 0.0], [-0.25, 0.0]],
-                [[-0.25, 0.0], [0.5, 0.0]],
-            ],
-        }
+        doc = {"points": ["a", "b"], "decoherence": decoherence}
         path.write_text(dumps_report(doc))
         code, out, _ = run_cli(capsys, "qmeasure", "validate", str(path))
         assert code == 1
@@ -514,47 +541,58 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
     assert raw in err
 
 
-# sha256 of stdout for the README commands (and one d = 7 run), recorded
+# sha256 of stdout for the README commands (and one d = 7 run), run on the
+# files scripts/make_example_inputs.py writes, with numpy 2.4 and OpenBLAS on
+# x86-64.  The functor-check, pbr-demo and validate-model rows were recorded
 # before the Kraus stack and the flat-float emitter replaced the per-Kraus
-# and per-value loops, with numpy 2.4 and OpenBLAS on x86-64; the
-# validate-model row was recorded before models were parsed as matrices.
+# and per-value loops (validate-model: before models were parsed as
+# matrices); the other six before the unused kernel, functor and CLI options
+# were removed.
 GOLDEN_STDOUT = {
+    "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
     "functor-check-dim3": "e0c9a7a14ddd13829ece11ce996ff2c7912e1817526dde3c16a6e6a8375a7496",
     "functor-check-dim7": "52e4ffe13a72b301d9e31eacc773ed6ddde2c92933fd5ca2262ccdf7884681ab",
+    "lemmas": "f4221e5c1441f26da376a358f80e2f94b494f2b787c3e0ca721f641feb0a9bb1",
     "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
+    "qmeasure-validate": "adde2b565c5ec59d8389d8f30443b58bdc8afcbcb8b6d313ca1ad77c74b40495",
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",
+    "wigner-epistemic": "b66c70c386ea977f4c0254fe129a13892d934e87c56b9f1e7432f9a3af079ebd",
+    "wigner-frame-3": "07ef2bff3260a7d22a5c83fd0026c9a7a8ce6c05abe21923143728392dc91cdc",
+    "wigner-state-csv": "d2e0135e79a583194dcbc4f158868300a53089ac200c6d13abbb17e0a442d768",
+}
+
+GOLDEN_ARGV = {
+    "antidist": "antidist {ex}/ensemble_disjoint.json --target 0",
+    "functor-check-dim3": "wigner functor-check --dim 3 --trials 200 --seed 7",
+    "functor-check-dim7": "wigner functor-check --dim 7 --trials 2 --seed 3",
+    "lemmas": "lemmas --trials 1000 --seed 42",
+    "pbr-demo": "pbr-demo --psi {ex}/zero.json --phi {ex}/plus.json",
+    "qmeasure-validate": "qmeasure validate {ex}/double_slit.json",
+    "validate-model": "validate-model {ex}/model_epistemic.json",
+    "wigner-epistemic": "wigner epistemic --psi {ex}/qutrit_zero.json --phi {ex}/qutrit_superposition.json",
+    "wigner-frame-3": "wigner frame 3",
+    "wigner-state-csv": "wigner state {ex}/qutrit_superposition.json --csv",
 }
 
 
+@pytest.fixture(scope="module")
+def example_inputs(tmp_path_factory):
+    """The directory scripts/make_example_inputs.py writes its files to."""
+    out = tmp_path_factory.mktemp("example_inputs")
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_example_inputs.py"
+    argv = sys.argv
+    sys.argv = [str(script), str(out)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(script), run_name="__main__")
+    finally:
+        sys.argv = argv
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
-def test_golden_stdout(capsys, tmp_path, name):
-    # the inputs of scripts/make_example_inputs.py, written the same way
-    inv = 1.0 / np.sqrt(2.0)
-    zero, plus = (ket_to_json(np.array(psi, dtype=complex)) for psi in ([1, 0], [inv, inv]))
-    if name == "pbr-demo":
-        files = []
-        for label, ket in (("zero", zero), ("plus", plus)):
-            path = tmp_path / f"{label}.json"
-            path.write_text(dumps_report(ket) + "\n")
-            files.append(str(path))
-        argv = ["pbr-demo", "--psi", files[0], "--phi", files[1]]
-    elif name == "validate-model":
-        one = ket_to_json(np.array([0, 1], dtype=complex))
-        doc = {
-            "ontic": ["a", "b", "c"],
-            "states": [{"label": "zero", "ket": zero}, {"label": "plus", "ket": plus}],
-            "distributions": {"zero": [0.5, 0.5, 0.0], "plus": [0.5, 0.0, 0.5]},
-            "measurements": [
-                {"basis": [zero, one], "responses": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
-            ],
-        }
-        path = tmp_path / "model_epistemic.json"
-        path.write_text(dumps_report(doc) + "\n")
-        argv = ["validate-model", str(path)]
-    elif name == "functor-check-dim3":
-        argv = ["wigner", "functor-check", "--dim", "3", "--trials", "200", "--seed", "7"]
-    else:
-        argv = ["wigner", "functor-check", "--dim", "7", "--trials", "2", "--seed", "3"]
+def test_golden_stdout(capsys, example_inputs, name):
+    argv = [a.format(ex=example_inputs) for a in GOLDEN_ARGV[name].split()]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[name]

@@ -45,8 +45,7 @@ def random_distribution(rng, space, signed=False):
 
 def random_kernel(rng, src, dst, signed=False):
     cols = [random_distribution(rng, dst, signed).weights for _ in range(src.size)]
-    m = np.array(cols).T
-    return SignedKernel(src, dst, m, entry_bound=max(1.0, float(np.max(np.abs(m)))))
+    return SignedKernel(src, dst, np.array(cols).T)
 
 
 def variational_subset_oracle(mu, nu):
@@ -224,15 +223,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             SignedKernel(AB, AB, [[0.5, 0.5], [0.4, 0.5]])
 
-    def test_entry_bound_enforced(self):
-        with pytest.raises(ValueError):
-            SignedKernel(AB, AB, [[1.5, 0.0], [-0.5, 1.0]])
-        # same matrix passes with a wider declared bound
-        SignedKernel(AB, AB, [[1.5, 0.0], [-0.5, 1.0]], entry_bound=1.5)
+    def test_entries_beyond_one_accepted(self):
+        # signed kernels bound their column sums, not their entries
+        k = SignedKernel(AB, AB, [[1.5, 0.0], [-0.5, 1.0]])
+        assert k.matrix[0, 0] == 1.5 and not k.markov
 
     def test_markov_flag(self):
         assert SignedKernel(AB, AB, [[0.7, 0.2], [0.3, 0.8]]).markov
-        assert not SignedKernel(AB, AB, [[1.0, -0.2], [0.0, 1.2]], entry_bound=1.2).markov
+        assert not SignedKernel(AB, AB, [[1.0, -0.2], [0.0, 1.2]]).markov
 
 
 class TestRowConstructors:
@@ -269,6 +267,12 @@ class TestRowConstructors:
     def test_response_errors(self, rows):
         first = next(e for e in map(_error, [lambda r=r: ResponseFunction(ABC, r) for r in rows]) if e)
         assert _error(lambda: response_rows(ABC, np.array(rows))) == first
+
+    def test_nan_response_rejected(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            ResponseFunction(ABC, [1.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            response_rows(ABC, [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]])
 
 
 def _error(build):

@@ -297,6 +297,14 @@ class TestDecoherence:
         d = DecoherenceFunctional(AB, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
         assert validate_decoherence(d).hermitian_error > 0.1
 
+    def test_non_hermitian_reports_hermitian_part_spectrum(self):
+        # Hermitian part [[0.5, 0.2], [0.2, 0.5]]: eigenvalues 0.3 and 0.7
+        d = DecoherenceFunctional(AB, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
+        report = validate_decoherence(d)
+        assert abs(report.min_eigenvalue - 0.3) < 1e-12
+        assert not report.clean
+        dumps_report(vars(report))  # every field is finite, so the report is emitted
+
     def test_random_psd_functional_passes(self):
         rng = rng_for(114)
         for n in (2, 3, 4, 5, 6):

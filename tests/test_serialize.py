@@ -164,7 +164,7 @@ def parse_ket_oracle(doc):
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
     psi = np.array([_pair_oracle(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
     return psi
 
@@ -216,6 +216,8 @@ class TestNumericReader:
         for _ in range(10):
             amps = [[_random_number(rng), _random_number(rng)] for _ in range(d)]
             _same_outcome(parse_ket, parse_ket_oracle, {"dim": d, "amplitudes": amps})
+        nan = [[float("nan"), 0.0]] + [[0.0, 0.0]] * (d - 1)
+        _same_outcome(parse_ket, parse_ket_oracle, {"dim": d, "amplitudes": nan})
 
     def test_huge_integers_parse_as_the_oracle_does(self):
         for pair in ([2**70, 0.5], [-(2**63) - 7, 1], [2**64 + 3, 1], [2**63 + 1, 3]):

@@ -4,7 +4,15 @@ import ast
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
 import ontokit
+from ontokit.errors import OntokitError
+from ontokit.kernels import TWO, Distribution, ResponseFunction, SignedKernel
+from ontokit.qmeasure import DecoherenceFunctional, QuantumMeasure
+from ontokit.quantum import Channel, DensityMatrix, ProjectiveMeasurement, TwoOutcomeMeasurement
+from ontokit.wigner import WignerFrame, commutative_algebra
 
 SRC = pathlib.Path(ontokit.__file__).parent
 TABLE = SRC / "tolerances.py"
@@ -45,3 +53,32 @@ def test_every_table_entry_is_read():
     names = list(_module_names(ast.parse(TABLE.read_text())))
     assert names
     assert [n for n in names if not re.search(rf"\b{n}\b", others)] == []
+
+
+NAN = float("nan")
+NAN_DIAGONAL = [[1.0, 0.0], [0.0, NAN]]
+
+
+def _nan_frame():
+    ops = np.zeros((2, 2, 2))
+    ops[0, 0, 0], ops[1, 1, 1] = 1.0, NAN
+    return WignerFrame(commutative_algebra(2), ops, 1.0, TWO)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DensityMatrix(NAN_DIAGONAL),
+    lambda: TwoOutcomeMeasurement(NAN_DIAGONAL),
+    lambda: ProjectiveMeasurement(NAN_DIAGONAL),
+    lambda: Channel((np.array(NAN_DIAGONAL),)),
+    lambda: SignedKernel(TWO, TWO, NAN_DIAGONAL),
+    lambda: Distribution(TWO, [1.0, NAN]),
+    lambda: ResponseFunction(TWO, [1.0, NAN]),
+    lambda: QuantumMeasure(TWO, [0.0, 0.5, NAN, 1.0]),
+    lambda: DecoherenceFunctional(TWO, NAN_DIAGONAL),
+    _nan_frame,
+], ids=["density", "effect", "projective", "channel", "kernel", "distribution", "response",
+        "measure", "decoherence", "frame"])
+def test_validated_constructors_reject_nan(build):
+    # a NaN compares false with every threshold, so each check must fail on it
+    with pytest.raises((ValueError, OntokitError)):
+        build()

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ontokit import linalg
+from ontokit import linalg, wigner
 from ontokit.errors import (
     DimMismatchError,
     EvenDimensionError,
@@ -368,6 +368,14 @@ class TestFunctorMorphism:
         v = functor_state(rho)
         assert linalg.max_abs(k.matrix[:, 0] - v.weights) < 1e-10
 
+    def test_entry_bound_verified(self, monkeypatch):
+        # like frames bound the entries by max(1, c_in / c_out) = 1
+        t = np.eye(9)
+        t[:2, 0] = [1.5, -0.5]
+        monkeypatch.setattr(wigner, "transfer_matrix", lambda ch, fin, fout: t)
+        with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
+            functor_morphism(Channel.identity(3))
+
     def test_rejects_non_trace_preserving(self):
         half = Channel((np.eye(3, dtype=complex) / np.sqrt(2),), trace_preserving=False)
         with pytest.raises(NotTracePreservingError):
@@ -661,7 +669,7 @@ class TestEpistemicReport:
             v_phi = wigner_vector(DensityMatrix.from_ket(phi), frame).weights
             # pure states with nonnegative Wigner vectors are stabilizer states
             assert v_psi.min() < 0.0 and v_phi.min() < 0.0
-            rep = epistemic_report(psi, phi, frame)
+            rep = epistemic_report(psi, phi)
             assert rep.refuted_psi == (not feasible(v_psi, v_phi))
             assert rep.refuted_phi == (not feasible(v_phi, v_psi))
             verdicts.add(rep.refuted_psi)
