@@ -12,8 +12,6 @@ from .antidist import (
     AntidistCertificate,
     AntidistProblem,
     antidist_classical,
-    antidist_family,
-    antidist_partition,
     antidist_quantum_check,
     compression_channel,
     lemma_suite,
@@ -35,11 +33,10 @@ from .kernels import (
     kcompose,
     ktensor,
     point_mass,
-    support,
     uniform,
     variational_distance,
 )
-from .linalg import dagger, hermitian_eigenvalues, kron, trace_norm
+from .linalg import hermitian_eigenvalues, trace_norm
 from .ontomodel import (
     ActionTable,
     FunctorFragment,

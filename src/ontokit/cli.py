@@ -323,7 +323,7 @@ input schemas (numbers are decimal; outputs use 17 significant digits):
   ket       {"dim": n, "amplitudes": [[re, im], ...]}
   matrix    [[[re, im], ...], ...]           (rows of [re, im] pairs)
   channel   {"in_dim": m, "out_dim": n, "kraus": [matrix, ...],
-             "trace_preserving": bool}
+             "trace_preserving": true}   (only trace-preserving channels)
   kernel    {"from": [labels], "to": [labels], "matrix": [[real]],
              "convention": "column-stochastic"}
   ensemble  {"points": [labels], "weights": [[real], ...]}

@@ -49,10 +49,6 @@ class UnrepresentableAlgebraError(OntokitError):
     """Channel endpoint is neither an odd matrix algebra nor commutative."""
 
 
-class NotTracePreservingError(OntokitError):
-    """Channel must be trace preserving for this operation."""
-
-
 class TooLargeError(OntokitError):
     """Input exceeds the enforced desk-scale size bound."""
 

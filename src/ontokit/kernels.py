@@ -225,12 +225,8 @@ def variational_distance(mu: Distribution, nu: Distribution) -> float:
     return float(max(diff[diff > 0].sum(), -diff[diff < 0].sum()))
 
 
-def support(mu: Distribution) -> tuple[str, ...]:
-    """Points carrying mass above ``SUPPORT_EPS``; probability distributions only."""
-    return tuple(p for p, inside in zip(mu.space.points, support_mask(mu)) if inside)
-
-
 def support_mask(mu: Distribution) -> np.ndarray:
+    """Which points carry mass above ``SUPPORT_EPS``; probability distributions only."""
     if not mu.is_probability:
         raise SignedUnsupportedError("support of a signed distribution is not defined")
     return mu.weights > SUPPORT_EPS

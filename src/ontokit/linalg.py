@@ -52,16 +52,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2 of a matrix from :func:`as_matrix`, which must be
     square and Hermitian to within ``IDENTITY_TOL``."""

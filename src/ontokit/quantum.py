@@ -71,18 +71,15 @@ def _kraus_stack(kraus) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive map in Kraus form.
+    """Trace-preserving completely positive map in Kraus form: the Kraus
+    operators resolve the identity, sum_k K^dag K = I.
 
     The Kraus set is stored once as the (count, out, in) complex array
     ``stack``; ``kraus`` is the tuple of its operators (views into it).
     Both are read-only once the Kraus sum is checked.
-    When ``trace_preserving`` the Kraus operators resolve the identity;
-    otherwise the map may only be trace non-increasing (sub-normalised
-    branches are allowed and flagged).
     """
 
     kraus: tuple[np.ndarray, ...]
-    trace_preserving: bool = True
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -92,15 +89,9 @@ class Channel:
         count, out, inp = stack.shape
         # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
         flat = stack.reshape(count * out, inp)
-        total = flat.conj().T @ flat
-        if self.trace_preserving:
-            err = linalg.max_abs(total - np.eye(inp))
-            if err > IDENTITY_TOL:
-                raise ValueError(f"Kraus sum deviates from identity by {err:.3e}")
-        else:
-            top = linalg.hermitian_eigenvalues(total)[-1]
-            if top > 1.0 + IDENTITY_TOL:
-                raise ValueError(f"Kraus sum exceeds identity: max eigenvalue {top:.6f}")
+        err = linalg.max_abs(flat.conj().T @ flat - np.eye(inp))
+        if err > IDENTITY_TOL:
+            raise ValueError(f"Kraus sum deviates from identity by {err:.3e}")
         # read-only: writes into a checked channel fail at once
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
@@ -210,26 +201,13 @@ def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def effect_probability(state: DensityMatrix, m: TwoOutcomeMeasurement) -> float:
-    """Probability of the effect outcome, Tr(E rho)."""
-    if state.dim != m.dim:
-        raise DimMismatchError("state and effect dimensions differ")
-    p = float(np.trace(m.effect @ state.matrix).real)
-    return min(max(p, 0.0), 1.0)
-
-
 def apply_channel(ch: Channel, state: DensityMatrix) -> DensityMatrix:
-    """Kraus action; output revalidated when the channel is trace preserving."""
+    """Kraus action; the output is validated as a density matrix."""
     if ch.in_dim != state.dim:
         raise DimMismatchError("channel input dimension does not match state")
     k = ch.stack
     # summed from zero, as a running total would be, so no entry is -0.0
-    out = (k @ state.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0)
-    if ch.trace_preserving:
-        return DensityMatrix(out)
-    obj = object.__new__(DensityMatrix)
-    object.__setattr__(obj, "matrix", out)
-    return obj
+    return DensityMatrix((k @ state.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0))
 
 
 def compose(g: Channel, f: Channel) -> Channel:
@@ -240,7 +218,7 @@ def compose(g: Channel, f: Channel) -> Channel:
             f"cannot compose: f outputs dim {f.out_dim}, g expects {g.in_dim}"
         )
     ops = (g.stack[:, None] @ f.stack[None]).reshape(-1, g.out_dim, f.in_dim)
-    return Channel(ops, trace_preserving=f.trace_preserving and g.trace_preserving)
+    return Channel(ops)
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
@@ -249,7 +227,7 @@ def tensor(f: Channel, g: Channel) -> Channel:
     # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l]
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
     ops = ops.reshape(len(a) * len(b), f.out_dim * g.out_dim, f.in_dim * g.in_dim)
-    return Channel(ops, trace_preserving=f.trace_preserving and g.trace_preserving)
+    return Channel(ops)
 
 
 def dual_state_quantum(psi) -> TwoOutcomeMeasurement:

@@ -79,16 +79,3 @@ def random_nonorthogonal_pair(
     perp = perp / np.linalg.norm(perp)
     phi = g * np.exp(1j * beta) * psi + np.sqrt(1.0 - g * g) * perp
     return psi, phi / np.linalg.norm(phi), g
-
-
-def random_orthogonal_pair(
-    rng: np.random.Generator, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Haar ket plus a Haar direction of its orthocomplement."""
-    psi = random_ket(rng, dim)
-    raw = random_ket(rng, dim)
-    perp = raw - np.vdot(psi, raw) * psi
-    while np.linalg.norm(perp) < DEGENERATE_DRAW_EPS:
-        raw = random_ket(rng, dim)
-        perp = raw - np.vdot(psi, raw) * psi
-    return psi, perp / np.linalg.norm(perp)

@@ -6,7 +6,7 @@ float64 round-trips are bit exact):
 * ket       {"dim": n, "amplitudes": [[re, im], ...]}
 * matrix    [[[re, im], ...], ...]  (rows of [re, im] pairs)
 * channel   {"in_dim": m, "out_dim": n, "kraus": [matrix, ...],
-             "trace_preserving": bool}
+             "trace_preserving": true}   (only trace-preserving channels)
 * kernel    {"from": [labels], "to": [labels], "matrix": [[real]],
              "convention": "column-stochastic"}
 * ensemble  {"points": [labels], "weights": [[real], ...]}
@@ -106,15 +106,6 @@ def matrix_to_json(m: np.ndarray) -> list:
 def ket_to_json(psi: np.ndarray) -> dict:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     return {"dim": int(psi.size), "amplitudes": [complex_pair(z) for z in psi]}
-
-
-def channel_to_json(ch: Channel) -> dict:
-    return {
-        "in_dim": ch.in_dim,
-        "out_dim": ch.out_dim,
-        "kraus": matrix_to_json(ch.stack),
-        "trace_preserving": ch.trace_preserving,
-    }
 
 
 def kernel_to_json(k: SignedKernel) -> dict:
@@ -232,7 +223,8 @@ def parse_channel(doc) -> Channel:
     in_dim = _need(doc, "in_dim")
     out_dim = _need(doc, "out_dim")
     kraus_doc = _need(doc, "kraus")
-    tp = _need(doc, "trace_preserving")
+    if _need(doc, "trace_preserving") is not True:
+        raise SchemaError("trace_preserving", "only trace-preserving channels are accepted")
     if not isinstance(kraus_doc, list) or not kraus_doc:
         raise SchemaError("kraus", "expected a nonempty list of matrices")
     ops = [parse_matrix(m, f"kraus[{i}]") for i, m in enumerate(kraus_doc)]
@@ -240,7 +232,7 @@ def parse_channel(doc) -> Channel:
         if k.shape != (out_dim, in_dim):
             raise SchemaError(f"kraus[{i}]", f"shape {k.shape} != ({out_dim}, {in_dim})")
     try:
-        return Channel(tuple(ops), trace_preserving=bool(tp))
+        return Channel(tuple(ops))
     except ValueError as exc:
         raise SchemaError("kraus", str(exc)) from exc
 
@@ -417,12 +409,17 @@ def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
                 mask = int(key)
             except ValueError as exc:
                 raise SchemaError(f"measure[{key}]", "bitmask keys must be integers") from exc
+            if key != str(mask):
+                # one spelling per mask, so that no key overwrites another
+                raise SchemaError(f"measure[{key}]", f"bitmask key must be written {str(mask)!r}")
             if not 0 <= mask < 2 ** space.size:
                 raise SchemaError(f"measure[{key}]", "bitmask out of range")
+            if not isinstance(v, (int, float)):
+                raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
             try:
-                values[mask] = float(v)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}") from exc
+                values[mask] = v
+            except OverflowError as exc:
+                raise SchemaError(f"measure[{key}]", str(exc)) from exc
             seen[mask] = True
         if not seen.all():
             raise SchemaError("measure", "values must cover every subset bitmask")

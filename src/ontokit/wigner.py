@@ -31,7 +31,6 @@ from .antidist import AntidistProblem, antidist_classical
 from .errors import (
     DimMismatchError,
     EvenDimensionError,
-    NotTracePreservingError,
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
@@ -291,10 +290,9 @@ def transfer_matrix(
     if linalg.max_abs(t.imag) > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
     t = t.real
-    if ch.trace_preserving:
-        col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
-        if col_err > DERIVED_TOL:
-            raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
+    col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
+    if col_err > DERIVED_TOL:
+        raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
     return t
 
 
@@ -303,14 +301,12 @@ def functor_morphism(
     in_algebra: Optional[Algebra] = None,
     out_algebra: Optional[Algebra] = None,
 ) -> SignedKernel:
-    """Morphism map: a trace-preserving channel to its signed kernel.
+    """Morphism map: a channel to its signed kernel.
 
     Kernel entries are bounded by max(1, c_in / c_out), the ratio of frame
     constants (trace-norm contraction against the involutive frame); for
     like frames this is the usual [-1, 1] range.  The bound is verified.
     """
-    if not ch.trace_preserving:
-        raise NotTracePreservingError("the functor is defined on trace-preserving maps")
     in_algebra = in_algebra if in_algebra is not None else matrix_algebra(ch.in_dim)
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
     in_frame = frame_for(in_algebra)
@@ -342,12 +338,6 @@ def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Dist
 # padding to odd dimension
 # ---------------------------------------------------------------------------
 
-def pad_density(rho: DensityMatrix) -> DensityMatrix:
-    m = np.zeros((rho.dim + 1, rho.dim + 1), dtype=complex)
-    m[: rho.dim, : rho.dim] = rho.matrix
-    return DensityMatrix(m)
-
-
 def pad_odd(ch: Channel) -> Channel:
     """Embed a channel into odd-dimensional endpoints (top-left corner).
 
@@ -367,7 +357,7 @@ def pad_odd(ch: Channel) -> Channel:
     ops[:count, : ch.out_dim, : ch.in_dim] = ch.stack
     if pad_in:
         ops[count, new_out - 1 if pad_out else 0, new_in - 1] = 1.0
-    return Channel(ops, trace_preserving=ch.trace_preserving)
+    return Channel(ops)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from scipy.optimize import linprog
 from ontokit.antidist import (
     AntidistCertificate,
     AntidistProblem,
+    _antidist_partition,
     antidist_classical,
-    antidist_family,
-    antidist_partition,
     antidist_quantum_check,
     compression_channel,
     lemma_suite,
@@ -27,16 +26,48 @@ from ontokit.kernels import (
     ResponseFunction,
     dtensor,
     point_mass,
+    support_mask,
 )
 from ontokit.quantum import Channel, DensityMatrix, apply_channel, born, overlap
-from ontokit.sampling import random_nonorthogonal_pair, rng_for
+from ontokit.sampling import random_ket, random_nonorthogonal_pair, rng_for
 from ontokit.serialize import dumps_report
-from ontokit.tolerances import FEAS_TOL, SUPPORT_EPS
+from ontokit.tolerances import DEGENERATE_DRAW_EPS, FEAS_TOL, SUPPORT_EPS
 from ontokit.wigner import phase_point_operators, wigner_vector
 
 S2 = FiniteSpace(("x0", "x1"))
 S3 = FiniteSpace(("x0", "x1", "x2"))
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def decide_each(ensemble):
+    """The decision for every member; the family is anti-distinguishable iff
+    none is None."""
+    ensemble = tuple(ensemble)
+    return [antidist_classical(AntidistProblem(ensemble, i)) for i in range(len(ensemble))]
+
+
+def partition_oracle(ensemble):
+    """The partition form point by point: each point goes to the first
+    member whose support misses it; None when every support holds a point."""
+    masks = [support_mask(d) for d in ensemble]
+    responses = np.zeros((len(ensemble), ensemble[0].space.size))
+    for lam in range(ensemble[0].space.size):
+        avoiding = [k for k, m in enumerate(masks) if not m[lam]]
+        if not avoiding:
+            return None
+        responses[avoiding[0], lam] = 1.0
+    return responses
+
+
+def random_orthogonal_pair(rng, dim):
+    """Haar ket plus a Haar direction of its orthocomplement."""
+    psi = random_ket(rng, dim)
+    raw = random_ket(rng, dim)
+    perp = raw - np.vdot(psi, raw) * psi
+    while np.linalg.norm(perp) < DEGENERATE_DRAW_EPS:
+        raw = random_ket(rng, dim)
+        perp = raw - np.vdot(psi, raw) * psi
+    return psi, perp / np.linalg.norm(perp)
 
 
 def scipy_feasible(a, b):
@@ -287,7 +318,7 @@ class TestClassicalDecision:
         signed = Distribution(S3, [1.5, -1.0, 0.5])
         for member in (point_mass(S3, "x1"), Distribution(S3, [0.2, 0.3, 0.5]), signed):
             assert antidist_classical(AntidistProblem((member,), 0)) is None
-            assert antidist_family((member,)) == [None]
+            assert decide_each((member,)) == [None]
 
     def test_vertex_path_matches_scipy_on_signed_instances(self):
         rng = rng_for(71)
@@ -377,23 +408,40 @@ class TestPartitionForm:
         mu = Distribution(S3, [0.5, 0.5, 0.0])
         nu = Distribution(S3, [0.0, 0.5, 0.5])
         rho = Distribution(S3, [0.5, 0.0, 0.5])
-        assert antidist_partition((mu, nu, rho)) is not None
+        assert _antidist_partition((mu, nu, rho)) is not None
         # all supports share the first point: no partition can exist
         shared = (
             Distribution(S3, [0.5, 0.5, 0.0]),
             Distribution(S3, [0.5, 0.0, 0.5]),
             Distribution(S3, [0.2, 0.4, 0.4]),
         )
-        assert antidist_partition(shared) is None
+        assert _antidist_partition(shared) is None
 
     def test_partition_is_a_partition(self):
         mu = point_mass(S3, "x0")
         nu = point_mass(S3, "x1")
-        parts = antidist_partition((mu, nu))
+        parts = _antidist_partition((mu, nu))
         total = np.sum([p.values for p in parts], axis=0)
         assert np.allclose(total, 1.0)
         assert float(parts[0].values @ mu.weights) == 0.0
         assert float(parts[1].values @ nu.weights) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_argmin_matches_point_loop(self, seed):
+        rng = rng_for(seed, 77)
+        for _ in range(50):
+            space = FiniteSpace(tuple(f"x{i}" for i in range(int(rng.integers(1, 9)))))
+            family = []
+            for _ in range(int(rng.integers(1, 5))):
+                w = rng.uniform(size=space.size) * (rng.random(space.size) < 0.6)
+                w[int(rng.integers(space.size))] += 0.1
+                family.append(Distribution(space, w / w.sum()))
+            expected = partition_oracle(family)
+            got = _antidist_partition(tuple(family))
+            if expected is None:
+                assert got is None
+            else:
+                assert np.array_equal(np.array([r.values for r in got]), expected)
 
 
 class TestLemma44Verbatim:
@@ -419,7 +467,7 @@ class TestLemma44Verbatim:
 
     def test_counterexample_family_certified_memberwise(self):
         family, _, _ = self._family()
-        results = antidist_family(family)
+        results = decide_each(family)
         assert all(cert is not None for cert in results)
 
     def test_counterexample_base_pair_refuted(self):
@@ -428,7 +476,7 @@ class TestLemma44Verbatim:
 
     def test_partition_form_refutes_the_family(self):
         family, _, _ = self._family()
-        assert antidist_partition(family) is None
+        assert _antidist_partition(family) is None
 
 
 class TestResponseBoxBoundary:
@@ -450,8 +498,6 @@ class TestResponseBoxBoundary:
         return antidist_classical(AntidistProblem((a, b), 0))
 
     def test_haar_orthogonal_pairs_split_both_ways(self):
-        from ontokit.sampling import random_orthogonal_pair
-
         rng = rng_for(75)
         outcomes = []
         for _ in range(30):
@@ -749,13 +795,13 @@ class TestLemmaSuite:
     def test_disjoint_pair_consistent(self):
         phi = Distribution(S3, [1.0, 0.0, 0.0])
         psi = Distribution(S3, [0.0, 0.5, 0.5])
-        assert all(c is not None for c in antidist_family((phi, psi)))
+        assert all(c is not None for c in decide_each((phi, psi)))
         for n in (2, 3):
             phi_n, psi_n = phi, psi
             for _ in range(n - 1):
                 phi_n = dtensor(phi_n, phi)
                 psi_n = dtensor(psi_n, psi)
-            assert all(c is not None for c in antidist_family((phi_n, psi_n)))
+            assert all(c is not None for c in decide_each((phi_n, psi_n)))
 
     def test_overlapping_pair_tensored_families_refuted(self):
         phi = Distribution(S3, [0.5, 0.5, 0.0])
@@ -765,7 +811,7 @@ class TestLemmaSuite:
             for _ in range(n - 1):
                 phi_n = dtensor(phi_n, phi)
                 psi_n = dtensor(psi_n, psi)
-            results = antidist_family((phi_n, psi_n))
+            results = decide_each((phi_n, psi_n))
             assert all(c is None for c in results)
 
     def test_deterministic(self):

@@ -94,27 +94,26 @@ def _nan_operator():
 
 
 @pytest.mark.parametrize(
-    "kraus, trace_preserving, exc, message",
+    "kraus, exc, message",
     [
-        ((), True, ValueError, "channel needs at least one Kraus operator"),
-        ((np.eye(2), np.eye(3)), True, DimMismatchError,
-         "all Kraus operators must share one shape"),
-        ((np.array([1.0, 0.0]),), True, DimMismatchError,
+        ((), ValueError, "channel needs at least one Kraus operator"),
+        ((np.eye(2), np.eye(3)), DimMismatchError, "all Kraus operators must share one shape"),
+        ((np.array([1.0, 0.0]),), DimMismatchError, "expected a 2-d matrix, got shape (2,)"),
+        ((np.eye(2), np.array([1.0, 0.0])), DimMismatchError,
          "expected a 2-d matrix, got shape (2,)"),
-        ((np.eye(2), np.array([1.0, 0.0])), True, DimMismatchError,
-         "expected a 2-d matrix, got shape (2,)"),
-        (_nan_operator(), True, ValueError, "matrix contains NaN or Inf entries"),
-        ((np.sqrt(1.0 + 1e-6) * np.eye(2),), True, ValueError,
+        (_nan_operator(), ValueError, "matrix contains NaN or Inf entries"),
+        ((np.sqrt(1.0 + 1e-6) * np.eye(2),), ValueError,
          "Kraus sum deviates from identity by 1.000e-06"),
-        ((1.1 * np.eye(2),), False, ValueError,
-         "Kraus sum exceeds identity: max eigenvalue 1.210000"),
+        # a channel is trace preserving by definition: a sub-normalised set is no channel
+        ((0.5 * np.eye(3), 0.5 * np.eye(3)), ValueError,
+         "Kraus sum deviates from identity by 5.000e-01"),
     ],
     ids=["empty", "mixed-shapes", "one-d", "one-d-after-matrix", "nan", "sum-off-1e-6",
-         "non-tp-above-identity"],
+         "sub-normalised"],
 )
-def test_construction_errors(kraus, trace_preserving, exc, message):
+def test_construction_errors(kraus, exc, message):
     with pytest.raises(exc) as info:
-        Channel(kraus, trace_preserving=trace_preserving)
+        Channel(kraus)
     assert type(info.value) is exc
     assert str(info.value) == message
 
@@ -192,12 +191,6 @@ def test_apply_channel_matches_loop(seed):
         rho = random_density(rng, ch.in_dim)
         out = apply_channel(ch, rho)
         assert linalg.max_abs(out.matrix - apply_oracle(ch, rho.matrix)) <= ORACLE_TOL
-
-
-def test_apply_channel_sub_normalised_matches_loop():
-    ch = Channel((0.5 * np.eye(3), 0.5 * np.eye(3)), trace_preserving=False)
-    rho = DensityMatrix.maximally_mixed(3)
-    assert np.array_equal(apply_channel(ch, rho).matrix, apply_oracle(ch, rho.matrix))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

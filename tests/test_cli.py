@@ -191,8 +191,26 @@ NAN_NORM = "amplitudes: ket norm np.float64(nan) deviates from 1"
     (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
      {"dim": 3, "amplitudes": [[1, 0], [0, NAN], [0, 0]]}, NAN_NORM),
     (["pbr-demo", "--psi", "DOC", "--phi", "DOC"], {"dim": 2, "amplitudes": [[NAN, 0], [0, 0]]}, NAN_NORM),
+    # entries whose doubled total modulus overflows: m + m^dag would not be finite
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "decoherence": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
+     "decoherence: functional entries too large"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "decoherence": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]},
+     "decoherence: functional entries too large"),
+    # one spelling per bitmask: " 3" would overwrite "3"
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": 1, " 3": 0.2}},
+     "measure[ 3]: bitmask key must be written '3'"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": "1"}},
+     "measure[3]: expected a real number, got '1'"),
+    (["antidist", "DOC", "--target", "0"],
+     {"points": ["a", "b"], "weights": [[NAN, 1.0], [0.0, 1.0]]},
+     "weights[0]: weights contain NaN or Inf"),
 ], ids=["measure-17", "measure-65", "decoherence-17", "lemmas-seed", "functor-check-seed", "huge-ket",
-        "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr"])
+        "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
+        "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -443,6 +461,23 @@ class TestQmeasureCli:
         assert code == 0
         parsed = json.loads(out)
         assert parsed["clean"] is True
+        assert parsed["derived_measure"]["clean"] is True
+
+    def test_hermitian_within_tol_derives_its_measure(self, capsys, tmp_path):
+        # |D - D^dag| <= 9e-10 entrywise, within tol 1e-9, although Im D(U, U)
+        # reaches 1.8e-9 on U = {a, b}
+        v = np.array([1.0, 1.0, -1.0, -1.0])
+        m = np.full((4, 4), 1.0 / 16) + 0.45e-9j * np.outer(v, v)
+        path = tmp_path / "d.json"
+        doc = {
+            "points": ["a", "b", "c", "d"],
+            "decoherence": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "qmeasure", "validate", str(path))
+        assert (code, err) == (0, "")
+        parsed = json.loads(out)
+        assert parsed["hermitian_error"] <= parsed["tolerance"]
         assert parsed["derived_measure"]["clean"] is True
 
     @pytest.mark.parametrize("decoherence", [

@@ -22,7 +22,7 @@ from ontokit.kernels import (
     point_mass,
     product_space,
     response_rows,
-    support,
+    support_mask,
     uniform,
     variational_distance,
 )
@@ -187,18 +187,18 @@ class TestVariationalDistance:
 
 class TestSupport:
     def test_point_mass(self):
-        assert support(point_mass(ABC, "b")) == ("b",)
+        assert support_mask(point_mass(ABC, "b")).tolist() == [False, True, False]
 
     def test_uniform(self):
-        assert support(uniform(ABC)) == ("a", "b", "c")
+        assert support_mask(uniform(ABC)).tolist() == [True, True, True]
 
     def test_threshold(self):
         mu = Distribution(ABC, [0.5, 0.5, 0.0])
-        assert support(mu) == ("a", "b")
+        assert support_mask(mu).tolist() == [True, True, False]
 
     def test_signed_rejected(self):
         with pytest.raises(SignedUnsupportedError):
-            support(Distribution(AB, [1.5, -0.5]))
+            support_mask(Distribution(AB, [1.5, -0.5]))
 
 
 class TestDualState:

@@ -2,25 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ontokit import linalg
 from ontokit.errors import NotHermitianError
 from ontokit.sampling import rng_for
-
-
-def kron_index_oracle(a, b):
-    """Direct index-arithmetic Kronecker product."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
 
 
 def random_complex(rng, n, m=None):
@@ -47,75 +32,6 @@ def givens_unitary(rng, n):
             g[q, p] = np.sin(theta) * phase.conjugate()
             u = u @ g
     return u
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert linalg.max_abs(linalg.kron(np.eye(2), np.eye(2)) - np.eye(4)) == 0
-
-    def test_unit_of_tensor(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert linalg.max_abs(linalg.kron(x, np.array([[1]])) - x) == 0
-
-    def test_rank1_projector_oracle(self):
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        got = linalg.kron(p0, p1)
-        assert linalg.max_abs(got - kron_index_oracle(p0, p1)) == 0
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1  # |01>
-        assert linalg.max_abs(got - expected) == 0
-
-    def test_matches_index_oracle_random(self):
-        rng = rng_for(11)
-        for _ in range(5):
-            a = random_complex(rng, 3, 2)
-            b = random_complex(rng, 2, 4)
-            assert linalg.max_abs(linalg.kron(a, b) - kron_index_oracle(a, b)) < 1e-12
-
-    def test_associative(self):
-        rng = rng_for(12)
-        a, b, c = (random_complex(rng, 2) for _ in range(3))
-        lhs = linalg.kron(linalg.kron(a, b), c)
-        rhs = linalg.kron(a, linalg.kron(b, c))
-        assert linalg.max_abs(lhs - rhs) < 1e-12
-
-    def test_trace_multiplicative(self):
-        rng = rng_for(13)
-        for _ in range(10):
-            a = random_complex(rng, 3)
-            b = random_complex(rng, 4)
-            lhs = np.trace(linalg.kron(a, b))
-            rhs = np.trace(a) * np.trace(b)
-            assert abs(lhs - rhs) < 1e-9
-
-    def test_bilinear(self):
-        rng = rng_for(14)
-        a, b = random_complex(rng, 2), random_complex(rng, 2)
-        c = random_complex(rng, 3)
-        lhs = linalg.kron(a + b, c)
-        rhs = linalg.kron(a, c) + linalg.kron(b, c)
-        assert linalg.max_abs(lhs - rhs) < 1e-12
-        lhs = linalg.kron(c, a + b)
-        rhs = linalg.kron(c, a) + linalg.kron(c, b)
-        assert linalg.max_abs(lhs - rhs) < 1e-12
-
-
-class TestDagger:
-    def test_identity(self):
-        assert linalg.max_abs(linalg.dagger(np.eye(2)) - np.eye(2)) == 0
-
-    def test_hand_case(self):
-        a = np.array([[0, 1j], [0, 0]])
-        expected = np.array([[0, 0], [-1j, 0]])
-        assert linalg.max_abs(linalg.dagger(a) - expected) == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_involution(self, seed):
-        rng = rng_for(seed)
-        a = random_complex(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        assert linalg.max_abs(linalg.dagger(linalg.dagger(a)) - a) == 0
 
 
 class TestHermitianEigenvalues:

@@ -15,7 +15,6 @@ from ontokit.quantum import (
     born,
     compose,
     dual_state_quantum,
-    effect_probability,
     measurement_channel,
     overlap,
     preparation_channel,
@@ -209,6 +208,11 @@ class TestOverlap:
         rng = rng_for(51)
         a, b = random_ket(rng, 3), random_ket(rng, 3)
         assert abs(overlap(a, b) - np.conj(overlap(b, a))) < 1e-12
+
+
+def effect_probability(state, m):
+    """Tr(E rho), the probability of the effect outcome."""
+    return float(np.trace(m.effect @ state.matrix).real)
 
 
 class TestDuality:

@@ -11,10 +11,10 @@ from ontokit.ontomodel import OntModel, dirac_restriction_model
 from ontokit.quantum import Channel, ProjectiveMeasurement
 from ontokit.sampling import random_cptp_channel, random_ket, random_unitary, rng_for
 from ontokit.serialize import (
-    channel_to_json,
     dumps_report,
     kernel_to_json,
     ket_to_json,
+    matrix_to_json,
     parse_channel,
     parse_ensemble,
     parse_kernel,
@@ -24,6 +24,16 @@ from ontokit.serialize import (
     parse_qmeasure_doc,
 )
 from ontokit.wigner import functor_morphism
+
+
+def channel_to_json(ch):
+    """A channel document in the schema parse_channel reads."""
+    return {
+        "in_dim": ch.in_dim,
+        "out_dim": ch.out_dim,
+        "kraus": matrix_to_json(ch.stack),
+        "trace_preserving": True,
+    }
 
 
 def recursive_dumps_oracle(obj, indent=0):
@@ -583,9 +593,24 @@ class TestChannelSchema:
         ch = random_cptp_channel(rng, 2, 3)
         doc = json.loads(dumps_report(channel_to_json(ch)))
         back = parse_channel(doc)
-        assert back.trace_preserving
         for a, b in zip(back.kraus, ch.kraus):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("flag, message", [
+        (False, "only trace-preserving channels are accepted"),
+        (None, "only trace-preserving channels are accepted"),
+        (1, "only trace-preserving channels are accepted"),
+        ("true", "only trace-preserving channels are accepted"),
+        (..., "missing required field"),  # the field left out
+    ], ids=["false", "null", "one", "string", "missing"])
+    def test_only_trace_preserving_accepted(self, flag, message):
+        doc = channel_to_json(Channel.identity(2))
+        doc["trace_preserving"] = flag
+        if flag is ...:
+            del doc["trace_preserving"]
+        with pytest.raises(SchemaError) as info:
+            parse_channel(doc)
+        assert (info.value.field, info.value.message) == ("trace_preserving", message)
 
     def test_bad_kraus_shape(self):
         doc = {

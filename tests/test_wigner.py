@@ -9,7 +9,6 @@ from ontokit import linalg, wigner
 from ontokit.errors import (
     DimMismatchError,
     EvenDimensionError,
-    NotTracePreservingError,
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
@@ -32,7 +31,7 @@ from ontokit.sampling import (
     random_nonorthogonal_pair,
     rng_for,
 )
-from ontokit.tolerances import TIGHT_IDENTITY_TOL
+from ontokit.tolerances import DEGENERATE_DRAW_EPS, TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
     Algebra,
     FrameResiduals,
@@ -49,7 +48,6 @@ from ontokit.wigner import (
     functor_state,
     matrix_algebra,
     monoidality_check,
-    pad_density,
     pad_odd,
     phase_point_operators,
     product_frame,
@@ -376,11 +374,6 @@ class TestFunctorMorphism:
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             functor_morphism(Channel.identity(3))
 
-    def test_rejects_non_trace_preserving(self):
-        half = Channel((np.eye(3, dtype=complex) / np.sqrt(2),), trace_preserving=False)
-        with pytest.raises(NotTracePreservingError):
-            functor_morphism(half)
-
     def test_rejects_even_unannotated(self):
         with pytest.raises(UnrepresentableAlgebraError):
             functor_morphism(Channel.identity(2))
@@ -389,6 +382,24 @@ class TestFunctorMorphism:
         # identity on M3 does not land in the diagonal subalgebra
         with pytest.raises(UnrepresentableAlgebraError):
             functor_morphism(Channel.identity(3), out_algebra=commutative_algebra(3))
+
+
+def pad_density(rho):
+    """A state embedded in the top-left corner of one more dimension."""
+    m = np.zeros((rho.dim + 1, rho.dim + 1), dtype=complex)
+    m[: rho.dim, : rho.dim] = rho.matrix
+    return DensityMatrix(m)
+
+
+def random_orthogonal_pair(rng, dim):
+    """Haar ket plus a Haar direction of its orthocomplement."""
+    psi = random_ket(rng, dim)
+    raw = random_ket(rng, dim)
+    perp = raw - np.vdot(psi, raw) * psi
+    while np.linalg.norm(perp) < DEGENERATE_DRAW_EPS:
+        raw = random_ket(rng, dim)
+        perp = raw - np.vdot(psi, raw) * psi
+    return psi, perp / np.linalg.norm(perp)
 
 
 class TestPadding:
@@ -571,7 +582,6 @@ class TestCertificateTransport:
         image states, because evaluation is preserved exactly."""
         rng = rng_for(92)
         from ontokit.quantum import dual_state_quantum
-        from ontokit.sampling import random_orthogonal_pair
 
         for _ in range(10):
             psi, phi = random_orthogonal_pair(rng, 3)
