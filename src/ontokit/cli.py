@@ -38,7 +38,9 @@ from .sampling import random_cptp_channel, random_density, random_effect, rng_fo
 from .wigner import (
     commutative_algebra,
     epistemic_report,
+    frame_for,
     functor_morphism,
+    matrix_algebra,
     monoidality_check,
     phase_point_operators,
     wigner_vector,
@@ -197,6 +199,8 @@ def _cmd_wigner_functor_check(args) -> int:
     _positive("--trials", args.trials)
     _seed(args.seed)
     dim = _positive("--dim", args.dim)
+    # the frame first, so that a frame too large to allocate is a TooLargeError, not a traceback
+    frame_for(matrix_algebra(dim))
     identity = Channel.identity(dim)
     identity_kernel = functor_morphism(identity)
     worst_comp = 0.0

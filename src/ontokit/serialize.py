@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -386,6 +387,48 @@ def parse_model(doc) -> OntModel:
         raise SchemaError("model", str(exc)) from exc
 
 
+@lru_cache(maxsize=None)
+def _mask_keys(n: int) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The bitmask keys "0" ... str(2^n - 1) of a full measure table, in
+    mask order and as a set."""
+    keys = tuple(map(str, range(2 ** n)))
+    return keys, frozenset(keys)
+
+
+def _measure_values(table: dict, n: int) -> np.ndarray:
+    """The 2^n values of a measure table in mask order.  A table keyed by
+    exactly "0" ... str(2^n - 1) whose values are all numbers is read as
+    one array."""
+    keys, key_set = _mask_keys(n)
+    if table.keys() == key_set:
+        values = _number_array([table[k] for k in keys])
+        if values is not None and values.ndim == 1:
+            return values
+    # key by key, to name the first malformed key or value
+    values = np.zeros(2 ** n)
+    seen = np.zeros(2 ** n, dtype=bool)
+    for key, v in table.items():
+        try:
+            mask = int(key)
+        except ValueError as exc:
+            raise SchemaError(f"measure[{key}]", "bitmask keys must be integers") from exc
+        if key != str(mask):
+            # one spelling per mask, so that no key overwrites another
+            raise SchemaError(f"measure[{key}]", f"bitmask key must be written {str(mask)!r}")
+        if not 0 <= mask < 2 ** n:
+            raise SchemaError(f"measure[{key}]", "bitmask out of range")
+        if not isinstance(v, (int, float)):
+            raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
+        try:
+            values[mask] = v
+        except OverflowError as exc:
+            raise SchemaError(f"measure[{key}]", str(exc)) from exc
+        seen[mask] = True
+    if not seen.all():
+        raise SchemaError("measure", "values must cover every subset bitmask")
+    return values
+
+
 def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
     points = _need(doc, "points")
     space = _space(points, "points")
@@ -402,27 +445,7 @@ def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
         if not isinstance(table, dict):
             raise SchemaError("measure", "expected a bitmask-to-value map")
         check_size(space.size)  # before the 2^n table is allocated
-        values = np.zeros(2 ** space.size)
-        seen = np.zeros(2 ** space.size, dtype=bool)
-        for key, v in table.items():
-            try:
-                mask = int(key)
-            except ValueError as exc:
-                raise SchemaError(f"measure[{key}]", "bitmask keys must be integers") from exc
-            if key != str(mask):
-                # one spelling per mask, so that no key overwrites another
-                raise SchemaError(f"measure[{key}]", f"bitmask key must be written {str(mask)!r}")
-            if not 0 <= mask < 2 ** space.size:
-                raise SchemaError(f"measure[{key}]", "bitmask out of range")
-            if not isinstance(v, (int, float)):
-                raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
-            try:
-                values[mask] = v
-            except OverflowError as exc:
-                raise SchemaError(f"measure[{key}]", str(exc)) from exc
-            seen[mask] = True
-        if not seen.all():
-            raise SchemaError("measure", "values must cover every subset bitmask")
+        values = _measure_values(table, space.size)
         try:
             return QuantumMeasure(space, values)
         except Exception as exc:

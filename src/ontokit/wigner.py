@@ -31,6 +31,7 @@ from .antidist import AntidistProblem, antidist_classical
 from .errors import (
     DimMismatchError,
     EvenDimensionError,
+    TooLargeError,
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
@@ -195,6 +196,13 @@ def phase_space(n: int) -> FiniteSpace:
     return FiniteSpace(tuple(f"({q},{p})" for q in range(n) for p in range(n)))
 
 
+def _frame_too_large(n: int, why: str) -> TooLargeError:
+    return TooLargeError(
+        f"a phase-point frame for n = {n} is n^2 operators of n x n complex entries, "
+        f"{16 * n ** 4} bytes, {why}"
+    )
+
+
 @lru_cache(maxsize=None)
 def phase_point_operators(n: int) -> WignerFrame:
     """The n^2 displaced parity operators for odd n, invariants verified."""
@@ -204,12 +212,17 @@ def phase_point_operators(n: int) -> WignerFrame:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
     if n == 1:
         return commutative_frame(1)
-    # A_(q,p) = D(q,p) A0 D(q,p)^dag is the monomial map |x> -> omega^{2p(q-x)} |2q-x>
-    q, p, x = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    ops = np.zeros((n, n, n, n), dtype=complex)
-    ops[q, p, (2 * q - x) % n, x] = np.exp(2j * np.pi * ((2 * p * (q - x)) % n) / n)
-    ops = ops.reshape(n * n, n, n)
-    return WignerFrame(matrix_algebra(n), ops, float(n), phase_space(n))
+    if 16 * n ** 4 > np.iinfo(np.intp).max:  # in integer arithmetic, before any allocation
+        raise _frame_too_large(n, "more than numpy can index")
+    try:
+        # A_(q,p) = D(q,p) A0 D(q,p)^dag is the monomial map |x> -> omega^{2p(q-x)} |2q-x>
+        q, p, x = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+        ops = np.zeros((n, n, n, n), dtype=complex)
+        ops[q, p, (2 * q - x) % n, x] = np.exp(2j * np.pi * ((2 * p * (q - x)) % n) / n)
+        ops = ops.reshape(n * n, n, n)
+        return WignerFrame(matrix_algebra(n), ops, float(n), phase_space(n))
+    except MemoryError as exc:
+        raise _frame_too_large(n, "which could not be allocated") from exc
 
 
 @lru_cache(maxsize=None)

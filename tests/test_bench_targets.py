@@ -1,23 +1,35 @@
-"""The traced benchmark pass names its spans by (module, attribute) in
-``bench/tracing.py``; every such target must still exist in the package."""
+"""The benchmark's view of the package: the traced pass names its spans by
+(module, attribute) in ``bench/tracing.py``, and every such target must
+still exist; the checks in ``bench/checks.py`` report what the library
+computes."""
 
 import importlib
+import json
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from ontokit import serialize
+from test_ontomodel import predicates_oracle
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing_module():
-    # executed from its source text, so nothing is written under bench/
-    module = types.ModuleType("bench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def _bench_module(name, monkeypatch=None):
+    """``bench/<name>.py`` executed from its source text, so nothing is
+    written under bench/.  With ``monkeypatch`` the module is in
+    ``sys.modules`` while the test runs, where dataclasses look it up."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-TARGETS = _tracing_module().TARGETS
+TARGETS = _bench_module("tracing").TARGETS
 
 
 @pytest.mark.parametrize(
@@ -31,3 +43,21 @@ def test_trace_target_resolves(module_name, attr):
     else:
         assert callable(getattr(owner, attr))
 
+
+def test_model_reports_count_the_oracle_violations(monkeypatch):
+    """One validators block (seed 1): each model report counts the pairs the
+    per-pair loop lists."""
+    inputs, checks = _bench_module("inputs", monkeypatch), _bench_module("checks")
+    items = [item for item in inputs.generate("validators", 1, 1) if item.kind == "model"]
+    assert len(items) == len(inputs.MODEL_SIZES)
+    for item in items:
+        report = json.loads(checks.run(item))["maximal_predicates"]
+        model = serialize.parse_model(json.loads(item.docs["model"]))
+        want = predicates_oracle(model, checks.MODEL_TOL)
+        assert report == {
+            "maximally_epistemic": want.maximally_epistemic,
+            "maximally_nontrivial": want.maximally_nontrivial,
+            "epistemic_violations": len(want.epistemic_violations),
+            "nontrivial_violations": len(want.nontrivial_violations),
+        }
+        assert report["epistemic_violations"] > 0

@@ -173,6 +173,10 @@ def _decoherence_on(n):
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
 NAN_NORM = "amplitudes: ket norm np.float64(nan) deviates from 1"
+FRAME_TOO_LARGE = (
+    "error: TooLargeError: a phase-point frame for n = 99999999999 is n^2 operators of "
+    f"n x n complex entries, {16 * 99999999999 ** 4} bytes, more than numpy can index"
+)
 
 
 @pytest.mark.parametrize("argv,doc,named", [
@@ -208,9 +212,16 @@ NAN_NORM = "amplitudes: ket norm np.float64(nan) deviates from 1"
     (["antidist", "DOC", "--target", "0"],
      {"points": ["a", "b"], "weights": [[NAN, 1.0], [0.0, 1.0]]},
      "weights[0]: weights contain NaN or Inf"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": HUGE}},
+     "measure[3]: int too large to convert to float"),
+    # 16 n^4 bytes beyond what numpy can index, refused before anything is allocated
+    (["wigner", "frame", "99999999999"], None, FRAME_TOO_LARGE),
+    (["wigner", "functor-check", "--dim", "99999999999"], None, FRAME_TOO_LARGE),
 ], ids=["measure-17", "measure-65", "decoherence-17", "lemmas-seed", "functor-check-seed", "huge-ket",
         "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
-        "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist"])
+        "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
+        "measure-huge-value", "wigner-frame-huge", "functor-check-huge"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

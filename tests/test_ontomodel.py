@@ -25,6 +25,7 @@ from ontokit.ontomodel import (
     MaximalPredicates,
     ModelValidation,
     OntModel,
+    PairRecords,
     check_equivariance,
     check_operational_model,
     classify_model,
@@ -284,6 +285,8 @@ def predicates_oracle(model, tol=1e-7):
 
 def assert_same(got, want, path="report"):
     """Equal structure, keys, order and verdicts; floats within 1e-15."""
+    if isinstance(got, PairRecords):
+        got = list(got)  # a lazy view is compared as the list of its records
     if hasattr(want, "__dataclass_fields__"):
         got, want = vars(got), vars(want)
     if isinstance(want, float):
@@ -583,6 +586,86 @@ def test_two_hundred_state_dirac_model():
     assert len(preds.nontrivial_violations) == s * (s - 1)
     for v in preds.epistemic_violations:
         assert v["psi"] != v["phi"] and v["support_mass"] == 0.0
+
+
+class TestPairRecords:
+    """The violation lists of maximal_predicates are lazy views over the
+    violating index pairs; read, they are the oracle's lists."""
+
+    def views(self, model, tol=1e-7):
+        preds = maximal_predicates(model, tol)
+        want = predicates_oracle(model, tol)
+        return (
+            (preds.epistemic_violations, want.epistemic_violations),
+            (preds.nontrivial_violations, want.nontrivial_violations),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reads_match_the_oracle(self, seed):
+        rng = rng_for(620, seed)
+        model = with_distributions(random_dirac(rng, 9, 3, 2), {"s2": np.full(9, 1.0 / 9)})
+        for view, want in self.views(model):
+            assert isinstance(view, PairRecords)
+            assert len(view) == len(want) > 0 and bool(view)
+            assert_same(view[0], want[0])
+            assert_same(view[-1], want[-1])
+            assert_same(view[len(view) - 2], want[-2])
+            for sl in (slice(1, 4), slice(None, None, -2), slice(-3, None), slice(5, 2)):
+                got = view[sl]
+                assert type(got) is list
+                assert_same(got, want[sl])
+            assert_same(list(view), want)  # iteration, in row-major pair order
+            assert_same([view[i] for i in range(len(view))], want)
+            for bad in (len(view), -len(view) - 1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            record = view[0]
+            assert list(record) == ["psi", "phi", "support_mass", "born"]
+            assert type(record["support_mass"]) is float and type(record["born"]) is float
+
+    def test_equality_with_lists_of_records(self):
+        model = dirac_restriction_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
+        preds, want = maximal_predicates(model), predicates_oracle(model)
+        # here the matrix and the per-pair values agree to the last bit
+        assert preds.epistemic_violations == want.epistemic_violations
+        assert preds.nontrivial_violations == want.nontrivial_violations
+        view = preds.epistemic_violations
+        records = list(view)
+        assert view == records and records == view
+        assert view == maximal_predicates(model).epistemic_violations
+        assert view != records[:1] and view != [] and view != tuple(records)
+        assert [(r["psi"], r["phi"]) for r in view] == [("zero", "plus"), ("plus", "zero")]
+
+    def test_empty_view(self):
+        rng = rng_for(621)
+        u = random_unitary(rng, 3)
+        catalog = [(f"e{i}", u[:, i]) for i in range(3)]
+        model = dirac_restriction_model(catalog, [ProjectiveMeasurement.computational(3)])
+        for view, want in self.views(model):
+            assert want == [] and view == [] and list(view) == [] and view[:] == []
+            assert len(view) == 0 and not view
+            with pytest.raises(IndexError):
+                view[0]
+            with pytest.raises(IndexError):
+                view[-1]
+
+    def test_counting_builds_no_record(self, monkeypatch):
+        built = []
+        record = PairRecords._record
+
+        def counting(self, *args):
+            built.append(args)
+            return record(self, *args)
+
+        monkeypatch.setattr(PairRecords, "_record", counting)
+        s = 200
+        preds = maximal_predicates(random_dirac(rng_for(608), s, 4, 2))
+        assert len(preds.epistemic_violations) == len(preds.nontrivial_violations) == s * (s - 1)
+        assert preds.epistemic_violations and preds.nontrivial_violations
+        assert not preds.maximally_epistemic and not preds.maximally_nontrivial
+        assert built == []
+        first = preds.epistemic_violations[0]
+        assert len(built) == 1 and (first["psi"], first["phi"]) == ("s0", "s1")
 
 
 class TestModelChecksInCatalogueOrder:

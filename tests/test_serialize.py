@@ -7,7 +7,9 @@ import pytest
 
 from ontokit.errors import SchemaError
 from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
+from ontokit import serialize
 from ontokit.ontomodel import OntModel, dirac_restriction_model
+from ontokit.qmeasure import QuantumMeasure, check_size
 from ontokit.quantum import Channel, ProjectiveMeasurement
 from ontokit.sampling import random_cptp_channel, random_ket, random_unitary, rng_for
 from ontokit.serialize import (
@@ -690,6 +692,107 @@ class TestModelSchema:
         }
         with pytest.raises(SchemaError):
             parse_model(doc)
+
+
+def parse_measure_oracle(doc):
+    """The measure reader one bitmask key at a time."""
+    space = _space_oracle(_need_oracle(doc, "points"), "points")
+    if "measure" not in doc:
+        raise SchemaError("measure", "document needs either 'decoherence' or 'measure'")
+    table = doc["measure"]
+    if not isinstance(table, dict):
+        raise SchemaError("measure", "expected a bitmask-to-value map")
+    check_size(space.size)
+    values = np.zeros(2 ** space.size)
+    seen = np.zeros(2 ** space.size, dtype=bool)
+    for key, v in table.items():
+        try:
+            mask = int(key)
+        except ValueError as exc:
+            raise SchemaError(f"measure[{key}]", "bitmask keys must be integers") from exc
+        if key != str(mask):
+            raise SchemaError(f"measure[{key}]", f"bitmask key must be written {str(mask)!r}")
+        if not 0 <= mask < 2 ** space.size:
+            raise SchemaError(f"measure[{key}]", "bitmask out of range")
+        if not isinstance(v, (int, float)):
+            raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
+        try:
+            values[mask] = v
+        except OverflowError as exc:
+            raise SchemaError(f"measure[{key}]", str(exc)) from exc
+        seen[mask] = True
+    if not seen.all():
+        raise SchemaError("measure", "values must cover every subset bitmask")
+    try:
+        return QuantumMeasure(space, values)
+    except Exception as exc:
+        raise SchemaError("measure", str(exc)) from exc
+
+
+def _same_measure(got, want):
+    assert got.space == want.space
+    _bit_equal(got.values, want.values)
+
+
+def _measure_doc(rng, n, draw):
+    """A full table on n points, its keys in shuffled order."""
+    masks = rng.permutation(2 ** n).tolist()
+    return {"points": [f"h{i}" for i in range(n)], "measure": {str(m): draw() for m in masks}}
+
+
+class TestMeasureTableAsOneArray:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_shuffled_tables_read_bit_equal(self, n, monkeypatch):
+        rng = rng_for(134, n)
+        reads = []
+        number_array = serialize._number_array
+
+        def spy(doc):
+            reads.append(number_array(doc))
+            return reads[-1]
+
+        monkeypatch.setattr(serialize, "_number_array", spy)
+        draws = (
+            lambda: _random_number(rng),
+            lambda: float(rng.uniform(-1, 1)),
+            lambda: int(rng.integers(-5, 6)),
+            lambda: bool(rng.random() < 0.5),
+            lambda: [int(rng.integers(-9, 9)), 2**53 + 1, 2**63 + 5, True][int(rng.integers(4))],
+        )
+        for draw in draws:
+            doc = _measure_doc(rng, n, draw)
+            for form in (doc, json.loads(json.dumps(doc))):
+                reads.clear()
+                assert _same_doc_outcome(
+                    parse_qmeasure_doc, parse_measure_oracle, _same_measure, form
+                ) == "parsed"
+                # one array read, which the per-key loop did not need to repeat
+                assert len(reads) == 1 and reads[0] is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_malformed_tables_fail_as_the_per_key_reader(self, seed):
+        rng = rng_for(135, seed)
+        seen = {"parsed": 0, "error": 0}
+        for _ in range(60):
+            doc = _measure_doc(rng, int(rng.integers(1, 5)), lambda: _random_number(rng))
+            doc = _malformed(rng, doc)
+            for form in (doc, json.loads(json.dumps(doc))):
+                seen[_same_doc_outcome(parse_qmeasure_doc, parse_measure_oracle, _same_measure, form)] += 1
+        assert seen["parsed"] and seen["error"]
+
+    @pytest.mark.parametrize("bad", ["1", None, 10 ** 400, [0.5], [], {"re": 1.0}])
+    def test_full_key_set_with_a_bad_value(self, bad):
+        doc = {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": bad}}
+        assert _same_doc_outcome(
+            parse_qmeasure_doc, parse_measure_oracle, _same_measure, doc
+        ) == "error"
+
+    def test_every_value_a_list(self):
+        # a regular nested table reads as a 2-d array, which is not a table of numbers
+        doc = {"points": ["a"], "measure": {"0": [0.0], "1": [1.0]}}
+        assert _same_doc_outcome(
+            parse_qmeasure_doc, parse_measure_oracle, _same_measure, doc
+        ) == "error"
 
 
 class TestQmeasureSchema:

@@ -9,6 +9,7 @@ from ontokit import linalg, wigner
 from ontokit.errors import (
     DimMismatchError,
     EvenDimensionError,
+    TooLargeError,
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
@@ -123,6 +124,25 @@ class TestFrames:
     def test_even_dimension_rejected(self):
         with pytest.raises(EvenDimensionError):
             phase_point_operators(4)
+
+    @pytest.mark.parametrize("n", [27555, 99999999999])
+    def test_frame_numpy_cannot_index_refused_before_allocation(self, n, monkeypatch):
+        # 16 n^4 > 2^63 - 1 from n = 27555 on; numpy is not reached at all
+        monkeypatch.setattr(wigner.np, "meshgrid", None)
+        with pytest.raises(TooLargeError, match=f"n = {n} .* {16 * n ** 4} bytes, more than numpy"):
+            phase_point_operators(n)
+
+    @pytest.mark.parametrize("n", [5, 27553])
+    def test_failed_allocation_is_too_large(self, n, monkeypatch):
+        # 27553 is the largest odd n with 16 n^4 <= 2^63 - 1, so it reaches the allocation
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(wigner.np, "meshgrid", refuse)
+        with pytest.raises(
+            TooLargeError, match=f"n = {n} .* {16 * n ** 4} bytes, which could not be allocated"
+        ):
+            phase_point_operators.__wrapped__(n)  # past the cache
 
     def test_dim_one_single_operator(self):
         frame = phase_point_operators(1)
