@@ -36,7 +36,8 @@ from .errors import (
     VerificationFailedError,
 )
 from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, product_space
-from .quantum import Channel, DensityMatrix
+from .quantum import Channel, DensityMatrix, tensor
+from .sampling import random_cptp_channel, rng_for
 from .tolerances import (
     DERIVED_TOL, DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
 )
@@ -87,6 +88,23 @@ class FrameResiduals:
     gram: float
     sum: float
     max_entry: float
+
+
+def _hold(res: FrameResiduals, kind: str, norm_const: float) -> None:
+    """Raise VerificationFailedError unless each residual is within its tolerance."""
+    # written as not (residual <= tol), so that a NaN residual fails
+    if not res.hermitian <= TIGHT_IDENTITY_TOL:
+        raise VerificationFailedError(f"frame operators not Hermitian: {res.hermitian:.3e}")
+    if not res.trace <= TIGHT_IDENTITY_TOL:
+        raise VerificationFailedError("frame operators must have unit trace")
+    if not res.square <= TIGHT_IDENTITY_TOL:
+        if kind == "matrix":
+            raise VerificationFailedError(f"frame operators not involutive: {res.square:.3e}")
+        raise VerificationFailedError(f"frame projectors not idempotent: {res.square:.3e}")
+    if not res.gram <= TIGHT_IDENTITY_TOL * max(1.0, float(norm_const)):
+        raise VerificationFailedError("frame operators are not trace-orthogonal")
+    if not res.sum <= IDENTITY_TOL:
+        raise VerificationFailedError("frame operators do not sum to c.I")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +169,7 @@ class WignerFrame:
 
     def _accept(self, ops: np.ndarray, res: FrameResiduals) -> None:
         """Hold the residuals to the tolerances, then freeze and store ops."""
-        # written as not (residual <= tol), so that a NaN residual fails
-        if not res.hermitian <= TIGHT_IDENTITY_TOL:
-            raise VerificationFailedError(f"frame operators not Hermitian: {res.hermitian:.3e}")
-        if not res.trace <= TIGHT_IDENTITY_TOL:
-            raise VerificationFailedError("frame operators must have unit trace")
-        if not res.square <= TIGHT_IDENTITY_TOL:
-            if self.algebra.kind == "matrix":
-                raise VerificationFailedError(f"frame operators not involutive: {res.square:.3e}")
-            raise VerificationFailedError(f"frame projectors not idempotent: {res.square:.3e}")
-        if not res.gram <= TIGHT_IDENTITY_TOL * max(1.0, float(self.norm_const)):
-            raise VerificationFailedError("frame operators are not trace-orthogonal")
-        if not res.sum <= IDENTITY_TOL:
-            raise VerificationFailedError("frame operators do not sum to c.I")
+        _hold(res, self.algebra.kind, self.norm_const)
         count, d, _ = ops.shape
         ops = ops.view()
         vecs = ops.reshape(count, d * d)
@@ -196,11 +202,18 @@ def phase_space(n: int) -> FiniteSpace:
     return FiniteSpace(tuple(f"({q},{p})" for q in range(n) for p in range(n)))
 
 
-def _frame_too_large(n: int, why: str) -> TooLargeError:
-    return TooLargeError(
-        f"a phase-point frame for n = {n} is n^2 operators of n x n complex entries, "
-        f"{16 * n ** 4} bytes, {why}"
-    )
+def _allocate(what: str, nbytes: int, build):
+    """build(), or TooLargeError naming what it builds and its nbytes, when numpy
+    cannot index them (checked in integer arithmetic, before any allocation) or
+    cannot allocate them."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise TooLargeError(f"{what} complex entries, {nbytes} bytes, more than numpy can index")
+    try:
+        return build()
+    except MemoryError as exc:
+        raise TooLargeError(
+            f"{what} complex entries, {nbytes} bytes, which could not be allocated"
+        ) from exc
 
 
 @lru_cache(maxsize=None)
@@ -212,17 +225,15 @@ def phase_point_operators(n: int) -> WignerFrame:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
     if n == 1:
         return commutative_frame(1)
-    if 16 * n ** 4 > np.iinfo(np.intp).max:  # in integer arithmetic, before any allocation
-        raise _frame_too_large(n, "more than numpy can index")
-    try:
+
+    def build() -> WignerFrame:
         # A_(q,p) = D(q,p) A0 D(q,p)^dag is the monomial map |x> -> omega^{2p(q-x)} |2q-x>
         q, p, x = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
         ops = np.zeros((n, n, n, n), dtype=complex)
         ops[q, p, (2 * q - x) % n, x] = np.exp(2j * np.pi * ((2 * p * (q - x)) % n) / n)
-        ops = ops.reshape(n * n, n, n)
-        return WignerFrame(matrix_algebra(n), ops, float(n), phase_space(n))
-    except MemoryError as exc:
-        raise _frame_too_large(n, "which could not be allocated") from exc
+        return WignerFrame(matrix_algebra(n), ops.reshape(n * n, n, n), float(n), phase_space(n))
+
+    return _allocate(f"a phase-point frame for n = {n} is n^2 operators of n x n", 16 * n ** 4, build)
 
 
 @lru_cache(maxsize=None)
@@ -379,6 +390,10 @@ def pad_odd(ch: Channel) -> Channel:
 
 @dataclass
 class MonoidalityReport:
+    """``frame_ok`` certifies the m x n product frame from its factors;
+    ``max_transfer_residual`` is the largest entry modulus of
+    T(f (x) g) - T(f) (x) T(g) on the sampled product columns."""
+
     m: int
     n: int
     trials: int
@@ -392,18 +407,15 @@ class MonoidalityReport:
         return self.frame_ok and self.max_transfer_residual <= self.tolerance
 
 
-def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
-    """Tensor frame {s (x) t}, verified from its two verified factors.
+def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
+    """Bounds on the residuals of the product frame {s (x) t}, from the factors'.
 
-    The operators are the Kronecker products, in (a, b) point order.  No
-    dense check runs on them, so a product frame costs its einsum and no
-    Gram matrix of (mn)^2 operators.  Each condition factorises instead:
-    (s (x) t)^dag = s^dag (x) t^dag, Tr(s (x) t) = Tr s Tr t,
-    (s (x) t)^2 = s^2 (x) t^2, the Gram matrix is G_a (x) G_b and the sum
-    is (sum s) (x) (sum t).  Writing each factor quantity as its target plus
-    an error bounded entrywise by the factor's residual (h, t, q, g, s, with
-    m the largest entry modulus and c the frame constant) bounds the
-    product's residuals by
+    Each frame condition factorises: (s (x) t)^dag = s^dag (x) t^dag,
+    Tr(s (x) t) = Tr s Tr t, (s (x) t)^2 = s^2 (x) t^2, the Gram matrix is
+    G_a (x) G_b and the sum is (sum s) (x) (sum t).  Writing each factor
+    quantity as its target plus an error bounded entrywise by the factor's
+    residual (h, t, q, g, s, with m the largest entry modulus and c the frame
+    constant) bounds the product's residuals by
 
         hermitian  h_a m_b + m_a h_b
         trace      t_a + t_b + t_a t_b
@@ -417,10 +429,8 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
     accumulated over.  The allowance covers the rounding of the einsum
     products (at most sqrt(2) eps relative each) and of the factor checks'
     own measurements, so each bound holds for the exact residual of the
-    product operators as stored; a dense check measures that residual only
-    up to the rounding of its own accumulation.  The bounds become the
-    product's ``residuals`` and are held to the tolerances of
-    :class:`WignerFrame`, with its error messages.
+    product operators as :func:`product_frame` stores them; a dense check
+    measures that residual only up to the rounding of its own accumulation.
 
     Factors must share a kind: mixed products are neither involutive nor
     idempotent, so no frame conditions could hold for them.
@@ -429,9 +439,6 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
         raise UnrepresentableAlgebraError("cannot tensor frames of different kinds")
     na, da, _ = fa.operators.shape
     nb, db, _ = fb.operators.shape
-    ops = np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(
-        na * nb, da * db, da * db
-    )
     a, b = fa.residuals, fb.residuals
     ca, cb = float(fa.norm_const), float(fb.norm_const)
     # entry scales, floored at 1 so that S also covers subtracting a unit target
@@ -445,7 +452,7 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
         unit_a = unit_b = 1.0
     else:
         unit_a, unit_b = a.max_entry, b.max_entry
-    residuals = FrameResiduals(
+    return FrameResiduals(
         hermitian=a.hermitian * b.max_entry + a.max_entry * b.hermitian + slack(0, 0, scale),
         trace=a.trace + b.trace + a.trace * b.trace + slack(da, db, da * db * scale),
         square=a.square * unit_b + unit_a * b.square + a.square * b.square
@@ -455,8 +462,23 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
         sum=a.sum * (cb + b.sum) + ca * b.sum + slack(na, nb, na * nb * scale),
         max_entry=a.max_entry * b.max_entry * (1.0 + 4.0 * eps),
     )
+
+
+def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
+    """Tensor frame {s (x) t} in (a, b) point order, verified from its two
+    verified factors: no dense check runs on the Kronecker products, whose
+    ``residuals`` are the bounds of :func:`_product_residuals`."""
+    residuals = _product_residuals(fa, fb)
+    na, da, _ = fa.operators.shape
+    nb, db, _ = fb.operators.shape
+    count, d = na * nb, da * db
+    ops = _allocate(
+        f"a product frame for m = {da}, n = {db} is {count} operators of {d} x {d}",
+        16 * count * d * d,
+        lambda: np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(count, d, d),
+    )
     return WignerFrame._from_residuals(
-        Algebra(fa.algebra.kind, da * db),
+        Algebra(fa.algebra.kind, d),
         ops,
         fa.norm_const * fb.norm_const,
         product_space(fa.space, fb.space),
@@ -464,32 +486,59 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
     )
 
 
+# product points (a, b) per trial whose transfer columns monoidality_check compares
+_SAMPLED_COLUMNS = 2
+
+
+def _product_column(ch: Channel, fa: WignerFrame, fb: WignerFrame, a: int, b: int) -> np.ndarray:
+    """Column (a, b) of T(ch) on the product of fa and fb, shaped (points_a, points_b):
+    the Kraus stack applied to s_a (x) t_b, the output Y regrouped from
+    [(i, k), (j, l)] to [(i, j), (k, l)] and read as conj(F_a) Y conj(F_b)^T / (c_a c_b)."""
+    da, db = fa.hilbert_dim, fb.hilbert_dim
+    k = ch.stack
+    y = (k @ np.kron(fa.operators[a], fb.operators[b]) @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    y = y.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return fa.vectors.conj() @ y @ fb.vectors.conj().T / (fa.norm_const * fb.norm_const)
+
+
 def monoidality_check(
     m: int, n: int, trials: int, seed: int, tol: float = FUNCTOR_TOL
 ) -> MonoidalityReport:
-    """Verify the tensor structure: product operators form a frame and
-    transfer matrices factorise over channel tensor products."""
-    from .quantum import tensor
-    from .sampling import random_cptp_channel, rng_for
+    """Verify the tensor structure of the m x n product from the two factor frames.
 
+    Certified (``frame_ok``): the product operators form a frame, by the
+    bounds of :func:`_product_residuals` held to the frame tolerances.
+    Sampled (``max_transfer_residual``): each trial draws a channel pair
+    (f, g), then a few product points (a, b), and compares the column of
+    T(f (x) g) that ``tensor(f, g)`` gives at (a, b) with T(f)[:, a] (x)
+    T(g)[:, b].  No product operator, (mn)^2-point transfer matrix or
+    superoperator is formed, yet a layout error in ``tensor`` or in the frame
+    order shows as an O(1) residual.  The trials need no product frame, so
+    they run whether or not the certificate holds.
+    """
     fm = phase_point_operators(m)
     fn = phase_point_operators(n)
     try:
-        prod = product_frame(fm, fn)
+        _hold(_product_residuals(fm, fn), fm.algebra.kind, fm.norm_const * fn.norm_const)
+        frame_ok = True
     except VerificationFailedError:
-        prod = None
+        frame_ok = False
     worst = 0.0
-    if prod is not None:
-        for trial in range(trials):
-            rng = rng_for(seed, trial)
-            f1 = random_cptp_channel(rng, m, m)
-            f2 = random_cptp_channel(rng, n, n)
-            lhs = transfer_matrix(tensor(f1, f2), prod, prod)
-            rhs = np.kron(transfer_matrix(f1, fm, fm), transfer_matrix(f2, fn, fn))
-            worst = max(worst, linalg.max_abs(lhs - rhs))
+    for trial in range(trials):
+        rng = rng_for(seed, trial)
+        f1 = random_cptp_channel(rng, m, m)
+        f2 = random_cptp_channel(rng, n, n)
+        t1 = transfer_matrix(f1, fm, fm)
+        t2 = transfer_matrix(f2, fn, fn)
+        pair = tensor(f1, f2)
+        points_a = rng.integers(fm.n_points, size=_SAMPLED_COLUMNS)
+        points_b = rng.integers(fn.n_points, size=_SAMPLED_COLUMNS)
+        for a, b in zip(points_a, points_b):
+            column = _product_column(pair, fm, fn, a, b)
+            worst = max(worst, linalg.max_abs(column - np.outer(t1[:, a], t2[:, b])))
     return MonoidalityReport(
         m=m, n=n, trials=trials, seed=seed,
-        frame_ok=prod is not None,
+        frame_ok=frame_ok,
         max_transfer_residual=float(worst), tolerance=tol,
     )
 

@@ -589,15 +589,17 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 
 # sha256 of stdout for the README commands (and one d = 7 run), run on the
 # files scripts/make_example_inputs.py writes, with numpy 2.4 and OpenBLAS on
-# x86-64.  The functor-check, pbr-demo and validate-model rows were recorded
-# before the Kraus stack and the flat-float emitter replaced the per-Kraus
-# and per-value loops (validate-model: before models were parsed as
-# matrices); the other six before the unused kernel, functor and CLI options
-# were removed.
+# x86-64.  The pbr-demo and validate-model rows were recorded before the
+# Kraus stack and the flat-float emitter replaced the per-Kraus and
+# per-value loops (validate-model: before models were parsed as matrices);
+# the other six before the unused kernel, functor and CLI options were
+# removed.  The two functor-check rows were re-recorded when the
+# monoidality check moved to sampled product columns: their stdout differs
+# from the dense check's only in the max_transfer_residual line.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
-    "functor-check-dim3": "e0c9a7a14ddd13829ece11ce996ff2c7912e1817526dde3c16a6e6a8375a7496",
-    "functor-check-dim7": "52e4ffe13a72b301d9e31eacc773ed6ddde2c92933fd5ca2262ccdf7884681ab",
+    "functor-check-dim3": "cd805e1d02a077b2aaccb7d406bf1bc6515e066054715781443ffea4f3f2293d",
+    "functor-check-dim7": "cc5266b57278dcbbf92fc93043844fbc57ad4b4207b44b768108c7248645c8ec",
     "lemmas": "f4221e5c1441f26da376a358f80e2f94b494f2b787c3e0ca721f641feb0a9bb1",
     "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
     "qmeasure-validate": "adde2b565c5ec59d8389d8f30443b58bdc8afcbcb8b6d313ca1ad77c74b40495",

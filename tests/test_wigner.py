@@ -1,6 +1,8 @@
 """Phase-point frames, transfer matrices, functor laws, padding."""
 
+import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,6 +595,98 @@ class TestProductFrameBounds:
     def test_transfer_factorises_at_seven_by_seven(self):
         rep = monoidality_check(7, 7, 1, seed=19)
         assert rep.frame_ok and rep.passed
+
+
+class TestProductFrameTooLarge:
+    def test_failed_allocation_is_too_large(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(wigner.np, "einsum", refuse)
+        with pytest.raises(TooLargeError, match=(
+            f"m = 3, n = 5 is 225 operators of 15 x 15 complex entries, {16 * 15 ** 4} bytes, "
+            "which could not be allocated"
+        )):
+            product_frame(QUTRIT, phase_point_operators(5))
+
+    def test_product_numpy_cannot_index_refused_before_allocation(self, monkeypatch):
+        # 16 (n^2)^4 > 2^63 - 1 at n = 201; the factors are zero-stride views
+        # standing in for frames that would not fit in memory either
+        monkeypatch.setattr(wigner.np, "einsum", None)
+        n = 201
+        factor = SimpleNamespace(
+            algebra=matrix_algebra(n), residuals=QUTRIT.residuals, norm_const=float(n),
+            operators=np.broadcast_to(np.zeros((), dtype=complex), (n * n, n, n)),
+        )
+        with pytest.raises(TooLargeError, match=(
+            f"m = {n}, n = {n} is {n ** 4} operators of {n * n} x {n * n} complex entries, "
+            f"{16 * n ** 8} bytes, more than numpy can index"
+        )):
+            product_frame(factor, factor)
+
+
+DENSE_PAIRS = ["3x3", "3x5", "5x5"]
+
+
+def swapped_tensor(f, g):
+    """The product channel with its factors in the wrong order: g (x) f."""
+    return tensor(g, f)
+
+
+class TestSampledMonoidality:
+    """The dense product transfer kept as the oracle, up to (5, 5) only."""
+
+    @pytest.mark.parametrize("pair", DENSE_PAIRS)
+    def test_sampled_columns_equal_the_dense_product_transfer(self, pair):
+        fa, fb = FACTORS[pair]()
+        rng = rng_for(64, fa.hilbert_dim, fb.hilbert_dim)
+        ch = tensor(
+            random_cptp_channel(rng, fa.hilbert_dim, fa.hilbert_dim),
+            random_cptp_channel(rng, fb.hilbert_dim, fb.hilbert_dim),
+        )
+        prod = product_frame(fa, fb)
+        dense = transfer_matrix(ch, prod, prod)
+        columns = np.array([
+            wigner._product_column(ch, fa, fb, a, b).reshape(-1)
+            for a in range(fa.n_points)
+            for b in range(fb.n_points)
+        ])
+        assert linalg.max_abs(columns.T - dense) <= 1e-12
+
+    @pytest.mark.parametrize("pair", DENSE_PAIRS)
+    def test_helper_bounds_equal_the_product_frame_residuals(self, pair):
+        fa, fb = FACTORS[pair]()
+        bounds = wigner._product_residuals(fa, fb)
+        stored = product_frame(fa, fb).residuals
+        for f in fields(FrameResiduals):
+            assert getattr(bounds, f.name) == getattr(stored, f.name), f.name
+
+    @pytest.mark.parametrize("pair", DENSE_PAIRS)
+    def test_misordered_tensor_fails_the_check(self, pair, monkeypatch):
+        fa, fb = FACTORS[pair]()
+        m, n = fa.hilbert_dim, fb.hilbert_dim
+        prod = product_frame(fa, fb)
+        rng = rng_for(31, 0)
+        f1 = random_cptp_channel(rng, m, m)
+        f2 = random_cptp_channel(rng, n, n)
+        kron = np.kron(transfer_matrix(f1, fa, fa), transfer_matrix(f2, fb, fb))
+        # the dense oracle sees the same fault
+        assert linalg.max_abs(transfer_matrix(swapped_tensor(f1, f2), prod, prod) - kron) > 1e-3
+        monkeypatch.setattr(wigner, "tensor", swapped_tensor)
+        rep = monoidality_check(m, n, 1, seed=31)
+        assert rep.frame_ok and not rep.passed
+        assert rep.max_transfer_residual > 1e-3
+
+    def test_fifteen_by_fifteen_stays_small(self):
+        # the dense product transfer would ask for 16 * 15^8 bytes, about 41 GB
+        tracemalloc.start()
+        try:
+            rep = monoidality_check(15, 15, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert rep.max_transfer_residual < 1e-12
 
 
 class TestCertificateTransport:
