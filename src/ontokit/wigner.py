@@ -124,9 +124,7 @@ class WignerFrame:
     the Gram matrix F F^dag, the column sums of F) and keeps what it measured
     as ``residuals``.  Each residual must stay within ``TIGHT_IDENTITY_TOL``,
     except the Gram residual (``TIGHT_IDENTITY_TOL * max(1, c)``) and the sum
-    residual (``IDENTITY_TOL``).  Frames built by :func:`product_frame`
-    skip the dense checks: their residuals are upper bounds derived from the
-    two factors, held to the same tolerances.
+    residual (``IDENTITY_TOL``).  Product frames are checked the same way.
     """
 
     algebra: Algebra
@@ -148,31 +146,15 @@ class WignerFrame:
         c = float(self.norm_const)
         vecs = ops.reshape(count, d * d)
         target = np.eye(d) if self.algebra.kind == "matrix" else ops
-        self._accept(ops, FrameResiduals(
+        res = FrameResiduals(
             hermitian=linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1)))),
             trace=linalg.max_abs(vecs[:, :: d + 1].sum(axis=1) - 1.0),
             square=linalg.max_abs(ops @ ops - target),
             gram=linalg.max_abs(vecs @ vecs.conj().T - c * np.eye(count)),
             sum=linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)),
             max_entry=linalg.max_abs(vecs),
-        ))
-
-    @classmethod
-    def _from_residuals(cls, algebra, operators, norm_const, space, residuals):
-        """A frame whose residuals are already bounded, without the dense checks."""
-        frame = object.__new__(cls)
-        object.__setattr__(frame, "algebra", algebra)
-        object.__setattr__(frame, "norm_const", norm_const)
-        object.__setattr__(frame, "space", space)
-        frame._accept(np.ascontiguousarray(operators, dtype=complex), residuals)
-        return frame
-
-    def _accept(self, ops: np.ndarray, res: FrameResiduals) -> None:
-        """Hold the residuals to the tolerances, then freeze and store ops."""
-        _hold(res, self.algebra.kind, self.norm_const)
-        count, d, _ = ops.shape
-        ops = ops.view()
-        vecs = ops.reshape(count, d * d)
+        )
+        _hold(res, self.algebra.kind, c)
         ops.flags.writeable = vecs.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "vectors", vecs)
@@ -407,15 +389,49 @@ class MonoidalityReport:
         return self.frame_ok and self.max_transfer_residual <= self.tolerance
 
 
+@lru_cache(maxsize=None)
+def _exact_residuals(f: WignerFrame) -> FrameResiduals:
+    """Bounds on the exact residuals of f's stored operators: each measured
+    residual widened by the rounding of the check that measured it.  Frames
+    are immutable, so the bounds are computed once per frame.
+
+    An entry that sums k nonzero terms of l1 mass M, its target among them,
+    is measured to within (k - 1) eps M in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2; eps = 2^-52, twice
+    the unit roundoff, covers complex addition).  Exact zeros round nothing,
+    so k and M are read from the nonzeros of f.vectors.  The Gram and square
+    checks multiply before they sum, which counts as one term more.
+    """
+    res, d, c, m = f.residuals, f.hilbert_dim, float(f.norm_const), f.residuals.max_entry
+    eps = float(np.finfo(float).eps)
+
+    def widened(residual, summands, extra_terms, scale, target) -> float:
+        # row r of summands bounds the terms of one checked entry, up to scale
+        k = np.count_nonzero(summands, axis=1).max() + extra_terms
+        return residual + float((k - 1) * eps * (summands.sum(axis=1).max() * scale + target))
+
+    mags = np.abs(f.vectors)
+    unit = 1.0 if f.algebra.kind == "matrix" else m  # the square check's target entry
+    return FrameResiduals(
+        hermitian=res.hermitian + (2 - 1) * eps * 2.0 * m,  # s_kl - conj(s_lk)
+        trace=widened(res.trace, mags[:, :: d + 1], 1, 1.0, 1.0),
+        square=widened(res.square, mags.reshape(-1, d), 2, m, unit),
+        gram=widened(res.gram, mags, 2, m, c),
+        sum=widened(res.sum, mags.T, 1, 1.0, c),
+        max_entry=m * (1.0 + eps),
+    )
+
+
 def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
-    """Bounds on the residuals of the product frame {s (x) t}, from the factors'.
+    """Bounds on the exact residuals of the exact products {s (x) t} of the two
+    factors' stored operators.
 
     Each frame condition factorises: (s (x) t)^dag = s^dag (x) t^dag,
     Tr(s (x) t) = Tr s Tr t, (s (x) t)^2 = s^2 (x) t^2, the Gram matrix is
     G_a (x) G_b and the sum is (sum s) (x) (sum t).  Writing each factor
     quantity as its target plus an error bounded entrywise by the factor's
-    residual (h, t, q, g, s, with m the largest entry modulus and c the frame
-    constant) bounds the product's residuals by
+    exact residual (h, t, q, g, s from :func:`_exact_residuals`, with m the
+    largest entry modulus and c the frame constant) bounds the product's by
 
         hermitian  h_a m_b + m_a h_b
         trace      t_a + t_b + t_a t_b
@@ -423,66 +439,47 @@ def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
         gram       g_a (c_b + g_b) + c_a g_b
         sum        s_a (c_b + s_b) + c_a s_b
 
-    plus (L_a + L_b + 6) eps S each, and m_a m_b (1 + 4 eps) bounds m.
-    Here eps = 2^-52, S bounds the sum of the moduli of the terms the dense
-    check would accumulate, and L_a, L_b are the lengths the factor checks
-    accumulated over.  The allowance covers the rounding of the einsum
-    products (at most sqrt(2) eps relative each) and of the factor checks'
-    own measurements, so each bound holds for the exact residual of the
-    product operators as :func:`product_frame` stores them; a dense check
-    measures that residual only up to the rounding of its own accumulation.
+    and m_a m_b bounds m.  Nothing here covers the rounding of forming the
+    products in floating point: that is the dense check's to measure.
 
     Factors must share a kind: mixed products are neither involutive nor
     idempotent, so no frame conditions could hold for them.
     """
     if fa.algebra.kind != fb.algebra.kind:
         raise UnrepresentableAlgebraError("cannot tensor frames of different kinds")
-    na, da, _ = fa.operators.shape
-    nb, db, _ = fb.operators.shape
-    a, b = fa.residuals, fb.residuals
+    a, b = _exact_residuals(fa), _exact_residuals(fb)
     ca, cb = float(fa.norm_const), float(fb.norm_const)
-    # entry scales, floored at 1 so that S also covers subtracting a unit target
-    scale = max(1.0, a.max_entry) * max(1.0, b.max_entry)
-    eps = float(np.finfo(float).eps)
-
-    def slack(len_a: int, len_b: int, terms: float) -> float:
-        return (len_a + len_b + 6) * eps * terms
-
     if fa.algebra.kind == "matrix":
         unit_a = unit_b = 1.0
     else:
         unit_a, unit_b = a.max_entry, b.max_entry
     return FrameResiduals(
-        hermitian=a.hermitian * b.max_entry + a.max_entry * b.hermitian + slack(0, 0, scale),
-        trace=a.trace + b.trace + a.trace * b.trace + slack(da, db, da * db * scale),
-        square=a.square * unit_b + unit_a * b.square + a.square * b.square
-        + slack(da, db, da * db * scale * scale),
-        gram=a.gram * (cb + b.gram) + ca * b.gram
-        + slack(da * da, db * db, (ca + a.gram) * (cb + b.gram)),
-        sum=a.sum * (cb + b.sum) + ca * b.sum + slack(na, nb, na * nb * scale),
-        max_entry=a.max_entry * b.max_entry * (1.0 + 4.0 * eps),
+        hermitian=a.hermitian * b.max_entry + a.max_entry * b.hermitian,
+        trace=a.trace + b.trace + a.trace * b.trace,
+        square=a.square * unit_b + unit_a * b.square + a.square * b.square,
+        gram=a.gram * (cb + b.gram) + ca * b.gram,
+        sum=a.sum * (cb + b.sum) + ca * b.sum,
+        max_entry=a.max_entry * b.max_entry,
     )
 
 
 def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
-    """Tensor frame {s (x) t} in (a, b) point order, verified from its two
-    verified factors: no dense check runs on the Kronecker products, whose
-    ``residuals`` are the bounds of :func:`_product_residuals`."""
-    residuals = _product_residuals(fa, fb)
+    """Tensor frame {s (x) t} in (a, b) point order: the Kronecker products of
+    the two factors' operators, checked densely like every other frame."""
     na, da, _ = fa.operators.shape
     nb, db, _ = fb.operators.shape
     count, d = na * nb, da * db
-    ops = _allocate(
+
+    def build() -> WignerFrame:
+        ops = np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(count, d, d)
+        return WignerFrame(
+            Algebra(fa.algebra.kind, d), ops, fa.norm_const * fb.norm_const,
+            product_space(fa.space, fb.space),
+        )
+
+    return _allocate(
         f"a product frame for m = {da}, n = {db} is {count} operators of {d} x {d}",
-        16 * count * d * d,
-        lambda: np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(count, d, d),
-    )
-    return WignerFrame._from_residuals(
-        Algebra(fa.algebra.kind, d),
-        ops,
-        fa.norm_const * fb.norm_const,
-        product_space(fa.space, fb.space),
-        residuals,
+        16 * count * d * d, build,
     )
 
 
@@ -506,8 +503,9 @@ def monoidality_check(
 ) -> MonoidalityReport:
     """Verify the tensor structure of the m x n product from the two factor frames.
 
-    Certified (``frame_ok``): the product operators form a frame, by the
-    bounds of :func:`_product_residuals` held to the frame tolerances.
+    Certified (``frame_ok``): the exact Kronecker products of the two stored
+    factor frames form a frame, by the bounds of :func:`_product_residuals`
+    held to the frame tolerances.
     Sampled (``max_transfer_residual``): each trial draws a channel pair
     (f, g), then a few product points (a, b), and compares the column of
     T(f (x) g) that ``tensor(f, g)`` gives at (a, b) with T(f)[:, a] (x)

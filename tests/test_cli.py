@@ -113,6 +113,15 @@ class TestWigner:
         kernel = parse_kernel(doc["sample_kernel"])
         assert kernel.source.size == 9 and kernel.target.size == 9
 
+    @pytest.mark.parametrize("dim", ["13", "15"])
+    def test_functor_check_certifies_odd_dims_past_eleven(self, capsys, dim):
+        code, out, _ = run_cli(
+            capsys, "wigner", "functor-check", "--dim", dim, "--trials", "1", "--seed", "1"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["monoidality"]["frame_ok"] is True and doc["passed"] is True
+
     def test_epistemic(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

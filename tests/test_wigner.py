@@ -15,7 +15,7 @@ from ontokit.errors import (
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
-from ontokit.kernels import TWO, UNIT_SPACE, evaluate, kcompose, product_space
+from ontokit.kernels import TWO, UNIT_SPACE, evaluate, kcompose
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
@@ -36,7 +36,6 @@ from ontokit.sampling import (
 )
 from ontokit.tolerances import DEGENERATE_DRAW_EPS, TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
-    Algebra,
     FrameResiduals,
     WignerFrame,
     commutative_algebra,
@@ -501,6 +500,11 @@ class TestMonoidality:
         rep = monoidality_check(5, 7, 1, seed=17)
         assert rep.frame_ok and rep.passed
 
+    @pytest.mark.parametrize("d", range(3, 32, 2))
+    def test_frame_ok_for_every_odd_dimension(self, d):
+        # zero trials form no product: the certificate alone
+        assert monoidality_check(d, d, 0, 0).frame_ok
+
     def test_product_frame_transfer_matches_per_kraus_oracle(self):
         prod = product_frame(QUTRIT, phase_point_operators(5))
         ch = random_cptp_channel(rng_for(93), 15, 15, n_kraus=2)
@@ -513,15 +517,6 @@ def product_operators(fa, fb):
     """{s (x) t} in (a, b) point order, as one einsum of the factor stacks."""
     d = fa.hilbert_dim * fb.hilbert_dim
     return np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(-1, d, d)
-
-
-def dense_product(fa, fb):
-    """The oracle: every dense frame check run on the product operators."""
-    ops = product_operators(fa, fb)
-    return WignerFrame(
-        Algebra(fa.algebra.kind, ops.shape[1]), ops, fa.norm_const * fb.norm_const,
-        product_space(fa.space, fb.space),
-    )
 
 
 def perturbed(frame, size, rng):
@@ -546,45 +541,47 @@ FACTORS = {
 }
 
 
+def hermitian_break(size):
+    """The qutrit frame with the unit entry (1, 2) of A_(0,0) moved by ``size``,
+    which breaks Hermiticity by ``size`` yet passes the frame checks."""
+    ops = QUTRIT.operators.copy()
+    ops[0, 1, 2] += size
+    return WignerFrame(matrix_algebra(3), ops, 3.0, QUTRIT.space)
+
+
 class TestProductFrameBounds:
     @pytest.mark.parametrize("pair", list(FACTORS))
-    def test_both_paths_accept_with_einsum_operators(self, pair):
+    def test_operators_are_the_einsum_products(self, pair):
         fa, fb = FACTORS[pair]()
         prod = product_frame(fa, fb)
         einsum = product_operators(fa, fb)
         # bit-equal, signed zeros included
         assert prod.vectors.tobytes() == einsum.tobytes()
         assert prod.vectors.shape == (fa.n_points * fb.n_points, einsum.shape[1] ** 2)
-        assert_bounds_cover(prod.residuals, dense_product(fa, fb).residuals)
-
-    @pytest.mark.parametrize("size", [1e-13, 1e-12, 1e-11])
-    @pytest.mark.parametrize("pair", ["3x3", "3x5", "c2xc3"])
-    def test_bounds_cover_the_dense_residuals_of_perturbed_factors(self, pair, size):
-        fa, fb = FACTORS[pair]()
-        for seed in range(3):
-            rng = rng_for(61, seed)
-            pa, pb = perturbed(fa, size, rng), perturbed(fb, size, rng)
-            prod = product_frame(pa, pb)
-            assert_bounds_cover(prod.residuals, dense_product(pa, pb).residuals)
 
     def test_bounds_of_a_product_of_products_cover_the_dense_residuals(self):
         rng = rng_for(62)
         inner = product_frame(perturbed(QUTRIT, 1e-12, rng), perturbed(QUTRIT, 1e-12, rng))
         outer_factor = perturbed(QUTRIT, 1e-12, rng)
-        prod = product_frame(inner, outer_factor)
-        assert_bounds_cover(prod.residuals, dense_product(inner, outer_factor).residuals)
+        assert_bounds_cover(
+            wigner._product_residuals(inner, outer_factor),
+            product_frame(inner, outer_factor).residuals,
+        )
 
-    def test_bound_past_the_tolerance_raises_as_the_dense_check_does(self):
-        # A_(0,0) has unit entries at (1, 2) and (2, 1); moving one breaks
-        # Hermiticity by 6e-11 per factor, 1.2e-10 in the product
-        ops = QUTRIT.operators.copy()
-        ops[0, 1, 2] += 6e-11
-        factor = WignerFrame(matrix_algebra(3), ops, 3.0, QUTRIT.space)
+    def test_dense_check_refuses_a_product_past_the_tolerance(self):
+        # 6e-11 per factor, 1.2e-10 in the product
+        factor = hermitian_break(6e-11)
         assert factor.residuals.hermitian <= TIGHT_IDENTITY_TOL
         with pytest.raises(VerificationFailedError, match="not Hermitian: 1.2"):
             product_frame(factor, factor)
-        with pytest.raises(VerificationFailedError, match="not Hermitian: 1.2"):
-            dense_product(factor, factor)
+
+    def test_certificate_refuses_what_the_dense_check_refuses(self, monkeypatch):
+        factor = hermitian_break(6e-11)
+        monkeypatch.setattr(wigner, "phase_point_operators", lambda n: factor)
+        rep = monoidality_check(3, 3, 1, 0)
+        # the sampled columns pass: only the certificate sees the fault
+        assert not rep.frame_ok and not rep.passed
+        assert rep.max_transfer_residual <= rep.tolerance
 
     def test_product_frames_are_read_only(self):
         prod = product_frame(QUTRIT, QUTRIT)
@@ -615,7 +612,6 @@ class TestProductFrameTooLarge:
         monkeypatch.setattr(wigner.np, "einsum", None)
         n = 201
         factor = SimpleNamespace(
-            algebra=matrix_algebra(n), residuals=QUTRIT.residuals, norm_const=float(n),
             operators=np.broadcast_to(np.zeros((), dtype=complex), (n * n, n, n)),
         )
         with pytest.raises(TooLargeError, match=(
@@ -653,13 +649,20 @@ class TestSampledMonoidality:
         ])
         assert linalg.max_abs(columns.T - dense) <= 1e-12
 
-    @pytest.mark.parametrize("pair", DENSE_PAIRS)
-    def test_helper_bounds_equal_the_product_frame_residuals(self, pair):
+    @pytest.mark.parametrize("size", [0.0, 1e-13, 1e-12, 1e-11])
+    @pytest.mark.parametrize("pair", list(FACTORS))
+    def test_helper_bounds_cover_the_product_frame_residuals(self, pair, size):
+        # the bounds are on the exact products; product_frame measures its
+        # rounded einsum products, and the bounds cover that too
         fa, fb = FACTORS[pair]()
-        bounds = wigner._product_residuals(fa, fb)
-        stored = product_frame(fa, fb).residuals
-        for f in fields(FrameResiduals):
-            assert getattr(bounds, f.name) == getattr(stored, f.name), f.name
+        cases = [(fa, fb)]
+        if size:
+            # three draws, one at 5x7, whose dense check takes about 0.5 s
+            seeds = range(1 if pair == "5x7" else 3)
+            rngs = [rng_for(61, fa.n_points, fb.n_points, seed) for seed in seeds]
+            cases = [(perturbed(fa, size, rng), perturbed(fb, size, rng)) for rng in rngs]
+        for pa, pb in cases:
+            assert_bounds_cover(wigner._product_residuals(pa, pb), product_frame(pa, pb).residuals)
 
     @pytest.mark.parametrize("pair", DENSE_PAIRS)
     def test_misordered_tensor_fails_the_check(self, pair, monkeypatch):
@@ -686,7 +689,7 @@ class TestSampledMonoidality:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        assert rep.max_transfer_residual < 1e-12
+        assert rep.frame_ok and rep.max_transfer_residual < 1e-12
 
 
 class TestCertificateTransport:
