@@ -15,13 +15,20 @@ float64 round-trips are bit exact):
              "measurements": [{"basis": [ket, ...], "responses": [[real]]}]}
 * qmeasure  {"points": [labels], "decoherence": matrix}
             or {"points": [labels], "measure": {"<bitmask>": real}}
+
+``dumps_report`` formats a list of plain floats, and a list of
+equal-length list or tuple rows of plain floats, with one ``%`` over a
+"%.17g" template of its shape, and lists of strings and dict keys with
+json's C string encoder; other values go one call each.  The bytes are
+those of emitting value by value.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from json.encoder import encode_basestring_ascii
+from operator import countOf, iadd
 from typing import Any
 
 import numpy as np
@@ -56,7 +63,11 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     """Render JSON with every float at 17 significant digits.
 
     Dictionary order is preserved, so reports are byte-identical across
-    runs with the same inputs and seed.
+    runs with the same inputs and seed.  A list of plain floats, and a
+    list of equal-length list or tuple rows of plain floats, is formatted
+    with one ``%`` over a "%.17g" template of its shape, and lists of
+    strings and dict keys with json's C string encoder; other values go
+    one call each.  The bytes are those of emitting value by value.
     """
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
@@ -65,7 +76,7 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     if isinstance(obj, np.ndarray):
@@ -76,21 +87,38 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{inner}{json.dumps(str(k))}: {dumps_report(v, indent + 2)}'
+            f"{inner}{encode_basestring_ascii(str(k))}: {dumps_report(v, indent + 2)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        if all(type(v) is float for v in obj):
-            # a row of plain floats, the bulk of every report: one pass
-            if not all(map(math.isfinite, obj)):
-                raise ValueError("cannot serialise non-finite float")
-            items = [format(v, ".17g") for v in obj]
+        types = set(map(type, obj))
+        values = None
+        if types == {float}:
+            values, items = tuple(obj), ["%.17g"] * len(obj)
+        elif types == {str}:
+            items = map(encode_basestring_ascii, obj)
         else:
-            items = [dumps_report(v, indent + 2) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            if types <= {list, tuple} and len(set(map(len, obj))) == 1:
+                # iadd extends the new list only; twice as fast as itertools.chain
+                flat = tuple(reduce(iadd, obj, []))
+                if flat and countOf(map(type, flat), float) == len(flat):
+                    cell = ",\n  " + inner
+                    row = "[\n  " + inner + cell.join(["%.17g"] * len(obj[0])) + "\n" + inner + "]"
+                    values, items = flat, [row] * len(obj)
+            if values is None:
+                items = [dumps_report(v, indent + 2) for v in obj]
+        text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if values is None:
+            return text
+        text %= values
+        # "%.17g" spells a finite float with digits, ".", "e", "+" and "-"
+        # only, and a non-finite one as "inf" or "nan"
+        if "n" in text:
+            raise ValueError("cannot serialise non-finite float")
+        return text
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ontokit import cli
 from ontokit.errors import SchemaError
 from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
 from ontokit import serialize
@@ -39,7 +42,8 @@ def channel_to_json(ch):
 
 
 def recursive_dumps_oracle(obj, indent=0):
-    """The emitter before its flat-float fast path: one call per value."""
+    """The emitter before its one-call paths: one call per value and one
+    ``json.dumps`` per string and key."""
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if x != x or x in (float("inf"), float("-inf")):
@@ -73,9 +77,47 @@ def recursive_dumps_oracle(obj, indent=0):
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
+STACK_3D = matrix_to_json(np.arange(18).reshape(2, 3, 3) * (0.1 - 0.7j) - 0.5)
+
+# JSON-like documents, with the shapes the one-call paths take and the
+# values whose spelling is easiest to get wrong
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]
+)
+_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\x80é∀\u2028\U0001f600a')
+_SCALARS = (
+    _FLOATS
+    | st.integers()
+    | st.sampled_from([2 ** 53 + 1, -(2 ** 53) - 3, 2 ** 64, -(10 ** 30)])
+    | st.booleans()
+    | st.none()
+    | _TEXT
+)
+_KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
+_TABLES = st.integers(0, 4).flatmap(
+    lambda w: st.lists(st.lists(_FLOATS, min_size=w, max_size=w), min_size=1, max_size=5)
+)
+_DOCS = st.recursive(
+    _SCALARS | _TABLES | st.lists(_FLOATS, min_size=1) | st.lists(_TEXT, min_size=1),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(_KEYS, kids, max_size=5),
+    max_leaves=30,
+)
+
+
+def _outcome(emit, doc):
+    """What an emitter does with ``doc``: its text, or its error."""
+    try:
+        return emit(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestEmitterFastPath:
-    """Lists and tuples of plain floats are emitted in one pass; the output
-    must match the recursive emitter byte for byte."""
+    """Lists of plain floats, tables of equal-length rows of plain floats
+    and lists of strings are emitted in one call each; the output must match
+    the recursive emitter byte for byte."""
 
     @pytest.mark.parametrize(
         "doc",
@@ -95,20 +137,79 @@ class TestEmitterFastPath:
             {"rows": [[0.5, -0.5], [1.0, 2.0]], "empty": [], "n": 3, "flag": True},
             {"outer": {"inner": [0.1, None, "x", 2.0]}},
             np.linspace(-1.0, 1.0, 7),
+            [[0.1, 0.2], [0.3]],
+            [[0.1, 0.2], [0.3, 4]],
+            [[0.1, 0.2], [True, 0.4]],
+            [[0.1, 0.2], [0.3, np.float64(0.4)]],
+            [[0.1, None], [0.3, 0.4]],
+            [[0.1, 0.2], ["0.3", 0.4]],
+            [[], []],
+            ((0.1, -0.0), (5e-324, 1e308)),
+            [(0.1, 0.2), [0.3, 0.4]],
+            STACK_3D,
+            ["a", 'q"uote', "back\\slash", "\x00\x1f\n", "é∀", "\U0001f600", "%.17g"],
+            {"%s": [0.5], 7: "%d", None: [[0.25]], 1.5: True},
         ],
     )
     def test_matches_recursive_emitter(self, doc):
         assert dumps_report(doc) == recursive_dumps_oracle(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCS)
+    def test_matches_recursive_emitter_on_random_documents(self, doc):
+        assert dumps_report(doc) == recursive_dumps_oracle(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_DOCS, st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
+    def test_fails_like_recursive_emitter_on_a_non_finite_float(self, doc, bad, data):
+        """A non-finite float put in a random place of a random document."""
+        holder = [doc, bad] if data.draw(st.booleans()) else [[0.5, 0.25], [0.125, bad]]
+        doc = data.draw(st.sampled_from([holder, {"k": holder}, [doc, holder]]))
+        assert (
+            _outcome(dumps_report, doc)
+            == _outcome(recursive_dumps_oracle, doc)
+            == (ValueError, "cannot serialise non-finite float")
+        )
 
     def test_matches_on_a_kernel_report(self):
         ch = random_cptp_channel(rng_for(9), 3, 3)
         doc = {"kernel": kernel_to_json(functor_morphism(ch)), "channel": channel_to_json(ch)}
         assert dumps_report(doc) == recursive_dumps_oracle(doc)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "wigner functor-check --dim 7 --trials 2 --seed 3",
+            "wigner frame 5",
+            "qmeasure validate {doc}",
+        ],
+    )
+    def test_matches_on_cli_reports(self, argv, tmp_path, monkeypatch, capsys):
+        # a 16-point measure, off additivity on a few sets so that the
+        # report carries violation records
+        values = np.array([bin(mask).count("1") / 16 for mask in range(2 ** 16)])
+        values[[7, 100, 4095, 65534]] += [0.01, -0.02, 0.03, -0.001]
+        doc = tmp_path / "measure16.json"
+        doc.write_text(json.dumps({
+            "points": [f"x{i}" for i in range(16)],
+            "measure": {str(mask): v for mask, v in enumerate(values.tolist())},
+        }))
+        reports = []
+        monkeypatch.setattr(cli, "dumps_report", lambda obj: reports.append(obj) or "")
+        cli.main(argv.format(doc=doc).split())
+        capsys.readouterr()
+        (report,) = reports
+        assert dumps_report(report) == recursive_dumps_oracle(report)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("where", ["flat", "nested", "tuple"])
+    @pytest.mark.parametrize("where", ["flat", "nested", "tuple", "table"])
     def test_non_finite_raises(self, bad, where):
-        doc = {"flat": [0.1, bad], "nested": [[0.1], [bad, 2.0]], "tuple": (bad,)}[where]
+        doc = {
+            "flat": [0.1, bad],
+            "nested": [[0.1], [bad, 2.0]],
+            "tuple": (bad,),
+            "table": [[0.1, 0.2], [0.3, bad]],
+        }[where]
         with pytest.raises(ValueError, match="^cannot serialise non-finite float$"):
             dumps_report(doc)
 
