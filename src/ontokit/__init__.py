@@ -38,7 +38,6 @@ from .kernels import (
 )
 from .linalg import hermitian_eigenvalues, trace_norm
 from .ontomodel import (
-    ActionTable,
     FunctorFragment,
     OntModel,
     check_equivariance,

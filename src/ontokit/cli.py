@@ -228,7 +228,7 @@ def _cmd_wigner_functor_check(args) -> int:
             evaluation_tests=[("meas", "state")], tol=tol,
         )
         for v in rep.composition_violations + rep.identity_violations:
-            worst_comp = max(worst_comp, float(v.get("error", 1.0)))
+            worst_comp = max(worst_comp, v["error"])
         for v in rep.evaluation_violations:
             worst_eval = max(worst_eval, abs(v["quantum"] - v["classical"]))
     mono = monoidality_check(dim, dim, max(1, args.trials // 4), args.seed, tol=tol)

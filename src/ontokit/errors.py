@@ -30,7 +30,7 @@ class MissingMorphismError(OntokitError):
 
 
 class MissingActionError(OntokitError):
-    """An action table lacks an entry for a tested (channel, point) pair."""
+    """A channel tested for equivariance has no point permutation."""
 
 
 class BadOverlapError(OntokitError):

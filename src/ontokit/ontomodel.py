@@ -3,15 +3,15 @@
 A finite ontological model pins down an ontic space, one distribution per
 catalogued state, and one response function per measurement outcome; the
 validators work on its stacked kets and weights as matrices.  Functor
-fragments are finite tables of (channel, kernel) pairs checked for
-composition, identity, evaluation preservation, and equivariance under a
-tabulated action.
+fragments are finite tables of (channel, kernel) pairs whose laws, checked
+as matrix identities, are composition, identity, evaluation preservation,
+and equivariance under point permutations.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,8 +27,6 @@ from .kernels import (
     ResponseFunction,
     SignedKernel,
     distribution_rows,
-    evaluate,
-    kcompose,
     response_rows,
 )
 from .quantum import Channel, ProjectiveMeasurement, compose
@@ -330,6 +328,12 @@ def _quantum_probability(meas: Channel, state: Channel) -> float:
     return float(np.vdot(first, first).real)
 
 
+def _fits(fits: bool, test: str, rule: str) -> None:
+    """The endpoint rule: a law test whose kernels do not fit its law is refused."""
+    if not fits:
+        raise SpaceMismatchError(f"{test}: {rule}")
+
+
 def check_operational_model(
     frag: FunctorFragment,
     composition_tests: Sequence[tuple[str, str, str]] = (),
@@ -337,65 +341,47 @@ def check_operational_model(
     evaluation_tests: Sequence[tuple[str, str]] = (),
     tol: float = FUNCTOR_TOL,
 ) -> OperationalModelReport:
-    """Verify functor laws on the tabulated fragment.
+    """Verify functor laws on the tabulated fragment as matrix identities.
 
-    ``composition_tests`` lists (g, f, gf) name triples with gf the table
-    entry for the quantum-side composite; ``identity_names`` must map to
-    identity kernels; ``evaluation_tests`` lists (measurement, state) pairs
-    whose kernel-side evaluation must reproduce the Born probability.
+    ``composition_tests`` lists (g, f, gf) name triples, gf the table entry
+    for the quantum-side composite (K_gf = K_g K_f); ``identity_names`` map
+    to identity kernels (K = I); ``evaluation_tests`` lists (measurement,
+    state) pairs whose (K_m K_s)[0, 0] is the Born probability.  A test whose
+    endpoints do not fit its law raises ``SpaceMismatchError`` naming it.
     """
     report = OperationalModelReport(tolerance=tol)
     for g_name, f_name, gf_name in composition_tests:
-        _, kg = frag.pair(g_name)
-        _, kf = frag.pair(f_name)
-        _, kgf = frag.pair(gf_name)
-        err = float(np.max(np.abs(kgf.matrix - kcompose(kg, kf).matrix)))
+        kg, kf, kgf = (frag.pair(name)[1] for name in (g_name, f_name, gf_name))
+        test = f"composition ({g_name!r}, {f_name!r}, {gf_name!r})"
+        _fits(kf.target == kg.source, test, "f must end where g starts")
+        _fits((kgf.source, kgf.target) == (kf.source, kg.target), test,
+              "gf must run from the source of f to the target of g")
+        err = linalg.max_abs(kgf.matrix - kg.matrix @ kf.matrix)
         if err > tol:
             report.composition_violations.append(
                 {"g": g_name, "f": f_name, "gf": gf_name, "error": err}
             )
     for name in identity_names:
         _, k = frag.pair(name)
-        if k.source != k.target:
-            report.identity_violations.append({"name": name, "error": "endpoints differ"})
-            continue
-        err = float(np.max(np.abs(k.matrix - np.eye(k.source.size))))
+        _fits(k.source == k.target, f"identity {name!r}", "the kernel must be an endomorphism")
+        err = linalg.max_abs(k.matrix - np.eye(k.source.size))
         if err > tol:
             report.identity_violations.append({"name": name, "error": err})
     for meas_name, state_name in evaluation_tests:
         ch_m, k_m = frag.pair(meas_name)
         ch_s, k_s = frag.pair(state_name)
-        if k_s.source != UNIT_SPACE or k_m.target != TWO:
-            report.evaluation_violations.append(
-                {"measurement": meas_name, "state": state_name,
-                 "error": "not a state/measurement composite into 2"}
-            )
-            continue
+        test = f"evaluation ({meas_name!r}, {state_name!r})"
+        _fits(k_s.source == UNIT_SPACE, test, "the state must start at the unit space")
+        _fits((k_m.source, k_m.target) == (k_s.target, TWO), test,
+              "the measurement must run from the state's space into TWO")
         quantum_p = _quantum_probability(ch_m, ch_s)
-        composite = kcompose(k_m, k_s)
-        classical_p = evaluate(Distribution(TWO, composite.matrix[:, 0]))
+        classical_p = float((k_m.matrix @ k_s.matrix)[0, 0])
         if abs(quantum_p - classical_p) > tol:
             report.evaluation_violations.append(
                 {"measurement": meas_name, "state": state_name,
                  "quantum": quantum_p, "classical": classical_p}
             )
     return report
-
-
-@dataclass(frozen=True)
-class ActionTable:
-    """Pointwise action of channels on measurable sets, given on singletons
-    and extended by unions: maps (channel name, point label) to a label set."""
-
-    actions: dict[str, dict[str, tuple[str, ...]]]
-
-    def image(self, channel_name: str, point: str) -> tuple[str, ...]:
-        try:
-            return self.actions[channel_name][point]
-        except KeyError as exc:
-            raise MissingActionError(
-                f"no tabulated action for channel {channel_name!r} at point {point!r}"
-            ) from exc
 
 
 @dataclass
@@ -411,32 +397,36 @@ class EquivarianceReport:
 
 def check_equivariance(
     frag: FunctorFragment,
-    action: ActionTable,
+    actions: Mapping[str, Sequence[int]],
     state_names: Sequence[str],
     channel_names: Sequence[str],
     tol: float = FUNCTOR_TOL,
 ) -> EquivarianceReport:
-    """Verify F(f . psi)({u}) = F(psi)(f . {u}) for tabulated singletons."""
+    """Verify F(f . psi) = pi_f . F(psi) on each state and channel: K_f w must
+    equal w moved by ``actions[f]``, the point permutation sending point j to
+    pi_f[j], as :func:`ontokit.wigner.displacement_permutation` gives it."""
     report = EquivarianceReport(tolerance=tol)
     for s_name in state_names:
         _, ks = frag.pair(s_name)
-        if ks.source != UNIT_SPACE:
-            raise SpaceMismatchError(f"{s_name!r} is not a state (source is not F(I))")
-        state_weights = ks.matrix[:, 0]
+        _fits(ks.source == UNIT_SPACE, f"equivariance state {s_name!r}",
+              "the state must start at the unit space")
+        w = ks.matrix[:, 0]
         for c_name in channel_names:
             _, kf = frag.pair(c_name)
-            if kf.source != ks.target:
-                raise SpaceMismatchError(f"channel {c_name!r} does not act on {s_name!r}")
-            pushed = kf.matrix @ state_weights
-            for i, label in enumerate(kf.target.points):
-                members = action.image(c_name, label)
-                rhs = float(
-                    sum(state_weights[ks.target.index(lab)] for lab in members)
+            if c_name not in actions:
+                raise MissingActionError(f"no point permutation for channel {c_name!r}")
+            pi, n = np.asarray(actions[c_name]), kf.target.size
+            test = f"equivariance ({s_name!r}, {c_name!r})"
+            _fits(kf.source == ks.target, test, "the channel must act on the state's space")
+            _fits(pi.shape == (n,) == w.shape and pi.dtype.kind in "iu"
+                  and np.array_equal(np.sort(pi), np.arange(n)),
+                  test, f"pi must be a bijection of the {n} points")
+            pushed, moved = kf.matrix @ w, np.empty_like(w)
+            moved[pi] = w
+            report.checked += n
+            for i in np.flatnonzero(np.abs(pushed - moved) > tol).tolist():
+                report.violations.append(
+                    {"state": s_name, "channel": c_name, "point": kf.target.points[i],
+                     "lhs": float(pushed[i]), "rhs": float(moved[i])}
                 )
-                report.checked += 1
-                if abs(pushed[i] - rhs) > tol:
-                    report.violations.append(
-                        {"state": s_name, "channel": c_name, "point": label,
-                         "lhs": float(pushed[i]), "rhs": rhs}
-                    )
     return report

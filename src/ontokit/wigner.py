@@ -326,7 +326,10 @@ def functor_morphism(
                 "channel output is not diagonal; not a morphism into C^k"
             )
     t = transfer_matrix(ch, in_frame, out_frame)
-    kernel = SignedKernel(in_frame.space, out_frame.space, t)
+    try:  # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
+        kernel = SignedKernel(in_frame.space, out_frame.space, t)
+    except ValueError as exc:
+        raise VerificationFailedError(str(exc)) from exc
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:
@@ -422,6 +425,15 @@ def _exact_residuals(f: WignerFrame) -> FrameResiduals:
     )
 
 
+def _product_kind(fa: WignerFrame, fb: WignerFrame) -> str:
+    """The kind of the tensor frame: a factor of Hilbert dimension 1 is the unit
+    of either kind, and mixed products are neither involutive nor idempotent."""
+    kinds = {f.algebra.kind for f in (fa, fb) if f.hilbert_dim > 1} or {"commutative"}
+    if len(kinds) > 1:
+        raise UnrepresentableAlgebraError("cannot tensor frames of different kinds")
+    return kinds.pop()
+
+
 def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
     """Bounds on the exact residuals of the exact products {s (x) t} of the two
     factors' stored operators.
@@ -442,21 +454,22 @@ def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
     and m_a m_b bounds m.  Nothing here covers the rounding of forming the
     products in floating point: that is the dense check's to measure.
 
-    Factors must share a kind: mixed products are neither involutive nor
-    idempotent, so no frame conditions could hold for them.
+    A one-dimensional factor (one 1 x 1 operator s) of a matrix product needs
+    |s^2 - 1| <= |s^2 - s| + |s - 1|, its square plus its trace residual.
     """
-    if fa.algebra.kind != fb.algebra.kind:
-        raise UnrepresentableAlgebraError("cannot tensor frames of different kinds")
+    kind = _product_kind(fa, fb)
     a, b = _exact_residuals(fa), _exact_residuals(fb)
+    qa, qb = (r.square + (r.trace if f.algebra.kind != kind else 0.0)
+              for r, f in ((a, fa), (b, fb)))
     ca, cb = float(fa.norm_const), float(fb.norm_const)
-    if fa.algebra.kind == "matrix":
+    if kind == "matrix":
         unit_a = unit_b = 1.0
     else:
         unit_a, unit_b = a.max_entry, b.max_entry
     return FrameResiduals(
         hermitian=a.hermitian * b.max_entry + a.max_entry * b.hermitian,
         trace=a.trace + b.trace + a.trace * b.trace,
-        square=a.square * unit_b + unit_a * b.square + a.square * b.square,
+        square=qa * unit_b + unit_a * qb + qa * qb,
         gram=a.gram * (cb + b.gram) + ca * b.gram,
         sum=a.sum * (cb + b.sum) + ca * b.sum,
         max_entry=a.max_entry * b.max_entry,
@@ -473,7 +486,7 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
     def build() -> WignerFrame:
         ops = np.einsum("akl,bmn->abkmln", fa.operators, fb.operators).reshape(count, d, d)
         return WignerFrame(
-            Algebra(fa.algebra.kind, d), ops, fa.norm_const * fb.norm_const,
+            Algebra(_product_kind(fa, fb), d), ops, fa.norm_const * fb.norm_const,
             product_space(fa.space, fb.space),
         )
 
@@ -517,7 +530,7 @@ def monoidality_check(
     fm = phase_point_operators(m)
     fn = phase_point_operators(n)
     try:
-        _hold(_product_residuals(fm, fn), fm.algebra.kind, fm.norm_const * fn.norm_const)
+        _hold(_product_residuals(fm, fn), _product_kind(fm, fn), fm.norm_const * fn.norm_const)
         frame_ok = True
     except VerificationFailedError:
         frame_ok = False
@@ -592,13 +605,10 @@ def epistemic_report(psi, phi) -> EpistemicReport:
     )
 
 
-def displacement_permutation(n: int, a: int, b: int) -> list[int]:
-    """Index map pi with D(a,b) s_i D(a,b)^dag = s_pi(i) on phase space."""
-    return [
-        (((q + a) % n) * n + ((p + b) % n))
-        for q in range(n)
-        for p in range(n)
-    ]
+def displacement_permutation(n: int, a: int, b: int) -> np.ndarray:
+    """Index map pi with D(a,b) s_i D(a,b)^dag = s_pi(i) on phase space:
+    point (q, p), index q n + p, goes to (q + a, p + b) mod n."""
+    return np.roll(np.arange(n * n).reshape(n, n), (-a, -b), axis=(0, 1)).reshape(-1)
 
 
 def displacement_channel(n: int, a: int, b: int) -> Channel:

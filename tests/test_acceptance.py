@@ -17,7 +17,6 @@ from ontokit.antidist import (
 )
 from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, kcompose
 from ontokit.ontomodel import (
-    ActionTable,
     FunctorFragment,
     OntModel,
     check_equivariance,
@@ -52,7 +51,6 @@ from ontokit.wigner import (
     functor_morphism,
     monoidality_check,
     phase_point_operators,
-    phase_space,
     random_stabilizer_pair,
     wigner_vector,
 )
@@ -307,7 +305,6 @@ def test_criterion_10_quantum_measures():
 
 def test_criterion_11_covariance_equivariance():
     frame = phase_point_operators(3)
-    space = phase_space(3)
     perm_ok = True
     channels = {}
     kernels = {}
@@ -326,11 +323,7 @@ def test_criterion_11_covariance_equivariance():
             perm_ok = perm_ok and is_perm
             channels[name] = ch
             kernels[name] = k
-            perm = displacement_permutation(3, a, b)
-            inverse = {perm[i]: i for i in range(9)}
-            actions[name] = {
-                space.points[i]: (space.points[inverse[i]],) for i in range(9)
-            }
+            actions[name] = displacement_permutation(3, a, b)
     rng = rng_for(SEED, 11)
     for i in range(3):
         prep = preparation_channel(random_density(rng, 3))
@@ -339,7 +332,7 @@ def test_criterion_11_covariance_equivariance():
     frag = FunctorFragment(channels=channels, kernels=kernels)
     report = check_equivariance(
         frag,
-        ActionTable(actions),
+        actions,
         [f"rho{i}" for i in range(3)],
         [f"D{a}{b}" for a in range(3) for b in range(3)],
         tol=1e-9,

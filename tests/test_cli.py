@@ -521,6 +521,20 @@ class TestQmeasureCli:
         assert out == ""
         assert "measure[1]" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "schema error: {path}: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+        (json.dumps({"points": ["a"], "measure": {"0": 0.0, "x": 0.5, "1": 1.0}}),
+         "schema error: measure[x]: bitmask keys must be integers\n"),
+        # a 2-point decoherence functional given as 2 x 3
+        (json.dumps({"points": ["a", "b"], "decoherence": [[[0.5, 0.0]] * 3, [[0.0, 0.0]] * 3]}),
+         "schema error: decoherence: singleton matrix shape must match the space\n"),
+    ], ids=["not-json", "measure-key-x", "decoherence-2x3"])
+    def test_malformed_document_exits_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "q.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "qmeasure", "validate", str(path))
+        assert (code, out, err) == (2, "", message.format(path=path))
+
     @pytest.mark.parametrize("form", [
         {"measure": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}},
         {"decoherence": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},

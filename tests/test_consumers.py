@@ -22,9 +22,9 @@ TRACING = ROOT / "bench" / "tracing.py"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 KEPT = {
-    "dual_state_kernel": "kernel side of the duality law (ROADMAP item 4)",
-    "dual_state_quantum": "quantum side of the duality law (ROADMAP item 4)",
-    "response_as_kernel": "model responses as kernels into TWO (ROADMAP item 3)",
+    "dual_state_kernel": "kernel side of the duality law (ROADMAP item 6)",
+    "dual_state_quantum": "quantum side of the duality law (ROADMAP item 6)",
+    "response_as_kernel": "model responses as kernels into TWO (ROADMAP item 8)",
     "identity_kernel": "kernel-side constructor: the identity kernel on a space",
     "point_mass": "kernel-side constructor: the point-mass distribution",
     "uniform": "kernel-side constructor: the uniform distribution",

@@ -1,5 +1,7 @@
 """Model validation, epistemic classification, functor-fragment checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from ontokit.kernels import (
     variational_distance,
 )
 from ontokit.ontomodel import (
-    ActionTable,
     Classification,
     FunctorFragment,
     MaximalPredicates,
@@ -797,6 +798,84 @@ class TestOperationalModel:
         report = check_operational_model(frag, evaluation_tests=[("meas", "state")])
         assert report.clean
 
+    @staticmethod
+    def endpoint_fragment():
+        """Qutrit identity kernels (9 -> 9), a state (1 -> 9), a measurement
+        (9 -> 2) and an identity on a relabelled copy of phase space."""
+        rng = rng_for(108)
+        from ontokit.quantum import measurement_channel
+        from ontokit.sampling import random_effect
+
+        prep = preparation_channel(random_density(rng, 3))
+        meas = measurement_channel(random_effect(rng, 3))
+        relabelled = FiniteSpace(tuple(f"x{i}" for i in range(9)))
+        identity = functor_morphism(Channel.identity(3))
+        return FunctorFragment(
+            channels={"id": Channel.identity(3), "state": prep, "meas": meas,
+                      "relabelled": Channel.identity(3)},
+            kernels={
+                "id": identity,
+                "state": functor_morphism(prep, in_algebra=commutative_algebra(1)),
+                "meas": functor_morphism(meas, out_algebra=commutative_algebra(2)),
+                "relabelled": SignedKernel(relabelled, relabelled, identity.matrix),
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "laws, message",
+        [
+            # gf of another shape: numpy could not even subtract K_g K_f from it
+            ({"composition_tests": [("id", "id", "meas")]},
+             "composition ('id', 'id', 'meas'): gf must run from the source of f to the target of g"),
+            # gf of the right shape on a relabelled space
+            ({"composition_tests": [("id", "id", "relabelled")]},
+             "composition ('id', 'id', 'relabelled'): gf must run"),
+            ({"composition_tests": [("id", "meas", "meas")]},
+             "composition ('id', 'meas', 'meas'): f must end where g starts"),
+            ({"identity_names": ["meas"]},
+             "identity 'meas': the kernel must be an endomorphism"),
+            ({"evaluation_tests": [("state", "meas")]},
+             "evaluation ('state', 'meas'): the state must start at the unit space"),
+            ({"evaluation_tests": [("id", "state")]},
+             "evaluation ('id', 'state'): the measurement must run from the state's space into TWO"),
+            ({"evaluation_tests": [("meas", "id")]},
+             "evaluation ('meas', 'id'): the state must start at the unit space"),
+        ],
+    )
+    def test_endpoints_that_do_not_fit_the_law(self, laws, message):
+        with pytest.raises(SpaceMismatchError, match=re.escape(message)):
+            check_operational_model(self.endpoint_fragment(), **laws)
+
+    def test_fitting_endpoints_give_numeric_records(self):
+        frag = self.endpoint_fragment()
+        space = phase_space(3)
+        frag = FunctorFragment(
+            channels={**frag.channels, "swap": Channel.identity(3)},
+            kernels={**frag.kernels, "id": SignedKernel(space, space, np.eye(9)),
+                     "swap": SignedKernel(space, space, np.eye(9)[::-1])},
+        )
+        report = check_operational_model(
+            frag, composition_tests=[("id", "id", "swap")], identity_names=["swap", "id"],
+            evaluation_tests=[("meas", "state")],
+        )
+        assert report.composition_violations == [{"g": "id", "f": "id", "gf": "swap", "error": 1.0}]
+        assert report.identity_violations == [{"name": "swap", "error": 1.0}]
+        assert report.evaluation_violations == []
+
+    def test_kernels_near_the_column_tolerance(self):
+        # columns summing to 1 + 8e-10 are valid kernels; their product sums to
+        # 1 + 1.6e-9, beyond IDENTITY_TOL, so it is no SignedKernel itself
+        k = np.full((2, 2), 0.5)
+        k[1] += 8e-10
+        product = k @ k
+        space = FiniteSpace(("a", "b"))
+        frag = FunctorFragment(
+            channels={"f": Channel.identity(2), "gf": Channel.identity(2)},
+            kernels={"f": SignedKernel(space, space, k),
+                     "gf": SignedKernel(space, space, product / product.sum(axis=0))},
+        )
+        assert check_operational_model(frag, composition_tests=[("f", "f", "gf")]).clean
+
     def test_missing_morphism(self):
         frag = FunctorFragment(
             channels={"id": Channel.identity(3)},
@@ -807,11 +886,10 @@ class TestOperationalModel:
 
 
 def displacement_fragment_and_action(shifts):
-    """Fragment of displacement channels and a few states, plus the induced
-    phase-point action (the inverse shift, so the equivariance equation
-    F(f.psi)(U) = F(psi)(f.U) holds pointwise)."""
+    """Fragment of displacement channels and a few states, plus each channel's
+    point permutation (D(a,b) moves phase point j to perm[j], so the
+    equivariance equation F(f.psi) = pi_f . F(psi) holds pointwise)."""
     rng = rng_for(107)
-    space = phase_space(3)
     channels = {}
     kernels = {}
     actions = {}
@@ -820,20 +898,13 @@ def displacement_fragment_and_action(shifts):
         ch = displacement_channel(3, a, b)
         channels[name] = ch
         kernels[name] = functor_morphism(ch)
-        perm = displacement_permutation(3, a, b)
-        inverse = {perm[i]: i for i in range(9)}
-        actions[name] = {
-            space.points[i]: (space.points[inverse[i]],) for i in range(9)
-        }
+        actions[name] = displacement_permutation(3, a, b)
     for i in range(2):
         rho = random_density(rng, 3)
         prep = preparation_channel(rho)
         channels[f"rho{i}"] = prep
         kernels[f"rho{i}"] = functor_morphism(prep, in_algebra=commutative_algebra(1))
-    return (
-        FunctorFragment(channels=channels, kernels=kernels),
-        ActionTable(actions),
-    )
+    return FunctorFragment(channels=channels, kernels=kernels), actions
 
 
 class TestEquivariance:
@@ -853,17 +924,59 @@ class TestEquivariance:
 
     def test_swapped_action_fails(self):
         frag, action = displacement_fragment_and_action([(1, 0)])
-        table = {k: dict(v) for k, v in action.actions.items()}
-        pts = list(table["D10"].keys())
-        table["D10"][pts[0]], table["D10"][pts[1]] = (
-            table["D10"][pts[1]],
-            table["D10"][pts[0]],
-        )
-        report = check_equivariance(frag, ActionTable(table), ["rho0"], ["D10"])
+        perm = list(action["D10"])
+        perm[0], perm[1] = perm[1], perm[0]
+        report = check_equivariance(frag, {"D10": perm}, ["rho0"], ["D10"])
         assert not report.clean
+        # the weights of points 0 and 1 land on each other's true images
+        w = frag.kernels["rho0"].matrix[:, 0]
+        pushed = frag.kernels["D10"].matrix @ w
+        space = phase_space(3)
+        assert report.violations == [
+            {"state": "rho0", "channel": "D10", "point": space.points[i],
+             "lhs": float(pushed[i]), "rhs": float(w[j])}
+            for i, j in sorted([(perm[0], 0), (perm[1], 1)])
+        ]
+        assert report.checked == 9
+
+    def test_records_in_state_channel_point_order(self):
+        frag, action = displacement_fragment_and_action([(1, 0), (0, 1)])
+        swapped = {name: list(perm[::-1]) for name, perm in action.items()}
+        report = check_equivariance(frag, swapped, ["rho1", "rho0"], ["D01", "D10"])
+        keys = [(v["state"], v["channel"], phase_space(3).index(v["point"]))
+                for v in report.violations]
+        order = {"rho1": 0, "rho0": 1, "D01": 0, "D10": 1}
+        assert keys == sorted(keys, key=lambda k: (order[k[0]], order[k[1]], k[2]))
+        assert {k[:2] for k in keys} == {(s, c) for s in ("rho0", "rho1") for c in ("D01", "D10")}
+        assert report.checked == 2 * 2 * 9
 
     def test_missing_action(self):
+        frag, action = displacement_fragment_and_action([(1, 0), (0, 1)])
+        with pytest.raises(MissingActionError, match="'D10'"):
+            check_equivariance(frag, {"D01": action["D01"]}, ["rho0"], ["D01", "D10"])
+
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            [0, 0, 2, 3, 4, 5, 6, 7, 8],  # a repeated entry
+            list(range(8)),  # too short
+            list(range(10)),  # too long
+            [1, 2, 3, 4, 5, 6, 7, 8, 9],  # off the points
+            [-1, 0, 1, 2, 3, 4, 5, 6, 7],  # a negative index
+            [float(i) for i in range(9)],  # not integers
+        ],
+    )
+    def test_permutation_that_is_not_a_bijection(self, perm):
+        frag, _ = displacement_fragment_and_action([(1, 0)])
+        with pytest.raises(SpaceMismatchError, match=re.escape(
+                "equivariance ('rho0', 'D10'): pi must be a bijection of the 9 points")):
+            check_equivariance(frag, {"D10": perm}, ["rho0"], ["D10"])
+
+    def test_endpoints_that_do_not_fit(self):
         frag, action = displacement_fragment_and_action([(1, 0)])
-        table = {"D10": dict(list(action.actions["D10"].items())[:5])}
-        with pytest.raises(MissingActionError):
-            check_equivariance(frag, ActionTable(table), ["rho0"], ["D10"])
+        with pytest.raises(SpaceMismatchError, match=re.escape(
+                "equivariance state 'D10': the state must start at the unit space")):
+            check_equivariance(frag, action, ["D10"], ["D10"])
+        with pytest.raises(SpaceMismatchError, match=re.escape(
+                "equivariance ('rho0', 'rho1'): the channel must act on the state's space")):
+            check_equivariance(frag, {"rho1": [0]}, ["rho0"], ["rho1"])

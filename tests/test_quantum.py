@@ -57,6 +57,15 @@ def test_non_square_density_matrix_rejected(build):
         build(np.ones((2, 3)) / 2)
 
 
+@pytest.mark.parametrize("m, message", [
+    (np.diag([0.5, 0.4]), r"trace np.complex128\(0.9\+0j\) deviates from 1"),
+    (np.diag([1.1, -0.1]), "negative eigenvalue -1.000e-01"),
+], ids=["trace-0.9", "eigenvalue-minus-0.1"])
+def test_density_matrix_faults(m, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DensityMatrix(m)
+
+
 class TestProjectiveMeasurement:
     def test_incomplete_basis_rejected(self):
         with pytest.raises(ValueError, match="basis of C\\^2"):

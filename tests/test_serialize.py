@@ -715,6 +715,18 @@ class TestChannelSchema:
             parse_channel(doc)
         assert (info.value.field, info.value.message) == ("trace_preserving", message)
 
+    @pytest.mark.parametrize("kraus, message", [
+        ([], "expected a nonempty list of matrices"),
+        # K^dag K = diag(0.81, 1)
+        ([[[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+         "Kraus sum deviates from identity by 1.900e-01"),
+    ], ids=["empty", "off-identity"])
+    def test_bad_kraus_named(self, kraus, message):
+        doc = {"in_dim": 2, "out_dim": 2, "kraus": kraus, "trace_preserving": True}
+        with pytest.raises(SchemaError) as info:
+            parse_channel(doc)
+        assert (info.value.field, info.value.message) == ("kraus", message)
+
     def test_bad_kraus_shape(self):
         doc = {
             "in_dim": 2,
@@ -740,6 +752,18 @@ class TestKernelSchema:
         with pytest.raises(SchemaError) as err:
             parse_kernel(doc)
         assert "convention" in str(err.value)
+
+
+    @pytest.mark.parametrize("doc, field, message", [
+        ({"from": "a", "to": ["a"], "matrix": [[1.0]]}, "from", "expected label lists"),
+        ({"from": ["a"], "to": {"a": 0}, "matrix": [[1.0]]}, "from", "expected label lists"),
+        ({"from": ["a", "b"], "to": ["a", "b"], "matrix": [[0.5, 0.5], [0.4, 0.5]]},
+         "matrix", "column sums deviate from 1 by 1.000e-01"),
+    ], ids=["source-not-a-list", "target-not-a-list", "column-sum"])
+    def test_malformed_kernel_named(self, doc, field, message):
+        with pytest.raises(SchemaError) as info:
+            parse_kernel(doc)
+        assert (info.value.field, info.value.message) == (field, message)
 
 
 class TestEnsembleSchema:

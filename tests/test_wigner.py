@@ -395,6 +395,29 @@ class TestFunctorMorphism:
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             functor_morphism(Channel.identity(3))
 
+    def test_kernel_column_failure_is_a_verification_failure(self):
+        # K = sqrt(I + 9e-10 s) passes Channel's Kraus-sum check (error 9.0e-10)
+        # and the transfer column check (DERIVED_TOL), but its columns sum to
+        # 1 + 6.3e-09, outside the IDENTITY_TOL of every SignedKernel
+        s = phase_point_operators(7).operators[10]
+        w, v = np.linalg.eigh(np.eye(7) + 9e-10 * s)
+        ch = Channel(((v * np.sqrt(w)) @ v.conj().T,))
+        with pytest.raises(VerificationFailedError, match="column sums deviate from 1 by 6.300e-09"):
+            functor_morphism(ch)
+
+    def test_mismatched_dimensions(self):
+        five = phase_point_operators(5)
+        with pytest.raises(DimMismatchError, match="channel endpoints do not match the frames"):
+            transfer_matrix(Channel.identity(3), five, QUTRIT)
+        with pytest.raises(DimMismatchError, match="channel endpoints do not match the frames"):
+            transfer_matrix(Channel.identity(3), QUTRIT, five)
+        with pytest.raises(DimMismatchError, match="state dimension does not match the frame"):
+            wigner_vector(DensityMatrix(np.eye(3) / 3), five)
+        with pytest.raises(DimMismatchError, match="do not match the annotated algebras"):
+            functor_morphism(Channel.identity(3), in_algebra=matrix_algebra(5))
+        with pytest.raises(DimMismatchError, match="do not match the annotated algebras"):
+            functor_morphism(Channel.identity(3), out_algebra=commutative_algebra(2))
+
     def test_rejects_even_unannotated(self):
         with pytest.raises(UnrepresentableAlgebraError):
             functor_morphism(Channel.identity(2))
@@ -505,6 +528,27 @@ class TestMonoidality:
         # zero trials form no product: the certificate alone
         assert monoidality_check(d, d, 0, 0).frame_ok
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (3, 1), (1, 5)])
+    def test_one_point_frame_is_the_tensor_unit(self, m, n):
+        # F(C (x) H) = F(C) x F(H): the unit law of the monoidal functor
+        rep = monoidality_check(m, n, 3, seed=23)
+        assert rep.frame_ok and rep.passed
+        assert rep.max_transfer_residual <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_unit_product_frame_is_the_other_factor(self, n):
+        for prod in (product_frame(phase_point_operators(1), phase_point_operators(n)),
+                     product_frame(phase_point_operators(n), phase_point_operators(1))):
+            assert prod.algebra == matrix_algebra(n)
+            assert prod.operators.shape == phase_point_operators(n).operators.shape
+            assert prod.operators.tobytes() == phase_point_operators(n).operators.tobytes()
+
+    def test_mixed_kinds_above_dimension_one_are_refused(self):
+        with pytest.raises(UnrepresentableAlgebraError, match="cannot tensor frames of different kinds"):
+            product_frame(commutative_frame(2), QUTRIT)
+        with pytest.raises(UnrepresentableAlgebraError, match="cannot tensor frames of different kinds"):
+            wigner._product_residuals(QUTRIT, commutative_frame(2))
+
     def test_product_frame_transfer_matches_per_kraus_oracle(self):
         prod = product_frame(QUTRIT, phase_point_operators(5))
         ch = random_cptp_channel(rng_for(93), 15, 15, n_kraus=2)
@@ -538,6 +582,9 @@ FACTORS = {
     "5x5": lambda: (phase_point_operators(5), phase_point_operators(5)),
     "5x7": lambda: (phase_point_operators(5), phase_point_operators(7)),
     "c2xc3": lambda: (commutative_frame(2), commutative_frame(3)),
+    # the one-point frame is the tensor unit of either kind
+    "1x3": lambda: (phase_point_operators(1), phase_point_operators(3)),
+    "5x1": lambda: (phase_point_operators(5), phase_point_operators(1)),
 }
 
 
