@@ -14,7 +14,6 @@ from .antidist import (
     antidist_classical,
     antidist_quantum_check,
     compression_channel,
-    lemma_suite,
     pbr_demo,
     pbr_measurement,
 )

@@ -20,7 +20,7 @@ demonstration that the resulting four product states are anti-distinguished.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -35,9 +35,8 @@ from .errors import (
 )
 from .kernels import Distribution, ResponseFunction, support_mask
 from .quantum import Channel, DensityMatrix, ProjectiveMeasurement, apply_channel, born, overlap
-from .sampling import rng_for
 from .tolerances import (
-    CERTIFICATE_TOL, DERIVED_TOL, FEAS_TOL, LEMMA_MARGIN, NEVER_FIRES_TOL,
+    CERTIFICATE_TOL, DERIVED_TOL, FEAS_TOL, NEVER_FIRES_TOL,
     OVERLAP_INTERIOR_MARGIN, PBR_TOL, POWER_MARGIN, SUPPORT_EPS, TIGHT_IDENTITY_TOL,
 )
 
@@ -340,107 +339,3 @@ def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = PBR_TOL) -> PbrRepo
         anti_distinguished=max_assigned <= tol,
         compression_residuals=(comp.residual_psi, comp.residual_phi),
     )
-
-
-# ---------------------------------------------------------------------------
-# property suite for the product-state arguments
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LemmaSuiteReport:
-    trials: int
-    seed: int
-    violations: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def _random_support_distribution(rng: np.random.Generator, space) -> Distribution:
-    """Random distribution with a random support and entries bounded below.
-
-    Weights on the support are at least 0.05 before normalisation so that
-    support computations are far from the ``SUPPORT_EPS`` threshold.
-    """
-    size = space.size
-    while True:
-        mask = rng.random(size) < 0.6
-        if mask.any():
-            break
-    w = np.zeros(size)
-    w[mask] = rng.uniform(0.05, 1.0, int(mask.sum()))
-    return Distribution(space, w / w.sum())
-
-
-def lemma_suite(trials: int, seed: int) -> LemmaSuiteReport:
-    """Randomised checks of the product-state anti-distinguishability facts.
-
-    Per trial, for a random pair (phi, psi) of probability distributions on
-    a space of up to 5 points:
-
-    * n-fold powers, n in {2, 3}: if the pair of product measures is
-      anti-distinguishable, so is the base pair;
-    * four-member product family: if some partition measurement
-      anti-distinguishes {phi x phi, phi x psi, psi x phi, psi x psi}
-      member-wise, the base pair is anti-distinguishable;
-    * overlap persistence: D(mu, nu) < 1 implies D(mu x mu, nu x nu) < 1.
-    """
-    from .kernels import FiniteSpace, dtensor, variational_distance
-
-    report = LemmaSuiteReport(trials=trials, seed=seed)
-    counts = {
-        "power_family_certified": 0,
-        "power_family_refuted": 0,
-        "product_partition_certified": 0,
-        "product_partition_refuted": 0,
-        "overlap_pairs": 0,
-    }
-    spaces = {k: FiniteSpace(tuple(f"x{i}" for i in range(k))) for k in range(2, 6)}
-
-    def pair_certified(a: Distribution, b: Distribution) -> bool:
-        return all(antidist_classical(AntidistProblem((a, b), i)) is not None for i in (0, 1))
-
-    for trial in range(trials):
-        rng = rng_for(seed, trial)
-        space = spaces[int(rng.integers(2, 6))]
-        phi = _random_support_distribution(rng, space)
-        psi = _random_support_distribution(rng, space)
-        base_ok = pair_certified(phi, psi)
-
-        phi_pow, psi_pow = phi, psi
-        for n in (2, 3):
-            phi_pow = dtensor(phi_pow, phi)
-            psi_pow = dtensor(psi_pow, psi)
-            fam_ok = pair_certified(phi_pow, psi_pow)
-            counts["power_family_certified" if fam_ok else "power_family_refuted"] += 1
-            if fam_ok and not base_ok:
-                report.violations.append(
-                    {"trial": trial, "kind": f"power_n{n}", "detail": "family certified, base refuted"}
-                )
-
-        family = (
-            dtensor(phi, phi), dtensor(phi, psi), dtensor(psi, phi), dtensor(psi, psi),
-        )
-        partition = _antidist_partition(family)
-        counts[
-            "product_partition_certified" if partition is not None else "product_partition_refuted"
-        ] += 1
-        if partition is not None and not base_ok:
-            report.violations.append(
-                {"trial": trial, "kind": "product_family", "detail": "partition certified, base refuted"}
-            )
-
-        d_base = variational_distance(phi, psi)
-        if d_base < 1.0 - LEMMA_MARGIN:
-            counts["overlap_pairs"] += 1
-            d_prod = variational_distance(dtensor(phi, phi), dtensor(psi, psi))
-            if d_prod >= 1.0 - LEMMA_MARGIN:
-                report.violations.append(
-                    {"trial": trial, "kind": "overlap_persistence",
-                     "detail": f"D base {d_base:.6f} but D product {d_prod:.12f}"}
-                )
-
-    report.counters = counts
-    return report

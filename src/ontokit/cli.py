@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .antidist import AntidistProblem, antidist_classical, lemma_suite, pbr_demo
+from .antidist import AntidistProblem, antidist_classical, pbr_demo
 from .errors import OntokitError, SchemaError
 from .ontomodel import FunctorFragment, check_operational_model, classify_model, validate_model
 from .qmeasure import (
@@ -124,9 +124,10 @@ def _cmd_antidist(args) -> int:
 
 def _cmd_pbr_demo(args) -> int:
     tol = _tolerance(args.tol, PBR_TOL)
+    n = None if args.n is None else _positive("--n", args.n)
     psi = parse_ket(load_json(args.psi))
     phi = parse_ket(load_json(args.phi))
-    result = pbr_demo(psi, phi, n=args.n, tol=tol)
+    result = pbr_demo(psi, phi, n=n, tol=tol)
     report = {
         "command": "pbr-demo",
         "overlap": result.overlap,
@@ -142,20 +143,6 @@ def _cmd_pbr_demo(args) -> int:
     }
     _emit(report)
     return 0 if result.anti_distinguished else 1
-
-
-def _cmd_lemmas(args) -> int:
-    result = lemma_suite(trials=_positive("--trials", args.trials), seed=_seed(args.seed))
-    report = {
-        "command": "lemmas",
-        "trials": result.trials,
-        "seed": result.seed,
-        "counters": result.counters,
-        "violations": result.violations,
-        "passed": result.passed,
-    }
-    _emit(report)
-    return 0 if result.passed else 1
 
 
 def _cmd_wigner_frame(args) -> int:
@@ -279,8 +266,17 @@ def _cmd_qmeasure_validate(args) -> int:
     tol = _tolerance(args.tol, QMEASURE_TOL)
     obj = parse_qmeasure_doc(load_json(args.file))
     if isinstance(obj, DecoherenceFunctional):
-        dreport = validate_decoherence_report(obj, tol)
-        clean = dreport["clean"]
+        rep = validate_decoherence(obj, tol)
+        dreport = {
+            "command": "qmeasure-validate",
+            "kind": "decoherence",
+            "tolerance": tol,
+            "clean": rep.clean,
+            "hermitian_error": rep.hermitian_error,
+            "normalisation_error": rep.normalisation_error,
+            "min_eigenvalue": rep.min_eigenvalue,
+        }
+        clean = rep.clean
         if clean:
             q = measure_from_decoherence(obj, tol)
             mreport = validate_quantum_measure(q, tol)
@@ -306,19 +302,6 @@ def _cmd_qmeasure_validate(args) -> int:
     }
     _emit(report)
     return 0 if mreport.clean else 1
-
-
-def validate_decoherence_report(d: DecoherenceFunctional, tol: float) -> dict:
-    rep = validate_decoherence(d, tol)
-    return {
-        "command": "qmeasure-validate",
-        "kind": "decoherence",
-        "tolerance": tol,
-        "clean": rep.clean,
-        "hermitian_error": rep.hermitian_error,
-        "normalisation_error": rep.normalisation_error,
-        "min_eigenvalue": rep.min_eigenvalue,
-    }
 
 
 SCHEMA_HELP = """
@@ -367,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tol", default=None)
     p.set_defaults(func=_cmd_pbr_demo)
-
-    p = sub.add_parser("lemmas", help="randomised product-state property suite")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_lemmas)
 
     w = sub.add_parser("wigner", help="phase-space constructions")
     wsub = w.add_subparsers(dest="wigner_command", required=True)

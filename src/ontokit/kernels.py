@@ -118,7 +118,7 @@ def _check_weight_rows(space: FiniteSpace, w: np.ndarray) -> None:
         if not np.isfinite(row).all():
             raise ValueError("weights contain NaN or Inf")
         if abs(row.sum() - 1.0) > IDENTITY_TOL:
-            raise ValueError(f"weights sum to {row.sum()!r}, expected 1")
+            raise ValueError(f"weights sum to {float(row.sum())!r}, expected 1")
 
 
 def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:

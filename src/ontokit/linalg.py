@@ -32,7 +32,7 @@ def as_ket(v) -> np.ndarray:
         raise ValueError("ket contains NaN or Inf amplitudes")
     nrm = np.linalg.norm(k)
     if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
-        raise ValueError(f"ket norm {nrm!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}")
+        raise ValueError(f"ket norm {float(nrm)!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}")
     return k
 
 

@@ -29,7 +29,7 @@ class DensityMatrix:
             raise DimMismatchError("density matrix must be square")
         h = linalg.hermitian_part(m)
         if abs(np.trace(m).real - 1.0) > IDENTITY_TOL or abs(np.trace(m).imag) > IDENTITY_TOL:
-            raise ValueError(f"trace {np.trace(m)!r} deviates from 1")
+            raise ValueError(f"trace {complex(np.trace(m))!r} deviates from 1")
         lo = np.linalg.eigh(h)[0][0]
         if lo < -IDENTITY_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
@@ -145,10 +145,6 @@ class ProjectiveMeasurement:
     @property
     def n_outcomes(self) -> int:
         return self.vectors.shape[0]
-
-    def projector(self, k: int) -> np.ndarray:
-        v = self.vectors[k]
-        return np.outer(v, v.conj())
 
     @classmethod
     def computational(cls, dim: int) -> "ProjectiveMeasurement":

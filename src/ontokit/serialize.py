@@ -122,10 +122,6 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Rows of [re, im] pairs; a stack of matrices gives one list per matrix."""
     m = np.asarray(m, dtype=complex)
@@ -134,7 +130,7 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def ket_to_json(psi: np.ndarray) -> dict:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return {"dim": int(psi.size), "amplitudes": [complex_pair(z) for z in psi]}
+    return {"dim": int(psi.size), "amplitudes": matrix_to_json(psi)}
 
 
 def kernel_to_json(k: SignedKernel) -> dict:
@@ -244,7 +240,7 @@ def parse_ket(doc) -> np.ndarray:
         psi = np.array([_pair_to_complex(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= TIGHT_IDENTITY_TOL:  # a NaN norm fails too
-        raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
+        raise SchemaError("amplitudes", f"ket norm {float(nrm)!r} deviates from 1")
     return psi
 
 

@@ -39,8 +39,6 @@ FEAS_TOL = 1e-9
 # classify_model: a catalogue overlap strictly inside (0, 1) and a
 # variational distance below 1, each by this margin.
 STRICT_MARGIN = 1e-9
-# lemma_suite: a variational distance below 1 by this margin overlaps.
-LEMMA_MARGIN = 1e-9
 # epistemic_report: the trace distance may exceed (n/2) l1 by this much.
 DISTANCE_BOUND_MARGIN = 1e-9
 # antidist_quantum_check: an assigned Born probability at most this never

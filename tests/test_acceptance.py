@@ -12,10 +12,17 @@ from ontokit.antidist import (
     AntidistProblem,
     antidist_classical,
     compression_channel,
-    lemma_suite,
     pbr_demo,
 )
-from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, kcompose
+from ontokit.kernels import (
+    Distribution,
+    FiniteSpace,
+    ResponseFunction,
+    dtensor,
+    kcompose,
+    support_mask,
+    variational_distance,
+)
 from ontokit.ontomodel import (
     FunctorFragment,
     OntModel,
@@ -103,13 +110,59 @@ def test_criterion_02_compression_channel():
     )
 
 
-def test_criterion_03_lemma_suite():
-    rep = lemma_suite(trials=1000, seed=SEED)
+def _support_distribution(rng, space):
+    """A distribution with a random nonempty support and weights of at least
+    0.05 on it before normalisation, far from the support threshold."""
+    while True:
+        mask = rng.random(space.size) < 0.6
+        if mask.any():
+            break
+    w = np.zeros(space.size)
+    w[mask] = rng.uniform(0.05, 1.0, int(mask.sum()))
+    return Distribution(space, w / w.sum())
+
+
+def test_criterion_03_product_state_facts():
+    """On random pairs (phi, psi) on 2 to 5 points: a certified 2- or 3-fold
+    power pair has a certified base pair; a partition measurement for the
+    four products has one too; and D(phi, psi) < 1, which is supports that
+    meet, gives D(phi x phi, psi x psi) < 1."""
+
+    def certified(a, b):
+        return all(antidist_classical(AntidistProblem((a, b), i)) is not None for i in (0, 1))
+
+    spaces = [FiniteSpace(tuple(f"x{i}" for i in range(k))) for k in range(2, 6)]
+    premises = {"power pair certified": 0, "product partition": 0, "supports meet": 0}
+    violations = []
+    trials = 1000
+    for trial in range(trials):
+        rng = rng_for(SEED, 3, trial)
+        space = spaces[int(rng.integers(len(spaces)))]
+        phi = _support_distribution(rng, space)
+        psi = _support_distribution(rng, space)
+        base = certified(phi, psi)
+        phi_n, psi_n = phi, psi
+        for n in (2, 3):
+            phi_n, psi_n = dtensor(phi_n, phi), dtensor(psi_n, psi)
+            if certified(phi_n, psi_n):
+                premises["power pair certified"] += 1
+                if not base:
+                    violations.append((trial, f"power n={n}"))
+        # one measurement rules out each product iff no point lies in all four supports
+        masks = np.array([support_mask(dtensor(a, b)) for a in (phi, psi) for b in (phi, psi)])
+        if not masks.all(axis=0).any():
+            premises["product partition"] += 1
+            if not base:
+                violations.append((trial, "product partition"))
+        if (support_mask(phi) & support_mask(psi)).any():
+            premises["supports meet"] += 1
+            d_square = variational_distance(dtensor(phi, phi), dtensor(psi, psi))
+            if not (variational_distance(phi, psi) < 1.0 and d_square < 1.0):
+                violations.append((trial, "overlap persistence"))
     verdict(
         3,
-        rep.passed and rep.trials >= 1000,
-        f"{rep.trials} trials, {len(rep.violations)} violations; "
-        f"counters {rep.counters}",
+        not violations and all(premises.values()),
+        f"{trials} trials, violations {violations[:5]}; premise held on {premises}",
     )
 
 

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ontokit.antidist import (
@@ -14,7 +16,6 @@ from ontokit.antidist import (
     antidist_classical,
     antidist_quantum_check,
     compression_channel,
-    lemma_suite,
     pbr_demo,
     pbr_measurement,
     smallest_compression_power,
@@ -27,6 +28,7 @@ from ontokit.kernels import (
     dtensor,
     point_mass,
     support_mask,
+    variational_distance,
 )
 from ontokit.quantum import Channel, DensityMatrix, apply_channel, born, overlap
 from ontokit.sampling import random_ket, random_nonorthogonal_pair, rng_for
@@ -784,17 +786,72 @@ class TestPbrDemo:
             assert rep.max_assigned <= 1e-8
 
 
-class TestLemmaSuite:
-    def test_small_run_no_violations(self):
-        rep = lemma_suite(trials=100, seed=5)
-        assert rep.passed
-        assert rep.counters["power_family_refuted"] > 0
-        assert rep.counters["power_family_certified"] > 0
-        assert rep.counters["overlap_pairs"] > 0
+@st.composite
+def distribution_pairs(draw):
+    """Two distributions on 2 to 5 points, each with a random nonempty
+    support and weights of at least 0.05 on it before normalisation, so
+    that supports are far from the SUPPORT_EPS threshold."""
+    size = draw(st.integers(min_value=2, max_value=5))
+    space = FiniteSpace(tuple(f"x{i}" for i in range(size)))
+
+    def one():
+        mask = draw(st.lists(st.booleans(), min_size=size, max_size=size).filter(any))
+        w = np.array([draw(st.floats(0.05, 1.0)) if m else 0.0 for m in mask])
+        return Distribution(space, w / w.sum())
+
+    return one(), one()
+
+
+def pair_certified(a, b):
+    return all(c is not None for c in decide_each((a, b)))
+
+
+# disjoint supports: the power pairs and the product partition are certified
+DISJOINT_PAIR = (Distribution(S3, [1.0, 0.0, 0.0]), Distribution(S3, [0.0, 0.5, 0.5]))
+# supports meet at the first point: D < 1
+OVERLAPPING_PAIR = (Distribution(S3, [0.5, 0.5, 0.0]), Distribution(S3, [0.5, 0.0, 0.5]))
+
+
+class TestProductStateFacts:
+    """The facts about product distributions that the PBR argument rests on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(distribution_pairs())
+    @example(DISJOINT_PAIR)
+    def test_certified_power_pair_has_certified_base_pair(self, pair):
+        phi, psi = pair
+        phi_n, psi_n = phi, psi
+        for _ in (2, 3):
+            phi_n, psi_n = dtensor(phi_n, phi), dtensor(psi_n, psi)
+            if pair_certified(phi_n, psi_n):
+                assert pair_certified(phi, psi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(distribution_pairs())
+    @example(DISJOINT_PAIR)
+    def test_product_partition_has_certified_base_pair(self, pair):
+        # one measurement whose k-th outcome never fires on the k-th member of
+        # {phi phi, phi psi, psi phi, psi psi}
+        phi, psi = pair
+        family = tuple(dtensor(a, b) for a in (phi, psi) for b in (phi, psi))
+        if _antidist_partition(family) is not None:
+            assert pair_certified(phi, psi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(distribution_pairs())
+    @example(OVERLAPPING_PAIR)
+    def test_overlap_persists_in_the_square(self, pair):
+        """D(phi, psi) < 1 gives D(phi x phi, psi x psi) < 1: the overlap
+        1 - D of the squares is at least the square of the overlap."""
+        phi, psi = pair
+        overlap_base = 1.0 - variational_distance(phi, psi)
+        overlap_square = 1.0 - variational_distance(dtensor(phi, phi), dtensor(psi, psi))
+        assert overlap_square >= overlap_base ** 2 - 1e-12
+        if (support_mask(phi) & support_mask(psi)).any():  # exactly when D(phi, psi) < 1
+            assert overlap_base > 0.0 and overlap_square > 0.0
 
     def test_disjoint_pair_consistent(self):
-        phi = Distribution(S3, [1.0, 0.0, 0.0])
-        psi = Distribution(S3, [0.0, 0.5, 0.5])
+        phi, psi = DISJOINT_PAIR
         assert all(c is not None for c in decide_each((phi, psi)))
         for n in (2, 3):
             phi_n, psi_n = phi, psi
@@ -804,8 +861,7 @@ class TestLemmaSuite:
             assert all(c is not None for c in decide_each((phi_n, psi_n)))
 
     def test_overlapping_pair_tensored_families_refuted(self):
-        phi = Distribution(S3, [0.5, 0.5, 0.0])
-        psi = Distribution(S3, [0.5, 0.0, 0.5])
+        phi, psi = OVERLAPPING_PAIR
         for n in (2, 3):
             phi_n, psi_n = phi, psi
             for _ in range(n - 1):
@@ -813,8 +869,3 @@ class TestLemmaSuite:
                 psi_n = dtensor(psi_n, psi)
             results = decide_each((phi_n, psi_n))
             assert all(c is None for c in results)
-
-    def test_deterministic(self):
-        a = lemma_suite(trials=30, seed=9)
-        b = lemma_suite(trials=30, seed=9)
-        assert a.counters == b.counters and a.violations == b.violations

@@ -66,6 +66,30 @@ class TestPbrDemo:
         doc = json.loads(out)
         assert doc["n"] == 12 and doc["anti_distinguished"] is True
 
+    def test_explicit_n_is_reported(self, capsys, state_files):
+        zero, plus = state_files
+        code, out, _ = run_cli(capsys, "pbr-demo", "--psi", zero, "--phi", plus, "--n", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 3 and doc["anti_distinguished"] is True
+
+    def test_n_too_small_for_the_overlap_exits_two(self, capsys, tmp_path):
+        # 0.9 > 1/sqrt(2): one copy does not compress the pair
+        psi, phi = tmp_path / "psi.json", tmp_path / "phi.json"
+        psi.write_text(dumps_report(ket_to_json(np.array([1, 0], dtype=complex))))
+        phi.write_text(dumps_report(ket_to_json(np.array([0.9, np.sqrt(1 - 0.81)], dtype=complex))))
+        code, out, err = run_cli(capsys, "pbr-demo", "--psi", str(psi), "--phi", str(phi), "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: BadOverlapError: n = 1 leaves overlap 0.900000 above")
+
+
+def test_lemmas_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lemmas'" in capsys.readouterr().err
+
 
 class TestWigner:
     def test_even_frame_exits_two(self, capsys):
@@ -148,17 +172,10 @@ class TestWigner:
         assert doc["epistemic_witness"] is True
 
 
-class TestLemmas:
-    def test_byte_identical_reruns(self, capsys):
-        code1, out1, _ = run_cli(capsys, "lemmas", "--trials", "10", "--seed", "1")
-        code2, out2, _ = run_cli(capsys, "lemmas", "--trials", "10", "--seed", "1")
-        assert code1 == code2 == 0
-        assert out1 == out2
-
-
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("argv,field", [
-    (["lemmas", "--trials"], "--trials"),
+    # --n is checked before the kets are read
+    (["pbr-demo", "--psi", "zero.json", "--phi", "plus.json", "--n"], "--n"),
     (["wigner", "functor-check", "--trials"], "--trials"),
     (["wigner", "functor-check", "--dim"], "--dim"),
     (["wigner", "frame"], "n"),
@@ -181,7 +198,7 @@ def _decoherence_on(n):
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
-NAN_NORM = "amplitudes: ket norm np.float64(nan) deviates from 1"
+NAN_NORM = "amplitudes: ket norm nan deviates from 1"
 FRAME_TOO_LARGE = (
     "error: TooLargeError: a phase-point frame for n = 99999999999 is n^2 operators of "
     f"n x n complex entries, {16 * 99999999999 ** 4} bytes, more than numpy can index"
@@ -194,7 +211,6 @@ FRAME_TOO_LARGE = (
     (["qmeasure", "validate", "DOC"], _measure_on(65), "TooLargeError: at most 16 points supported, got 65"),
     (["qmeasure", "validate", "DOC"], _decoherence_on(17),
      "error: TooLargeError: at most 16 points supported, got 17"),
-    (["lemmas", "--seed", "-1"], None, "--seed: expected a non-negative integer, got -1"),
     (["wigner", "functor-check", "--seed", "-3"], None, "--seed: expected a non-negative integer, got -3"),
     (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
      {"dim": 3, "amplitudes": [[HUGE, 0], [0, 0], [0, 0]]}, "amplitudes[0]: int too large"),
@@ -227,7 +243,7 @@ FRAME_TOO_LARGE = (
     # 16 n^4 bytes beyond what numpy can index, refused before anything is allocated
     (["wigner", "frame", "99999999999"], None, FRAME_TOO_LARGE),
     (["wigner", "functor-check", "--dim", "99999999999"], None, FRAME_TOO_LARGE),
-], ids=["measure-17", "measure-65", "decoherence-17", "lemmas-seed", "functor-check-seed", "huge-ket",
+], ids=["measure-17", "measure-65", "decoherence-17", "functor-check-seed", "huge-ket",
         "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
         "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
         "measure-huge-value", "wigner-frame-huge", "functor-check-huge"])
@@ -441,9 +457,9 @@ MALFORMED_MODELS = [
     (_string_distribution, ["distributions[zero][0]", "expected a number, got '1.0'"]),
     (_string_response, ["measurements[0].responses[1][1]", "expected a number, got '1'"]),
     (_unnormalised_state,
-     ["schema error: states[1].ket.amplitudes: ket norm np.float64(1.1) deviates from 1\n"]),
+     ["schema error: states[1].ket.amplitudes: ket norm 1.1 deviates from 1\n"]),
     (_unnormalised_basis_vector,
-     ["schema error: measurements[0].basis[1].amplitudes: ket norm np.float64(1.1) deviates from 1\n"]),
+     ["schema error: measurements[0].basis[1].amplitudes: ket norm 1.1 deviates from 1\n"]),
     (_nan_state, [f"schema error: states[0].ket.{NAN_NORM}\n"]),
     (_nan_basis_vector, [f"schema error: measurements[0].basis[1].{NAN_NORM}\n"]),
     (_nan_responses,
@@ -615,7 +631,7 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # x86-64.  The pbr-demo and validate-model rows were recorded before the
 # Kraus stack and the flat-float emitter replaced the per-Kraus and
 # per-value loops (validate-model: before models were parsed as matrices);
-# the other six before the unused kernel, functor and CLI options were
+# the other five before the unused kernel, functor and CLI options were
 # removed.  The two functor-check rows were re-recorded when the
 # monoidality check moved to sampled product columns: their stdout differs
 # from the dense check's only in the max_transfer_residual line.
@@ -623,7 +639,6 @@ GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
     "functor-check-dim3": "cd805e1d02a077b2aaccb7d406bf1bc6515e066054715781443ffea4f3f2293d",
     "functor-check-dim7": "cc5266b57278dcbbf92fc93043844fbc57ad4b4207b44b768108c7248645c8ec",
-    "lemmas": "f4221e5c1441f26da376a358f80e2f94b494f2b787c3e0ca721f641feb0a9bb1",
     "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
     "qmeasure-validate": "adde2b565c5ec59d8389d8f30443b58bdc8afcbcb8b6d313ca1ad77c74b40495",
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",
@@ -636,7 +651,6 @@ GOLDEN_ARGV = {
     "antidist": "antidist {ex}/ensemble_disjoint.json --target 0",
     "functor-check-dim3": "wigner functor-check --dim 3 --trials 200 --seed 7",
     "functor-check-dim7": "wigner functor-check --dim 7 --trials 2 --seed 3",
-    "lemmas": "lemmas --trials 1000 --seed 42",
     "pbr-demo": "pbr-demo --psi {ex}/zero.json --phi {ex}/plus.json",
     "qmeasure-validate": "qmeasure validate {ex}/double_slit.json",
     "validate-model": "validate-model {ex}/model_epistemic.json",

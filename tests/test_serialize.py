@@ -278,7 +278,7 @@ def parse_ket_oracle(doc):
     psi = np.array([_pair_oracle(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
-        raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1")
+        raise SchemaError("amplitudes", f"ket norm {float(nrm)!r} deviates from 1")
     return psi
 
 
