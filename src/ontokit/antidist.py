@@ -52,7 +52,7 @@ class AntidistProblem:
 
     def __post_init__(self):
         if not self.ensemble:
-            raise ValueError("ensemble must be nonempty")
+            raise VerificationFailedError("ensemble must be nonempty")
         space = self.ensemble[0].space
         if any(d.space != space for d in self.ensemble):
             raise SpaceMismatchError("ensemble members live on different spaces")
@@ -71,7 +71,9 @@ class AntidistCertificate:
     def __post_init__(self):
         r0, r1 = self.residuals
         if abs(r0) > CERTIFICATE_TOL or abs(r1 - 1.0) > CERTIFICATE_TOL:
-            raise ValueError(f"certificate residuals {self.residuals} exceed tolerance")
+            raise VerificationFailedError(
+                f"certificate residuals {self.residuals} exceed tolerance"
+            )
 
 
 def _certificate(chi: np.ndarray, problem: AntidistProblem,
@@ -161,14 +163,12 @@ def antidist_quantum_check(
     states: Sequence[DensityMatrix],
     m: ProjectiveMeasurement,
     assignment: Sequence[int],
-    tol: float = NEVER_FIRES_TOL,
 ) -> bool:
-    """True iff each state's assigned outcome never occurs on it."""
+    """True iff each state's assigned outcome never occurs on it: its Born
+    probability is at most ``NEVER_FIRES_TOL``."""
     if len(assignment) != len(states):
-        raise ValueError("assignment must cover every state")
-    return all(
-        born(state, m, k) <= tol for state, k in zip(states, assignment)
-    )
+        raise VerificationFailedError("assignment must cover every state")
+    return all(born(state, m, k) <= NEVER_FIRES_TOL for state, k in zip(states, assignment))
 
 
 @lru_cache(maxsize=None)
@@ -229,9 +229,7 @@ def smallest_compression_power(overlap_mod: float) -> int:
     return n
 
 
-def compression_channel(
-    psi, phi, n: Optional[int] = None, tol: float = DERIVED_TOL
-) -> CompressionResult:
+def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     """Channel mapping the pair (psi^n, phi^n) onto (|0><0|, |+><+|).
 
     Only span{psi^n, phi^n} matters.  Its Gram matrix is [[1, c], [c*, 1]]
@@ -244,7 +242,7 @@ def compression_channel(
     building them.  The map needs t = gamma / sqrt(1 - gamma^2) =
     tan(arcsin gamma), in [0, 1] because gamma <= 1/sqrt(2);
     ``parametrization`` records this choice as "tan_arcsin_gamma".  Both
-    outputs are verified against their targets.
+    outputs are verified against their targets within ``DERIVED_TOL``.
     """
     psi = linalg.as_ket(psi)
     phi = linalg.as_ket(phi)
@@ -273,7 +271,7 @@ def compression_channel(
     out_phi = apply_channel(channel, DensityMatrix.from_ket(phi_span))
     res_psi = linalg.max_abs(out_psi.matrix - np.diag([1.0, 0.0]))
     res_phi = linalg.max_abs(out_phi.matrix - np.full((2, 2), 0.5))
-    if res_psi > tol or res_phi > tol:
+    if res_psi > DERIVED_TOL or res_phi > DERIVED_TOL:
         raise VerificationFailedError(
             f"compression did not reproduce (|0><0|, |+><+|): "
             f"residuals ({res_psi:.3e}, {res_phi:.3e})"

@@ -37,8 +37,10 @@ class BadOverlapError(OntokitError):
     """State overlap is outside the open interval (0, 1)."""
 
 
-class VerificationFailedError(OntokitError):
-    """A construction failed its built-in numerical verification."""
+class VerificationFailedError(OntokitError, ValueError):
+    """A value failed one of the library's checks.  Every fault the library
+    raises is an ``OntokitError``; a failed check is this one, which is also
+    a ``ValueError``, and a fault in a parsed document a ``SchemaError``."""
 
 
 class EvenDimensionError(OntokitError):

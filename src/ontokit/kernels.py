@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SignedUnsupportedError, SpaceMismatchError, WrongSpaceError
+from .errors import (
+    SignedUnsupportedError, SpaceMismatchError, VerificationFailedError, WrongSpaceError,
+)
 from .tolerances import IDENTITY_TOL, NONNEG_TOL, SUPPORT_EPS
 
 
@@ -25,9 +27,9 @@ class FiniteSpace:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(str(p) for p in self.points))
         if not self.points:
-            raise ValueError("a finite space needs at least one point")
+            raise VerificationFailedError("a finite space needs at least one point")
         if len(set(self.points)) != len(self.points):
-            raise ValueError("point labels must be distinct")
+            raise VerificationFailedError("point labels must be distinct")
 
     @property
     def size(self) -> int:
@@ -69,10 +71,10 @@ class SignedKernel:
                 f"({self.target.size}, {self.source.size})"
             )
         if not np.all(np.isfinite(m)):
-            raise ValueError("kernel matrix contains NaN or Inf")
+            raise VerificationFailedError("kernel matrix contains NaN or Inf")
         col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
         if col_err > IDENTITY_TOL:
-            raise ValueError(f"column sums deviate from 1 by {col_err:.3e}")
+            raise VerificationFailedError(f"column sums deviate from 1 by {col_err:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "markov", bool(np.min(m) >= -NONNEG_TOL))
 
@@ -116,9 +118,9 @@ def _check_weight_rows(space: FiniteSpace, w: np.ndarray) -> None:
         return
     for row in w:
         if not np.isfinite(row).all():
-            raise ValueError("weights contain NaN or Inf")
+            raise VerificationFailedError("weights contain NaN or Inf")
         if abs(row.sum() - 1.0) > IDENTITY_TOL:
-            raise ValueError(f"weights sum to {float(row.sum())!r}, expected 1")
+            raise VerificationFailedError(f"weights sum to {float(row.sum())!r}, expected 1")
 
 
 def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
@@ -127,7 +129,7 @@ def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
         raise SpaceMismatchError("response length does not match space")
     # min and max propagate a NaN, which fails both comparisons
     if not (v.min(initial=0.0) >= -NONNEG_TOL and v.max(initial=1.0) <= 1.0 + NONNEG_TOL):
-        raise ValueError("response values must lie in [0, 1]")
+        raise VerificationFailedError("response values must lie in [0, 1]")
 
 
 def _wrap_rows(cls, space: FiniteSpace, field_name: str, rows: np.ndarray) -> list:

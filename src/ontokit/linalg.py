@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError, NotHermitianError
+from .errors import DimMismatchError, NotHermitianError, VerificationFailedError
 from .tolerances import IDENTITY_TOL, TIGHT_IDENTITY_TOL
 
 
@@ -19,7 +19,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise VerificationFailedError("matrix contains NaN or Inf entries")
     return m
 
 
@@ -29,10 +29,12 @@ def as_ket(v) -> np.ndarray:
     if k.size < 1:
         raise DimMismatchError("ket must have at least one amplitude")
     if not np.isfinite(k).all():
-        raise ValueError("ket contains NaN or Inf amplitudes")
+        raise VerificationFailedError("ket contains NaN or Inf amplitudes")
     nrm = np.linalg.norm(k)
     if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
-        raise ValueError(f"ket norm {float(nrm)!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}")
+        raise VerificationFailedError(
+            f"ket norm {float(nrm)!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}"
+        )
     return k
 
 

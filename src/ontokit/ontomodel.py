@@ -18,7 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatchError, MissingActionError, MissingMorphismError, SpaceMismatchError
+from .errors import (
+    DimMismatchError, MissingActionError, MissingMorphismError, SpaceMismatchError,
+    VerificationFailedError,
+)
 from .kernels import (
     TWO,
     UNIT_SPACE,
@@ -53,7 +56,7 @@ class OntModel:
     def __post_init__(self):
         labels = [lab for lab, _ in self.states]
         if len(set(labels)) != len(labels):
-            raise ValueError("state labels must be distinct")
+            raise VerificationFailedError("state labels must be distinct")
         # the first state without a distribution on the ontic space; the
         # states before it are checked for signs as one weight matrix
         dists = self.distributions
@@ -65,15 +68,15 @@ class OntModel:
         weights = weights.reshape(stop, self.ontic.size)
         signed = weights.min(axis=1) < -NONNEG_TOL
         if signed.any():
-            raise ValueError(f"distribution for {labels[signed.argmax()]!r} is signed")
+            raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         if stop < len(labels):
             lab = labels[stop]
             if lab not in dists:
-                raise ValueError(f"state {lab!r} has no distribution")
+                raise VerificationFailedError(f"state {lab!r} has no distribution")
             raise SpaceMismatchError(f"distribution for {lab!r} lives off the ontic space")
         for m, responses in self.measurements:
             if len(responses) != m.n_outcomes:
-                raise ValueError("each outcome needs exactly one response function")
+                raise VerificationFailedError("each outcome needs exactly one response function")
             for xi in responses:
                 if xi.space != self.ontic:
                     raise SpaceMismatchError("response function lives off the ontic space")

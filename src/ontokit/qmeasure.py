@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InvalidFunctionalError, TooLargeError
+from .errors import InvalidFunctionalError, TooLargeError, VerificationFailedError
 from .kernels import FiniteSpace
 from .tolerances import QMEASURE_TOL, ZERO_TOTAL_EPS
 
@@ -45,11 +45,11 @@ class QuantumMeasure:
         check_size(self.space.size)
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size != 2 ** self.space.size:
-            raise ValueError(
+            raise VerificationFailedError(
                 f"expected {2 ** self.space.size} subset values, got {v.size}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("subset values contain NaN or Inf")
+            raise VerificationFailedError("subset values contain NaN or Inf")
         object.__setattr__(self, "values", v)
 
     def value(self, mask: int) -> float:
@@ -68,14 +68,16 @@ class DecoherenceFunctional:
         check_size(self.space.size)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.space.size, self.space.size):
-            raise ValueError("singleton matrix shape must match the space")
+            raise VerificationFailedError("singleton matrix shape must match the space")
         if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("functional contains NaN or Inf")
+            raise VerificationFailedError("functional contains NaN or Inf")
         with np.errstate(over="ignore"):
             mass = 2.0 * np.abs(m).sum()
         if not np.isfinite(mass):
             # then m + m^dag, the total and the spectrum all stay finite
-            raise ValueError("functional entries too large: twice their total modulus overflows")
+            raise VerificationFailedError(
+                "functional entries too large: twice their total modulus overflows"
+            )
         object.__setattr__(self, "matrix", m)
 
     def value(self, mask_u: int, mask_v: int) -> complex:
@@ -208,7 +210,7 @@ def double_slit_functional(space: FiniteSpace, amplitudes) -> DecoherenceFunctio
     interference sum is 1 (the normalisation the definition demands)."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size != space.size:
-        raise ValueError("amplitude count must match the space")
+        raise VerificationFailedError("amplitude count must match the space")
     total = complex(psi.sum())
     if abs(total) < ZERO_TOTAL_EPS:
         raise InvalidFunctionalError("amplitudes interfere to zero total; cannot normalise")

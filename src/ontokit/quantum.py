@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatchError
+from .errors import DimMismatchError, VerificationFailedError
 from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 
 
@@ -29,10 +29,10 @@ class DensityMatrix:
             raise DimMismatchError("density matrix must be square")
         h = linalg.hermitian_part(m)
         if abs(np.trace(m).real - 1.0) > IDENTITY_TOL or abs(np.trace(m).imag) > IDENTITY_TOL:
-            raise ValueError(f"trace {complex(np.trace(m))!r} deviates from 1")
+            raise VerificationFailedError(f"trace {complex(np.trace(m))!r} deviates from 1")
         lo = np.linalg.eigh(h)[0][0]
         if lo < -IDENTITY_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
+            raise VerificationFailedError(f"negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -65,7 +65,7 @@ def _kraus_stack(kraus) -> np.ndarray:
     if stack.ndim != 3 or 0 in stack.shape[1:]:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {stack.shape[1:]}")
     if not np.isfinite(stack).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise VerificationFailedError("matrix contains NaN or Inf entries")
     return stack
 
 
@@ -84,14 +84,14 @@ class Channel:
 
     def __post_init__(self):
         if len(self.kraus) == 0:
-            raise ValueError("channel needs at least one Kraus operator")
+            raise VerificationFailedError("channel needs at least one Kraus operator")
         stack = _kraus_stack(self.kraus)
         count, out, inp = stack.shape
         # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
         flat = stack.reshape(count * out, inp)
         err = linalg.max_abs(flat.conj().T @ flat - np.eye(inp))
         if err > IDENTITY_TOL:
-            raise ValueError(f"Kraus sum deviates from identity by {err:.3e}")
+            raise VerificationFailedError(f"Kraus sum deviates from identity by {err:.3e}")
         # read-only: writes into a checked channel fail at once
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
@@ -131,11 +131,15 @@ class ProjectiveMeasurement:
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
         if v.shape[0] != v.shape[1]:
-            raise ValueError(f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}")
+            raise VerificationFailedError(
+                f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}"
+            )
         gram = v.conj() @ v.T
         err = linalg.max_abs(gram - np.eye(v.shape[0]))
         if not err <= IDENTITY_TOL:  # a NaN error fails too
-            raise ValueError(f"outcome vectors are not orthonormal: Gram error {err:.3e}")
+            raise VerificationFailedError(
+                f"outcome vectors are not orthonormal: Gram error {err:.3e}"
+            )
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -163,7 +167,9 @@ class TwoOutcomeMeasurement:
             raise DimMismatchError("effect must be square")
         w = np.linalg.eigh(linalg.hermitian_part(e))[0]
         if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:
-            raise ValueError(f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]")
+            raise VerificationFailedError(
+                f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]"
+            )
         object.__setattr__(self, "effect", e)
 
     @property
@@ -193,7 +199,7 @@ def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:
     v = m.vectors[k]
     p = float(np.real(np.vdot(v, state.matrix @ v)))
     if p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
-        raise ValueError(f"Born probability {p!r} outside [0, 1] beyond tolerance")
+        raise VerificationFailedError(f"Born probability {p!r} outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
 

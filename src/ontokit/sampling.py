@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .errors import VerificationFailedError
 from .quantum import Channel, DensityMatrix, TwoOutcomeMeasurement
 from .tolerances import DEGENERATE_DRAW_EPS
 
@@ -67,7 +68,7 @@ def random_nonorthogonal_pair(
     exact by construction.
     """
     if not 0.0 < lo <= hi < 1.0:
-        raise ValueError("need 0 < lo <= hi < 1")
+        raise VerificationFailedError("need 0 < lo <= hi < 1")
     psi = random_ket(rng, dim)
     g = float(rng.uniform(lo, hi))
     beta = float(rng.uniform(0.0, 2.0 * np.pi))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii
-from operator import countOf, iadd
+from operator import countOf, iadd, setitem
 from typing import Any
 
 import numpy as np
@@ -152,6 +152,17 @@ def _need(doc: dict, field: str, context: str = ""):
     return doc[field]
 
 
+def _named(field: str, build, *args):
+    """``build(*args)``, with a fault in it named as ``field``: a SchemaError
+    passes through, any other exception becomes one."""
+    try:
+        return build(*args)
+    except SchemaError:
+        raise
+    except Exception as exc:
+        raise SchemaError(field, str(exc)) from exc
+
+
 def _number_array(doc) -> np.ndarray | None:
     """A regular nested list of JSON numbers (bool, int or float) as one
     float array, or None when ``doc`` is anything else."""
@@ -175,16 +186,18 @@ def _pairs_array(doc, ndim: int) -> np.ndarray | None:
 
 def _real_array(doc, field: str) -> np.ndarray:
     """A list (of lists) of real numbers as a float array.  A non-number
-    entry (a string, null, a map) is named by its index; any other
-    malformation keeps numpy's text."""
+    entry (a string, null, a map) is named by its index, and ragged lists
+    are refused as a whole."""
     arr = _number_array(doc)
     if arr is not None:
         return arr
     _reject_non_numbers(doc, field)
     try:
         return np.asarray(doc, dtype=float)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
         raise SchemaError(field, str(exc)) from exc
+    except ValueError as exc:
+        raise SchemaError(field, "ragged lists: entries differ in length or depth") from exc
 
 
 def _reject_non_numbers(doc, field: str) -> None:
@@ -202,10 +215,7 @@ def _pair_to_complex(v, field: str) -> complex:
         or not all(isinstance(x, (int, float)) for x in v)
     ):
         raise SchemaError(field, "expected a [re, im] number pair")
-    try:
-        return complex(v[0], v[1])
-    except OverflowError as exc:
-        raise SchemaError(field, str(exc)) from exc
+    return _named(field, complex, v[0], v[1])
 
 
 def parse_matrix(doc, field: str = "matrix") -> np.ndarray:
@@ -256,10 +266,7 @@ def parse_channel(doc) -> Channel:
     for i, k in enumerate(ops):
         if k.shape != (out_dim, in_dim):
             raise SchemaError(f"kraus[{i}]", f"shape {k.shape} != ({out_dim}, {in_dim})")
-    try:
-        return Channel(tuple(ops))
-    except ValueError as exc:
-        raise SchemaError("kraus", str(exc)) from exc
+    return _named("kraus", Channel, tuple(ops))
 
 
 def parse_kernel(doc) -> SignedKernel:
@@ -272,19 +279,15 @@ def parse_kernel(doc) -> SignedKernel:
     if not isinstance(src, list) or not isinstance(dst, list):
         raise SchemaError("from", "expected label lists")
     m = _real_array(mat, "matrix")
-    try:
-        return SignedKernel(FiniteSpace(tuple(src)), FiniteSpace(tuple(dst)), m)
-    except Exception as exc:
-        raise SchemaError("matrix", str(exc)) from exc
+    return _named(
+        "matrix", lambda: SignedKernel(FiniteSpace(tuple(src)), FiniteSpace(tuple(dst)), m)
+    )
 
 
 def _space(labels, field: str) -> FiniteSpace:
     if not isinstance(labels, list) or not labels:
         raise SchemaError(field, "expected a nonempty label list")
-    try:
-        return FiniteSpace(tuple(labels))
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from exc
+    return _named(field, FiniteSpace, tuple(labels))
 
 
 def _distributions(space: FiniteSpace, rows: list, keys, name: str) -> list[Distribution]:
@@ -299,11 +302,8 @@ def _distributions(space: FiniteSpace, rows: list, keys, name: str) -> list[Dist
             pass
     dists = []
     for key, row in zip(keys, rows):
-        values = _real_array(row, f"{name}[{key}]")
-        try:
-            dists.append(Distribution(space, values))
-        except Exception as exc:
-            raise SchemaError(f"{name}[{key}]", str(exc)) from exc
+        field = f"{name}[{key}]"
+        dists.append(_named(field, Distribution, space, _real_array(row, field)))
     return dists
 
 
@@ -358,29 +358,27 @@ def _model_measurement(
 ) -> tuple[ProjectiveMeasurement, tuple[ResponseFunction, ...]]:
     basis = _need(doc, "basis", place + ".")
     responses = _need(doc, "responses", place + ".")
-    vectors = _ket_rows(basis) if isinstance(basis, list) else None
-    try:
-        if vectors is None:
-            # vector by vector, to name the first that is malformed
-            vectors = np.array([_ket_at(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)])
-        pm = ProjectiveMeasurement(vectors)
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"{place}.basis", str(exc)) from exc
+    if not isinstance(basis, list):
+        raise SchemaError(f"{place}.basis", "expected a list of kets")
+    vectors = _ket_rows(basis)
+    if vectors is None:
+        # vector by vector, to name the first that is malformed
+        kets = [_ket_at(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)]
+        if len({k.size for k in kets}) > 1:
+            raise SchemaError(f"{place}.basis", "kets have different dimensions")
+        vectors = np.array(kets)
+    pm = _named(f"{place}.basis", ProjectiveMeasurement, vectors)
     if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
         raise SchemaError(f"{place}.responses", f"expected {pm.n_outcomes} response vectors")
-    values = _number_array(responses)
-    try:
+
+    def read(values):
         if values is not None and values.ndim == 2:
-            return pm, tuple(response_rows(ontic, values))
+            return tuple(response_rows(ontic, values))
         # row by row, to name a non-number entry and to read nested rows flat
         rows = [_real_array(r, f"{place}.responses[{j}]") for j, r in enumerate(responses)]
-        return pm, tuple(ResponseFunction(ontic, r) for r in rows)
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"{place}.responses", str(exc)) from exc
+        return tuple(ResponseFunction(ontic, r) for r in rows)
+
+    return pm, _named(f"{place}.responses", read, _number_array(responses))
 
 
 def parse_model(doc) -> OntModel:
@@ -405,10 +403,7 @@ def parse_model(doc) -> OntModel:
     measurements = [
         _model_measurement(ontic, m, f"measurements[{i}]") for i, m in enumerate(meas_doc)
     ]
-    try:
-        return OntModel(ontic, tuple(states), distributions, tuple(measurements))
-    except Exception as exc:
-        raise SchemaError("model", str(exc)) from exc
+    return _named("model", OntModel, ontic, tuple(states), distributions, tuple(measurements))
 
 
 @lru_cache(maxsize=None)
@@ -443,10 +438,7 @@ def _measure_values(table: dict, n: int) -> np.ndarray:
             raise SchemaError(f"measure[{key}]", "bitmask out of range")
         if not isinstance(v, (int, float)):
             raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
-        try:
-            values[mask] = v
-        except OverflowError as exc:
-            raise SchemaError(f"measure[{key}]", str(exc)) from exc
+        _named(f"measure[{key}]", setitem, values, mask, v)  # an int past the float range overflows
         seen[mask] = True
     if not seen.all():
         raise SchemaError("measure", "values must cover every subset bitmask")
@@ -458,22 +450,14 @@ def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
     space = _space(points, "points")
     if "decoherence" in doc:
         check_size(space.size)  # before the n x n matrix is parsed
-        try:
-            return DecoherenceFunctional(space, parse_matrix(doc["decoherence"], "decoherence"))
-        except SchemaError:
-            raise
-        except Exception as exc:
-            raise SchemaError("decoherence", str(exc)) from exc
+        matrix = parse_matrix(doc["decoherence"], "decoherence")
+        return _named("decoherence", DecoherenceFunctional, space, matrix)
     if "measure" in doc:
         table = doc["measure"]
         if not isinstance(table, dict):
             raise SchemaError("measure", "expected a bitmask-to-value map")
         check_size(space.size)  # before the 2^n table is allocated
-        values = _measure_values(table, space.size)
-        try:
-            return QuantumMeasure(space, values)
-        except Exception as exc:
-            raise SchemaError("measure", str(exc)) from exc
+        return _named("measure", QuantumMeasure, space, _measure_values(table, space.size))
     raise SchemaError("measure", "document needs either 'decoherence' or 'measure'")
 
 

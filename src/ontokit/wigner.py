@@ -57,9 +57,9 @@ class Algebra:
 
     def __post_init__(self):
         if self.kind not in ("matrix", "commutative"):
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
+            raise VerificationFailedError(f"unknown algebra kind {self.kind!r}")
         if self.dim < 1:
-            raise ValueError("algebra dimension must be positive")
+            raise VerificationFailedError("algebra dimension must be positive")
         if self.kind == "matrix" and self.dim == 1:
             object.__setattr__(self, "kind", "commutative")
 
@@ -202,7 +202,7 @@ def _allocate(what: str, nbytes: int, build):
 def phase_point_operators(n: int) -> WignerFrame:
     """The n^2 displaced parity operators for odd n, invariants verified."""
     if n < 1:
-        raise ValueError("dimension must be positive")
+        raise VerificationFailedError("dimension must be positive")
     if n % 2 == 0:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
     if n == 1:
@@ -326,10 +326,8 @@ def functor_morphism(
                 "channel output is not diagonal; not a morphism into C^k"
             )
     t = transfer_matrix(ch, in_frame, out_frame)
-    try:  # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
-        kernel = SignedKernel(in_frame.space, out_frame.space, t)
-    except ValueError as exc:
-        raise VerificationFailedError(str(exc)) from exc
+    # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
+    kernel = SignedKernel(in_frame.space, out_frame.space, t)
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:

@@ -98,7 +98,7 @@ def test_criterion_02_compression_channel():
     for trial in range(25):
         rng = rng_for(SEED, 2, trial)
         psi, phi, g = random_nonorthogonal_pair(rng, 2, 0.1, 0.95)
-        res = compression_channel(psi, phi, tol=1e-8)
+        res = compression_channel(psi, phi)
         worst_residual = max(worst_residual, res.residual_psi, res.residual_phi)
         n_ok = n_ok and g ** res.n <= INV_SQRT2 + 1e-12
         n_ok = n_ok and (res.n == 1 or g ** (res.n - 1) > INV_SQRT2)

@@ -33,7 +33,9 @@ from ontokit.kernels import (
 from ontokit.quantum import Channel, DensityMatrix, apply_channel, born, overlap
 from ontokit.sampling import random_ket, random_nonorthogonal_pair, rng_for
 from ontokit.serialize import dumps_report
-from ontokit.tolerances import DEGENERATE_DRAW_EPS, FEAS_TOL, SUPPORT_EPS
+from ontokit.tolerances import (
+    DEGENERATE_DRAW_EPS, FEAS_TOL, NEVER_FIRES_TOL, PBR_TOL, SUPPORT_EPS,
+)
 from ontokit.wigner import phase_point_operators, wigner_vector
 
 S2 = FiniteSpace(("x0", "x1"))
@@ -762,9 +764,9 @@ class TestPbrDemo:
                 for x in (comp.output_psi, comp.output_phi)
                 for y in (comp.output_psi, comp.output_phi)
             ]
-            assert rep.anti_distinguished == antidist_quantum_check(
-                states, m, [0, 1, 2, 3], tol=1e-8
-            )
+            worst = max(born(s, m, k) for k, s in enumerate(states))
+            assert rep.anti_distinguished == (worst <= PBR_TOL)
+            assert antidist_quantum_check(states, m, [0, 1, 2, 3]) == (worst <= NEVER_FIRES_TOL)
 
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(BadOverlapError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ontokit import linalg
-from ontokit.errors import DimMismatchError
+from ontokit.errors import DimMismatchError, VerificationFailedError
 from ontokit.ontomodel import _quantum_probability
 from ontokit.quantum import (
     Channel,
@@ -96,16 +96,16 @@ def _nan_operator():
 @pytest.mark.parametrize(
     "kraus, exc, message",
     [
-        ((), ValueError, "channel needs at least one Kraus operator"),
+        ((), VerificationFailedError, "channel needs at least one Kraus operator"),
         ((np.eye(2), np.eye(3)), DimMismatchError, "all Kraus operators must share one shape"),
         ((np.array([1.0, 0.0]),), DimMismatchError, "expected a 2-d matrix, got shape (2,)"),
         ((np.eye(2), np.array([1.0, 0.0])), DimMismatchError,
          "expected a 2-d matrix, got shape (2,)"),
-        (_nan_operator(), ValueError, "matrix contains NaN or Inf entries"),
-        ((np.sqrt(1.0 + 1e-6) * np.eye(2),), ValueError,
+        (_nan_operator(), VerificationFailedError, "matrix contains NaN or Inf entries"),
+        ((np.sqrt(1.0 + 1e-6) * np.eye(2),), VerificationFailedError,
          "Kraus sum deviates from identity by 1.000e-06"),
         # a channel is trace preserving by definition: a sub-normalised set is no channel
-        ((0.5 * np.eye(3), 0.5 * np.eye(3)), ValueError,
+        ((0.5 * np.eye(3), 0.5 * np.eye(3)), VerificationFailedError,
          "Kraus sum deviates from identity by 5.000e-01"),
     ],
     ids=["empty", "mixed-shapes", "one-d", "one-d-after-matrix", "nan", "sum-off-1e-6",

@@ -137,6 +137,17 @@ class TestWigner:
         kernel = parse_kernel(doc["sample_kernel"])
         assert kernel.source.size == 9 and kernel.target.size == 9
 
+    def test_functor_check_below_rounding_fails(self, capsys):
+        # at --tol 1e-300 the rounding of both law checks is a violation
+        code, out, _ = run_cli(
+            capsys, "wigner", "functor-check", "--dim", "3", "--trials", "2", "--seed", "1",
+            "--tol", "1e-300",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["max_composition_violation"] > 0 and doc["max_evaluation_violation"] > 0
+
     @pytest.mark.parametrize("dim", ["13", "15"])
     def test_functor_check_certifies_odd_dims_past_eleven(self, capsys, dim):
         code, out, _ = run_cli(
@@ -196,6 +207,15 @@ def _decoherence_on(n):
     return {"points": [f"x{i}" for i in range(n)], "decoherence": [row] * n}
 
 
+KET_2 = {"dim": 2, "amplitudes": [[1, 0], [0, 0]]}
+KET_3 = {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}
+
+
+def _model_with_basis(basis):
+    return {"ontic": ["x"], "states": [{"label": "s", "ket": KET_2}], "distributions": {"s": [1.0]},
+            "measurements": [{"basis": basis, "responses": [[1.0], [0.0]]}]}
+
+
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
 NAN_NORM = "amplitudes: ket norm nan deviates from 1"
@@ -243,10 +263,19 @@ FRAME_TOO_LARGE = (
     # 16 n^4 bytes beyond what numpy can index, refused before anything is allocated
     (["wigner", "frame", "99999999999"], None, FRAME_TOO_LARGE),
     (["wigner", "functor-check", "--dim", "99999999999"], None, FRAME_TOO_LARGE),
+    # the toolkit's words, not numpy's or Python's
+    (["antidist", "DOC", "--target", "0"],
+     {"points": ["a", "b"], "weights": [[1.0, [0]], [0.0, 1.0]]},
+     "schema error: weights[0]: ragged lists: entries differ in length or depth"),
+    (["validate-model", "DOC"], _model_with_basis([KET_2, KET_3]),
+     "schema error: measurements[0].basis: kets have different dimensions"),
+    (["validate-model", "DOC"], _model_with_basis(5),
+     "schema error: measurements[0].basis: expected a list of kets"),
 ], ids=["measure-17", "measure-65", "decoherence-17", "functor-check-seed", "huge-ket",
         "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
         "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
-        "measure-huge-value", "wigner-frame-huge", "functor-check-huge"])
+        "measure-huge-value", "wigner-frame-huge", "functor-check-huge", "ragged-weights",
+        "basis-mixed-dims", "basis-not-a-list"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -1,0 +1,47 @@
+"""One fault vocabulary: the library raises ``OntokitError``s, a failed check
+as a ``VerificationFailedError``, never a bare ``ValueError`` or ``TypeError``."""
+
+import ast
+import pathlib
+
+import ontokit
+from ontokit.errors import OntokitError, VerificationFailedError
+
+SRC = pathlib.Path(ontokit.__file__).parent
+BARE = {"ValueError", "TypeError"}
+# the JSON emitter refuses what it cannot write, as json.dumps does
+EMITTER = {("serialize", "_format_float"), ("serialize", "dumps_report")}
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def _bare_raises(path):
+    """'owner line N: Name' for each bare ValueError or TypeError the module
+    raises, owner being the module-level function or class around it."""
+    sites = []
+    for top in ast.parse(path.read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        if (path.stem, owner) in EMITTER:
+            continue
+        sites += [
+            f"{owner} line {node.lineno}: {name}"
+            for node in ast.walk(top)
+            if isinstance(node, ast.Raise) and (name := _raised_name(node)) in BARE
+        ]
+    return sites
+
+
+def test_library_faults_are_ontokit_errors():
+    offenders = {
+        path.name: sites for path in sorted(SRC.glob("*.py")) if (sites := _bare_raises(path))
+    }
+    assert offenders == {}
+
+
+def test_a_failed_check_is_also_a_value_error():
+    # callers that catch ValueError keep working
+    assert issubclass(VerificationFailedError, OntokitError)
+    assert issubclass(VerificationFailedError, ValueError)

@@ -13,6 +13,7 @@ from ontokit.errors import (
     SpaceMismatchError,
 )
 from ontokit.kernels import (
+    TWO,
     Distribution,
     FiniteSpace,
     ResponseFunction,
@@ -861,6 +862,31 @@ class TestOperationalModel:
         assert report.composition_violations == [{"g": "id", "f": "id", "gf": "swap", "error": 1.0}]
         assert report.identity_violations == [{"name": "swap", "error": 1.0}]
         assert report.evaluation_violations == []
+
+    def test_evaluation_violation_is_recorded(self):
+        rng = rng_for(109)
+        from ontokit.quantum import measurement_channel
+        from ontokit.sampling import random_effect
+
+        rho = random_density(rng, 3)
+        effect = random_effect(rng, 3)
+        prep = preparation_channel(rho)
+        # a kernel that always answers outcome 0, against a Born probability below 1
+        always_zero = SignedKernel(phase_space(3), TWO, np.vstack([np.ones(9), np.zeros(9)]))
+        frag = FunctorFragment(
+            channels={"state": prep, "meas": measurement_channel(effect)},
+            kernels={"state": functor_morphism(prep, in_algebra=commutative_algebra(1)),
+                     "meas": always_zero},
+        )
+        report = check_operational_model(frag, evaluation_tests=[("meas", "state")])
+        [record] = report.evaluation_violations
+        assert list(record) == ["measurement", "state", "quantum", "classical"]
+        assert (record["measurement"], record["state"]) == ("meas", "state")
+        born_p = np.trace(effect.effect @ rho.matrix).real
+        assert born_p < 0.99
+        assert record["quantum"] == pytest.approx(born_p, abs=1e-12)
+        assert record["classical"] == pytest.approx(1.0, abs=1e-12)
+        assert not report.clean and report.composition_violations == report.identity_violations == []
 
     def test_kernels_near_the_column_tolerance(self):
         # columns summing to 1 + 8e-10 are valid kernels; their product sums to

@@ -432,8 +432,10 @@ def _real_oracle(doc, field):
     reject(doc, field)
     try:
         return np.asarray(doc, dtype=float)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
         raise SchemaError(field, str(exc)) from exc
+    except ValueError as exc:
+        raise SchemaError(field, "ragged lists: entries differ in length or depth") from exc
 
 
 def _ket_at_oracle(doc, place):
@@ -488,11 +490,13 @@ def parse_model_oracle(doc):
         place = f"measurements[{i}]"
         basis = _need_oracle(m, "basis", place + ".")
         responses = _need_oracle(m, "responses", place + ".")
+        if not isinstance(basis, list):
+            raise SchemaError(f"{place}.basis", "expected a list of kets")
+        kets = [_ket_at_oracle(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)]
+        if len({k.size for k in kets}) > 1:
+            raise SchemaError(f"{place}.basis", "kets have different dimensions")
         try:
-            vectors = np.array([_ket_at_oracle(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)])
-            pm = ProjectiveMeasurement(vectors)
-        except SchemaError:
-            raise
+            pm = ProjectiveMeasurement(np.array(kets))
         except Exception as exc:
             raise SchemaError(f"{place}.basis", str(exc)) from exc
         if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
@@ -759,7 +763,9 @@ class TestKernelSchema:
         ({"from": ["a"], "to": {"a": 0}, "matrix": [[1.0]]}, "from", "expected label lists"),
         ({"from": ["a", "b"], "to": ["a", "b"], "matrix": [[0.5, 0.5], [0.4, 0.5]]},
          "matrix", "column sums deviate from 1 by 1.000e-01"),
-    ], ids=["source-not-a-list", "target-not-a-list", "column-sum"])
+        ({"from": ["a", "b"], "to": ["a", "b"], "matrix": [[1, 0], [0]]},
+         "matrix", "ragged lists: entries differ in length or depth"),
+    ], ids=["source-not-a-list", "target-not-a-list", "column-sum", "ragged"])
     def test_malformed_kernel_named(self, doc, field, message):
         with pytest.raises(SchemaError) as info:
             parse_kernel(doc)
@@ -911,6 +917,13 @@ class TestMeasureTableAsOneArray:
         assert _same_doc_outcome(
             parse_qmeasure_doc, parse_measure_oracle, _same_measure, doc
         ) == "error"
+
+    def test_values_no_one_array_holds_read_key_by_key(self):
+        # 2^64 and -1 share no numpy integer dtype, so the one-array read gives up
+        table = {"0": 0, "1": 2**64, "2": -1, "3": 1}
+        assert serialize._number_array(list(table.values())) is None
+        mu = parse_qmeasure_doc({"points": ["a", "b"], "measure": table})
+        assert mu.values.tolist() == [0, 1.8446744073709552e19, -1, 1]
 
     def test_every_value_a_list(self):
         # a regular nested table reads as a 2-d array, which is not a table of numbers
