@@ -30,6 +30,7 @@ from . import linalg
 from .errors import (
     BadOverlapError,
     DimMismatchError,
+    IndexOutOfRangeError,
     SpaceMismatchError,
     VerificationFailedError,
 )
@@ -57,7 +58,7 @@ class AntidistProblem:
         if any(d.space != space for d in self.ensemble):
             raise SpaceMismatchError("ensemble members live on different spaces")
         if not 0 <= self.target < len(self.ensemble):
-            raise IndexError("target index out of range")
+            raise IndexOutOfRangeError("target index out of range")
         object.__setattr__(self, "ensemble", tuple(self.ensemble))
 
 

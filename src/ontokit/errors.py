@@ -33,6 +33,11 @@ class MissingActionError(OntokitError):
     """A channel tested for equivariance has no point permutation."""
 
 
+class IndexOutOfRangeError(OntokitError, IndexError):
+    """An index names no element: an outcome past the basis, a target past
+    the ensemble.  It is also an ``IndexError``."""
+
+
 class BadOverlapError(OntokitError):
     """State overlap is outside the open interval (0, 1)."""
 

@@ -132,31 +132,18 @@ def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
         raise VerificationFailedError("response values must lie in [0, 1]")
 
 
-def _wrap_rows(cls, space: FiniteSpace, field_name: str, rows: np.ndarray) -> list:
-    """One ``cls`` per row of a matrix already checked as a whole."""
-    out = []
-    for row in rows:
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, field_name, row)
-        out.append(obj)
-    return out
-
-
 def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
     """One Distribution per row of a (rows x points) weight matrix, checked
     once as a whole; each Distribution's weights are a row of it."""
     w = np.asarray(weights, dtype=float)
     _check_weight_rows(space, w)
-    return _wrap_rows(Distribution, space, "weights", w)
-
-
-def response_rows(space: FiniteSpace, values) -> list[ResponseFunction]:
-    """One ResponseFunction per row of a (rows x points) matrix, checked
-    once as a whole; each function's values are a row of it."""
-    v = np.asarray(values, dtype=float)
-    _check_response_rows(space, v)
-    return _wrap_rows(ResponseFunction, space, "values", v)
+    rows = []
+    for row in w:
+        mu = object.__new__(Distribution)
+        object.__setattr__(mu, "space", space)
+        object.__setattr__(mu, "weights", row)
+        rows.append(mu)
+    return rows
 
 
 # ---------------------------------------------------------------------------

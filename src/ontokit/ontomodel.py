@@ -1,11 +1,12 @@
 """Ontological-model data format, validators, and functor-fragment checks.
 
-A finite ontological model pins down an ontic space, one distribution per
-catalogued state, and one response function per measurement outcome; the
-validators work on its stacked kets and weights as matrices.  Functor
-fragments are finite tables of (channel, kernel) pairs whose laws, checked
-as matrix identities, are composition, identity, evaluation preservation,
-and equivariance under point permutations.
+A finite ontological model is its matrices: one preparation kernel W
+(catalogued states to ontic points) and one response kernel R per
+measurement (ontic points to outcomes); the validators compare W R^T with
+the Born table of the catalogue's kets.  Functor fragments are finite
+tables of (channel, kernel) pairs whose laws, checked as matrix
+identities, are composition, identity, evaluation preservation, and
+equivariance under point permutations.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .kernels import (
-    TWO,
-    UNIT_SPACE,
-    Distribution,
-    FiniteSpace,
-    ResponseFunction,
-    SignedKernel,
-    distribution_rows,
-    response_rows,
+    TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows,
 )
 from .quantum import Channel, ProjectiveMeasurement, compose
 from .tolerances import FUNCTOR_TOL, MODEL_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
@@ -38,71 +32,71 @@ from .tolerances import FUNCTOR_TOL, MODEL_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPO
 
 @dataclass(frozen=True, eq=False)
 class OntModel:
-    """Finite restriction of an ontological theory.
+    """Finite restriction of an ontological theory, held as its matrices.
 
-    ``states`` catalogues (label, ket) pairs; ``distributions`` maps each
-    label to its ontic distribution; ``measurements`` pairs a projective
-    measurement with one response function per outcome.  ``kets``
-    (states x dim) and ``weights`` (states x ontic) stack them row by row.
+    State ``labels[s]`` has the unit ket ``kets[s]`` (states x dim) and the
+    ontic distribution ``weights[s]`` (states x ontic), a row of W.  Each of
+    ``measurements`` pairs a projective measurement with its ``responses``
+    (outcomes x ontic), one row of values in [0, 1] per outcome: R.
     """
 
     ontic: FiniteSpace
-    states: tuple[tuple[str, np.ndarray], ...]
-    distributions: dict[str, Distribution]
-    measurements: tuple[tuple[ProjectiveMeasurement, tuple[ResponseFunction, ...]], ...]
-    kets: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    labels: tuple[str, ...]
+    kets: np.ndarray
+    weights: np.ndarray
+    measurements: tuple[tuple[ProjectiveMeasurement, np.ndarray], ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.states]
+        labels = tuple(map(str, self.labels))
         if len(set(labels)) != len(labels):
             raise VerificationFailedError("state labels must be distinct")
-        # the first state without a distribution on the ontic space; the
-        # states before it are checked for signs as one weight matrix
-        dists = self.distributions
-        stop = next(
-            (i for i, lab in enumerate(labels) if lab not in dists or dists[lab].space != self.ontic),
-            len(labels),
-        )
-        weights = np.array([dists[lab].weights for lab in labels[:stop]])
-        weights = weights.reshape(stop, self.ontic.size)
+        weights = np.ascontiguousarray(self.weights, dtype=float)
+        _check_weight_rows(self.ontic, weights)
+        if len(weights) != len(labels):
+            raise VerificationFailedError("each state needs exactly one weight row")
         signed = weights.min(axis=1) < -NONNEG_TOL
         if signed.any():
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
-        if stop < len(labels):
-            lab = labels[stop]
-            if lab not in dists:
-                raise VerificationFailedError(f"state {lab!r} has no distribution")
-            raise SpaceMismatchError(f"distribution for {lab!r} lives off the ontic space")
+        measurements = []
         for m, responses in self.measurements:
-            if len(responses) != m.n_outcomes:
-                raise VerificationFailedError("each outcome needs exactly one response function")
-            for xi in responses:
-                if xi.space != self.ontic:
-                    raise SpaceMismatchError("response function lives off the ontic space")
-        kets = _stack_kets(self.states, [m for m, _ in self.measurements])
+            r = np.ascontiguousarray(responses, dtype=float)
+            _check_response_rows(self.ontic, r)
+            if len(r) != m.n_outcomes:
+                raise VerificationFailedError("each outcome needs exactly one response row")
+            measurements.append((m, r))
+        kets = _stack_kets(self.kets, len(labels), [m for m, _ in measurements])
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "measurements", tuple(measurements))
 
 
-def _stack_kets(
-    states: Sequence[tuple[str, np.ndarray]], measurements: Sequence[ProjectiveMeasurement]
-) -> np.ndarray:
-    """Unit kets as rows; every ket and measurement shares the first's dimension."""
-    rows = [np.asarray(k, dtype=complex).reshape(-1) for _, k in states]
-    if len({r.size for r in rows}) == 1:
-        kets = np.array(rows)
-        suspects = np.flatnonzero(~linalg.clearly_unit_rows(kets))
-    else:  # no kets, or kets of several sizes, which the dimension check refuses
-        kets, suspects = None, range(len(rows))
-    for i in suspects:  # as_ket decides each in catalogue order
-        linalg.as_ket(rows[i])
-    dims = [(f"state {lab!r}", r.size) for (lab, _), r in zip(states, rows)]
-    dims += [(f"measurement {mi}", m.dim) for mi, m in enumerate(measurements)]
-    for name, dim in dims:
-        if dim != dims[0][1]:
-            raise DimMismatchError(f"{name} has dimension {dim}, expected {dims[0][1]}")
-    return kets if kets is not None else np.zeros((0, dims[0][1] if dims else 0), dtype=complex)
+def catalogue_kets(labels: Sequence[str], kets: Sequence) -> np.ndarray:
+    """A catalogue's kets as the rows of one array; a ket whose dimension
+    differs from the first's is refused by its label."""
+    rows = [np.asarray(k, dtype=complex).reshape(-1) for k in kets]
+    for lab, row in zip(labels, rows):
+        if row.size != rows[0].size:
+            raise DimMismatchError(
+                f"state {lab!r} has dimension {row.size}, expected {rows[0].size}"
+            )
+    return np.array(rows)
+
+
+def _stack_kets(kets, n_states: int, measurements: Sequence[ProjectiveMeasurement]) -> np.ndarray:
+    """Unit kets as rows, one per state; every measurement shares their dimension."""
+    kets = np.ascontiguousarray(kets, dtype=complex)
+    if n_states == 0 and kets.size == 0:  # no ket fixes the dimension; the first measurement does
+        kets = kets.reshape(0, measurements[0].dim if measurements else 0)
+    if kets.ndim != 2 or len(kets) != n_states:
+        raise DimMismatchError(f"expected one ket row per state, got shape {kets.shape}")
+    for i in np.flatnonzero(~linalg.clearly_unit_rows(kets)):  # as_ket decides each in order
+        linalg.as_ket(kets[i])
+    dim = kets.shape[1]
+    for mi, m in enumerate(measurements):
+        if m.dim != dim:
+            raise DimMismatchError(f"measurement {mi} has dimension {m.dim}, expected {dim}")
+    return kets
 
 
 def _born_table(kets: np.ndarray, m: ProjectiveMeasurement) -> np.ndarray:
@@ -126,8 +120,7 @@ def validate_model(model: OntModel, tol: float = MODEL_TOL) -> ModelValidation:
     model's W R^T and the pointwise response sum rule; list what deviates
     beyond ``tol``."""
     report = ModelValidation(tolerance=tol)
-    for mi, (m, responses) in enumerate(model.measurements):
-        r = np.array([xi.values for xi in responses])
+    for mi, (m, r) in enumerate(model.measurements):
         totals = r.sum(axis=0)
         for li in np.flatnonzero(np.abs(totals - 1.0) > tol).tolist():
             report.sum_rule_violations.append(
@@ -137,7 +130,7 @@ def validate_model(model: OntModel, tol: float = MODEL_TOL) -> ModelValidation:
         expected = _born_table(model.kets, m)
         for s, k in np.argwhere(np.abs(reproduced - expected) > tol).tolist():
             report.born_violations.append(
-                {"state": model.states[s][0], "measurement": mi, "outcome": k,
+                {"state": model.labels[s], "measurement": mi, "outcome": k,
                  "reproduced": float(reproduced[s, k]), "expected": float(expected[s, k])}
             )
     return report
@@ -166,7 +159,7 @@ def classify_model(model: OntModel) -> Classification:
     only within IDENTITY_TOL (= STRICT_MARGIN), and rounding keeps the
     bound: max(w_i - w_j, 0) >= w_i entry by entry, numpy sums both rows in
     the same order and rounded addition is monotone, so the computed
-    distance is at least the row sum that Distribution admitted, which is at
+    distance is at least the row sum that the model admitted, which is at
     least 1 - STRICT_MARGIN.  The screen is on W > 0, not on SUPPORT_EPS:
     shared entries at or below SUPPORT_EPS, over enough points or with row
     sums at the low end of their tolerance, can bring a pair below
@@ -187,7 +180,7 @@ def classify_model(model: OntModel) -> Classification:
         if hits.size:
             j = js[hits[0]]
             return Classification(
-                kind="epistemic", witness=(model.states[i][0], model.states[j][0]),
+                kind="epistemic", witness=(model.labels[i], model.labels[j]),
                 witness_overlap=float(ov[i, j]), witness_distance=float(dist[hits[0]]),
             )
     return Classification(kind="ontic")
@@ -252,10 +245,9 @@ def maximal_predicates(model: OntModel, tol: float = MODEL_TOL) -> MaximalPredic
     w = model.weights
     mass = w @ (w > SUPPORT_EPS).T
     born = np.abs(model.kets.conj() @ model.kets.T) ** 2
-    labels = tuple(lab for lab, _ in model.states)
 
     def records(bad: np.ndarray) -> PairRecords:
-        return PairRecords(labels, np.argwhere(bad), mass[bad], born[bad])
+        return PairRecords(model.labels, np.argwhere(bad), mass[bad], born[bad])
 
     me = records(np.abs(mass - born) > tol)
     mn = records((born <= tol) != (mass <= tol))
@@ -274,12 +266,11 @@ def dirac_restriction_model(
     """The Hilbert-space restatement on a finite catalogue: the ontic space
     is the catalogue itself, each state sits at its own point, and responses
     are the Born probabilities evaluated at each point."""
-    catalog = tuple((str(lab), np.asarray(k, dtype=complex)) for lab, k in catalog)
-    ontic = FiniteSpace(tuple(lab for lab, _ in catalog))
-    distributions = dict(zip(ontic.points, distribution_rows(ontic, np.eye(ontic.size))))
-    kets = _stack_kets(catalog, measurements)
-    packed = tuple((m, tuple(response_rows(ontic, _born_table(kets, m).T))) for m in measurements)
-    return OntModel(ontic, catalog, distributions, packed)
+    labels = tuple(str(lab) for lab, _ in catalog)
+    ontic = FiniteSpace(labels)
+    kets = _stack_kets(catalogue_kets(labels, [k for _, k in catalog]), len(labels), measurements)
+    responses = tuple((m, _born_table(kets, m).T) for m in measurements)
+    return OntModel(ontic, labels, kets, np.eye(ontic.size), responses)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatchError, VerificationFailedError
+from .errors import DimMismatchError, IndexOutOfRangeError, VerificationFailedError
 from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 
 
@@ -195,7 +195,7 @@ def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:
     if state.dim != m.dim:
         raise DimMismatchError("state and measurement dimensions differ")
     if not 0 <= k < m.n_outcomes:
-        raise IndexError(f"outcome index {k} out of range")
+        raise IndexOutOfRangeError(f"outcome index {k} out of range")
     v = m.vectors[k]
     p = float(np.real(np.vdot(v, state.matrix @ v)))
     if p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:

@@ -44,13 +44,10 @@ def random_effect(rng: np.random.Generator, dim: int) -> TwoOutcomeMeasurement:
     return TwoOutcomeMeasurement(u @ np.diag(eigs) @ u.conj().T)
 
 
-def random_cptp_channel(
-    rng: np.random.Generator, in_dim: int, out_dim: int, n_kraus: int = 3
-) -> Channel:
-    """Random trace-preserving CP map: Gaussian Kraus set, renormalised.
-
-    Operator k draws its real part, then its imaginary part."""
-    g = rng.normal(size=(n_kraus, 2, out_dim, in_dim))
+def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> Channel:
+    """Random trace-preserving CP map: three Gaussian Kraus operators,
+    renormalised.  Operator k draws its real part, then its imaginary part."""
+    g = rng.normal(size=(3, 2, out_dim, in_dim))
     raw = g[:, 0] + 1j * g[:, 1]
     total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0, initial=0)
     w, v = linalg.hermitian_eigensystem(total)

@@ -34,16 +34,16 @@ from typing import Any
 import numpy as np
 
 from . import linalg
-from .errors import SchemaError
+from .errors import SchemaError, VerificationFailedError
 from .kernels import (
     Distribution,
     FiniteSpace,
-    ResponseFunction,
     SignedKernel,
+    _check_response_rows,
+    _check_weight_rows,
     distribution_rows,
-    response_rows,
 )
-from .ontomodel import OntModel
+from .ontomodel import OntModel, catalogue_kets
 from .qmeasure import DecoherenceFunctional, QuantumMeasure, check_size
 from .quantum import Channel, ProjectiveMeasurement
 from .tolerances import TIGHT_IDENTITY_TOL
@@ -186,12 +186,14 @@ def _pairs_array(doc, ndim: int) -> np.ndarray | None:
 
 def _real_array(doc, field: str) -> np.ndarray:
     """A list (of lists) of real numbers as a float array.  A non-number
-    entry (a string, null, a map) is named by its index, and ragged lists
-    are refused as a whole."""
+    entry (a string, null, a map) is named by its index; lists nested
+    deeper than numpy's 64 dimensions, and ragged lists, are refused as a
+    whole."""
     arr = _number_array(doc)
     if arr is not None:
         return arr
-    _reject_non_numbers(doc, field)
+    if _reject_non_numbers(doc, field) > 64:
+        raise SchemaError(field, "nested more than 64 levels deep")
     try:
         return np.asarray(doc, dtype=float)
     except OverflowError as exc:
@@ -200,12 +202,16 @@ def _real_array(doc, field: str) -> np.ndarray:
         raise SchemaError(field, "ragged lists: entries differ in length or depth") from exc
 
 
-def _reject_non_numbers(doc, field: str) -> None:
+def _reject_non_numbers(doc, field: str) -> int:
+    """Name the first entry that is not a number; return the nesting depth."""
     if isinstance(doc, list):
-        for i, v in enumerate(doc):
-            _reject_non_numbers(v, f"{field}[{i}]")
-    elif not isinstance(doc, (int, float)):
+        depth = 0
+        for i, v in enumerate(doc):  # one frame per level, as deep as json.load reads
+            depth = max(depth, _reject_non_numbers(v, f"{field}[{i}]"))
+        return depth + 1
+    if not isinstance(doc, (int, float)):
         raise SchemaError(field, f"expected a number, got {doc!r}")
+    return 0
 
 
 def _pair_to_complex(v, field: str) -> complex:
@@ -278,10 +284,8 @@ def parse_kernel(doc) -> SignedKernel:
         raise SchemaError("convention", f"unsupported convention {convention!r}")
     if not isinstance(src, list) or not isinstance(dst, list):
         raise SchemaError("from", "expected label lists")
-    m = _real_array(mat, "matrix")
-    return _named(
-        "matrix", lambda: SignedKernel(FiniteSpace(tuple(src)), FiniteSpace(tuple(dst)), m)
-    )
+    source, target = _space(src, "from"), _space(dst, "to")
+    return _named("matrix", SignedKernel, source, target, _real_array(mat, "matrix"))
 
 
 def _space(labels, field: str) -> FiniteSpace:
@@ -290,21 +294,23 @@ def _space(labels, field: str) -> FiniteSpace:
     return _named(field, FiniteSpace, tuple(labels))
 
 
-def _distributions(space: FiniteSpace, rows: list, keys, name: str) -> list[Distribution]:
-    """One Distribution per weight row, the rows read and checked as one
-    matrix.  When that fails they are read row by row, so the first bad row
-    is named as ``name[key]``."""
+def _weight_rows(space: FiniteSpace, rows: list, keys, name: str) -> np.ndarray:
+    """The weight rows as one (rows x points) matrix, read and checked with
+    one call.  When that fails they are read row by row, so the first bad
+    row is named as ``name[key]``; a nested row is read flat."""
     w = _number_array(rows)
     if w is not None and w.ndim == 2 and w.shape[1] == space.size:
         try:
-            return distribution_rows(space, w)
-        except ValueError:
+            _check_weight_rows(space, w)
+            return w
+        except VerificationFailedError:
             pass
-    dists = []
+    flat = []
     for key, row in zip(keys, rows):
         field = f"{name}[{key}]"
-        dists.append(_named(field, Distribution, space, _real_array(row, field)))
-    return dists
+        flat.append(_real_array(row, field).reshape(-1))
+        _named(field, _check_weight_rows, space, flat[-1][None])
+    return np.array(flat).reshape(len(flat), space.size)
 
 
 def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
@@ -313,7 +319,8 @@ def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
     space = _space(points, "points")
     if not isinstance(weights, list) or not weights:
         raise SchemaError("weights", "expected a nonempty list of weight vectors")
-    return space, _distributions(space, weights, range(len(weights)), "weights")
+    w = _weight_rows(space, weights, range(len(weights)), "weights")
+    return space, distribution_rows(space, w)
 
 
 def _ket_rows(docs: list) -> np.ndarray | None:
@@ -340,22 +347,23 @@ def _ket_at(doc, place: str) -> np.ndarray:
         raise SchemaError(f"{place}.{exc.field}", exc.message) from None
 
 
-def _model_states(docs: list) -> list[tuple[str, np.ndarray]]:
+def _model_states(docs: list) -> tuple[list[str], np.ndarray | list[np.ndarray]]:
+    """The state labels, and the kets as one array or else one by one."""
     if all(isinstance(s, dict) and "label" in s and "ket" in s for s in docs):
         kets = _ket_rows([s["ket"] for s in docs])
         if kets is not None:
-            return [(str(s["label"]), k) for s, k in zip(docs, kets)]
+            return [str(s["label"]) for s in docs], kets
     # state by state, to name the first that is malformed
-    states = []
+    labels, kets = [], []
     for i, s in enumerate(docs):
-        label = _need(s, "label", f"states[{i}].")
-        states.append((str(label), _ket_at(_need(s, "ket", f"states[{i}]."), f"states[{i}].ket")))
-    return states
+        labels.append(str(_need(s, "label", f"states[{i}].")))
+        kets.append(_ket_at(_need(s, "ket", f"states[{i}]."), f"states[{i}].ket"))
+    return labels, kets
 
 
 def _model_measurement(
     ontic: FiniteSpace, doc, place: str
-) -> tuple[ProjectiveMeasurement, tuple[ResponseFunction, ...]]:
+) -> tuple[ProjectiveMeasurement, np.ndarray]:
     basis = _need(doc, "basis", place + ".")
     responses = _need(doc, "responses", place + ".")
     if not isinstance(basis, list):
@@ -370,15 +378,17 @@ def _model_measurement(
     pm = _named(f"{place}.basis", ProjectiveMeasurement, vectors)
     if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
         raise SchemaError(f"{place}.responses", f"expected {pm.n_outcomes} response vectors")
-
-    def read(values):
-        if values is not None and values.ndim == 2:
-            return tuple(response_rows(ontic, values))
+    values = _number_array(responses)
+    if values is None or values.ndim != 2:
         # row by row, to name a non-number entry and to read nested rows flat
-        rows = [_real_array(r, f"{place}.responses[{j}]") for j, r in enumerate(responses)]
-        return tuple(ResponseFunction(ontic, r) for r in rows)
-
-    return pm, _named(f"{place}.responses", read, _number_array(responses))
+        rows = [
+            _real_array(r, f"{place}.responses[{j}]").reshape(-1) for j, r in enumerate(responses)
+        ]
+        for row in rows:
+            _named(f"{place}.responses", _check_response_rows, ontic, row[None])
+        values = np.array(rows)
+    _named(f"{place}.responses", _check_response_rows, ontic, values)
+    return pm, values
 
 
 def parse_model(doc) -> OntModel:
@@ -394,16 +404,21 @@ def parse_model(doc) -> OntModel:
     for name, value in (("states", states_doc), ("measurements", meas_doc)):
         if not isinstance(value, list):
             raise SchemaError(name, "expected a list")
-    states = _model_states(states_doc)
+    labels, kets = _model_states(states_doc)
     if not isinstance(dists_doc, dict):
         raise SchemaError("distributions", "expected a label-to-weights map")
-    distributions = dict(
-        zip(dists_doc, _distributions(ontic, list(dists_doc.values()), dists_doc, "distributions"))
-    )
-    measurements = [
+    weights = _weight_rows(ontic, list(dists_doc.values()), dists_doc, "distributions")
+    measurements = tuple(
         _model_measurement(ontic, m, f"measurements[{i}]") for i, m in enumerate(meas_doc)
-    ]
-    return _named("model", OntModel, ontic, tuple(states), distributions, tuple(measurements))
+    )
+    row_of = {key: i for i, key in enumerate(dists_doc)}
+    for lab in labels:
+        if lab not in row_of:
+            raise SchemaError("model", f"state {lab!r} has no distribution")
+    if isinstance(kets, list):
+        kets = _named("model", catalogue_kets, labels, kets)
+    rows = weights[[row_of[lab] for lab in labels]]
+    return _named("model", OntModel, ontic, tuple(labels), kets, rows, measurements)
 
 
 @lru_cache(maxsize=None)

@@ -302,22 +302,17 @@ def transfer_matrix(
     return t
 
 
-def functor_morphism(
-    ch: Channel,
-    in_algebra: Optional[Algebra] = None,
-    out_algebra: Optional[Algebra] = None,
-) -> SignedKernel:
+def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> SignedKernel:
     """Morphism map: a channel to its signed kernel.
 
     Kernel entries are bounded by max(1, c_in / c_out), the ratio of frame
     constants (trace-norm contraction against the involutive frame); for
     like frames this is the usual [-1, 1] range.  The bound is verified.
     """
-    in_algebra = in_algebra if in_algebra is not None else matrix_algebra(ch.in_dim)
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
-    in_frame = frame_for(in_algebra)
+    in_frame = frame_for(matrix_algebra(ch.in_dim))
     out_frame = frame_for(out_algebra)
-    if in_frame.hilbert_dim != ch.in_dim or out_frame.hilbert_dim != ch.out_dim:
+    if out_frame.hilbert_dim != ch.out_dim:
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
     if out_algebra.kind == "commutative":
         images = (in_frame.vectors @ _superoperator(ch).T).reshape(-1, ch.out_dim, ch.out_dim)

@@ -17,7 +17,6 @@ from ontokit.antidist import (
 from ontokit.kernels import (
     Distribution,
     FiniteSpace,
-    ResponseFunction,
     dtensor,
     kcompose,
     support_mask,
@@ -201,9 +200,7 @@ def test_criterion_05_functoriality_and_evaluation():
         rng = rng_for(SEED, 55, trial)
         rho = random_density(rng, 3)
         effect = random_effect(rng, 3)
-        k_state = functor_morphism(
-            preparation_channel(rho), in_algebra=commutative_algebra(1)
-        )
+        k_state = functor_morphism(preparation_channel(rho))
         k_meas = functor_morphism(
             measurement_channel(effect), out_algebra=commutative_algebra(2)
         )
@@ -308,13 +305,10 @@ def test_criterion_09_ontological_model_validator():
     z = ProjectiveMeasurement.computational(2)
     hand = OntModel(
         ontic,
-        (("zero", Z0), ("plus", PLUS)),
-        {
-            "zero": Distribution(ontic, [0.5, 0.5, 0.0]),
-            "plus": Distribution(ontic, [0.5, 0.0, 0.5]),
-        },
-        ((z, (ResponseFunction(ontic, [1.0, 1.0, 0.0]),
-              ResponseFunction(ontic, [0.0, 0.0, 1.0]))),),
+        ("zero", "plus"),
+        [Z0, PLUS],
+        [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+        ((z, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),),
     )
     hand_validation = validate_model(hand, tol=1e-10)
     hand_verdict = classify_model(hand)
@@ -381,7 +375,7 @@ def test_criterion_11_covariance_equivariance():
     for i in range(3):
         prep = preparation_channel(random_density(rng, 3))
         channels[f"rho{i}"] = prep
-        kernels[f"rho{i}"] = functor_morphism(prep, in_algebra=commutative_algebra(1))
+        kernels[f"rho{i}"] = functor_morphism(prep)
     frag = FunctorFragment(channels=channels, kernels=kernels)
     report = check_equivariance(
         frag,

@@ -9,9 +9,10 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ontokit import serialize
+from ontokit import kernels, ontomodel, serialize
 from test_ontomodel import predicates_oracle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -61,3 +62,27 @@ def test_model_reports_count_the_oracle_violations(monkeypatch):
             "nontrivial_violations": len(want.nontrivial_violations),
         }
         assert report["epistemic_violations"] > 0
+
+
+def test_model_path_builds_no_row_objects(monkeypatch):
+    """One validators block (seed 1): reading each model document and
+    running the three model checks on it builds no Distribution or
+    ResponseFunction; the model holds arrays only."""
+    inputs = _bench_module("inputs", monkeypatch)
+    items = inputs.generate("validators", 1, 1)
+    docs = [item.docs["model"] for item in items if item.kind == "model"]
+
+    def refuse(*args):
+        raise AssertionError("a per-row object was built")
+
+    monkeypatch.setattr(kernels.Distribution, "__post_init__", refuse)
+    monkeypatch.setattr(kernels.ResponseFunction, "__post_init__", refuse)
+    monkeypatch.setattr(kernels, "distribution_rows", refuse)
+    monkeypatch.setattr(serialize, "distribution_rows", refuse)
+    for doc in docs:
+        model = serialize.parse_model(json.loads(doc))
+        ontomodel.validate_model(model)
+        ontomodel.classify_model(model)
+        ontomodel.maximal_predicates(model)
+        arrays = [model.kets, model.weights] + [r for _, r in model.measurements]
+        assert all(type(a) is np.ndarray for a in arrays)

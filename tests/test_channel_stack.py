@@ -16,7 +16,7 @@ from ontokit.quantum import (
     preparation_channel,
     tensor,
 )
-from ontokit.sampling import random_cptp_channel, random_density, random_effect, rng_for
+from ontokit.sampling import random_density, random_effect, rng_for
 from ontokit.wigner import pad_odd
 
 ORACLE_TOL = 1e-15
@@ -68,11 +68,19 @@ def assert_kraus_close(ops, expected):
         assert linalg.max_abs(k - e) <= ORACLE_TOL
 
 
+def kraus_channel(rng, in_dim, out_dim, count):
+    """Random channel with ``count`` Kraus operators: a Gaussian set
+    renormalised by the inverse square root of its Kraus sum."""
+    raw = rng.normal(size=(count, out_dim, in_dim)) + 1j * rng.normal(size=(count, out_dim, in_dim))
+    w, v = np.linalg.eigh((raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0))
+    return Channel(raw @ (v / np.sqrt(w)) @ v.conj().T)
+
+
 def random_channel(rng, in_dim, out_dim):
     """Random channel with 1..9 Kraus operators, at least enough of them
     (count * out_dim >= in_dim) for the renormalisation to exist."""
     least = -(-in_dim // out_dim)
-    return random_cptp_channel(rng, in_dim, out_dim, n_kraus=int(rng.integers(least, 10)))
+    return kraus_channel(rng, in_dim, out_dim, int(rng.integers(least, 10)))
 
 
 def random_channels(seed, count=12):
@@ -119,7 +127,7 @@ def test_construction_errors(kraus, exc, message):
 
 
 def test_kraus_views_share_the_stack():
-    ch = random_cptp_channel(rng_for(5, 0), 3, 2, n_kraus=4)
+    ch = kraus_channel(rng_for(5, 0), 3, 2, 4)
     assert ch.stack.shape == (4, 2, 3)
     assert len(ch.kraus) == 4
     assert all(np.shares_memory(k, ch.stack) for k in ch.kraus)
@@ -168,8 +176,8 @@ def test_compose_matches_loop(seed):
 
 def test_compose_is_g_major():
     rng = rng_for(11, 0)
-    g = random_cptp_channel(rng, 3, 2, n_kraus=2)
-    f = random_cptp_channel(rng, 4, 3, n_kraus=3)
+    g = kraus_channel(rng, 3, 2, 2)
+    f = kraus_channel(rng, 4, 3, 3)
     gf = compose(g, f)
     for a in range(2):
         for b in range(3):

@@ -216,6 +216,12 @@ def _model_with_basis(basis):
             "measurements": [{"basis": basis, "responses": [[1.0], [0.0]]}]}
 
 
+def _nested(depth, value):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
 NAN_NORM = "amplitudes: ket norm nan deviates from 1"
@@ -271,11 +277,15 @@ FRAME_TOO_LARGE = (
      "schema error: measurements[0].basis: kets have different dimensions"),
     (["validate-model", "DOC"], _model_with_basis(5),
      "schema error: measurements[0].basis: expected a list of kets"),
+    # deeper than numpy's 64 dimensions: named as too deep, not as ragged
+    (["antidist", "DOC", "--target", "0"],
+     {"points": ["a", "b"], "weights": [[_nested(70, 1.0), 0.0], [0.0, 1.0]]},
+     "schema error: weights[0]: nested more than 64 levels deep\n"),
 ], ids=["measure-17", "measure-65", "decoherence-17", "functor-check-seed", "huge-ket",
         "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
         "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
         "measure-huge-value", "wigner-frame-huge", "functor-check-huge", "ragged-weights",
-        "basis-mixed-dims", "basis-not-a-list"])
+        "basis-mixed-dims", "basis-not-a-list", "weights-70-deep"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -1,14 +1,20 @@
 """One fault vocabulary: the library raises ``OntokitError``s, a failed check
-as a ``VerificationFailedError``, never a bare ``ValueError`` or ``TypeError``."""
+as a ``VerificationFailedError``, never a bare ``ValueError``, ``TypeError``
+or ``IndexError``."""
 
 import ast
 import pathlib
 
+import pytest
+
 import ontokit
-from ontokit.errors import OntokitError, VerificationFailedError
+from ontokit.antidist import AntidistProblem
+from ontokit.errors import IndexOutOfRangeError, OntokitError, VerificationFailedError
+from ontokit.kernels import FiniteSpace, point_mass
+from ontokit.quantum import DensityMatrix, ProjectiveMeasurement, born
 
 SRC = pathlib.Path(ontokit.__file__).parent
-BARE = {"ValueError", "TypeError"}
+BARE = {"ValueError", "TypeError", "IndexError"}
 # the JSON emitter refuses what it cannot write, as json.dumps does
 EMITTER = {("serialize", "_format_float"), ("serialize", "dumps_report")}
 
@@ -19,8 +25,9 @@ def _raised_name(node):
 
 
 def _bare_raises(path):
-    """'owner line N: Name' for each bare ValueError or TypeError the module
-    raises, owner being the module-level function or class around it."""
+    """'owner line N: Name' for each bare ValueError, TypeError or IndexError
+    the module raises, owner being the module-level function or class
+    around it."""
     sites = []
     for top in ast.parse(path.read_text()).body:
         owner = getattr(top, "name", "<module>")
@@ -45,3 +52,12 @@ def test_a_failed_check_is_also_a_value_error():
     # callers that catch ValueError keep working
     assert issubclass(VerificationFailedError, OntokitError)
     assert issubclass(VerificationFailedError, ValueError)
+
+
+def test_an_index_out_of_range_is_also_an_index_error():
+    assert issubclass(IndexOutOfRangeError, OntokitError)
+    assert issubclass(IndexOutOfRangeError, IndexError)
+    with pytest.raises(IndexOutOfRangeError, match="outcome index 2 out of range"):
+        born(DensityMatrix.from_ket([1.0, 0.0]), ProjectiveMeasurement.computational(2), 2)
+    with pytest.raises(IndexOutOfRangeError, match="target index out of range"):
+        AntidistProblem((point_mass(FiniteSpace(("a",)), "a"),), 1)

@@ -1,5 +1,6 @@
 """Model validation, epistemic classification, functor-fragment checks."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from ontokit.errors import (
     MissingActionError,
     MissingMorphismError,
     SpaceMismatchError,
+    VerificationFailedError,
 )
 from ontokit.kernels import (
     TWO,
@@ -28,6 +30,7 @@ from ontokit.ontomodel import (
     ModelValidation,
     OntModel,
     PairRecords,
+    catalogue_kets,
     check_equivariance,
     check_operational_model,
     classify_model,
@@ -73,17 +76,13 @@ def qubit_catalog(rng, size):
 def overlapping_epistemic_model():
     """Three ontic points; Z-measurement reproduced with overlapping
     distributions for |0> and |+>."""
-    ontic = FiniteSpace(("a", "b", "c"))
-    states = (("zero", Z0), ("plus", PLUS))
-    distributions = {
-        "zero": Distribution(ontic, [0.5, 0.5, 0.0]),
-        "plus": Distribution(ontic, [0.5, 0.0, 0.5]),
-    }
-    responses = (
-        ResponseFunction(ontic, [1.0, 1.0, 0.0]),
-        ResponseFunction(ontic, [0.0, 0.0, 1.0]),
+    return OntModel(
+        FiniteSpace(("a", "b", "c")),
+        ("zero", "plus"),
+        [Z0, PLUS],
+        [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+        ((ZBASIS, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),),
     )
-    return OntModel(ontic, states, distributions, ((ZBASIS, responses),))
 
 
 class TestValidateModel:
@@ -94,14 +93,10 @@ class TestValidateModel:
         assert report.clean
 
     def test_sum_rule_violation_reported(self):
-        ontic = FiniteSpace(("a", "b"))
-        states = (("zero", Z0),)
-        distributions = {"zero": Distribution(ontic, [1.0, 0.0])}
-        responses = (
-            ResponseFunction(ontic, [1.0, 0.4]),
-            ResponseFunction(ontic, [0.0, 0.5]),  # sums to 0.9 at b
+        responses = [[1.0, 0.4], [0.0, 0.5]]  # sums to 0.9 at b
+        model = OntModel(
+            FiniteSpace(("a", "b")), ("zero",), [Z0], [[1.0, 0.0]], ((ZBASIS, responses),)
         )
-        model = OntModel(ontic, states, distributions, ((ZBASIS, responses),))
         report = validate_model(model)
         assert any(v["point"] == "b" for v in report.sum_rule_violations)
 
@@ -111,25 +106,18 @@ class TestValidateModel:
         model = dirac_restriction_model(catalog, [ZBASIS])
         # shift one weight by 1e-3 between two points
         label = catalog[0][0]
-        w = model.distributions[label].weights.copy()
-        w[0] -= 1e-3
-        w[1] += 1e-3
-        broken = OntModel(
-            model.ontic,
-            model.states,
-            {**model.distributions, label: Distribution(model.ontic, w)},
-            model.measurements,
-        )
-        report = validate_model(broken, tol=1e-7)
+        w = model.weights.copy()
+        w[0, 0] -= 1e-3
+        w[0, 1] += 1e-3
+        report = validate_model(dataclasses.replace(model, weights=w), tol=1e-7)
         # direct-summation oracle: the reproduced Born value moves by
         # 1e-3 * (xi(p1) - xi(p0)) for every outcome; confirm at least one
         # triple for the perturbed state is flagged
         assert any(v["state"] == label for v in report.born_violations)
         m, responses = model.measurements[0]
-        rho = DensityMatrix.from_ket(dict(catalog)[label])
         for v in report.born_violations:
             k = v["outcome"]
-            reproduced = float(responses[k].values @ w)
+            reproduced = float(responses[k] @ w[0])
             assert abs(v["reproduced"] - reproduced) < 1e-12
 
     def test_validation_report_is_clean_for_hand_model(self):
@@ -148,13 +136,7 @@ class TestClassify:
         assert abs(verdict.witness_distance - 0.5) < 1e-12
 
     def test_orthogonal_catalog_is_ontic(self):
-        ontic = FiniteSpace(("a",))
-        states = (("zero", Z0), ("one", Z1))
-        distributions = {
-            "zero": Distribution(ontic, [1.0]),
-            "one": Distribution(ontic, [1.0]),
-        }
-        model = OntModel(ontic, states, distributions, ())
+        model = OntModel(FiniteSpace(("a",)), ("zero", "one"), [Z0, Z1], [[1.0], [1.0]], ())
         assert classify_model(model).kind == "ontic"
 
     def test_agrees_with_antidistinguishability_for_pairs(self):
@@ -190,12 +172,8 @@ class TestMaximalPredicates:
         assert not result.maximally_nontrivial
 
     def test_uniform_model_fails_epistemic(self):
-        ontic = FiniteSpace(("a", "b"))
-        states = (("zero", Z0), ("plus", PLUS))
-        uniform = Distribution(ontic, [0.5, 0.5])
-        model = OntModel(
-            ontic, states, {"zero": uniform, "plus": uniform}, ()
-        )
+        uniform = [0.5, 0.5]
+        model = OntModel(FiniteSpace(("a", "b")), ("zero", "plus"), [Z0, PLUS], [uniform] * 2, ())
         result = maximal_predicates(model)
         # mu_zero(supp mu_plus) = 1 while the Born overlap is 1/2
         assert not result.maximally_epistemic
@@ -210,14 +188,11 @@ class TestMaximalPredicates:
         # a model that *is* maximally epistemic on a nonorthogonal pair:
         # shared mass c = |<plus|zero>|^2 at one point, the rest disjoint
         c = 0.5
-        ontic = FiniteSpace(("shared", "only_zero", "only_plus"))
         model = OntModel(
-            ontic,
-            (("zero", Z0), ("plus", PLUS)),
-            {
-                "zero": Distribution(ontic, [c, 1 - c, 0.0]),
-                "plus": Distribution(ontic, [c, 0.0, 1 - c]),
-            },
+            FiniteSpace(("shared", "only_zero", "only_plus")),
+            ("zero", "plus"),
+            [Z0, PLUS],
+            [[c, 1 - c, 0.0], [c, 0.0, 1 - c]],
             (),
         )
         preds = maximal_predicates(model)
@@ -229,21 +204,29 @@ class TestMaximalPredicates:
 # loop oracles: the validators written one pair (or one outcome) at a time
 # ---------------------------------------------------------------------------
 
+def catalogue(model):
+    """(label, ket, Distribution) per state, read back from the matrices."""
+    return [
+        (lab, ket, Distribution(model.ontic, w))
+        for lab, ket, w in zip(model.labels, model.kets, model.weights)
+    ]
+
+
 def validate_oracle(model, tol=1e-7):
     """Per-(state, measurement, outcome) replay by direct summation."""
     report = ModelValidation(tolerance=tol)
     for mi, (m, responses) in enumerate(model.measurements):
-        totals = np.sum([xi.values for xi in responses], axis=0)
+        xis = [ResponseFunction(model.ontic, r) for r in responses]
+        totals = np.sum([xi.values for xi in xis], axis=0)
         for li, lam in enumerate(model.ontic.points):
             if abs(totals[li] - 1.0) > tol:
                 report.sum_rule_violations.append(
                     {"measurement": mi, "point": lam, "total": float(totals[li])}
                 )
-        for label, ket in model.states:
-            mu = model.distributions[label]
+        for label, ket, mu in catalogue(model):
             rho = DensityMatrix.from_ket(ket)
             for k in range(m.n_outcomes):
-                reproduced = float(responses[k].values @ mu.weights)
+                reproduced = float(xis[k].values @ mu.weights)
                 expected = born(rho, m, k)
                 if abs(reproduced - expected) > tol:
                     report.born_violations.append(
@@ -256,12 +239,13 @@ def validate_oracle(model, tol=1e-7):
 def classify_oracle(model):
     """First catalogue pair, in row-major order, that overlaps strictly while
     its distributions stay below variational distance 1."""
-    for i, (la, ka) in enumerate(model.states):
-        for lb, kb in model.states[i + 1:]:
+    states = catalogue(model)
+    for i, (la, ka, mu_a) in enumerate(states):
+        for lb, kb, mu_b in states[i + 1:]:
             ov = abs(overlap(ka, kb))
             if not (STRICT_MARGIN < ov < 1.0 - STRICT_MARGIN):
                 continue
-            d = variational_distance(model.distributions[la], model.distributions[lb])
+            d = variational_distance(mu_a, mu_b)
             if d < 1.0 - STRICT_MARGIN:
                 return Classification(
                     kind="epistemic", witness=(la, lb),
@@ -273,10 +257,10 @@ def classify_oracle(model):
 def predicates_oracle(model, tol=1e-7):
     """mu_psi(supp mu_phi) against |<phi|psi>|^2, one ordered pair at a time."""
     me, mn = [], []
-    for la, ka in model.states:
-        mu_a = model.distributions[la]
-        for lb, kb in model.states:
-            mass = float(mu_a.weights[support_mask(model.distributions[lb])].sum())
+    states = catalogue(model)
+    for la, ka, mu_a in states:
+        for lb, kb, mu_b in states:
+            mass = float(mu_a.weights[support_mask(mu_b)].sum())
             ov_sq = float(abs(overlap(kb, ka)) ** 2)
             if abs(mass - ov_sq) > tol:
                 me.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
@@ -321,24 +305,23 @@ def random_dirac(rng, size, dim, bases):
 
 
 def with_distributions(model, weights):
-    """The same catalogue and measurements with some distributions replaced."""
-    dists = {**model.distributions}
-    dists.update({lab: Distribution(model.ontic, w) for lab, w in weights.items()})
-    return OntModel(model.ontic, model.states, dists, model.measurements)
+    """The same catalogue and measurements with some weight rows replaced."""
+    w = model.weights.copy()
+    for lab, row in weights.items():
+        w[model.labels.index(lab)] = row
+    return dataclasses.replace(model, weights=w)
 
 
 def free_model(rng, kets, weights, bases, spread=0.0):
     """Catalogue ``kets`` with ontic ``weights`` (states x ontic) and random
     responses; ``spread`` moves each response column off the sum rule."""
     ontic = FiniteSpace(tuple(f"x{j}" for j in range(weights.shape[1])))
-    states = tuple((f"s{i}", k) for i, k in enumerate(kets))
-    dists = {lab: Distribution(ontic, w) for (lab, _), w in zip(states, weights)}
+    labels = tuple(f"s{i}" for i in range(len(kets)))
     measurements = []
     for m in random_bases(rng, len(kets[0]), bases):
         r = rng.uniform(0, 1, (m.n_outcomes, ontic.size))
-        r = r / r.sum(axis=0) * (1 - spread * rng.uniform(0, 1, ontic.size))
-        measurements.append((m, tuple(ResponseFunction(ontic, row) for row in r)))
-    return OntModel(ontic, states, dists, tuple(measurements))
+        measurements.append((m, r / r.sum(axis=0) * (1 - spread * rng.uniform(0, 1, ontic.size))))
+    return OntModel(ontic, labels, kets, weights, tuple(measurements))
 
 
 class TestMatrixFormAgainstOracles:
@@ -443,7 +426,7 @@ def classify_rows_oracle(model):
         if hits.size:
             j = js[hits[0]]
             return Classification(
-                kind="epistemic", witness=(model.states[i][0], model.states[j][0]),
+                kind="epistemic", witness=(model.labels[i], model.labels[j]),
                 witness_overlap=float(ov[i, j]), witness_distance=float(dist[hits[0]]),
             )
     return Classification(kind="ontic")
@@ -467,7 +450,7 @@ def bench_dirac(rng, size, dim, bases, perturbed):
     if not perturbed:
         return model
     i = int(rng.integers(size))
-    rows = np.concatenate([[xi.values for xi in rs] for _, rs in model.measurements])
+    rows = np.concatenate([r for _, r in model.measurements])
     j = int(np.argmax(np.abs(rows - rows[:, [i]]).max(axis=0)))
     mixed = np.zeros(size)
     mixed[i] = mixed[j] = 0.5
@@ -520,7 +503,7 @@ class TestSupportScreen:
         weights[weights == 0] = -0.5 * NONNEG_TOL
         weights[:, 0] -= weights.sum(axis=1) - 1.0
         model = free_model(rng, [random_ket(rng, 2) for _ in range(size)], weights, 0)
-        assert all(mu.is_probability for mu in model.distributions.values())
+        assert all(mu.is_probability for _, _, mu in catalogue(model))
         assert_same_verdict(model)
 
     @pytest.mark.parametrize("shared,kind", [
@@ -671,51 +654,70 @@ class TestPairRecords:
 
 
 class TestModelChecksInCatalogueOrder:
-    """The stacked checks raise for the first state that fails, with the
-    message and type of the check that fails first on it."""
+    """The matrix checks raise for the first state or outcome that fails,
+    with the message and type of the check that fails first on it."""
 
     ONTIC = FiniteSpace(("a", "b"))
-
-    def dist(self, fault):
-        if fault == "missing":
-            return None
-        space = FiniteSpace(("c", "d")) if fault == "offspace" else self.ONTIC
-        return Distribution(space, [1.5, -0.5] if fault == "signed" else [0.5, 0.5])
+    ROWS = {"ok": [0.5, 0.5], "signed": [1.5, -0.5], "long": [0.7, 0.7], "nan": [np.nan, 1.0]}
 
     @pytest.mark.parametrize("faults,exc,message", [
-        (("signed", "missing"), ValueError, "distribution for 's0' is signed"),
-        (("missing", "signed"), ValueError, "state 's0' has no distribution"),
-        (("ok", "offspace", "signed"), SpaceMismatchError, "distribution for 's1' lives off"),
-        (("ok", "signed", "offspace"), ValueError, "distribution for 's1' is signed"),
-        (("ok", "ok", "missing"), ValueError, "state 's2' has no distribution"),
+        (("signed", "long"), VerificationFailedError, "weights sum to 1.4"),
+        (("ok", "nan", "long"), VerificationFailedError, "weights contain NaN or Inf"),
+        (("ok", "signed", "signed"), VerificationFailedError, "distribution for 's1' is signed"),
     ])
-    def test_distribution_faults(self, faults, exc, message):
-        states = tuple((f"s{i}", Z0) for i in range(len(faults)))
-        dists = {lab: self.dist(f) for (lab, _), f in zip(states, faults) if f != "missing"}
+    def test_weight_faults(self, faults, exc, message):
+        labels = tuple(f"s{i}" for i in range(len(faults)))
+        weights = [self.ROWS[f] for f in faults]
         with pytest.raises(exc, match=message):
-            OntModel(self.ONTIC, states, dists, ())
+            OntModel(self.ONTIC, labels, [Z0] * len(faults), weights, ())
+
+    @pytest.mark.parametrize("weights,exc,message", [
+        ([[1.0, 0.0, 0.0]], SpaceMismatchError, "weight vector length does not match space"),
+        ([1.0, 0.0], SpaceMismatchError, "weight vector length does not match space"),
+        ([[1.0, 0.0], [0.0, 1.0]], VerificationFailedError, "exactly one weight row"),
+    ])
+    def test_weight_matrix_shape(self, weights, exc, message):
+        with pytest.raises(exc, match=message):
+            OntModel(self.ONTIC, ("s0",), [Z0], weights, ())
+
+    @pytest.mark.parametrize("responses,exc,message", [
+        ([[1.0, 0.0]], VerificationFailedError, "exactly one response row"),
+        ([[1.0], [0.0]], SpaceMismatchError, "response length does not match space"),
+        ([[1.5, 0.0], [0.0, 1.0]], VerificationFailedError, r"must lie in \[0, 1\]"),
+        ([[np.nan, 0.0], [0.0, 1.0]], VerificationFailedError, r"must lie in \[0, 1\]"),
+    ])
+    def test_response_faults(self, responses, exc, message):
+        with pytest.raises(exc, match=message):
+            OntModel(self.ONTIC, ("s0",), [Z0], [[1.0, 0.0]], ((ZBASIS, responses),))
 
     @pytest.mark.parametrize("kets,exc,message", [
         ([Z0, 1.1 * Z0, np.array([np.nan, 0])], ValueError, "ket norm 1.1"),
         ([Z0, np.array([np.inf, 0]), 1.1 * Z0], ValueError, "NaN or Inf"),
-        ([Z0, np.array([1, 0, 0]), 1.1 * Z0], ValueError, "ket norm 1.1"),
-        ([Z0, np.array([1, 0, 0]), Z1], DimMismatchError, "'s1' has dimension 3"),
-        ([np.zeros(0), np.zeros(0)], DimMismatchError, "at least one amplitude"),
+        (np.zeros((2, 0)), DimMismatchError, "at least one amplitude"),
     ])
     def test_ket_faults(self, kets, exc, message):
-        states = tuple((f"s{i}", k) for i, k in enumerate(kets))
-        dists = {lab: Distribution(self.ONTIC, [0.5, 0.5]) for lab, _ in states}
+        labels = tuple(f"s{i}" for i in range(len(kets)))
         with pytest.raises(exc, match=message):
-            OntModel(self.ONTIC, states, dists, ())
+            OntModel(self.ONTIC, labels, kets, [[0.5, 0.5]] * len(kets), ())
+
+    def test_one_ket_row_per_state(self):
+        with pytest.raises(DimMismatchError, match="one ket row per state"):
+            OntModel(self.ONTIC, ("s0", "s1"), [Z0], [[0.5, 0.5]] * 2, ())
+
+    def test_duplicate_labels(self):
+        with pytest.raises(VerificationFailedError, match="state labels must be distinct"):
+            OntModel(self.ONTIC, ("s", "s"), [Z0, Z1], [[0.5, 0.5]] * 2, ())
 
 
 class TestModelDimensions:
-    def test_mixed_state_dimensions_without_measurements(self):
-        ontic = FiniteSpace(("a", "b"))
-        states = (("zero", Z0), ("qutrit", np.array([1, 0, 0], dtype=complex)))
-        dists = {"zero": Distribution(ontic, [1.0, 0.0]), "qutrit": Distribution(ontic, [0.0, 1.0])}
-        with pytest.raises(DimMismatchError, match="'qutrit'"):
-            OntModel(ontic, states, dists, ())
+    def test_mixed_state_dimensions_in_a_catalogue(self):
+        qutrit = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(DimMismatchError, match="state 'qutrit' has dimension 3, expected 2"):
+            catalogue_kets(("zero", "qutrit"), [Z0, qutrit])
+        # named before a ket of the first dimension that is not a unit vector
+        with pytest.raises(DimMismatchError, match="state 's1' has dimension 3"):
+            catalogue_kets(("s0", "s1", "s2"), [Z0, qutrit, 1.1 * Z0])
+        assert catalogue_kets(("zero", "one"), [Z0, Z1]).shape == (2, 2)
 
     def test_mixed_state_dimensions_with_measurements(self):
         rng = rng_for(609)
@@ -724,22 +726,32 @@ class TestModelDimensions:
             dirac_restriction_model(catalog, [ZBASIS])
 
     def test_qubit_states_with_a_qutrit_basis(self):
-        ontic = FiniteSpace(("a",))
-        responses = tuple(ResponseFunction(ontic, [v]) for v in (1.0, 0.0, 0.0))
-        with pytest.raises(DimMismatchError, match="measurement 1"):
+        with pytest.raises(DimMismatchError, match="measurement 1 has dimension 3, expected 2"):
             OntModel(
-                ontic, (("zero", Z0),), {"zero": Distribution(ontic, [1.0])},
-                ((ZBASIS, responses[:2]), (ProjectiveMeasurement.computational(3), responses)),
+                FiniteSpace(("a",)), ("zero",), [Z0], [[1.0]],
+                ((ZBASIS, [[1.0], [0.0]]),
+                 (ProjectiveMeasurement.computational(3), [[1.0], [0.0], [0.0]])),
             )
 
     def test_stacked_arrays(self):
         model = overlapping_epistemic_model()
         assert model.kets.shape == (2, 2) and model.weights.shape == (2, 3)
+        assert [r.shape for _, r in model.measurements] == [(2, 3)]
         point = FiniteSpace(("a",))
-        responses = (ResponseFunction(point, [1.0]), ResponseFunction(point, [0.0]))
-        empty = OntModel(point, (), {}, ((ZBASIS, responses),))
+        empty = OntModel(point, (), np.zeros((0, 0)), np.zeros((0, 1)), ((ZBASIS, [[1.0], [0.0]]),))
         assert empty.kets.shape == (0, 2) and empty.weights.shape == (0, 1)
         assert validate_model(empty).clean and classify_model(empty).kind == "ontic"
+
+    def test_the_model_is_its_matrices(self):
+        assert [f.name for f in dataclasses.fields(OntModel)] == [
+            "ontic", "labels", "kets", "weights", "measurements",
+        ]
+        model = dirac_restriction_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
+        assert model.labels == ("zero", "plus")
+        assert np.array_equal(model.weights, np.eye(2))
+        (m, responses), = model.measurements
+        assert m is ZBASIS and responses.flags.c_contiguous
+        assert np.allclose(responses, [[1.0, 0.5], [0.0, 0.5]])
 
 
 def wigner_fragment(rng, with_composite=True):
@@ -792,7 +804,7 @@ class TestOperationalModel:
         frag = FunctorFragment(
             channels={"state": prep, "meas": meas},
             kernels={
-                "state": functor_morphism(prep, in_algebra=commutative_algebra(1)),
+                "state": functor_morphism(prep),
                 "meas": functor_morphism(meas, out_algebra=commutative_algebra(2)),
             },
         )
@@ -816,7 +828,7 @@ class TestOperationalModel:
                       "relabelled": Channel.identity(3)},
             kernels={
                 "id": identity,
-                "state": functor_morphism(prep, in_algebra=commutative_algebra(1)),
+                "state": functor_morphism(prep),
                 "meas": functor_morphism(meas, out_algebra=commutative_algebra(2)),
                 "relabelled": SignedKernel(relabelled, relabelled, identity.matrix),
             },
@@ -875,7 +887,7 @@ class TestOperationalModel:
         always_zero = SignedKernel(phase_space(3), TWO, np.vstack([np.ones(9), np.zeros(9)]))
         frag = FunctorFragment(
             channels={"state": prep, "meas": measurement_channel(effect)},
-            kernels={"state": functor_morphism(prep, in_algebra=commutative_algebra(1)),
+            kernels={"state": functor_morphism(prep),
                      "meas": always_zero},
         )
         report = check_operational_model(frag, evaluation_tests=[("meas", "state")])
@@ -929,7 +941,7 @@ def displacement_fragment_and_action(shifts):
         rho = random_density(rng, 3)
         prep = preparation_channel(rho)
         channels[f"rho{i}"] = prep
-        kernels[f"rho{i}"] = functor_morphism(prep, in_algebra=commutative_algebra(1))
+        kernels[f"rho{i}"] = functor_morphism(prep)
     return FunctorFragment(channels=channels, kernels=kernels), actions
 
 

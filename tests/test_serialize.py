@@ -422,14 +422,15 @@ def _need_oracle(doc, field, context=""):
 
 def _real_oracle(doc, field):
     """A list of real numbers, a non-number entry named by its index."""
-    def reject(v, where):
+    def depth(v, where):
         if isinstance(v, list):
-            for i, x in enumerate(v):
-                reject(x, f"{where}[{i}]")
-        elif not isinstance(v, (int, float)):
+            return 1 + max([depth(x, f"{where}[{i}]") for i, x in enumerate(v)], default=0)
+        if not isinstance(v, (int, float)):
             raise SchemaError(where, f"expected a number, got {v!r}")
+        return 0
 
-    reject(doc, field)
+    if depth(doc, field) > 64:
+        raise SchemaError(field, "nested more than 64 levels deep")
     try:
         return np.asarray(doc, dtype=float)
     except OverflowError as exc:
@@ -506,9 +507,22 @@ def parse_model_oracle(doc):
             packed = tuple(ResponseFunction(ontic, r) for r in values)
         except Exception as exc:
             raise SchemaError(f"{place}.responses", str(exc)) from exc
-        measurements.append((pm, packed))
+        measurements.append((pm, np.array([xi.values for xi in packed])))
+    # the catalogue's rows are gathered by label, then its kets at the first's dimension
+    for lab, _ in states:
+        if lab not in distributions:
+            raise SchemaError("model", f"state {lab!r} has no distribution")
+    for lab, ket in states:
+        if ket.size != states[0][1].size:
+            dims = f"dimension {ket.size}, expected {states[0][1].size}"
+            raise SchemaError("model", f"state {lab!r} has {dims}")
+    weights = np.array([distributions[lab].weights for lab, _ in states])
+    weights = weights.reshape(len(states), ontic.size)
     try:
-        return OntModel(ontic, tuple(states), distributions, tuple(measurements))
+        return OntModel(
+            ontic, tuple(lab for lab, _ in states), np.array([ket for _, ket in states]), weights,
+            tuple(measurements),
+        )
     except Exception as exc:
         raise SchemaError("model", str(exc)) from exc
 
@@ -520,20 +534,13 @@ def _bit_equal(got, want):
 
 def _same_model(got, want):
     assert got.ontic == want.ontic
-    assert [lab for lab, _ in got.states] == [lab for lab, _ in want.states]
-    for (_, a), (_, b) in zip(got.states, want.states):
-        _bit_equal(a, b)
+    assert got.labels == want.labels
     _bit_equal(got.kets, want.kets)
     _bit_equal(got.weights, want.weights)
-    assert list(got.distributions) == list(want.distributions)
-    for lab, mu in want.distributions.items():
-        _bit_equal(got.distributions[lab].weights, mu.weights)
     assert len(got.measurements) == len(want.measurements)
     for (pm, rs), (qm, qs) in zip(got.measurements, want.measurements):
         _bit_equal(pm.vectors, qm.vectors)
-        assert len(rs) == len(qs)
-        for a, b in zip(rs, qs):
-            _bit_equal(a.values, b.values)
+        _bit_equal(rs, qs)
 
 
 def _same_ensemble(got, want):
@@ -765,7 +772,12 @@ class TestKernelSchema:
          "matrix", "column sums deviate from 1 by 1.000e-01"),
         ({"from": ["a", "b"], "to": ["a", "b"], "matrix": [[1, 0], [0]]},
          "matrix", "ragged lists: entries differ in length or depth"),
-    ], ids=["source-not-a-list", "target-not-a-list", "column-sum", "ragged"])
+        ({"from": ["a", "a"], "to": ["a", "b"], "matrix": [[1, 0], [0, 1]]},
+         "from", "point labels must be distinct"),
+        ({"from": ["a", "b"], "to": [], "matrix": [[1, 0], [0, 1]]},
+         "to", "expected a nonempty label list"),
+    ], ids=["source-not-a-list", "target-not-a-list", "column-sum", "ragged", "source-labels",
+            "target-empty"])
     def test_malformed_kernel_named(self, doc, field, message):
         with pytest.raises(SchemaError) as info:
             parse_kernel(doc)
@@ -795,24 +807,15 @@ class TestModelSchema:
         doc = {
             "ontic": list(model.ontic.points),
             "states": [
-                {"label": lab, "ket": ket_to_json(ket)} for lab, ket in model.states
+                {"label": lab, "ket": ket_to_json(k)} for lab, k in zip(model.labels, model.kets)
             ],
-            "distributions": {
-                lab: [float(x) for x in mu.weights]
-                for lab, mu in model.distributions.items()
-            },
+            "distributions": dict(zip(model.labels, model.weights.tolist())),
             "measurements": [
-                {
-                    "basis": [ket_to_json(v) for v in m.vectors],
-                    "responses": [[float(x) for x in r.values] for r in responses],
-                }
+                {"basis": [ket_to_json(v) for v in m.vectors], "responses": responses.tolist()}
                 for m, responses in model.measurements
             ],
         }
-        back = parse_model(json.loads(dumps_report(doc)))
-        assert back.ontic == model.ontic
-        for (la, ka), (lb, kb) in zip(back.states, model.states):
-            assert la == lb and np.array_equal(ka, kb)
+        _same_model(parse_model(json.loads(dumps_report(doc))), model)
 
     def test_missing_distribution_named(self):
         doc = {
@@ -823,6 +826,23 @@ class TestModelSchema:
         }
         with pytest.raises(SchemaError):
             parse_model(doc)
+
+    def test_a_missing_distribution_is_named_before_a_signed_one(self):
+        # the rows are gathered by label before the model checks their signs
+        ket = {"dim": 1, "amplitudes": [[1.0, 0.0]]}
+        doc = {
+            "ontic": ["a", "b"],
+            "states": [{"label": "s", "ket": ket}, {"label": "t", "ket": ket}],
+            "distributions": {"s": [1.5, -0.5]},
+            "measurements": [],
+        }
+        with pytest.raises(SchemaError) as err:
+            parse_model(doc)
+        assert str(err.value) == "model: state 't' has no distribution"
+        doc["distributions"]["t"] = [1.0, 0.0]
+        with pytest.raises(SchemaError) as err:
+            parse_model(doc)
+        assert str(err.value) == "model: distribution for 's' is signed"
 
 
 def parse_measure_oracle(doc):

@@ -349,7 +349,7 @@ class TestFunctorMorphism:
             effect = random_effect(rng, 3)
             prep = preparation_channel(rho)
             meas = measurement_channel(effect)
-            k_state = functor_morphism(prep, in_algebra=commutative_algebra(1))
+            k_state = functor_morphism(prep)
             k_meas = functor_morphism(meas, out_algebra=commutative_algebra(2))
             composite = kcompose(k_meas, k_state)
             from ontokit.kernels import Distribution
@@ -383,7 +383,7 @@ class TestFunctorMorphism:
     def test_state_map_is_wigner_vector(self):
         rng = rng_for(86)
         rho = random_density(rng, 3)
-        k = functor_morphism(preparation_channel(rho), in_algebra=commutative_algebra(1))
+        k = functor_morphism(preparation_channel(rho))
         v = functor_state(rho)
         assert linalg.max_abs(k.matrix[:, 0] - v.weights) < 1e-10
 
@@ -413,8 +413,6 @@ class TestFunctorMorphism:
             transfer_matrix(Channel.identity(3), QUTRIT, five)
         with pytest.raises(DimMismatchError, match="state dimension does not match the frame"):
             wigner_vector(DensityMatrix(np.eye(3) / 3), five)
-        with pytest.raises(DimMismatchError, match="do not match the annotated algebras"):
-            functor_morphism(Channel.identity(3), in_algebra=matrix_algebra(5))
         with pytest.raises(DimMismatchError, match="do not match the annotated algebras"):
             functor_morphism(Channel.identity(3), out_algebra=commutative_algebra(2))
 
@@ -551,7 +549,7 @@ class TestMonoidality:
 
     def test_product_frame_transfer_matches_per_kraus_oracle(self):
         prod = product_frame(QUTRIT, phase_point_operators(5))
-        ch = random_cptp_channel(rng_for(93), 15, 15, n_kraus=2)
+        ch = random_cptp_channel(rng_for(93), 15, 15)
         assert linalg.max_abs(
             transfer_matrix(ch, prod, prod) - transfer_oracle(ch, prod, prod)
         ) <= 1e-12
@@ -751,14 +749,8 @@ class TestCertificateTransport:
             psi, phi = random_orthogonal_pair(rng, 3)
             meas = measurement_channel(dual_state_quantum(phi))
             k_meas = functor_morphism(meas, out_algebra=commutative_algebra(2))
-            k_psi = functor_morphism(
-                preparation_channel(DensityMatrix.from_ket(psi)),
-                in_algebra=commutative_algebra(1),
-            )
-            k_phi = functor_morphism(
-                preparation_channel(DensityMatrix.from_ket(phi)),
-                in_algebra=commutative_algebra(1),
-            )
+            k_psi = functor_morphism(preparation_channel(DensityMatrix.from_ket(psi)))
+            k_phi = functor_morphism(preparation_channel(DensityMatrix.from_ket(phi)))
             on_psi = float(kcompose(k_meas, k_psi).matrix[0, 0])
             on_phi = float(kcompose(k_meas, k_phi).matrix[0, 0])
             assert abs(on_psi) < 1e-8
