@@ -28,11 +28,8 @@ from .kernels import (
     dtensor,
     dual_state_kernel,
     evaluate,
-    identity_kernel,
     kcompose,
     ktensor,
-    point_mass,
-    uniform,
     variational_distance,
 )
 from .linalg import hermitian_eigenvalues, trace_norm
@@ -42,14 +39,12 @@ from .ontomodel import (
     check_equivariance,
     check_operational_model,
     classify_model,
-    dirac_restriction_model,
     maximal_predicates,
     validate_model,
 )
 from .qmeasure import (
     DecoherenceFunctional,
     QuantumMeasure,
-    double_slit_functional,
     measure_from_decoherence,
     validate_decoherence,
     validate_quantum_measure,

@@ -35,9 +35,6 @@ class FiniteSpace:
     def size(self) -> int:
         return len(self.points)
 
-    def index(self, label: str) -> int:
-        return self.points.index(label)
-
 
 UNIT_SPACE = FiniteSpace(("*",))
 TWO = FiniteSpace(("0", "1"))
@@ -149,21 +146,6 @@ def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def identity_kernel(space: FiniteSpace) -> SignedKernel:
-    """Dirac identities of kernel composition."""
-    return SignedKernel(space, space, np.eye(space.size))
-
-
-def point_mass(space: FiniteSpace, label: str) -> Distribution:
-    w = np.zeros(space.size)
-    w[space.index(label)] = 1.0
-    return Distribution(space, w)
-
-
-def uniform(space: FiniteSpace) -> Distribution:
-    return Distribution(space, np.full(space.size, 1.0 / space.size))
-
 
 def response_as_kernel(chi: ResponseFunction) -> SignedKernel:
     """A measurement is a kernel into the distinguished two-point space."""

@@ -259,20 +259,6 @@ def maximal_predicates(model: OntModel, tol: float = MODEL_TOL) -> MaximalPredic
     )
 
 
-def dirac_restriction_model(
-    catalog: Sequence[tuple[str, np.ndarray]],
-    measurements: Sequence[ProjectiveMeasurement],
-) -> OntModel:
-    """The Hilbert-space restatement on a finite catalogue: the ontic space
-    is the catalogue itself, each state sits at its own point, and responses
-    are the Born probabilities evaluated at each point."""
-    labels = tuple(str(lab) for lab, _ in catalog)
-    ontic = FiniteSpace(labels)
-    kets = _stack_kets(catalogue_kets(labels, [k for _, k in catalog]), len(labels), measurements)
-    responses = tuple((m, _born_table(kets, m).T) for m in measurements)
-    return OntModel(ontic, labels, kets, np.eye(ontic.size), responses)
-
-
 # ---------------------------------------------------------------------------
 # operational-model (functor fragment) checking
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidFunctionalError, TooLargeError, VerificationFailedError
 from .kernels import FiniteSpace
-from .tolerances import QMEASURE_TOL, ZERO_TOTAL_EPS
+from .tolerances import QMEASURE_TOL
 
 MAX_POINTS = 16
 
@@ -52,9 +52,6 @@ class QuantumMeasure:
             raise VerificationFailedError("subset values contain NaN or Inf")
         object.__setattr__(self, "values", v)
 
-    def value(self, mask: int) -> float:
-        return float(self.values[mask])
-
 
 @dataclass(frozen=True, eq=False)
 class DecoherenceFunctional:
@@ -79,13 +76,6 @@ class DecoherenceFunctional:
                 "functional entries too large: twice their total modulus overflows"
             )
         object.__setattr__(self, "matrix", m)
-
-    def value(self, mask_u: int, mask_v: int) -> complex:
-        iu = [i for i in range(self.space.size) if (mask_u >> i) & 1]
-        iv = [i for i in range(self.space.size) if (mask_v >> i) & 1]
-        if not iu or not iv:
-            return 0j
-        return complex(self.matrix[np.ix_(iu, iv)].sum())
 
 
 @dataclass
@@ -148,7 +138,7 @@ def validate_quantum_measure(q: QuantumMeasure, tol: float = QMEASURE_TOL) -> Qu
     rhs = values[u | v] + values[u | w] + values[v | w] - values[u] - values[v] - values[w]
     return QuantumMeasureReport(
         tolerance=tol,
-        normalisation_error=abs(q.value((1 << n) - 1) - 1.0),
+        normalisation_error=abs(float(values[-1]) - 1.0),
         positivity_violations=_records(values, values < -tol),
         range_violations=_records(values, values > 1.0 + tol),
         sum_rule_violations=[
@@ -201,18 +191,5 @@ def measure_from_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL
         )
     n = d.space.size
     ones = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    values = np.einsum("si,ij,sj->s", ones, d.matrix.real, ones)
+    values = np.einsum("si,si->s", ones @ d.matrix.real, ones)
     return QuantumMeasure(d.space, values)
-
-
-def double_slit_functional(space: FiniteSpace, amplitudes) -> DecoherenceFunctional:
-    """Rank-1 functional D({x},{y}) = psi_x psi_y^*, rescaled so the total
-    interference sum is 1 (the normalisation the definition demands)."""
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if psi.size != space.size:
-        raise VerificationFailedError("amplitude count must match the space")
-    total = complex(psi.sum())
-    if abs(total) < ZERO_TOTAL_EPS:
-        raise InvalidFunctionalError("amplitudes interfere to zero total; cannot normalise")
-    psi = psi / abs(total)
-    return DecoherenceFunctional(space, np.outer(psi, psi.conj()))

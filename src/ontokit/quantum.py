@@ -47,10 +47,6 @@ class DensityMatrix:
         object.__setattr__(obj, "matrix", np.outer(k, k.conj()))
         return obj
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
 
 def _kraus_stack(kraus) -> np.ndarray:
     """The Kraus set as one finite (count, out, in) complex array, a copy
@@ -109,16 +105,6 @@ class Channel:
     def identity(cls, dim: int) -> "Channel":
         return cls(np.eye(dim, dtype=complex)[None])
 
-    @classmethod
-    def from_unitary(cls, u) -> "Channel":
-        return cls((u,))
-
-    @classmethod
-    def depolarizing(cls, dim: int) -> "Channel":
-        """Completely depolarizing: every input goes to I/dim, one matrix
-        unit |i><j| / sqrt(dim) per Kraus operator."""
-        return cls(np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim) / np.sqrt(dim))
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
@@ -149,10 +135,6 @@ class ProjectiveMeasurement:
     @property
     def n_outcomes(self) -> int:
         return self.vectors.shape[0]
-
-    @classmethod
-    def computational(cls, dim: int) -> "ProjectiveMeasurement":
-        return cls(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,7 +46,7 @@ from .kernels import (
 from .ontomodel import OntModel, catalogue_kets
 from .qmeasure import DecoherenceFunctional, QuantumMeasure, check_size
 from .quantum import Channel, ProjectiveMeasurement
-from .tolerances import TIGHT_IDENTITY_TOL
+from .tolerances import NONNEG_TOL, TIGHT_IDENTITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,10 @@ def parse_model(doc) -> OntModel:
     for lab in labels:
         if lab not in row_of:
             raise SchemaError("model", f"state {lab!r} has no distribution")
+    # a row no state names is held to the model's sign rule too
+    for key, lo in zip(dists_doc, weights.min(axis=1)):
+        if lo < -NONNEG_TOL and key not in labels:
+            raise SchemaError(f"distributions[{key}]", "distribution is signed")
     if isinstance(kets, list):
         kets = _named("model", catalogue_kets, labels, kets)
     rows = weights[[row_of[lab] for lab in labels]]
@@ -484,3 +488,5 @@ def load_json(path: str):
         raise SchemaError(path, "file not found") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(path, "document nested too deeply to read") from exc

@@ -60,9 +60,6 @@ EIGEN_WEIGHT_EPS = 1e-14
 # sampling: a Haar draw whose part orthogonal to psi has norm below this is
 # redrawn.
 DEGENERATE_DRAW_EPS = 1e-8
-# double_slit_functional: amplitudes whose total has modulus below this
-# cannot be normalised.
-ZERO_TOTAL_EPS = 1e-12
 
 # -- report defaults (--tol and ONTOKIT_TOL override these) ------------------
 

@@ -27,11 +27,10 @@ from ontokit.ontomodel import (
     OntModel,
     check_equivariance,
     classify_model,
-    dirac_restriction_model,
     validate_model,
 )
 from ontokit.qmeasure import (
-    double_slit_functional,
+    DecoherenceFunctional,
     measure_from_decoherence,
     validate_quantum_measure,
 )
@@ -295,14 +294,20 @@ def test_criterion_09_ontological_model_validator():
     catalog = [(f"s{i}", random_ket(rng, 3)) for i in range(10)]
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(g)
-    model = dirac_restriction_model(
-        catalog, [ProjectiveMeasurement.computational(3), ProjectiveMeasurement(q.T)]
+    # the Dirac model: each state sits at its own ontic point, and an
+    # outcome's response at a point is its Born probability there
+    labels = tuple(lab for lab, _ in catalog)
+    kets = np.array([k for _, k in catalog])
+    bases = [ProjectiveMeasurement(np.eye(3)), ProjectiveMeasurement(q.T)]
+    model = OntModel(
+        FiniteSpace(labels), labels, kets, np.eye(len(labels)),
+        tuple((m, np.abs(m.vectors.conj() @ kets.T) ** 2) for m in bases),
     )
     report = validate_model(model, tol=1e-10)
     dirac_ok = report.clean and classify_model(model).kind == "ontic"
 
     ontic = FiniteSpace(("a", "b", "c"))
-    z = ProjectiveMeasurement.computational(2)
+    z = ProjectiveMeasurement(np.eye(2))
     hand = OntModel(
         ontic,
         ("zero", "plus"),
@@ -325,6 +330,13 @@ def test_criterion_09_ontological_model_validator():
     )
 
 
+def _double_slit(space, psi):
+    """The rank-1 functional D({x}, {y}) = psi_x psi_y^*, scaled so that the
+    total interference sum D(all, all) is 1."""
+    psi = psi / abs(psi.sum())
+    return DecoherenceFunctional(space, np.outer(psi, psi.conj()))
+
+
 def test_criterion_10_quantum_measures():
     all_clean = True
     for size in range(2, 7):
@@ -332,16 +344,16 @@ def test_criterion_10_quantum_measures():
         space = FiniteSpace(tuple(f"p{i}" for i in range(size)))
         psi = rng.normal(size=size) + 1j * rng.normal(size=size)
         psi /= np.linalg.norm(psi)
-        q = measure_from_decoherence(double_slit_functional(space, psi))
+        q = measure_from_decoherence(_double_slit(space, psi))
         rep = validate_quantum_measure(q, tol=1e-9)
         all_clean = all_clean and not rep.sum_rule_violations and not rep.positivity_violations
 
     two = FiniteSpace(("a", "b"))
     q2 = measure_from_decoherence(
-        double_slit_functional(two, np.array([1.0, np.exp(2j * np.pi / 3)]))
+        _double_slit(two, np.array([1.0, np.exp(2j * np.pi / 3)]))
     )
     rep2 = validate_quantum_measure(q2, tol=1e-9)
-    violation = abs(q2.value(0b11) - (q2.value(0b01) + q2.value(0b10)))
+    violation = abs(q2.values[0b11] - (q2.values[0b01] + q2.values[0b10]))
     verdict(
         10,
         all_clean and rep2.clean and violation > 0.9,

@@ -26,7 +26,6 @@ from ontokit.kernels import (
     FiniteSpace,
     ResponseFunction,
     dtensor,
-    point_mass,
     support_mask,
     variational_distance,
 )
@@ -210,6 +209,11 @@ def random_probability_ensemble(rng, k, members):
         w = rng.uniform(0.05, 1.0, (members, k)) * (rng.random((members, k)) < 0.6)
         if (w.sum(axis=1) > 0).all():
             return w / w.sum(axis=1, keepdims=True)
+
+
+def point_mass(space, label):
+    """The distribution with all its weight at ``label``."""
+    return Distribution(space, np.eye(space.size)[space.points.index(label)])
 
 
 def wig3(ket):
@@ -547,14 +551,14 @@ class TestQuantumCheck:
             for a in (z0, plus)
             for b in (z0, plus)
         ]
-        zz = ProjectiveMeasurement.computational(4)
+        zz = ProjectiveMeasurement(np.eye(4))
         assert not antidist_quantum_check(states, zz, [0, 1, 2, 3])
 
     def test_orthogonal_pair(self):
         from ontokit.quantum import ProjectiveMeasurement
 
         states = [DensityMatrix.from_ket([1, 0]), DensityMatrix.from_ket([0, 1])]
-        z = ProjectiveMeasurement.computational(2)
+        z = ProjectiveMeasurement(np.eye(2))
         assert antidist_quantum_check(states, z, [1, 0])
 
 

@@ -143,7 +143,7 @@ def test_checked_stack_is_read_only_and_the_given_array_is_not():
         ch.stack[0, 0, 0] = 2.0
     given[0, 1, 1] = 1.0  # the caller's own array stays writable
     with pytest.raises(ValueError, match="read-only"):
-        Channel.from_unitary(np.eye(3)).kraus[0][0, 0] = 2.0
+        Channel((np.eye(3),)).kraus[0][0, 0] = 2.0
 
 
 def test_writes_through_the_given_array_do_not_reach_the_channel():

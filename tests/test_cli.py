@@ -437,6 +437,14 @@ def _signed_distribution(doc):
     doc["distributions"]["zero"] = [1.5, -0.5]
 
 
+def _unnamed_signed_distribution(doc):
+    doc["distributions"]["extra"] = [1.5, -0.5]
+
+
+def _unnamed_unnormalised_distribution(doc):
+    doc["distributions"]["extra"] = [0.7, 0.7]
+
+
 def _no_distribution(doc):
     doc["distributions"] = {}
 
@@ -489,6 +497,11 @@ MALFORMED_MODELS = [
     (_ragged_basis, ["measurements[0].basis"]),
     (_one_response, ["measurements[0].responses"]),
     (_signed_distribution, ["model", "'zero'", "signed"]),
+    # a row no state names is held to the same rules
+    (_unnamed_signed_distribution,
+     ["schema error: distributions[extra]: distribution is signed\n"]),
+    (_unnamed_unnormalised_distribution,
+     ["schema error: distributions[extra]: weights sum to 1.4, expected 1\n"]),
     (_no_distribution, ["model", "'zero'", "no distribution"]),
     (_duplicate_state, ["model", "state labels must be distinct"]),
     (_states_not_a_list, ["states", "expected a list"]),
@@ -720,3 +733,14 @@ def test_golden_stdout(capsys, example_inputs, name):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[name]
+
+
+def test_a_document_too_deep_to_read_exits_two(capsys, tmp_path):
+    # json.load runs out of stack before any reader sees the row; written by
+    # hand, since json.dumps runs out of stack too
+    row = "[" * 1200 + "1.0" + "]" * 1200
+    path = tmp_path / "ensemble.json"
+    path.write_text('{"points": ["a", "b"], "weights": [[%s, 0.0], [0.0, 1.0]]}' % row)
+    code, out, err = run_cli(capsys, "antidist", str(path), "--target", "0")
+    assert (code, out) == (2, "")
+    assert err == f"schema error: {path}: document nested too deeply to read\n"

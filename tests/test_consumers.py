@@ -1,36 +1,53 @@
-"""No code without a consumer: every public function or class in ``src/ontokit``
-is referenced by something other than its own definition and the tests.
+"""No code without a consumer: every public function or class in ``src/ontokit``,
+and every public method or property of a public class, is used by something
+the product runs.
 
-A reference is a bare name in the defining module (outside the definition
-itself), an import or ``module.name`` in another module of the package
-(re-exports in ``__init__`` do not count), any use in ``scripts/`` or
-``bench/``, including the (module, attribute) span targets that
-``bench/tracing.py`` names as strings, or a use in ``tests/test_acceptance.py``,
-the acceptance gate the README points to.  A name without a consumer is
-either deleted or listed in ``KEPT`` with its reason; ``KEPT`` only shrinks.
+The consumers are the other modules of the package (the CLI among them),
+the scripts in ``scripts/`` and the benchmark checks in ``bench/checks.py``.
+A module-level name is used by a bare name in its defining module (outside
+the definition itself), or by an import or ``module.name`` in a consumer
+(re-exports in ``__init__`` do not count).  A method or property is used by
+an attribute of its name, ``x.name``, anywhere in the package or a consumer
+outside its own definition; an attribute of an imported module, such as
+``operator.index``, does not count.  Neither the span targets that
+``bench/tracing.py`` names as strings nor the tests, ``tests/test_acceptance.py``
+among them, count.
+
+A name without a consumer is either deleted or listed in ``KEPT`` with the
+open ROADMAP item that gives it one or deletes it.  ``KEPT`` only shrinks
+from here on: no name is added to it.
 """
 
 import ast
 import pathlib
-import types
+from collections import Counter
 
 import ontokit
 
 SRC = pathlib.Path(ontokit.__file__).parent
 ROOT = SRC.parents[1]
-TRACING = ROOT / "bench" / "tracing.py"
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+CONSUMERS = [*sorted(ROOT.glob("scripts/*.py")), ROOT / "bench" / "checks.py"]
 
+ITEM_3 = "traced by the bench only; ROADMAP item 3 deletes it with its span target"
 KEPT = {
-    "dual_state_kernel": "kernel side of the duality law (ROADMAP item 6)",
-    "dual_state_quantum": "quantum side of the duality law (ROADMAP item 6)",
-    "response_as_kernel": "model responses as kernels into TWO (ROADMAP item 8)",
-    "identity_kernel": "kernel-side constructor: the identity kernel on a space",
-    "point_mass": "kernel-side constructor: the point-mass distribution",
-    "uniform": "kernel-side constructor: the uniform distribution",
-    "functor_object": "the Wigner functor's object map",
-    "functor_state": "the Wigner functor's state map",
-    "pad_odd": "even-dimension padding, the functor's route for even endpoints",
+    "kcompose": ITEM_3,
+    "ktensor": ITEM_3,
+    "evaluate": ITEM_3,
+    "variational_distance": ITEM_3,
+    "antidist_quantum_check": ITEM_3,
+    "dtensor": "product states of signed kernels (ROADMAP item 8)",
+    "product_frame": "the product frame, oracle or consumer of the certificates (ROADMAP item 5)",
+    "check_equivariance": "covariance of the Wigner functor (ROADMAP item 9)",
+    "displacement_channel": "covariance of the Wigner functor (ROADMAP item 9)",
+    "displacement_permutation": "covariance of the Wigner functor (ROADMAP item 9)",
+    "random_stabilizer_pair": "covariance of the Wigner functor (ROADMAP item 9)",
+    "dual_state_kernel": "kernel side of the duality law (ROADMAP item 10)",
+    "dual_state_quantum": "quantum side of the duality law (ROADMAP item 10)",
+    "parse_kernel": "functor documents (ROADMAP item 12)",
+    "response_as_kernel": "functor documents: responses as kernels into TWO (ROADMAP item 12)",
+    "functor_object": "functor documents: the object map (ROADMAP item 12)",
+    "functor_state": "functor documents: the state map (ROADMAP item 12)",
+    "pad_odd": "functor documents: even endpoints (ROADMAP item 12)",
 }
 
 
@@ -38,15 +55,32 @@ def _tree(path):
     return ast.parse(path.read_text(), str(path))
 
 
+TREES = {path.stem: _tree(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public(nodes, kinds):
+    return [n for n in nodes if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
 def _public_definitions():
     """{name: module} for every public module-level function and class."""
     defs = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in _tree(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                assert node.name not in defs, f"{node.name} is defined twice"
-                defs[node.name] = path.stem
+    for module, tree in TREES.items():
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            assert node.name not in defs, f"{node.name} is defined twice"
+            defs[node.name] = module
     return defs
+
+
+def _public_methods():
+    """{"Class.name": (definition node, module)} for every public method and
+    property of a public class."""
+    return {
+        f"{cls.name}.{fn.name}": (fn, module)
+        for module, tree in TREES.items()
+        for cls in _public(tree.body, ast.ClassDef)
+        for fn in _public(cls.body, ast.FunctionDef)
+    }
 
 
 def _imported_module(node):
@@ -58,14 +92,14 @@ def _imported_module(node):
     return rest if node.level == 0 and head == "ontokit" else None
 
 
-def _references(tree, modules):
+def _references(tree):
     """(module, name) pairs a file takes from ontokit: ``from ontokit.m import
     name``, or ``m.name`` after ``from ontokit import m`` (relative forms too)."""
     refs, aliases = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (module := _imported_module(node)) is not None:
             for alias in node.names:
-                if module == "" and alias.name in modules:
+                if module == "" and alias.name in TREES:
                     aliases[alias.asname or alias.name] = alias.name
                 else:
                     refs.add((module, alias.name))
@@ -76,34 +110,64 @@ def _references(tree, modules):
     return refs
 
 
-def _consumed(defs):
-    trees = {path.stem: _tree(path) for path in SRC.glob("*.py")}
+def _consumer_trees():
+    """(module or None, tree) for the package modules but ``__init__``, and
+    for the consumers outside the package."""
+    files = [(m, t) for m, t in TREES.items() if m != "__init__"]
+    return files + [(None, _tree(path)) for path in CONSUMERS]
+
+
+def _consumed_definitions(defs):
     consumed = set()
     for name, module in defs.items():
-        others = [n for n in trees[module].body if getattr(n, "name", None) != name]
+        others = [n for n in TREES[module].body if getattr(n, "name", None) != name]
         if any(isinstance(n, ast.Name) and n.id == name for top in others for n in ast.walk(top)):
             consumed.add(name)
-    outside = [*ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py"), ACCEPTANCE]
-    files = [(m, t) for m, t in trees.items() if m != "__init__"]
-    files += [(None, _tree(path)) for path in outside]
-    for own, tree in files:
-        for module, name in _references(tree, trees):
+    for own, tree in _consumer_trees():
+        for module, name in _references(tree):
             home = defs.get(name)
             # module "" is the package, which re-exports the name from its home
             if home is not None and home != own and module in ("", home):
                 consumed.add(name)
-    # executed from its source text, so nothing is written under bench/
-    tracing = types.ModuleType("bench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
-    for module, attr, *_ in tracing.TARGETS:
-        name = attr.split(".")[0]
-        if module == f"ontokit.{defs.get(name)}":
-            consumed.add(name)
     return consumed
 
 
+def _imported_modules(tree):
+    """The names under which a file imports modules (``np``, ``operator``,
+    ``quantum`` after ``from ontokit import quantum``)."""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if isinstance(node, ast.Import) or (_imported_module(node) == "" and alias.name in TREES)
+    }
+
+
+def _attribute_reads(node, modules):
+    """How often each attribute name is read under ``node``, leaving out the
+    attributes of the modules in ``modules``."""
+    return Counter(
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and not (isinstance(n.value, ast.Name) and n.value.id in modules)
+    )
+
+
+def _consumed_methods(methods):
+    """The methods read more often in all the consumers together than in
+    their own definitions."""
+    reads = Counter()
+    for _, tree in _consumer_trees():
+        reads += _attribute_reads(tree, _imported_modules(tree))
+    return {
+        qualified for qualified, (node, module) in methods.items()
+        if reads[node.name] > _attribute_reads(node, _imported_modules(TREES[module]))[node.name]
+    }
+
+
 DEFS = _public_definitions()
-CONSUMED = _consumed(DEFS)
+CONSUMED = _consumed_definitions(DEFS)
+METHODS = _public_methods()
 
 
 def test_every_public_definition_has_a_consumer():
@@ -111,6 +175,14 @@ def test_every_public_definition_has_a_consumer():
     assert unconsumed == []
 
 
+def test_every_public_method_has_a_consumer():
+    assert sorted(set(METHODS) - _consumed_methods(METHODS)) == []
+
+
 def test_kept_names_exist_and_still_lack_a_consumer():
     assert sorted(set(KEPT) - set(DEFS)) == [], "a kept name no longer exists: drop it from KEPT"
     assert sorted(set(KEPT) & CONSUMED) == [], "a kept name has a consumer now: drop it from KEPT"
+
+
+def test_kept_reasons_cite_a_roadmap_item():
+    assert [n for n, why in KEPT.items() if "ROADMAP item" not in why] == []

@@ -10,7 +10,7 @@ import pytest
 import ontokit
 from ontokit.antidist import AntidistProblem
 from ontokit.errors import IndexOutOfRangeError, OntokitError, VerificationFailedError
-from ontokit.kernels import FiniteSpace, point_mass
+from ontokit.kernels import Distribution, FiniteSpace
 from ontokit.quantum import DensityMatrix, ProjectiveMeasurement, born
 
 SRC = pathlib.Path(ontokit.__file__).parent
@@ -58,6 +58,6 @@ def test_an_index_out_of_range_is_also_an_index_error():
     assert issubclass(IndexOutOfRangeError, OntokitError)
     assert issubclass(IndexOutOfRangeError, IndexError)
     with pytest.raises(IndexOutOfRangeError, match="outcome index 2 out of range"):
-        born(DensityMatrix.from_ket([1.0, 0.0]), ProjectiveMeasurement.computational(2), 2)
+        born(DensityMatrix.from_ket([1.0, 0.0]), ProjectiveMeasurement([[1.0, 0.0], [0.0, 1.0]]), 2)
     with pytest.raises(IndexOutOfRangeError, match="target index out of range"):
-        AntidistProblem((point_mass(FiniteSpace(("a",)), "a"),), 1)
+        AntidistProblem((Distribution(FiniteSpace(("a",)), [1.0]),), 1)

@@ -17,13 +17,10 @@ from ontokit.kernels import (
     dtensor,
     dual_state_kernel,
     evaluate,
-    identity_kernel,
     kcompose,
     ktensor,
-    point_mass,
     product_space,
     support_mask,
-    uniform,
     variational_distance,
 )
 from ontokit.sampling import rng_for
@@ -62,8 +59,9 @@ class TestCompose:
     def test_dirac_identity(self):
         rng = rng_for(61)
         f = random_kernel(rng, AB, ABC)
-        assert np.max(np.abs(kcompose(identity_kernel(ABC), f).matrix - f.matrix)) == 0
-        assert np.max(np.abs(kcompose(f, identity_kernel(AB)).matrix - f.matrix)) == 0
+        id_ab, id_abc = SignedKernel(AB, AB, np.eye(2)), SignedKernel(ABC, ABC, np.eye(3))
+        assert np.max(np.abs(kcompose(id_abc, f).matrix - f.matrix)) == 0
+        assert np.max(np.abs(kcompose(f, id_ab).matrix - f.matrix)) == 0
 
     def test_two_point_hand_multiplication(self):
         half = SignedKernel(AB, AB, [[0.5, 0.5], [0.5, 0.5]])
@@ -105,15 +103,15 @@ class TestCompose:
 
 class TestTensor:
     def test_identity_tensor(self):
-        t = ktensor(identity_kernel(AB), identity_kernel(ABC))
+        t = ktensor(SignedKernel(AB, AB, np.eye(2)), SignedKernel(ABC, ABC, np.eye(3)))
         assert np.max(np.abs(t.matrix - np.eye(6))) == 0
         assert t.source == product_space(AB, ABC)
 
     def test_point_mass_tensor(self):
-        da = point_mass(AB, "b")
-        db = point_mass(ABC, "c")
+        da = Distribution(AB, [0.0, 1.0])
+        db = Distribution(ABC, [0.0, 0.0, 1.0])
         prod = dtensor(da, db)
-        assert prod.weights[prod.space.index("(b,c)")] == 1.0
+        assert prod.weights[prod.space.points.index("(b,c)")] == 1.0
         assert prod.weights.sum() == 1.0
 
     def test_product_measure_on_all_rectangles(self):
@@ -147,26 +145,28 @@ class TestTensor:
 
 class TestEvaluate:
     def test_point_mass(self):
-        assert evaluate(point_mass(TWO, "0")) == 1.0
+        assert evaluate(Distribution(TWO, [1.0, 0.0])) == 1.0
 
     def test_uniform(self):
-        assert evaluate(uniform(TWO)) == 0.5
+        assert evaluate(Distribution(TWO, [0.5, 0.5])) == 0.5
 
     def test_signed_state(self):
         assert evaluate(Distribution(TWO, [1.3, -0.3])) == 1.3
 
     def test_wrong_space(self):
         with pytest.raises(WrongSpaceError):
-            evaluate(uniform(ABC))
+            evaluate(Distribution(ABC, np.full(3, 1 / 3)))
 
 
 class TestVariationalDistance:
     def test_distinct_point_masses(self):
-        assert variational_distance(point_mass(AB, "a"), point_mass(AB, "b")) == 1.0
+        a, b = Distribution(AB, [1.0, 0.0]), Distribution(AB, [0.0, 1.0])
+        assert variational_distance(a, b) == 1.0
 
     def test_uniform_vs_point(self):
-        d = variational_distance(uniform(TWO), point_mass(TWO, "0"))
-        assert abs(d - variational_subset_oracle(uniform(TWO), point_mass(TWO, "0"))) < 1e-15
+        uniform, point = Distribution(TWO, [0.5, 0.5]), Distribution(TWO, [1.0, 0.0])
+        d = variational_distance(uniform, point)
+        assert abs(d - variational_subset_oracle(uniform, point)) < 1e-15
         assert abs(d - 0.5) < 1e-15
 
     def test_self_distance_zero(self):
@@ -187,10 +187,10 @@ class TestVariationalDistance:
 
 class TestSupport:
     def test_point_mass(self):
-        assert support_mask(point_mass(ABC, "b")).tolist() == [False, True, False]
+        assert support_mask(Distribution(ABC, [0.0, 1.0, 0.0])).tolist() == [False, True, False]
 
     def test_uniform(self):
-        assert support_mask(uniform(ABC)).tolist() == [True, True, True]
+        assert support_mask(Distribution(ABC, np.full(3, 1 / 3))).tolist() == [True, True, True]
 
     def test_threshold(self):
         mu = Distribution(ABC, [0.5, 0.5, 0.0])
@@ -203,12 +203,12 @@ class TestSupport:
 
 class TestDualState:
     def test_dual_of_point_mass(self):
-        chi = dual_state_kernel(point_mass(AB, "a"))
-        assert float(chi.values @ point_mass(AB, "a").weights) == 1.0
-        assert float(chi.values @ point_mass(AB, "b").weights) == 0.0
+        chi = dual_state_kernel(Distribution(AB, [1.0, 0.0]))
+        assert float(chi.values @ [1.0, 0.0]) == 1.0
+        assert float(chi.values @ [0.0, 1.0]) == 0.0
 
     def test_dual_of_uniform_against_itself(self):
-        mu = uniform(TWO)
+        mu = Distribution(TWO, [0.5, 0.5])
         chi = dual_state_kernel(mu)
         # sum over points of (1/2)^2 twice
         assert abs(float(chi.values @ mu.weights) - 0.5) < 1e-15

@@ -34,7 +34,6 @@ from ontokit.ontomodel import (
     check_equivariance,
     check_operational_model,
     classify_model,
-    dirac_restriction_model,
     maximal_predicates,
     validate_model,
 )
@@ -66,7 +65,18 @@ from ontokit.wigner import (
 Z0 = np.array([1, 0], dtype=complex)
 Z1 = np.array([0, 1], dtype=complex)
 PLUS = (Z0 + Z1) / np.sqrt(2)
-ZBASIS = ProjectiveMeasurement.computational(2)
+ZBASIS = ProjectiveMeasurement(np.eye(2))
+
+
+def dirac_model(catalog, measurements):
+    """The Dirac model of a catalogue: each state sits at its own ontic
+    point, and an outcome's response at a point is its Born probability
+    there."""
+    labels = tuple(lab for lab, _ in catalog)
+    kets = catalogue_kets(labels, [k for _, k in catalog])
+    responses = [np.abs(m.vectors.conj() @ kets.T) ** 2 for m in measurements]
+    ontic = FiniteSpace(labels)
+    return OntModel(ontic, labels, kets, np.eye(len(labels)), tuple(zip(measurements, responses)))
 
 
 def qubit_catalog(rng, size):
@@ -88,7 +98,7 @@ def overlapping_epistemic_model():
 class TestValidateModel:
     def test_dirac_restriction_validates_cleanly(self):
         rng = rng_for(101)
-        model = dirac_restriction_model(qubit_catalog(rng, 6), [ZBASIS])
+        model = dirac_model(qubit_catalog(rng, 6), [ZBASIS])
         report = validate_model(model, tol=1e-10)
         assert report.clean
 
@@ -103,7 +113,7 @@ class TestValidateModel:
     def test_perturbed_distribution_detected(self):
         rng = rng_for(102)
         catalog = qubit_catalog(rng, 4)
-        model = dirac_restriction_model(catalog, [ZBASIS])
+        model = dirac_model(catalog, [ZBASIS])
         # shift one weight by 1e-3 between two points
         label = catalog[0][0]
         w = model.weights.copy()
@@ -126,7 +136,7 @@ class TestValidateModel:
 
 class TestClassify:
     def test_dirac_model_is_ontic(self):
-        model = dirac_restriction_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
+        model = dirac_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
         assert classify_model(model).kind == "ontic"
 
     def test_overlapping_model_is_epistemic_with_witness(self):
@@ -157,7 +167,7 @@ class TestClassify:
 
 class TestMaximalPredicates:
     def test_dirac_on_orthogonal_pair(self):
-        model = dirac_restriction_model([("zero", Z0), ("one", Z1)], [ZBASIS])
+        model = dirac_model([("zero", Z0), ("one", Z1)], [ZBASIS])
         # direct evaluation over the 4 ordered pairs: cross pairs give 0 on
         # both sides, diagonal pairs give 1 on both sides
         result = maximal_predicates(model)
@@ -165,7 +175,7 @@ class TestMaximalPredicates:
         assert result.maximally_nontrivial
 
     def test_dirac_on_overlapping_pair_fails_epistemic(self):
-        model = dirac_restriction_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
+        model = dirac_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
         result = maximal_predicates(model)
         # mu_zero(supp mu_plus) = 0 but |<plus|zero>|^2 = 1/2
         assert not result.maximally_epistemic
@@ -180,7 +190,7 @@ class TestMaximalPredicates:
         assert result.nontrivial_violations == []
 
     def test_single_state_catalog(self):
-        model = dirac_restriction_model([("zero", Z0)], [ZBASIS])
+        model = dirac_model([("zero", Z0)], [ZBASIS])
         result = maximal_predicates(model)
         assert result.maximally_epistemic and result.maximally_nontrivial
 
@@ -301,7 +311,7 @@ def random_bases(rng, dim, count):
 
 def random_dirac(rng, size, dim, bases):
     catalog = [(f"s{i}", random_ket(rng, dim)) for i in range(size)]
-    return dirac_restriction_model(catalog, random_bases(rng, dim, bases))
+    return dirac_model(catalog, random_bases(rng, dim, bases))
 
 
 def with_distributions(model, weights):
@@ -395,7 +405,7 @@ class TestMatrixFormAgainstOracles:
         rng = rng_for(606)
         psi = random_ket(rng, 3)
         catalog = [("a", psi), ("b", random_ket(rng, 3)), ("a_again", psi.copy())]
-        model = dirac_restriction_model(catalog, random_bases(rng, 3, 2))
+        model = dirac_model(catalog, random_bases(rng, 3, 2))
         assert_matches_oracles(model)
         assert ("a", "a_again") in [
             (v["psi"], v["phi"]) for v in maximal_predicates(model).epistemic_violations
@@ -405,7 +415,7 @@ class TestMatrixFormAgainstOracles:
         rng = rng_for(607)
         u = random_unitary(rng, 4)
         catalog = [(f"e{i}", u[:, i]) for i in range(4)]
-        model = dirac_restriction_model(catalog, random_bases(rng, 4, 3))
+        model = dirac_model(catalog, random_bases(rng, 4, 3))
         assert_matches_oracles(model)
         preds = maximal_predicates(model)
         assert classify_model(model).kind == "ontic"
@@ -609,7 +619,7 @@ class TestPairRecords:
             assert type(record["support_mass"]) is float and type(record["born"]) is float
 
     def test_equality_with_lists_of_records(self):
-        model = dirac_restriction_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
+        model = dirac_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
         preds, want = maximal_predicates(model), predicates_oracle(model)
         # here the matrix and the per-pair values agree to the last bit
         assert preds.epistemic_violations == want.epistemic_violations
@@ -625,7 +635,7 @@ class TestPairRecords:
         rng = rng_for(621)
         u = random_unitary(rng, 3)
         catalog = [(f"e{i}", u[:, i]) for i in range(3)]
-        model = dirac_restriction_model(catalog, [ProjectiveMeasurement.computational(3)])
+        model = dirac_model(catalog, [ProjectiveMeasurement(np.eye(3))])
         for view, want in self.views(model):
             assert want == [] and view == [] and list(view) == [] and view[:] == []
             assert len(view) == 0 and not view
@@ -723,14 +733,14 @@ class TestModelDimensions:
         rng = rng_for(609)
         catalog = [("zero", Z0), ("qutrit", random_ket(rng, 3))]
         with pytest.raises(DimMismatchError, match="'qutrit'"):
-            dirac_restriction_model(catalog, [ZBASIS])
+            dirac_model(catalog, [ZBASIS])
 
     def test_qubit_states_with_a_qutrit_basis(self):
         with pytest.raises(DimMismatchError, match="measurement 1 has dimension 3, expected 2"):
             OntModel(
                 FiniteSpace(("a",)), ("zero",), [Z0], [[1.0]],
                 ((ZBASIS, [[1.0], [0.0]]),
-                 (ProjectiveMeasurement.computational(3), [[1.0], [0.0], [0.0]])),
+                 (ProjectiveMeasurement(np.eye(3)), [[1.0], [0.0], [0.0]])),
             )
 
     def test_stacked_arrays(self):
@@ -746,7 +756,7 @@ class TestModelDimensions:
         assert [f.name for f in dataclasses.fields(OntModel)] == [
             "ontic", "labels", "kets", "weights", "measurements",
         ]
-        model = dirac_restriction_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
+        model = dirac_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
         assert model.labels == ("zero", "plus")
         assert np.array_equal(model.weights, np.eye(2))
         (m, responses), = model.measurements
@@ -981,7 +991,7 @@ class TestEquivariance:
         frag, action = displacement_fragment_and_action([(1, 0), (0, 1)])
         swapped = {name: list(perm[::-1]) for name, perm in action.items()}
         report = check_equivariance(frag, swapped, ["rho1", "rho0"], ["D01", "D10"])
-        keys = [(v["state"], v["channel"], phase_space(3).index(v["point"]))
+        keys = [(v["state"], v["channel"], phase_space(3).points.index(v["point"]))
                 for v in report.violations]
         order = {"rho1": 0, "rho0": 1, "D01": 0, "D10": 1}
         assert keys == sorted(keys, key=lambda k: (order[k[0]], order[k[1]], k[2]))

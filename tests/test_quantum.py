@@ -25,7 +25,7 @@ from ontokit.sampling import random_cptp_channel, random_density, random_ket, rn
 Z0 = np.array([1, 0], dtype=complex)
 Z1 = np.array([0, 1], dtype=complex)
 PLUS = (Z0 + Z1) / np.sqrt(2)
-ZBASIS = ProjectiveMeasurement.computational(2)
+ZBASIS = ProjectiveMeasurement(np.eye(2))
 
 
 def basis_of_density_space(dim):
@@ -111,7 +111,9 @@ class TestApply:
     def test_depolarizing(self):
         rng = rng_for(43)
         rho = random_density(rng, 3)
-        out = apply_channel(Channel.depolarizing(3), rho)
+        # one Kraus operator |i><j| / sqrt(3) per (i, j): every input goes to I/3
+        depolarizing = Channel(np.eye(9, dtype=complex).reshape(9, 3, 3) / np.sqrt(3))
+        out = apply_channel(depolarizing, rho)
         assert linalg.max_abs(out.matrix - np.eye(3) / 3) < 1e-12
 
     def test_trace_preserved(self):
@@ -140,7 +142,7 @@ class TestCompose:
         u, _ = np.linalg.qr(g)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         v, _ = np.linalg.qr(g)
-        composite = compose(Channel.from_unitary(u), Channel.from_unitary(v))
+        composite = compose(Channel((u,)), Channel((v,)))
         rho = random_density(rng, 3)
         expected = (u @ v) @ rho.matrix @ (u @ v).conj().T
         assert linalg.max_abs(channel_action(composite, rho.matrix) - expected) < 1e-12

@@ -11,7 +11,7 @@ from ontokit import cli
 from ontokit.errors import SchemaError
 from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
 from ontokit import serialize
-from ontokit.ontomodel import OntModel, dirac_restriction_model
+from ontokit.ontomodel import OntModel
 from ontokit.qmeasure import QuantumMeasure, check_size
 from ontokit.quantum import Channel, ProjectiveMeasurement
 from ontokit.sampling import random_cptp_channel, random_ket, random_unitary, rng_for
@@ -29,6 +29,7 @@ from ontokit.serialize import (
     parse_qmeasure_doc,
 )
 from ontokit.wigner import functor_morphism
+from test_ontomodel import dirac_model
 
 
 def channel_to_json(ch):
@@ -800,9 +801,8 @@ class TestEnsembleSchema:
 class TestModelSchema:
     def test_round_trip_via_dirac_model(self):
         rng = rng_for(124)
-        model = dirac_restriction_model(
-            [(f"s{i}", random_ket(rng, 2)) for i in range(3)],
-            [ProjectiveMeasurement.computational(2)],
+        model = dirac_model(
+            [(f"s{i}", random_ket(rng, 2)) for i in range(3)], [ProjectiveMeasurement(np.eye(2))]
         )
         doc = {
             "ontic": list(model.ontic.points),
@@ -974,4 +974,4 @@ class TestQmeasureSchema:
             "measure": {"0": 0.0, "1": 0.25, "2": 0.25, "3": 1.0},
         }
         parsed = parse_qmeasure_doc(doc)
-        assert parsed.value(3) == 1.0
+        assert parsed.values[3] == 1.0

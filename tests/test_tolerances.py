@@ -48,6 +48,21 @@ def test_only_the_table_names_thresholds():
     assert offenders == {}
 
 
+def test_the_readme_lists_the_table():
+    """The README's tolerance bullets name every constant of the table with
+    its value, and nothing else."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    start = readme.index("* Every threshold is named once, in `ontokit.tolerances`")
+    bullets = readme[start:readme.index("\n* ", start)]
+    listed = {
+        name: float(value)
+        for name, value in re.findall(r"`([A-Z_]+)`\s+(\d+(?:\.\d+)?(?:e[+-]?\d+)?)", bullets)
+    }
+    table = {}
+    exec(TABLE.read_text(), table)
+    assert listed == {n: table[n] for n in _module_names(ast.parse(TABLE.read_text()))}
+
+
 def test_every_table_entry_is_read():
     others = "\n".join(p.read_text() for p in SRC.glob("*.py") if p != TABLE)
     names = list(_module_names(ast.parse(TABLE.read_text())))

@@ -226,7 +226,7 @@ class TestFrames:
 
 class TestWignerVector:
     def test_maximally_mixed_uniform(self):
-        v = wigner_vector(DensityMatrix.maximally_mixed(3), QUTRIT)
+        v = wigner_vector(DensityMatrix(np.eye(3) / 3), QUTRIT)
         assert np.allclose(v.weights, 1.0 / 9.0, atol=1e-12)
 
     def test_superposition_has_negativity(self):
@@ -263,7 +263,9 @@ class TestTransferMatrix:
         assert linalg.max_abs(t - np.eye(9)) < 1e-10
 
     def test_depolarizing_columns_uniform(self):
-        t = transfer_matrix(Channel.depolarizing(3), QUTRIT, QUTRIT)
+        # completely depolarizing: one Kraus operator |i><j| / sqrt(3) per (i, j)
+        depolarizing = Channel(np.eye(9, dtype=complex).reshape(9, 3, 3) / np.sqrt(3))
+        t = transfer_matrix(depolarizing, QUTRIT, QUTRIT)
         assert linalg.max_abs(t - 1.0 / 9.0) < 1e-10
 
     def test_displacement_is_permutation(self):
