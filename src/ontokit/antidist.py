@@ -29,7 +29,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadOverlapError,
-    DimMismatchError,
     IndexOutOfRangeError,
     SpaceMismatchError,
     VerificationFailedError,
@@ -198,10 +197,12 @@ class CompressionResult:
     """Compression channel with its verification data.
 
     ``channel`` acts on span coordinates, in which the tensor powers are
-    ``psi_span`` and ``phi_span`` (see ``compression_channel``).
+    ``psi_span`` and ``phi_span`` (see ``compression_channel``); ``overlap``
+    is <psi|phi> of the input pair.
     """
 
     channel: Channel
+    overlap: complex
     n: int
     gamma: float
     parametrization: str
@@ -245,11 +246,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     ``parametrization`` records this choice as "tan_arcsin_gamma".  Both
     outputs are verified against their targets within ``DERIVED_TOL``.
     """
-    psi = linalg.as_ket(psi)
-    phi = linalg.as_ket(phi)
-    if psi.size != phi.size:
-        raise DimMismatchError("states must share a dimension")
-    ov = overlap(psi, phi)
+    ov = overlap(psi, phi)  # validates both kets and their dimensions
     g0 = abs(ov)
     if g0 < OVERLAP_INTERIOR_MARGIN or g0 > 1.0 - OVERLAP_INTERIOR_MARGIN:
         raise BadOverlapError(f"|<psi|phi>| = {g0!r} must lie strictly inside (0, 1)")
@@ -279,6 +276,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
         )
     return CompressionResult(
         channel=channel,
+        overlap=ov,
         n=n,
         gamma=gamma,
         parametrization="tan_arcsin_gamma",
@@ -327,7 +325,7 @@ def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = PBR_TOL) -> PbrRepo
     assigned = tuple(float(p) for p in np.diag(table))
     max_assigned = float(max(assigned))
     return PbrReport(
-        overlap=float(abs(overlap(psi, phi))),
+        overlap=float(abs(comp.overlap)),
         n=comp.n,
         gamma=comp.gamma,
         parametrization=comp.parametrization,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     SignedUnsupportedError, SpaceMismatchError, VerificationFailedError, WrongSpaceError,
 )
@@ -61,19 +62,19 @@ class SignedKernel:
     markov: bool = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = linalg.as_real(self.matrix, "kernel matrix")
         if m.shape != (self.target.size, self.source.size):
             raise SpaceMismatchError(
                 f"kernel matrix shape {m.shape} does not match "
                 f"({self.target.size}, {self.source.size})"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise VerificationFailedError("kernel matrix contains NaN or Inf")
-        col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+        col_err = linalg.max_abs(m.sum(axis=0) - 1.0)
         if col_err > IDENTITY_TOL:
             raise VerificationFailedError(f"column sums deviate from 1 by {col_err:.3e}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "markov", bool(np.min(m) >= -NONNEG_TOL))
+        object.__setattr__(self, "markov", bool(m.min() >= -NONNEG_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +85,13 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = linalg.as_real(self.weights, "weight vector").reshape(-1)
         _check_weight_rows(self.space, w[None])
         object.__setattr__(self, "weights", w)
 
     @property
     def is_probability(self) -> bool:
-        return bool(np.min(self.weights) >= -NONNEG_TOL)
+        return bool(self.weights.min() >= -NONNEG_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +102,7 @@ class ResponseFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = linalg.as_real(self.values, "response").reshape(-1)
         _check_response_rows(self.space, v[None])
         object.__setattr__(self, "values", v)
 
@@ -132,7 +133,7 @@ def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
 def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
     """One Distribution per row of a (rows x points) weight matrix, checked
     once as a whole; each Distribution's weights are a row of it."""
-    w = np.asarray(weights, dtype=float)
+    w = linalg.as_real(weights, "weight matrix")
     _check_weight_rows(space, w)
     rows = []
     for row in w:

@@ -23,6 +23,20 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_real(a, what: str) -> np.ndarray:
+    """Coerce to a float array.  Complex input whose imaginary part is
+    nonzero anywhere (a NaN part counts) is refused: a cast would drop that
+    part with only a ComplexWarning.  A float64 array passes on its dtype."""
+    arr = np.asarray(a)
+    if arr.dtype == np.float64:
+        return arr
+    if arr.dtype.kind == "c":
+        if arr.imag.any():
+            raise VerificationFailedError(f"{what} has a nonzero imaginary part")
+        arr = arr.real
+    return np.asarray(arr, dtype=float)
+
+
 def as_ket(v) -> np.ndarray:
     """Coerce to a finite 1-d complex unit vector."""
     k = np.asarray(v, dtype=complex).reshape(-1)
@@ -50,8 +64,9 @@ def clearly_unit_rows(kets: np.ndarray) -> np.ndarray:
 
 
 def max_abs(a) -> float:
-    """Largest entrywise modulus; the workhorse comparison metric."""
-    return float(np.max(np.abs(np.asarray(a))))
+    """Largest entrywise modulus; the workhorse comparison metric.  The
+    ndarray method reduces without ``numpy.max``'s Python-level wrapper."""
+    return float(np.abs(a).max())
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -59,10 +74,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     square and Hermitian to within ``IDENTITY_TOL``."""
     if m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"matrix must be square, got shape {m.shape}")
-    dev = max_abs(m - m.conj().T)
+    mh = m.conj().T
+    dev = max_abs(m - mh)
     if dev > IDENTITY_TOL:
         raise NotHermitianError(f"max |a - a^dag| = {dev:.3e} exceeds {IDENTITY_TOL}")
-    return (m + m.conj().T) / 2
+    return (m + mh) / 2
 
 
 def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:

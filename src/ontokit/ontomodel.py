@@ -50,7 +50,7 @@ class OntModel:
         labels = tuple(map(str, self.labels))
         if len(set(labels)) != len(labels):
             raise VerificationFailedError("state labels must be distinct")
-        weights = np.ascontiguousarray(self.weights, dtype=float)
+        weights = np.ascontiguousarray(linalg.as_real(self.weights, "weight matrix"))
         _check_weight_rows(self.ontic, weights)
         if len(weights) != len(labels):
             raise VerificationFailedError("each state needs exactly one weight row")
@@ -59,7 +59,7 @@ class OntModel:
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         measurements = []
         for m, responses in self.measurements:
-            r = np.ascontiguousarray(responses, dtype=float)
+            r = np.ascontiguousarray(linalg.as_real(responses, "response matrix"))
             _check_response_rows(self.ontic, r)
             if len(r) != m.n_outcomes:
                 raise VerificationFailedError("each outcome needs exactly one response row")

@@ -43,12 +43,12 @@ class QuantumMeasure:
 
     def __post_init__(self):
         check_size(self.space.size)
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = linalg.as_real(self.values, "subset values").reshape(-1)
         if v.size != 2 ** self.space.size:
             raise VerificationFailedError(
                 f"expected {2 ** self.space.size} subset values, got {v.size}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise VerificationFailedError("subset values contain NaN or Inf")
         object.__setattr__(self, "values", v)
 

@@ -9,6 +9,7 @@ throughout; transfer-matrix representations live in :mod:`ontokit.wigner`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,23 +18,47 @@ from .errors import DimMismatchError, IndexOutOfRangeError, VerificationFailedEr
 from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 
 
+def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` of a Hermitian part from
+    :func:`linalg.hermitian_part`, as read-only arrays: eigenvalues
+    ascending, eigenvectors as columns."""
+    w, v = np.linalg.eigh(h)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix.
+
+    ``eigensystem`` is the ``(w, V)`` that validation computed from the
+    Hermitian part, kept for :func:`preparation_channel`; a state from
+    :meth:`from_ket` computes it the same way on first read.  ``matrix`` is a
+    copy and, like the eigensystem, read-only, so the two always agree.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
+        m = linalg.as_matrix(self.matrix).copy()
         if m.shape[0] != m.shape[1]:
             raise DimMismatchError("density matrix must be square")
         h = linalg.hermitian_part(m)
-        if abs(np.trace(m).real - 1.0) > IDENTITY_TOL or abs(np.trace(m).imag) > IDENTITY_TOL:
-            raise VerificationFailedError(f"trace {complex(np.trace(m))!r} deviates from 1")
-        lo = np.linalg.eigh(h)[0][0]
+        tr = np.trace(m)
+        if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
+            raise VerificationFailedError(f"trace {complex(tr)!r} deviates from 1")
+        eigensystem = _eigensystem(h)
+        lo = eigensystem[0][0]
         if lo < -IDENTITY_TOL:
             raise VerificationFailedError(f"negative eigenvalue {lo:.3e}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        # fills the cached property, so it is never recomputed
+        object.__setattr__(self, "eigensystem", eigensystem)
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        return _eigensystem(linalg.hermitian_part(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -42,9 +67,15 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, psi) -> "DensityMatrix":
         """Rank-1 projector of a unit vector; skips the spectrum check."""
-        k = linalg.as_ket(psi)
+        return cls._projector(linalg.as_ket(psi))
+
+    @classmethod
+    def _projector(cls, k: np.ndarray) -> "DensityMatrix":
+        """|k><k| of a ket that :func:`linalg.as_ket` has already validated."""
+        m = np.outer(k, k.conj())
+        m.flags.writeable = False
         obj = object.__new__(cls)
-        object.__setattr__(obj, "matrix", np.outer(k, k.conj()))
+        object.__setattr__(obj, "matrix", m)
         return obj
 
 
@@ -139,20 +170,29 @@ class ProjectiveMeasurement:
 
 @dataclass(frozen=True, eq=False)
 class TwoOutcomeMeasurement:
-    """Effect operator E with 0 <= E <= I; outcome 0 fires with Tr(E rho)."""
+    """Effect operator E with 0 <= E <= I; outcome 0 fires with Tr(E rho).
+
+    ``eigensystem`` is the ``(w, V)`` that validation computed from the
+    Hermitian part, kept for :func:`measurement_channel`.  ``effect`` is a
+    copy and, like the eigensystem, read-only, so the two always agree.
+    """
 
     effect: np.ndarray
+    eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = linalg.as_matrix(self.effect)
+        e = linalg.as_matrix(self.effect).copy()
         if e.shape[0] != e.shape[1]:
             raise DimMismatchError("effect must be square")
-        w = np.linalg.eigh(linalg.hermitian_part(e))[0]
+        eigensystem = _eigensystem(linalg.hermitian_part(e))
+        w = eigensystem[0]
         if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:
             raise VerificationFailedError(
                 f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]"
             )
+        e.flags.writeable = False
         object.__setattr__(self, "effect", e)
+        object.__setattr__(self, "eigensystem", eigensystem)
 
     @property
     def dim(self) -> int:
@@ -222,8 +262,9 @@ def dual_state_quantum(psi) -> TwoOutcomeMeasurement:
 
 def preparation_channel(state: DensityMatrix) -> Channel:
     """State as a channel from the trivial system C: one Kraus column
-    sqrt(p) v per eigenpair (p, v) with p > EIGEN_WEIGHT_EPS."""
-    w, v = linalg.hermitian_eigensystem(state.matrix)
+    sqrt(p) v per eigenpair (p, v) with p > EIGEN_WEIGHT_EPS, read off the
+    eigensystem that validating the state computed."""
+    w, v = state.eigensystem
     keep = w > EIGEN_WEIGHT_EPS
     return Channel((np.sqrt(w[keep]) * v[:, keep]).T[:, :, None])
 
@@ -233,9 +274,10 @@ def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
 
     Output is always diagonal: diag(Tr(E rho), Tr((I-E) rho)).  E = V w V^dag
     and I - E = V (1 - w) V^dag share the eigenbasis V, so outcome r gets
-    one Kraus operator sqrt(p) |r><v| per eigenpair with weight p > EIGEN_WEIGHT_EPS.
+    one Kraus operator sqrt(p) |r><v| per eigenpair with weight p > EIGEN_WEIGHT_EPS,
+    read off the eigensystem that validating the effect computed.
     """
-    w, v = linalg.hermitian_eigensystem(m.effect)
+    w, v = m.eigensystem
     weights = np.stack([w, 1.0 - w])
     outcome, j = np.nonzero(weights > EIGEN_WEIGHT_EPS)
     ops = np.zeros((outcome.size, 2, m.dim), dtype=complex)

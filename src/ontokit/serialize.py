@@ -16,11 +16,12 @@ float64 round-trips are bit exact):
 * qmeasure  {"points": [labels], "decoherence": matrix}
             or {"points": [labels], "measure": {"<bitmask>": real}}
 
-``dumps_report`` formats a list of plain floats, and a list of
-equal-length list or tuple rows of plain floats, with one ``%`` over a
-"%.17g" template of its shape, and lists of strings and dict keys with
-json's C string encoder; other values go one call each.  The bytes are
-those of emitting value by value.
+``dumps_report`` formats a list of plain floats, a list of equal-length
+list or tuple rows of plain floats, and a nonempty 2-d float64 array (the
+kernel matrix of ``kernel_to_json``) with one ``%`` over a "%.17g"
+template of its shape, and lists of strings and dict keys with json's C
+string encoder; other values go one call each.  The bytes are those of
+emitting value by value.
 """
 
 from __future__ import annotations
@@ -59,15 +60,28 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _list_text(items, inner: str, pad: str) -> str:
+    """A JSON list of already formatted items, one per line."""
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _table_template(rows: int, width: int, inner: str, pad: str) -> str:
+    """The text of a list of ``rows`` rows of ``width`` floats, with a
+    "%.17g" slot per float."""
+    row = _list_text(["%.17g"] * width, "  " + inner, inner)
+    return _list_text([row] * rows, inner, pad)
+
+
 def dumps_report(obj: Any, indent: int = 0) -> str:
     """Render JSON with every float at 17 significant digits.
 
     Dictionary order is preserved, so reports are byte-identical across
-    runs with the same inputs and seed.  A list of plain floats, and a
-    list of equal-length list or tuple rows of plain floats, is formatted
-    with one ``%`` over a "%.17g" template of its shape, and lists of
-    strings and dict keys with json's C string encoder; other values go
-    one call each.  The bytes are those of emitting value by value.
+    runs with the same inputs and seed.  A list of plain floats, a list
+    of equal-length list or tuple rows of plain floats, and a nonempty 2-d
+    float64 array are formatted with one ``%`` over a "%.17g" template of
+    their shape, and lists of strings and dict keys with json's C string
+    encoder; other values go one call each.  The bytes are those of
+    emitting value by value.
     """
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
@@ -79,8 +93,6 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
         return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, np.ndarray):
-        return dumps_report(obj.tolist(), indent)
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
@@ -91,35 +103,37 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim != 2 or obj.size == 0:
+            return dumps_report(obj.tolist(), indent)
+        # tolist() gives the plain floats that the row-list path formats
+        values = tuple(obj.ravel().tolist())
+        template = _table_template(obj.shape[0], obj.shape[1], inner, pad)
+    elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
         types = set(map(type, obj))
-        values = None
+        if types == {str}:
+            return _list_text(map(encode_basestring_ascii, obj), inner, pad)
         if types == {float}:
-            values, items = tuple(obj), ["%.17g"] * len(obj)
-        elif types == {str}:
-            items = map(encode_basestring_ascii, obj)
+            values = tuple(obj)
+            template = _list_text(["%.17g"] * len(obj), inner, pad)
         else:
+            values = ()
             if types <= {list, tuple} and len(set(map(len, obj))) == 1:
                 # iadd extends the new list only; twice as fast as itertools.chain
-                flat = tuple(reduce(iadd, obj, []))
-                if flat and countOf(map(type, flat), float) == len(flat):
-                    cell = ",\n  " + inner
-                    row = "[\n  " + inner + cell.join(["%.17g"] * len(obj[0])) + "\n" + inner + "]"
-                    values, items = flat, [row] * len(obj)
-            if values is None:
-                items = [dumps_report(v, indent + 2) for v in obj]
-        text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-        if values is None:
-            return text
-        text %= values
-        # "%.17g" spells a finite float with digits, ".", "e", "+" and "-"
-        # only, and a non-finite one as "inf" or "nan"
-        if "n" in text:
-            raise ValueError("cannot serialise non-finite float")
-        return text
-    raise TypeError(f"cannot serialise {type(obj)!r}")
+                values = tuple(reduce(iadd, obj, []))
+            if not values or countOf(map(type, values), float) != len(values):
+                return _list_text([dumps_report(v, indent + 2) for v in obj], inner, pad)
+            template = _table_template(len(obj), len(obj[0]), inner, pad)
+    else:
+        raise TypeError(f"cannot serialise {type(obj)!r}")
+    text = template % values
+    # "%.17g" spells a finite float with digits, ".", "e", "+" and "-" only,
+    # and a non-finite one as "inf" or "nan"
+    if "n" in text:
+        raise ValueError("cannot serialise non-finite float")
+    return text
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -134,10 +148,13 @@ def ket_to_json(psi: np.ndarray) -> dict:
 
 
 def kernel_to_json(k: SignedKernel) -> dict:
+    """The kernel schema for :func:`dumps_report`: ``matrix`` is the
+    kernel's float64 matrix itself, which ``dumps_report`` emits as rows of
+    numbers, so the result is not an input for ``json.dumps``."""
     return {
         "from": list(k.source.points),
         "to": list(k.target.points),
-        "matrix": k.matrix.tolist(),
+        "matrix": k.matrix,
         "convention": "column-stochastic",
     }
 

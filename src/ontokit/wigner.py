@@ -292,7 +292,12 @@ def transfer_matrix(
     """
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
-    t = out_frame.vectors.conj() @ _superoperator(ch) @ in_frame.vectors.T / out_frame.norm_const
+    return _transfer(_superoperator(ch), in_frame, out_frame)
+
+
+def _transfer(sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> np.ndarray:
+    """:func:`transfer_matrix` from the channel's superoperator, endpoints checked."""
+    t = out_frame.vectors.conj() @ sup @ in_frame.vectors.T / out_frame.norm_const
     if linalg.max_abs(t.imag) > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
     t = t.real
@@ -314,13 +319,15 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     out_frame = frame_for(out_algebra)
     if out_frame.hilbert_dim != ch.out_dim:
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
+    sup = _superoperator(ch)
     if out_algebra.kind == "commutative":
-        images = (in_frame.vectors @ _superoperator(ch).T).reshape(-1, ch.out_dim, ch.out_dim)
+        images = (in_frame.vectors @ sup.T).reshape(-1, ch.out_dim, ch.out_dim)
         if linalg.max_abs(images * (1.0 - np.eye(ch.out_dim))) > IDENTITY_TOL:
             raise UnrepresentableAlgebraError(
                 "channel output is not diagonal; not a morphism into C^k"
             )
-    t = transfer_matrix(ch, in_frame, out_frame)
+    # the input frame is the one for ch.in_dim, so both endpoints fit
+    t = _transfer(sup, in_frame, out_frame)
     # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
     kernel = SignedKernel(in_frame.space, out_frame.space, t)
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
@@ -576,8 +583,8 @@ def epistemic_report(psi, phi) -> EpistemicReport:
     psi = linalg.as_ket(psi)
     phi = linalg.as_ket(phi)
     frame = phase_point_operators(psi.size)
-    rho = DensityMatrix.from_ket(psi)
-    tau = DensityMatrix.from_ket(phi)
+    rho = DensityMatrix._projector(psi)
+    tau = DensityMatrix._projector(phi)
     v_rho = wigner_vector(rho, frame)
     v_tau = wigner_vector(tau, frame)
     ensemble = (v_rho, v_tau)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from ontokit import linalg
 from ontokit.antidist import (
     AntidistCertificate,
     AntidistProblem,
@@ -20,7 +21,7 @@ from ontokit.antidist import (
     pbr_measurement,
     smallest_compression_power,
 )
-from ontokit.errors import BadOverlapError
+from ontokit.errors import BadOverlapError, DimMismatchError
 from ontokit.kernels import (
     Distribution,
     FiniteSpace,
@@ -735,8 +736,22 @@ class TestCompressionChannel:
         with pytest.raises(BadOverlapError):
             compression_channel([1, 0], [0.9, np.sqrt(1 - 0.81)], n=1)
 
+    def test_kets_of_different_dimensions_rejected(self):
+        with pytest.raises(DimMismatchError, match="^kets have different dimensions$"):
+            compression_channel([1, 0], [0.6, 0.8, 0.0])
+
 
 class TestPbrDemo:
+    def test_each_input_ket_is_validated_once(self, monkeypatch):
+        # qutrit inputs, so that no 2-d span ket is counted with them
+        psi, phi, _ = random_nonorthogonal_pair(rng_for(75), 3, 0.4, 0.8)
+        sizes = []
+        as_ket = linalg.as_ket
+        monkeypatch.setattr(linalg, "as_ket", lambda v: sizes.append(np.size(v)) or as_ket(v))
+        rep = pbr_demo(psi, phi)
+        assert sizes.count(3) == 2
+        assert rep.overlap == abs(complex(np.vdot(psi, phi)))
+
     def test_canonical_pair_table(self):
         rep = pbr_demo([1, 0], [INV_SQRT2, INV_SQRT2])
         assert rep.anti_distinguished

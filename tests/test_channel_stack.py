@@ -10,13 +10,15 @@ from ontokit.ontomodel import _quantum_probability
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
+    TwoOutcomeMeasurement,
     apply_channel,
     compose,
     measurement_channel,
     preparation_channel,
     tensor,
 )
-from ontokit.sampling import random_density, random_effect, rng_for
+from ontokit.sampling import random_density, random_effect, random_ket, random_unitary, rng_for
+from ontokit.tolerances import EIGEN_WEIGHT_EPS
 from ontokit.wigner import pad_odd
 
 ORACLE_TOL = 1e-15
@@ -220,3 +222,98 @@ def test_quantum_probability_matches_loop(dim):
         assert abs(p - quantum_probability_oracle(meas, prep)) <= ORACLE_TOL
         rho = apply_channel(prep, DensityMatrix(np.ones((1, 1)))).matrix
         assert abs(p - np.trace(effect.effect @ rho).real) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# preparation and measurement channels read the validated eigensystem
+# ---------------------------------------------------------------------------
+
+def preparation_stack_oracle(state):
+    """The preparation channel's Kraus stack from its own eigendecomposition."""
+    w, v = linalg.hermitian_eigensystem(state.matrix)
+    keep = w > EIGEN_WEIGHT_EPS
+    return np.array((np.sqrt(w[keep]) * v[:, keep]).T[:, :, None], dtype=complex)
+
+
+def measurement_stack_oracle(m):
+    """The measurement channel's Kraus stack from its own eigendecomposition."""
+    w, v = linalg.hermitian_eigensystem(m.effect)
+    weights = np.stack([w, 1.0 - w])
+    outcome, j = np.nonzero(weights > EIGEN_WEIGHT_EPS)
+    ops = np.zeros((outcome.size, 2, m.dim), dtype=complex)
+    ops[np.arange(outcome.size), outcome] = np.sqrt(weights[outcome, j])[:, None] * v[:, j].T.conj()
+    return ops
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def projector_effect(rng, dim, rank):
+    """An effect with eigenvalues exactly 0 and 1 in a random basis: E = U P U^dag."""
+    u = random_unitary(rng, dim)
+    return u[:, :rank] @ u[:, :rank].conj().T
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_preparation_channel_matches_its_own_eigendecomposition(dim):
+    rng = rng_for(17, dim)
+    states = [random_density(rng, dim) for _ in range(3)]
+    k = random_ket(rng, dim)
+    # rank 1, so dim - 1 eigenpairs at 0 are dropped
+    states += [DensityMatrix.from_ket(k), DensityMatrix(np.outer(k, k.conj()))]
+    states += [DensityMatrix(np.eye(dim) / dim)]
+    for state in states:
+        assert_bit_equal(preparation_channel(state).stack, preparation_stack_oracle(state))
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_measurement_channel_matches_its_own_eigendecomposition(dim):
+    rng = rng_for(19, dim)
+    effects = [random_effect(rng, dim) for _ in range(3)]
+    # eigenvalues at 0 and 1, whose pairs EIGEN_WEIGHT_EPS drops from one outcome
+    effects += [TwoOutcomeMeasurement(projector_effect(rng, dim, r)) for r in range(dim + 1)]
+    effects += [TwoOutcomeMeasurement(np.diag(np.arange(dim) % 2).astype(float))]
+    for effect in effects:
+        assert_bit_equal(measurement_channel(effect).stack, measurement_stack_oracle(effect))
+
+
+def test_one_eigendecomposition_per_state_or_effect(monkeypatch):
+    rng = rng_for(23)
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    rho_matrix = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    effect_matrix = projector_effect(rng, 5, 2) * 0.5 + np.eye(5) * 0.25
+    psi = random_ket(rng, 5)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+
+    rho = DensityMatrix(rho_matrix)
+    preparation_channel(rho)
+    preparation_channel(rho)
+    assert len(calls) == 1
+    effect = TwoOutcomeMeasurement(effect_matrix)
+    measurement_channel(effect)
+    assert len(calls) == 2
+    pure = DensityMatrix.from_ket(psi)
+    assert len(calls) == 2  # a projector of a unit ket needs no spectrum check
+    preparation_channel(pure)
+    preparation_channel(pure)
+    assert len(calls) == 3
+
+
+def test_a_validated_operator_and_its_eigensystem_are_read_only():
+    # the operator is a copy, so that the kept eigensystem stays its own
+    rng = rng_for(31)
+    given = random_density(rng, 3).matrix.copy()
+    effect_given = random_effect(rng, 3).effect.copy()
+    rho, effect = DensityMatrix(given), TwoOutcomeMeasurement(effect_given)
+    pure = DensityMatrix.from_ket(random_ket(rng, 3))
+    for held, source in ((rho.matrix, given), (effect.effect, effect_given)):
+        source[0, 0] = 0.5
+        assert held[0, 0] != 0.5
+    for op in (rho, effect, pure):
+        held = op.effect if op is effect else op.matrix
+        for a in (held, *op.eigensystem):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontokit.errors import SignedUnsupportedError, SpaceMismatchError, WrongSpaceError
+from ontokit.errors import (
+    SignedUnsupportedError, SpaceMismatchError, VerificationFailedError, WrongSpaceError,
+)
 from ontokit.kernels import (
     TWO,
     Distribution,
@@ -231,6 +233,36 @@ class TestValidation:
     def test_markov_flag(self):
         assert SignedKernel(AB, AB, [[0.7, 0.2], [0.3, 0.8]]).markov
         assert not SignedKernel(AB, AB, [[1.0, -0.2], [0.0, 1.2]]).markov
+
+
+class TestComplexInput:
+    """Complex input is read as real only when its imaginary part is zero.
+    A float cast would drop that part from an array, with only a
+    ComplexWarning to show it, and fail on a list with a bare TypeError."""
+
+    def test_signed_kernel(self):
+        entries = [[0.9 + 0.5j, 0.3], [0.1 - 0.5j, 0.7]]
+        for matrix in (np.array(entries), entries):
+            with pytest.raises(VerificationFailedError, match="^kernel matrix has a nonzero imaginary part$"):
+                SignedKernel(AB, AB, matrix)
+        k = SignedKernel(AB, AB, np.array([[0.9, 0.3], [0.1, 0.7]], dtype=complex))
+        assert k.matrix.dtype == np.float64 and k.matrix.tolist() == [[0.9, 0.3], [0.1, 0.7]]
+
+    def test_distribution(self):
+        for weights in ([0.5 + 2j, 0.5 - 2j], [0.5 + complex(0, np.nan), 0.5]):
+            for form in (np.array(weights), weights):
+                with pytest.raises(VerificationFailedError, match="^weight vector has a nonzero imaginary part$"):
+                    Distribution(AB, form)
+        with pytest.raises(VerificationFailedError, match="^weight matrix has a nonzero imaginary part$"):
+            distribution_rows(AB, np.array([[1.0, 0.0], [0.5 + 1e-300j, 0.5]]))
+        mu = Distribution(AB, np.array([0.25, 0.75], dtype=complex))
+        assert mu.weights.dtype == np.float64 and mu.weights.tolist() == [0.25, 0.75]
+
+    def test_response_function(self):
+        with pytest.raises(VerificationFailedError, match="^response has a nonzero imaginary part$"):
+            ResponseFunction(AB, np.array([1.0, 0.5j]))
+        chi = ResponseFunction(AB, np.array([1.0, 0.5], dtype=np.complex64))
+        assert chi.values.dtype == np.float64 and chi.values.tolist() == [1.0, 0.5]
 
 
 class TestRowConstructors:

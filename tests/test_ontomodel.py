@@ -752,6 +752,21 @@ class TestModelDimensions:
         assert empty.kets.shape == (0, 2) and empty.weights.shape == (0, 1)
         assert validate_model(empty).clean and classify_model(empty).kind == "ontic"
 
+    def test_complex_weights_and_responses(self):
+        # a float cast would drop the imaginary part, with only a ComplexWarning to show it
+        point = FiniteSpace(("a", "b"))
+        responses = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(VerificationFailedError, match="^weight matrix has a nonzero imaginary part$"):
+            OntModel(point, ("zero",), [Z0], np.array([[0.5 + 0.5j, 0.5 - 0.5j]]),
+                     ((ZBASIS, responses),))
+        with pytest.raises(VerificationFailedError, match="^response matrix has a nonzero imaginary part$"):
+            OntModel(point, ("zero",), [Z0], [[1.0, 0.0]],
+                     ((ZBASIS, np.array([[1.0, 1e-3j], [0.0, 1.0]])),))
+        model = OntModel(point, ("zero",), [Z0], np.array([[1.0, 0.0]], dtype=complex),
+                         ((ZBASIS, np.array(responses, dtype=complex)),))
+        assert model.weights.dtype == np.float64 and model.measurements[0][1].dtype == np.float64
+        assert model.weights.tolist() == [[1.0, 0.0]]
+
     def test_the_model_is_its_matrices(self):
         assert [f.name for f in dataclasses.fields(OntModel)] == [
             "ontic", "labels", "kets", "weights", "measurements",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ontokit.errors import InvalidFunctionalError, TooLargeError
+from ontokit.errors import InvalidFunctionalError, TooLargeError, VerificationFailedError
 from ontokit.kernels import FiniteSpace
 from ontokit.qmeasure import (
     MAX_POINTS,
@@ -168,6 +168,16 @@ class TestQuantumMeasureValidator:
         w = rng.uniform(0, 1, 4)
         report = validate_quantum_measure(classical_measure(space, w / w.sum()))
         assert report.clean
+
+    def test_complex_values(self):
+        # a float cast would drop the imaginary part, with only a ComplexWarning to show it
+        space = space_of(2)
+        values = np.array([0.0, 0.25, 0.75, 1.0], dtype=complex)
+        values[1] += 0.5j
+        with pytest.raises(VerificationFailedError, match="^subset values has a nonzero imaginary part$"):
+            QuantumMeasure(space, values)
+        q = QuantumMeasure(space, values.real.astype(complex))
+        assert q.values.dtype == np.float64 and q.values.tolist() == [0.0, 0.25, 0.75, 1.0]
 
     def test_hand_built_triple_violation_reported(self):
         space = space_of(3)

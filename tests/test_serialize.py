@@ -215,6 +215,69 @@ class TestEmitterFastPath:
             dumps_report(doc)
 
 
+def _float_table(rows, cols, seed):
+    """A float64 table of normal draws with -0.0, 5e-324 and 1e308 among them."""
+    a = rng_for(seed).normal(size=(rows, cols))
+    a.flat[:3] = [-0.0, 5e-324, 1e308][: a.size]
+    return a
+
+
+class TestArrayEmitter:
+    """A nonempty 2-d float64 array is formatted with one ``%``, as the row
+    lists of its ``tolist()`` are; every other array goes through ``tolist()``."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (49, 49), (3, 4)])
+    def test_matches_its_row_lists_and_the_recursive_emitter(self, shape):
+        a = _float_table(*shape, seed=sum(shape))
+        for doc in (a, a.T, {"kernel": {"matrix": a, "n": 3}}, [a, [0.5]]):
+            plain = doc.tolist() if isinstance(doc, np.ndarray) else doc
+            assert dumps_report(doc) == recursive_dumps_oracle(doc)
+            assert dumps_report(doc, 4) == recursive_dumps_oracle(plain, 4)
+        assert dumps_report(a) == dumps_report(a.tolist())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises(self, bad):
+        a = _float_table(7, 7, seed=5)
+        a[6, 3] = bad
+        for doc in (a, {"matrix": a}):
+            assert (
+                _outcome(dumps_report, doc)
+                == _outcome(recursive_dumps_oracle, doc)
+                == (ValueError, "cannot serialise non-finite float")
+            )
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            rng_for(6).normal(size=(3, 3)).astype(np.float32),
+            np.arange(6).reshape(2, 3),
+            np.array([[True, False], [False, True]]),
+            _float_table(2, 2, seed=7) * (1 - 0.5j),
+            _float_table(1, 6, seed=8)[0],
+            _float_table(4, 6, seed=9).reshape(2, 2, 6),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+        ],
+        ids=["float32", "int", "bool", "complex", "1-d", "3-d", "no-rows", "no-columns"],
+    )
+    def test_other_arrays_go_through_tolist(self, a):
+        # a complex entry is refused with the TypeError of its Python value
+        assert (
+            _outcome(dumps_report, a)
+            == _outcome(dumps_report, a.tolist())
+            == _outcome(recursive_dumps_oracle, a.tolist())
+        )
+
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_kernel_round_trips_bit_for_bit(self, dim):
+        k = functor_morphism(random_cptp_channel(rng_for(dim, 999), dim, dim))
+        doc = kernel_to_json(k)
+        assert doc["matrix"] is k.matrix
+        back = parse_kernel(json.loads(dumps_report(doc)))
+        assert back.matrix.shape == k.matrix.shape
+        assert back.matrix.tobytes() == k.matrix.tobytes()
+
+
 class TestEmitter:
     def test_seventeen_significant_digits(self):
         out = dumps_report({"x": 0.1})

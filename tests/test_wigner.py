@@ -393,7 +393,7 @@ class TestFunctorMorphism:
         # like frames bound the entries by max(1, c_in / c_out) = 1
         t = np.eye(9)
         t[:2, 0] = [1.5, -0.5]
-        monkeypatch.setattr(wigner, "transfer_matrix", lambda ch, fin, fout: t)
+        monkeypatch.setattr(wigner, "_transfer", lambda sup, fin, fout: t)
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             functor_morphism(Channel.identity(3))
 
@@ -789,6 +789,15 @@ class TestDualityPreservation:
 
 
 class TestEpistemicReport:
+    def test_each_input_ket_is_validated_once(self, monkeypatch):
+        psi = np.array([1, 0, 0], dtype=complex)
+        phi = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
+        calls = []
+        as_ket = linalg.as_ket
+        monkeypatch.setattr(linalg, "as_ket", lambda v: calls.append(v) or as_ket(v))
+        epistemic_report(psi, phi)
+        assert len(calls) == 2
+
     def test_canonical_nonorthogonal_pair(self):
         psi = np.array([1, 0, 0], dtype=complex)
         phi = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
