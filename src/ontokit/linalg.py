@@ -13,6 +13,15 @@ from .errors import DimMismatchError, NotHermitianError, VerificationFailedError
 from .tolerances import IDENTITY_TOL, TIGHT_IDENTITY_TOL
 
 
+def frozen_copy(a, dtype=None) -> np.ndarray:
+    """A C-contiguous, read-only copy of ``a`` (cast to ``dtype`` if given),
+    for a validated object to hold: writes through the caller's array cannot
+    reach it, and writes into it fail at once."""
+    copy = np.array(a, dtype=dtype, order="C")
+    copy.setflags(write=False)
+    return copy
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
     m = np.asarray(a, dtype=complex)

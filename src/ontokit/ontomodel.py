@@ -50,7 +50,7 @@ class OntModel:
         labels = tuple(map(str, self.labels))
         if len(set(labels)) != len(labels):
             raise VerificationFailedError("state labels must be distinct")
-        weights = np.ascontiguousarray(linalg.as_real(self.weights, "weight matrix"))
+        weights = linalg.frozen_copy(linalg.as_real(self.weights, "weight matrix"))
         _check_weight_rows(self.ontic, weights)
         if len(weights) != len(labels):
             raise VerificationFailedError("each state needs exactly one weight row")
@@ -59,7 +59,7 @@ class OntModel:
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         measurements = []
         for m, responses in self.measurements:
-            r = np.ascontiguousarray(linalg.as_real(responses, "response matrix"))
+            r = linalg.frozen_copy(linalg.as_real(responses, "response matrix"))
             _check_response_rows(self.ontic, r)
             if len(r) != m.n_outcomes:
                 raise VerificationFailedError("each outcome needs exactly one response row")
@@ -85,7 +85,7 @@ def catalogue_kets(labels: Sequence[str], kets: Sequence) -> np.ndarray:
 
 def _stack_kets(kets, n_states: int, measurements: Sequence[ProjectiveMeasurement]) -> np.ndarray:
     """Unit kets as rows, one per state; every measurement shares their dimension."""
-    kets = np.ascontiguousarray(kets, dtype=complex)
+    kets = linalg.frozen_copy(kets, complex)
     if n_states == 0 and kets.size == 0:  # no ket fixes the dimension; the first measurement does
         kets = kets.reshape(0, measurements[0].dim if measurements else 0)
     if kets.ndim != 2 or len(kets) != n_states:
@@ -304,7 +304,7 @@ class OperationalModelReport:
 def _quantum_probability(meas: Channel, state: Channel) -> float:
     """Born probability of outcome 0 through a state/measurement composite
     ending at the diagonal 2x2 algebra: sum_k ||row 0 of K_k||^2 over its Kraus set."""
-    first = compose(meas, state).stack[:, 0]
+    first = compose(meas, state).kraus[:, 0]
     return float(np.vdot(first, first).real)
 
 

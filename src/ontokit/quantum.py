@@ -40,18 +40,17 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix).copy()
+        m = linalg.as_matrix(linalg.frozen_copy(self.matrix, complex))
         if m.shape[0] != m.shape[1]:
             raise DimMismatchError("density matrix must be square")
         h = linalg.hermitian_part(m)
-        tr = np.trace(m)
+        tr = m.trace()
         if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
             raise VerificationFailedError(f"trace {complex(tr)!r} deviates from 1")
         eigensystem = _eigensystem(h)
         lo = eigensystem[0][0]
         if lo < -IDENTITY_TOL:
             raise VerificationFailedError(f"negative eigenvalue {lo:.3e}")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         # fills the cached property, so it is never recomputed
         object.__setattr__(self, "eigensystem", eigensystem)
@@ -80,10 +79,10 @@ class DensityMatrix:
 
 
 def _kraus_stack(kraus) -> np.ndarray:
-    """The Kraus set as one finite (count, out, in) complex array, a copy
+    """The Kraus set as one (count, out, in) complex array, a read-only copy
     that the caller's arrays do not share."""
     try:
-        stack = np.array(kraus, dtype=complex)
+        stack = linalg.frozen_copy(kraus, complex)
     except ValueError:
         # operators of different shapes; as_matrix names the first one that
         # is malformed in itself
@@ -91,8 +90,6 @@ def _kraus_stack(kraus) -> np.ndarray:
         raise DimMismatchError("all Kraus operators must share one shape") from None
     if stack.ndim != 3 or 0 in stack.shape[1:]:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {stack.shape[1:]}")
-    if not np.isfinite(stack).all():
-        raise VerificationFailedError("matrix contains NaN or Inf entries")
     return stack
 
 
@@ -101,36 +98,53 @@ class Channel:
     """Trace-preserving completely positive map in Kraus form: the Kraus
     operators resolve the identity, sum_k K^dag K = I.
 
-    The Kraus set is stored once as the (count, out, in) complex array
-    ``stack``; ``kraus`` is the tuple of its operators (views into it).
-    Both are read-only once the Kraus sum is checked.
+    ``kraus`` is the Kraus set as one read-only (count, out, in) complex
+    array: ``kraus[k]`` is operator k, and iteration and ``len`` run over
+    the operators.  The constructor takes any sequence of equal-shape
+    matrices and holds a copy of it.  The library's channel builders hand
+    the stack they have just made to ``_of_stack``, which runs the same
+    finiteness and Kraus-sum checks and holds that stack itself.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    kraus: np.ndarray
 
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise VerificationFailedError("channel needs at least one Kraus operator")
-        stack = _kraus_stack(self.kraus)
+        self._hold(_kraus_stack(self.kraus))
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> "Channel":
+        """The channel holding ``stack``, a C-contiguous (count, out, in)
+        complex array that its caller has just built and shares with nothing."""
+        ch = object.__new__(cls)
+        ch._hold(stack)
+        return ch
+
+    def _hold(self, stack: np.ndarray) -> None:
+        """Hold ``stack``, read-only, once it is finite and its operators
+        resolve the identity."""
+        if not np.isfinite(stack).all():
+            raise VerificationFailedError("matrix contains NaN or Inf entries")
         count, out, inp = stack.shape
         # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
         flat = stack.reshape(count * out, inp)
-        err = linalg.max_abs(flat.conj().T @ flat - np.eye(inp))
+        residual = flat.conj().T @ flat
+        residual.reshape(-1)[:: inp + 1] -= 1.0  # minus I, on the diagonal in place
+        err = linalg.max_abs(residual)
         if err > IDENTITY_TOL:
             raise VerificationFailedError(f"Kraus sum deviates from identity by {err:.3e}")
         # read-only: writes into a checked channel fail at once
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", stack)
 
     @property
     def in_dim(self) -> int:
-        return self.stack.shape[2]
+        return self.kraus.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.stack.shape[1]
+        return self.kraus.shape[1]
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
@@ -144,7 +158,7 @@ class ProjectiveMeasurement:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = linalg.frozen_copy(self.vectors, complex)
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
         if v.shape[0] != v.shape[1]:
@@ -181,7 +195,7 @@ class TwoOutcomeMeasurement:
     eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = linalg.as_matrix(self.effect).copy()
+        e = linalg.as_matrix(linalg.frozen_copy(self.effect, complex))
         if e.shape[0] != e.shape[1]:
             raise DimMismatchError("effect must be square")
         eigensystem = _eigensystem(linalg.hermitian_part(e))
@@ -190,7 +204,6 @@ class TwoOutcomeMeasurement:
             raise VerificationFailedError(
                 f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]"
             )
-        e.flags.writeable = False
         object.__setattr__(self, "effect", e)
         object.__setattr__(self, "eigensystem", eigensystem)
 
@@ -229,7 +242,7 @@ def apply_channel(ch: Channel, state: DensityMatrix) -> DensityMatrix:
     """Kraus action; the output is validated as a density matrix."""
     if ch.in_dim != state.dim:
         raise DimMismatchError("channel input dimension does not match state")
-    k = ch.stack
+    k = ch.kraus
     # summed from zero, as a running total would be, so no entry is -0.0
     return DensityMatrix((k @ state.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0))
 
@@ -241,17 +254,17 @@ def compose(g: Channel, f: Channel) -> Channel:
         raise DimMismatchError(
             f"cannot compose: f outputs dim {f.out_dim}, g expects {g.in_dim}"
         )
-    ops = (g.stack[:, None] @ f.stack[None]).reshape(-1, g.out_dim, f.in_dim)
-    return Channel(ops)
+    ops = (g.kraus[:, None] @ f.kraus[None]).reshape(-1, g.out_dim, f.in_dim)
+    return Channel._of_stack(ops)
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
     """Parallel composition; Kraus sets combine by Kronecker product, f-major."""
-    a, b = f.stack, g.stack
+    a, b = f.kraus, g.kraus
     # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l]
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
     ops = ops.reshape(len(a) * len(b), f.out_dim * g.out_dim, f.in_dim * g.in_dim)
-    return Channel(ops)
+    return Channel._of_stack(ops)
 
 
 def dual_state_quantum(psi) -> TwoOutcomeMeasurement:
@@ -266,7 +279,7 @@ def preparation_channel(state: DensityMatrix) -> Channel:
     eigensystem that validating the state computed."""
     w, v = state.eigensystem
     keep = w > EIGEN_WEIGHT_EPS
-    return Channel((np.sqrt(w[keep]) * v[:, keep]).T[:, :, None])
+    return Channel._of_stack(np.ascontiguousarray((np.sqrt(w[keep]) * v[:, keep]).T)[:, :, None])
 
 
 def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
@@ -278,8 +291,8 @@ def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
     read off the eigensystem that validating the effect computed.
     """
     w, v = m.eigensystem
-    weights = np.stack([w, 1.0 - w])
+    weights = np.array([w, 1.0 - w])
     outcome, j = np.nonzero(weights > EIGEN_WEIGHT_EPS)
     ops = np.zeros((outcome.size, 2, m.dim), dtype=complex)
     ops[np.arange(outcome.size), outcome] = np.sqrt(weights[outcome, j])[:, None] * v[:, j].T.conj()
-    return Channel(ops)
+    return Channel._of_stack(ops)

@@ -52,7 +52,7 @@ def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> 
     total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0, initial=0)
     w, v = linalg.hermitian_eigensystem(total)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return Channel(raw @ inv_sqrt)
+    return Channel._of_stack(raw @ inv_sqrt)
 
 
 def random_nonorthogonal_pair(

@@ -65,11 +65,13 @@ def _list_text(items, inner: str, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-def _table_template(rows: int, width: int, inner: str, pad: str) -> str:
-    """The text of a list of ``rows`` rows of ``width`` floats, with a
-    "%.17g" slot per float."""
+@lru_cache(maxsize=16)
+def _table_template(rows: int, width: int, indent: int) -> str:
+    """The text of a list of ``rows`` rows of ``width`` floats at ``indent``,
+    with a "%.17g" slot per float; a report emits few distinct shapes."""
+    inner = " " * (indent + 2)
     row = _list_text(["%.17g"] * width, "  " + inner, inner)
-    return _list_text([row] * rows, inner, pad)
+    return _list_text([row] * rows, inner, " " * indent)
 
 
 def dumps_report(obj: Any, indent: int = 0) -> str:
@@ -108,7 +110,7 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
             return dumps_report(obj.tolist(), indent)
         # tolist() gives the plain floats that the row-list path formats
         values = tuple(obj.ravel().tolist())
-        template = _table_template(obj.shape[0], obj.shape[1], inner, pad)
+        template = _table_template(obj.shape[0], obj.shape[1], indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
@@ -125,7 +127,7 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
                 values = tuple(reduce(iadd, obj, []))
             if not values or countOf(map(type, values), float) != len(values):
                 return _list_text([dumps_report(v, indent + 2) for v in obj], inner, pad)
-            template = _table_template(len(obj), len(obj[0]), inner, pad)
+            template = _table_template(len(obj), len(obj[0]), indent)
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
     text = template % values
@@ -285,11 +287,16 @@ def parse_channel(doc) -> Channel:
         raise SchemaError("trace_preserving", "only trace-preserving channels are accepted")
     if not isinstance(kraus_doc, list) or not kraus_doc:
         raise SchemaError("kraus", "expected a nonempty list of matrices")
-    ops = [parse_matrix(m, f"kraus[{i}]") for i, m in enumerate(kraus_doc)]
+    ops = None
+    if all(isinstance(m, list) and all(isinstance(row, list) for row in m) for m in kraus_doc):
+        ops = _pairs_array(kraus_doc, 4)
+    if ops is None:
+        # matrix by matrix, to name the first that is malformed
+        ops = [parse_matrix(m, f"kraus[{i}]") for i, m in enumerate(kraus_doc)]
     for i, k in enumerate(ops):
         if k.shape != (out_dim, in_dim):
             raise SchemaError(f"kraus[{i}]", f"shape {k.shape} != ({out_dim}, {in_dim})")
-    return _named("kraus", Channel, tuple(ops))
+    return _named("kraus", Channel, ops)
 
 
 def parse_kernel(doc) -> SignedKernel:

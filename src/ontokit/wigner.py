@@ -136,8 +136,7 @@ class WignerFrame:
     residuals: FrameResiduals = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a copy, so that writes through the caller's array cannot reach the frame
-        ops = np.array(self.operators, dtype=complex, order="C")
+        ops = linalg.frozen_copy(self.operators, complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = ops.shape
@@ -155,7 +154,6 @@ class WignerFrame:
             max_entry=linalg.max_abs(vecs),
         )
         _hold(res, self.algebra.kind, c)
-        ops.flags.writeable = vecs.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "hilbert_dim", d)
@@ -275,8 +273,8 @@ def _superoperator(ch: Channel) -> np.ndarray:
     """sum_k K (x) conj(K), shape (out^2, in^2), mapping the row-major vec(X) to
     vec(sum_k K X K^dag): the entries of sum_k vec(K) vec(K)^dag regrouped
     from [(a, i), (b, j)] to [(a, b), (i, j)]."""
-    count, o, i = ch.stack.shape
-    kraus = ch.stack.reshape(count, o * i)
+    count, o, i = ch.kraus.shape
+    kraus = ch.kraus.reshape(count, o * i)
     outer = kraus.T @ kraus.conj()
     return outer.reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
@@ -292,11 +290,14 @@ def transfer_matrix(
     """
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
-    return _transfer(_superoperator(ch), in_frame, out_frame)
+    return _transfer(_superoperator(ch), in_frame, out_frame)[0]
 
 
-def _transfer(sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> np.ndarray:
-    """:func:`transfer_matrix` from the channel's superoperator, endpoints checked."""
+def _transfer(
+    sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame
+) -> tuple[np.ndarray, float]:
+    """:func:`transfer_matrix` from the channel's superoperator, endpoints
+    checked, and the largest error of its column sums."""
     t = out_frame.vectors.conj() @ sup @ in_frame.vectors.T / out_frame.norm_const
     if linalg.max_abs(t.imag) > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
@@ -304,7 +305,7 @@ def _transfer(sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) ->
     col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
     if col_err > DERIVED_TOL:
         raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
-    return t
+    return t, col_err
 
 
 def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> SignedKernel:
@@ -313,6 +314,13 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     Kernel entries are bounded by max(1, c_in / c_out), the ratio of frame
     constants (trace-norm contraction against the involutive frame); for
     like frames this is the usual [-1, 1] range.  The bound is verified.
+
+    The transfer matrix is checked once: its column sums are measured once
+    and held to ``DERIVED_TOL`` as a transfer and to ``IDENTITY_TOL`` as a
+    kernel, beside the imaginary-part, finiteness and entry-bound checks.
+    The kernel holds a C-contiguous, read-only float64 copy of its real
+    part, equal bit for bit to ``SignedKernel(in space, out space,
+    transfer_matrix(ch, in frame, out frame))``.
     """
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
     in_frame = frame_for(matrix_algebra(ch.in_dim))
@@ -327,9 +335,11 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
                 "channel output is not diagonal; not a morphism into C^k"
             )
     # the input frame is the one for ch.in_dim, so both endpoints fit
-    t = _transfer(sup, in_frame, out_frame)
+    t, col_err = _transfer(sup, in_frame, out_frame)
     # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
-    kernel = SignedKernel(in_frame.space, out_frame.space, t)
+    kernel = SignedKernel._of_columns(
+        in_frame.space, out_frame.space, linalg.frozen_copy(t), col_err
+    )
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:
@@ -361,12 +371,12 @@ def pad_odd(ch: Channel) -> Channel:
         return ch
     new_in = ch.in_dim + pad_in
     new_out = ch.out_dim + pad_out
-    count = len(ch.stack)
+    count = len(ch.kraus)
     ops = np.zeros((count + pad_in, new_out, new_in), dtype=complex)
-    ops[:count, : ch.out_dim, : ch.in_dim] = ch.stack
+    ops[:count, : ch.out_dim, : ch.in_dim] = ch.kraus
     if pad_in:
         ops[count, new_out - 1 if pad_out else 0, new_in - 1] = 1.0
-    return Channel(ops)
+    return Channel._of_stack(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +515,7 @@ def _product_column(ch: Channel, fa: WignerFrame, fb: WignerFrame, a: int, b: in
     the Kraus stack applied to s_a (x) t_b, the output Y regrouped from
     [(i, k), (j, l)] to [(i, j), (k, l)] and read as conj(F_a) Y conj(F_b)^T / (c_a c_b)."""
     da, db = fa.hilbert_dim, fb.hilbert_dim
-    k = ch.stack
+    k = ch.kraus
     y = (k @ np.kron(fa.operators[a], fb.operators[b]) @ k.conj().transpose(0, 2, 1)).sum(axis=0)
     y = y.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     return fa.vectors.conj() @ y @ fb.vectors.conj().T / (fa.norm_const * fb.norm_const)

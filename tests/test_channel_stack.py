@@ -4,7 +4,7 @@ against the per-Kraus loops they replaced, kept here as oracles."""
 import numpy as np
 import pytest
 
-from ontokit import linalg
+from ontokit import linalg, quantum
 from ontokit.errors import DimMismatchError, VerificationFailedError
 from ontokit.ontomodel import _quantum_probability
 from ontokit.quantum import (
@@ -17,7 +17,9 @@ from ontokit.quantum import (
     preparation_channel,
     tensor,
 )
-from ontokit.sampling import random_density, random_effect, random_ket, random_unitary, rng_for
+from ontokit.sampling import (
+    random_cptp_channel, random_density, random_effect, random_ket, random_unitary, rng_for,
+)
 from ontokit.tolerances import EIGEN_WEIGHT_EPS
 from ontokit.wigner import pad_odd
 
@@ -130,9 +132,12 @@ def test_construction_errors(kraus, exc, message):
 
 def test_kraus_views_share_the_stack():
     ch = kraus_channel(rng_for(5, 0), 3, 2, 4)
-    assert ch.stack.shape == (4, 2, 3)
+    # kraus is the (count, out, in) stack itself; each operator is a view into it
+    assert type(ch.kraus) is np.ndarray and ch.kraus.dtype == complex
+    assert ch.kraus.shape == (4, 2, 3) and ch.kraus.flags.c_contiguous
     assert len(ch.kraus) == 4
-    assert all(np.shares_memory(k, ch.stack) for k in ch.kraus)
+    assert all(k.shape == (2, 3) and k.base is ch.kraus for k in ch.kraus)
+    assert all(ch.kraus[i].base is ch.kraus for i in range(-4, 4))
     assert (ch.in_dim, ch.out_dim) == (3, 2)
 
 
@@ -142,7 +147,7 @@ def test_checked_stack_is_read_only_and_the_given_array_is_not():
     with pytest.raises(ValueError, match="read-only"):
         ch.kraus[0][0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
-        ch.stack[0, 0, 0] = 2.0
+        ch.kraus[0, 0, 0] = 2.0
     given[0, 1, 1] = 1.0  # the caller's own array stays writable
     with pytest.raises(ValueError, match="read-only"):
         Channel((np.eye(3),)).kraus[0][0, 0] = 2.0
@@ -152,8 +157,48 @@ def test_writes_through_the_given_array_do_not_reach_the_channel():
     given = np.eye(3, dtype=complex)[None].copy()
     ch = Channel(given)
     given[0, 0, 0] = 2.0
-    assert ch.stack[0, 0, 0] == 1.0
-    assert not np.shares_memory(given, ch.stack)
+    assert ch.kraus[0, 0, 0] == 1.0
+    assert not np.shares_memory(given, ch.kraus)
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        (np.array([[[1.0, np.inf], [0.0, 1.0]]], dtype=complex),
+         "matrix contains NaN or Inf entries"),
+        (np.array([np.eye(3), np.eye(3)], dtype=complex) / 2,
+         "Kraus sum deviates from identity by 5.000e-01"),
+    ],
+    ids=["inf", "sub-normalised"],
+)
+def test_builder_path_runs_the_constructor_checks(stack, message):
+    for build in (Channel, Channel._of_stack):
+        with pytest.raises(VerificationFailedError, match=f"^{message}$"):
+            build(stack.copy())
+
+
+def test_builders_hold_the_stack_they_built(monkeypatch):
+    # the public constructor copies (through _kraus_stack); the builders do not
+    copies = []
+    kraus_stack = quantum._kraus_stack
+    monkeypatch.setattr(quantum, "_kraus_stack", lambda k: copies.append(k) or kraus_stack(k))
+    rng = rng_for(7)
+    stack = np.eye(3, dtype=complex)[None].copy()
+    held = Channel._of_stack(stack)
+    assert held.kraus is stack and not stack.flags.writeable
+    f = random_cptp_channel(rng, 2, 2)
+    g = random_cptp_channel(rng, 2, 3)
+    built = [
+        f, compose(g, f), tensor(f, g), pad_odd(f),
+        preparation_channel(random_density(rng, 3)),
+        measurement_channel(random_effect(rng, 3)),
+    ]
+    assert copies == []
+    for ch in built:
+        assert ch.kraus.flags.c_contiguous and not ch.kraus.flags.writeable
+    assert not any(np.shares_memory(built[1].kraus, x.kraus) for x in (f, g))
+    Channel(stack)
+    assert len(copies) == 1
 
 
 def test_constructor_keeps_the_given_operators():
@@ -264,7 +309,7 @@ def test_preparation_channel_matches_its_own_eigendecomposition(dim):
     states += [DensityMatrix.from_ket(k), DensityMatrix(np.outer(k, k.conj()))]
     states += [DensityMatrix(np.eye(dim) / dim)]
     for state in states:
-        assert_bit_equal(preparation_channel(state).stack, preparation_stack_oracle(state))
+        assert_bit_equal(preparation_channel(state).kraus, preparation_stack_oracle(state))
 
 
 @pytest.mark.parametrize("dim", range(1, 8))
@@ -275,7 +320,7 @@ def test_measurement_channel_matches_its_own_eigendecomposition(dim):
     effects += [TwoOutcomeMeasurement(projector_effect(rng, dim, r)) for r in range(dim + 1)]
     effects += [TwoOutcomeMeasurement(np.diag(np.arange(dim) % 2).astype(float))]
     for effect in effects:
-        assert_bit_equal(measurement_channel(effect).stack, measurement_stack_oracle(effect))
+        assert_bit_equal(measurement_channel(effect).kraus, measurement_stack_oracle(effect))
 
 
 def test_one_eigendecomposition_per_state_or_effect(monkeypatch):

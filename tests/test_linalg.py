@@ -5,7 +5,14 @@ import pytest
 
 from ontokit import linalg
 from ontokit.errors import NotHermitianError
+from ontokit.kernels import (
+    TWO, Distribution, FiniteSpace, ResponseFunction, SignedKernel, distribution_rows,
+)
+from ontokit.ontomodel import OntModel
+from ontokit.qmeasure import DecoherenceFunctional, QuantumMeasure
+from ontokit.quantum import Channel, DensityMatrix, ProjectiveMeasurement, TwoOutcomeMeasurement
 from ontokit.sampling import rng_for
+from ontokit.wigner import WignerFrame, commutative_algebra
 
 
 def random_complex(rng, n, m=None):
@@ -107,3 +114,97 @@ class TestTraceNorm:
             tau /= np.trace(tau).real
             diff = rho - tau
             assert abs(linalg.trace_norm(diff) - cubic_trace_norm_oracle(diff)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# validated objects hold read-only copies
+# ---------------------------------------------------------------------------
+
+POINTS = FiniteSpace(("a", "b", "c"))
+
+
+def _model(given, part):
+    """A one-state model on TWO in the computational basis; ``given`` is
+    its kets, weights or responses, as ``part`` says."""
+    parts = {
+        "kets": np.array([[1.0, 0.0]], dtype=complex),
+        "weights": np.array([[1.0, 0.0]]),
+        "responses": np.eye(2),
+    }
+    parts[part] = given
+    basis = ProjectiveMeasurement(np.eye(2, dtype=complex))
+    return OntModel(TWO, ("s",), parts["kets"], parts["weights"],
+                    ((basis, parts["responses"]),))
+
+
+# (build from the given array, the array the object holds, the given array)
+HELD = {
+    "ProjectiveMeasurement.vectors": (
+        lambda a: ProjectiveMeasurement(a).vectors, np.eye(3, dtype=complex)),
+    "SignedKernel.matrix": (
+        lambda a: SignedKernel(POINTS, POINTS, a).matrix, np.eye(3)),
+    "Distribution.weights": (
+        lambda a: Distribution(POINTS, a).weights, np.array([0.5, 0.25, 0.25])),
+    "distribution_rows": (
+        lambda a: distribution_rows(POINTS, a)[1].weights, np.array([[1.0, 0, 0], [0, 0.5, 0.5]])),
+    "ResponseFunction.values": (
+        lambda a: ResponseFunction(POINTS, a).values, np.array([0.5, 0.25, 1.0])),
+    "QuantumMeasure.values": (
+        lambda a: QuantumMeasure(TWO, a).values, np.array([0.0, 0.5, 0.5, 1.0])),
+    "DecoherenceFunctional.matrix": (
+        lambda a: DecoherenceFunctional(TWO, a).matrix, np.eye(2, dtype=complex) / 2),
+    "OntModel.kets": (lambda a: _model(a, "kets").kets, np.array([[1.0, 0.0]], dtype=complex)),
+    "OntModel.weights": (lambda a: _model(a, "weights").weights, np.array([[1.0, 0.0]])),
+    "OntModel.responses": (
+        lambda a: _model(a, "responses").measurements[0][1], np.eye(2)),
+    "Channel.kraus": (lambda a: Channel(a).kraus, np.eye(2, dtype=complex)[None]),
+    "WignerFrame.operators": (
+        lambda a: WignerFrame(commutative_algebra(2), a, 1.0, TWO).operators,
+        np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)),
+    "DensityMatrix.matrix": (lambda a: DensityMatrix(a).matrix, np.eye(2, dtype=complex) / 2),
+    "TwoOutcomeMeasurement.effect": (
+        lambda a: TwoOutcomeMeasurement(a).effect, np.eye(2, dtype=complex) / 2),
+}
+
+
+class TestValidatedObjectsHoldCopies:
+    """The reproductions of a validated object that kept the caller's array:
+    a write into that array after validation changed the object."""
+
+    def test_projective_measurement_keeps_its_vectors(self):
+        v = np.eye(3, dtype=complex)
+        pm = ProjectiveMeasurement(v)
+        v[0, 0] = 5
+        assert pm.vectors[0, 0] == 1
+
+    def test_signed_kernel_keeps_its_matrix(self):
+        m = np.eye(3)
+        k = SignedKernel(POINTS, POINTS, m)
+        m[0, 0] = 7
+        assert k.matrix[0, 0] == 1 and k.markov
+        assert np.array_equal(k.matrix.sum(axis=0), np.ones(3))
+
+    def test_quantum_measure_keeps_its_values(self):
+        v = np.array([0.0, 0.5, 0.5, 1.0])
+        q = QuantumMeasure(TWO, v)
+        v[1] = 9.0
+        assert q.values[1] == 0.5
+
+    @pytest.mark.parametrize("name", sorted(HELD))
+    def test_held_array_is_a_read_only_copy(self, name):
+        build, example = HELD[name]
+        given = example.copy()
+        held = build(given)
+        assert not np.shares_memory(held, given) and held.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            held[(0,) * held.ndim] = 0.25
+        before = held.copy()
+        given[...] = 0.0
+        assert np.array_equal(held, before)
+
+    def test_frozen_copy(self):
+        given = np.arange(6.0).reshape(2, 3).T  # a Fortran-ordered view
+        held = linalg.frozen_copy(given, complex)
+        assert held.dtype == complex and held.flags.c_contiguous and not held.flags.writeable
+        assert np.array_equal(held, given) and not np.shares_memory(held, given)
+        assert given.flags.writeable

@@ -144,7 +144,8 @@ def validation_cases(n, seed, popcounts=None):
     w = rng.uniform(0, 1, n)
     classical = classical_measure(space_of(n), w / w.sum()).values
     derived = measure_from_decoherence(random_psd_functional(rng, n)).values
-    cases = [classical, derived]
+    # writable copies: the tests move values in place, and a measure's own are read-only
+    cases = [classical.copy(), derived.copy()]
     for k in range(n + 1) if popcounts is None else popcounts:
         mask = int(sum(1 << int(b) for b in rng.choice(n, size=k, replace=False)))
         delta = (1e-6, -1e-3, 0.1)[k % 3]

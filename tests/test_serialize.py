@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontokit import cli
-from ontokit.errors import SchemaError
+from ontokit.errors import OntokitError, SchemaError
 from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
 from ontokit import serialize
 from ontokit.ontomodel import OntModel
@@ -37,7 +37,7 @@ def channel_to_json(ch):
     return {
         "in_dim": ch.in_dim,
         "out_dim": ch.out_dim,
-        "kraus": matrix_to_json(ch.stack),
+        "kraus": matrix_to_json(ch.kraus),
         "trace_preserving": True,
     }
 
@@ -765,6 +765,45 @@ class TestKetSchema:
             parse_ket({"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]})
 
 
+def parse_channel_oracle(doc):
+    """The channel parser before the one-call Kraus reader: one matrix at a time."""
+    ops = [parse_matrix_oracle(m, f"kraus[{i}]") for i, m in enumerate(doc["kraus"])]
+    for i, k in enumerate(ops):
+        if k.shape != (doc["out_dim"], doc["in_dim"]):
+            expected = (doc["out_dim"], doc["in_dim"])
+            raise SchemaError(f"kraus[{i}]", f"shape {k.shape} != {expected}")
+    try:
+        return Channel(tuple(ops)).kraus
+    except OntokitError as exc:
+        raise SchemaError("kraus", str(exc)) from exc
+
+
+def _set(path, value):
+    def fault(kraus):
+        *head, last = path
+        target = kraus
+        for i in head:
+            target = target[i]
+        target[last] = value
+    return fault
+
+
+# edits of a three-operator Kraus list of 3 x 2 matrices
+KRAUS_FAULTS = [
+    _set((1, 2, 0), ["0.5", 0.0]),  # a string entry
+    _set((2, 0, 1), [0.0, 0.0, 1.0]),  # a triple
+    _set((1, 2), [[0.0, 0.0]]),  # a short row
+    _set((0, 1), ([0.0, 0.0], [0.0, 0.0])),  # a tuple row
+    _set((2,), [[[0.0, 0.0]] * 2] * 2),  # a 2 x 2 matrix
+    _set((1, 0, 0), [True, False]),  # bools are numbers
+    _set((0, 0, 0), [2.0, 0.0]),  # off the identity
+    _set((1, 1, 1), [float("nan"), 0.0]),
+    # every operator 3 x 1
+    lambda kraus: kraus.__setitem__(slice(None), [[row[:1] for row in m] for m in kraus]),
+    lambda kraus: kraus.append([]),
+]
+
+
 class TestChannelSchema:
     def test_round_trip(self):
         rng = rng_for(123)
@@ -801,6 +840,17 @@ class TestChannelSchema:
         with pytest.raises(SchemaError) as info:
             parse_channel(doc)
         assert (info.value.field, info.value.message) == ("kraus", message)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kraus_lists_parse_as_matrix_by_matrix(self, seed):
+        rng = rng_for(124, seed)
+        doc = channel_to_json(random_cptp_channel(rng, 2, 3))
+        _same_outcome(lambda d: parse_channel(d).kraus, parse_channel_oracle, doc)
+        for bad in KRAUS_FAULTS:
+            kraus = json.loads(json.dumps(doc["kraus"]))
+            bad(kraus)
+            _same_outcome(lambda d: parse_channel(d).kraus, parse_channel_oracle,
+                          {**doc, "kraus": kraus})
 
     def test_bad_kraus_shape(self):
         doc = {

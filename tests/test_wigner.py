@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontokit import linalg, wigner
 from ontokit.errors import (
@@ -15,7 +17,7 @@ from ontokit.errors import (
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
-from ontokit.kernels import TWO, UNIT_SPACE, evaluate, kcompose
+from ontokit.kernels import TWO, UNIT_SPACE, SignedKernel, evaluate, kcompose
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
@@ -57,6 +59,7 @@ from ontokit.wigner import (
     transfer_matrix,
     wigner_vector,
 )
+from test_channel_stack import kraus_channel
 
 QUTRIT = phase_point_operators(3)
 
@@ -393,9 +396,55 @@ class TestFunctorMorphism:
         # like frames bound the entries by max(1, c_in / c_out) = 1
         t = np.eye(9)
         t[:2, 0] = [1.5, -0.5]
-        monkeypatch.setattr(wigner, "_transfer", lambda sup, fin, fout: t)
+        # _transfer returns the transfer with its largest column-sum error
+        monkeypatch.setattr(wigner, "_transfer", lambda sup, fin, fout: (t, 0.0))
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             functor_morphism(Channel.identity(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3, 5, 7]),
+           st.integers(min_value=1, max_value=4), st.booleans())
+    def test_kernel_equals_the_checked_transfer_bit_for_bit(self, seed, dim, count, commutative):
+        # a d = 2 channel is padded to d = 3; a commutative output is a measurement after it
+        rng = rng_for(seed)
+        ch = pad_odd(kraus_channel(rng, dim, dim, count))
+        out_algebra = matrix_algebra(ch.out_dim)
+        if commutative:
+            ch = compose(measurement_channel(random_effect(rng, ch.out_dim)), ch)
+            out_algebra = commutative_algebra(2)
+        in_frame, out_frame = frame_for(matrix_algebra(ch.in_dim)), frame_for(out_algebra)
+        want = SignedKernel(in_frame.space, out_frame.space, transfer_matrix(ch, in_frame, out_frame))
+        got = functor_morphism(ch, out_algebra)
+        assert (got.source, got.target) == (want.source, want.target)
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.markov == want.markov
+
+    @pytest.mark.parametrize("drift, message", [
+        (5e-9, "column sums deviate from 1 by 5.000e-09"),  # within DERIVED_TOL only
+        (5e-8, "transfer columns sum error 5.000e-08"),
+    ], ids=["kernel-columns", "transfer-columns"])
+    def test_drifting_columns_raise_the_kernel_and_transfer_errors(self, monkeypatch, drift, message):
+        # scaling the superoperator scales every transfer column sum by 1 + drift
+        superoperator = wigner._superoperator
+        monkeypatch.setattr(wigner, "_superoperator", lambda ch: superoperator(ch) * (1.0 + drift))
+        with pytest.raises(VerificationFailedError, match=f"^{message}$"):
+            functor_morphism(Channel.identity(3))
+
+    def test_kernel_is_validated_once_and_held_contiguous_and_read_only(self, monkeypatch):
+        rng = rng_for(87)
+        post_init = SignedKernel.__post_init__
+        calls = []
+        monkeypatch.setattr(SignedKernel, "__post_init__",
+                            lambda self: calls.append(self) or post_init(self))
+        f = random_cptp_channel(rng, 5, 5)
+        meas = measurement_channel(random_effect(rng, 5))
+        kernels = [functor_morphism(f), functor_morphism(meas, commutative_algebra(2))]
+        assert calls == []
+        for k in kernels:
+            assert k.matrix.dtype == np.float64 and k.matrix.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                k.matrix[0, 0] = 0.5
 
     def test_kernel_column_failure_is_a_verification_failure(self):
         # K = sqrt(I + 9e-10 s) passes Channel's Kraus-sum check (error 9.0e-10)
