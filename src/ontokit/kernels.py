@@ -57,8 +57,8 @@ class SignedKernel:
 
     ``matrix`` is a C-contiguous, read-only float64 array.  The constructor
     holds a copy of the given one; :func:`ontokit.wigner.functor_morphism`
-    hands its kernels a copy it has just made, with the column sums it has
-    just measured, through ``_of_columns``, which runs the same checks.
+    hands its kernels a copy it has just made through ``_of_matrix``, which
+    runs the same checks.
     """
 
     source: FiniteSpace
@@ -67,34 +67,30 @@ class SignedKernel:
     markov: bool = field(init=False)
 
     def __post_init__(self):
-        m = linalg.frozen_copy(linalg.as_real(self.matrix, "kernel matrix"))
+        m = linalg.frozen(linalg.as_real(self.matrix, "kernel matrix"), self.matrix)
         if m.shape != (self.target.size, self.source.size):
             raise SpaceMismatchError(
                 f"kernel matrix shape {m.shape} does not match "
                 f"({self.target.size}, {self.source.size})"
             )
-        self._hold(m, None)
+        self._hold(m)
 
     @classmethod
-    def _of_columns(
-        cls, source: FiniteSpace, target: FiniteSpace, m: np.ndarray, col_err: float
-    ) -> "SignedKernel":
+    def _of_matrix(cls, source: FiniteSpace, target: FiniteSpace, m: np.ndarray) -> "SignedKernel":
         """The kernel holding ``m``, a read-only float64 matrix of shape
-        ``(|target|, |source|)`` that its caller made for it, whose largest
-        column-sum error the caller has measured as ``col_err``."""
+        ``(|target|, |source|)`` that its caller made for it."""
         k = object.__new__(cls)
         object.__setattr__(k, "source", source)
         object.__setattr__(k, "target", target)
-        k._hold(m, col_err)
+        k._hold(m)
         return k
 
-    def _hold(self, m: np.ndarray, col_err: float | None) -> None:
-        """Hold ``m`` once its entries are finite and its largest column-sum
-        error (measured here when ``col_err`` is None) is within IDENTITY_TOL."""
+    def _hold(self, m: np.ndarray) -> None:
+        """Hold ``m`` once its entries are finite and its column sums are
+        within IDENTITY_TOL of 1."""
         if not np.isfinite(m).all():
             raise VerificationFailedError("kernel matrix contains NaN or Inf")
-        if col_err is None:
-            col_err = linalg.max_abs(m.sum(axis=0) - 1.0)
+        col_err = linalg.max_abs(m.sum(axis=0) - 1.0)
         if col_err > IDENTITY_TOL:
             raise VerificationFailedError(f"column sums deviate from 1 by {col_err:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -109,7 +105,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = linalg.frozen_copy(linalg.as_real(self.weights, "weight vector").reshape(-1))
+        w = linalg.frozen(linalg.as_real(self.weights, "weight vector"), self.weights).reshape(-1)
         _check_weight_rows(self.space, w[None])
         object.__setattr__(self, "weights", w)
 
@@ -126,7 +122,7 @@ class ResponseFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = linalg.frozen_copy(linalg.as_real(self.values, "response").reshape(-1))
+        v = linalg.frozen(linalg.as_real(self.values, "response"), self.values).reshape(-1)
         _check_response_rows(self.space, v[None])
         object.__setattr__(self, "values", v)
 
@@ -158,7 +154,7 @@ def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
     """One Distribution per row of a (rows x points) weight matrix, checked
     once as a whole; each Distribution's weights are a read-only row of one
     copy of it."""
-    w = linalg.frozen_copy(linalg.as_real(weights, "weight matrix"))
+    w = linalg.frozen(linalg.as_real(weights, "weight matrix"), weights)
     _check_weight_rows(space, w)
     rows = []
     for row in w:

@@ -13,13 +13,22 @@ from .errors import DimMismatchError, NotHermitianError, VerificationFailedError
 from .tolerances import IDENTITY_TOL, TIGHT_IDENTITY_TOL
 
 
-def frozen_copy(a, dtype=None) -> np.ndarray:
-    """A C-contiguous, read-only copy of ``a`` (cast to ``dtype`` if given),
-    for a validated object to hold: writes through the caller's array cannot
-    reach it, and writes into it fail at once."""
-    copy = np.array(a, dtype=dtype, order="C")
-    copy.setflags(write=False)
-    return copy
+def frozen(arr: np.ndarray, given=None) -> np.ndarray:
+    """``arr``, coerced from the caller's ``given``, as a C-contiguous,
+    read-only array for a validated object to hold: writes through
+    ``given`` cannot reach it, and writes into it fail at once.  ``arr`` is
+    copied unless the coercion allocated it, C-contiguous, from a list, a
+    tuple or an array of another dtype; without ``given`` it is copied."""
+    fresh = (
+        isinstance(given, (list, tuple, np.ndarray))
+        and arr is not given
+        and arr.flags.owndata
+        and arr.flags.c_contiguous
+    )
+    if not fresh:
+        arr = np.array(arr, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 def as_matrix(a) -> np.ndarray:

@@ -50,7 +50,7 @@ class OntModel:
         labels = tuple(map(str, self.labels))
         if len(set(labels)) != len(labels):
             raise VerificationFailedError("state labels must be distinct")
-        weights = linalg.frozen_copy(linalg.as_real(self.weights, "weight matrix"))
+        weights = linalg.frozen(linalg.as_real(self.weights, "weight matrix"), self.weights)
         _check_weight_rows(self.ontic, weights)
         if len(weights) != len(labels):
             raise VerificationFailedError("each state needs exactly one weight row")
@@ -59,7 +59,7 @@ class OntModel:
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         measurements = []
         for m, responses in self.measurements:
-            r = linalg.frozen_copy(linalg.as_real(responses, "response matrix"))
+            r = linalg.frozen(linalg.as_real(responses, "response matrix"), responses)
             _check_response_rows(self.ontic, r)
             if len(r) != m.n_outcomes:
                 raise VerificationFailedError("each outcome needs exactly one response row")
@@ -85,7 +85,7 @@ def catalogue_kets(labels: Sequence[str], kets: Sequence) -> np.ndarray:
 
 def _stack_kets(kets, n_states: int, measurements: Sequence[ProjectiveMeasurement]) -> np.ndarray:
     """Unit kets as rows, one per state; every measurement shares their dimension."""
-    kets = linalg.frozen_copy(kets, complex)
+    kets = linalg.frozen(np.asarray(kets, dtype=complex), kets)
     if n_states == 0 and kets.size == 0:  # no ket fixes the dimension; the first measurement does
         kets = kets.reshape(0, measurements[0].dim if measurements else 0)
     if kets.ndim != 2 or len(kets) != n_states:

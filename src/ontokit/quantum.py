@@ -40,7 +40,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(linalg.frozen_copy(self.matrix, complex))
+        m = linalg.frozen(linalg.as_matrix(self.matrix), self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimMismatchError("density matrix must be square")
         h = linalg.hermitian_part(m)
@@ -82,7 +82,7 @@ def _kraus_stack(kraus) -> np.ndarray:
     """The Kraus set as one (count, out, in) complex array, a read-only copy
     that the caller's arrays do not share."""
     try:
-        stack = linalg.frozen_copy(kraus, complex)
+        stack = linalg.frozen(np.asarray(kraus, dtype=complex), kraus)
     except ValueError:
         # operators of different shapes; as_matrix names the first one that
         # is malformed in itself
@@ -158,7 +158,7 @@ class ProjectiveMeasurement:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = linalg.frozen_copy(self.vectors, complex)
+        v = linalg.frozen(np.asarray(self.vectors, dtype=complex), self.vectors)
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
         if v.shape[0] != v.shape[1]:
@@ -195,7 +195,7 @@ class TwoOutcomeMeasurement:
     eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = linalg.as_matrix(linalg.frozen_copy(self.effect, complex))
+        e = linalg.frozen(linalg.as_matrix(self.effect), self.effect)
         if e.shape[0] != e.shape[1]:
             raise DimMismatchError("effect must be square")
         eigensystem = _eigensystem(linalg.hermitian_part(e))

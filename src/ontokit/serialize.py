@@ -65,10 +65,9 @@ def _list_text(items, inner: str, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-@lru_cache(maxsize=16)
 def _table_template(rows: int, width: int, indent: int) -> str:
     """The text of a list of ``rows`` rows of ``width`` floats at ``indent``,
-    with a "%.17g" slot per float; a report emits few distinct shapes."""
+    with a "%.17g" slot per float."""
     inner = " " * (indent + 2)
     row = _list_text(["%.17g"] * width, "  " + inner, inner)
     return _list_text([row] * rows, inner, " " * indent)

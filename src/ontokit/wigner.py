@@ -136,7 +136,7 @@ class WignerFrame:
     residuals: FrameResiduals = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = linalg.frozen_copy(self.operators, complex)
+        ops = linalg.frozen(np.asarray(self.operators, dtype=complex), self.operators)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = ops.shape
@@ -290,14 +290,11 @@ def transfer_matrix(
     """
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
-    return _transfer(_superoperator(ch), in_frame, out_frame)[0]
+    return _transfer(_superoperator(ch), in_frame, out_frame)
 
 
-def _transfer(
-    sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame
-) -> tuple[np.ndarray, float]:
-    """:func:`transfer_matrix` from the channel's superoperator, endpoints
-    checked, and the largest error of its column sums."""
+def _transfer(sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> np.ndarray:
+    """:func:`transfer_matrix` from the channel's superoperator, endpoints checked."""
     t = out_frame.vectors.conj() @ sup @ in_frame.vectors.T / out_frame.norm_const
     if linalg.max_abs(t.imag) > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
@@ -305,7 +302,7 @@ def _transfer(
     col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
     if col_err > DERIVED_TOL:
         raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
-    return t, col_err
+    return t
 
 
 def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> SignedKernel:
@@ -315,12 +312,12 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     constants (trace-norm contraction against the involutive frame); for
     like frames this is the usual [-1, 1] range.  The bound is verified.
 
-    The transfer matrix is checked once: its column sums are measured once
-    and held to ``DERIVED_TOL`` as a transfer and to ``IDENTITY_TOL`` as a
-    kernel, beside the imaginary-part, finiteness and entry-bound checks.
-    The kernel holds a C-contiguous, read-only float64 copy of its real
-    part, equal bit for bit to ``SignedKernel(in space, out space,
-    transfer_matrix(ch, in frame, out frame))``.
+    The transfer matrix is checked as a transfer (imaginary part, column
+    sums to ``DERIVED_TOL``) and once as a kernel (finiteness, column sums
+    to ``IDENTITY_TOL``), then against the entry bound.  The kernel holds a
+    C-contiguous, read-only float64 copy of its real part, equal bit for
+    bit to ``SignedKernel(in space, out space, transfer_matrix(ch, in
+    frame, out frame))``.
     """
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
     in_frame = frame_for(matrix_algebra(ch.in_dim))
@@ -335,11 +332,9 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
                 "channel output is not diagonal; not a morphism into C^k"
             )
     # the input frame is the one for ch.in_dim, so both endpoints fit
-    t, col_err = _transfer(sup, in_frame, out_frame)
+    t = _transfer(sup, in_frame, out_frame)
     # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
-    kernel = SignedKernel._of_columns(
-        in_frame.space, out_frame.space, linalg.frozen_copy(t), col_err
-    )
+    kernel = SignedKernel._of_matrix(in_frame.space, out_frame.space, linalg.frozen(t))
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:

@@ -202,9 +202,28 @@ class TestValidatedObjectsHoldCopies:
         given[...] = 0.0
         assert np.array_equal(held, before)
 
-    def test_frozen_copy(self):
-        given = np.arange(6.0).reshape(2, 3).T  # a Fortran-ordered view
-        held = linalg.frozen_copy(given, complex)
-        assert held.dtype == complex and held.flags.c_contiguous and not held.flags.writeable
-        assert np.array_equal(held, given) and not np.shares_memory(held, given)
-        assert given.flags.writeable
+    def test_frozen_copies_what_the_caller_may_share(self):
+        base = np.arange(6.0).reshape(2, 3)
+        for given, arr in [
+            (base, base),  # the caller's own float64 array
+            (base.T, base.T),  # a Fortran-ordered view
+            (base.astype(complex), linalg.as_real(base.astype(complex), "x")),  # its real part
+            (base[None], np.asarray(base[None])),
+            (memoryview(base), np.asarray(memoryview(base))),  # another buffer over it
+        ]:
+            held = linalg.frozen(arr, given)
+            assert held is not arr and not np.shares_memory(held, base)
+            assert held.flags.c_contiguous and not held.flags.writeable
+            assert np.array_equal(held, arr) and base.flags.writeable
+        assert linalg.frozen(base) is not base
+
+    @pytest.mark.parametrize("given, dtype", [
+        ([[0.0, 1.0], [2.0, 3.0]], float),
+        (((0.0, 1.0), (2.0, 3.0)), float),
+        (np.arange(4).reshape(2, 2), float),
+        (np.arange(4.0).reshape(2, 2), complex),
+    ], ids=["list", "tuple", "int-array", "float-array-as-complex"])
+    def test_frozen_holds_the_array_a_coercion_made_without_a_copy(self, given, dtype):
+        arr = np.asarray(given, dtype=dtype)
+        held = linalg.frozen(arr, given)
+        assert held is arr and not held.flags.writeable

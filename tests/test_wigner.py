@@ -396,8 +396,7 @@ class TestFunctorMorphism:
         # like frames bound the entries by max(1, c_in / c_out) = 1
         t = np.eye(9)
         t[:2, 0] = [1.5, -0.5]
-        # _transfer returns the transfer with its largest column-sum error
-        monkeypatch.setattr(wigner, "_transfer", lambda sup, fin, fout: (t, 0.0))
+        monkeypatch.setattr(wigner, "_transfer", lambda sup, fin, fout: t)
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             functor_morphism(Channel.identity(3))
 
