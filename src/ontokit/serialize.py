@@ -16,12 +16,15 @@ float64 round-trips are bit exact):
 * qmeasure  {"points": [labels], "decoherence": matrix}
             or {"points": [labels], "measure": {"<bitmask>": real}}
 
-``dumps_report`` formats a list of plain floats, a list of equal-length
-list or tuple rows of plain floats, and a nonempty 2-d float64 array (the
-kernel matrix of ``kernel_to_json``) with one ``%`` over a "%.17g"
-template of its shape, and lists of strings and dict keys with json's C
-string encoder; other values go one call each.  The bytes are those of
-emitting value by value.
+``dumps_report`` formats a list of plain floats and a list of
+equal-length list or tuple rows of plain floats with one ``%`` over a
+"%.17g" template of their shape.  A nonempty 2-d float64 array (the kernel
+matrix of ``kernel_to_json``) is formatted with one ``%`` too, over integer
+slots: an entry of magnitude in (1e-4, 1) is written as "0.", its leading
+zeros and its 17 significant digits, which numpy rounds exactly as one
+integer, and a zero as "%d" over 0; every other entry keeps a "%.17g" slot.
+Lists of strings and dict keys go through json's C string encoder; other
+values go one call each.  The bytes are those of emitting value by value.
 """
 
 from __future__ import annotations
@@ -73,16 +76,103 @@ def _table_template(rows: int, width: int, indent: int) -> str:
     return _list_text([row] * rows, inner, " " * indent)
 
 
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of float64 ``v`` into a 26-bit high half and the exact rest."""
+    t = _SPLIT * v
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+# The bucket of |x| is the count of bounds below it: 0 holds zero, and 2 to
+# 5 hold (1e-4, 1e-3] ... (0.1, 1], whose 17 digits are |x| * 10^20 ...
+# |x| * 10^17.  Each scale is an exact power of ten, kept with its halves.
+_BOUNDS = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
+_SCALE = np.array([0.0, 0.0, 1e20, 1e19, 1e18, 1e17, 0.0])
+_SCALES = np.stack([_SCALE, *_split(_SCALE)], axis=1)
+_TENS = np.array([10 ** 16, 10 ** 8, 10 ** 4, 10 ** 2, 10], dtype=np.int64)
+# slot 0 is "%.17g" over the float, the others "%d" over digits
+_SLOTS = ["%.17g"] + [
+    sign + body for sign in ("", "-") for body in ("%d", "0.000%d", "0.00%d", "0.0%d", "0.%d")
+]
+# the slot of bucket + 7 * sign bit, times the three endings a slot comes with
+_SLOT_OF = 3 * np.array([1, 0, 2, 3, 4, 5, 0, 6, 0, 7, 8, 9, 10, 0])
+
+
+def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits of each entry of ``x`` with 1e-4 < |x| < 1,
+    rounded half to even, less their trailing zeros; whether they are exact;
+    and the bucket of each entry.
+
+    An entry x with 1e-4 < |x| < 1 has a decimal exponent e in [-4, -1], and
+    "%.17g" spells it as its sign, "0.", -e - 1 zeros and the 17 digits D of
+    y = |x| * 10^(16 - e) rounded half to even, less their trailing zeros.
+    The scale 10^(16 - e) is an exact double, and Dekker's two-product gives
+    y == p + err exactly.  Where D = p + rint(err) lies strictly between
+    10^16 and 10^17, p > 2^53 is an even integer, so D is y rounded half to
+    even, and 10^16 < y < 10^17 confirms e.  Everywhere else D is not used:
+    |x| >= 1, |x| <= 1e-4, NaN and +-inf, and a D that misses the range
+    because the bucket picked for e was one off.
+    """
+    ax = np.fmin(np.abs(x), 2.0)  # NaN and +-inf land in bucket 6, with |x| > 1
+    bucket = np.searchsorted(_BOUNDS, ax)
+    s, sh, sl = _SCALES.take(bucket, axis=0).T
+    # Dekker's two-product: |x| * s == p + err exactly
+    p = ax * s
+    xh, xl = _split(ax)
+    err = xl * sl - (((p - xh * sh) - xl * sh) - xh * sl)
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    exact = (digits > 10 ** 16) & (digits < 10 ** 17)
+    ends = np.flatnonzero(exact & (digits % 10 == 0))
+    if ends.size:
+        d = digits[ends]
+        for ten in _TENS:
+            np.floor_divide(d, ten, out=d, where=d % ten == 0)
+        digits[ends] = d
+    return digits, exact, bucket
+
+
+def _table_slots(a: np.ndarray, indent: int) -> tuple[str, tuple]:
+    """The template and values of a nonempty 2-d float64 array at ``indent``.
+
+    An entry with exact digits (see ``_exact_digits``) gets a "%d" slot over
+    them after its sign, "0." and its zeros, and a zero gets "%d" or "-%d"
+    over 0.  Every other entry keeps a "%.17g" slot over its float.  So the
+    bytes are those of "%.17g" entry by entry, and a non-finite entry still
+    formats as "inf" or "nan".
+    """
+    x = a.ravel()
+    digits, ok, bucket = _exact_digits(x)
+    ok |= bucket == 0  # "%d" over 0
+    code = np.where(ok, _SLOT_OF.take(bucket + 7 * np.signbit(x)), 0).reshape(a.shape)
+    code[:, -1] += 1  # the ending that closes a row
+    code[-1, -1] += 1  # the ending that closes the table
+    pad = " " * indent
+    inner = pad + "  "
+    tails = (",\n" + inner + "  ", "\n" + inner + "],\n" + inner + "[\n" + inner + "  ",
+             "\n" + inner + "]\n" + pad + "]")
+    pieces = np.array([slot + tail for slot in _SLOTS for tail in tails], dtype=object)
+    values = digits.astype(object)
+    values[~ok] = x[~ok]
+    template = "[\n" + inner + "[\n" + inner + "  " + "".join(pieces.take(code.ravel()).tolist())
+    return template, tuple(values.tolist())
+
+
 def dumps_report(obj: Any, indent: int = 0) -> str:
     """Render JSON with every float at 17 significant digits.
 
     Dictionary order is preserved, so reports are byte-identical across
-    runs with the same inputs and seed.  A list of plain floats, a list
-    of equal-length list or tuple rows of plain floats, and a nonempty 2-d
-    float64 array are formatted with one ``%`` over a "%.17g" template of
-    their shape, and lists of strings and dict keys with json's C string
-    encoder; other values go one call each.  The bytes are those of
-    emitting value by value.
+    runs with the same inputs and seed.  A list of plain floats and a list
+    of equal-length list or tuple rows of plain floats are formatted with
+    one ``%`` over a "%.17g" template of their shape.  A nonempty 2-d
+    float64 array is formatted with one ``%`` over "%d" slots for the
+    exactly rounded 17 digits of its entries in (1e-4, 1) in magnitude and
+    its zeros, and "%.17g" slots for the rest (see ``_table_slots``).
+    Lists of strings and dict keys go through json's C string encoder;
+    other values go one call each.  The bytes are those of emitting value
+    by value.
     """
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
@@ -107,9 +197,7 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim != 2 or obj.size == 0:
             return dumps_report(obj.tolist(), indent)
-        # tolist() gives the plain floats that the row-list path formats
-        values = tuple(obj.ravel().tolist())
-        template = _table_template(obj.shape[0], obj.shape[1], indent)
+        template, values = _table_slots(obj, indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
@@ -284,6 +372,9 @@ def parse_channel(doc) -> Channel:
     kraus_doc = _need(doc, "kraus")
     if _need(doc, "trace_preserving") is not True:
         raise SchemaError("trace_preserving", "only trace-preserving channels are accepted")
+    for field, dim in (("in_dim", in_dim), ("out_dim", out_dim)):
+        if not isinstance(dim, int) or dim < 1:
+            raise SchemaError(field, "expected a positive integer")
     if not isinstance(kraus_doc, list) or not kraus_doc:
         raise SchemaError("kraus", "expected a nonempty list of matrices")
     ops = None

@@ -1,6 +1,7 @@
 """JSON schema round-trips and the 17-significant-digit emitter."""
 
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -216,24 +217,69 @@ class TestEmitterFastPath:
 
 
 def _float_table(rows, cols, seed):
-    """A float64 table of normal draws with -0.0, 5e-324 and 1e308 among them."""
-    a = rng_for(seed).normal(size=(rows, cols))
+    """A float64 table of normal draws scaled by 10^-5 ... 10^1, with -0.0,
+    5e-324 and 1e308 among them."""
+    rng = rng_for(seed)
+    a = rng.normal(size=(rows, cols)) * 10 ** rng.uniform(-5, 1, (rows, cols))
     a.flat[:3] = [-0.0, 5e-324, 1e308][: a.size]
     return a
 
 
+def _assert_emitted_as_17g(a, indent=0):
+    """The array's text is the recursive emitter's, and its numbers are the
+    "%.17g" spellings of its entries in row order."""
+    text = dumps_report(a, indent)
+    assert text == recursive_dumps_oracle(a, indent)
+    numbers = [t for t in (tok.strip("[],") for tok in text.split()) if t]
+    assert numbers == [format(v, ".17g") for v in a.ravel().tolist()]
+
+
+def _powers_of_ten_and_neighbours():
+    """10^k for k = -5 ... 1 with 1 and 2 ulps on each side, both signs."""
+    powers = np.array([float(f"1e{k}") for k in range(-5, 2)])
+    down = np.nextafter(powers, 0.0)
+    up = np.nextafter(powers, np.inf)
+    near = np.concatenate(
+        [np.nextafter(down, 0.0), down, powers, up, np.nextafter(up, np.inf)]
+    )
+    return np.concatenate([near, -near])
+
+
+def _ties(rng):
+    """Floats m * 2^-j, m odd, whose exact decimal has 18 significant digits
+    ending in 5: the 17-digit rounding is a tie, broken to even."""
+    ties = [26215 * 2.0 ** -18]
+    for e in range(-4, 0):
+        j = 17 - e
+        lo, hi = int(10.0 ** e * 2 ** j) + 1, int(10.0 ** (e + 1) * 2 ** j)
+        ties += (np.ldexp((rng.integers(lo, hi, 60) | 1).astype(float), -j)).tolist()
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    return np.array(ties + [-t for t in ties])
+
+
+_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.floats(1e-5, 10.0).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+
+
 class TestArrayEmitter:
     """A nonempty 2-d float64 array is formatted with one ``%``, as the row
-    lists of its ``tolist()`` are; every other array goes through ``tolist()``."""
+    lists of its ``tolist()`` are; every other array goes through ``tolist()``.
+    An entry of magnitude in (1e-4, 1) goes through a "%d" slot over its
+    exactly rounded 17 digits, a zero through "%d" over 0, and every other
+    entry through "%.17g"; each must spell as "%.17g" does."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (49, 49), (3, 4)])
     def test_matches_its_row_lists_and_the_recursive_emitter(self, shape):
         a = _float_table(*shape, seed=sum(shape))
-        for doc in (a, a.T, {"kernel": {"matrix": a, "n": 3}}, [a, [0.5]]):
+        for doc in (a, a.T, a[::-1, ::2], {"kernel": {"matrix": a, "n": 3}}, [a, [0.5]]):
             plain = doc.tolist() if isinstance(doc, np.ndarray) else doc
             assert dumps_report(doc) == recursive_dumps_oracle(doc)
             assert dumps_report(doc, 4) == recursive_dumps_oracle(plain, 4)
         assert dumps_report(a) == dumps_report(a.tolist())
+        _assert_emitted_as_17g(a.T, 6)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_raises(self, bad):
@@ -267,6 +313,61 @@ class TestArrayEmitter:
             == _outcome(dumps_report, a.tolist())
             == _outcome(recursive_dumps_oracle, a.tolist())
         )
+
+    @pytest.mark.parametrize("indent", [0, 4])
+    def test_powers_of_ten_and_their_neighbours(self, indent):
+        values = _powers_of_ten_and_neighbours()
+        _assert_emitted_as_17g(values.reshape(-1, 5), indent)
+        _assert_emitted_as_17g(values.reshape(5, -1).T, indent)
+
+    def test_ties_round_half_to_even(self):
+        values = _ties(rng_for(31))
+        text = dumps_report(np.array([[26215 * 2.0 ** -18]]))
+        assert text == "[\n  [\n    0.10000228881835938\n  ]\n]"
+        _assert_emitted_as_17g(values.reshape(2, -1))
+        _assert_emitted_as_17g(values[:, None])
+
+    def test_values_whose_digits_round_up_to_the_next_power_of_ten(self):
+        # 1e-3, 1e-2, 0.1 and 1.0 close the digit ranges (1e-4, 1e-3] ...
+        # (0.1, 1]; scaled in their range they round to 10^17, one digit too
+        # many, and so take the "%.17g" slot
+        bounds = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
+        _assert_emitted_as_17g(np.stack([bounds, -bounds, np.nextafter(bounds, 0.0)]))
+
+    def test_zeros_subnormals_and_extremes(self):
+        tiny = np.nextafter(0.0, 1.0)
+        values = [0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  9.9999999999999991e-05, 1e308, -1e308, np.finfo(float).max, 1.0, -1.0]
+        _assert_emitted_as_17g(np.array([values]))
+        _assert_emitted_as_17g(np.array([values]).T, 2)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((49, 49)),
+            -np.zeros((7, 7)),
+            np.eye(49),
+            np.eye(25)[rng_for(32).permutation(25)] * rng_for(33).choice([-1.0, 1.0], 25),
+        ],
+        ids=["zeros", "negative-zeros", "identity", "signed-permutation"],
+    )
+    def test_kernel_shaped_tables(self, a):
+        _assert_emitted_as_17g(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data(), st.sampled_from([0, 2, 8]))
+    def test_matches_on_random_finite_tables(self, rows, cols, data, indent):
+        values = data.draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+        _assert_emitted_as_17g(np.array(values).reshape(rows, cols), indent)
+
+    def test_seeded_sweep_of_a_million_values(self):
+        rng = rng_for(35)
+        magnitudes = np.concatenate(
+            [10 ** rng.uniform(-5, 1, 500_000), rng.uniform(1e-5, 10.0, 500_000)]
+        )
+        assert magnitudes.min() >= 1e-5 and magnitudes.max() < 10.0
+        a = (rng.choice([-1.0, 1.0], magnitudes.size) * magnitudes).reshape(1000, 1000)
+        assert dumps_report(a) == recursive_dumps_oracle(a)
 
     @pytest.mark.parametrize("dim", [1, 3, 7])
     def test_kernel_round_trips_bit_for_bit(self, dim):
@@ -851,6 +952,17 @@ class TestChannelSchema:
             bad(kraus)
             _same_outcome(lambda d: parse_channel(d).kraus, parse_channel_oracle,
                           {**doc, "kraus": kraus})
+
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    @pytest.mark.parametrize(
+        "dim", ["2", 2.0, 0, -1, None], ids=["string", "float", "zero", "negative", "null"]
+    )
+    def test_dims_are_positive_integers(self, field, dim):
+        doc = channel_to_json(Channel.identity(2))
+        doc[field] = dim
+        with pytest.raises(SchemaError) as info:
+            parse_channel(doc)
+        assert (info.value.field, info.value.message) == (field, "expected a positive integer")
 
     def test_bad_kraus_shape(self):
         doc = {
