@@ -22,7 +22,7 @@ equal-length list or tuple rows of plain floats with one ``%`` over a
 matrix of ``kernel_to_json``) is formatted with one ``%`` too, over integer
 slots: an entry of magnitude in (1e-4, 1) is written as "0.", its leading
 zeros and its 17 significant digits, which numpy rounds exactly as one
-integer, and a zero as "%d" over 0; every other entry keeps a "%.17g" slot.
+integer; every other entry keeps a "%.17g" slot.
 Lists of strings and dict keys go through json's C string encoder; other
 values go one call each.  The bytes are those of emitting value by value.
 """
@@ -68,12 +68,11 @@ def _list_text(items, inner: str, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-def _table_template(rows: int, width: int, indent: int) -> str:
-    """The text of a list of ``rows`` rows of ``width`` floats at ``indent``,
-    with a "%.17g" slot per float."""
+def _table_template(rows, indent: int) -> str:
+    """The text of a list of ``rows`` at ``indent``, each row a list of
+    float slots such as "%.17g"."""
     inner = " " * (indent + 2)
-    row = _list_text(["%.17g"] * width, "  " + inner, inner)
-    return _list_text([row] * rows, inner, " " * indent)
+    return _list_text([_list_text(row, "  " + inner, inner) for row in rows], inner, " " * indent)
 
 
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -86,19 +85,21 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, v - hi
 
 
-# The bucket of |x| is the count of bounds below it: 0 holds zero, and 2 to
-# 5 hold (1e-4, 1e-3] ... (0.1, 1], whose 17 digits are |x| * 10^20 ...
-# |x| * 10^17.  Each scale is an exact power of ten, kept with its halves.
+# The bucket of |x| is the count of bounds below it: 2 to 5 hold (1e-4, 1e-3]
+# ... (0.1, 1], whose 17 digits are |x| * 10^20 ... |x| * 10^17.  Each scale
+# is an exact power of ten, kept with its halves; the other buckets scale by 0.
 _BOUNDS = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
 _SCALE = np.array([0.0, 0.0, 1e20, 1e19, 1e18, 1e17, 0.0])
 _SCALES = np.stack([_SCALE, *_split(_SCALE)], axis=1)
 _TENS = np.array([10 ** 16, 10 ** 8, 10 ** 4, 10 ** 2, 10], dtype=np.int64)
 # slot 0 is "%.17g" over the float, the others "%d" over digits
-_SLOTS = ["%.17g"] + [
-    sign + body for sign in ("", "-") for body in ("%d", "0.000%d", "0.00%d", "0.0%d", "0.%d")
-]
-# the slot of bucket + 7 * sign bit, times the three endings a slot comes with
-_SLOT_OF = 3 * np.array([1, 0, 2, 3, 4, 5, 0, 6, 0, 7, 8, 9, 10, 0])
+_SLOTS = np.array(
+    ["%.17g"]
+    + [sign + body for sign in ("", "-") for body in ("0.000%d", "0.00%d", "0.0%d", "0.%d")],
+    dtype=object,
+)
+# the slot of bucket + 7 * sign bit
+_SLOT_OF = np.array([0, 0, 1, 2, 3, 4, 0, 0, 0, 5, 6, 7, 8, 0])
 
 
 def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,26 +139,16 @@ def _table_slots(a: np.ndarray, indent: int) -> tuple[str, tuple]:
     """The template and values of a nonempty 2-d float64 array at ``indent``.
 
     An entry with exact digits (see ``_exact_digits``) gets a "%d" slot over
-    them after its sign, "0." and its zeros, and a zero gets "%d" or "-%d"
-    over 0.  Every other entry keeps a "%.17g" slot over its float.  So the
-    bytes are those of "%.17g" entry by entry, and a non-finite entry still
-    formats as "inf" or "nan".
+    them after its sign, "0." and its zeros.  Every other entry keeps a
+    "%.17g" slot over its float.  So the bytes are those of "%.17g" entry by
+    entry, and a non-finite entry still formats as "inf" or "nan".
     """
     x = a.ravel()
     digits, ok, bucket = _exact_digits(x)
-    ok |= bucket == 0  # "%d" over 0
     code = np.where(ok, _SLOT_OF.take(bucket + 7 * np.signbit(x)), 0).reshape(a.shape)
-    code[:, -1] += 1  # the ending that closes a row
-    code[-1, -1] += 1  # the ending that closes the table
-    pad = " " * indent
-    inner = pad + "  "
-    tails = (",\n" + inner + "  ", "\n" + inner + "],\n" + inner + "[\n" + inner + "  ",
-             "\n" + inner + "]\n" + pad + "]")
-    pieces = np.array([slot + tail for slot in _SLOTS for tail in tails], dtype=object)
     values = digits.astype(object)
     values[~ok] = x[~ok]
-    template = "[\n" + inner + "[\n" + inner + "  " + "".join(pieces.take(code.ravel()).tolist())
-    return template, tuple(values.tolist())
+    return _table_template(_SLOTS.take(code).tolist(), indent), tuple(values.tolist())
 
 
 def dumps_report(obj: Any, indent: int = 0) -> str:
@@ -168,8 +159,8 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
     of equal-length list or tuple rows of plain floats are formatted with
     one ``%`` over a "%.17g" template of their shape.  A nonempty 2-d
     float64 array is formatted with one ``%`` over "%d" slots for the
-    exactly rounded 17 digits of its entries in (1e-4, 1) in magnitude and
-    its zeros, and "%.17g" slots for the rest (see ``_table_slots``).
+    exactly rounded 17 digits of its entries in (1e-4, 1) in magnitude,
+    and "%.17g" slots for the rest (see ``_table_slots``).
     Lists of strings and dict keys go through json's C string encoder;
     other values go one call each.  The bytes are those of emitting value
     by value.
@@ -214,7 +205,7 @@ def dumps_report(obj: Any, indent: int = 0) -> str:
                 values = tuple(reduce(iadd, obj, []))
             if not values or countOf(map(type, values), float) != len(values):
                 return _list_text([dumps_report(v, indent + 2) for v in obj], inner, pad)
-            template = _table_template(len(obj), len(obj[0]), indent)
+            template = _table_template([["%.17g"] * len(obj[0])] * len(obj), indent)
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
     text = template % values
@@ -352,7 +343,7 @@ def parse_matrix(doc, field: str = "matrix") -> np.ndarray:
 def parse_ket(doc) -> np.ndarray:
     dim = _need(doc, "dim")
     amps = _need(doc, "amplitudes")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # JSON true is no dimension
         raise SchemaError("dim", "expected a positive integer")
     if not isinstance(amps, list) or len(amps) != dim:
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
@@ -373,7 +364,7 @@ def parse_channel(doc) -> Channel:
     if _need(doc, "trace_preserving") is not True:
         raise SchemaError("trace_preserving", "only trace-preserving channels are accepted")
     for field, dim in (("in_dim", in_dim), ("out_dim", out_dim)):
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise SchemaError(field, "expected a positive integer")
     if not isinstance(kraus_doc, list) or not kraus_doc:
         raise SchemaError("kraus", "expected a nonempty list of matrices")
@@ -445,7 +436,7 @@ def _ket_rows(docs: list) -> np.ndarray | None:
         return None
     kets = _pairs_array([d["amplitudes"] for d in docs], 3)
     if kets is None or not all(
-        isinstance(d["dim"], int) and d["dim"] == kets.shape[1]
+        type(d["dim"]) is int and d["dim"] == kets.shape[1]
         and isinstance(d["amplitudes"], list)
         for d in docs
     ):

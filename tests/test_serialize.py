@@ -268,8 +268,8 @@ class TestArrayEmitter:
     """A nonempty 2-d float64 array is formatted with one ``%``, as the row
     lists of its ``tolist()`` are; every other array goes through ``tolist()``.
     An entry of magnitude in (1e-4, 1) goes through a "%d" slot over its
-    exactly rounded 17 digits, a zero through "%d" over 0, and every other
-    entry through "%.17g"; each must spell as "%.17g" does."""
+    exactly rounded 17 digits, and every other entry through "%.17g"; each
+    must spell as "%.17g" does."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (49, 49), (3, 4)])
     def test_matches_its_row_lists_and_the_recursive_emitter(self, shape):
@@ -436,7 +436,7 @@ def parse_ket_oracle(doc):
         if name not in doc:
             raise SchemaError(name, "missing required field")
     dim, amps = doc["dim"], doc["amplitudes"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError("dim", "expected a positive integer")
     if not isinstance(amps, list) or len(amps) != dim:
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
@@ -955,7 +955,8 @@ class TestChannelSchema:
 
     @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
     @pytest.mark.parametrize(
-        "dim", ["2", 2.0, 0, -1, None], ids=["string", "float", "zero", "negative", "null"]
+        "dim", ["2", 2.0, 0, -1, None, True],
+        ids=["string", "float", "zero", "negative", "null", "true"],
     )
     def test_dims_are_positive_integers(self, field, dim):
         doc = channel_to_json(Channel.identity(2))
@@ -963,6 +964,16 @@ class TestChannelSchema:
         with pytest.raises(SchemaError) as info:
             parse_channel(doc)
         assert (info.value.field, info.value.message) == (field, "expected a positive integer")
+
+    def test_true_is_no_dimension(self):
+        # True == 1, so a one-dimensional ket or channel with a true dimension
+        # would otherwise parse
+        ket = {"dim": True, "amplitudes": [[1.0, 0.0]]}
+        channel = {**channel_to_json(Channel.identity(1)), "in_dim": True, "out_dim": True}
+        for parse, doc, field in ((parse_ket, ket, "dim"), (parse_channel, channel, "in_dim")):
+            with pytest.raises(SchemaError) as info:
+                parse(doc)
+            assert (info.value.field, info.value.message) == (field, "expected a positive integer")
 
     def test_bad_kraus_shape(self):
         doc = {
