@@ -9,6 +9,7 @@ inputs and seed; ONTOKIT_TOL overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -38,9 +39,7 @@ from .sampling import random_cptp_channel, random_density, random_effect, rng_fo
 from .wigner import (
     commutative_algebra,
     epistemic_report,
-    frame_for,
     functor_morphism,
-    matrix_algebra,
     monoidality_check,
     phase_point_operators,
     wigner_vector,
@@ -162,12 +161,12 @@ def _cmd_wigner_state(args) -> int:
     psi = parse_ket(load_json(args.file))
     vec = wigner_vector(DensityMatrix.from_ket(psi), phase_point_operators(psi.size))
     if args.csv:
-        lines = ["point,weight"]
-        lines += [
-            f"{label},{format(float(w), '.17g')}"
-            for label, w in zip(vec.space.points, vec.weights)
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
+        # a label "(q,p)" holds a comma, so the writer quotes it
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(("point", "weight"))
+        out.writerows(
+            (label, format(float(w), ".17g")) for label, w in zip(vec.space.points, vec.weights)
+        )
         return 0
     report = {
         "command": "wigner-state",
@@ -186,8 +185,9 @@ def _cmd_wigner_functor_check(args) -> int:
     _positive("--trials", args.trials)
     _seed(args.seed)
     dim = _positive("--dim", args.dim)
-    # the frame first, so that a frame too large to allocate is a TooLargeError, not a traceback
-    frame_for(matrix_algebra(dim))
+    # the frame first, as `wigner frame` builds it: an even dimension is an
+    # EvenDimensionError and a frame too large to allocate a TooLargeError
+    phase_point_operators(dim)
     identity = Channel.identity(dim)
     identity_kernel = functor_morphism(identity)
     worst_comp = 0.0
@@ -318,7 +318,7 @@ input schemas (numbers are decimal; outputs use 17 significant digits):
              "distributions": {label: [real]},
              "measurements": [{"basis": [ket, ...], "responses": [[real]]}]}
   qmeasure  {"points": [labels], "decoherence": matrix}
-            or {"points": [labels], "measure": {"<bitmask>": real}}
+            or {"points": [labels], "measure": {"<bitmask>": real}}, not both
 
 exit codes: 0 all checks pass, 1 check failure, 2 schema/IO error.
 --tol, else ONTOKIT_TOL, overrides the default tolerance; it must be finite and > 0.

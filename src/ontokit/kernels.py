@@ -67,7 +67,7 @@ class SignedKernel:
     markov: bool = field(init=False)
 
     def __post_init__(self):
-        m = linalg.frozen(linalg.as_real(self.matrix, "kernel matrix"), self.matrix)
+        m = linalg.frozen(linalg.as_real(self.matrix, "kernel matrix"))
         if m.shape != (self.target.size, self.source.size):
             raise SpaceMismatchError(
                 f"kernel matrix shape {m.shape} does not match "
@@ -105,7 +105,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = linalg.frozen(linalg.as_real(self.weights, "weight vector"), self.weights).reshape(-1)
+        w = linalg.frozen(linalg.as_real(self.weights, "weight vector")).reshape(-1)
         _check_weight_rows(self.space, w[None])
         object.__setattr__(self, "weights", w)
 
@@ -122,7 +122,7 @@ class ResponseFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = linalg.frozen(linalg.as_real(self.values, "response"), self.values).reshape(-1)
+        v = linalg.frozen(linalg.as_real(self.values, "response")).reshape(-1)
         _check_response_rows(self.space, v[None])
         object.__setattr__(self, "values", v)
 
@@ -154,7 +154,7 @@ def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
     """One Distribution per row of a (rows x points) weight matrix, checked
     once as a whole; each Distribution's weights are a read-only row of one
     copy of it."""
-    w = linalg.frozen(linalg.as_real(weights, "weight matrix"), weights)
+    w = linalg.frozen(linalg.as_real(weights, "weight matrix"))
     _check_weight_rows(space, w)
     rows = []
     for row in w:

@@ -13,20 +13,11 @@ from .errors import DimMismatchError, NotHermitianError, VerificationFailedError
 from .tolerances import IDENTITY_TOL, TIGHT_IDENTITY_TOL
 
 
-def frozen(arr: np.ndarray, given=None) -> np.ndarray:
-    """``arr``, coerced from the caller's ``given``, as a C-contiguous,
-    read-only array for a validated object to hold: writes through
-    ``given`` cannot reach it, and writes into it fail at once.  ``arr`` is
-    copied unless the coercion allocated it, C-contiguous, from a list, a
-    tuple or an array of another dtype; without ``given`` it is copied."""
-    fresh = (
-        isinstance(given, (list, tuple, np.ndarray))
-        and arr is not given
-        and arr.flags.owndata
-        and arr.flags.c_contiguous
-    )
-    if not fresh:
-        arr = np.array(arr, order="C")
+def frozen(arr) -> np.ndarray:
+    """A C-contiguous, read-only copy of ``arr`` for a validated object to
+    hold: writes through the caller's array cannot reach it, and writes
+    into it fail at once."""
+    arr = np.array(arr, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -87,25 +78,24 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2 of a matrix from :func:`as_matrix`, which must be
-    square and Hermitian to within ``IDENTITY_TOL``."""
+def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
+
+    Returns read-only ``(w, V)`` with ``a = V @ diag(w) @ V^dag`` and ``V``
+    unitary, from ``numpy.linalg.eigh`` on the Hermitian part
+    (a + a^dag) / 2 of ``a``, which must be square and Hermitian to within
+    ``IDENTITY_TOL``.
+    """
+    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"matrix must be square, got shape {m.shape}")
     mh = m.conj().T
     dev = max_abs(m - mh)
     if dev > IDENTITY_TOL:
         raise NotHermitianError(f"max |a - a^dag| = {dev:.3e} exceeds {IDENTITY_TOL}")
-    return (m + mh) / 2
-
-
-def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Returns ``(w, V)`` with ``a = V @ diag(w) @ V^dag`` and ``V`` unitary,
-    from ``numpy.linalg.eigh`` on the Hermitian part of ``a``.
-    """
-    return np.linalg.eigh(hermitian_part(as_matrix(a)))
+    w, v = np.linalg.eigh((m + mh) / 2)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

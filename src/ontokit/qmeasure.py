@@ -43,7 +43,7 @@ class QuantumMeasure:
 
     def __post_init__(self):
         check_size(self.space.size)
-        v = linalg.frozen(linalg.as_real(self.values, "subset values"), self.values).reshape(-1)
+        v = linalg.frozen(linalg.as_real(self.values, "subset values")).reshape(-1)
         if v.size != 2 ** self.space.size:
             raise VerificationFailedError(
                 f"expected {2 ** self.space.size} subset values, got {v.size}"
@@ -63,7 +63,7 @@ class DecoherenceFunctional:
 
     def __post_init__(self):
         check_size(self.space.size)
-        m = linalg.frozen(np.asarray(self.matrix, dtype=complex), self.matrix)
+        m = linalg.frozen(np.asarray(self.matrix, dtype=complex))
         if m.shape != (self.space.size, self.space.size):
             raise VerificationFailedError("singleton matrix shape must match the space")
         if not np.all(np.isfinite(m.view(float))):

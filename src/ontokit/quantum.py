@@ -18,36 +18,27 @@ from .errors import DimMismatchError, IndexOutOfRangeError, VerificationFailedEr
 from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 
 
-def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``numpy.linalg.eigh`` of a Hermitian part from
-    :func:`linalg.hermitian_part`, as read-only arrays: eigenvalues
-    ascending, eigenvectors as columns."""
-    w, v = np.linalg.eigh(h)
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    ``eigensystem`` is the ``(w, V)`` that validation computed from the
-    Hermitian part, kept for :func:`preparation_channel`; a state from
-    :meth:`from_ket` computes it the same way on first read.  ``matrix`` is a
-    copy and, like the eigensystem, read-only, so the two always agree.
+    ``eigensystem`` is the read-only ``(w, V)`` of
+    :func:`linalg.hermitian_eigensystem` that validation computed, kept for
+    :func:`preparation_channel`; a state from :meth:`from_ket` computes it
+    the same way on first read.  ``matrix`` is a read-only copy, so the two
+    always agree.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.frozen(linalg.as_matrix(self.matrix), self.matrix)
+        m = linalg.frozen(linalg.as_matrix(self.matrix))
         if m.shape[0] != m.shape[1]:
             raise DimMismatchError("density matrix must be square")
-        h = linalg.hermitian_part(m)
+        eigensystem = linalg.hermitian_eigensystem(m)
         tr = m.trace()
         if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
             raise VerificationFailedError(f"trace {complex(tr)!r} deviates from 1")
-        eigensystem = _eigensystem(h)
         lo = eigensystem[0][0]
         if lo < -IDENTITY_TOL:
             raise VerificationFailedError(f"negative eigenvalue {lo:.3e}")
@@ -57,7 +48,7 @@ class DensityMatrix:
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return _eigensystem(linalg.hermitian_part(self.matrix))
+        return linalg.hermitian_eigensystem(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -82,7 +73,7 @@ def _kraus_stack(kraus) -> np.ndarray:
     """The Kraus set as one (count, out, in) complex array, a read-only copy
     that the caller's arrays do not share."""
     try:
-        stack = linalg.frozen(np.asarray(kraus, dtype=complex), kraus)
+        stack = linalg.frozen(np.asarray(kraus, dtype=complex))
     except ValueError:
         # operators of different shapes; as_matrix names the first one that
         # is malformed in itself
@@ -158,7 +149,7 @@ class ProjectiveMeasurement:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = linalg.frozen(np.asarray(self.vectors, dtype=complex), self.vectors)
+        v = linalg.frozen(np.asarray(self.vectors, dtype=complex))
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
         if v.shape[0] != v.shape[1]:
@@ -186,19 +177,20 @@ class ProjectiveMeasurement:
 class TwoOutcomeMeasurement:
     """Effect operator E with 0 <= E <= I; outcome 0 fires with Tr(E rho).
 
-    ``eigensystem`` is the ``(w, V)`` that validation computed from the
-    Hermitian part, kept for :func:`measurement_channel`.  ``effect`` is a
-    copy and, like the eigensystem, read-only, so the two always agree.
+    ``eigensystem`` is the read-only ``(w, V)`` of
+    :func:`linalg.hermitian_eigensystem` that validation computed, kept for
+    :func:`measurement_channel`.  ``effect`` is a read-only copy, so the two
+    always agree.
     """
 
     effect: np.ndarray
     eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = linalg.frozen(linalg.as_matrix(self.effect), self.effect)
+        e = linalg.frozen(linalg.as_matrix(self.effect))
         if e.shape[0] != e.shape[1]:
             raise DimMismatchError("effect must be square")
-        eigensystem = _eigensystem(linalg.hermitian_part(e))
+        eigensystem = linalg.hermitian_eigensystem(e)
         w = eigensystem[0]
         if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:
             raise VerificationFailedError(

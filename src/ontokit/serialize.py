@@ -1,20 +1,8 @@
 """JSON schemas for states, channels, kernels, models, and reports.
 
-Schemas (all numbers decimal, 17 significant digits on output so that
-float64 round-trips are bit exact):
-
-* ket       {"dim": n, "amplitudes": [[re, im], ...]}
-* matrix    [[[re, im], ...], ...]  (rows of [re, im] pairs)
-* channel   {"in_dim": m, "out_dim": n, "kraus": [matrix, ...],
-             "trace_preserving": true}   (only trace-preserving channels)
-* kernel    {"from": [labels], "to": [labels], "matrix": [[real]],
-             "convention": "column-stochastic"}
-* ensemble  {"points": [labels], "weights": [[real], ...]}
-* model     {"ontic": [labels], "states": [{"label": str, "ket": ket}],
-             "distributions": {label: [real]},
-             "measurements": [{"basis": [ket, ...], "responses": [[real]]}]}
-* qmeasure  {"points": [labels], "decoherence": matrix}
-            or {"points": [labels], "measure": {"<bitmask>": real}}
+The input schemas are those ``ontokit --help`` lists (``cli.SCHEMA_HELP``);
+all numbers are decimal, with 17 significant digits on output so that
+float64 round-trips are bit exact.
 
 ``dumps_report`` formats a list of plain floats and a list of
 equal-length list or tuple rows of plain floats with one ``%`` over a
@@ -572,6 +560,8 @@ def _measure_values(table: dict, n: int) -> np.ndarray:
 def parse_qmeasure_doc(doc) -> QuantumMeasure | DecoherenceFunctional:
     points = _need(doc, "points")
     space = _space(points, "points")
+    if "decoherence" in doc and "measure" in doc:
+        raise SchemaError("measure", "document needs either 'decoherence' or 'measure', not both")
     if "decoherence" in doc:
         check_size(space.size)  # before the n x n matrix is parsed
         matrix = parse_matrix(doc["decoherence"], "decoherence")

@@ -136,7 +136,7 @@ class WignerFrame:
     residuals: FrameResiduals = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = linalg.frozen(np.asarray(self.operators, dtype=complex), self.operators)
+        ops = linalg.frozen(np.asarray(self.operators, dtype=complex))
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = ops.shape

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, schemas."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from ontokit.cli import main
+from ontokit.quantum import DensityMatrix
 from ontokit.serialize import dumps_report, ket_to_json
+from ontokit.wigner import phase_point_operators, phase_space, wigner_vector
 
 
 @pytest.fixture()
@@ -117,12 +120,17 @@ class TestWigner:
 
     def test_state_csv(self, capsys, tmp_path):
         psi = tmp_path / "psi.json"
-        psi.write_text(dumps_report(ket_to_json(np.array([1, 0, 0], dtype=complex))))
+        ket = np.array([1, 0, 0], dtype=complex)
+        psi.write_text(dumps_report(ket_to_json(ket)))
         code, out, _ = run_cli(capsys, "wigner", "state", str(psi), "--csv")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "point,weight"
-        assert len(lines) == 10
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["point", "weight"]
+        assert all(len(row) == 2 for row in rows)
+        assert [label for label, _ in rows[1:]] == list(phase_space(3).points)
+        want = wigner_vector(DensityMatrix.from_ket(ket), phase_point_operators(3)).weights
+        got = np.array([float(w) for _, w in rows[1:]])
+        assert got.tobytes() == want.tobytes()
 
     def test_functor_check(self, capsys):
         code, out, _ = run_cli(
@@ -281,11 +289,19 @@ FRAME_TOO_LARGE = (
     (["antidist", "DOC", "--target", "0"],
      {"points": ["a", "b"], "weights": [[_nested(70, 1.0), 0.0], [0.0, 1.0]]},
      "schema error: weights[0]: nested more than 64 levels deep\n"),
+    # one kind per document, not the first key that happens to be read
+    (["qmeasure", "validate", "DOC"],
+     {**_decoherence_on(2), "measure": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}},
+     "schema error: measure: document needs either 'decoherence' or 'measure', not both\n"),
+    # the frame `wigner frame` builds, and its words
+    (["wigner", "functor-check", "--dim", "2"], None,
+     "error: EvenDimensionError: phase-point construction requires odd dimension, got 2\n"),
 ], ids=["measure-17", "measure-65", "decoherence-17", "functor-check-seed", "huge-ket",
         "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
         "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
         "measure-huge-value", "wigner-frame-huge", "functor-check-huge", "ragged-weights",
-        "basis-mixed-dims", "basis-not-a-list", "weights-70-deep"])
+        "basis-mixed-dims", "basis-not-a-list", "weights-70-deep", "qmeasure-both-kinds",
+        "functor-check-even"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -686,7 +702,10 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # the other five before the unused kernel, functor and CLI options were
 # removed.  The two functor-check rows were re-recorded when the
 # monoidality check moved to sampled product columns: their stdout differs
-# from the dense check's only in the max_transfer_residual line.
+# from the dense check's only in the max_transfer_residual line.  The
+# wigner-state-csv row was re-recorded when the CSV writer began to quote
+# the "(q,p)" labels, whose comma split each row into three fields; the
+# header and the weights are unchanged.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
     "functor-check-dim3": "cd805e1d02a077b2aaccb7d406bf1bc6515e066054715781443ffea4f3f2293d",
@@ -696,7 +715,7 @@ GOLDEN_STDOUT = {
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",
     "wigner-epistemic": "b66c70c386ea977f4c0254fe129a13892d934e87c56b9f1e7432f9a3af079ebd",
     "wigner-frame-3": "07ef2bff3260a7d22a5c83fd0026c9a7a8ce6c05abe21923143728392dc91cdc",
-    "wigner-state-csv": "d2e0135e79a583194dcbc4f158868300a53089ac200c6d13abbb17e0a442d768",
+    "wigner-state-csv": "41677fb8b8a44367da9d8bd3a1889836d26ed3c0dcf49433d8eb5d427d597d05",
 }
 
 GOLDEN_ARGV = {
