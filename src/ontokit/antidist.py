@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -205,7 +205,7 @@ class CompressionResult:
     overlap: complex
     n: int
     gamma: float
-    parametrization: str
+    parametrization: ClassVar[str] = "tan_arcsin_gamma"
     psi_span: np.ndarray
     phi_span: np.ndarray
     output_psi: DensityMatrix
@@ -279,7 +279,6 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
         overlap=ov,
         n=n,
         gamma=gamma,
-        parametrization="tan_arcsin_gamma",
         psi_span=psi_span,
         phi_span=phi_span,
         output_psi=out_psi,
@@ -299,7 +298,7 @@ class PbrReport:
     overlap: float
     n: int
     gamma: float
-    parametrization: str
+    parametrization: ClassVar[str] = "tan_arcsin_gamma"
     pair_labels: tuple[str, ...]
     table: np.ndarray
     assigned_probabilities: tuple[float, ...]
@@ -328,7 +327,6 @@ def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = PBR_TOL) -> PbrRepo
         overlap=float(abs(comp.overlap)),
         n=comp.n,
         gamma=comp.gamma,
-        parametrization=comp.parametrization,
         pair_labels=PBR_PAIR_LABELS,
         table=table,
         assigned_probabilities=assigned,

@@ -55,10 +55,9 @@ class SignedKernel:
     leave [-1, 1], and so do images of channels between frames of different
     constants (:func:`ontokit.wigner.functor_morphism` bounds those).
 
-    ``matrix`` is a C-contiguous, read-only float64 array.  The constructor
-    holds a copy of the given one; :func:`ontokit.wigner.functor_morphism`
-    hands its kernels a copy it has just made through ``_of_matrix``, which
-    runs the same checks.
+    ``matrix`` is a C-contiguous, read-only float64 copy of the given one,
+    held once its entries are finite and its column sums are within
+    IDENTITY_TOL of 1.
     """
 
     source: FiniteSpace
@@ -73,21 +72,6 @@ class SignedKernel:
                 f"kernel matrix shape {m.shape} does not match "
                 f"({self.target.size}, {self.source.size})"
             )
-        self._hold(m)
-
-    @classmethod
-    def _of_matrix(cls, source: FiniteSpace, target: FiniteSpace, m: np.ndarray) -> "SignedKernel":
-        """The kernel holding ``m``, a read-only float64 matrix of shape
-        ``(|target|, |source|)`` that its caller made for it."""
-        k = object.__new__(cls)
-        object.__setattr__(k, "source", source)
-        object.__setattr__(k, "target", target)
-        k._hold(m)
-        return k
-
-    def _hold(self, m: np.ndarray) -> None:
-        """Hold ``m`` once its entries are finite and its column sums are
-        within IDENTITY_TOL of 1."""
         if not np.isfinite(m).all():
             raise VerificationFailedError("kernel matrix contains NaN or Inf")
         col_err = linalg.max_abs(m.sum(axis=0) - 1.0)

@@ -83,12 +83,14 @@ def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns read-only ``(w, V)`` with ``a = V @ diag(w) @ V^dag`` and ``V``
     unitary, from ``numpy.linalg.eigh`` on the Hermitian part
-    (a + a^dag) / 2 of ``a``, which must be square and Hermitian to within
-    ``IDENTITY_TOL``.
+    (a + a^dag) / 2 of ``a``.  This is the one gate for states and effects:
+    ``a`` is coerced by :func:`as_matrix`, then must be square
+    (``DimMismatchError``) and Hermitian to within ``IDENTITY_TOL``
+    (``NotHermitianError``).
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"matrix must be square, got shape {m.shape}")
+        raise DimMismatchError(f"matrix must be square, got shape {m.shape}")
     mh = m.conj().T
     dev = max_abs(m - mh)
     if dev > IDENTITY_TOL:

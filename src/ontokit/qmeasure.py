@@ -15,6 +15,7 @@ decides it at every size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class QuantumMeasureReport:
     positivity_violations: list = field(default_factory=list)
     range_violations: list = field(default_factory=list)
     sum_rule_violations: list = field(default_factory=list)
-    triple_check: str = "mobius"
+    triple_check: ClassVar[str] = "mobius"
 
     @property
     def clean(self) -> bool:

@@ -22,19 +22,17 @@ from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    ``eigensystem`` is the read-only ``(w, V)`` of
-    :func:`linalg.hermitian_eigensystem` that validation computed, kept for
-    :func:`preparation_channel`; a state from :meth:`from_ket` computes it
-    the same way on first read.  ``matrix`` is a read-only copy, so the two
-    always agree.
+    ``matrix`` is a read-only copy of the given one, and
+    :func:`linalg.hermitian_eigensystem` coerces it, checks its shape and
+    Hermiticity and decomposes it.  ``eigensystem`` is that read-only
+    ``(w, V)``, kept for :func:`preparation_channel`; a state from
+    :meth:`from_ket` computes it the same way on first read.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.frozen(linalg.as_matrix(self.matrix))
-        if m.shape[0] != m.shape[1]:
-            raise DimMismatchError("density matrix must be square")
+        m = linalg.frozen(np.asarray(self.matrix, dtype=complex))
         eigensystem = linalg.hermitian_eigensystem(m)
         tr = m.trace()
         if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
@@ -177,19 +175,17 @@ class ProjectiveMeasurement:
 class TwoOutcomeMeasurement:
     """Effect operator E with 0 <= E <= I; outcome 0 fires with Tr(E rho).
 
-    ``eigensystem`` is the read-only ``(w, V)`` of
-    :func:`linalg.hermitian_eigensystem` that validation computed, kept for
-    :func:`measurement_channel`.  ``effect`` is a read-only copy, so the two
-    always agree.
+    ``effect`` is a read-only copy of the given one, and
+    :func:`linalg.hermitian_eigensystem` coerces it, checks its shape and
+    Hermiticity and decomposes it.  ``eigensystem`` is that read-only
+    ``(w, V)``, kept for :func:`measurement_channel`.
     """
 
     effect: np.ndarray
     eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = linalg.frozen(linalg.as_matrix(self.effect))
-        if e.shape[0] != e.shape[1]:
-            raise DimMismatchError("effect must be square")
+        e = linalg.frozen(np.asarray(self.effect, dtype=complex))
         eigensystem = linalg.hermitian_eigensystem(e)
         w = eigensystem[0]
         if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:

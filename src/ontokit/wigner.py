@@ -313,11 +313,10 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     like frames this is the usual [-1, 1] range.  The bound is verified.
 
     The transfer matrix is checked as a transfer (imaginary part, column
-    sums to ``DERIVED_TOL``) and once as a kernel (finiteness, column sums
-    to ``IDENTITY_TOL``), then against the entry bound.  The kernel holds a
-    C-contiguous, read-only float64 copy of its real part, equal bit for
-    bit to ``SignedKernel(in space, out space, transfer_matrix(ch, in
-    frame, out frame))``.
+    sums to ``DERIVED_TOL``), then by the ``SignedKernel`` constructor
+    (finiteness, column sums to ``IDENTITY_TOL``), then against the entry
+    bound.  The result is ``SignedKernel(in space, out space,
+    transfer_matrix(ch, in frame, out frame))``.
     """
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
     in_frame = frame_for(matrix_algebra(ch.in_dim))
@@ -334,7 +333,7 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     # the input frame is the one for ch.in_dim, so both endpoints fit
     t = _transfer(sup, in_frame, out_frame)
     # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
-    kernel = SignedKernel._of_matrix(in_frame.space, out_frame.space, linalg.frozen(t))
+    kernel = SignedKernel(in_frame.space, out_frame.space, t)
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:

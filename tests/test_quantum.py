@@ -1,11 +1,15 @@
 """Source-category operations: Born rule, channels, composition laws."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontokit import linalg
 from ontokit.antidist import pbr_measurement
-from ontokit.errors import DimMismatchError, NotHermitianError
+from ontokit.errors import DimMismatchError, NotHermitianError, VerificationFailedError
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
@@ -21,6 +25,7 @@ from ontokit.quantum import (
     tensor,
 )
 from ontokit.sampling import random_cptp_channel, random_density, random_ket, rng_for
+from ontokit.tolerances import IDENTITY_TOL
 
 Z0 = np.array([1, 0], dtype=complex)
 Z1 = np.array([0, 1], dtype=complex)
@@ -55,6 +60,102 @@ def test_non_hermitian_matrix_rejected(build):
 def test_non_square_density_matrix_rejected(build):
     with pytest.raises(DimMismatchError, match="must be square"):
         build(np.ones((2, 3)) / 2)
+
+
+@pytest.mark.parametrize("build, x", [
+    (DensityMatrix, np.diag([0.25, 0.75])),
+    (TwoOutcomeMeasurement, [[0.5, 0.25], [0.25, 0.5]]),
+], ids=["state", "effect"])
+def test_operator_is_coerced_once(build, x, monkeypatch):
+    calls = []
+    as_matrix = linalg.as_matrix
+    monkeypatch.setattr(linalg, "as_matrix", lambda a: calls.append(a) or as_matrix(a))
+    build(x)
+    assert len(calls) == 1
+
+
+def _checked_in_documented_order(build, x):
+    """Oracle of the state and effect checks, one after another in their
+    documented order: coerce, 2-d and nonempty, finite, square, Hermitian,
+    then the trace and spectrum (state) or the spectrum (effect).  Returns
+    the held operator and its eigensystem, or raises what the constructor
+    raises; only its non-square message is worded differently."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise DimMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise VerificationFailedError("matrix contains NaN or Inf entries")
+    if m.shape[0] != m.shape[1]:
+        raise DimMismatchError("operator must be square")
+    mh = m.conj().T
+    dev = np.abs(m - mh).max()
+    if dev > IDENTITY_TOL:
+        raise NotHermitianError(f"max |a - a^dag| = {dev:.3e} exceeds {IDENTITY_TOL}")
+    w, v = np.linalg.eigh((m + mh) / 2)
+    if build is DensityMatrix:
+        tr = m.trace()
+        if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
+            raise VerificationFailedError(f"trace {complex(tr)!r} deviates from 1")
+        if w[0] < -IDENTITY_TOL:
+            raise VerificationFailedError(f"negative eigenvalue {w[0]:.3e}")
+    elif w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:
+        raise VerificationFailedError(
+            f"effect spectrum [{w[0]:.3e}, {w[-1]:.6f}] not within [0, 1]"
+        )
+    return m, w, v
+
+
+@st.composite
+def operator_inputs(draw):
+    """Arrays of 0-3 dimensions, empty ones included; square ones are
+    V diag(w) V^dag for a drawn spectrum, which may leave [0, 1] or miss
+    unit trace, and may be made non-Hermitian or given a NaN or Inf."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    shape = draw(st.one_of(
+        st.just((n, n)), st.just((n, n)), st.just((n, n)),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    ))
+    if shape == (n, n):
+        w = np.array(draw(st.lists(st.sampled_from([-0.25, 0.0, 0.125, 0.25, 0.5, 1.0, 1.25]),
+                                   min_size=n, max_size=n)))
+        if draw(st.booleans()) and w.sum() > 0:
+            w = w / w.sum()
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        x = (q * w) @ q.conj().T
+        if draw(st.booleans()):
+            x = (x + x.conj().T).real / 2
+    else:
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fault = draw(st.sampled_from(["none", "none", "skew", "nan", "inf"]))
+    if fault != "none" and x.ndim == 2 and x.size:
+        i, j = 0, x.shape[1] - 1
+        x[i, j] = {"skew": x[i, j] + 1e-3, "nan": np.nan, "inf": np.inf}[fault]
+    return x.tolist() if draw(st.booleans()) else x
+
+
+@pytest.mark.parametrize("build", [DensityMatrix, TwoOutcomeMeasurement])
+@settings(max_examples=200, deadline=None)
+@given(x=operator_inputs())
+def test_constructors_match_the_documented_order(build, x):
+    try:
+        want = _checked_in_documented_order(build, x)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            build(x)
+        assert type(got.value) is type(exc)
+        if "must be square" in str(exc):
+            assert re.search("must be square", str(got.value))
+        else:
+            assert str(got.value) == str(exc)
+        return
+    obj = build(x)
+    m, w, v = want
+    held = obj.matrix if build is DensityMatrix else obj.effect
+    assert held.dtype == m.dtype and held.shape == m.shape and held.tobytes() == m.tobytes()
+    for got, exp in zip(obj.eigensystem, (w, v)):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
 
 
 @pytest.mark.parametrize("m, message", [
