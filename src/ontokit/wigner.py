@@ -21,7 +21,7 @@ factor through the kernel side exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -125,6 +125,17 @@ class WignerFrame:
     as ``residuals``.  Each residual must stay within ``TIGHT_IDENTITY_TOL``,
     except the Gram residual (``TIGHT_IDENTITY_TOL * max(1, c)``) and the sum
     residual (``IDENTITY_TOL``).  Product frames are checked the same way.
+
+    The frame matrix also has a factor form F = (I_B (x) phi) G, which the
+    frame derives from its verified operators on first use
+    (:func:`_factor_form`): G gathers B w of the d^2 vec entries, and each of
+    B blocks of consecutive points reads its own w of them through one shared
+    m x w matrix phi.  A phase-point frame has B = w = d, block q reading the
+    entries (q + y, q - y) with phi[p, y] = omega^{2py}; a commutative frame
+    has B = k and phi = [1], reading the diagonal.  A frame without this
+    structure, a product frame or one with dense operators, is one block
+    whose phi is ``vectors`` itself.  Transfers are computed in this form
+    (:func:`transfer_matrix`); nothing dense is stored beside ``vectors``.
     """
 
     algebra: Algebra
@@ -134,6 +145,8 @@ class WignerFrame:
     hilbert_dim: int = field(init=False)
     vectors: np.ndarray = field(init=False, repr=False)
     residuals: FrameResiduals = field(init=False, repr=False)
+    # partner dimension -> _gather_offsets(partner)
+    _offsets: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         ops = linalg.frozen(np.asarray(self.operators, dtype=complex))
@@ -162,6 +175,68 @@ class WignerFrame:
     @property
     def n_points(self) -> int:
         return self.space.size
+
+    @cached_property
+    def _form(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(phi, entries, n_read) of the factor form, derived on first use, so a
+        frame that only computes Wigner vectors never derives it.  ``entries``
+        holds the (row, column) of the n_read vec entries G reads, block-major,
+        then of the others."""
+        d = self.hilbert_dim
+        read, phi = _factor_form(self.vectors)
+        unread = np.ones(d * d, dtype=bool)
+        unread[read] = False
+        entries = np.divmod(np.concatenate((read, np.flatnonzero(unread))), d)
+        return phi, linalg.frozen(entries), read.size
+
+    def _gather_offsets(self, partner: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat offsets, in the pairs array of :func:`_through_frames` between this
+        frame and one of dimension ``partner``, of this frame's entries: as the
+        left frame (a column over all entries) and as the right frame (a row
+        over the read ones).  Memoised per partner: they are index arithmetic
+        that every transfer between the same dimensions repeats."""
+        if partner not in self._offsets:
+            d = self.hilbert_dim
+            _, (a, b), n_read = self._form
+            self._offsets[partner] = (
+                ((a * (d * partner) + b) * partner)[:, None],
+                (a * (partner * d) + b)[:n_read],
+            )
+        return self._offsets[partner]
+
+
+def _factor_form(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(read, phi) with vecs = (I_B (x) phi) G, G the 0/1 matrix that gathers
+    the vec entries ``read`` (B blocks of w), or (all entries, vecs) as one block.
+
+    Point i lies in block i // m.  The structure holds exactly when every
+    point of a block has the same support of w nonzeros, the B supports are
+    disjoint, and each column of every block equals exactly one column of
+    block 0 and the other way round: block 0's values are phi, and each
+    block reads its support in the order of the block-0 columns it matches.
+    """
+    count, size = vecs.shape
+    one_block = np.arange(size), vecs
+    rows, cols = np.nonzero(vecs)
+    width = rows.size // count
+    if (np.bincount(rows, minlength=count) != width).any():
+        return one_block
+    support = cols.reshape(count, width)
+    m = int((support == support[0]).all(axis=1).sum())
+    blocks = count // m
+    if blocks == 1 or blocks * m != count:
+        return one_block
+    support = support.reshape(blocks, m, width)[:, 0]
+    shared = (cols.reshape(blocks, m, width) == support[:, None]).all()
+    if not shared or np.bincount(support.ravel()).max() > 1:
+        return one_block
+    values = vecs[rows, cols].reshape(blocks, m, width)
+    # match[b, z, y]: column z of block b holds the values of column y of block 0
+    match = (values[:, :, :, None] == values[0][None, :, None, :]).all(axis=1)
+    if (match.sum(axis=1) != 1).any() or (match.sum(axis=2) != 1).any():
+        return one_block
+    read = support[np.arange(blocks)[:, None], match.argmax(axis=1)]
+    return read.reshape(-1), linalg.frozen(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +344,45 @@ def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
     return Distribution(frame.space, v)
 
 
-def _superoperator(ch: Channel) -> np.ndarray:
-    """sum_k K (x) conj(K), shape (out^2, in^2), mapping the row-major vec(X) to
-    vec(sum_k K X K^dag): the entries of sum_k vec(K) vec(K)^dag regrouped
-    from [(a, i), (b, j)] to [(a, b), (i, j)]."""
+def _through_frames(
+    pairs: np.ndarray, left: WignerFrame, right: WignerFrame, conj_right: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """conj(F_left) M R^T, with R = conj(F_right) if conj_right else F_right and
+    M[(a, b), (k, l)] = pairs[(a, k), (b, l)], from the two factor forms; and
+    the rows of M R^T at the vec entries (a, b) that left does not read.
+
+    One gather of ``pairs`` at the entries G_left and G_right read both selects
+    and regroups; then phi_right acts on the last axis in one product and
+    conj(phi_left) on each row block in one batched product.
+    """
+    rows = left._gather_offsets(right.hilbert_dim)[0]
+    cols = right._gather_offsets(left.hilbert_dim)[1]
+    phi_l, _, n = left._form
+    phi_r = right._form[0].conj() if conj_right else right._form[0]
+    y = pairs.reshape(-1)[rows + cols].reshape(-1, phi_r.shape[1]) @ phi_r.T
+    y = y.reshape(rows.size, -1)
+    read = np.matmul(phi_l.conj(), y[:n].reshape(-1, phi_l.shape[1], y.shape[1]))
+    return read.reshape(left.n_points, -1), y[n:]
+
+
+def _transfer(
+    ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame
+) -> tuple[np.ndarray, float]:
+    """The real transfer matrix of ch between the two frames, its imaginary part
+    checked, and the largest modulus of an image entry the output frame does
+    not read: an off-diagonal one for a commutative frame, none (0) otherwise.
+
+    T = conj(F_out) S F_in^T / c_out for the superoperator S[(a, b), (i, j)] =
+    O[(a, i), (b, j)], O = sum_k vec(K_k) vec(K_k)^dag, computed in the two
+    frames' factor forms by :func:`_through_frames`.
+    """
     count, o, i = ch.kraus.shape
     kraus = ch.kraus.reshape(count, o * i)
-    outer = kraus.T @ kraus.conj()
-    return outer.reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
+    t, unread = _through_frames(kraus.T @ kraus.conj(), out_frame, in_frame, conj_right=False)
+    # the parts are divided by c_out one by one: a complex division costs about three real ones
+    if linalg.max_abs(t.imag) / out_frame.norm_const > TIGHT_IDENTITY_TOL:
+        raise VerificationFailedError("transfer matrix has a nonreal component")
+    return t.real / out_frame.norm_const, linalg.max_abs(unread) if unread.size else 0.0
 
 
 def transfer_matrix(
@@ -287,18 +393,16 @@ def transfer_matrix(
     The divisor is the output frame constant, which is the convention under
     which columns of trace-preserving channels sum to exactly 1 and
     composition remains matrix multiplication.
+
+    Computed from the frames' factor forms (see :class:`WignerFrame`): one
+    gather of sum_k vec(K_k) vec(K_k)^dag and one product with phi on each
+    side, O(d^5) for phase-point frames where the dense conj(F_out) S F_in^T
+    is O(d^6).  The imaginary part is held to ``TIGHT_IDENTITY_TOL`` and the
+    column sums to ``DERIVED_TOL``.
     """
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
-    return _transfer(_superoperator(ch), in_frame, out_frame)
-
-
-def _transfer(sup: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> np.ndarray:
-    """:func:`transfer_matrix` from the channel's superoperator, endpoints checked."""
-    t = out_frame.vectors.conj() @ sup @ in_frame.vectors.T / out_frame.norm_const
-    if linalg.max_abs(t.imag) > TIGHT_IDENTITY_TOL:
-        raise VerificationFailedError("transfer matrix has a nonreal component")
-    t = t.real
+    t, _ = _transfer(ch, in_frame, out_frame)
     col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
     if col_err > DERIVED_TOL:
         raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
@@ -312,10 +416,14 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     constants (trace-norm contraction against the involutive frame); for
     like frames this is the usual [-1, 1] range.  The bound is verified.
 
-    The transfer matrix is checked as a transfer (imaginary part, column
-    sums to ``DERIVED_TOL``), then by the ``SignedKernel`` constructor
-    (finiteness, column sums to ``IDENTITY_TOL``), then against the entry
-    bound.  The result is ``SignedKernel(in space, out space,
+    The transfer comes from the routine behind :func:`transfer_matrix`, in
+    the frames' factor form.  That routine checks the imaginary part and
+    measures the image entries the output frame does not read, the
+    off-diagonal ones into a commutative algebra, which must stay within
+    ``IDENTITY_TOL``.  The columns are checked once, by the ``SignedKernel``
+    constructor (finiteness, column sums to ``IDENTITY_TOL``, tighter than
+    the ``DERIVED_TOL`` that ``transfer_matrix`` holds), then the entries
+    against the bound.  The result is ``SignedKernel(in space, out space,
     transfer_matrix(ch, in frame, out frame))``.
     """
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
@@ -323,16 +431,10 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     out_frame = frame_for(out_algebra)
     if out_frame.hilbert_dim != ch.out_dim:
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
-    sup = _superoperator(ch)
-    if out_algebra.kind == "commutative":
-        images = (in_frame.vectors @ sup.T).reshape(-1, ch.out_dim, ch.out_dim)
-        if linalg.max_abs(images * (1.0 - np.eye(ch.out_dim))) > IDENTITY_TOL:
-            raise UnrepresentableAlgebraError(
-                "channel output is not diagonal; not a morphism into C^k"
-            )
     # the input frame is the one for ch.in_dim, so both endpoints fit
-    t = _transfer(sup, in_frame, out_frame)
-    # transfer columns are held to DERIVED_TOL, kernel columns to IDENTITY_TOL
+    t, unread = _transfer(ch, in_frame, out_frame)
+    if unread > IDENTITY_TOL:
+        raise UnrepresentableAlgebraError("channel output is not diagonal; not a morphism into C^k")
     kernel = SignedKernel(in_frame.space, out_frame.space, t)
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
@@ -506,13 +608,15 @@ _SAMPLED_COLUMNS = 2
 
 def _product_column(ch: Channel, fa: WignerFrame, fb: WignerFrame, a: int, b: int) -> np.ndarray:
     """Column (a, b) of T(ch) on the product of fa and fb, shaped (points_a, points_b):
-    the Kraus stack applied to s_a (x) t_b, the output Y regrouped from
-    [(i, k), (j, l)] to [(i, j), (k, l)] and read as conj(F_a) Y conj(F_b)^T / (c_a c_b)."""
+    the Kraus stack applied to s_a (x) t_b, and the output Y[(i, k), (j, l)]
+    read as conj(F_a) Y' conj(F_b)^T / (c_a c_b), Y'[(i, j), (k, l)] = Y[(i, k), (j, l)],
+    through the two factor forms."""
     da, db = fa.hilbert_dim, fb.hilbert_dim
+    s, t = fa.operators[a][:, None, :, None], fb.operators[b][None, :, None, :]
     k = ch.kraus
-    y = (k @ np.kron(fa.operators[a], fb.operators[b]) @ k.conj().transpose(0, 2, 1)).sum(axis=0)
-    y = y.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    return fa.vectors.conj() @ y @ fb.vectors.conj().T / (fa.norm_const * fb.norm_const)
+    y = (k @ (s * t).reshape(da * db, da * db) @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    column, _ = _through_frames(y, fa, fb, conj_right=True)
+    return column / (fa.norm_const * fb.norm_const)
 
 
 def monoidality_check(

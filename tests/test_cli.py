@@ -702,14 +702,17 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # the other five before the unused kernel, functor and CLI options were
 # removed.  The two functor-check rows were re-recorded when the
 # monoidality check moved to sampled product columns: their stdout differs
-# from the dense check's only in the max_transfer_residual line.  The
+# from the dense check's only in the max_transfer_residual line.  They were
+# re-recorded again when transfers moved to the frames' factor form: only
+# floats in sample_kernel and max_transfer_residual moved, each by less
+# than 1.2e-16.  The
 # wigner-state-csv row was re-recorded when the CSV writer began to quote
 # the "(q,p)" labels, whose comma split each row into three fields; the
 # header and the weights are unchanged.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
-    "functor-check-dim3": "cd805e1d02a077b2aaccb7d406bf1bc6515e066054715781443ffea4f3f2293d",
-    "functor-check-dim7": "cc5266b57278dcbbf92fc93043844fbc57ad4b4207b44b768108c7248645c8ec",
+    "functor-check-dim3": "5bbe522f75ce47831c992c9ea359821f54662dbc9ee39d3377a1fc221137a9a5",
+    "functor-check-dim7": "3e5ed66d59c0317d0ae935594fce30900b68437814791281cb626495d75bdf04",
     "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
     "qmeasure-validate": "adde2b565c5ec59d8389d8f30443b58bdc8afcbcb8b6d313ca1ad77c74b40495",
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",

@@ -34,6 +34,7 @@ from ontokit.sampling import (
     random_effect,
     random_ket,
     random_nonorthogonal_pair,
+    random_unitary,
     rng_for,
 )
 from ontokit.tolerances import DEGENERATE_DRAW_EPS, TIGHT_IDENTITY_TOL
@@ -54,6 +55,7 @@ from ontokit.wigner import (
     monoidality_check,
     pad_odd,
     phase_point_operators,
+    phase_space,
     product_frame,
     random_stabilizer_pair,
     transfer_matrix,
@@ -93,6 +95,34 @@ def transfer_oracle(ch, in_frame, out_frame):
             for k in ch.kraus:
                 t[i, j] += np.trace(s_out @ k @ s_in @ k.conj().T)
     return (t / out_frame.norm_const).real
+
+
+def dense_transfer(ch, in_frame, out_frame):
+    """conj(F_out) S F_in^T / c_out with S = sum_k K (x) conj(K), regrouped from
+    sum_k vec(K) vec(K)^dag; and the images f(s_j) = S vec(s_j) as matrices."""
+    count, o, i = ch.kraus.shape
+    kraus = ch.kraus.reshape(count, o * i)
+    sup = (kraus.T @ kraus.conj()).reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
+    t = out_frame.vectors.conj() @ sup @ in_frame.vectors.T / out_frame.norm_const
+    return t, (in_frame.vectors @ sup.T).reshape(-1, o, o)
+
+
+def channel_with_at_least(rng, in_dim, out_dim, count):
+    """A random channel with ``count`` Kraus operators, or with in_dim / out_dim
+    (rounded up) if that is more: fewer cannot sum to the identity."""
+    return kraus_channel(rng, in_dim, out_dim, max(count, -(-in_dim // out_dim)))
+
+
+def assert_transfer_matches_dense(ch, in_frame, out_frame):
+    """wigner._transfer against the dense formula, to 1e-13: the real transfer,
+    and the unread image entries (the off-diagonal ones into a commutative frame)."""
+    t, unread = wigner._transfer(ch, in_frame, out_frame)
+    want, images = dense_transfer(ch, in_frame, out_frame)
+    assert t.shape == want.shape
+    assert linalg.max_abs(t - want.real) <= 1e-13
+    o = ch.out_dim
+    off = linalg.max_abs(images * (1.0 - np.eye(o))) if out_frame.algebra.kind == "commutative" else 0.0
+    assert abs(unread - off) <= 1e-13
 
 
 class TestFrames:
@@ -321,6 +351,75 @@ class TestTransferMatrix:
                 transfer_matrix(ch, fin, fout) - transfer_oracle(ch, fin, fout)
             ) <= 1e-12
 
+    @pytest.mark.parametrize("frame, blocks, width", [
+        (phase_point_operators(1), 1, 1),
+        *((phase_point_operators(n), n, n) for n in (3, 5, 25)),
+        *((commutative_frame(k), k, 1) for k in (2, 5)),
+        (product_frame(QUTRIT, phase_point_operators(5)), 1, 225),
+    ], ids=["pp1", "pp3", "pp5", "pp25", "c2", "c5", "prod3x5"])
+    def test_factor_form_rebuilds_the_frame_matrix_bit_for_bit(self, frame, blocks, width):
+        d = frame.hilbert_dim
+        phi, (rows, cols), n = frame._form
+        assert phi.shape == (frame.n_points // blocks, width) and n == blocks * width
+        rebuilt = np.zeros_like(frame.vectors)
+        read = (rows * d + cols)[:n].reshape(blocks, width)
+        for b in range(blocks):
+            rebuilt[b * phi.shape[0]:(b + 1) * phi.shape[0], read[b]] = phi
+        assert rebuilt.tobytes() == frame.vectors.tobytes()
+        # every vec entry once, read or not
+        assert np.array_equal(np.sort(rows * d + cols), np.arange(d * d))
+        # one block is the stored frame matrix itself, not a copy of it
+        assert (phi is frame.vectors) == (blocks == 1)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 25])
+    def test_phase_point_form_is_the_permuted_dft(self, n):
+        # block q reads the entries (q + y, q - y), and phi[p, y] = omega^{2py}
+        phi, (rows, cols), n_read = phase_point_operators(n)._form
+        q, p, y = np.arange(n)[:, None], np.arange(n)[:, None], np.arange(n)
+        assert n_read == n * n
+        assert np.array_equal(rows.reshape(n, n), (q + y) % n)
+        assert np.array_equal(cols.reshape(n, n), (q - y) % n)
+        assert phi.tobytes() == np.exp(2j * np.pi * ((2 * p * y) % n) / n).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(range(1, 26, 2)),
+           st.integers(min_value=1, max_value=4),
+           st.sampled_from(["matrix", "commutative", "unit"]), st.sampled_from(["matrix", "unit"]))
+    def test_routine_matches_the_dense_formula(self, seed, d, count, out_kind, in_kind):
+        in_frame = phase_point_operators(d) if in_kind == "matrix" else commutative_frame(1)
+        out_frame = {
+            "matrix": phase_point_operators(d),
+            "commutative": commutative_frame(max(d // 5, 2)),
+            "unit": commutative_frame(1),
+        }[out_kind]
+        ch = channel_with_at_least(rng_for(seed), in_frame.hilbert_dim, out_frame.hilbert_dim, count)
+        assert_transfer_matches_dense(ch, in_frame, out_frame)
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 5)])
+    def test_routine_matches_the_dense_formula_on_product_frames(self, m, n):
+        rng = rng_for(94, m, n)
+        prod = product_frame(phase_point_operators(m), phase_point_operators(n))
+        for count in (1, 4):
+            for in_frame, out_frame in ((prod, prod), (prod, phase_point_operators(m * n)),
+                                        (commutative_frame(1), prod), (prod, commutative_frame(3))):
+                ch = channel_with_at_least(rng, in_frame.hilbert_dim, out_frame.hilbert_dim, count)
+                assert_transfer_matches_dense(ch, in_frame, out_frame)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_routine_matches_the_dense_formula_on_a_rotated_frame(self, d):
+        # U s U^dag of the phase-point operators is a frame through the public
+        # constructor, with dense operators and so no block structure
+        rng = rng_for(95, d)
+        u = random_unitary(rng, d)
+        rotated = WignerFrame(matrix_algebra(d), u @ phase_point_operators(d).operators @ u.conj().T,
+                              float(d), phase_space(d))
+        assert rotated._form[0] is rotated.vectors
+        for count in (1, 2, 4):
+            for in_frame, out_frame in ((rotated, rotated), (phase_point_operators(d), rotated),
+                                        (rotated, commutative_frame(2))):
+                ch = channel_with_at_least(rng, d, out_frame.hilbert_dim, count)
+                assert_transfer_matches_dense(ch, in_frame, out_frame)
+
     def test_measurement_channel_columns_sum_to_one(self):
         rng = rng_for(82)
         effect = random_effect(rng, 3)
@@ -396,7 +495,7 @@ class TestFunctorMorphism:
         # like frames bound the entries by max(1, c_in / c_out) = 1
         t = np.eye(9)
         t[:2, 0] = [1.5, -0.5]
-        monkeypatch.setattr(wigner, "_transfer", lambda sup, fin, fout: t)
+        monkeypatch.setattr(wigner, "_transfer", lambda ch, fin, fout: (t, 0.0))
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             functor_morphism(Channel.identity(3))
 
@@ -419,16 +518,22 @@ class TestFunctorMorphism:
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert got.markov == want.markov
 
-    @pytest.mark.parametrize("drift, message", [
-        (5e-9, "column sums deviate from 1 by 5.000e-09"),  # within DERIVED_TOL only
-        (5e-8, "transfer columns sum error 5.000e-08"),
-    ], ids=["kernel-columns", "transfer-columns"])
-    def test_drifting_columns_raise_the_kernel_and_transfer_errors(self, monkeypatch, drift, message):
-        # scaling the superoperator scales every transfer column sum by 1 + drift
-        superoperator = wigner._superoperator
-        monkeypatch.setattr(wigner, "_superoperator", lambda ch: superoperator(ch) * (1.0 + drift))
+    @pytest.mark.parametrize("drift, call, message", [
+        (5e-9, functor_morphism, "column sums deviate from 1 by 5.000e-09"),  # within DERIVED_TOL
+        (5e-8, functor_morphism, "column sums deviate from 1 by 5.000e-08"),  # the kernel's one gate
+        (5e-8, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT), "transfer columns sum error 5.000e-08"),
+    ], ids=["kernel-columns", "kernel-columns-past-derived-tol", "transfer-columns"])
+    def test_drifting_columns_raise_the_kernel_and_transfer_errors(self, monkeypatch, drift, call, message):
+        # scaling the transfer scales every column sum by 1 + drift
+        transfer = wigner._transfer
+
+        def drifting(ch, fin, fout):
+            t, unread = transfer(ch, fin, fout)
+            return t * (1.0 + drift), unread
+
+        monkeypatch.setattr(wigner, "_transfer", drifting)
         with pytest.raises(VerificationFailedError, match=f"^{message}$"):
-            functor_morphism(Channel.identity(3))
+            call(Channel.identity(3))
 
     def test_kernel_is_validated_once_and_held_contiguous_and_read_only(self, monkeypatch):
         rng = rng_for(87)
