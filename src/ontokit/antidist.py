@@ -262,9 +262,8 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
 
     # gamma may exceed 1/sqrt(2) by rounding; the residual check below decides
     t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
-    k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
-    k1 = np.sqrt((1.0 - t * t) / 2.0) * np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
-    channel = Channel((k0, k1))
+    s = np.sqrt((1.0 - t * t) / 2.0)
+    channel = Channel._of_stack(np.array([[[1, 0], [0, t]], [[0, s], [0, s]]], dtype=complex))
     out_psi = apply_channel(channel, DensityMatrix.from_ket(psi_span))
     out_phi = apply_channel(channel, DensityMatrix.from_ket(phi_span))
     res_psi = linalg.max_abs(out_psi.matrix - np.diag([1.0, 0.0]))

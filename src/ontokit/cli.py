@@ -320,6 +320,8 @@ input schemas (numbers are decimal; outputs use 17 significant digits):
   qmeasure  {"points": [labels], "decoherence": matrix}
             or {"points": [labels], "measure": {"<bitmask>": real}}, not both
 
+labels (points, ontic, from, to and each state's label) are JSON strings.
+
 exit codes: 0 all checks pass, 1 check failure, 2 schema/IO error.
 --tol, else ONTOKIT_TOL, overrides the default tolerance; it must be finite and > 0.
 """

@@ -125,6 +125,11 @@ def _check_weight_rows(space: FiniteSpace, w: np.ndarray) -> None:
             raise VerificationFailedError(f"weights sum to {float(row.sum())!r}, expected 1")
 
 
+def _signed_rows(w: np.ndarray) -> np.ndarray:
+    """Which weight rows break a model's sign rule: an entry below -NONNEG_TOL."""
+    return w.min(axis=1) < -NONNEG_TOL
+
+
 def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
     """The ResponseFunction checks on each row of a (rows x points) matrix."""
     if v.ndim != 2 or v.shape[1] != space.size:

@@ -1,11 +1,14 @@
 """Dense complex linear algebra at desk scale.
 
 Everything in the toolkit runs through this module: matrices are plain
-``numpy`` arrays of ``complex128``, kets are one-dimensional unit vectors.
+``numpy`` arrays of ``complex128``, kets are unit vectors that one gate
+admits, alone or as the rows of a stack (:func:`as_kets`).
 Hermitian spectra come from ``numpy.linalg.eigh`` behind a Hermiticity check.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,29 +50,34 @@ def as_real(a, what: str) -> np.ndarray:
 
 
 def as_ket(v) -> np.ndarray:
-    """Coerce to a finite 1-d complex unit vector."""
-    k = np.asarray(v, dtype=complex).reshape(-1)
-    if k.size < 1:
+    """Coerce to a finite 1-d complex unit vector: the one-row case of
+    :func:`as_kets`, with its errors."""
+    return as_kets(np.asarray(v, dtype=complex).reshape(1, -1))[0]
+
+
+def as_kets(rows) -> np.ndarray:
+    """Coerce to a 2-d complex array of kets: rows with an amplitude, finite,
+    of norm within ``TIGHT_IDENTITY_TOL`` of 1; the first row that fails
+    raises.  A norm sqrt(np.vecdot(row, row)) has the same bits alone and in
+    any stack, so a stack passes iff :func:`as_ket` passes each row; a huge
+    row's overflows to inf and fails, with no warning."""
+    kets = np.asarray(rows, dtype=complex)
+    if kets.ndim != 2:
+        raise DimMismatchError(f"expected a 2-d stack of kets, got shape {kets.shape}")
+    if kets.shape[1] < 1 and len(kets):
         raise DimMismatchError("ket must have at least one amplitude")
-    if not np.isfinite(k).all():
-        raise VerificationFailedError("ket contains NaN or Inf amplitudes")
-    nrm = np.linalg.norm(k)
-    if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
-        raise VerificationFailedError(
-            f"ket norm {float(nrm)!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}"
-        )
-    return k
-
-
-def clearly_unit_rows(kets: np.ndarray) -> np.ndarray:
-    """Which rows of a 2-d complex array have a norm within half of
-    ``TIGHT_IDENTITY_TOL`` of 1.  The other half is kept in reserve for the
-    rounding of a single ket's norm, so that :func:`as_ket` accepts every
-    such row, and so does parse_ket; a non-finite or huge row is not clear,
-    and raises no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(kets, axis=1)
-    return np.abs(norms - 1.0) <= TIGHT_IDENTITY_TOL / 2
+        squares = np.vecdot(kets, kets).real.tolist()
+    # a Python loop: on one or a few rows, cheaper than numpy's reductions
+    for i, sq in enumerate(squares):
+        nrm = math.sqrt(sq)
+        if not abs(nrm - 1.0) <= TIGHT_IDENTITY_TOL:  # a NaN norm fails too
+            if not np.isfinite(kets[i]).all():
+                raise VerificationFailedError("ket contains NaN or Inf amplitudes")
+            raise VerificationFailedError(
+                f"ket norm {nrm!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}"
+            )
+    return kets
 
 
 def max_abs(a) -> float:

@@ -25,9 +25,10 @@ from .errors import (
 )
 from .kernels import (
     TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows,
+    _signed_rows,
 )
 from .quantum import Channel, ProjectiveMeasurement, compose
-from .tolerances import FUNCTOR_TOL, MODEL_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
+from .tolerances import FUNCTOR_TOL, MODEL_TOL, STRICT_MARGIN, SUPPORT_EPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +55,7 @@ class OntModel:
         _check_weight_rows(self.ontic, weights)
         if len(weights) != len(labels):
             raise VerificationFailedError("each state needs exactly one weight row")
-        signed = weights.min(axis=1) < -NONNEG_TOL
+        signed = _signed_rows(weights)
         if signed.any():
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         measurements = []
@@ -90,8 +91,7 @@ def _stack_kets(kets, n_states: int, measurements: Sequence[ProjectiveMeasuremen
         kets = kets.reshape(0, measurements[0].dim if measurements else 0)
     if kets.ndim != 2 or len(kets) != n_states:
         raise DimMismatchError(f"expected one ket row per state, got shape {kets.shape}")
-    for i in np.flatnonzero(~linalg.clearly_unit_rows(kets)):  # as_ket decides each in order
-        linalg.as_ket(kets[i])
+    linalg.as_kets(kets)
     dim = kets.shape[1]
     for mi, m in enumerate(measurements):
         if m.dim != dim:

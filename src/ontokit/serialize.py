@@ -2,17 +2,12 @@
 
 The input schemas are those ``ontokit --help`` lists (``cli.SCHEMA_HELP``);
 all numbers are decimal, with 17 significant digits on output so that
-float64 round-trips are bit exact.
+float64 round-trips are bit exact (``dumps_report`` says how it writes them).
 
-``dumps_report`` formats a list of plain floats and a list of
-equal-length list or tuple rows of plain floats with one ``%`` over a
-"%.17g" template of their shape.  A nonempty 2-d float64 array (the kernel
-matrix of ``kernel_to_json``) is formatted with one ``%`` too, over integer
-slots: an entry of magnitude in (1e-4, 1) is written as "0.", its leading
-zeros and its 17 significant digits, which numpy rounds exactly as one
-integer; every other entry keeps a "%.17g" slot.
-Lists of strings and dict keys go through json's C string encoder; other
-values go one call each.  The bytes are those of emitting value by value.
+The readers check structure only: fields, types, shapes, and labels that
+are JSON strings.  Every numerical check (ket norms, weight sums, signs,
+Kraus sums) is the library's, run through ``_named`` so that its error
+names the field; this module imports no threshold.
 """
 
 from __future__ import annotations
@@ -33,12 +28,12 @@ from .kernels import (
     SignedKernel,
     _check_response_rows,
     _check_weight_rows,
+    _signed_rows,
     distribution_rows,
 )
 from .ontomodel import OntModel, catalogue_kets
 from .qmeasure import DecoherenceFunctional, QuantumMeasure, check_size
 from .quantum import Channel, ProjectiveMeasurement
-from .tolerances import NONNEG_TOL, TIGHT_IDENTITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +323,19 @@ def parse_matrix(doc, field: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def parse_ket(doc) -> np.ndarray:
-    dim = _need(doc, "dim")
-    amps = _need(doc, "amplitudes")
+def parse_ket(doc, place: str = "") -> np.ndarray:
+    """A ket document, each of its fields named after ``place``."""
+    dim = _need(doc, "dim", place)
+    amps = _need(doc, "amplitudes", place)
     if type(dim) is not int or dim < 1:  # JSON true is no dimension
-        raise SchemaError("dim", "expected a positive integer")
+        raise SchemaError(place + "dim", "expected a positive integer")
     if not isinstance(amps, list) or len(amps) != dim:
-        raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
+        raise SchemaError(place + "amplitudes", f"expected {dim} amplitude pairs")
     psi = _pairs_array(amps, 2)
     if psi is None:
         # entry by entry, to name what is malformed
-        psi = np.array([_pair_to_complex(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
-    nrm = np.linalg.norm(psi)
-    if not abs(nrm - 1.0) <= TIGHT_IDENTITY_TOL:  # a NaN norm fails too
-        raise SchemaError("amplitudes", f"ket norm {float(nrm)!r} deviates from 1")
-    return psi
+        psi = np.array([_pair_to_complex(v, f"{place}amplitudes[{i}]") for i, v in enumerate(amps)])
+    return _named(place + "amplitudes", linalg.as_ket, psi)
 
 
 def parse_channel(doc) -> Channel:
@@ -381,9 +374,18 @@ def parse_kernel(doc) -> SignedKernel:
     return _named("matrix", SignedKernel, source, target, _real_array(mat, "matrix"))
 
 
+def _label(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(field, f"expected a string label, got {value!r}")
+    return value
+
+
 def _space(labels, field: str) -> FiniteSpace:
     if not isinstance(labels, list) or not labels:
         raise SchemaError(field, "expected a nonempty label list")
+    if set(map(type, labels)) != {str}:
+        for i, label in enumerate(labels):
+            _label(label, f"{field}[{i}]")
     return _named(field, FiniteSpace, tuple(labels))
 
 
@@ -417,9 +419,8 @@ def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
 
 
 def _ket_rows(docs: list) -> np.ndarray | None:
-    """Ket documents as the rows of one complex array, read with one reader
-    call; None unless parse_ket would accept each of them, all of one
-    dimension."""
+    """Ket documents as the rows of one complex array, read and checked with
+    one call each; None unless parse_ket accepts each, all of one dimension."""
     if not all(isinstance(d, dict) and "dim" in d and "amplitudes" in d for d in docs):
         return None
     kets = _pairs_array([d["amplitudes"] for d in docs], 3)
@@ -429,28 +430,24 @@ def _ket_rows(docs: list) -> np.ndarray | None:
         for d in docs
     ):
         return None
-    return kets if linalg.clearly_unit_rows(kets).all() else None
-
-
-def _ket_at(doc, place: str) -> np.ndarray:
-    """parse_ket, naming a malformed ket's field under ``place``."""
     try:
-        return parse_ket(doc)
-    except SchemaError as exc:
-        raise SchemaError(f"{place}.{exc.field}", exc.message) from None
+        return linalg.as_kets(kets)
+    except VerificationFailedError:
+        return None
 
 
 def _model_states(docs: list) -> tuple[list[str], np.ndarray | list[np.ndarray]]:
     """The state labels, and the kets as one array or else one by one."""
     if all(isinstance(s, dict) and "label" in s and "ket" in s for s in docs):
+        labels = [s["label"] for s in docs]
         kets = _ket_rows([s["ket"] for s in docs])
-        if kets is not None:
-            return [str(s["label"]) for s in docs], kets
+        if kets is not None and set(map(type, labels)) <= {str}:
+            return labels, kets
     # state by state, to name the first that is malformed
     labels, kets = [], []
     for i, s in enumerate(docs):
-        labels.append(str(_need(s, "label", f"states[{i}].")))
-        kets.append(_ket_at(_need(s, "ket", f"states[{i}]."), f"states[{i}].ket"))
+        labels.append(_label(_need(s, "label", f"states[{i}]."), f"states[{i}].label"))
+        kets.append(parse_ket(_need(s, "ket", f"states[{i}]."), f"states[{i}].ket."))
     return labels, kets
 
 
@@ -464,7 +461,7 @@ def _model_measurement(
     vectors = _ket_rows(basis)
     if vectors is None:
         # vector by vector, to name the first that is malformed
-        kets = [_ket_at(b, f"{place}.basis[{j}]") for j, b in enumerate(basis)]
+        kets = [parse_ket(b, f"{place}.basis[{j}].") for j, b in enumerate(basis)]
         if len({k.size for k in kets}) > 1:
             raise SchemaError(f"{place}.basis", "kets have different dimensions")
         vectors = np.array(kets)
@@ -509,8 +506,8 @@ def parse_model(doc) -> OntModel:
         if lab not in row_of:
             raise SchemaError("model", f"state {lab!r} has no distribution")
     # a row no state names is held to the model's sign rule too
-    for key, lo in zip(dists_doc, weights.min(axis=1)):
-        if lo < -NONNEG_TOL and key not in labels:
+    for key, signed in zip(dists_doc, _signed_rows(weights).tolist()):
+        if signed and key not in labels:
             raise SchemaError(f"distributions[{key}]", "distribution is signed")
     if isinstance(kets, list):
         kets = _named("model", catalogue_kets, labels, kets)

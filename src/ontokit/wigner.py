@@ -690,6 +690,8 @@ def epistemic_report(psi, phi) -> EpistemicReport:
     """
     psi = linalg.as_ket(psi)
     phi = linalg.as_ket(phi)
+    if psi.size != phi.size:
+        raise DimMismatchError("kets have different dimensions")
     frame = phase_point_operators(psi.size)
     rho = DensityMatrix._projector(psi)
     tau = DensityMatrix._projector(phi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ontokit import linalg, quantum
+from ontokit.antidist import compression_channel
 from ontokit.errors import DimMismatchError, VerificationFailedError
 from ontokit.ontomodel import _quantum_probability
 from ontokit.quantum import (
@@ -192,6 +193,7 @@ def test_builders_hold_the_stack_they_built(monkeypatch):
         f, compose(g, f), tensor(f, g), pad_odd(f),
         preparation_channel(random_density(rng, 3)),
         measurement_channel(random_effect(rng, 3)),
+        compression_channel(np.array([1.0, 0.0]), np.array([0.8, 0.6])).channel,
     ]
     assert copies == []
     for ch in built:

@@ -190,6 +190,19 @@ class TestWigner:
         assert doc["dim"] == 5 and doc["bound_ok"] is True
         assert doc["epistemic_witness"] is True
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 5), (5, 3)])
+    def test_epistemic_kets_of_different_dimensions_exit_two(self, capsys, tmp_path, dims):
+        # named before any frame is built: not as an even dimension, nor as a
+        # state that does not fit the first ket's frame
+        paths = []
+        for name, d in zip("ab", dims):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps_report(ket_to_json(np.eye(d, dtype=complex)[0])))
+        code, out, err = run_cli(
+            capsys, "wigner", "epistemic", "--psi", str(paths[0]), "--phi", str(paths[1])
+        )
+        assert (code, out, err) == (2, "", "error: DimMismatchError: kets have different dimensions\n")
+
 
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("argv,field", [
@@ -232,7 +245,7 @@ def _nested(depth, value):
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
-NAN_NORM = "amplitudes: ket norm nan deviates from 1"
+NAN_NORM = "amplitudes: ket contains NaN or Inf amplitudes"
 FRAME_TOO_LARGE = (
     "error: TooLargeError: a phase-point frame for n = 99999999999 is n^2 operators of "
     f"n x n complex entries, {16 * 99999999999 ** 4} bytes, more than numpy can index"
@@ -254,6 +267,9 @@ FRAME_TOO_LARGE = (
     (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
      {"dim": 3, "amplitudes": [[1, 0], [0, NAN], [0, 0]]}, NAN_NORM),
     (["pbr-demo", "--psi", "DOC", "--phi", "DOC"], {"dim": 2, "amplitudes": [[NAN, 0], [0, 0]]}, NAN_NORM),
+    # finite, but its norm overflows: refused by name, with no overflow warning
+    (["wigner", "state", "DOC"], {"dim": 3, "amplitudes": [[1e200, 0], [0, 0], [0, 0]]},
+     "schema error: amplitudes: ket norm inf deviates from 1 beyond 1e-10\n"),
     # entries whose doubled total modulus overflows: m + m^dag would not be finite
     (["qmeasure", "validate", "DOC"],
      {"points": ["a", "b"], "decoherence": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
@@ -296,12 +312,27 @@ FRAME_TOO_LARGE = (
     # the frame `wigner frame` builds, and its words
     (["wigner", "functor-check", "--dim", "2"], None,
      "error: EvenDimensionError: phase-point construction requires odd dimension, got 2\n"),
+    # labels are JSON strings, not what str() makes of other values
+    (["antidist", "DOC", "--target", "0"],
+     {"points": [None, 1.5], "weights": [[1.0, 0.0], [0.0, 1.0]]},
+     "schema error: points[0]: expected a string label, got None\n"),
+    (["antidist", "DOC", "--target", "0"],
+     {"points": ["a", 1.5], "weights": [[1.0, 0.0], [0.0, 1.0]]},
+     "schema error: points[1]: expected a string label, got 1.5\n"),
+    (["antidist", "DOC", "--target", "0"],
+     {"points": [["a"], {"x": 1}], "weights": [[1.0, 0.0], [0.0, 1.0]]},
+     "schema error: points[0]: expected a string label, got ['a']\n"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", {"x": 1}], "measure": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}},
+     "schema error: points[1]: expected a string label, got {'x': 1}\n"),
 ], ids=["measure-17", "measure-65", "decoherence-17", "functor-check-seed", "huge-ket",
-        "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "decoherence-overflow-hermitian",
+        "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "huge-finite-ket",
+        "decoherence-overflow-hermitian",
         "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
         "measure-huge-value", "wigner-frame-huge", "functor-check-huge", "ragged-weights",
         "basis-mixed-dims", "basis-not-a-list", "weights-70-deep", "qmeasure-both-kinds",
-        "functor-check-even"])
+        "functor-check-even", "null-point-label", "number-point-label", "list-point-label",
+        "map-point-label"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -502,6 +533,15 @@ def _nan_basis_vector(doc):
     doc["measurements"][0]["basis"][1]["amplitudes"][1] = [NAN, 0.0]
 
 
+def _number_state_label(doc):
+    doc["states"][0]["label"] = 7
+    doc["distributions"]["7"] = doc["distributions"].pop("zero")
+
+
+def _null_ontic_label(doc):
+    doc["ontic"][0] = None
+
+
 def _nan_responses(doc):
     doc["measurements"][0]["responses"] = [[1.0, NAN], [0.0, NAN]]
 
@@ -525,13 +565,15 @@ MALFORMED_MODELS = [
     (_string_distribution, ["distributions[zero][0]", "expected a number, got '1.0'"]),
     (_string_response, ["measurements[0].responses[1][1]", "expected a number, got '1'"]),
     (_unnormalised_state,
-     ["schema error: states[1].ket.amplitudes: ket norm 1.1 deviates from 1\n"]),
+     ["schema error: states[1].ket.amplitudes: ket norm 1.1 deviates from 1 beyond 1e-10\n"]),
     (_unnormalised_basis_vector,
-     ["schema error: measurements[0].basis[1].amplitudes: ket norm 1.1 deviates from 1\n"]),
+     ["schema error: measurements[0].basis[1].amplitudes: ket norm 1.1 deviates from 1 beyond 1e-10\n"]),
     (_nan_state, [f"schema error: states[0].ket.{NAN_NORM}\n"]),
     (_nan_basis_vector, [f"schema error: measurements[0].basis[1].{NAN_NORM}\n"]),
     (_nan_responses,
      ["schema error: measurements[0].responses: response values must lie in [0, 1]\n"]),
+    (_number_state_label, ["schema error: states[0].label: expected a string label, got 7\n"]),
+    (_null_ontic_label, ["schema error: ontic[0]: expected a string label, got None\n"]),
 ]
 
 

@@ -5,9 +5,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontokit import linalg
-from ontokit.errors import DimMismatchError, NotHermitianError
+from ontokit.errors import DimMismatchError, NotHermitianError, VerificationFailedError
 from ontokit.kernels import (
     TWO, Distribution, FiniteSpace, ResponseFunction, SignedKernel, distribution_rows,
 )
@@ -15,6 +17,7 @@ from ontokit.ontomodel import OntModel
 from ontokit.qmeasure import DecoherenceFunctional, QuantumMeasure
 from ontokit.quantum import Channel, DensityMatrix, ProjectiveMeasurement, TwoOutcomeMeasurement
 from ontokit.sampling import rng_for
+from ontokit.tolerances import TIGHT_IDENTITY_TOL
 from ontokit.wigner import WignerFrame, commutative_algebra
 
 
@@ -293,3 +296,89 @@ class TestValidatedObjectsHoldCopies:
             assert held.flags.c_contiguous and not held.flags.writeable
             assert np.array_equal(held, arr) and owner.flags.writeable
 
+
+
+# ---------------------------------------------------------------------------
+# the ket gate: one rule for a ket alone and for a stack of kets
+# ---------------------------------------------------------------------------
+
+# rows the gate accepts, and rows it refuses
+ACCEPTED_ROWS = ("unit", "inside")
+REFUSED_ROWS = ("outside", "nan", "inf", "huge", "zero")
+
+
+def _ket_row(rng, d, kind):
+    """A random unit row of length ``d``, then made into a row of ``kind``."""
+    row = rng.normal(size=d) + 1j * rng.normal(size=d)
+    row /= np.linalg.norm(row)
+    if kind in ("inside", "outside"):
+        # norm 1 +- TIGHT_IDENTITY_TOL (1 -+ 1e-3): 1e-13 inside or outside the
+        # band, far beyond the rounding of a norm over at most 300 amplitudes
+        margin = 1e-3 if kind == "outside" else -1e-3
+        row *= 1.0 + rng.choice([-1.0, 1.0]) * TIGHT_IDENTITY_TOL * (1.0 + margin)
+    elif kind in ("nan", "inf"):
+        bad = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+        j = rng.integers(d)
+        row[j] = complex(bad, row[j].imag) if rng.random() < 0.5 else complex(row[j].real, bad)
+    elif kind == "huge":
+        row *= 1e200  # finite, but its squares overflow
+    elif kind == "zero":
+        row[:] = 0.0
+    return row
+
+
+def _gate(check, arg):
+    """What ``check(arg)`` decides: the bytes it accepts, or what it raises."""
+    try:
+        return "accepted", check(arg).tobytes()
+    except (DimMismatchError, VerificationFailedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestKetGate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=300),
+        st.lists(st.sampled_from(ACCEPTED_ROWS * 3 + REFUSED_ROWS), min_size=1, max_size=50),
+    )
+    def test_stack_gate_decides_as_the_one_row_gate(self, seed, d, kinds):
+        """A stack is refused with the error of its first row that the
+        one-row gate refuses, alone or as a copy, and every prefix before it
+        is accepted with its bits; pytest fails on any RuntimeWarning."""
+        rng = np.random.default_rng(seed)
+        stack = np.array([_ket_row(rng, d, kind) for kind in kinds])
+        for i, kind in enumerate(kinds):
+            alone = _gate(linalg.as_ket, stack[i])
+            assert _gate(linalg.as_ket, stack[i].copy()) == alone
+            assert (alone[0] == "accepted") == (kind in ACCEPTED_ROWS)
+            if kind in REFUSED_ROWS:
+                assert _gate(linalg.as_kets, stack) == alone
+                break
+            assert alone == ("accepted", stack[i].tobytes())
+            assert _gate(linalg.as_kets, stack[: i + 1]) == ("accepted", stack[: i + 1].tobytes())
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.1, 0.0]], "ket norm 1.1 deviates from 1 beyond 1e-10"),
+        ([[1.0, 0.0], [np.nan, 0.0]], "ket contains NaN or Inf amplitudes"),
+        ([[1.0, 0.0], [0.0, 1j], [1e200, 0.0]], "ket norm inf deviates from 1 beyond 1e-10"),
+        # the first row that fails, whichever check it fails
+        ([[0.0, 2.0], [np.inf, 0.0]], "ket norm 2.0 deviates from 1 beyond 1e-10"),
+    ], ids=["long", "nan", "huge", "first-fails"])
+    def test_refused_stack_names_its_first_bad_row(self, rows, message):
+        with pytest.raises(VerificationFailedError, match=f"^{message}$"):
+            linalg.as_kets(np.array(rows))
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.zeros((2, 0)), "ket must have at least one amplitude"),
+        (np.ones(3), r"expected a 2-d stack of kets, got shape \(3,\)"),
+        (np.ones((1, 1, 1)), r"expected a 2-d stack of kets, got shape \(1, 1, 1\)"),
+    ], ids=["no-amplitudes", "one-dimensional", "three-dimensional"])
+    def test_malformed_stack_is_refused(self, rows, message):
+        with pytest.raises(DimMismatchError, match=f"^{message}$"):
+            linalg.as_kets(rows)
+
+    def test_empty_stack_and_empty_ket(self):
+        assert linalg.as_kets(np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(DimMismatchError, match="^ket must have at least one amplitude$"):
+            linalg.as_ket([])

@@ -441,9 +441,11 @@ def parse_ket_oracle(doc):
     if not isinstance(amps, list) or len(amps) != dim:
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
     psi = np.array([_pair_oracle(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
-    nrm = np.linalg.norm(psi)
-    if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
-        raise SchemaError("amplitudes", f"ket norm {float(nrm)!r} deviates from 1")
+    if not np.isfinite(psi).all():
+        raise SchemaError("amplitudes", "ket contains NaN or Inf amplitudes")
+    nrm = float(np.sqrt(np.vecdot(psi, psi).real))
+    if not abs(nrm - 1.0) <= 1e-10:
+        raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1 beyond 1e-10")
     return psi
 
 
@@ -570,9 +572,17 @@ class TestNumericReader:
 # model and ensemble documents read as matrices against the per-entry readers
 # ---------------------------------------------------------------------------
 
+def _label_oracle(value, field):
+    if not isinstance(value, str):
+        raise SchemaError(field, f"expected a string label, got {value!r}")
+    return value
+
+
 def _space_oracle(labels, field):
     if not isinstance(labels, list) or not labels:
         raise SchemaError(field, "expected a nonempty label list")
+    for i, label in enumerate(labels):
+        _label_oracle(label, f"{field}[{i}]")
     try:
         return FiniteSpace(tuple(labels))
     except ValueError as exc:
@@ -644,9 +654,9 @@ def parse_model_oracle(doc):
             raise SchemaError(name, "expected a list")
     states = []
     for i, s in enumerate(states_doc):
-        label = _need_oracle(s, "label", f"states[{i}].")
+        label = _label_oracle(_need_oracle(s, "label", f"states[{i}]."), f"states[{i}].label")
         ket = _need_oracle(s, "ket", f"states[{i}].")
-        states.append((str(label), _ket_at_oracle(ket, f"states[{i}].ket")))
+        states.append((label, _ket_at_oracle(ket, f"states[{i}].ket")))
     if not isinstance(dists_doc, dict):
         raise SchemaError("distributions", "expected a label-to-weights map")
     rows = _distributions_oracle(ontic, list(dists_doc.values()), dists_doc, "distributions")
@@ -833,7 +843,8 @@ class TestDocumentsAsMatrices:
     @pytest.mark.parametrize("where", ["states", "basis"])
     @pytest.mark.parametrize("scale", [1.0 + 0.4e-10, 1.0 + 0.6e-10, 1.0 + 1.5e-10, 1.1])
     def test_ket_norms_at_the_tolerance(self, where, scale):
-        # between half the norm tolerance and all of it, parse_ket decides
+        # on either side of the norm tolerance, the stack and each ket alone
+        # meet the same gate
         doc = json.loads(dumps_report({
             "ontic": ["a"],
             "states": [{"label": "s", "ket": ket_to_json(np.array([1.0, 0.0]))}],
@@ -846,6 +857,21 @@ class TestDocumentsAsMatrices:
         assert _same_doc_outcome(parse_model, parse_model_oracle, _same_model, doc) == (
             "parsed" if scale - 1.0 < 1e-10 else "error"
         )
+
+    def test_kets_the_gate_accepts_are_not_read_one_by_one(self, monkeypatch):
+        read_alone = []
+        parse = serialize.parse_ket
+        monkeypatch.setattr(serialize, "parse_ket", lambda *a: read_alone.append(a) or parse(*a))
+        rng = rng_for(134)
+        for _ in range(20):
+            parse_model(_model_doc(rng))
+        assert read_alone == []
+        # one ket off the norm rule: the states are read one by one to name it
+        doc = _model_doc(rng)
+        doc["states"][-1]["ket"]["amplitudes"][0][0] += 1e-3
+        with pytest.raises(SchemaError, match=r"^states\[\d+\]\.ket\.amplitudes: ket norm "):
+            parse_model(doc)
+        assert len(read_alone) == len(doc["states"])
 
 
 class TestKetSchema:
@@ -1013,8 +1039,13 @@ class TestKernelSchema:
          "from", "point labels must be distinct"),
         ({"from": ["a", "b"], "to": [], "matrix": [[1, 0], [0, 1]]},
          "to", "expected a nonempty label list"),
+        # labels are JSON strings, not what str() makes of other values
+        ({"from": ["a", 1], "to": ["a", "b"], "matrix": [[1, 0], [0, 1]]},
+         "from[1]", "expected a string label, got 1"),
+        ({"from": ["a", "b"], "to": [None, "b"], "matrix": [[1, 0], [0, 1]]},
+         "to[0]", "expected a string label, got None"),
     ], ids=["source-not-a-list", "target-not-a-list", "column-sum", "ragged", "source-labels",
-            "target-empty"])
+            "target-empty", "source-number-label", "target-null-label"])
     def test_malformed_kernel_named(self, doc, field, message):
         with pytest.raises(SchemaError) as info:
             parse_kernel(doc)

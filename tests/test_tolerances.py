@@ -70,6 +70,30 @@ def test_every_table_entry_is_read():
     assert [n for n in names if not re.search(rf"\b{n}\b", others)] == []
 
 
+def _tolerance_imports(source):
+    """The names a module's source imports from ``ontokit.tolerances``, or the module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if "tolerances" in (node.module or "").split("."):
+                yield from (alias.name for alias in node.names)
+            else:
+                yield from (alias.name for alias in node.names if alias.name == "tolerances")
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if "tolerances" in a.name.split("."))
+
+
+def test_the_document_layer_owns_no_threshold():
+    """serialize reads structure and names fields; every numerical check on
+    a document is the library's, so it imports nothing from the table."""
+    assert list(_tolerance_imports((SRC / "serialize.py").read_text())) == []
+    # every spelling of such an import is seen
+    spellings = (
+        "from .tolerances import A\nfrom ontokit.tolerances import B\n"
+        "from . import tolerances\nimport ontokit.tolerances\n"
+    )
+    assert list(_tolerance_imports(spellings)) == ["A", "B", "tolerances", "ontokit.tolerances"]
+
+
 NAN = float("nan")
 NAN_DIAGONAL = [[1.0, 0.0], [0.0, NAN]]
 

@@ -952,6 +952,15 @@ class TestEpistemicReport:
         epistemic_report(psi, phi)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 5), (5, 3)])
+    def test_kets_of_different_dimensions_are_refused_before_a_frame(self, monkeypatch, dims):
+        frames = []
+        monkeypatch.setattr(wigner, "phase_point_operators", lambda n: frames.append(n))
+        psi, phi = (np.eye(d, dtype=complex)[0] for d in dims)
+        with pytest.raises(DimMismatchError, match="^kets have different dimensions$"):
+            epistemic_report(psi, phi)
+        assert frames == []
+
     def test_canonical_nonorthogonal_pair(self):
         psi = np.array([1, 0, 0], dtype=complex)
         phi = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
