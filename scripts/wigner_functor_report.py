@@ -17,9 +17,9 @@ from ontokit.sampling import random_cptp_channel, random_density, rng_for
 from ontokit.serialize import dumps_report
 from ontokit.tolerances import DISTANCE_BOUND_MARGIN
 from ontokit.wigner import (
-    functor_morphism,
     monoidality_check,
     phase_point_operators,
+    transfer_matrix,
     wigner_vector,
 )
 
@@ -44,18 +44,17 @@ def main() -> None:
 
     frames = [frame_summary(n) for n in (1, 3, 5, 7, 9)]
 
+    frame = phase_point_operators(args.dim)
     worst = 0.0
     for trial in range(args.trials):
         rng = rng_for(args.seed, trial)
         f = random_cptp_channel(rng, args.dim, args.dim)
         g = random_cptp_channel(rng, args.dim, args.dim)
-        lhs = functor_morphism(compose(g, f)).matrix
-        # K_g K_f as a matrix product, as check_operational_model composes: a
-        # product whose columns drift from 1 by rounding is no SignedKernel
-        rhs = functor_morphism(g).matrix @ functor_morphism(f).matrix
+        lhs = transfer_matrix(compose(g, f), frame, frame)
+        # T_g T_f as a matrix product, as check_operational_model composes
+        rhs = transfer_matrix(g, frame, frame) @ transfer_matrix(f, frame, frame)
         worst = max(worst, linalg.max_abs(lhs - rhs))
 
-    frame = phase_point_operators(args.dim)
     max_rel_gap, min_rel_gap = 0.0, np.inf
     bound_held = True
     for trial in range(args.trials):

@@ -21,20 +21,29 @@ from .tolerances import IDENTITY_TOL, NONNEG_TOL, SUPPORT_EPS
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite set of distinct point labels; sigma-algebra is the power set."""
+    """Finite set of distinct string point labels; sigma-algebra is the power set."""
 
     points: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(str(p) for p in self.points))
+        object.__setattr__(self, "points", _labels(self.points, "point"))
         if not self.points:
             raise VerificationFailedError("a finite space needs at least one point")
-        if len(set(self.points)) != len(self.points):
-            raise VerificationFailedError("point labels must be distinct")
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+
+def _labels(labels, kind: str) -> tuple[str, ...]:
+    """``labels`` as a tuple of distinct strings; str() would make 1 and "1" collide."""
+    labels = tuple(labels)
+    for label in labels:
+        if not isinstance(label, str):
+            raise VerificationFailedError(f"{kind} label {label!r} is not a string")
+    if len(set(labels)) != len(labels):
+        raise VerificationFailedError(f"{kind} labels must be distinct")
+    return labels
 
 
 UNIT_SPACE = FiniteSpace(("*",))

@@ -24,7 +24,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .kernels import (
-    TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows,
+    TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows, _labels,
     _signed_rows,
 )
 from .quantum import Channel, ProjectiveMeasurement, compose
@@ -48,9 +48,7 @@ class OntModel:
     measurements: tuple[tuple[ProjectiveMeasurement, np.ndarray], ...]
 
     def __post_init__(self):
-        labels = tuple(map(str, self.labels))
-        if len(set(labels)) != len(labels):
-            raise VerificationFailedError("state labels must be distinct")
+        labels = _labels(self.labels, "state")
         weights = linalg.frozen(linalg.as_real(self.weights, "weight matrix"))
         _check_weight_rows(self.ontic, weights)
         if len(weights) != len(labels):

@@ -93,9 +93,12 @@ class Channel:
     matrices and holds a copy of it.  The library's channel builders hand
     the stack they have just made to ``_of_stack``, which runs the same
     finiteness and Kraus-sum checks and holds that stack itself.
+    ``kraus_residual`` is max|sum_k K^dag K - I| as the check measured it,
+    or for a :func:`tensor` product the bound its factors give.
     """
 
     kraus: np.ndarray
+    kraus_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.kraus) == 0:
@@ -103,29 +106,31 @@ class Channel:
         self._hold(_kraus_stack(self.kraus))
 
     @classmethod
-    def _of_stack(cls, stack: np.ndarray) -> "Channel":
-        """The channel holding ``stack``, a C-contiguous (count, out, in)
-        complex array that its caller has just built and shares with nothing."""
+    def _of_stack(cls, stack: np.ndarray, residual: float | None = None) -> "Channel":
+        """The channel holding ``stack``, a C-contiguous (count, out, in) complex
+        array shared with nothing, checked unless the caller bounds its ``residual``."""
         ch = object.__new__(cls)
-        ch._hold(stack)
+        ch._hold(stack, residual)
         return ch
 
-    def _hold(self, stack: np.ndarray) -> None:
+    def _hold(self, stack: np.ndarray, residual: float | None = None) -> None:
         """Hold ``stack``, read-only, once it is finite and its operators
-        resolve the identity."""
-        if not np.isfinite(stack).all():
-            raise VerificationFailedError("matrix contains NaN or Inf entries")
-        count, out, inp = stack.shape
-        # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
-        flat = stack.reshape(count * out, inp)
-        residual = flat.conj().T @ flat
-        residual.reshape(-1)[:: inp + 1] -= 1.0  # minus I, on the diagonal in place
-        err = linalg.max_abs(residual)
-        if err > IDENTITY_TOL:
-            raise VerificationFailedError(f"Kraus sum deviates from identity by {err:.3e}")
+        resolve the identity (within ``residual``, when that is given)."""
+        if residual is None:
+            if not np.isfinite(stack).all():
+                raise VerificationFailedError("matrix contains NaN or Inf entries")
+            count, out, inp = stack.shape
+            # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
+            flat = stack.reshape(count * out, inp)
+            kraus_sum = flat.conj().T @ flat
+            kraus_sum.reshape(-1)[:: inp + 1] -= 1.0  # minus I, on the diagonal in place
+            residual = linalg.max_abs(kraus_sum)
+        if residual > IDENTITY_TOL:
+            raise VerificationFailedError(f"Kraus sum deviates from identity by {residual:.3e}")
         # read-only: writes into a checked channel fail at once
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
+        object.__setattr__(self, "kraus_residual", residual)
 
     @property
     def in_dim(self) -> int:
@@ -247,12 +252,15 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
-    """Parallel composition; Kraus sets combine by Kronecker product, f-major."""
-    a, b = f.kraus, g.kraus
+    """Parallel composition; Kraus sets combine by Kronecker product, f-major.
+    The products' Kraus sum is (sum K^dag K) (x) (sum L^dag L), so the stack is
+    not checked again: it holds the bound e_f + e_g + e_f e_g on the exact
+    products' residual (rounding not covered), refused past ``IDENTITY_TOL``."""
+    a, b, e_f, e_g = f.kraus, g.kraus, f.kraus_residual, g.kraus_residual
     # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l]
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
     ops = ops.reshape(len(a) * len(b), f.out_dim * g.out_dim, f.in_dim * g.in_dim)
-    return Channel._of_stack(ops)
+    return Channel._of_stack(ops, e_f + e_g + e_f * e_g)
 
 
 def dual_state_quantum(psi) -> TwoOutcomeMeasurement:

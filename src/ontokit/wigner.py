@@ -345,11 +345,11 @@ def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
 
 
 def _through_frames(
-    pairs: np.ndarray, left: WignerFrame, right: WignerFrame, conj_right: bool
+    pairs: np.ndarray, left: WignerFrame, right: WignerFrame
 ) -> tuple[np.ndarray, np.ndarray]:
-    """conj(F_left) M R^T, with R = conj(F_right) if conj_right else F_right and
-    M[(a, b), (k, l)] = pairs[(a, k), (b, l)], from the two factor forms; and
-    the rows of M R^T at the vec entries (a, b) that left does not read.
+    """conj(F_left) M F_right^T, with M[(a, b), (k, l)] = pairs[(a, k), (b, l)],
+    from the two factor forms; and the rows of M F_right^T at the vec entries
+    (a, b) that left does not read.
 
     One gather of ``pairs`` at the entries G_left and G_right read both selects
     and regroups; then phi_right acts on the last axis in one product and
@@ -358,7 +358,7 @@ def _through_frames(
     rows = left._gather_offsets(right.hilbert_dim)[0]
     cols = right._gather_offsets(left.hilbert_dim)[1]
     phi_l, _, n = left._form
-    phi_r = right._form[0].conj() if conj_right else right._form[0]
+    phi_r = right._form[0]
     y = pairs.reshape(-1)[rows + cols].reshape(-1, phi_r.shape[1]) @ phi_r.T
     y = y.reshape(rows.size, -1)
     read = np.matmul(phi_l.conj(), y[:n].reshape(-1, phi_l.shape[1], y.shape[1]))
@@ -378,7 +378,7 @@ def _transfer(
     """
     count, o, i = ch.kraus.shape
     kraus = ch.kraus.reshape(count, o * i)
-    t, unread = _through_frames(kraus.T @ kraus.conj(), out_frame, in_frame, conj_right=False)
+    t, unread = _through_frames(kraus.T @ kraus.conj(), out_frame, in_frame)
     # the parts are divided by c_out one by one: a complex division costs about three real ones
     if linalg.max_abs(t.imag) / out_frame.norm_const > TIGHT_IDENTITY_TOL:
         raise VerificationFailedError("transfer matrix has a nonreal component")
@@ -482,8 +482,8 @@ def pad_odd(ch: Channel) -> Channel:
 @dataclass
 class MonoidalityReport:
     """``frame_ok`` certifies the m x n product frame from its factors;
-    ``max_transfer_residual`` is the largest entry modulus of
-    T(f (x) g) - T(f) (x) T(g) on the sampled product columns."""
+    ``max_transfer_residual`` bounds every entry of T(f (x) g) - T(f) (x) T(g)
+    from the layout of each trial's product Kraus stack."""
 
     m: int
     n: int
@@ -602,23 +602,6 @@ def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
     )
 
 
-# product points (a, b) per trial whose transfer columns monoidality_check compares
-_SAMPLED_COLUMNS = 2
-
-
-def _product_column(ch: Channel, fa: WignerFrame, fb: WignerFrame, a: int, b: int) -> np.ndarray:
-    """Column (a, b) of T(ch) on the product of fa and fb, shaped (points_a, points_b):
-    the Kraus stack applied to s_a (x) t_b, and the output Y[(i, k), (j, l)]
-    read as conj(F_a) Y' conj(F_b)^T / (c_a c_b), Y'[(i, j), (k, l)] = Y[(i, k), (j, l)],
-    through the two factor forms."""
-    da, db = fa.hilbert_dim, fb.hilbert_dim
-    s, t = fa.operators[a][:, None, :, None], fb.operators[b][None, :, None, :]
-    k = ch.kraus
-    y = (k @ (s * t).reshape(da * db, da * db) @ k.conj().transpose(0, 2, 1)).sum(axis=0)
-    column, _ = _through_frames(y, fa, fb, conj_right=True)
-    return column / (fa.norm_const * fb.norm_const)
-
-
 def monoidality_check(
     m: int, n: int, trials: int, seed: int, tol: float = FUNCTOR_TOL
 ) -> MonoidalityReport:
@@ -627,13 +610,14 @@ def monoidality_check(
     Certified (``frame_ok``): the exact Kronecker products of the two stored
     factor frames form a frame, by the bounds of :func:`_product_residuals`
     held to the frame tolerances.
-    Sampled (``max_transfer_residual``): each trial draws a channel pair
-    (f, g), then a few product points (a, b), and compares the column of
-    T(f (x) g) that ``tensor(f, g)`` gives at (a, b) with T(f)[:, a] (x)
-    T(g)[:, b].  No product operator, (mn)^2-point transfer matrix or
-    superoperator is formed, yet a layout error in ``tensor`` or in the frame
-    order shows as an O(1) residual.  The trials need no product frame, so
-    they run whether or not the certificate holds.
+    Bounded (``max_transfer_residual``): each trial draws channels f and g and
+    compares each operator M_(i k_g + j) of ``tensor(f, g)`` with a separately
+    formed kron(K_i, L_j), delta the largest entry of a difference.  Over the
+    product frame (unitary operators, c = D = mn) T(K (x) L) = T(f) (x) T(g)
+    exactly, so by Cauchy-Schwarz no entry of T(f (x) g) - T(f) (x) T(g) exceeds
+    2 delta sqrt(k D (1 + e)) + k D delta^2, for k = k_f k_g operators of
+    Kraus-sum bound e (rounding in forming the products not covered).  The
+    trials need no product frame, so they run whether or not ``frame_ok``.
     """
     fm = phase_point_operators(m)
     fn = phase_point_operators(n)
@@ -642,23 +626,24 @@ def monoidality_check(
         frame_ok = True
     except VerificationFailedError:
         frame_ok = False
-    worst = 0.0
+    worst, d = 0.0, m * n
     for trial in range(trials):
         rng = rng_for(seed, trial)
-        f1 = random_cptp_channel(rng, m, m)
-        f2 = random_cptp_channel(rng, n, n)
-        t1 = transfer_matrix(f1, fm, fm)
-        t2 = transfer_matrix(f2, fn, fn)
-        pair = tensor(f1, f2)
-        points_a = rng.integers(fm.n_points, size=_SAMPLED_COLUMNS)
-        points_b = rng.integers(fn.n_points, size=_SAMPLED_COLUMNS)
-        for a, b in zip(points_a, points_b):
-            column = _product_column(pair, fm, fn, a, b)
-            worst = max(worst, linalg.max_abs(column - np.outer(t1[:, a], t2[:, b])))
+        f = random_cptp_channel(rng, m, m)
+        g = random_cptp_channel(rng, n, n)
+        k = len(f.kraus) * len(g.kraus)
+        pair = _allocate(
+            f"a product Kraus stack for m = {m}, n = {n} is {k} operators of {d} x {d}",
+            16 * k * d * d, lambda: tensor(f, g),
+        )
+        krons = (np.multiply.outer(a, b).swapaxes(1, 2).reshape(d, d)
+                 for a in f.kraus for b in g.kraus)
+        delta = max(linalg.max_abs(op - kron) for op, kron in zip(pair.kraus, krons, strict=True))
+        bound = 2.0 * delta * np.sqrt(k * d * (1.0 + pair.kraus_residual)) + k * d * delta ** 2
+        worst = max(worst, float(bound))
     return MonoidalityReport(
-        m=m, n=n, trials=trials, seed=seed,
-        frame_ok=frame_ok,
-        max_transfer_residual=float(worst), tolerance=tol,
+        m=m, n=n, trials=trials, seed=seed, frame_ok=frame_ok,
+        max_transfer_residual=worst, tolerance=tol,
     )
 
 

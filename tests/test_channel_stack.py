@@ -3,6 +3,8 @@ against the per-Kraus loops they replaced, kept here as oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontokit import linalg, quantum
 from ontokit.antidist import compression_channel
@@ -21,7 +23,7 @@ from ontokit.quantum import (
 from ontokit.sampling import (
     random_cptp_channel, random_density, random_effect, random_ket, random_unitary, rng_for,
 )
-from ontokit.tolerances import EIGEN_WEIGHT_EPS
+from ontokit.tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 from ontokit.wigner import pad_odd
 
 ORACLE_TOL = 1e-15
@@ -240,6 +242,48 @@ def test_tensor_matches_loop(seed):
         fg = tensor(f, g)
         assert_kraus_close(fg.kraus, tensor_oracle(f, g))
         assert (fg.in_dim, fg.out_dim) == (f.in_dim * g.in_dim, f.out_dim * g.out_dim)
+
+
+def rescaled(ch, eps):
+    """ch with every Kraus operator scaled by sqrt(1 + eps): its Kraus sum is
+    (1 + eps) times ch's, off the identity by about eps on the diagonal."""
+    return Channel(ch.kraus * np.sqrt(1.0 + eps))
+
+
+def kraus_sum_rounding(ch):
+    """What rounding may add to a measured Kraus-sum residual of ch's stack
+    over the exact residual of the exact Kronecker products: forming each
+    product rounds once, and each of the three checks sums at most
+    count * out terms of mass at most 2 + e (Higham, 4.2)."""
+    count, out, _ = ch.kraus.shape
+    return 4 * count * out * np.finfo(float).eps * (2.0 + ch.kraus_residual)
+
+
+PERTURBATION = st.floats(-IDENTITY_TOL / 3, IDENTITY_TOL / 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), PERTURBATION, PERTURBATION)
+def test_tensor_bound_covers_the_measured_kraus_sum(seed, eps_f, eps_g):
+    rng = rng_for(67, seed)
+    dims = [int(d) for d in rng.integers(1, 6, size=4)]
+    f = rescaled(random_channel(rng, *dims[:2]), eps_f)
+    g = rescaled(random_channel(rng, *dims[2:]), eps_g)
+    fg = tensor(f, g)
+    e_f, e_g = f.kraus_residual, g.kraus_residual
+    assert fg.kraus_residual == e_f + e_g + e_f * e_g
+    # the public constructor measures the stack's Kraus sum afresh
+    measured = Channel(fg.kraus).kraus_residual
+    assert fg.kraus_residual + kraus_sum_rounding(fg) >= measured
+
+
+def test_tensor_refuses_a_pair_whose_bound_exceeds_the_tolerance():
+    # 6e-10 each, within IDENTITY_TOL alone; 1.2e-9 together
+    f = rescaled(Channel.identity(2), 6e-10)
+    g = rescaled(Channel.identity(3), 6e-10)
+    assert max(f.kraus_residual, g.kraus_residual) <= IDENTITY_TOL
+    with pytest.raises(VerificationFailedError, match="Kraus sum deviates from identity by 1.200e-09"):
+        tensor(f, g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

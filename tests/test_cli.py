@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from ontokit import wigner
 from ontokit.cli import main
 from ontokit.quantum import DensityMatrix
 from ontokit.serialize import dumps_report, ket_to_json
@@ -340,6 +341,21 @@ def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     assert code == 2
     assert out == ""
     assert named in err
+
+
+def test_product_stack_too_large_exits_two(capsys, monkeypatch):
+    # numpy's MemoryError on the product Kraus stack is a size refusal, not a failed check
+    def refuse(f, g):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(wigner, "tensor", refuse)
+    code, out, err = run_cli(capsys, "wigner", "functor-check", "--dim", "3", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: TooLargeError: a product Kraus stack for m = 3, n = 3 is 9 operators of 9 x 9 "
+        f"complex entries, {16 * 9 * 9 ** 2} bytes, which could not be allocated\n"
+    )
 
 
 class TestAntidist:
@@ -747,14 +763,16 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # from the dense check's only in the max_transfer_residual line.  They were
 # re-recorded again when transfers moved to the frames' factor form: only
 # floats in sample_kernel and max_transfer_residual moved, each by less
-# than 1.2e-16.  The
+# than 1.2e-16.  They were re-recorded a third time when
+# max_transfer_residual became the layout bound of the product Kraus stack:
+# that line alone moved, from 1.3e-16 (d = 3) and 2.2e-17 (d = 7) to 0.  The
 # wigner-state-csv row was re-recorded when the CSV writer began to quote
 # the "(q,p)" labels, whose comma split each row into three fields; the
 # header and the weights are unchanged.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
-    "functor-check-dim3": "5bbe522f75ce47831c992c9ea359821f54662dbc9ee39d3377a1fc221137a9a5",
-    "functor-check-dim7": "3e5ed66d59c0317d0ae935594fce30900b68437814791281cb626495d75bdf04",
+    "functor-check-dim3": "b829c3e9e8a0c5ffa3e542c8d733cbe207b41829415f892b0d163f720d69223a",
+    "functor-check-dim7": "fc9584f290bfca9dc6f7eb33194ed7d6bc56f5ca024e57566573a45b8c3be9cb",
     "pbr-demo": "0e45b7df7935af149823cc8c585166de30a62ba54ddd6cb00fa5936d20558640",
     "qmeasure-validate": "adde2b565c5ec59d8389d8f30443b58bdc8afcbcb8b6d313ca1ad77c74b40495",
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",

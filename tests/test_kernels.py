@@ -57,6 +57,21 @@ def variational_subset_oracle(mu, nu):
     return best
 
 
+class TestFiniteSpace:
+    @pytest.mark.parametrize("points, named", [
+        # read through str(), these would collide as two "1"s, or become "None" and "1.5"
+        ((1, "1"), "point label 1 is not a string"),
+        ((None, 1.5), "point label None is not a string"),
+        (("a", b"b"), "point label b'b' is not a string"),
+    ])
+    def test_labels_are_strings(self, points, named):
+        with pytest.raises(VerificationFailedError, match=named):
+            FiniteSpace(points)
+
+    def test_points_are_held_as_given(self):
+        assert FiniteSpace(["a", "1"]).points == ("a", "1")
+
+
 class TestCompose:
     def test_dirac_identity(self):
         rng = rng_for(61)

@@ -718,6 +718,11 @@ class TestModelChecksInCatalogueOrder:
         with pytest.raises(VerificationFailedError, match="state labels must be distinct"):
             OntModel(self.ONTIC, ("s", "s"), [Z0, Z1], [[0.5, 0.5]] * 2, ())
 
+    def test_labels_are_strings(self):
+        # read through str(), 1 and "1" would collide as two "1"s
+        with pytest.raises(VerificationFailedError, match="state label 1 is not a string"):
+            OntModel(self.ONTIC, (1, "1"), [Z0, Z1], [[0.5, 0.5]] * 2, ())
+
 
 class TestModelDimensions:
     def test_mixed_state_dimensions_in_a_catalogue(self):

@@ -780,9 +780,24 @@ class TestProductFrameBounds:
         factor = hermitian_break(6e-11)
         monkeypatch.setattr(wigner, "phase_point_operators", lambda n: factor)
         rep = monoidality_check(3, 3, 1, 0)
-        # the sampled columns pass: only the certificate sees the fault
+        # the layout bound reads no frame and passes: only the certificate sees the fault
         assert not rep.frame_ok and not rep.passed
         assert rep.max_transfer_residual <= rep.tolerance
+
+    @pytest.mark.parametrize("size", [0.0, 1e-13, 1e-12, 1e-11])
+    @pytest.mark.parametrize("pair", list(FACTORS))
+    def test_helper_bounds_cover_the_product_frame_residuals(self, pair, size):
+        # the bounds are on the exact products; product_frame measures its
+        # rounded einsum products, and the bounds cover that too
+        fa, fb = FACTORS[pair]()
+        cases = [(fa, fb)]
+        if size:
+            # three draws, one at 5x7, whose dense check takes about 0.5 s
+            seeds = range(1 if pair == "5x7" else 3)
+            rngs = [rng_for(61, fa.n_points, fb.n_points, seed) for seed in seeds]
+            cases = [(perturbed(fa, size, rng), perturbed(fb, size, rng)) for rng in rngs]
+        for pa, pb in cases:
+            assert_bounds_cover(wigner._product_residuals(pa, pb), product_frame(pa, pb).residuals)
 
     def test_product_frames_are_read_only(self):
         prod = product_frame(QUTRIT, QUTRIT)
@@ -821,20 +836,85 @@ class TestProductFrameTooLarge:
         )):
             product_frame(factor, factor)
 
+    def test_failed_product_stack_allocation_is_too_large(self, monkeypatch):
+        def refuse(f, g):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(wigner, "tensor", refuse)
+        with pytest.raises(TooLargeError, match=(
+            f"a product Kraus stack for m = 3, n = 5 is 9 operators of 15 x 15 complex entries, "
+            f"{16 * 9 * 15 ** 2} bytes, which could not be allocated"
+        )):
+            monoidality_check(3, 5, 1, 0)
+
 
 DENSE_PAIRS = ["3x3", "3x5", "5x5"]
 
 
-def swapped_tensor(f, g):
-    """The product channel with its factors in the wrong order: g (x) f."""
-    return tensor(g, f)
+def product_column(ch, fa, fb, a, b):
+    """Column (a, b) of T(ch) on the product of fa and fb, shaped (points_a, points_b):
+    Tr((s_i (x) t_j) ch(s_a (x) t_b)) / (c_a c_b), read off the factor operators
+    with one einsum and no product frame."""
+    da, db = fa.hilbert_dim, fb.hilbert_dim
+    k = ch.kraus
+    y = (k @ np.kron(fa.operators[a], fb.operators[b]) @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    # Tr((s (x) t) Y) = sum s[p, q] t[r, u] Y[(q, u), (p, r)]
+    column = np.einsum("ipq,jru,qupr->ij", fa.operators, fb.operators, y.reshape(da, db, da, db))
+    assert linalg.max_abs(column.imag) <= 1e-12
+    return column.real / (fa.norm_const * fb.norm_const)
 
 
-class TestSampledMonoidality:
-    """The dense product transfer kept as the oracle, up to (5, 5) only."""
+def factor_pair(fa, fb, seed):
+    """The channel pair that trial 0 of monoidality_check(m, n, 1, seed) draws."""
+    rng = rng_for(seed, 0)
+    return (random_cptp_channel(rng, fa.hilbert_dim, fa.hilbert_dim),
+            random_cptp_channel(rng, fb.hilbert_dim, fb.hilbert_dim))
+
+
+def dense_residual(ch, f, g, fa, fb):
+    """max |T(ch) - T(f) (x) T(g)| over the dense product transfer."""
+    prod = product_frame(fa, fb)
+    kron = np.kron(transfer_matrix(f, fa, fa), transfer_matrix(g, fb, fb))
+    return linalg.max_abs(transfer_matrix(ch, prod, prod) - kron)
+
+
+def nudged_tensor(f, g, size, seed):
+    """tensor(f, g) with every entry of its stack moved by at most ``size``."""
+    ops = tensor(f, g).kraus
+    rng = rng_for(seed)
+    noise = rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)
+    return Channel(ops + noise * (size / np.abs(noise).max()))
+
+
+def kron_rows_swapped(a, b):
+    """kron(a, b) with its row index read g-major: entry [(k, i), (j, l)] is a[i, j] b[k, l]."""
+    return np.einsum("ij,kl->kijl", a, b).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def kron_columns_swapped(a, b):
+    """kron(a, b) with its column index read g-major: entry [(i, k), (l, j)] is a[i, j] b[k, l]."""
+    return np.einsum("ij,kl->iklj", a, b).reshape(a.shape[0] * b.shape[0], -1)
+
+
+# product channels that keep every Kraus operator a valid one but break the
+# f-major Kronecker layout that tensor promises
+LAYOUT_MUTANTS = {
+    "g-major": lambda f, g: Channel([np.kron(a, b) for b in g.kraus for a in f.kraus]),
+    "rows-swapped": lambda f, g: Channel([kron_rows_swapped(a, b) for a in f.kraus for b in g.kraus]),
+    "columns-swapped": lambda f, g: Channel(
+        [kron_columns_swapped(a, b) for a in f.kraus for b in g.kraus]
+    ),
+    "f-conjugated": lambda f, g: Channel([np.kron(a.conj(), b) for a in f.kraus for b in g.kraus]),
+    "factors-swapped": lambda f, g: tensor(g, f),
+}
+
+
+class TestMonoidalityLayout:
+    """The layout bound against the dense product transfer, the oracle up to
+    (5, 5), and against product columns read off the factors, up to (7, 7)."""
 
     @pytest.mark.parametrize("pair", DENSE_PAIRS)
-    def test_sampled_columns_equal_the_dense_product_transfer(self, pair):
+    def test_product_columns_equal_the_dense_product_transfer(self, pair):
         fa, fb = FACTORS[pair]()
         rng = rng_for(64, fa.hilbert_dim, fb.hilbert_dim)
         ch = tensor(
@@ -844,42 +924,75 @@ class TestSampledMonoidality:
         prod = product_frame(fa, fb)
         dense = transfer_matrix(ch, prod, prod)
         columns = np.array([
-            wigner._product_column(ch, fa, fb, a, b).reshape(-1)
+            product_column(ch, fa, fb, a, b).reshape(-1)
             for a in range(fa.n_points)
             for b in range(fb.n_points)
         ])
         assert linalg.max_abs(columns.T - dense) <= 1e-12
 
-    @pytest.mark.parametrize("size", [0.0, 1e-13, 1e-12, 1e-11])
-    @pytest.mark.parametrize("pair", list(FACTORS))
-    def test_helper_bounds_cover_the_product_frame_residuals(self, pair, size):
-        # the bounds are on the exact products; product_frame measures its
-        # rounded einsum products, and the bounds cover that too
-        fa, fb = FACTORS[pair]()
-        cases = [(fa, fb)]
-        if size:
-            # three draws, one at 5x7, whose dense check takes about 0.5 s
-            seeds = range(1 if pair == "5x7" else 3)
-            rngs = [rng_for(61, fa.n_points, fb.n_points, seed) for seed in seeds]
-            cases = [(perturbed(fa, size, rng), perturbed(fb, size, rng)) for rng in rngs]
-        for pa, pb in cases:
-            assert_bounds_cover(wigner._product_residuals(pa, pb), product_frame(pa, pb).residuals)
-
     @pytest.mark.parametrize("pair", DENSE_PAIRS)
-    def test_misordered_tensor_fails_the_check(self, pair, monkeypatch):
+    def test_bound_is_zero_on_the_kronecker_stack(self, pair):
         fa, fb = FACTORS[pair]()
-        m, n = fa.hilbert_dim, fb.hilbert_dim
-        prod = product_frame(fa, fb)
-        rng = rng_for(31, 0)
-        f1 = random_cptp_channel(rng, m, m)
-        f2 = random_cptp_channel(rng, n, n)
-        kron = np.kron(transfer_matrix(f1, fa, fa), transfer_matrix(f2, fb, fb))
-        # the dense oracle sees the same fault
-        assert linalg.max_abs(transfer_matrix(swapped_tensor(f1, f2), prod, prod) - kron) > 1e-3
-        monkeypatch.setattr(wigner, "tensor", swapped_tensor)
-        rep = monoidality_check(m, n, 1, seed=31)
+        f, g = factor_pair(fa, fb, 31)
+        # the stored stack is the float Kronecker products bit for bit
+        assert monoidality_check(fa.hilbert_dim, fb.hilbert_dim, 1, 31).max_transfer_residual == 0.0
+        assert dense_residual(tensor(f, g), f, g, fa, fb) <= 1e-14
+
+    @pytest.mark.parametrize("size", [1e-13, 1e-12, 1e-11])
+    @pytest.mark.parametrize("pair", DENSE_PAIRS)
+    def test_bound_covers_the_dense_product_transfer(self, pair, size, monkeypatch):
+        fa, fb = FACTORS[pair]()
+        f, g = factor_pair(fa, fb, 65)
+        monkeypatch.setattr(wigner, "tensor", lambda f, g: nudged_tensor(f, g, size, 66))
+        bound = monoidality_check(fa.hilbert_dim, fb.hilbert_dim, 1, 65).max_transfer_residual
+        assert 0.0 < bound <= 1e-8
+        # the bound is on exact arithmetic; the dense transfer rounds to about 1e-15
+        assert dense_residual(nudged_tensor(f, g, size, 66), f, g, fa, fb) <= bound + 1e-14
+
+    @pytest.mark.parametrize("pair", ["5x7", "7x7"])
+    def test_bound_covers_product_columns_beyond_the_dense_oracle(self, pair, monkeypatch):
+        fa, fb = (phase_point_operators(int(d)) for d in pair.split("x"))
+        f, g = factor_pair(fa, fb, 67)
+        monkeypatch.setattr(wigner, "tensor", lambda f, g: nudged_tensor(f, g, 1e-12, 68))
+        bound = monoidality_check(fa.hilbert_dim, fb.hilbert_dim, 1, 67).max_transfer_residual
+        nudged = nudged_tensor(f, g, 1e-12, 68)
+        ta, tb = transfer_matrix(f, fa, fa), transfer_matrix(g, fb, fb)
+        rng = rng_for(69, fa.hilbert_dim, fb.hilbert_dim)
+        for a, b in zip(rng.integers(fa.n_points, size=6), rng.integers(fb.n_points, size=6)):
+            column = product_column(nudged, fa, fb, a, b)
+            assert linalg.max_abs(column - np.outer(ta[:, a], tb[:, b])) <= bound + 1e-14
+
+    @pytest.mark.parametrize("mutant", list(LAYOUT_MUTANTS))
+    @pytest.mark.parametrize("pair", DENSE_PAIRS)
+    def test_layout_mutant_fails_the_check(self, pair, mutant, monkeypatch):
+        fa, fb = FACTORS[pair]()
+        f, g = factor_pair(fa, fb, 31)
+        residual = dense_residual(LAYOUT_MUTANTS[mutant](f, g), f, g, fa, fb)
+        if mutant == "g-major":
+            # the same Kraus set in another order is the same channel: the law
+            # holds, and only the layout the bound reads is wrong
+            assert residual <= 1e-14
+        else:
+            # the dense oracle sees the same fault
+            assert residual > 1e-3
+        monkeypatch.setattr(wigner, "tensor", LAYOUT_MUTANTS[mutant])
+        rep = monoidality_check(fa.hilbert_dim, fb.hilbert_dim, 1, seed=31)
         assert rep.frame_ok and not rep.passed
         assert rep.max_transfer_residual > 1e-3
+
+    def test_one_trial_checks_the_kraus_sums_of_f_and_g_only(self, monkeypatch):
+        checked = []
+        hold = Channel._hold
+
+        def spy(self, stack, residual=None):
+            if residual is None:
+                checked.append(stack.shape)
+            hold(self, stack, residual)
+
+        monkeypatch.setattr(Channel, "_hold", spy)
+        rep = monoidality_check(3, 5, 1, 0)
+        assert rep.passed
+        assert checked == [(3, 3, 3), (3, 5, 5)]
 
     def test_fifteen_by_fifteen_stays_small(self):
         # the dense product transfer would ask for 16 * 15^8 bytes, about 41 GB
