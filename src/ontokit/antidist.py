@@ -243,17 +243,17 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     extends to a trace-preserving channel on all d^n dimensions without
     building them.  The map needs t = gamma / sqrt(1 - gamma^2) =
     tan(arcsin gamma), in [0, 1] because gamma <= 1/sqrt(2);
-    ``parametrization`` records this choice as "tan_arcsin_gamma".  Both
-    outputs are verified against their targets within ``DERIVED_TOL``.
+    ``parametrization`` records this choice as "tan_arcsin_gamma".  The channel
+    holds its Kraus residual |t^2 + 2 s^2 - 1| in closed form; its exact outputs
+    (see :func:`apply_channel`) are verified against their targets within ``DERIVED_TOL``.
     """
     ov = overlap(psi, phi)  # validates both kets and their dimensions
     g0 = abs(ov)
     if g0 < OVERLAP_INTERIOR_MARGIN or g0 > 1.0 - OVERLAP_INTERIOR_MARGIN:
         raise BadOverlapError(f"|<psi|phi>| = {g0!r} must lie strictly inside (0, 1)")
-    if n is None:
-        n = smallest_compression_power(g0)
-    elif n < 1 or g0 ** n > INV_SQRT2 + POWER_MARGIN:
-        raise BadOverlapError(f"n = {n} leaves overlap {g0 ** max(n, 1):.6f} above 1/sqrt(2)")
+    n = smallest_compression_power(g0) if n is None else linalg.as_positive_int(n, "n")
+    if g0 ** n > INV_SQRT2 + POWER_MARGIN:
+        raise BadOverlapError(f"n = {n} leaves overlap {g0 ** n:.6f} above 1/sqrt(2)")
 
     c = ov ** n
     gamma = abs(c)
@@ -263,9 +263,10 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     # gamma may exceed 1/sqrt(2) by rounding; the residual check below decides
     t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
     s = np.sqrt((1.0 - t * t) / 2.0)
-    channel = Channel._of_stack(np.array([[[1, 0], [0, t]], [[0, s], [0, s]]], dtype=complex))
-    out_psi = apply_channel(channel, DensityMatrix.from_ket(psi_span))
-    out_phi = apply_channel(channel, DensityMatrix.from_ket(phi_span))
+    channel = Channel._of_stack(np.array([[[1, 0], [0, t]], [[0, s], [0, s]]], dtype=complex),
+                                abs(t * t + 2 * s * s - 1))
+    out_psi = apply_channel(channel, DensityMatrix._projector(psi_span))
+    out_phi = apply_channel(channel, DensityMatrix._projector(phi_span))
     res_psi = linalg.max_abs(out_psi.matrix - np.diag([1.0, 0.0]))
     res_phi = linalg.max_abs(out_phi.matrix - np.full((2, 2), 0.5))
     if res_psi > DERIVED_TOL or res_phi > DERIVED_TOL:

@@ -49,6 +49,13 @@ def as_real(a, what: str) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
+def as_positive_int(value, what: str):
+    """``value`` if it is a positive integer, a numpy one included; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise VerificationFailedError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def as_ket(v) -> np.ndarray:
     """Coerce to a finite 1-d complex unit vector: the one-row case of
     :func:`as_kets`, with its errors."""

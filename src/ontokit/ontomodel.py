@@ -27,7 +27,7 @@ from .kernels import (
     TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows, _labels,
     _signed_rows,
 )
-from .quantum import Channel, ProjectiveMeasurement, compose
+from .quantum import Channel, ProjectiveMeasurement
 from .tolerances import FUNCTOR_TOL, MODEL_TOL, STRICT_MARGIN, SUPPORT_EPS
 
 
@@ -300,9 +300,10 @@ class OperationalModelReport:
 
 
 def _quantum_probability(meas: Channel, state: Channel) -> float:
-    """Born probability of outcome 0 through a state/measurement composite
-    ending at the diagonal 2x2 algebra: sum_k ||row 0 of K_k||^2 over its Kraus set."""
-    first = compose(meas, state).kraus[:, 0]
+    """Born probability of outcome 0 through meas . state, for a state from C and
+    a measurement into the diagonal 2x2 algebra: sum_k |row 0 of K_k|^2 over the
+    products K = M_a S_b of :func:`compose`, a-major, with its bits; no channel is formed."""
+    first = (meas.kraus[:, None] @ state.kraus[None])[:, :, 0]
     return float(np.vdot(first, first).real)
 
 
@@ -352,6 +353,9 @@ def check_operational_model(
         _fits(k_s.source == UNIT_SPACE, test, "the state must start at the unit space")
         _fits((k_m.source, k_m.target) == (k_s.target, TWO), test,
               "the measurement must run from the state's space into TWO")
+        _fits(ch_s.in_dim == 1, test, "the state channel must start at C")
+        _fits((ch_m.in_dim, ch_m.out_dim) == (ch_s.out_dim, 2), test,
+              "the measurement channel must run from the state channel's output into C^2")
         quantum_p = _quantum_probability(ch_m, ch_s)
         classical_p = float((k_m.matrix @ k_s.matrix)[0, 0])
         if abs(quantum_p - classical_p) > tol:

@@ -25,18 +25,18 @@ class DensityMatrix:
     ``matrix`` is a read-only copy of the given one, and
     :func:`linalg.hermitian_eigensystem` coerces it, checks its shape and
     Hermiticity and decomposes it.  ``eigensystem`` is that read-only
-    ``(w, V)``, kept for :func:`preparation_channel`; a state from
-    :meth:`from_ket` computes it the same way on first read.
+    ``(w, V)``, kept for :func:`preparation_channel`.  An exact state, from
+    :meth:`from_ket` or :func:`apply_channel` of one, is Hermitian and positive
+    semidefinite up to rounding: it skips that gate and decomposes on first read.
     """
 
     matrix: np.ndarray
+    _exact = False  # not a field: set by _held
 
     def __post_init__(self):
         m = linalg.frozen(np.asarray(self.matrix, dtype=complex))
         eigensystem = linalg.hermitian_eigensystem(m)
-        tr = m.trace()
-        if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
-            raise VerificationFailedError(f"trace {complex(tr)!r} deviates from 1")
+        _unit_trace(m)
         lo = eigensystem[0][0]
         if lo < -IDENTITY_TOL:
             raise VerificationFailedError(f"negative eigenvalue {lo:.3e}")
@@ -59,12 +59,24 @@ class DensityMatrix:
 
     @classmethod
     def _projector(cls, k: np.ndarray) -> "DensityMatrix":
-        """|k><k| of a ket that :func:`linalg.as_ket` has already validated."""
-        m = np.outer(k, k.conj())
+        """|k><k| of a ket that :func:`linalg.as_ket` or its construction made unit."""
+        return cls._held(np.outer(k, k.conj()))
+
+    @classmethod
+    def _held(cls, m: np.ndarray) -> "DensityMatrix":
+        """Hold ``m``, an exact state that nothing else shares, without the eigh gate."""
         m.flags.writeable = False
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", m)
+        object.__setattr__(obj, "_exact", True)
         return obj
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    tr = m.trace()
+    if abs(tr.real - 1.0) > IDENTITY_TOL or abs(tr.imag) > IDENTITY_TOL:
+        raise VerificationFailedError(f"trace {complex(tr)!r} deviates from 1")
+    return m
 
 
 def _kraus_stack(kraus) -> np.ndarray:
@@ -93,8 +105,9 @@ class Channel:
     matrices and holds a copy of it.  The library's channel builders hand
     the stack they have just made to ``_of_stack``, which runs the same
     finiteness and Kraus-sum checks and holds that stack itself.
-    ``kraus_residual`` is max|sum_k K^dag K - I| as the check measured it,
-    or for a :func:`tensor` product the bound its factors give.
+    ``kraus_residual`` is max|sum_k K^dag K - I| as the check measured it, or
+    as the builder knows it: 0 for :meth:`identity`, a closed form for the
+    compression channel, its factors' bound for a :func:`tensor` product.
     """
 
     kraus: np.ndarray
@@ -142,7 +155,8 @@ class Channel:
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
-        return cls(np.eye(dim, dtype=complex)[None])
+        """I on C^dim: the exact stack holds residual 0, no Kraus sum formed."""
+        return cls._of_stack(np.eye(linalg.as_positive_int(dim, "dim"), dtype=complex)[None], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +246,16 @@ def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:
 
 
 def apply_channel(ch: Channel, state: DensityMatrix) -> DensityMatrix:
-    """Kraus action; the output is validated as a density matrix."""
+    """Kraus action.  A Kraus map's image of an exact state (see
+    :class:`DensityMatrix`) is exact too, so only its trace, which the Kraus
+    sum's residual can move, is checked.  Any other image is gated again: a
+    channel can widen a deviation that the gate tolerated."""
     if ch.in_dim != state.dim:
         raise DimMismatchError("channel input dimension does not match state")
     k = ch.kraus
     # summed from zero, as a running total would be, so no entry is -0.0
-    return DensityMatrix((k @ state.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0))
+    m = (k @ state.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0)
+    return DensityMatrix._held(_unit_trace(m)) if state._exact else DensityMatrix(m)
 
 
 def compose(g: Channel, f: Channel) -> Channel:

@@ -1,6 +1,7 @@
 """Anti-distinguishability decisions, compression channel, PBR pipeline."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,7 @@ from ontokit.antidist import (
     pbr_measurement,
     smallest_compression_power,
 )
-from ontokit.errors import BadOverlapError, DimMismatchError
+from ontokit.errors import BadOverlapError, DimMismatchError, VerificationFailedError
 from ontokit.kernels import (
     Distribution,
     FiniteSpace,
@@ -740,8 +741,51 @@ class TestCompressionChannel:
         with pytest.raises(DimMismatchError, match="^kets have different dimensions$"):
             compression_channel([1, 0], [0.6, 0.8, 0.0])
 
+    @pytest.mark.parametrize("n", [2.5, True, np.bool_(True), 0, -1, "2"])
+    def test_n_that_is_no_positive_integer_is_refused(self, n):
+        # <psi|phi> = cos 1.2, which n = 1 already compresses
+        psi, phi = [1, 0], [np.cos(1.2), np.sin(1.2)]
+        message = f"n must be a positive integer, got {n!r}"
+        for call in (compression_channel, pbr_demo):
+            with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$"):
+                call(psi, phi, n=n)
+        rep = pbr_demo(psi, phi, n=np.int64(2))
+        assert rep.n == 2 and rep.table.tobytes() == pbr_demo(psi, phi, n=2).table.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 3]),
+       st.integers(min_value=0, max_value=3))
+def test_held_outputs_are_what_the_density_gate_makes_of_them(seed, d, extra):
+    """The compression outputs are held without the eigh gate: the gate, run
+    on the Kraus action of the public path, gives the same bits and accepts
+    them, and their spectrum, computed on first read, is the gate's."""
+    psi, phi, _ = random_nonorthogonal_pair(rng_for(79, seed), d, 0.05, 0.97)
+    n = smallest_compression_power(abs(overlap(psi, phi))) + extra
+    res = compression_channel(psi, phi, n=n)
+    k = res.channel.kraus
+    for out, span in ((res.output_psi, res.psi_span), (res.output_phi, res.phi_span)):
+        assert "eigensystem" not in vars(out)
+        rho = DensityMatrix.from_ket(span).matrix
+        gated = DensityMatrix((k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0))
+        assert out.matrix.tobytes() == gated.matrix.tobytes()
+        w, v = out.eigensystem
+        oracle = linalg.hermitian_eigensystem(out.matrix)
+        assert w.tobytes() == oracle[0].tobytes() == gated.eigensystem[0].tobytes()
+        assert v.tobytes() == oracle[1].tobytes()
+
 
 class TestPbrDemo:
+    def test_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        eig = linalg.hermitian_eigensystem
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", lambda a: calls.append(1) or eig(a))
+        rng = rng_for(78)
+        pairs = [random_nonorthogonal_pair(rng, d, 0.05, 0.97)[:2] for d in (2, 2, 3, 3)]
+        for psi, phi in [([1, 0], [INV_SQRT2, INV_SQRT2]), *pairs]:
+            assert pbr_demo(psi, phi).anti_distinguished
+        assert calls == []
+
     def test_each_input_ket_is_validated_once(self, monkeypatch):
         # qutrit inputs, so that no 2-d span ket is counted with them
         psi, phi, _ = random_nonorthogonal_pair(rng_for(75), 3, 0.4, 0.8)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontokit import linalg, quantum
-from ontokit.antidist import compression_channel
+from ontokit.antidist import compression_channel, smallest_compression_power
 from ontokit.errors import DimMismatchError, VerificationFailedError
-from ontokit.ontomodel import _quantum_probability
+from ontokit.ontomodel import FunctorFragment, _quantum_probability, check_operational_model
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
@@ -21,10 +21,11 @@ from ontokit.quantum import (
     tensor,
 )
 from ontokit.sampling import (
-    random_cptp_channel, random_density, random_effect, random_ket, random_unitary, rng_for,
+    random_cptp_channel, random_density, random_effect, random_ket, random_nonorthogonal_pair,
+    random_unitary, rng_for,
 )
 from ontokit.tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
-from ontokit.wigner import pad_odd
+from ontokit.wigner import commutative_algebra, functor_morphism, pad_odd
 
 ORACLE_TOL = 1e-15
 
@@ -196,6 +197,7 @@ def test_builders_hold_the_stack_they_built(monkeypatch):
         preparation_channel(random_density(rng, 3)),
         measurement_channel(random_effect(rng, 3)),
         compression_channel(np.array([1.0, 0.0]), np.array([0.8, 0.6])).channel,
+        Channel.identity(3),
     ]
     assert copies == []
     for ch in built:
@@ -313,6 +315,78 @@ def test_quantum_probability_matches_loop(dim):
         assert abs(p - quantum_probability_oracle(meas, prep)) <= ORACLE_TOL
         rho = apply_channel(prep, DensityMatrix(np.ones((1, 1)))).matrix
         assert abs(p - np.trace(effect.effect @ rho).real) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_quantum_probability_has_the_composite_bits(dim):
+    """Outcome 0 read off the factor stacks is the value the checked composite
+    channel gives, bit for bit; odd trials take a pure state and a projector
+    effect, whose channels drop the eigenpairs of weight 0."""
+    rng = rng_for(14, dim)
+    for trial in range(8):
+        if trial % 2:
+            v = random_unitary(rng, dim)
+            rank = trial % (dim + 1)
+            state = DensityMatrix.from_ket(v[:, 0])
+            effect = TwoOutcomeMeasurement(v[:, :rank] @ v[:, :rank].conj().T)
+        else:
+            state, effect = random_density(rng, dim), random_effect(rng, dim)
+        prep, meas = preparation_channel(state), measurement_channel(effect)
+        if trial % 2:
+            assert len(prep.kraus) == 1 and len(meas.kraus) == dim
+        first = compose(meas, prep).kraus[:, 0]
+        assert _quantum_probability(meas, prep) == float(np.vdot(first, first).real)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=3))
+def test_closed_form_compression_residual(seed, extra):
+    """The compression channel holds |t^2 + 2 s^2 - 1|, its Kraus sum's one
+    deviation from I; the public constructor's measure of the same stack lies
+    within 4 ulp of 1, the scale of the sum's entries."""
+    psi, phi, _ = random_nonorthogonal_pair(rng_for(71, seed), 2, 0.02, 0.98)
+    n = smallest_compression_power(abs(np.vdot(psi, phi))) + extra
+    res = compression_channel(psi, phi, n=n)
+    measured = Channel(res.channel.kraus).kraus_residual
+    assert abs(res.channel.kraus_residual - measured) <= 4 * np.spacing(1.0)
+
+
+def test_a_law_check_measures_each_new_kraus_sum_once(monkeypatch):
+    """A law check shaped like one functor trial measures the Kraus sums of
+    f, g, each compose(g, f), the preparation and the measurement; the
+    identity and the evaluation composite form none."""
+    rng = rng_for(15)
+    f_ops = random_cptp_channel(rng, 3, 3).kraus
+    g_ops = random_cptp_channel(rng, 3, 3).kraus
+    state, effect = random_density(rng, 3), random_effect(rng, 3)
+    measured = []
+    hold = Channel._hold
+
+    def spy(self, stack, residual=None):
+        if residual is None:
+            measured.append(stack)
+        return hold(self, stack, residual)
+
+    monkeypatch.setattr(Channel, "_hold", spy)
+    f, g = Channel(f_ops), Channel(g_ops)
+    gf, gf_again = compose(g, f), compose(g, f)
+    frag = FunctorFragment(
+        channels={"f": f, "g": g, "gf": gf, "id": Channel.identity(3)},
+        kernels={"f": functor_morphism(f), "g": functor_morphism(g),
+                 "gf": functor_morphism(gf_again), "id": functor_morphism(Channel.identity(3))},
+    )
+    assert check_operational_model(frag, composition_tests=[("g", "f", "gf")],
+                                   identity_names=["id"]).clean
+    prep, meas = preparation_channel(state), measurement_channel(effect)
+    frag = FunctorFragment(
+        channels={"state": prep, "meas": meas},
+        kernels={"state": functor_morphism(prep),
+                 "meas": functor_morphism(meas, out_algebra=commutative_algebra(2))},
+    )
+    assert check_operational_model(frag, evaluation_tests=[("meas", "state")]).clean
+    expected = [f, g, gf, gf_again, prep, meas]
+    assert len(measured) == len(expected)
+    assert all(stack is ch.kraus for stack, ch in zip(measured, expected))
 
 
 # ---------------------------------------------------------------------------

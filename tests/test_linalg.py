@@ -123,7 +123,7 @@ def test_only_hermitian_eigensystem_calls_eigh():
 # public constructor, each because it saves a copy, an eigh or a per-row check
 CONSTRUCTOR_BYPASSES = {
     "quantum.py:Channel._of_stack",
-    "quantum.py:DensityMatrix._projector",
+    "quantum.py:DensityMatrix._held",
     "kernels.py:distribution_rows",
 }
 

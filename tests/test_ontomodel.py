@@ -844,7 +844,10 @@ class TestOperationalModel:
     @staticmethod
     def endpoint_fragment():
         """Qutrit identity kernels (9 -> 9), a state (1 -> 9), a measurement
-        (9 -> 2) and an identity on a relabelled copy of phase space."""
+        (9 -> 2) and an identity on a relabelled copy of phase space.  Three
+        more pairs fit their kernels' endpoints but not their channels': a
+        3 -> 3 channel with the state's kernel, and a 5 -> 2 and a 3 -> 3
+        channel with the measurement's kernel."""
         rng = rng_for(108)
         from ontokit.quantum import measurement_channel
         from ontokit.sampling import random_effect
@@ -853,14 +856,21 @@ class TestOperationalModel:
         meas = measurement_channel(random_effect(rng, 3))
         relabelled = FiniteSpace(tuple(f"x{i}" for i in range(9)))
         identity = functor_morphism(Channel.identity(3))
+        state_kernel = functor_morphism(prep)
+        meas_kernel = functor_morphism(meas, out_algebra=commutative_algebra(2))
         return FunctorFragment(
             channels={"id": Channel.identity(3), "state": prep, "meas": meas,
-                      "relabelled": Channel.identity(3)},
+                      "relabelled": Channel.identity(3), "loop": random_cptp_channel(rng, 3, 3),
+                      "meas5": measurement_channel(random_effect(rng, 5)),
+                      "wide": random_cptp_channel(rng, 3, 3)},
             kernels={
                 "id": identity,
-                "state": functor_morphism(prep),
-                "meas": functor_morphism(meas, out_algebra=commutative_algebra(2)),
+                "state": state_kernel,
+                "meas": meas_kernel,
                 "relabelled": SignedKernel(relabelled, relabelled, identity.matrix),
+                "loop": state_kernel,
+                "meas5": meas_kernel,
+                "wide": meas_kernel,
             },
         )
 
@@ -883,6 +893,16 @@ class TestOperationalModel:
              "evaluation ('id', 'state'): the measurement must run from the state's space into TWO"),
             ({"evaluation_tests": [("meas", "id")]},
              "evaluation ('meas', 'id'): the state must start at the unit space"),
+            # kernels that fit the law on channels that do not: once a probability
+            # above 1 and once compose's unnamed DimMismatchError
+            ({"evaluation_tests": [("meas", "loop")]},
+             "evaluation ('meas', 'loop'): the state channel must start at C"),
+            ({"evaluation_tests": [("meas5", "state")]},
+             "evaluation ('meas5', 'state'): the measurement channel must run from the "
+             "state channel's output into C^2"),
+            ({"evaluation_tests": [("wide", "state")]},
+             "evaluation ('wide', 'state'): the measurement channel must run from the "
+             "state channel's output into C^2"),
         ],
     )
     def test_endpoints_that_do_not_fit_the_law(self, laws, message):

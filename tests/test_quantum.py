@@ -226,6 +226,30 @@ class TestApply:
             assert abs(np.trace(out.matrix).real - 1.0) < 1e-9
 
 
+    def test_the_image_of_an_exact_state_is_held_exact(self, monkeypatch):
+        # a ket's projector and its images are held without an eigendecomposition;
+        # the image of a gated state passes the gate itself
+        rng = rng_for(46)
+        f = random_cptp_channel(rng, 3, 4)
+        g = random_cptp_channel(rng, 4, 2)
+        rho = random_density(rng, 3)
+        calls = []
+        eig = linalg.hermitian_eigensystem
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", lambda a: calls.append(1) or eig(a))
+        out = apply_channel(g, apply_channel(f, DensityMatrix.from_ket(random_ket(rng, 3))))
+        assert calls == [] and out._exact and "eigensystem" not in vars(out)
+        gated = apply_channel(f, rho)
+        assert calls == [1] and not gated._exact and "eigensystem" in vars(gated)
+
+    def test_a_held_image_keeps_the_trace_check(self):
+        # a Kraus sum 1 + 9e-10 on |1>: within IDENTITY_TOL as a channel, but the
+        # image of a ket of norm 1 + 9e-11 there has trace 1 + 1.08e-9
+        ch = Channel(np.diag([1.0, np.sqrt(1.0 + 9e-10)]).astype(complex)[None])
+        ket = np.array([0.0, 1.0 + 9e-11])
+        with pytest.raises(VerificationFailedError, match="^trace .* deviates from 1$"):
+            apply_channel(ch, DensityMatrix.from_ket(ket))
+
+
 class TestCompose:
     def test_identity_neutral(self):
         rng = rng_for(45)
@@ -356,3 +380,19 @@ class TestMeasurementChannel:
     def test_two_outcome_validation(self):
         with pytest.raises(ValueError):
             TwoOutcomeMeasurement(np.diag([1.5, 0.0]))
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5, True, np.bool_(True), "3", None])
+    def test_a_dimension_that_is_no_positive_integer_is_refused(self, dim):
+        message = f"dim must be a positive integer, got {dim!r}"
+        with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$"):
+            Channel.identity(dim)
+
+    @pytest.mark.parametrize("dim", [1, 3, np.int64(4), np.uint8(2)])
+    def test_the_exact_stack_holds_residual_zero(self, dim):
+        ch = Channel.identity(dim)
+        assert ch.kraus.shape == (1, dim, dim) and not ch.kraus.flags.writeable
+        assert np.array_equal(ch.kraus[0], np.eye(dim))
+        # what the public constructor measures on the same stack
+        assert ch.kraus_residual == Channel(ch.kraus).kraus_residual == 0.0
