@@ -45,7 +45,13 @@ class BadOverlapError(OntokitError):
 class VerificationFailedError(OntokitError, ValueError):
     """A value failed one of the library's checks.  Every fault the library
     raises is an ``OntokitError``; a failed check is this one, which is also
-    a ``ValueError``, and a fault in a parsed document a ``SchemaError``."""
+    a ``ValueError``, and a fault in a parsed document a ``SchemaError``.  A
+    check over rows gives the index of the first that failed as ``row``, and
+    the name its caller gave the array as ``part``."""
+
+    def __init__(self, message: str, row: int | None = None, part: str | None = None):
+        super().__init__(message)
+        self.row, self.part = row, part
 
 
 class EvenDimensionError(OntokitError):

@@ -36,7 +36,12 @@ class FiniteSpace:
 
 
 def _labels(labels, kind: str) -> tuple[str, ...]:
-    """``labels`` as a tuple of distinct strings; str() would make 1 and "1" collide."""
+    """``labels`` as a tuple of distinct strings; str() would make 1 and "1"
+    collide, and a bare string would be read as its characters."""
+    if isinstance(labels, (str, bytes)) or not hasattr(labels, "__iter__"):
+        raise VerificationFailedError(
+            f"{kind} labels must be a collection of strings, got {labels!r}"
+        )
     labels = tuple(labels)
     for label in labels:
         if not isinstance(label, str):
@@ -120,18 +125,19 @@ class ResponseFunction:
         object.__setattr__(self, "values", v)
 
 
-def _check_weight_rows(space: FiniteSpace, w: np.ndarray) -> None:
+def _check_weight_rows(space: FiniteSpace, w: np.ndarray, part: str | None = None) -> None:
     """The Distribution checks on each row of a (rows x points) matrix; the
-    first row that fails raises its error."""
+    first row that fails raises its error, with its index as ``row``."""
     if w.ndim != 2 or w.shape[1] != space.size:
         raise SpaceMismatchError("weight vector length does not match space")
     if np.isfinite(w).all() and abs(w.sum(axis=1) - 1.0).max(initial=0.0) <= IDENTITY_TOL:
         return
-    for row in w:
+    for i, row in enumerate(w):
         if not np.isfinite(row).all():
-            raise VerificationFailedError("weights contain NaN or Inf")
-        if abs(row.sum() - 1.0) > IDENTITY_TOL:
-            raise VerificationFailedError(f"weights sum to {float(row.sum())!r}, expected 1")
+            raise VerificationFailedError("weights contain NaN or Inf", i, part)
+        total = float(row.sum())
+        if abs(total - 1.0) > IDENTITY_TOL:
+            raise VerificationFailedError(f"weights sum to {total!r}, expected 1", i, part)
 
 
 def _signed_rows(w: np.ndarray) -> np.ndarray:
@@ -139,13 +145,15 @@ def _signed_rows(w: np.ndarray) -> np.ndarray:
     return w.min(axis=1) < -NONNEG_TOL
 
 
-def _check_response_rows(space: FiniteSpace, v: np.ndarray) -> None:
-    """The ResponseFunction checks on each row of a (rows x points) matrix."""
+def _check_response_rows(space: FiniteSpace, v: np.ndarray, part: str | None = None) -> None:
+    """The ResponseFunction checks on each row of a (rows x points) matrix;
+    the error names the first row that fails."""
     if v.ndim != 2 or v.shape[1] != space.size:
         raise SpaceMismatchError("response length does not match space")
     # min and max propagate a NaN, which fails both comparisons
     if not (v.min(initial=0.0) >= -NONNEG_TOL and v.max(initial=1.0) <= 1.0 + NONNEG_TOL):
-        raise VerificationFailedError("response values must lie in [0, 1]")
+        row = int(((v < -NONNEG_TOL) | ~(v <= 1.0 + NONNEG_TOL)).any(axis=1).argmax())
+        raise VerificationFailedError("response values must lie in [0, 1]", row, part)
 
 
 def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:

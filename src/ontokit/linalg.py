@@ -25,9 +25,21 @@ def frozen(arr) -> np.ndarray:
     return arr
 
 
+def _as_array(a, what: str, dtype=None) -> np.ndarray:
+    """``a`` as an array of bools, ints, floats or complex numbers, cast to any
+    ``dtype`` given; ragged input and other entries (a string, None) are refused."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:
+        raise VerificationFailedError(f"ragged {what}: entries differ in length or depth") from None
+    if arr.dtype.kind not in "biufc":
+        raise VerificationFailedError(f"entries of {what} must be numbers")
+    return arr if dtype is None else arr.astype(dtype, copy=False)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
-    m = np.asarray(a, dtype=complex)
+    m = _as_array(a, "matrix", complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -36,17 +48,15 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_real(a, what: str) -> np.ndarray:
-    """Coerce to a float array.  Complex input whose imaginary part is
-    nonzero anywhere (a NaN part counts) is refused: a cast would drop that
-    part with only a ComplexWarning.  A float64 array passes on its dtype."""
-    arr = np.asarray(a)
-    if arr.dtype == np.float64:
-        return arr
+    """Coerce to a float array (see ``_as_array``).  Complex input whose
+    imaginary part is nonzero anywhere (a NaN part counts) is refused: a cast
+    would drop it with only a ComplexWarning.  float64 passes on its dtype."""
+    arr = _as_array(a, what)
     if arr.dtype.kind == "c":
         if arr.imag.any():
             raise VerificationFailedError(f"{what} has a nonzero imaginary part")
         arr = arr.real
-    return np.asarray(arr, dtype=float)
+    return arr.astype(float, copy=False)
 
 
 def as_positive_int(value, what: str):
@@ -59,16 +69,17 @@ def as_positive_int(value, what: str):
 def as_ket(v) -> np.ndarray:
     """Coerce to a finite 1-d complex unit vector: the one-row case of
     :func:`as_kets`, with its errors."""
-    return as_kets(np.asarray(v, dtype=complex).reshape(1, -1))[0]
+    return as_kets(_as_array(v, "ket", complex).reshape(1, -1))[0]
 
 
-def as_kets(rows) -> np.ndarray:
+def as_kets(rows, part: str | None = None) -> np.ndarray:
     """Coerce to a 2-d complex array of kets: rows with an amplitude, finite,
     of norm within ``TIGHT_IDENTITY_TOL`` of 1; the first row that fails
     raises.  A norm sqrt(np.vecdot(row, row)) has the same bits alone and in
     any stack, so a stack passes iff :func:`as_ket` passes each row; a huge
-    row's overflows to inf and fails, with no warning."""
-    kets = np.asarray(rows, dtype=complex)
+    row's overflows to inf and fails, with no warning.  A failed row's error
+    carries its index as ``row``, and ``part``."""
+    kets = _as_array(rows, "kets", complex)
     if kets.ndim != 2:
         raise DimMismatchError(f"expected a 2-d stack of kets, got shape {kets.shape}")
     if kets.shape[1] < 1 and len(kets):
@@ -80,9 +91,9 @@ def as_kets(rows) -> np.ndarray:
         nrm = math.sqrt(sq)
         if not abs(nrm - 1.0) <= TIGHT_IDENTITY_TOL:  # a NaN norm fails too
             if not np.isfinite(kets[i]).all():
-                raise VerificationFailedError("ket contains NaN or Inf amplitudes")
+                raise VerificationFailedError("ket contains NaN or Inf amplitudes", i, part)
             raise VerificationFailedError(
-                f"ket norm {nrm!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}"
+                f"ket norm {nrm!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}", i, part
             )
     return kets
 

@@ -38,7 +38,9 @@ class OntModel:
     State ``labels[s]`` has the unit ket ``kets[s]`` (states x dim) and the
     ontic distribution ``weights[s]`` (states x ontic), a row of W.  Each of
     ``measurements`` pairs a projective measurement with its ``responses``
-    (outcomes x ontic), one row of values in [0, 1] per outcome: R.
+    (outcomes x ontic), one row of values in [0, 1] per outcome: R.  The kets
+    are checked first, then the weights and the responses; a failed row check
+    names its ``part`` ("kets", "weights", "measurements[i]") and ``row``.
     """
 
     ontic: FiniteSpace
@@ -49,52 +51,40 @@ class OntModel:
 
     def __post_init__(self):
         labels = _labels(self.labels, "state")
+        ms = self.measurements  # a bare measurement is read as its one entry, and refused
+        pairs = tuple(ms) if hasattr(ms, "__iter__") else (ms,)
+        for mi, pair in enumerate(pairs):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and isinstance(pair[0], ProjectiveMeasurement)):
+                raise VerificationFailedError(f"measurement {mi} is not a "
+                                              "(ProjectiveMeasurement, responses) pair")
+        kets = linalg.frozen(linalg._as_array(self.kets, "kets", complex))
+        if not labels and kets.size == 0:  # no ket fixes the dimension; the first measurement does
+            kets = kets.reshape(0, pairs[0][0].dim if pairs else 0)
+        if kets.ndim != 2 or len(kets) != len(labels):
+            raise DimMismatchError(f"expected one ket row per state, got shape {kets.shape}")
+        linalg.as_kets(kets, "kets")
         weights = linalg.frozen(linalg.as_real(self.weights, "weight matrix"))
-        _check_weight_rows(self.ontic, weights)
+        _check_weight_rows(self.ontic, weights, "weights")
         if len(weights) != len(labels):
             raise VerificationFailedError("each state needs exactly one weight row")
         signed = _signed_rows(weights)
         if signed.any():
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         measurements = []
-        for m, responses in self.measurements:
+        for mi, (m, responses) in enumerate(pairs):
             r = linalg.frozen(linalg.as_real(responses, "response matrix"))
-            _check_response_rows(self.ontic, r)
+            _check_response_rows(self.ontic, r, f"measurements[{mi}]")
             if len(r) != m.n_outcomes:
                 raise VerificationFailedError("each outcome needs exactly one response row")
+            if m.dim != kets.shape[1]:
+                raise DimMismatchError(f"measurement {mi} has dimension {m.dim}, "
+                                       f"expected {kets.shape[1]}")
             measurements.append((m, r))
-        kets = _stack_kets(self.kets, len(labels), [m for m, _ in measurements])
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "measurements", tuple(measurements))
-
-
-def catalogue_kets(labels: Sequence[str], kets: Sequence) -> np.ndarray:
-    """A catalogue's kets as the rows of one array; a ket whose dimension
-    differs from the first's is refused by its label."""
-    rows = [np.asarray(k, dtype=complex).reshape(-1) for k in kets]
-    for lab, row in zip(labels, rows):
-        if row.size != rows[0].size:
-            raise DimMismatchError(
-                f"state {lab!r} has dimension {row.size}, expected {rows[0].size}"
-            )
-    return np.array(rows)
-
-
-def _stack_kets(kets, n_states: int, measurements: Sequence[ProjectiveMeasurement]) -> np.ndarray:
-    """Unit kets as rows, one per state; every measurement shares their dimension."""
-    kets = linalg.frozen(np.asarray(kets, dtype=complex))
-    if n_states == 0 and kets.size == 0:  # no ket fixes the dimension; the first measurement does
-        kets = kets.reshape(0, measurements[0].dim if measurements else 0)
-    if kets.ndim != 2 or len(kets) != n_states:
-        raise DimMismatchError(f"expected one ket row per state, got shape {kets.shape}")
-    linalg.as_kets(kets)
-    dim = kets.shape[1]
-    for mi, m in enumerate(measurements):
-        if m.dim != dim:
-            raise DimMismatchError(f"measurement {mi} has dimension {m.dim}, expected {dim}")
-    return kets
 
 
 def _born_table(kets: np.ndarray, m: ProjectiveMeasurement) -> np.ndarray:

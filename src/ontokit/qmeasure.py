@@ -64,7 +64,7 @@ class DecoherenceFunctional:
 
     def __post_init__(self):
         check_size(self.space.size)
-        m = linalg.frozen(np.asarray(self.matrix, dtype=complex))
+        m = linalg.frozen(linalg._as_array(self.matrix, "functional", complex))
         if m.shape != (self.space.size, self.space.size):
             raise VerificationFailedError("singleton matrix shape must match the space")
         if not np.all(np.isfinite(m.view(float))):

@@ -34,7 +34,7 @@ class DensityMatrix:
     _exact = False  # not a field: set by _held
 
     def __post_init__(self):
-        m = linalg.frozen(np.asarray(self.matrix, dtype=complex))
+        m = linalg.frozen(linalg._as_array(self.matrix, "density matrix", complex))
         eigensystem = linalg.hermitian_eigensystem(m)
         _unit_trace(m)
         lo = eigensystem[0][0]
@@ -83,10 +83,9 @@ def _kraus_stack(kraus) -> np.ndarray:
     """The Kraus set as one (count, out, in) complex array, a read-only copy
     that the caller's arrays do not share."""
     try:
-        stack = linalg.frozen(np.asarray(kraus, dtype=complex))
-    except ValueError:
-        # operators of different shapes; as_matrix names the first one that
-        # is malformed in itself
+        stack = linalg.frozen(linalg._as_array(kraus, "Kraus set", complex))
+    except VerificationFailedError:
+        # operators of different shapes, or one that as_matrix names as malformed
         list(map(linalg.as_matrix, kraus))
         raise DimMismatchError("all Kraus operators must share one shape") from None
     if stack.ndim != 3 or 0 in stack.shape[1:]:
@@ -166,7 +165,7 @@ class ProjectiveMeasurement:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = linalg.frozen(np.asarray(self.vectors, dtype=complex))
+        v = linalg.frozen(linalg._as_array(self.vectors, "outcome vectors", complex))
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
         if v.shape[0] != v.shape[1]:
@@ -204,7 +203,7 @@ class TwoOutcomeMeasurement:
     eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = linalg.frozen(np.asarray(self.effect, dtype=complex))
+        e = linalg.frozen(linalg._as_array(self.effect, "effect", complex))
         eigensystem = linalg.hermitian_eigensystem(e)
         w = eigensystem[0]
         if w[0] < -IDENTITY_TOL or w[-1] > 1.0 + IDENTITY_TOL:

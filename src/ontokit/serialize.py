@@ -6,8 +6,9 @@ float64 round-trips are bit exact (``dumps_report`` says how it writes them).
 
 The readers check structure only: fields, types, shapes, and labels that
 are JSON strings.  Every numerical check (ket norms, weight sums, signs,
-Kraus sums) is the library's, run through ``_named`` so that its error
-names the field; this module imports no threshold.
+Kraus sums) is the library's, run once by the constructor of the object
+read, through ``_named``, which names the field from the part and row that
+a failed check reports; this module imports no threshold.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .kernels import (
     _signed_rows,
     distribution_rows,
 )
-from .ontomodel import OntModel, catalogue_kets
+from .ontomodel import OntModel
 from .qmeasure import DecoherenceFunctional, QuantumMeasure, check_size
 from .quantum import Channel, ProjectiveMeasurement
 
@@ -232,14 +233,18 @@ def _need(doc: dict, field: str, context: str = ""):
     return doc[field]
 
 
-def _named(field: str, build, *args):
-    """``build(*args)``, with a fault in it named as ``field``: a SchemaError
-    passes through, any other exception becomes one."""
+def _named(field, build, *args):
+    """``build(*args)``, with a fault in it named as ``field``, or as
+    ``field(part, row)`` of the failed check (see ``VerificationFailedError``)
+    when ``field`` is a function: a SchemaError passes through, any other
+    exception becomes one."""
     try:
         return build(*args)
     except SchemaError:
         raise
     except Exception as exc:
+        if callable(field):
+            field = field(getattr(exc, "part", None), getattr(exc, "row", None))
         raise SchemaError(field, str(exc)) from exc
 
 
@@ -247,12 +252,10 @@ def _number_array(doc) -> np.ndarray | None:
     """A regular nested list of JSON numbers (bool, int or float) as one
     float array, or None when ``doc`` is anything else."""
     try:
-        arr = np.array(doc)
-    except (ValueError, OverflowError):
+        arr = linalg._as_array(doc, "document")
+    except (VerificationFailedError, OverflowError):
         return None
-    if arr.dtype.kind not in "biuf":
-        return None
-    return arr.astype(float, copy=False)
+    return None if arr.dtype.kind == "c" else arr.astype(float, copy=False)
 
 
 def _pairs_array(doc, ndim: int) -> np.ndarray | None:
@@ -323,8 +326,8 @@ def parse_matrix(doc, field: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def parse_ket(doc, place: str = "") -> np.ndarray:
-    """A ket document, each of its fields named after ``place``."""
+def _ket_amplitudes(doc, place: str) -> np.ndarray:
+    """A ket document's amplitudes, norm unchecked, its fields named after ``place``."""
     dim = _need(doc, "dim", place)
     amps = _need(doc, "amplitudes", place)
     if type(dim) is not int or dim < 1:  # JSON true is no dimension
@@ -335,7 +338,12 @@ def parse_ket(doc, place: str = "") -> np.ndarray:
     if psi is None:
         # entry by entry, to name what is malformed
         psi = np.array([_pair_to_complex(v, f"{place}amplitudes[{i}]") for i, v in enumerate(amps)])
-    return _named(place + "amplitudes", linalg.as_ket, psi)
+    return psi
+
+
+def parse_ket(doc) -> np.ndarray:
+    """A ket document as a unit vector."""
+    return _named("amplitudes", linalg.as_ket, _ket_amplitudes(doc, ""))
 
 
 def parse_channel(doc) -> Channel:
@@ -389,23 +397,18 @@ def _space(labels, field: str) -> FiniteSpace:
     return _named(field, FiniteSpace, tuple(labels))
 
 
-def _weight_rows(space: FiniteSpace, rows: list, keys, name: str) -> np.ndarray:
-    """The weight rows as one (rows x points) matrix, read and checked with
-    one call.  When that fails they are read row by row, so the first bad
-    row is named as ``name[key]``; a nested row is read flat."""
-    w = _number_array(rows)
+def _number_rows(docs: list, name: str, keys, space: FiniteSpace, check, part=None) -> np.ndarray:
+    """Rows of numbers, each read flat, as one (rows x points) float array: a
+    regular list with one call, else row by row, a non-number named after
+    ``name[key]``; a row of another length fails ``check``, as ``part`` or ``name[key]``."""
+    w = _number_array(docs)
     if w is not None and w.ndim == 2 and w.shape[1] == space.size:
-        try:
-            _check_weight_rows(space, w)
-            return w
-        except VerificationFailedError:
-            pass
-    flat = []
+        return w
+    rows = [_real_array(row, f"{name}[{key}]").reshape(-1) for key, row in zip(keys, docs)]
     for key, row in zip(keys, rows):
-        field = f"{name}[{key}]"
-        flat.append(_real_array(row, field).reshape(-1))
-        _named(field, _check_weight_rows, space, flat[-1][None])
-    return np.array(flat).reshape(len(flat), space.size)
+        if row.size != space.size:
+            _named(part or f"{name}[{key}]", check, space, row[None])
+    return np.array(rows).reshape(len(rows), space.size)
 
 
 def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
@@ -414,78 +417,49 @@ def parse_ensemble(doc) -> tuple[FiniteSpace, list[Distribution]]:
     space = _space(points, "points")
     if not isinstance(weights, list) or not weights:
         raise SchemaError("weights", "expected a nonempty list of weight vectors")
-    w = _weight_rows(space, weights, range(len(weights)), "weights")
-    return space, distribution_rows(space, w)
+    w = _number_rows(weights, "weights", range(len(weights)), space, _check_weight_rows)
+    return space, _named(lambda part, row: f"weights[{row}]", distribution_rows, space, w)
 
 
-def _ket_rows(docs: list) -> np.ndarray | None:
-    """Ket documents as the rows of one complex array, read and checked with
-    one call each; None unless parse_ket accepts each, all of one dimension."""
-    if not all(isinstance(d, dict) and "dim" in d and "amplitudes" in d for d in docs):
-        return None
-    kets = _pairs_array([d["amplitudes"] for d in docs], 3)
-    if kets is None or not all(
-        type(d["dim"]) is int and d["dim"] == kets.shape[1]
-        and isinstance(d["amplitudes"], list)
-        for d in docs
-    ):
-        return None
-    try:
-        return linalg.as_kets(kets)
-    except VerificationFailedError:
-        return None
-
-
-def _model_states(docs: list) -> tuple[list[str], np.ndarray | list[np.ndarray]]:
-    """The state labels, and the kets as one array or else one by one."""
-    if all(isinstance(s, dict) and "label" in s and "ket" in s for s in docs):
-        labels = [s["label"] for s in docs]
-        kets = _ket_rows([s["ket"] for s in docs])
-        if kets is not None and set(map(type, labels)) <= {str}:
-            return labels, kets
-    # state by state, to name the first that is malformed
-    labels, kets = [], []
-    for i, s in enumerate(docs):
-        labels.append(_label(_need(s, "label", f"states[{i}]."), f"states[{i}].label"))
-        kets.append(parse_ket(_need(s, "ket", f"states[{i}]."), f"states[{i}].ket."))
-    return labels, kets
+def _kets(docs: list, place: str, mismatch) -> np.ndarray:
+    """Ket documents' amplitudes as the rows of one complex array: one call if
+    all are regular and of one dimension, else ket by ket, ket i named after
+    ``place.format(i)``; a ket of another dimension raises ``mismatch(i, dim, first)``."""
+    if all(isinstance(d, dict) and type(d.get("dim")) is int
+           and isinstance(d.get("amplitudes"), list) for d in docs):
+        kets = _pairs_array([d["amplitudes"] for d in docs], 3)
+        if kets is not None and all(d["dim"] == kets.shape[1] for d in docs):
+            return kets
+    kets = [_ket_amplitudes(d, place.format(i)) for i, d in enumerate(docs)]
+    for i, k in enumerate(kets):
+        if k.size != kets[0].size:
+            raise mismatch(i, k.size, kets[0].size)
+    return np.array(kets)
 
 
 def _model_measurement(
     ontic: FiniteSpace, doc, place: str
 ) -> tuple[ProjectiveMeasurement, np.ndarray]:
+    """A measurement's basis, checked as it is read, and its response rows."""
     basis = _need(doc, "basis", place + ".")
     responses = _need(doc, "responses", place + ".")
     if not isinstance(basis, list):
         raise SchemaError(f"{place}.basis", "expected a list of kets")
-    vectors = _ket_rows(basis)
-    if vectors is None:
-        # vector by vector, to name the first that is malformed
-        kets = [parse_ket(b, f"{place}.basis[{j}].") for j, b in enumerate(basis)]
-        if len({k.size for k in kets}) > 1:
-            raise SchemaError(f"{place}.basis", "kets have different dimensions")
-        vectors = np.array(kets)
+    vectors = _kets(basis, place + ".basis[{}].",
+                    lambda *_: SchemaError(f"{place}.basis", "kets have different dimensions"))
+    if vectors.size:
+        _named(lambda part, row: f"{place}.basis[{row}].amplitudes", linalg.as_kets, vectors)
     pm = _named(f"{place}.basis", ProjectiveMeasurement, vectors)
+    at = f"{place}.responses"
     if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
-        raise SchemaError(f"{place}.responses", f"expected {pm.n_outcomes} response vectors")
-    values = _number_array(responses)
-    if values is None or values.ndim != 2:
-        # row by row, to name a non-number entry and to read nested rows flat
-        rows = [
-            _real_array(r, f"{place}.responses[{j}]").reshape(-1) for j, r in enumerate(responses)
-        ]
-        for row in rows:
-            _named(f"{place}.responses", _check_response_rows, ontic, row[None])
-        values = np.array(rows)
-    _named(f"{place}.responses", _check_response_rows, ontic, values)
-    return pm, values
+        raise SchemaError(at, f"expected {pm.n_outcomes} response vectors")
+    return pm, _number_rows(responses, at, range(pm.n_outcomes), ontic, _check_response_rows, at)
 
 
 def parse_model(doc) -> OntModel:
-    """A model document read as matrices: all state kets, all distribution
-    rows, and each measurement's basis and responses are read and checked
-    with one call each.  A part whose array checks fail is read again entry
-    by entry, which names the first malformed entry."""
+    """A model document read as matrices.  The reader checks its structure, its
+    bases and the distribution rows no state names; ``OntModel`` checks every
+    other number once, and its failing part and row name the field."""
     ontic_labels = _need(doc, "ontic")
     states_doc = _need(doc, "states")
     dists_doc = _need(doc, "distributions")
@@ -494,25 +468,42 @@ def parse_model(doc) -> OntModel:
     for name, value in (("states", states_doc), ("measurements", meas_doc)):
         if not isinstance(value, list):
             raise SchemaError(name, "expected a list")
-    labels, kets = _model_states(states_doc)
+    labels = [_label(_need(s, "label", f"states[{i}]."), f"states[{i}].label")
+              for i, s in enumerate(states_doc)]
+    kets = _kets(
+        [_need(s, "ket", f"states[{i}].") for i, s in enumerate(states_doc)], "states[{}].ket.",
+        lambda i, dim, first: SchemaError(
+            "model", f"state {labels[i]!r} has dimension {dim}, expected {first}"),
+    )
     if not isinstance(dists_doc, dict):
         raise SchemaError("distributions", "expected a label-to-weights map")
-    weights = _weight_rows(ontic, list(dists_doc.values()), dists_doc, "distributions")
+    keys = list(dists_doc)
+    weights = _number_rows([*dists_doc.values()], "distributions", keys, ontic, _check_weight_rows)
     measurements = tuple(
         _model_measurement(ontic, m, f"measurements[{i}]") for i, m in enumerate(meas_doc)
     )
-    row_of = {key: i for i, key in enumerate(dists_doc)}
+    row_of = {key: i for i, key in enumerate(keys)}
     for lab in labels:
         if lab not in row_of:
             raise SchemaError("model", f"state {lab!r} has no distribution")
-    # a row no state names is held to the model's sign rule too
-    for key, signed in zip(dists_doc, _signed_rows(weights).tolist()):
-        if signed and key not in labels:
-            raise SchemaError(f"distributions[{key}]", "distribution is signed")
-    if isinstance(kets, list):
-        kets = _named("model", catalogue_kets, labels, kets)
+    named = set(labels)
+    extra = [key for key in keys if key not in named]
+    if extra:
+        unnamed = weights[[row_of[key] for key in extra]]
+        _named(lambda part, row: f"distributions[{extra[row]}]", _check_weight_rows, ontic, unnamed)
+        for key, signed in zip(extra, _signed_rows(unnamed).tolist()):
+            if signed:
+                raise SchemaError(f"distributions[{key}]", "distribution is signed")
+
+    def field(part, row):
+        if part == "kets":
+            return f"states[{row}].ket.amplitudes"
+        if part == "weights":
+            return f"distributions[{labels[row]}]"
+        return f"{part}.responses" if part else "model"
+
     rows = weights[[row_of[lab] for lab in labels]]
-    return _named("model", OntModel, ontic, tuple(labels), kets, rows, measurements)
+    return _named(field, OntModel, ontic, tuple(labels), kets, rows, measurements)
 
 
 @lru_cache(maxsize=None)

@@ -149,7 +149,7 @@ class WignerFrame:
     _offsets: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        ops = linalg.frozen(np.asarray(self.operators, dtype=complex))
+        ops = linalg.frozen(linalg._as_array(self.operators, "frame operators", complex))
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = ops.shape

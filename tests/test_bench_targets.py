@@ -7,12 +7,13 @@ import importlib
 import json
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ontokit import kernels, ontomodel, serialize
+from ontokit import kernels, linalg, ontomodel, serialize
 from test_ontomodel import predicates_oracle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -86,3 +87,37 @@ def test_model_path_builds_no_row_objects(monkeypatch):
         ontomodel.maximal_predicates(model)
         arrays = [model.kets, model.weights] + [r for _, r in model.measurements]
         assert all(type(a) is np.ndarray for a in arrays)
+
+
+def _count_row_checks(monkeypatch):
+    """Count the calls of the three row checks, wherever they are bound."""
+    calls = Counter()
+    for owner, name, modules in (
+        (linalg, "as_kets", (linalg,)),
+        (kernels, "_check_weight_rows", (kernels, ontomodel, serialize)),
+        (kernels, "_check_response_rows", (kernels, ontomodel, serialize)),
+    ):
+        def spy(*args, name=name, check=getattr(owner, name)):
+            calls[name] += 1
+            return check(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_documents_check_each_row_once(monkeypatch):
+    """The first seed-1 validators model (14 states, 2 measurements) and
+    exclusion ensemble: the readers check no number that a constructor
+    checks, so each row check runs once per part: the state kets, each
+    basis, the weight rows and each measurement's response rows."""
+    inputs = _bench_module("inputs", monkeypatch)
+    model_doc = next(i for i in inputs.generate("validators", 1, 1) if i.kind == "model")
+    ensemble_doc = next(i for i in inputs.generate("exclusion", 1, 1) if "ensemble" in i.docs)
+    calls = _count_row_checks(monkeypatch)
+    model = serialize.parse_model(json.loads(model_doc.docs["model"]))
+    assert (len(model.labels), len(model.measurements)) == (14, 2)
+    assert calls == {"as_kets": 3, "_check_weight_rows": 1, "_check_response_rows": 2}
+    calls.clear()
+    serialize.parse_ensemble(json.loads(ensemble_doc.docs["ensemble"]))
+    assert calls == {"_check_weight_rows": 1}

@@ -63,6 +63,10 @@ class TestFiniteSpace:
         ((1, "1"), "point label 1 is not a string"),
         ((None, 1.5), "point label None is not a string"),
         (("a", b"b"), "point label b'b' is not a string"),
+        # a bare string would be read as its characters
+        ("ab", "point labels must be a collection of strings, got 'ab'"),
+        (b"ab", "point labels must be a collection of strings, got b'ab'"),
+        (5, "point labels must be a collection of strings, got 5"),
     ])
     def test_labels_are_strings(self, points, named):
         with pytest.raises(VerificationFailedError, match=named):
@@ -302,8 +306,12 @@ class TestRowConstructors:
         [[0.5, 0.5]],
     ])
     def test_distribution_errors(self, rows):
-        first = next(e for e in map(_error, [lambda r=r: Distribution(ABC, r) for r in rows]) if e)
-        assert _error(lambda: distribution_rows(ABC, np.array(rows))) == first
+        errors = [_error(lambda r=r: Distribution(ABC, r)) for r in rows]
+        first = next(i for i, e in enumerate(errors) if e)
+        with pytest.raises(errors[first][0]) as info:
+            distribution_rows(ABC, np.array(rows))
+        assert (type(info.value), str(info.value)) == errors[first]
+        assert getattr(info.value, "row", first) == first  # a shape error names no row
 
     @pytest.mark.parametrize("rows", [
         [[0.5, 0.5, 0.0], [0.5, 1.5, 0.0]],
@@ -311,8 +319,12 @@ class TestRowConstructors:
         [[0.5, 0.5]],
     ])
     def test_response_errors(self, rows):
-        first = next(e for e in map(_error, [lambda r=r: ResponseFunction(ABC, r) for r in rows]) if e)
-        assert _error(lambda: _check_response_rows(ABC, np.array(rows))) == first
+        errors = [_error(lambda r=r: ResponseFunction(ABC, r)) for r in rows]
+        first = next(i for i, e in enumerate(errors) if e)
+        with pytest.raises(errors[first][0]) as info:
+            _check_response_rows(ABC, np.array(rows))
+        assert (type(info.value), str(info.value)) == errors[first]
+        assert getattr(info.value, "row", first) == first  # a shape error names no row
 
     def test_nan_response_rejected(self):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,23 @@ class TestValidatedObjectsHoldCopies:
         assert np.array_equal(held, build(example))  # what the array form holds
 
     @pytest.mark.parametrize("name", sorted(HELD))
+    def test_strings_and_ragged_rows_are_refused_by_name(self, name):
+        # numpy would read a decimal string as its number, and a ragged list
+        # fails in numpy with a bare ValueError
+        build, example = HELD[name]
+        strings = np.vectorize(lambda z: repr(float(z.real)))(example).tolist()
+        with pytest.raises(VerificationFailedError, match=r"^entries of [\w ]+ must be numbers$"):
+            build(strings)
+        ragged = example.tolist()
+        inner = ragged
+        while isinstance(inner[-1], list):
+            inner = inner[-1]
+        inner[-1] = [inner[-1]]
+        with pytest.raises(VerificationFailedError,
+                           match=r"^ragged [\w ]+: entries differ in length or depth$"):
+            build(ragged)
+
+    @pytest.mark.parametrize("name", sorted(HELD))
     def test_held_array_is_a_read_only_copy(self, name):
         build, example = HELD[name]
         given = example.copy()
@@ -358,16 +376,17 @@ class TestKetGate:
             assert alone == ("accepted", stack[i].tobytes())
             assert _gate(linalg.as_kets, stack[: i + 1]) == ("accepted", stack[: i + 1].tobytes())
 
-    @pytest.mark.parametrize("rows, message", [
-        ([[1.1, 0.0]], "ket norm 1.1 deviates from 1 beyond 1e-10"),
-        ([[1.0, 0.0], [np.nan, 0.0]], "ket contains NaN or Inf amplitudes"),
-        ([[1.0, 0.0], [0.0, 1j], [1e200, 0.0]], "ket norm inf deviates from 1 beyond 1e-10"),
+    @pytest.mark.parametrize("rows, row, message", [
+        ([[1.1, 0.0]], 0, "ket norm 1.1 deviates from 1 beyond 1e-10"),
+        ([[1.0, 0.0], [np.nan, 0.0]], 1, "ket contains NaN or Inf amplitudes"),
+        ([[1.0, 0.0], [0.0, 1j], [1e200, 0.0]], 2, "ket norm inf deviates from 1 beyond 1e-10"),
         # the first row that fails, whichever check it fails
-        ([[0.0, 2.0], [np.inf, 0.0]], "ket norm 2.0 deviates from 1 beyond 1e-10"),
+        ([[0.0, 2.0], [np.inf, 0.0]], 0, "ket norm 2.0 deviates from 1 beyond 1e-10"),
     ], ids=["long", "nan", "huge", "first-fails"])
-    def test_refused_stack_names_its_first_bad_row(self, rows, message):
-        with pytest.raises(VerificationFailedError, match=f"^{message}$"):
+    def test_refused_stack_names_its_first_bad_row(self, rows, row, message):
+        with pytest.raises(VerificationFailedError, match=f"^{message}$") as info:
             linalg.as_kets(np.array(rows))
+        assert (info.value.row, info.value.part) == (row, None)
 
     @pytest.mark.parametrize("rows, message", [
         (np.zeros((2, 0)), "ket must have at least one amplitude"),
@@ -377,6 +396,21 @@ class TestKetGate:
     def test_malformed_stack_is_refused(self, rows, message):
         with pytest.raises(DimMismatchError, match=f"^{message}$"):
             linalg.as_kets(rows)
+
+    @pytest.mark.parametrize("coerce, given, message", [
+        (linalg.as_ket, ["1j", "0"], "entries of ket must be numbers"),
+        (linalg.as_kets, [[1, 0], [0]], "ragged kets: entries differ in length or depth"),
+        (linalg.as_matrix, [[1, None]], "entries of matrix must be numbers"),
+        (lambda a: linalg.as_real(a, "x"), [[1.0], 0.0], "ragged x: entries differ in length or depth"),
+        (lambda a: linalg.as_real(a, "x"), ["0.5"], "entries of x must be numbers"),
+    ], ids=["ket-strings", "ragged-kets", "matrix-null", "ragged-real", "real-strings"])
+    def test_non_numbers_are_refused(self, coerce, given, message):
+        with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$"):
+            coerce(given)
+
+    def test_bools_are_numbers(self):
+        assert linalg.as_ket([True, False]).tolist() == [1, 0]
+        assert linalg.as_real(np.array([True, False]), "x").dtype == np.float64
 
     def test_empty_stack_and_empty_ket(self):
         assert linalg.as_kets(np.zeros((0, 3))).shape == (0, 3)

@@ -11,6 +11,7 @@ from ontokit.errors import (
     DimMismatchError,
     MissingActionError,
     MissingMorphismError,
+    SchemaError,
     SpaceMismatchError,
     VerificationFailedError,
 )
@@ -30,7 +31,6 @@ from ontokit.ontomodel import (
     ModelValidation,
     OntModel,
     PairRecords,
-    catalogue_kets,
     check_equivariance,
     check_operational_model,
     classify_model,
@@ -53,6 +53,7 @@ from ontokit.sampling import (
     random_unitary,
     rng_for,
 )
+from ontokit.serialize import ket_to_json, parse_model
 from ontokit.tolerances import IDENTITY_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
 from ontokit.wigner import (
     commutative_algebra,
@@ -66,6 +67,7 @@ Z0 = np.array([1, 0], dtype=complex)
 Z1 = np.array([0, 1], dtype=complex)
 PLUS = (Z0 + Z1) / np.sqrt(2)
 ZBASIS = ProjectiveMeasurement(np.eye(2))
+PAIR = (ZBASIS, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def dirac_model(catalog, measurements):
@@ -73,7 +75,7 @@ def dirac_model(catalog, measurements):
     point, and an outcome's response at a point is its Born probability
     there."""
     labels = tuple(lab for lab, _ in catalog)
-    kets = catalogue_kets(labels, [k for _, k in catalog])
+    kets = np.array([k for _, k in catalog])
     responses = [np.abs(m.vectors.conj() @ kets.T) ** 2 for m in measurements]
     ontic = FiniteSpace(labels)
     return OntModel(ontic, labels, kets, np.eye(len(labels)), tuple(zip(measurements, responses)))
@@ -685,6 +687,7 @@ class TestModelChecksInCatalogueOrder:
         ([[1.0, 0.0, 0.0]], SpaceMismatchError, "weight vector length does not match space"),
         ([1.0, 0.0], SpaceMismatchError, "weight vector length does not match space"),
         ([[1.0, 0.0], [0.0, 1.0]], VerificationFailedError, "exactly one weight row"),
+        ([["1", "0"]], VerificationFailedError, "^entries of weight matrix must be numbers$"),
     ])
     def test_weight_matrix_shape(self, weights, exc, message):
         with pytest.raises(exc, match=message):
@@ -704,6 +707,7 @@ class TestModelChecksInCatalogueOrder:
         ([Z0, 1.1 * Z0, np.array([np.nan, 0])], ValueError, "ket norm 1.1"),
         ([Z0, np.array([np.inf, 0]), 1.1 * Z0], ValueError, "NaN or Inf"),
         (np.zeros((2, 0)), DimMismatchError, "at least one amplitude"),
+        ([[1, 0], [1]], VerificationFailedError, "^ragged kets: "),
     ])
     def test_ket_faults(self, kets, exc, message):
         labels = tuple(f"s{i}" for i in range(len(kets)))
@@ -722,23 +726,59 @@ class TestModelChecksInCatalogueOrder:
         # read through str(), 1 and "1" would collide as two "1"s
         with pytest.raises(VerificationFailedError, match="state label 1 is not a string"):
             OntModel(self.ONTIC, (1, "1"), [Z0, Z1], [[0.5, 0.5]] * 2, ())
+        # nor is a bare string read as its characters
+        with pytest.raises(VerificationFailedError,
+                           match="^state labels must be a collection of strings, got 'st'$"):
+            OntModel(self.ONTIC, "st", [Z0, Z1], [[0.5, 0.5]] * 2, ())
+
+    @pytest.mark.parametrize("measurements, named", [
+        ((PAIR, ZBASIS), 1),
+        ((PAIR, (ZBASIS, PAIR[1], 0)), 1),
+        ((PAIR, (PAIR[1], ZBASIS)), 1),
+        (ZBASIS, 0),  # not a tuple of entries at all
+    ], ids=["bare-entry", "triple", "swapped", "bare-measurement"])
+    def test_measurements_are_pairs(self, measurements, named):
+        with pytest.raises(VerificationFailedError, match=rf"^measurement {named} is not a "
+                           r"\(ProjectiveMeasurement, responses\) pair$"):
+            OntModel(self.ONTIC, ("s0",), [Z0], [[0.5, 0.5]], measurements)
+
+    @pytest.mark.parametrize("fault, part, row", [
+        ({"kets": [Z0, Z1, 1.1 * Z0]}, "kets", 2),
+        ({"weights": [[0.5, 0.5], [0.7, 0.7], [0.5, 0.5]]}, "weights", 1),
+        ({"responses": [[1.0, 0.0], [0.0, 1.5]]}, "measurements[1]", 1),
+        ({"weights": [[0.5, 0.5], [0.5, 0.5], [1.5, -0.5]]}, None, None),  # the sign rule
+        # of two faulty parts, the kets are checked first, then the weights
+        ({"kets": [Z0, 1.1 * Z0, Z1], "weights": [[0.7, 0.7]] * 3}, "kets", 1),
+    ], ids=["kets", "weights", "responses", "signed", "kets-first"])
+    def test_a_failed_row_names_its_part(self, fault, part, row):
+        given = {"kets": [Z0, Z1, PLUS], "weights": [[0.5, 0.5]] * 3,
+                 "responses": [[1.0, 0.0], [0.0, 1.0]], **fault}
+        with pytest.raises(VerificationFailedError) as info:
+            OntModel(self.ONTIC, ("s0", "s1", "s2"), given["kets"], given["weights"],
+                     (PAIR, (ZBASIS, given["responses"])))
+        assert (info.value.part, info.value.row) == (part, row)
 
 
 class TestModelDimensions:
     def test_mixed_state_dimensions_in_a_catalogue(self):
-        qutrit = np.array([1, 0, 0], dtype=complex)
-        with pytest.raises(DimMismatchError, match="state 'qutrit' has dimension 3, expected 2"):
-            catalogue_kets(("zero", "qutrit"), [Z0, qutrit])
-        # named before a ket of the first dimension that is not a unit vector
-        with pytest.raises(DimMismatchError, match="state 's1' has dimension 3"):
-            catalogue_kets(("s0", "s1", "s2"), [Z0, qutrit, 1.1 * Z0])
-        assert catalogue_kets(("zero", "one"), [Z0, Z1]).shape == (2, 2)
+        # a document's ket of another dimension is refused by the reader, by
+        # its label, before a ket of the first dimension that is not a unit vector
+        kets = [Z0, np.array([1, 0, 0]), 1.1 * Z0]
+        doc = {
+            "ontic": ["a"],
+            "states": [{"label": f"s{i}", "ket": ket_to_json(k)} for i, k in enumerate(kets)],
+            "distributions": {f"s{i}": [1.0] for i in range(3)},
+            "measurements": [],
+        }
+        with pytest.raises(SchemaError, match="^model: state 's1' has dimension 3, expected 2$"):
+            parse_model(doc)
 
     def test_mixed_state_dimensions_with_measurements(self):
-        rng = rng_for(609)
-        catalog = [("zero", Z0), ("qutrit", random_ket(rng, 3))]
-        with pytest.raises(DimMismatchError, match="'qutrit'"):
-            dirac_model(catalog, [ZBASIS])
+        # the constructor takes the kets as one array: rows of two lengths are ragged
+        qutrit = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(VerificationFailedError, match="^ragged kets: "):
+            OntModel(FiniteSpace(("a",)), ("zero", "qutrit"), [Z0, qutrit], [[1.0]] * 2,
+                     ((ZBASIS, [[1.0], [0.0]]),))
 
     def test_qubit_states_with_a_qutrit_basis(self):
         with pytest.raises(DimMismatchError, match="measurement 1 has dimension 3, expected 2"):

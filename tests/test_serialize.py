@@ -860,18 +860,20 @@ class TestDocumentsAsMatrices:
 
     def test_kets_the_gate_accepts_are_not_read_one_by_one(self, monkeypatch):
         read_alone = []
-        parse = serialize.parse_ket
-        monkeypatch.setattr(serialize, "parse_ket", lambda *a: read_alone.append(a) or parse(*a))
+        for name in ("parse_ket", "_ket_amplitudes"):
+            read = getattr(serialize, name)
+            monkeypatch.setattr(serialize, name, lambda *a, read=read: read_alone.append(a) or read(*a))
         rng = rng_for(134)
         for _ in range(20):
             parse_model(_model_doc(rng))
         assert read_alone == []
-        # one ket off the norm rule: the states are read one by one to name it
+        # one ket off the norm rule: the model's one ket check names it by its row
         doc = _model_doc(rng)
         doc["states"][-1]["ket"]["amplitudes"][0][0] += 1e-3
-        with pytest.raises(SchemaError, match=r"^states\[\d+\]\.ket\.amplitudes: ket norm "):
+        last = len(doc["states"]) - 1
+        with pytest.raises(SchemaError, match=rf"^states\[{last}\]\.ket\.amplitudes: ket norm "):
             parse_model(doc)
-        assert len(read_alone) == len(doc["states"])
+        assert read_alone == []
 
 
 class TestKetSchema:
@@ -1110,6 +1112,40 @@ class TestModelSchema:
         with pytest.raises(SchemaError) as err:
             parse_model(doc)
         assert str(err.value) == "model: distribution for 's' is signed"
+
+    @pytest.mark.parametrize("faults, named", [
+        (("ket", "weights"), "states[1].ket.amplitudes: ket norm 1.1 deviates from 1 beyond 1e-10"),
+        (("weights", "responses"), "distributions[t]: weights sum to 1.4, expected 1"),
+        (("ket", "responses"), "states[1].ket.amplitudes: ket norm 1.1 deviates from 1 beyond 1e-10"),
+        (("ket", "string"), "distributions[t][0]: expected a number, got '0.5'"),
+        (("ket", "basis"),
+         "measurements[0].basis[0].amplitudes: ket norm 1.1 deviates from 1 beyond 1e-10"),
+    ], ids=["ket-and-weights", "weights-and-responses", "ket-and-responses", "ket-and-string",
+            "ket-and-basis"])
+    def test_which_of_two_faults_is_named(self, faults, named):
+        # the structure is read first; a basis is checked as it is read; then
+        # the model checks its kets, its weight rows and its response rows
+        long = {"dim": 2, "amplitudes": [[1.1, 0.0], [0.0, 0.0]]}
+        edits = {
+            "ket": lambda d: d["states"][1].update(ket=long),
+            "weights": lambda d: d["distributions"].update(t=[0.7, 0.7]),
+            "responses": lambda d: d["measurements"][0].update(responses=[[1.5, 0.0], [0.0, 1.0]]),
+            "string": lambda d: d["distributions"].update(t=["0.5", 0.5]),
+            "basis": lambda d: d["measurements"][0]["basis"].__setitem__(0, long),
+        }
+        doc = {
+            "ontic": ["a", "b"],
+            "states": [{"label": "s", "ket": ket_to_json(np.array([1.0, 0.0]))},
+                       {"label": "t", "ket": ket_to_json(np.array([0.0, 1.0]))}],
+            "distributions": {"s": [1.0, 0.0], "t": [0.0, 1.0]},
+            "measurements": [{"basis": [ket_to_json(v) for v in np.eye(2)],
+                              "responses": [[1.0, 0.0], [0.0, 1.0]]}],
+        }
+        for fault in faults:
+            edits[fault](doc)
+        with pytest.raises(SchemaError) as err:
+            parse_model(doc)
+        assert str(err.value) == named
 
 
 def parse_measure_oracle(doc):
