@@ -80,6 +80,8 @@ class SignedKernel:
     markov: bool = field(init=False)
 
     def __post_init__(self):
+        linalg._of_type(self.source, FiniteSpace, "kernel source")
+        linalg._of_type(self.target, FiniteSpace, "kernel target")
         m = linalg.frozen(linalg.as_real(self.matrix, "kernel matrix"))
         if m.shape != (self.target.size, self.source.size):
             raise SpaceMismatchError(
@@ -104,7 +106,7 @@ class Distribution:
 
     def __post_init__(self):
         w = linalg.frozen(linalg.as_real(self.weights, "weight vector")).reshape(-1)
-        _check_weight_rows(self.space, w[None])
+        _check_weight_rows(linalg._of_type(self.space, FiniteSpace, "distribution space"), w[None])
         object.__setattr__(self, "weights", w)
 
     @property
@@ -121,7 +123,7 @@ class ResponseFunction:
 
     def __post_init__(self):
         v = linalg.frozen(linalg.as_real(self.values, "response")).reshape(-1)
-        _check_response_rows(self.space, v[None])
+        _check_response_rows(linalg._of_type(self.space, FiniteSpace, "response space"), v[None])
         object.__setattr__(self, "values", v)
 
 

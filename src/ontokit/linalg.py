@@ -66,6 +66,15 @@ def as_positive_int(value, what: str):
     return value
 
 
+def _of_type(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; else a VerificationFailedError naming
+    ``what``, not the AttributeError or TypeError its first use would raise."""
+    if not isinstance(value, kind):
+        raise VerificationFailedError(f"{what} must be of type {kind.__name__}, "
+                                      f"got {type(value).__name__}")
+    return value
+
+
 def as_ket(v) -> np.ndarray:
     """Coerce to a finite 1-d complex unit vector: the one-row case of
     :func:`as_kets`, with its errors."""

@@ -50,6 +50,7 @@ class OntModel:
     measurements: tuple[tuple[ProjectiveMeasurement, np.ndarray], ...]
 
     def __post_init__(self):
+        linalg._of_type(self.ontic, FiniteSpace, "ontic space")
         labels = _labels(self.labels, "state")
         ms = self.measurements  # a bare measurement is read as its one entry, and refused
         pairs = tuple(ms) if hasattr(ms, "__iter__") else (ms,)

@@ -43,7 +43,7 @@ class QuantumMeasure:
     values: np.ndarray
 
     def __post_init__(self):
-        check_size(self.space.size)
+        check_size(linalg._of_type(self.space, FiniteSpace, "measure space").size)
         v = linalg.frozen(linalg.as_real(self.values, "subset values")).reshape(-1)
         if v.size != 2 ** self.space.size:
             raise VerificationFailedError(
@@ -63,7 +63,7 @@ class DecoherenceFunctional:
     matrix: np.ndarray
 
     def __post_init__(self):
-        check_size(self.space.size)
+        check_size(linalg._of_type(self.space, FiniteSpace, "functional space").size)
         m = linalg.frozen(linalg._as_array(self.matrix, "functional", complex))
         if m.shape != (self.space.size, self.space.size):
             raise VerificationFailedError("singleton matrix shape must match the space")

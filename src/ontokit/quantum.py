@@ -8,6 +8,7 @@ throughout; transfer-matrix representations live in :mod:`ontokit.wigner`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,6 +89,8 @@ def _kraus_stack(kraus) -> np.ndarray:
         # operators of different shapes, or one that as_matrix names as malformed
         list(map(linalg.as_matrix, kraus))
         raise DimMismatchError("all Kraus operators must share one shape") from None
+    if stack.shape[:1] == (0,):
+        raise VerificationFailedError("channel needs at least one Kraus operator")
     if stack.ndim != 3 or 0 in stack.shape[1:]:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {stack.shape[1:]}")
     return stack
@@ -113,9 +116,7 @@ class Channel:
     kraus_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.kraus) == 0:
-            raise VerificationFailedError("channel needs at least one Kraus operator")
-        self._hold(_kraus_stack(self.kraus))
+        self._hold(_kraus_stack(linalg._of_type(self.kraus, Iterable, "Kraus set")))
 
     @classmethod
     def _of_stack(cls, stack: np.ndarray, residual: float | None = None) -> "Channel":

@@ -45,9 +45,10 @@ def random_effect(rng: np.random.Generator, dim: int) -> TwoOutcomeMeasurement:
 
 
 def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> Channel:
-    """Random trace-preserving CP map: three Gaussian Kraus operators,
-    renormalised.  Operator k draws its real part, then its imaginary part."""
-    g = rng.normal(size=(3, 2, out_dim, in_dim))
+    """Random trace-preserving CP map: max(3, ceil(in_dim / out_dim)) Gaussian
+    Kraus operators, renormalised; fewer leave sum_k K^dag K singular.
+    Operator k draws its real part, then its imaginary part."""
+    g = rng.normal(size=(max(3, -(-in_dim // out_dim)), 2, out_dim, in_dim))
     raw = g[:, 0] + 1j * g[:, 1]
     total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0, initial=0)
     w, v = linalg.hermitian_eigensystem(total)

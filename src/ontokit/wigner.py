@@ -126,14 +126,13 @@ class WignerFrame:
     except the Gram residual (``TIGHT_IDENTITY_TOL * max(1, c)``) and the sum
     residual (``IDENTITY_TOL``).  Product frames are checked the same way.
 
-    The frame matrix also has a factor form F = (I_B (x) phi) G, which the
-    frame derives from its verified operators on first use
-    (:func:`_factor_form`): G gathers B w of the d^2 vec entries, and each of
-    B blocks of consecutive points reads its own w of them through one shared
-    m x w matrix phi.  A phase-point frame has B = w = d, block q reading the
-    entries (q + y, q - y) with phi[p, y] = omega^{2py}; a commutative frame
-    has B = k and phi = [1], reading the diagonal.  A frame without this
-    structure, a product frame or one with dense operators, is one block
+    The frame matrix also has a factor form F = (I_B (x) phi) G, which its
+    builder states (:meth:`_of_form`): G gathers B w of the d^2 vec entries,
+    and each of B blocks of consecutive points reads its own w of them
+    through one shared m x w matrix phi.  A phase-point frame has B = w = d,
+    block q reading the entries (q + y, q - y) with phi[p, y] = omega^{2py};
+    a commutative frame of k >= 2 points has B = k and phi = [1], reading
+    the diagonal.  Any other frame, from this constructor, is one block
     whose phi is ``vectors`` itself.  Transfers are computed in this form
     (:func:`transfer_matrix`); nothing dense is stored beside ``vectors``.
     """
@@ -145,6 +144,8 @@ class WignerFrame:
     hilbert_dim: int = field(init=False)
     vectors: np.ndarray = field(init=False, repr=False)
     residuals: FrameResiduals = field(init=False, repr=False)
+    # (read, phi) as :meth:`_of_form` built the frame from them, else None
+    _read_phi: Optional[tuple] = field(init=False, repr=False, default=None)
     # partner dimension -> _gather_offsets(partner)
     _offsets: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -176,14 +177,29 @@ class WignerFrame:
     def n_points(self) -> int:
         return self.space.size
 
+    @classmethod
+    def _of_form(cls, algebra: Algebra, read, phi, norm_const: float, space: FiniteSpace):
+        """The frame (I_B (x) phi) G: block b of points reads the vec entries
+        ``read[b]`` (a B x w integer array) through the m x w matrix ``phi``.
+        Its operators pass the constructor's dense checks like any frame's,
+        and the frame then holds the form it was built from."""
+        blocks, d = len(read), algebra.dim
+        vecs = np.zeros((blocks, len(phi), d * d), dtype=complex)
+        # vecs[b, p, read[b, y]] = phi[p, y]: the indexed axes (b, y) come first
+        vecs[np.arange(blocks)[:, None], :, read] = phi.T
+        frame = cls(algebra, vecs.reshape(-1, d, d), norm_const, space)
+        object.__setattr__(frame, "_read_phi", (linalg.frozen(read).reshape(-1), linalg.frozen(phi)))
+        return frame
+
     @cached_property
     def _form(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(phi, entries, n_read) of the factor form, derived on first use, so a
-        frame that only computes Wigner vectors never derives it.  ``entries``
+        """(phi, entries, n_read) of the factor form, laid out on first use, so a
+        frame that only computes Wigner vectors never lays it out.  ``entries``
         holds the (row, column) of the n_read vec entries G reads, block-major,
-        then of the others."""
+        then of the others.  The form is the one the frame was built from, or
+        else one block, (all d^2 entries, ``vectors``)."""
         d = self.hilbert_dim
-        read, phi = _factor_form(self.vectors)
+        read, phi = self._read_phi or (np.arange(d * d), self.vectors)
         unread = np.ones(d * d, dtype=bool)
         unread[read] = False
         entries = np.divmod(np.concatenate((read, np.flatnonzero(unread))), d)
@@ -203,40 +219,6 @@ class WignerFrame:
                 (a * (partner * d) + b)[:n_read],
             )
         return self._offsets[partner]
-
-
-def _factor_form(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(read, phi) with vecs = (I_B (x) phi) G, G the 0/1 matrix that gathers
-    the vec entries ``read`` (B blocks of w), or (all entries, vecs) as one block.
-
-    Point i lies in block i // m.  The structure holds exactly when every
-    point of a block has the same support of w nonzeros, the B supports are
-    disjoint, and each column of every block equals exactly one column of
-    block 0 and the other way round: block 0's values are phi, and each
-    block reads its support in the order of the block-0 columns it matches.
-    """
-    count, size = vecs.shape
-    one_block = np.arange(size), vecs
-    rows, cols = np.nonzero(vecs)
-    width = rows.size // count
-    if (np.bincount(rows, minlength=count) != width).any():
-        return one_block
-    support = cols.reshape(count, width)
-    m = int((support == support[0]).all(axis=1).sum())
-    blocks = count // m
-    if blocks == 1 or blocks * m != count:
-        return one_block
-    support = support.reshape(blocks, m, width)[:, 0]
-    shared = (cols.reshape(blocks, m, width) == support[:, None]).all()
-    if not shared or np.bincount(support.ravel()).max() > 1:
-        return one_block
-    values = vecs[rows, cols].reshape(blocks, m, width)
-    # match[b, z, y]: column z of block b holds the values of column y of block 0
-    match = (values[:, :, :, None] == values[0][None, :, None, :]).all(axis=1)
-    if (match.sum(axis=1) != 1).any() or (match.sum(axis=2) != 1).any():
-        return one_block
-    read = support[np.arange(blocks)[:, None], match.argmax(axis=1)]
-    return read.reshape(-1), linalg.frozen(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +264,13 @@ def phase_point_operators(n: int) -> WignerFrame:
         return commutative_frame(1)
 
     def build() -> WignerFrame:
-        # A_(q,p) = D(q,p) A0 D(q,p)^dag is the monomial map |x> -> omega^{2p(q-x)} |2q-x>
-        q, p, x = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-        ops = np.zeros((n, n, n, n), dtype=complex)
-        ops[q, p, (2 * q - x) % n, x] = np.exp(2j * np.pi * ((2 * p * (q - x)) % n) / n)
-        return WignerFrame(matrix_algebra(n), ops.reshape(n * n, n, n), float(n), phase_space(n))
+        # A_(q,p) = D(q,p) A0 D(q,p)^dag is the monomial map |x> -> omega^{2p(q-x)} |2q-x>, so
+        # with y = q - x block q reads the vec entries (q + y, q - y) through omega^{2py}
+        y = np.arange(n)
+        q = p = y[:, None]
+        read = (q + y) % n * n + (q - y) % n
+        phi = np.exp(2j * np.pi * ((2 * p * y) % n) / n)
+        return WignerFrame._of_form(matrix_algebra(n), read, phi, float(n), phase_space(n))
 
     return _allocate(f"a phase-point frame for n = {n} is n^2 operators of n x n", 16 * n ** 4, build)
 
@@ -294,16 +278,11 @@ def phase_point_operators(n: int) -> WignerFrame:
 @lru_cache(maxsize=None)
 def commutative_frame(k: int) -> WignerFrame:
     """Diagonal rank-1 projectors; realises C^2 as the distinguished space."""
-    ops = np.zeros((k, k, k), dtype=complex)
-    for i in range(k):
-        ops[i, i, i] = 1.0
     if k == 1:
-        space = UNIT_SPACE
-    elif k == 2:
-        space = TWO
-    else:
-        space = FiniteSpace(tuple(str(i) for i in range(k)))
-    return WignerFrame(commutative_algebra(k), ops, 1.0, space)
+        return WignerFrame(commutative_algebra(1), np.ones((1, 1, 1), complex), 1.0, UNIT_SPACE)
+    space = TWO if k == 2 else FiniteSpace(tuple(str(i) for i in range(k)))
+    return WignerFrame._of_form(commutative_algebra(k), np.arange(k)[:, None] * (k + 1),
+                                np.ones((1, 1), complex), 1.0, space)
 
 
 def frame_for(algebra: Algebra) -> WignerFrame:

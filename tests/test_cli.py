@@ -768,7 +768,9 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # that line alone moved, from 1.3e-16 (d = 3) and 2.2e-17 (d = 7) to 0.  The
 # wigner-state-csv row was re-recorded when the CSV writer began to quote
 # the "(q,p)" labels, whose comma split each row into three fields; the
-# header and the weights are unchanged.
+# header and the weights are unchanged.  The wigner-frame-7 row was recorded
+# while the phase-point frame was still built from a dense meshgrid scatter,
+# before its builder began to state the frame's factor form.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
     "functor-check-dim3": "b829c3e9e8a0c5ffa3e542c8d733cbe207b41829415f892b0d163f720d69223a",
@@ -778,6 +780,7 @@ GOLDEN_STDOUT = {
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",
     "wigner-epistemic": "b66c70c386ea977f4c0254fe129a13892d934e87c56b9f1e7432f9a3af079ebd",
     "wigner-frame-3": "07ef2bff3260a7d22a5c83fd0026c9a7a8ce6c05abe21923143728392dc91cdc",
+    "wigner-frame-7": "522f6d5633595eafe974ab731ec938a7354d26a00e02ffd91a5a0c8a506f1704",
     "wigner-state-csv": "41677fb8b8a44367da9d8bd3a1889836d26ed3c0dcf49433d8eb5d427d597d05",
 }
 
@@ -790,6 +793,7 @@ GOLDEN_ARGV = {
     "validate-model": "validate-model {ex}/model_epistemic.json",
     "wigner-epistemic": "wigner epistemic --psi {ex}/qutrit_zero.json --phi {ex}/qutrit_superposition.json",
     "wigner-frame-3": "wigner frame 3",
+    "wigner-frame-7": "wigner frame 7",
     "wigner-state-csv": "wigner state {ex}/qutrit_superposition.json --csv",
 }
 

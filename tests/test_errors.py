@@ -5,13 +5,16 @@ or ``IndexError``."""
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import ontokit
 from ontokit.antidist import AntidistProblem
 from ontokit.errors import IndexOutOfRangeError, OntokitError, VerificationFailedError
-from ontokit.kernels import Distribution, FiniteSpace
-from ontokit.quantum import DensityMatrix, ProjectiveMeasurement, born
+from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
+from ontokit.ontomodel import OntModel
+from ontokit.qmeasure import DecoherenceFunctional, QuantumMeasure
+from ontokit.quantum import Channel, DensityMatrix, ProjectiveMeasurement, born
 
 SRC = pathlib.Path(ontokit.__file__).parent
 BARE = {"ValueError", "TypeError", "IndexError"}
@@ -61,3 +64,32 @@ def test_an_index_out_of_range_is_also_an_index_error():
         born(DensityMatrix.from_ket([1.0, 0.0]), ProjectiveMeasurement([[1.0, 0.0], [0.0, 1.0]]), 2)
     with pytest.raises(IndexOutOfRangeError, match="target index out of range"):
         AntidistProblem((Distribution(FiniteSpace(("a",)), [1.0]),), 1)
+
+
+X = FiniteSpace(("a", "b"))
+LABELS = ("a", "b")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Channel(5), "Kraus set must be of type Iterable, got int"),
+    (lambda: Channel(None), "Kraus set must be of type Iterable, got NoneType"),
+    (lambda: Channel([]), "channel needs at least one Kraus operator"),
+    (lambda: SignedKernel(X, 5, np.eye(2)), "kernel target must be of type FiniteSpace, got int"),
+    (lambda: SignedKernel(LABELS, X, np.eye(2)),
+     "kernel source must be of type FiniteSpace, got tuple"),
+    (lambda: Distribution(LABELS, [0.5, 0.5]),
+     "distribution space must be of type FiniteSpace, got tuple"),
+    (lambda: ResponseFunction(LABELS, [0.5, 0.5]),
+     "response space must be of type FiniteSpace, got tuple"),
+    (lambda: OntModel(LABELS, (), np.zeros((0, 2)), np.zeros((0, 2)), ()),
+     "ontic space must be of type FiniteSpace, got tuple"),
+    (lambda: QuantumMeasure(LABELS, np.zeros(4)),
+     "measure space must be of type FiniteSpace, got tuple"),
+    (lambda: DecoherenceFunctional(LABELS, np.eye(2)),
+     "functional space must be of type FiniteSpace, got tuple"),
+], ids=["channel-int", "channel-none", "channel-empty", "kernel-target-int",
+        "kernel-source-labels", "distribution", "response", "model", "measure", "functional"])
+def test_a_wrong_typed_argument_is_named(build, message):
+    with pytest.raises(VerificationFailedError) as info:
+        build()
+    assert str(info.value) == message

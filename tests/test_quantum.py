@@ -225,6 +225,14 @@ class TestApply:
             out = apply_channel(ch, rho)
             assert abs(np.trace(out.matrix).real - 1.0) < 1e-9
 
+    def test_random_channels_resolve_the_identity_at_every_shape(self):
+        # from in_dim > 3 out_dim on, three operators leave sum_k K^dag K singular
+        for in_dim in range(1, 10):
+            for out_dim in range(1, 10):
+                for s in range(5):
+                    ch = random_cptp_channel(rng_for(s), in_dim, out_dim)
+                    assert ch.kraus_residual <= 1e-12, (in_dim, out_dim, s)
+
 
     def test_the_image_of_an_exact_state_is_held_exact(self, monkeypatch):
         # a ket's projector and its images are held without an eigendecomposition;

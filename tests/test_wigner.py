@@ -161,22 +161,28 @@ class TestFrames:
 
     @pytest.mark.parametrize("n", [27555, 99999999999])
     def test_frame_numpy_cannot_index_refused_before_allocation(self, n, monkeypatch):
-        # 16 n^4 > 2^63 - 1 from n = 27555 on; numpy is not reached at all
-        monkeypatch.setattr(wigner.np, "meshgrid", None)
+        # 16 n^4 > 2^63 - 1 from n = 27555 on; numpy is not reached at all: the
+        # build's first numpy call is np.arange, and no n^2 array comes before it
+        monkeypatch.setattr(wigner.np, "arange", None)
         with pytest.raises(TooLargeError, match=f"n = {n} .* {16 * n ** 4} bytes, more than numpy"):
             phase_point_operators(n)
 
     @pytest.mark.parametrize("n", [5, 27553])
     def test_failed_allocation_is_too_large(self, n, monkeypatch):
-        # 27553 is the largest odd n with 16 n^4 <= 2^63 - 1, so it reaches the allocation
+        # 27553 is the largest odd n with 16 n^4 <= 2^63 - 1, so it reaches the build,
+        # whose first numpy call, np.arange(n), is made to fail before any n^2 array exists
+        calls = []
+
         def refuse(*args, **kwargs):
+            calls.append(args)
             raise MemoryError("Unable to allocate")
 
-        monkeypatch.setattr(wigner.np, "meshgrid", refuse)
+        monkeypatch.setattr(wigner.np, "arange", refuse)
         with pytest.raises(
             TooLargeError, match=f"n = {n} .* {16 * n ** 4} bytes, which could not be allocated"
         ):
             phase_point_operators.__wrapped__(n)  # past the cache
+        assert calls == [(n,)]
 
     def test_dim_one_single_operator(self):
         frame = phase_point_operators(1)
@@ -371,6 +377,23 @@ class TestTransferMatrix:
         # one block is the stored frame matrix itself, not a copy of it
         assert (phi is frame.vectors) == (blocks == 1)
 
+    @pytest.mark.parametrize("case", ["phi-entry-moved", "read-repeated"])
+    def test_a_form_built_frame_is_checked_densely(self, case):
+        # the form a builder states is held only once its operators pass the constructor
+        n = 5
+        y = np.arange(n)
+        q = p = y[:, None]
+        read = (q + y) % n * n + (q - y) % n
+        phi = np.exp(2j * np.pi * ((2 * p * y) % n) / n)
+        exact = WignerFrame._of_form(matrix_algebra(n), read, phi, float(n), phase_space(n))
+        assert exact.operators.tobytes() == phase_point_operators(n).operators.tobytes()
+        if case == "phi-entry-moved":
+            phi[2, 3] += 1e-6
+        else:
+            read[0, 1] = read[0, 0]
+        with pytest.raises(VerificationFailedError, match="not Hermitian"):
+            WignerFrame._of_form(matrix_algebra(n), read, phi, float(n), phase_space(n))
+
     @pytest.mark.parametrize("n", [3, 5, 7, 25])
     def test_phase_point_form_is_the_permuted_dft(self, n):
         # block q reads the entries (q + y, q - y), and phi[p, y] = omega^{2py}
@@ -419,6 +442,21 @@ class TestTransferMatrix:
                                         (rotated, commutative_frame(2))):
                 ch = channel_with_at_least(rng, d, out_frame.hilbert_dim, count)
                 assert_transfer_matches_dense(ch, in_frame, out_frame)
+
+    def test_the_public_constructor_gives_one_block_with_the_form_built_transfers(self):
+        # the phase-point operators through the constructor: no form is inferred from them
+        rng = rng_for(96)
+        built = phase_point_operators(5)
+        dense = WignerFrame(matrix_algebra(5), built.operators, 5.0, phase_space(5))
+        assert dense._form[0] is dense.vectors and dense._form[2] == 25
+        for count in (1, 4):
+            for in_frame, out_frame in ((dense, dense), (dense, commutative_frame(2))):
+                ch = channel_with_at_least(rng, 5, out_frame.hilbert_dim, count)
+                t, unread = wigner._transfer(ch, in_frame, out_frame)
+                want, want_unread = wigner._transfer(
+                    ch, built, built if out_frame is dense else out_frame
+                )
+                assert linalg.max_abs(t - want) <= 1e-13 and abs(unread - want_unread) <= 1e-13
 
     def test_measurement_channel_columns_sum_to_one(self):
         rng = rng_for(82)
