@@ -98,18 +98,19 @@ def _knapsack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lambda* share the a-weight that brings chi.a back to 0.
     """
     pos = a > 0
-    if pos.all() or not pos.any():
-        return np.zeros_like(a)  # only chi = 0 on these coordinates meets chi.a = 0
+    if np.count_nonzero(pos) in (0, a.size):
+        return np.zeros(a.size)  # only chi = 0 on these coordinates meets chi.a = 0
     r = b / a
-    order = np.argsort(r)
-    cum = np.cumsum(np.abs(a[order]))
-    lam = r[order[min(int(np.searchsorted(cum, a[pos].sum())), a.size - 1)]]
+    order = r.argsort()
+    cum = np.abs(a.take(order)).cumsum()
+    lam = r[order[min(int(cum.searchsorted(a[pos].sum())), a.size - 1)]]
     chi = np.where(pos, r > lam, r < lam).astype(float)
     need = -float(chi @ a)
-    tied = (r == lam) & (pos if need > 0 else ~pos)
-    supply = float(a[tied].sum())
-    if need and supply:
-        chi[tied] = min(need / supply, 1.0)
+    if need:
+        tied = (r == lam) & (pos if need > 0 else ~pos)
+        supply = float(a[tied].sum())
+        if supply:
+            chi[tied] = min(need / supply, 1.0)
     return chi
 
 
@@ -124,15 +125,17 @@ def antidist_classical(problem: AntidistProblem) -> Optional[AntidistCertificate
     mass off the target's support, and the certificate is 1/hi there.
     """
     a = problem.ensemble[problem.target].weights
-    b = np.zeros_like(a)
+    b = np.zeros(a.size)
     for i, d in enumerate(problem.ensemble):
         if i != problem.target:
             b = b + d.weights
-    zero = np.abs(a) <= SUPPORT_EPS
-    fire = zero & (b >= -SUPPORT_EPS)
+    supp = np.abs(a) > SUPPORT_EPS
+    fire = ~supp & (b >= -SUPPORT_EPS)
+    b_supp = b[supp]
+    chi_supp = _knapsack(a[supp], b_supp)
     chi = fire.astype(float)
-    chi[~zero] = _knapsack(a[~zero], b[~zero])
-    hi = float(b[fire].sum()) + float(chi[~zero] @ b[~zero])
+    chi[supp] = chi_supp
+    hi = float(b[fire].sum()) + float(chi_supp @ b_supp)
     if hi < 1.0 - FEAS_TOL:
         return None
     return _certificate(min(1.0, 1.0 / hi) * chi, problem, a, b)

@@ -2,7 +2,8 @@
 
 All randomness in the toolkit flows through Philox, a counter-based PRNG,
 keyed deterministically from ``(seed, stream...)`` so that trial batches
-are reproducible and safely parallelisable per stream.
+are reproducible and safely parallelisable per stream.  Each generator
+refuses a dimension that is not a positive integer before it draws.
 """
 
 from __future__ import annotations
@@ -22,24 +23,27 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
 
 
 def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
+    dim = linalg.as_positive_int(dim, "dimension")
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    dim = linalg.as_positive_int(dim, "dimension")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    dim = linalg.as_positive_int(dim, "dimension")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
 
 
 def random_effect(rng: np.random.Generator, dim: int) -> TwoOutcomeMeasurement:
-    u = random_unitary(rng, dim)
+    u = random_unitary(rng, dim)  # refuses a bad dim before any draw
     eigs = rng.uniform(0.0, 1.0, dim)
     return TwoOutcomeMeasurement(u @ np.diag(eigs) @ u.conj().T)
 
@@ -48,6 +52,8 @@ def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> 
     """Random trace-preserving CP map: max(3, ceil(in_dim / out_dim)) Gaussian
     Kraus operators, renormalised; fewer leave sum_k K^dag K singular.
     Operator k draws its real part, then its imaginary part."""
+    in_dim = linalg.as_positive_int(in_dim, "input dimension")
+    out_dim = linalg.as_positive_int(out_dim, "output dimension")
     g = rng.normal(size=(max(3, -(-in_dim // out_dim)), 2, out_dim, in_dim))
     raw = g[:, 0] + 1j * g[:, 1]
     total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0, initial=0)
@@ -63,8 +69,14 @@ def random_nonorthogonal_pair(
 
     Constructed rather than rejection-sampled: phi = g e^{i beta} psi + ...
     with a Haar direction in the orthocomplement, so the overlap modulus is
-    exact by construction.
+    exact by construction.  A dimension below 2 is refused: C^1 has no
+    direction orthogonal to psi, so no overlap below 1 exists there.
     """
+    if linalg.as_positive_int(dim, "dimension") < 2:
+        raise VerificationFailedError(
+            f"a nonorthogonal pair needs dimension at least 2, got {dim}: "
+            "C^1 has no direction orthogonal to psi"
+        )
     if not 0.0 < lo <= hi < 1.0:
         raise VerificationFailedError("need 0 < lo <= hi < 1")
     psi = random_ket(rng, dim)

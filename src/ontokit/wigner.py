@@ -20,6 +20,7 @@ factor through the kernel side exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -644,6 +645,23 @@ class EpistemicReport:
         return self.refuted_psi and self.refuted_phi and 0.0 < self.overlap < 1.0
 
 
+def _pure_trace_distance(psi: np.ndarray, phi: np.ndarray) -> float:
+    """Half the trace norm of |psi><psi| - |phi><phi|, in closed form.
+
+    With a = |psi|^2 and b = |phi|^2 the difference has trace a - b and, on
+    span{psi, phi}, determinant -(ab - |<psi|phi>|^2) = -|psi ^ phi|^2 / 2 by
+    Lagrange's identity, (psi ^ phi)_ij = psi_i phi_j - psi_j phi_i.  Its two
+    nonzero eigenvalues thus give sqrt(((a - b)/2)^2 + |psi ^ phi|^2 / 2).
+    The wedge is taken as psi ^ (phi - psi), equal to psi ^ phi: identical
+    kets read exactly 0 and near-identical ones keep their relative accuracy,
+    which sqrt(1 - |<psi|phi>|^2) loses to cancellation.
+    """
+    wedge = psi[:, None] * (phi - psi)
+    wedge = wedge - wedge.T
+    half = (np.vdot(psi, psi).real - np.vdot(phi, phi).real) / 2.0
+    return math.sqrt(half * half + np.vdot(wedge, wedge).real / 2.0)
+
+
 def epistemic_report(psi, phi) -> EpistemicReport:
     """Compare a pair's quantum distinguishability with its Wigner image.
 
@@ -664,8 +682,8 @@ def epistemic_report(psi, phi) -> EpistemicReport:
     ensemble = (v_rho, v_tau)
     cert_psi = antidist_classical(AntidistProblem(ensemble, 0))
     cert_phi = antidist_classical(AntidistProblem(ensemble, 1))
-    tdist = 0.5 * linalg.trace_norm(rho.matrix - tau.matrix)
-    l1 = float(np.sum(np.abs(v_rho.weights - v_tau.weights)))
+    tdist = _pure_trace_distance(psi, phi)
+    l1 = float(np.abs(v_rho.weights - v_tau.weights).sum())
     scaled = 0.5 * frame.hilbert_dim * l1
     return EpistemicReport(
         overlap=float(abs(np.vdot(psi, phi))),

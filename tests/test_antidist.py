@@ -1,5 +1,6 @@
 """Anti-distinguishability decisions, compression channel, PBR pipeline."""
 
+import hashlib
 import math
 import re
 from itertools import combinations
@@ -411,6 +412,73 @@ class TestClassicalDecision:
         assert cert is not None
         r0, r1 = cert.residuals
         assert abs(r0) <= 1e-7 and abs(r1 - 1.0) <= 1e-7
+
+
+def decision_corpus():
+    """Seeded decision problems: probability and signed ensembles of 1-5
+    members on 1-40 points.  Every third one has dyadic weights j/8, whose
+    ratios b_i/a_i tie exactly, and its zero weights are read as 0.0, -0.0,
+    +SUPPORT_EPS or -SUPPORT_EPS."""
+    rng = rng_for(80)
+    for i in range(3300):
+        k = int(rng.integers(1, 41))
+        m = int(rng.integers(1, 6))
+        if i % 3 == 0:
+            w = random_probability_ensemble(rng, k, m)
+        elif i % 3 == 1:
+            p = rng.dirichlet(np.ones(k), m)
+            z = rng.normal(size=(m, k))
+            w = p + (0.02 if i % 2 else 1.0) / k * (z - z.mean(axis=1, keepdims=True))
+        else:
+            ints = rng.integers(-2, 5, (m, k))
+            ints[:, 0] += 8 - ints.sum(axis=1)
+            w = ints / 8.0
+            edge = np.array([0.0, -0.0, SUPPORT_EPS, -SUPPORT_EPS])
+            zeros = w == 0.0
+            w[zeros] = edge[rng.integers(4, size=int(zeros.sum()))]
+        space = FiniteSpace(tuple(f"x{j}" for j in range(k)))
+        yield tuple(Distribution(space, row) for row in w), int(rng.integers(m))
+
+
+# sha256 over the per-problem sha256 of b"REFUTED", or of the certificate's
+# response bytes followed by its two residuals as float64
+DECISION_CORPUS_DIGEST = "840a5a96abe3c9dc292ef19ce0d9bf80b03b20d397b065400c915faab8ce88bd"
+
+
+class TestDecisionCorpus:
+    def test_certificates_keep_their_bits(self):
+        corpus = hashlib.sha256()
+        verdicts = [0, 0]
+        for members, target in decision_corpus():
+            cert = antidist_classical(AntidistProblem(members, target))
+            if cert is None:
+                record = b"REFUTED"
+            else:
+                record = cert.response.values.tobytes() + np.array(cert.residuals).tobytes()
+            corpus.update(hashlib.sha256(record).digest())
+            verdicts[cert is None] += 1
+        assert min(verdicts) > 500
+        assert corpus.hexdigest() == DECISION_CORPUS_DIGEST
+
+    def test_verdicts_match_scipy(self):
+        """The greatest chi.b on {chi in [0,1]^k : chi.a = 0}, with the
+        weights |a_i| <= SUPPORT_EPS read as 0, from HiGHS: the target is
+        certified iff it reaches 1, outside a band the LP's own tolerance
+        cannot split."""
+        banded = 0
+        for members, target in decision_corpus():
+            a, b = target_and_rest(members, target)
+            a = np.where(np.abs(a) <= SUPPORT_EPS, 0.0, a)
+            res = linprog(-b, A_eq=a[None], b_eq=[0.0], bounds=[(0.0, 1.0)] * a.size,
+                          method="highs")
+            assert res.status == 0
+            best = -res.fun
+            certified = antidist_classical(AntidistProblem(members, target)) is not None
+            if abs(best - 1.0) <= 1e-7:
+                banded += 1
+            else:
+                assert certified == (best > 1.0)
+        assert banded < 50
 
 
 class TestPartitionForm:

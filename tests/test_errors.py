@@ -15,6 +15,10 @@ from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedK
 from ontokit.ontomodel import OntModel
 from ontokit.qmeasure import DecoherenceFunctional, QuantumMeasure
 from ontokit.quantum import Channel, DensityMatrix, ProjectiveMeasurement, born
+from ontokit.sampling import (
+    random_cptp_channel, random_density, random_effect, random_ket,
+    random_nonorthogonal_pair, random_unitary, rng_for,
+)
 
 SRC = pathlib.Path(ontokit.__file__).parent
 BARE = {"ValueError", "TypeError", "IndexError"}
@@ -87,8 +91,25 @@ LABELS = ("a", "b")
      "measure space must be of type FiniteSpace, got tuple"),
     (lambda: DecoherenceFunctional(LABELS, np.eye(2)),
      "functional space must be of type FiniteSpace, got tuple"),
+    (lambda: random_ket(rng_for(1), 0), "dimension must be a positive integer, got 0"),
+    (lambda: random_ket(rng_for(1), -2), "dimension must be a positive integer, got -2"),
+    (lambda: random_ket(rng_for(1), 2.0), "dimension must be a positive integer, got 2.0"),
+    (lambda: random_unitary(rng_for(1), 0), "dimension must be a positive integer, got 0"),
+    (lambda: random_density(rng_for(1), 0), "dimension must be a positive integer, got 0"),
+    (lambda: random_effect(rng_for(1), 0), "dimension must be a positive integer, got 0"),
+    (lambda: random_cptp_channel(rng_for(1), 3, 0),
+     "output dimension must be a positive integer, got 0"),
+    (lambda: random_cptp_channel(rng_for(1), True, 2),
+     "input dimension must be a positive integer, got True"),
+    (lambda: random_nonorthogonal_pair(rng_for(1), 1, 0.1, 0.5),
+     "a nonorthogonal pair needs dimension at least 2, got 1: "
+     "C^1 has no direction orthogonal to psi"),
+    (lambda: random_nonorthogonal_pair(rng_for(1), 0, 0.1, 0.5),
+     "dimension must be a positive integer, got 0"),
 ], ids=["channel-int", "channel-none", "channel-empty", "kernel-target-int",
-        "kernel-source-labels", "distribution", "response", "model", "measure", "functional"])
+        "kernel-source-labels", "distribution", "response", "model", "measure", "functional",
+        "ket-zero", "ket-negative", "ket-float", "unitary-zero", "density-zero", "effect-zero",
+        "channel-out-zero", "channel-in-bool", "pair-c1", "pair-zero"])
 def test_a_wrong_typed_argument_is_named(build, message):
     with pytest.raises(VerificationFailedError) as info:
         build()

@@ -1129,10 +1129,48 @@ class TestEpistemicReport:
         assert abs(rep.trace_distance - 1.0) < 1e-10
 
     def test_identical_states(self):
-        psi = np.array([1, 0, 0], dtype=complex)
-        rep = epistemic_report(psi, psi.copy())
-        assert rep.scaled_l1 == 0.0
-        assert rep.trace_distance < 1e-10
+        rng = rng_for(96)
+        kets = [np.array([1, 0, 0], dtype=complex), *(random_ket(rng, 3) for _ in range(200))]
+        for psi in kets:
+            rep = epistemic_report(psi, psi.copy())
+            assert rep.scaled_l1 == 0.0
+            assert rep.trace_distance == 0.0
+            assert rep.bound_ok
+
+    @pytest.mark.parametrize("d", range(3, 16, 2))
+    def test_closed_form_trace_distance_matches_eigensolver(self, d):
+        """Random, near-identical (eps down to 1e-12), phase-shifted, and
+        off-unit (by 5e-11, inside the ket gate) pairs."""
+        rng = rng_for(95, d)
+        for trial in range(48):
+            kind = trial % 4
+            psi, phi, _ = random_nonorthogonal_pair(rng, d, 0.01, 0.99)
+            if kind == 1:
+                phi = psi + 10.0 ** -(1 + trial // 4) * random_ket(rng, d)
+                phi = phi / np.linalg.norm(phi)
+            elif kind == 2:
+                phi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * psi
+            elif kind == 3:
+                psi, phi = psi * (1.0 + 5e-11), phi * (1.0 - 5e-11)
+                linalg.as_kets(np.array([psi, phi]))
+            want = 0.5 * linalg.trace_norm(np.outer(psi, psi.conj()) - np.outer(phi, phi.conj()))
+            assert abs(wigner._pure_trace_distance(psi, phi) - want) <= 1e-15
+        if d <= 5:
+            rep = epistemic_report(psi, phi)
+            assert rep.trace_distance == wigner._pure_trace_distance(psi, phi)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        rng = rng_for(97)
+        pairs = [random_nonorthogonal_pair(rng, d, 0.05, 0.97)[:2] for d in (3, 3, 5)]
+        pairs.append(random_stabilizer_pair(rng, 3))
+        for d in (3, 5):
+            phase_point_operators(d)
+        calls = []
+        eig = linalg.hermitian_eigensystem
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", lambda a: calls.append(1) or eig(a))
+        for psi, phi in pairs:
+            epistemic_report(psi, phi)
+        assert calls == []
 
     def test_stabilizer_pairs_certified(self):
         rng = rng_for(91)
