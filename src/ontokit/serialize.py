@@ -468,10 +468,18 @@ def parse_model(doc) -> OntModel:
     for name, value in (("states", states_doc), ("measurements", meas_doc)):
         if not isinstance(value, list):
             raise SchemaError(name, "expected a list")
-    labels = [_label(_need(s, "label", f"states[{i}]."), f"states[{i}].label")
-              for i, s in enumerate(states_doc)]
+    try:  # one pass when every state is well formed
+        labels = [s["label"] for s in states_doc]
+        ket_docs = [s["ket"] for s in states_doc]
+    except (KeyError, TypeError):
+        labels = None
+    if labels is None or set(map(type, labels)) != {str}:
+        # state by state, to name the first malformed one
+        labels = [_label(_need(s, "label", f"states[{i}]."), f"states[{i}].label")
+                  for i, s in enumerate(states_doc)]
+        ket_docs = [_need(s, "ket", f"states[{i}].") for i, s in enumerate(states_doc)]
     kets = _kets(
-        [_need(s, "ket", f"states[{i}].") for i, s in enumerate(states_doc)], "states[{}].ket.",
+        ket_docs, "states[{}].ket.",
         lambda i, dim, first: SchemaError(
             "model", f"state {labels[i]!r} has dimension {dim}, expected {first}"),
     )

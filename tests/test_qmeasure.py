@@ -1,8 +1,11 @@
 """Quantum measures and decoherence functionals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ontokit import linalg, qmeasure
 from ontokit.errors import InvalidFunctionalError, TooLargeError, VerificationFailedError
 from ontokit.kernels import FiniteSpace
 from ontokit.qmeasure import (
@@ -15,6 +18,7 @@ from ontokit.qmeasure import (
 )
 from ontokit.sampling import rng_for
 from ontokit.serialize import dumps_report
+from ontokit.tolerances import QMEASURE_TOL
 
 AB = FiniteSpace(("a", "b"))
 
@@ -352,9 +356,9 @@ class TestMeasureFromDecoherence:
             assert not report.sum_rule_violations
 
     def test_no_three_operand_einsum(self, monkeypatch):
-        """mu(S) = 1_S^T Re(D) 1_S is one matrix product and one row-wise dot.
-        numpy runs a three-operand einsum unoptimised: at 16 points, with
-        one BLAS thread, it took 37 ms against 3 ms for the two steps."""
+        """mu(S) = 1_S^T Re(D) 1_S is built by doubling the table a point at a
+        time, with no einsum: numpy runs a three-operand einsum unoptimised,
+        and at 16 points, with one BLAS thread, one took 37 ms."""
         einsum = np.einsum
 
         def at_most_two(subscripts, *operands, **kwargs):
@@ -367,3 +371,78 @@ class TestMeasureFromDecoherence:
         for mask in range(2 ** 6):
             idx = [i for i in range(6) if (mask >> i) & 1]
             assert abs(q.values[mask] - d.matrix.real[np.ix_(idx, idx)].sum()) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_doubled_table_matches_dense_quadratic_form(self, n):
+        """Within 1e-12 of 1_S^T Re(m) 1_S, for a PSD functional and for one
+        given a real antisymmetric 1e-10 perturbation: Hermitian and
+        normalised within tol, with Re(m) no longer symmetric."""
+        rng = rng_for(123, n)
+        d = random_psd_functional(rng, n)
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        skewed = DecoherenceFunctional(d.space, d.matrix + 1e-10 * (a - a.T))
+        ones = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+        for f in (d, skewed):
+            report = validate_decoherence(f)
+            assert report.clean
+            dense = ((ones @ f.matrix.real) * ones).sum(axis=1)
+            assert np.abs(measure_from_decoherence(f).values - dense).max() < 1e-12
+        assert 0 < validate_decoherence(skewed).hermitian_error <= QMEASURE_TOL
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_held_measure_reports_what_the_transform_finds(self, n, monkeypatch):
+        """A derived measure skips the Möbius transform; a constructor copy of
+        its values runs it, finds no violation and reports the same."""
+        searched = []
+        minimal = qmeasure._minimal
+
+        def counted(bad, size):
+            searched.append(size)
+            return minimal(bad, size)
+
+        monkeypatch.setattr(qmeasure, "_minimal", counted)
+        rng = rng_for(124, n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for d in (random_psd_functional(rng, n), double_slit_functional(space_of(n), psi)):
+            held = measure_from_decoherence(d)
+            copy = QuantumMeasure(held.space, held.values)
+            assert held._two_additive and not copy._two_additive
+            full = validate_quantum_measure(copy)
+            assert not full.sum_rule_violations
+            assert dumps_report(vars(validate_quantum_measure(held))) == dumps_report(vars(full))
+        assert searched == [n, n]  # the two copies', not the held measures'
+
+    def test_double_slit_range_violations_read_from_the_held_table(self):
+        # psi = (1, 1, -1): mu(all) = 1, while mu({0, 1}) = 4 lies above 1
+        d = double_slit_functional(space_of(3), np.array([1.0, 1.0, -1.0]))
+        report = validate_quantum_measure(measure_from_decoherence(d))
+        assert {"mask": 0b011, "value": 4.0} in report.range_violations
+        assert not report.sum_rule_violations and not report.clean
+
+    @pytest.mark.parametrize("mask", [0b00000, 0b00111, 0b10110, 0b11111])
+    def test_rebuilt_table_runs_the_transform(self, mask):
+        """The held flag does not leak: a derived table with one value moved,
+        rebuilt by the constructor or dataclasses.replace, reports the
+        inclusion-minimal violation at the moved set."""
+        held = measure_from_decoherence(random_psd_functional(rng_for(125), 5))
+        values = perturbed(held.values, mask, 1e-3)
+        for q in (QuantumMeasure(held.space, values), dataclasses.replace(held, values=values)):
+            assert not q._two_additive
+            rec, = validate_quantum_measure(q).sum_rule_violations
+            assert rec["u"] | rec["v"] | rec["w"] == mask
+        assert not dataclasses.replace(held)._two_additive
+
+    def test_functional_decomposes_once(self, monkeypatch):
+        calls = []
+        eigensystem = linalg.hermitian_eigensystem
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigensystem(a)
+
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", counted)
+        d = random_psd_functional(rng_for(126), 6)
+        first = validate_decoherence(d)
+        measure_from_decoherence(d)
+        assert vars(validate_decoherence(d)) == vars(first)
+        assert calls == [(6, 6)]
