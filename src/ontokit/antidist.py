@@ -57,7 +57,8 @@ class AntidistProblem:
         if any(d.space != space for d in self.ensemble):
             raise SpaceMismatchError("ensemble members live on different spaces")
         if not 0 <= self.target < len(self.ensemble):
-            raise IndexOutOfRangeError("target index out of range")
+            raise IndexOutOfRangeError(f"target index {self.target} out of range for an "
+                                       f"ensemble of {len(self.ensemble)}")
         object.__setattr__(self, "ensemble", tuple(self.ensemble))
 
 
@@ -319,6 +320,7 @@ def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = PBR_TOL) -> PbrRepo
 
     Row 2a + b of the table holds <v_k| x_a (x) x_b |v_k> on the validated
     outputs x_0, x_1, clamped to [0, 1] as ``born`` clamps it."""
+    tol = linalg._as_tolerance(tol)
     comp = compression_channel(psi, phi, n=n)
     outputs = np.array([comp.output_psi.matrix, comp.output_phi.matrix])
     basis = pbr_measurement().vectors.reshape(4, 2, 2)

@@ -3,7 +3,10 @@
 Exit codes: 0 when every check in the invoked report passes, 1 when a
 check fails, 2 on schema or IO problems (with a diagnostic naming the
 offending field).  Reports are JSON on stdout, deterministic for fixed
-inputs and seed; ONTOKIT_TOL overrides the default tolerance.
+inputs and seed; ONTOKIT_TOL overrides the default tolerance.  The library
+admits every size, count and seed (--n, --dim, --trials, --seed); the CLI
+calls that gate itself only to refuse a flag before a file is read or a
+frame is built.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .antidist import AntidistProblem, antidist_classical, pbr_demo
 from .errors import OntokitError, SchemaError
+from .linalg import as_positive_int
 from .ontomodel import FunctorFragment, check_operational_model, classify_model, validate_model
 from .qmeasure import (
     DecoherenceFunctional,
@@ -62,18 +66,6 @@ def _tolerance(flag: str | None, fallback: float) -> float:
     return tol
 
 
-def _positive(name: str, value: int) -> int:
-    if value < 1:
-        raise SchemaError(name, f"expected a positive integer, got {value}")
-    return value
-
-
-def _seed(value: int) -> int:
-    if value < 0:
-        raise SchemaError("--seed", f"expected a non-negative integer, got {value}")
-    return value
-
-
 def _emit(report: dict) -> None:
     sys.stdout.write(dumps_report(report) + "\n")
 
@@ -102,8 +94,6 @@ def _cmd_validate_model(args) -> int:
 
 def _cmd_antidist(args) -> int:
     space, dists = parse_ensemble(load_json(args.file))
-    if not 0 <= args.target < len(dists):
-        raise SchemaError("target", f"index {args.target} out of range")
     cert = antidist_classical(AntidistProblem(tuple(dists), args.target))
     report = {
         "command": "antidist",
@@ -123,10 +113,11 @@ def _cmd_antidist(args) -> int:
 
 def _cmd_pbr_demo(args) -> int:
     tol = _tolerance(args.tol, PBR_TOL)
-    n = None if args.n is None else _positive("--n", args.n)
+    if args.n is not None:  # refused before the kets are read
+        as_positive_int(args.n, "--n")
     psi = parse_ket(load_json(args.psi))
     phi = parse_ket(load_json(args.phi))
-    result = pbr_demo(psi, phi, n=n, tol=tol)
+    result = pbr_demo(psi, phi, n=args.n, tol=tol)
     report = {
         "command": "pbr-demo",
         "overlap": result.overlap,
@@ -145,7 +136,7 @@ def _cmd_pbr_demo(args) -> int:
 
 
 def _cmd_wigner_frame(args) -> int:
-    frame = phase_point_operators(_positive("n", args.n))
+    frame = phase_point_operators(args.n)
     report = {
         "command": "wigner-frame",
         "dim": args.n,
@@ -182,9 +173,9 @@ def _cmd_wigner_state(args) -> int:
 
 def _cmd_wigner_functor_check(args) -> int:
     tol = _tolerance(args.tol, FUNCTOR_TOL)
-    _positive("--trials", args.trials)
-    _seed(args.seed)
-    dim = _positive("--dim", args.dim)
+    as_positive_int(args.trials, "--trials")
+    as_positive_int(args.seed, "--seed", zero=True)
+    dim = as_positive_int(args.dim, "--dim")
     # the frame first, as `wigner frame` builds it: an even dimension is an
     # EvenDimensionError and a frame too large to allocate a TooLargeError
     phase_point_operators(dim)

@@ -4,6 +4,8 @@ Everything in the toolkit runs through this module: matrices are plain
 ``numpy`` arrays of ``complex128``, kets are unit vectors that one gate
 admits, alone or as the rows of a stack (:func:`as_kets`).
 Hermitian spectra come from ``numpy.linalg.eigh`` behind a Hermiticity check.
+One gate (:func:`as_positive_int`) admits every dimension, count, power, seed
+and stream key, and one (``_as_tolerance``) every report tolerance.
 """
 
 from __future__ import annotations
@@ -59,11 +61,24 @@ def as_real(a, what: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def as_positive_int(value, what: str):
-    """``value`` if it is a positive integer, a numpy one included; a bool is none."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise VerificationFailedError(f"{what} must be a positive integer, got {value!r}")
-    return value
+def as_positive_int(value, what: str, zero: bool = False) -> int:
+    """``value`` as a Python int if it is an integer (a numpy one included, a
+    bool not) of at least 1, or of at least 0 when ``zero``: the one test of
+    every size, count and seed, whose result cannot wrap in later arithmetic."""
+    least = 0 if zero else 1
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a non-negative integer" if zero else "a positive integer"
+        raise VerificationFailedError(f"{what} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def _as_tolerance(tol):
+    """``tol`` if it is a finite real number > 0: a report tolerance of NaN or
+    inf would pass every check it bounds.  A bool is none."""
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not 0 < tol < math.inf):
+        raise VerificationFailedError(f"tolerance must be a finite positive number, got {tol!r}")
+    return tol
 
 
 def _of_type(value, kind: type, what: str):

@@ -108,7 +108,7 @@ def validate_model(model: OntModel, tol: float = MODEL_TOL) -> ModelValidation:
     """Compare every (state, measurement, outcome) Born probability with the
     model's W R^T and the pointwise response sum rule; list what deviates
     beyond ``tol``."""
-    report = ModelValidation(tolerance=tol)
+    report = ModelValidation(tolerance=linalg._as_tolerance(tol))
     for mi, (m, r) in enumerate(model.measurements):
         totals = r.sum(axis=0)
         for li in np.flatnonzero(np.abs(totals - 1.0) > tol).tolist():
@@ -231,6 +231,7 @@ def maximal_predicates(model: OntModel, tol: float = MODEL_TOL) -> MaximalPredic
     violating pairs in row-major order: counting them costs nothing, and a
     record is built only when it is read (a Dirac model violates on every
     non-orthogonal pair)."""
+    tol = linalg._as_tolerance(tol)
     w = model.weights
     mass = w @ (w > SUPPORT_EPS).T
     born = np.abs(model.kets.conj() @ model.kets.T) ** 2
@@ -319,7 +320,7 @@ def check_operational_model(
     state) pairs whose (K_m K_s)[0, 0] is the Born probability.  A test whose
     endpoints do not fit its law raises ``SpaceMismatchError`` naming it.
     """
-    report = OperationalModelReport(tolerance=tol)
+    report = OperationalModelReport(tolerance=linalg._as_tolerance(tol))
     for g_name, f_name, gf_name in composition_tests:
         kg, kf, kgf = (frag.pair(name)[1] for name in (g_name, f_name, gf_name))
         test = f"composition ({g_name!r}, {f_name!r}, {gf_name!r})"
@@ -378,7 +379,7 @@ def check_equivariance(
     """Verify F(f . psi) = pi_f . F(psi) on each state and channel: K_f w must
     equal w moved by ``actions[f]``, the point permutation sending point j to
     pi_f[j], as :func:`ontokit.wigner.displacement_permutation` gives it."""
-    report = EquivarianceReport(tolerance=tol)
+    report = EquivarianceReport(tolerance=linalg._as_tolerance(tol))
     for s_name in state_names:
         _, ks = frag.pair(s_name)
         _fits(ks.source == UNIT_SPACE, f"equivariance state {s_name!r}",

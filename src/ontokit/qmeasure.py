@@ -167,7 +167,7 @@ def validate_quantum_measure(q: QuantumMeasure, tol: float = QMEASURE_TOL) -> Qu
     from :func:`measure_from_decoherence` is 2-additive by theorem and has
     no such record; the transform runs for every other measure.
     """
-    values = q.values
+    values, tol = q.values, linalg._as_tolerance(tol)
     return QuantumMeasureReport(
         tolerance=tol,
         normalisation_error=abs(float(values[-1]) - 1.0),
@@ -201,7 +201,7 @@ def validate_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL) ->
     so positive semidefiniteness transfers).  ``min_eigenvalue`` is that of
     the Hermitian part (m + m^dag) / 2, which is m itself when m is Hermitian.
     The functional decomposes once, however often it is validated."""
-    return DecoherenceReport(tol, *d._residuals)
+    return DecoherenceReport(linalg._as_tolerance(tol), *d._residuals)
 
 
 def measure_from_decoherence(d: DecoherenceFunctional, tol: float = QMEASURE_TOL) -> QuantumMeasure:

@@ -2,8 +2,10 @@
 
 All randomness in the toolkit flows through Philox, a counter-based PRNG,
 keyed deterministically from ``(seed, stream...)`` so that trial batches
-are reproducible and safely parallelisable per stream.  Each generator
-refuses a dimension that is not a positive integer before it draws.
+are reproducible and safely parallelisable per stream.  The seed and each
+stream key must be non-negative integers, and each generator refuses a
+dimension that is not a positive integer before it draws, all through
+:func:`ontokit.linalg.as_positive_int`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .tolerances import DEGENERATE_DRAW_EPS
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator for a named stream of a seed."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    seed = linalg.as_positive_int(seed, "seed", zero=True)
+    key = tuple(linalg.as_positive_int(s, "stream key", zero=True) for s in stream)
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 

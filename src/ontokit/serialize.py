@@ -330,8 +330,7 @@ def _ket_amplitudes(doc, place: str) -> np.ndarray:
     """A ket document's amplitudes, norm unchecked, its fields named after ``place``."""
     dim = _need(doc, "dim", place)
     amps = _need(doc, "amplitudes", place)
-    if type(dim) is not int or dim < 1:  # JSON true is no dimension
-        raise SchemaError(place + "dim", "expected a positive integer")
+    _named(place + "dim", linalg.as_positive_int, dim, "dimension")
     if not isinstance(amps, list) or len(amps) != dim:
         raise SchemaError(place + "amplitudes", f"expected {dim} amplitude pairs")
     psi = _pairs_array(amps, 2)
@@ -352,9 +351,8 @@ def parse_channel(doc) -> Channel:
     kraus_doc = _need(doc, "kraus")
     if _need(doc, "trace_preserving") is not True:
         raise SchemaError("trace_preserving", "only trace-preserving channels are accepted")
-    for field, dim in (("in_dim", in_dim), ("out_dim", out_dim)):
-        if type(dim) is not int or dim < 1:
-            raise SchemaError(field, "expected a positive integer")
+    _named("in_dim", linalg.as_positive_int, in_dim, "input dimension")
+    _named("out_dim", linalg.as_positive_int, out_dim, "output dimension")
     if not isinstance(kraus_doc, list) or not kraus_doc:
         raise SchemaError("kraus", "expected a nonempty list of matrices")
     ops = None

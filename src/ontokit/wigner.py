@@ -59,8 +59,7 @@ class Algebra:
     def __post_init__(self):
         if self.kind not in ("matrix", "commutative"):
             raise VerificationFailedError(f"unknown algebra kind {self.kind!r}")
-        if self.dim < 1:
-            raise VerificationFailedError("algebra dimension must be positive")
+        object.__setattr__(self, "dim", linalg.as_positive_int(self.dim, "algebra dimension"))
         if self.kind == "matrix" and self.dim == 1:
             object.__setattr__(self, "kind", "commutative")
 
@@ -157,6 +156,9 @@ class WignerFrame:
         count, d, _ = ops.shape
         if count != self.space.size:
             raise DimMismatchError("operator count does not match the point space")
+        if d != self.algebra.dim:
+            raise DimMismatchError(f"operators of {d} x {d} cannot frame an algebra of "
+                                   f"dimension {self.algebra.dim}")
         c = float(self.norm_const)
         vecs = ops.reshape(count, d * d)
         target = np.eye(d) if self.algebra.kind == "matrix" else ops
@@ -254,11 +256,10 @@ def _allocate(what: str, nbytes: int, build):
         ) from exc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find the frame of 3 or 1
 def phase_point_operators(n: int) -> WignerFrame:
     """The n^2 displaced parity operators for odd n, invariants verified."""
-    if n < 1:
-        raise VerificationFailedError("dimension must be positive")
+    n = linalg.as_positive_int(n, "n")  # a Python int: 16 n^4 below cannot wrap
     if n % 2 == 0:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
     if n == 1:
@@ -276,9 +277,10 @@ def phase_point_operators(n: int) -> WignerFrame:
     return _allocate(f"a phase-point frame for n = {n} is n^2 operators of n x n", 16 * n ** 4, build)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def commutative_frame(k: int) -> WignerFrame:
     """Diagonal rank-1 projectors; realises C^2 as the distinguished space."""
+    k = linalg.as_positive_int(k, "k")
     if k == 1:
         return WignerFrame(commutative_algebra(1), np.ones((1, 1, 1), complex), 1.0, UNIT_SPACE)
     space = TWO if k == 2 else FiniteSpace(tuple(str(i) for i in range(k)))
@@ -598,7 +600,13 @@ def monoidality_check(
     2 delta sqrt(k D (1 + e)) + k D delta^2, for k = k_f k_g operators of
     Kraus-sum bound e (rounding in forming the products not covered).  The
     trials need no product frame, so they run whether or not ``frame_ok``.
+    m, n and trials must be positive integers, seed a non-negative one and
+    tol finite and positive, else VerificationFailedError.
     """
+    m, n = linalg.as_positive_int(m, "m"), linalg.as_positive_int(n, "n")
+    trials = linalg.as_positive_int(trials, "trials")
+    seed = linalg.as_positive_int(seed, "seed", zero=True)
+    tol = linalg._as_tolerance(tol)
     fm = phase_point_operators(m)
     fn = phase_point_operators(n)
     try:

@@ -437,7 +437,7 @@ def parse_ket_oracle(doc):
             raise SchemaError(name, "missing required field")
     dim, amps = doc["dim"], doc["amplitudes"]
     if type(dim) is not int or dim < 1:
-        raise SchemaError("dim", "expected a positive integer")
+        raise SchemaError("dim", f"dimension must be a positive integer, got {dim!r}")
     if not isinstance(amps, list) or len(amps) != dim:
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
     psi = np.array([_pair_oracle(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
@@ -991,17 +991,23 @@ class TestChannelSchema:
         doc[field] = dim
         with pytest.raises(SchemaError) as info:
             parse_channel(doc)
-        assert (info.value.field, info.value.message) == (field, "expected a positive integer")
+        side = "input" if field == "in_dim" else "output"
+        assert (info.value.field, info.value.message) == (
+            field, f"{side} dimension must be a positive integer, got {dim!r}"
+        )
 
     def test_true_is_no_dimension(self):
         # True == 1, so a one-dimensional ket or channel with a true dimension
         # would otherwise parse
         ket = {"dim": True, "amplitudes": [[1.0, 0.0]]}
         channel = {**channel_to_json(Channel.identity(1)), "in_dim": True, "out_dim": True}
-        for parse, doc, field in ((parse_ket, ket, "dim"), (parse_channel, channel, "in_dim")):
+        for parse, doc, field, what in ((parse_ket, ket, "dim", "dimension"),
+                                        (parse_channel, channel, "in_dim", "input dimension")):
             with pytest.raises(SchemaError) as info:
                 parse(doc)
-            assert (info.value.field, info.value.message) == (field, "expected a positive integer")
+            assert (info.value.field, info.value.message) == (
+                field, f"{what} must be a positive integer, got True"
+            )
 
     def test_bad_kraus_shape(self):
         doc = {

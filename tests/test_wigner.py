@@ -262,6 +262,13 @@ class TestFrames:
         with pytest.raises(DimMismatchError):
             WignerFrame(matrix_algebra(3), QUTRIT.operators[:8], 3.0, QUTRIT.space)
 
+    @pytest.mark.parametrize("algebra", [matrix_algebra(5), matrix_algebra(1), commutative_algebra(2)])
+    def test_an_algebra_of_another_dimension_is_refused(self, algebra):
+        # valid qutrit operators, but a frame's algebra is the one they act on
+        with pytest.raises(DimMismatchError, match=f"operators of 3 x 3 cannot frame an algebra "
+                                                   f"of dimension {algebra.dim}"):
+            WignerFrame(algebra, QUTRIT.operators, 3.0, QUTRIT.space)
+
 
 class TestWignerVector:
     def test_maximally_mixed_uniform(self):
@@ -717,8 +724,9 @@ class TestMonoidality:
 
     @pytest.mark.parametrize("d", range(3, 32, 2))
     def test_frame_ok_for_every_odd_dimension(self, d):
-        # zero trials form no product: the certificate alone
-        assert monoidality_check(d, d, 0, 0).frame_ok
+        # the certificate alone, as frame_ok decides it: a trial would form the product stack
+        frame = phase_point_operators(d)
+        wigner._hold(wigner._product_residuals(frame, frame), "matrix", frame.norm_const ** 2)
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (3, 1), (1, 5)])
     def test_one_point_frame_is_the_tensor_unit(self, m, n):
