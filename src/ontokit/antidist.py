@@ -20,6 +20,7 @@ demonstration that the resulting four product states are anti-distinguished.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Optional, Sequence
@@ -29,7 +30,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadOverlapError,
-    IndexOutOfRangeError,
     SpaceMismatchError,
     VerificationFailedError,
 )
@@ -51,15 +51,15 @@ class AntidistProblem:
     target: int
 
     def __post_init__(self):
-        if not self.ensemble:
+        ensemble = tuple(linalg._of_type(self.ensemble, Iterable, "ensemble"))
+        if not ensemble:
             raise VerificationFailedError("ensemble must be nonempty")
-        space = self.ensemble[0].space
-        if any(d.space != space for d in self.ensemble):
-            raise SpaceMismatchError("ensemble members live on different spaces")
-        if not 0 <= self.target < len(self.ensemble):
-            raise IndexOutOfRangeError(f"target index {self.target} out of range for an "
-                                       f"ensemble of {len(self.ensemble)}")
-        object.__setattr__(self, "ensemble", tuple(self.ensemble))
+        for i, d in enumerate(ensemble):  # member 0 is checked before its space is read
+            if linalg._of_type(d, Distribution, f"ensemble member {i}").space != ensemble[0].space:
+                raise SpaceMismatchError("ensemble members live on different spaces")
+        object.__setattr__(self, "ensemble", ensemble)
+        object.__setattr__(self, "target", linalg._as_index(
+            self.target, len(ensemble), "target index", "an ensemble of {}"))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .antidist import AntidistProblem, antidist_classical, pbr_demo
 from .errors import OntokitError, SchemaError
-from .linalg import as_positive_int
+from .linalg import _as_tolerance, as_positive_int
 from .ontomodel import FunctorFragment, check_operational_model, classify_model, validate_model
 from .qmeasure import (
     DecoherenceFunctional,
@@ -52,18 +52,13 @@ from .tolerances import FUNCTOR_TOL, MODEL_TOL, PBR_TOL, QMEASURE_TOL
 
 
 def _tolerance(flag: str | None, fallback: float) -> float:
-    """--tol, else ONTOKIT_TOL, else the command's default; finite and positive."""
+    """--tol, else ONTOKIT_TOL, else the command's default, as linalg admits it."""
     name = "--tol" if flag is not None else "ONTOKIT_TOL"
     raw = flag if flag is not None else os.environ.get(name)
-    if raw is None:
-        return fallback
     try:
-        tol = float(raw)
-    except ValueError:
-        tol = float("nan")  # rejected below with the raw text
-    if not 0 < tol < float("inf"):
-        raise SchemaError(name, f"tolerance must be a finite positive number, got {raw!r}")
-    return tol
+        return fallback if raw is None else _as_tolerance(float(raw))
+    except ValueError:  # unparsable, or refused: a VerificationFailedError is a ValueError
+        raise SchemaError(name, f"tolerance must be a finite positive number, got {raw!r}") from None
 
 
 def _emit(report: dict) -> None:

@@ -35,7 +35,7 @@ class MissingActionError(OntokitError):
 
 class IndexOutOfRangeError(OntokitError, IndexError):
     """An index names no element: an outcome past the basis, a target past
-    the ensemble.  It is also an ``IndexError``."""
+    the ensemble, a residue outside Z_n.  It is also an ``IndexError``."""
 
 
 class BadOverlapError(OntokitError):

@@ -1,11 +1,18 @@
 """Dense complex linear algebra at desk scale.
 
 Everything in the toolkit runs through this module: matrices are plain
-``numpy`` arrays of ``complex128``, kets are unit vectors that one gate
-admits, alone or as the rows of a stack (:func:`as_kets`).
-Hermitian spectra come from ``numpy.linalg.eigh`` behind a Hermiticity check.
-One gate (:func:`as_positive_int`) admits every dimension, count, power, seed
-and stream key, and one (``_as_tolerance``) every report tolerance.
+``numpy`` arrays of ``complex128``, and Hermitian spectra come from
+``numpy.linalg.eigh`` behind a Hermiticity check.  Each kind of argument is
+admitted by one gate here, which names the argument when it refuses one:
+
+- :func:`as_matrix`, :func:`as_real`: finite complex matrices, real arrays;
+- :func:`as_ket`, :func:`as_kets`: unit kets, alone or as the rows of a stack;
+- ``_as_ket_pair``: two kets of one dimension;
+- :func:`hermitian_eigensystem`: Hermitian matrices, for states and effects;
+- :func:`as_positive_int`: every dimension, count, power, seed and stream key;
+- ``_as_index``: every index (an outcome, a target, a point of Z_n);
+- ``_as_tolerance``: every report tolerance;
+- ``_of_type``: every constructor argument of a library type.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DimMismatchError, NotHermitianError, VerificationFailedError
+from .errors import DimMismatchError, IndexOutOfRangeError, NotHermitianError, VerificationFailedError
 from .tolerances import IDENTITY_TOL, TIGHT_IDENTITY_TOL
 
 
@@ -61,22 +68,31 @@ def as_real(a, what: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _is_int(value) -> bool:
+    """The type test of every integer argument: a numpy integer is one, a bool not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_positive_int(value, what: str, zero: bool = False) -> int:
-    """``value`` as a Python int if it is an integer (a numpy one included, a
-    bool not) of at least 1, or of at least 0 when ``zero``: the one test of
-    every size, count and seed, whose result cannot wrap in later arithmetic."""
-    least = 0 if zero else 1
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    """``value`` as a Python int, which cannot wrap, if it is an integer (see
+    ``_is_int``) of at least 1 (0 when ``zero``): every size, count and seed."""
+    if not _is_int(value) or value < (0 if zero else 1):
         kind = "a non-negative integer" if zero else "a positive integer"
         raise VerificationFailedError(f"{what} must be {kind}, got {value!r}")
     return int(value)
 
 
+def _as_index(value, count: int, what: str, whole: str) -> int:
+    """Every index: ``value`` as a Python int if it is an integer in range(count)."""
+    if _is_int(value) and not 0 <= value < count:
+        raise IndexOutOfRangeError(f"{what} {value} out of range for {whole.format(count)}")
+    return as_positive_int(value, what, zero=True)
+
+
 def _as_tolerance(tol):
     """``tol`` if it is a finite real number > 0: a report tolerance of NaN or
     inf would pass every check it bounds.  A bool is none."""
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
-            or not 0 < tol < math.inf):
+    if not (_is_int(tol) or isinstance(tol, (float, np.floating))) or not 0 < tol < math.inf:
         raise VerificationFailedError(f"tolerance must be a finite positive number, got {tol!r}")
     return tol
 
@@ -94,6 +110,14 @@ def as_ket(v) -> np.ndarray:
     """Coerce to a finite 1-d complex unit vector: the one-row case of
     :func:`as_kets`, with its errors."""
     return as_kets(_as_array(v, "ket", complex).reshape(1, -1))[0]
+
+
+def _as_ket_pair(psi, phi) -> tuple[np.ndarray, np.ndarray]:
+    """``psi`` and ``phi`` through :func:`as_ket`, refused unless of one dimension."""
+    pair = as_ket(psi), as_ket(phi)
+    if pair[0].size != pair[1].size:
+        raise DimMismatchError("kets have different dimensions")
+    return pair
 
 
 def as_kets(rows, part: str | None = None) -> np.ndarray:

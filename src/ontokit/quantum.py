@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatchError, IndexOutOfRangeError, VerificationFailedError
+from .errors import DimMismatchError, VerificationFailedError
 from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
 
 
@@ -225,20 +225,14 @@ class TwoOutcomeMeasurement:
 
 def overlap(psi, phi) -> complex:
     """Inner product <psi|phi>, conjugate-linear in the first argument."""
-    a = linalg.as_ket(psi)
-    b = linalg.as_ket(phi)
-    if a.size != b.size:
-        raise DimMismatchError("kets have different dimensions")
-    return complex(np.vdot(a, b))
+    return complex(np.vdot(*linalg._as_ket_pair(psi, phi)))
 
 
 def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:
     """Probability of outcome ``k`` (0-based), clamped to [0, 1]."""
     if state.dim != m.dim:
         raise DimMismatchError("state and measurement dimensions differ")
-    if not 0 <= k < m.n_outcomes:
-        raise IndexOutOfRangeError(f"outcome index {k} out of range")
-    v = m.vectors[k]
+    v = m.vectors[linalg._as_index(k, m.n_outcomes, "outcome index", "a basis of {}")]
     p = float(np.real(np.vdot(v, state.matrix @ v)))
     if p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
         raise VerificationFailedError(f"Born probability {p!r} outside [0, 1] beyond tolerance")

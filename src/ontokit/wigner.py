@@ -38,7 +38,7 @@ from .errors import (
 )
 from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, product_space
 from .quantum import Channel, DensityMatrix, tensor
-from .sampling import random_cptp_channel, rng_for
+from .sampling import _pair_dimension, random_cptp_channel, rng_for
 from .tolerances import (
     DERIVED_TOL, DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
 )
@@ -228,10 +228,18 @@ class WignerFrame:
 # construction
 # ---------------------------------------------------------------------------
 
+def _z_n_point(n, a, b, names: str) -> tuple[int, int, int]:
+    """``n`` through the integer gate and the residues ``a``, ``b`` (named by
+    ``names``) through the index gate, as a point of Z_n x Z_n."""
+    n = linalg.as_positive_int(n, "n")
+    return n, *(linalg._as_index(r, n, f"residue {c}", "Z_{}") for r, c in zip((a, b), names))
+
+
 def displacement(n: int, q: int, p: int) -> np.ndarray:
     """Weyl displacement tau^{qp} X^q Z^p, with X|x> = |x+1>, Z|x> = omega^x |x>
     and tau = omega^{(n+1)/2}: the monomial matrix |x> -> tau^{qp} omega^{px} |x+q>.
     """
+    n, q, p = _z_n_point(n, q, p, "qp")
     x = np.arange(n)
     d = np.zeros((n, n), dtype=complex)
     d[(x + q) % n, x] = np.exp(2j * np.pi * (((n + 1) // 2 * q * p + p * x) % n) / n)
@@ -678,10 +686,7 @@ def epistemic_report(psi, phi) -> EpistemicReport:
     trace distance, and the (n/2) l1 distance of the Wigner vectors, whose
     inequality direction is asserted: trace distance never exceeds it.
     """
-    psi = linalg.as_ket(psi)
-    phi = linalg.as_ket(phi)
-    if psi.size != phi.size:
-        raise DimMismatchError("kets have different dimensions")
+    psi, phi = linalg._as_ket_pair(psi, phi)
     frame = phase_point_operators(psi.size)
     rho = DensityMatrix._projector(psi)
     tau = DensityMatrix._projector(phi)
@@ -708,6 +713,7 @@ def epistemic_report(psi, phi) -> EpistemicReport:
 def displacement_permutation(n: int, a: int, b: int) -> np.ndarray:
     """Index map pi with D(a,b) s_i D(a,b)^dag = s_pi(i) on phase space:
     point (q, p), index q n + p, goes to (q + a, p + b) mod n."""
+    n, a, b = _z_n_point(n, a, b, "ab")
     return np.roll(np.arange(n * n).reshape(n, n), (-a, -b), axis=(0, 1)).reshape(-1)
 
 
@@ -721,6 +727,7 @@ def random_stabilizer_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray
     These states have nonnegative Wigner vectors with disjoint supports, so
     their images stay anti-distinguishable on the kernel side.
     """
+    n = _pair_dimension(n, "an orthogonal pair")
     om = np.exp(2j * np.pi / n)
     fourier = np.array([[om ** (j * k) for k in range(n)] for j in range(n)]) / np.sqrt(n)
     base = fourier if rng.integers(2) else np.eye(n, dtype=complex)
