@@ -6,21 +6,25 @@ Usage (from anywhere inside the repository):
     python3 scripts/perf/ab.py --base HEAD~1 --workload validators --seed 1 --blocks 16
 
 The revision's ``src/`` and ``bench/`` are extracted with ``git archive``
-into a temporary directory outside the checkout.  One long-lived worker
-process per tree (the revision's, then the checkout's own) imports that
-tree's ``ontokit`` and ``bench/`` modules, with BLAS pinned to one thread.
-Each generates the workload's check stream from ``--seed`` (the blocks
-``bench/run.py`` runs at ``--seconds 24``), warms it with one untimed pass
-and then times whole passes with ``time.process_time``.
+into a temporary directory outside the checkout.  Three long-lived worker
+processes, two on the revision's tree (the base and its control) and one on
+the checkout's own (the change), each import their tree's ``ontokit`` and
+``bench/`` modules, with BLAS pinned to one thread.  Each generates the
+workload's check stream from ``--seed`` (the blocks ``bench/run.py`` runs at
+``--seconds 24``), warms it with one untimed pass and then times whole
+passes with ``time.process_time``.
 
-The passes run in ABBA blocks (base, change, change, base), so a drift that
-is linear in time cancels within a block.  A block's ratio is the change's
-CPU time over the base's; the script prints the median ratio, a bootstrap
-95 % interval of that median, the number of blocks the change won (ratio
-below 1) and how many check reports differ between the trees.  The last
-stdout line is the same summary as one JSON object.  Both workers are
-reaped and the temporary tree removed on every exit path, SIGTERM and
-Ctrl-C included.
+The passes run in blocks of six (see ``block_order``): the base opens and
+closes each block, and the change and the control fill the middle in a
+mirrored pair, swapping places from one block to the next, so a drift that
+is linear in time cancels within a block for both.  A block's ratio is the
+change's CPU time over the base's; the script prints the median ratio, a
+bootstrap 95 % interval of that median, the number of blocks the change won
+(ratio below 1) and how many check reports differ between the trees.  Beside
+it, the same for the control over the base: an A/A ratio of identical trees,
+which shows the gauge's own bias and spread in the same run.  The last stdout
+line is the same summary as one JSON object.  Every worker is reaped and the
+temporary tree removed on every exit path, SIGTERM and Ctrl-C included.
 """
 
 from __future__ import annotations
@@ -52,8 +56,16 @@ LEVEL = 0.95
 # ---------------------------------------------------------------------------
 
 def block_ratios(base: list[tuple[float, float]], change: list[tuple[float, float]]) -> list[float]:
-    """Per ABBA block, the change's two pass times over the base's two."""
+    """Per block, the two pass times of the change (or the control) over the base's two."""
     return [(c1 + c2) / (b1 + b2) for (b1, b2), (c1, c2) in zip(base, change, strict=True)]
+
+
+def block_order(k: int) -> tuple[str, ...]:
+    """The six passes of block ``k``: base first and last, then the change and
+    the control mirrored inside, in swapped places on odd blocks, so each sits
+    at the base's mean position and neither always runs next to the base."""
+    inner = ("change", "control") if k % 2 == 0 else ("control", "change")
+    return ("base", *inner, *inner[::-1], "base")
 
 
 def bootstrap_interval(ratios) -> tuple[float, float]:
@@ -168,27 +180,29 @@ def extract(rev: str, into: Path) -> str:
 
 def compare(args) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix="ontokit-ab-"))
-    workers: list[Worker] = []
+    workers: dict[str, Worker] = {}
     try:
         sha = extract(args.base, tmp)
-        for tree in (tmp, ROOT):
-            workers.append(Worker(tree, args))
-        base, change = workers
-        ready = [w.read() for w in workers]
-        if ready[0] != ready[1]:
-            raise RuntimeError(f"the trees generate different streams: {ready[0]} vs {ready[1]}")
-        base_cpu, change_cpu = [], []
-        for _ in range(args.blocks):
-            a1, b1, b2, a2 = (w.timed_pass() for w in (base, change, change, base))
-            base_cpu.append((a1["cpu"], a2["cpu"]))
-            change_cpu.append((b1["cpu"], b2["cpu"]))
-        differ = sum(x != y for x, y in zip(a1["reports"], b1["reports"]))
+        for name, tree in (("base", tmp), ("control", tmp), ("change", ROOT)):
+            workers[name] = Worker(tree, args)
+        ready = {name: w.read() for name, w in workers.items()}
+        if ready["base"] != ready["change"]:
+            raise RuntimeError(f"the trees generate different streams: {ready['base']} vs {ready['change']}")
+        cpu = {name: [] for name in workers}
+        for k in range(args.blocks):
+            passes = {name: [] for name in workers}
+            for name in block_order(k):
+                passes[name].append(workers[name].timed_pass())
+            for name, (p1, p2) in passes.items():
+                cpu[name].append((p1["cpu"], p2["cpu"]))
+        differ = sum(x != y for x, y in zip(passes["base"][0]["reports"], passes["change"][0]["reports"]))
     finally:
-        for w in workers:
+        for w in workers.values():
             w.stop()
         shutil.rmtree(tmp, ignore_errors=True)
-    return {"base": sha, "workload": args.workload, "seed": args.seed, "items": ready[0]["items"],
-            **summary(block_ratios(base_cpu, change_cpu)), "differing_reports": differ}
+    return {"base": sha, "workload": args.workload, "seed": args.seed, "items": ready["base"]["items"],
+            **summary(block_ratios(cpu["base"], cpu["change"])), "differing_reports": differ,
+            "control": summary(block_ratios(cpu["base"], cpu["control"]))}
 
 
 def _terminate(signum, frame):
@@ -200,7 +214,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--workload", choices=WORKLOADS, default="validators")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--blocks", type=int, default=16, help="ABBA blocks to run")
+    parser.add_argument("--blocks", type=int, default=16, help="blocks of six passes to run")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
@@ -215,9 +229,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"ab: {exc}\n")
         return 2
     lo, hi = result["interval"]
+    aa = result["control"]
     print(f"ab {result['workload']} seed {result['seed']}, {result['items']} checks a pass: "
           f"change/base CPU {result['median_ratio']:.3f} [{lo:.3f}, {hi:.3f}] over "
-          f"{result['blocks']} ABBA blocks, change won {result['won']}; "
+          f"{result['blocks']} blocks, change won {result['won']}; "
+          f"A/A control/base CPU {aa['median_ratio']:.3f} [{aa['interval'][0]:.3f}, "
+          f"{aa['interval'][1]:.3f}], control won {aa['won']}; "
           f"{result['differing_reports']} reports differ from {result['base'][:12]}")
     print(json.dumps(result))
     return 0

@@ -70,8 +70,8 @@ class SignedKernel:
     constants (:func:`ontokit.wigner.functor_morphism` bounds those).
 
     ``matrix`` is a C-contiguous, read-only float64 copy of the given one,
-    held once its entries are finite and its column sums are within
-    IDENTITY_TOL of 1.
+    held once its entries pass ``linalg._as_held`` and its column sums are
+    within IDENTITY_TOL of 1.
     """
 
     source: FiniteSpace
@@ -88,9 +88,7 @@ class SignedKernel:
                 f"kernel matrix shape {m.shape} does not match "
                 f"({self.target.size}, {self.source.size})"
             )
-        if not np.isfinite(m).all():
-            raise VerificationFailedError("kernel matrix contains NaN or Inf")
-        col_err = linalg.max_abs(m.sum(axis=0) - 1.0)
+        col_err = linalg.max_abs(linalg._as_held(m, "kernel matrix entries").sum(axis=0) - 1.0)
         if col_err > IDENTITY_TOL:
             raise VerificationFailedError(f"column sums deviate from 1 by {col_err:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -132,12 +130,8 @@ def _check_weight_rows(space: FiniteSpace, w: np.ndarray, part: str | None = Non
     first row that fails raises its error, with its index as ``row``."""
     if w.ndim != 2 or w.shape[1] != space.size:
         raise SpaceMismatchError("weight vector length does not match space")
-    if np.isfinite(w).all() and abs(w.sum(axis=1) - 1.0).max(initial=0.0) <= IDENTITY_TOL:
-        return
-    for i, row in enumerate(w):
-        if not np.isfinite(row).all():
-            raise VerificationFailedError("weights contain NaN or Inf", i, part)
-        total = float(row.sum())
+    linalg._as_held(w, "weights", part, lambda head, part: _check_weight_rows(space, head, part))
+    for i, total in enumerate(w.sum(axis=1).tolist()):
         if abs(total - 1.0) > IDENTITY_TOL:
             raise VerificationFailedError(f"weights sum to {total!r}, expected 1", i, part)
 

@@ -5,12 +5,12 @@ Everything in the toolkit runs through this module: matrices are plain
 ``numpy.linalg.eigh`` behind a Hermiticity check.  Each kind of argument is
 admitted by one gate here, which names the argument when it refuses one:
 
-- :func:`as_matrix`, :func:`as_real`: finite complex matrices, real arrays;
+- ``_as_held``, :func:`as_matrix`, :func:`as_real`: held arrays, matrices, real arrays;
 - :func:`as_ket`, :func:`as_kets`: unit kets, alone or as the rows of a stack;
 - ``_as_ket_pair``: two kets of one dimension;
 - :func:`hermitian_eigensystem`: Hermitian matrices, for states and effects;
 - :func:`as_positive_int`: every dimension, count, power, seed and stream key;
-- ``_as_index``: every index (an outcome, a target, a point of Z_n);
+- ``_as_index``: every index (an outcome, a target, a Z_n point, a bitmask);
 - ``_as_tolerance``: every report tolerance;
 - ``_of_type``: every constructor argument of a library type.
 """
@@ -18,6 +18,7 @@ admitted by one gate here, which names the argument when it refuses one:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -46,14 +47,34 @@ def _as_array(a, what: str, dtype=None) -> np.ndarray:
     return arr if dtype is None else arr.astype(dtype, copy=False)
 
 
+def _as_held(arr: np.ndarray, what: str, part: str | None = None, rows=None) -> np.ndarray:
+    """``arr`` if each of its M real numbers (two per complex entry) is finite
+    and at most sqrt(max float / 2M): their squares then sum to at most half
+    the float range, so no sum, square or product its holder forms overflows.
+    Else a VerificationFailedError naming ``what``, the entries' plural noun.
+    Given the holder's row check ``rows``, each row of a 2-d ``arr`` is held
+    alone, and ``rows(head, part)`` first checks the rows above one that fails."""
+    parts = np.ascontiguousarray(arr).view(float) if arr.dtype.kind == "c" else arr
+    bound = math.sqrt(sys.float_info.max / (2 * (parts.shape[-1] if rows else parts.size) or 1))
+    top = np.maximum.reduce(abs(parts), None, initial=0.0)
+    if top <= bound:  # a NaN fails too
+        return arr
+    row = None
+    if rows:
+        row = int(np.argmin(np.maximum.reduce(abs(parts), 1, initial=0.0) <= bound))
+        rows(arr[:row], part)
+        top = np.maximum.reduce(abs(parts[row]), None, initial=0.0)
+    if not math.isfinite(top):
+        raise VerificationFailedError(f"{what} contain NaN or Inf", row, part)
+    raise VerificationFailedError(f"{what} too large: magnitude {top:.3e} exceeds {bound:.3e}", row, part)
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex array."""
+    """Coerce to a held (see ``_as_held``) 2-d complex array."""
     m = _as_array(a, "matrix", complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise VerificationFailedError("matrix contains NaN or Inf entries")
-    return m
+    return _as_held(m, "matrix entries")
 
 
 def as_real(a, what: str) -> np.ndarray:
@@ -121,25 +142,21 @@ def _as_ket_pair(psi, phi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_kets(rows, part: str | None = None) -> np.ndarray:
-    """Coerce to a 2-d complex array of kets: rows with an amplitude, finite,
-    of norm within ``TIGHT_IDENTITY_TOL`` of 1; the first row that fails
-    raises.  A norm sqrt(np.vecdot(row, row)) has the same bits alone and in
-    any stack, so a stack passes iff :func:`as_ket` passes each row; a huge
-    row's overflows to inf and fails, with no warning.  A failed row's error
-    carries its index as ``row``, and ``part``."""
+    """Coerce to a 2-d complex array of kets: rows with an amplitude, each held
+    (see ``_as_held``) and of norm within ``TIGHT_IDENTITY_TOL`` of 1; the first
+    row that fails raises, its index as ``row``, with ``part``.  A held row's
+    norm sqrt(np.vecdot(row, row)) cannot overflow and has the same bits alone
+    and in any stack, so a stack passes iff :func:`as_ket` passes each row."""
     kets = _as_array(rows, "kets", complex)
     if kets.ndim != 2:
         raise DimMismatchError(f"expected a 2-d stack of kets, got shape {kets.shape}")
     if kets.shape[1] < 1 and len(kets):
         raise DimMismatchError("ket must have at least one amplitude")
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.vecdot(kets, kets).real.tolist()
+    squares = np.vecdot(_as_held(kets, "ket amplitudes", part, as_kets), kets).real.tolist()
     # a Python loop: on one or a few rows, cheaper than numpy's reductions
     for i, sq in enumerate(squares):
         nrm = math.sqrt(sq)
-        if not abs(nrm - 1.0) <= TIGHT_IDENTITY_TOL:  # a NaN norm fails too
-            if not np.isfinite(kets[i]).all():
-                raise VerificationFailedError("ket contains NaN or Inf amplitudes", i, part)
+        if abs(nrm - 1.0) > TIGHT_IDENTITY_TOL:
             raise VerificationFailedError(
                 f"ket norm {nrm!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}", i, part
             )

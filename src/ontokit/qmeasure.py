@@ -57,9 +57,7 @@ class QuantumMeasure:
             raise VerificationFailedError(
                 f"expected {2 ** self.space.size} subset values, got {v.size}"
             )
-        if not np.isfinite(v).all():
-            raise VerificationFailedError("subset values contain NaN or Inf")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", linalg._as_held(v, "subset values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +73,7 @@ class DecoherenceFunctional:
         m = linalg.frozen(linalg._as_array(self.matrix, "functional", complex))
         if m.shape != (self.space.size, self.space.size):
             raise VerificationFailedError("singleton matrix shape must match the space")
-        if not np.all(np.isfinite(m.view(float))):
-            raise VerificationFailedError("functional contains NaN or Inf")
-        with np.errstate(over="ignore"):
-            mass = 2.0 * np.abs(m).sum()
-        if not np.isfinite(mass):
-            # then m + m^dag, the total and the spectrum all stay finite
-            raise VerificationFailedError(
-                "functional entries too large: twice their total modulus overflows"
-            )
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", linalg._as_held(m, "functional entries"))
 
     @cached_property
     def _residuals(self) -> tuple[float, float, float]:

@@ -127,12 +127,10 @@ class Channel:
         return ch
 
     def _hold(self, stack: np.ndarray, residual: float | None = None) -> None:
-        """Hold ``stack``, read-only, once it is finite and its operators
-        resolve the identity (within ``residual``, when that is given)."""
+        """Hold ``stack``, read-only, once ``linalg._as_held`` holds its entries
+        and its operators resolve the identity (within ``residual``, when given)."""
         if residual is None:
-            if not np.isfinite(stack).all():
-                raise VerificationFailedError("matrix contains NaN or Inf entries")
-            count, out, inp = stack.shape
+            count, out, inp = linalg._as_held(stack, "matrix entries").shape
             # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
             flat = stack.reshape(count * out, inp)
             kraus_sum = flat.conj().T @ flat
@@ -173,9 +171,9 @@ class ProjectiveMeasurement:
             raise VerificationFailedError(
                 f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}"
             )
-        gram = v.conj() @ v.T
+        gram = v.conj() @ linalg._as_held(v, "outcome vectors").T
         err = linalg.max_abs(gram - np.eye(v.shape[0]))
-        if not err <= IDENTITY_TOL:  # a NaN error fails too
+        if err > IDENTITY_TOL:
             raise VerificationFailedError(
                 f"outcome vectors are not orthonormal: Gram error {err:.3e}"
             )

@@ -531,7 +531,6 @@ def _measure_values(table: dict, n: int) -> np.ndarray:
             return values
     # key by key, to name the first malformed key or value
     values = np.zeros(2 ** n)
-    seen = np.zeros(2 ** n, dtype=bool)
     for key, v in table.items():
         try:
             mask = int(key)
@@ -540,13 +539,11 @@ def _measure_values(table: dict, n: int) -> np.ndarray:
         if key != str(mask):
             # one spelling per mask, so that no key overwrites another
             raise SchemaError(f"measure[{key}]", f"bitmask key must be written {str(mask)!r}")
-        if not 0 <= mask < 2 ** n:
-            raise SchemaError(f"measure[{key}]", "bitmask out of range")
+        _named(f"measure[{key}]", linalg._as_index, mask, 2 ** n, "bitmask", "a power set of {}")
         if not isinstance(v, (int, float)):
             raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
         _named(f"measure[{key}]", setitem, values, mask, v)  # an int past the float range overflows
-        seen[mask] = True
-    if not seen.all():
+    if len(table) != 2 ** n:  # each key is a distinct mask in range: the count decides coverage
         raise SchemaError("measure", "values must cover every subset bitmask")
     return values
 

@@ -153,13 +153,13 @@ class WignerFrame:
         ops = linalg.frozen(linalg._as_array(self.operators, "frame operators", complex))
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
-        count, d, _ = ops.shape
+        count, d, _ = linalg._as_held(ops, "frame operators").shape
         if count != self.space.size:
             raise DimMismatchError("operator count does not match the point space")
         if d != self.algebra.dim:
             raise DimMismatchError(f"operators of {d} x {d} cannot frame an algebra of "
                                    f"dimension {self.algebra.dim}")
-        c = float(self.norm_const)
+        c = float(linalg._as_held(linalg.as_real(self.norm_const, "norm_const"), "norm_const values"))
         vecs = ops.reshape(count, d * d)
         target = np.eye(d) if self.algebra.kind == "matrix" else ops
         res = FrameResiduals(
@@ -267,6 +267,8 @@ def _allocate(what: str, nbytes: int, build):
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find the frame of 3 or 1
 def phase_point_operators(n: int) -> WignerFrame:
     """The n^2 displaced parity operators for odd n, invariants verified."""
+    if type(n) is not int:  # a numpy integer shares its Python int's frame, and the rest is refused
+        return phase_point_operators(linalg.as_positive_int(n, "n"))
     n = linalg.as_positive_int(n, "n")  # a Python int: 16 n^4 below cannot wrap
     if n % 2 == 0:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
@@ -288,6 +290,8 @@ def phase_point_operators(n: int) -> WignerFrame:
 @lru_cache(maxsize=None, typed=True)
 def commutative_frame(k: int) -> WignerFrame:
     """Diagonal rank-1 projectors; realises C^2 as the distinguished space."""
+    if type(k) is not int:  # as in phase_point_operators: one frame per admitted k
+        return commutative_frame(linalg.as_positive_int(k, "k"))
     k = linalg.as_positive_int(k, "k")
     if k == 1:
         return WignerFrame(commutative_algebra(1), np.ones((1, 1, 1), complex), 1.0, UNIT_SPACE)

@@ -117,7 +117,7 @@ def _nan_operator():
         ((np.array([1.0, 0.0]),), DimMismatchError, "expected a 2-d matrix, got shape (2,)"),
         ((np.eye(2), np.array([1.0, 0.0])), DimMismatchError,
          "expected a 2-d matrix, got shape (2,)"),
-        (_nan_operator(), VerificationFailedError, "matrix contains NaN or Inf entries"),
+        (_nan_operator(), VerificationFailedError, "matrix entries contain NaN or Inf"),
         ((np.sqrt(1.0 + 1e-6) * np.eye(2),), VerificationFailedError,
          "Kraus sum deviates from identity by 1.000e-06"),
         # a channel is trace preserving by definition: a sub-normalised set is no channel
@@ -169,7 +169,7 @@ def test_writes_through_the_given_array_do_not_reach_the_channel():
     "stack, message",
     [
         (np.array([[[1.0, np.inf], [0.0, 1.0]]], dtype=complex),
-         "matrix contains NaN or Inf entries"),
+         "matrix entries contain NaN or Inf"),
         (np.array([np.eye(3), np.eye(3)], dtype=complex) / 2,
          "Kraus sum deviates from identity by 5.000e-01"),
     ],

@@ -232,6 +232,7 @@ def _decoherence_on(n):
 
 KET_2 = {"dim": 2, "amplitudes": [[1, 0], [0, 0]]}
 KET_3 = {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}
+KET_2_ONE = {"dim": 2, "amplitudes": [[0, 0], [1, 0]]}
 
 
 def _model_with_basis(basis):
@@ -247,7 +248,7 @@ def _nested(depth, value):
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 NAN = float("nan")  # json.dumps writes the NaN literal, which json.load reads
-NAN_NORM = "amplitudes: ket contains NaN or Inf amplitudes"
+NAN_NORM = "amplitudes: ket amplitudes contain NaN or Inf"
 FRAME_TOO_LARGE = (
     "error: TooLargeError: a phase-point frame for n = 99999999999 is n^2 operators of "
     f"n x n complex entries, {16 * 99999999999 ** 4} bytes, more than numpy can index"
@@ -270,16 +271,29 @@ FRAME_TOO_LARGE = (
     (["wigner", "epistemic", "--psi", "DOC", "--phi", "DOC"],
      {"dim": 3, "amplitudes": [[1, 0], [0, NAN], [0, 0]]}, NAN_NORM),
     (["pbr-demo", "--psi", "DOC", "--phi", "DOC"], {"dim": 2, "amplitudes": [[NAN, 0], [0, 0]]}, NAN_NORM),
-    # finite, but its norm overflows: refused by name, with no overflow warning
+    # finite, but its norm would overflow: refused by name, with no overflow warning
     (["wigner", "state", "DOC"], {"dim": 3, "amplitudes": [[1e200, 0], [0, 0], [0, 0]]},
-     "schema error: amplitudes: ket norm inf deviates from 1 beyond 1e-10\n"),
-    # entries whose doubled total modulus overflows: m + m^dag would not be finite
+     "schema error: amplitudes: ket amplitudes too large: magnitude 1.000e+200 exceeds 3.871e+153\n"),
+    # entries past the float range's bound: m + m^dag or a sum could overflow
     (["qmeasure", "validate", "DOC"],
      {"points": ["a", "b"], "decoherence": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
-     "decoherence: functional entries too large"),
+     "schema error: decoherence: functional entries too large: magnitude 1.000e+308 exceeds "
+     "3.352e+153\n"),
     (["qmeasure", "validate", "DOC"],
      {"points": ["a", "b"], "decoherence": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]},
-     "decoherence: functional entries too large"),
+     "schema error: decoherence: functional entries too large: magnitude 1.000e+308 exceeds "
+     "3.352e+153\n"),
+    (["antidist", "DOC", "--target", "0"],
+     {"points": ["a", "b"], "weights": [[1e308, 1e308], [0.0, 1.0]]},
+     "schema error: weights[0]: weights too large: magnitude 1.000e+308 exceeds 6.704e+153\n"),
+    (["validate-model", "DOC"], {**_model_with_basis([KET_2, KET_2_ONE]), "distributions": {"s": [1e308]}},
+     "schema error: distributions[s]: weights too large: magnitude 1.000e+308 exceeds 9.481e+153\n"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": 1e308}},
+     "schema error: measure: subset values too large: magnitude 1.000e+308 exceeds 4.740e+153\n"),
+    (["qmeasure", "validate", "DOC"],
+     {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": 1, "4": 0.2}},
+     "schema error: measure[4]: bitmask 4 out of range for a power set of 4\n"),
     # one spelling per bitmask: " 3" would overwrite "3"
     (["qmeasure", "validate", "DOC"],
      {"points": ["a", "b"], "measure": {"0": 0, "1": 0.5, "2": 0.5, "3": 1, " 3": 0.2}},
@@ -331,7 +345,8 @@ FRAME_TOO_LARGE = (
 ], ids=["measure-17", "measure-65", "decoherence-17", "functor-check-seed", "huge-ket",
         "huge-matrix", "nan-state", "nan-epistemic", "nan-pbr", "huge-finite-ket",
         "decoherence-overflow-hermitian",
-        "decoherence-overflow-skew", "measure-key-spelling", "measure-string-value", "nan-antidist",
+        "decoherence-overflow-skew", "huge-antidist-weights", "huge-model-weights", "huge-measure-value",
+        "measure-bitmask-range", "measure-key-spelling", "measure-string-value", "nan-antidist",
         "measure-huge-value", "wigner-frame-huge", "functor-check-huge", "ragged-weights",
         "basis-mixed-dims", "basis-not-a-list", "weights-70-deep", "qmeasure-both-kinds",
         "functor-check-even", "null-point-label", "number-point-label", "list-point-label",
@@ -343,6 +358,7 @@ def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     assert code == 2
     assert out == ""
     assert named in err
+    assert len(err.splitlines()) == 1 and "Warning" not in err
 
 
 def test_product_stack_too_large_exits_two(capsys, monkeypatch):

@@ -20,7 +20,9 @@ from ontokit.errors import (
     DimMismatchError, EvenDimensionError, IndexOutOfRangeError, OntokitError,
     VerificationFailedError,
 )
-from ontokit.kernels import Distribution, FiniteSpace, ResponseFunction, SignedKernel
+from ontokit.kernels import (
+    Distribution, FiniteSpace, ResponseFunction, SignedKernel, distribution_rows,
+)
 from ontokit.ontomodel import (
     FunctorFragment, OntModel, check_equivariance, check_operational_model, maximal_predicates,
     validate_model,
@@ -29,14 +31,16 @@ from ontokit.qmeasure import (
     DecoherenceFunctional, QuantumMeasure, measure_from_decoherence, validate_decoherence,
     validate_quantum_measure,
 )
-from ontokit.quantum import Channel, DensityMatrix, ProjectiveMeasurement, born, overlap
+from ontokit.quantum import (
+    Channel, DensityMatrix, ProjectiveMeasurement, TwoOutcomeMeasurement, born, overlap,
+)
 from ontokit.sampling import (
     random_cptp_channel, random_density, random_effect, random_ket,
     random_nonorthogonal_pair, random_unitary, rng_for,
 )
 from ontokit.tolerances import TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
-    Algebra, commutative_algebra, commutative_frame, displacement, displacement_channel,
+    Algebra, WignerFrame, commutative_algebra, commutative_frame, displacement, displacement_channel,
     displacement_permutation, epistemic_report, matrix_algebra, monoidality_check,
     phase_point_operators, random_stabilizer_pair,
 )
@@ -370,7 +374,7 @@ KET_PAIR_ENTRIES = {
 BAD_KETS = {
     "non-unit": ([1.0, 1.0], VerificationFailedError,
                  f"ket norm {math.sqrt(2)!r} deviates from 1 beyond {TIGHT_IDENTITY_TOL}"),
-    "nan": ([np.nan, 0.0], VerificationFailedError, "ket contains NaN or Inf amplitudes"),
+    "nan": ([np.nan, 0.0], VerificationFailedError, "ket amplitudes contain NaN or Inf"),
 }
 
 
@@ -485,3 +489,149 @@ def test_the_library_gate_alone_decides_a_cli_tolerance(monkeypatch, capsys, tmp
     assert cli.main(["qmeasure", "validate", _measure_file(tmp_path), "--tol", "0.5"]) == 2
     assert capsys.readouterr().err == (
         "schema error: --tol: tolerance must be a finite positive number, got '0.5'\n")
+
+
+# ---------------------------------------------------------------------------
+# one admission rule for held arrays
+# ---------------------------------------------------------------------------
+
+FLOAT_MAX = float(np.finfo(float).max)
+TWO_POINTS = FiniteSpace(("0", "1"))
+HUGE_OR_NOT_FINITE = [1e308, -1e308, math.inf, -math.inf, math.nan]
+
+# name: (call of one entry x, the entries' noun in the message, (row, part) or None)
+HOLDERS = {
+    "as_matrix": (lambda x: linalg.as_matrix([[1, x], [0, 1]]), "matrix entries", None),
+    "hermitian_eigensystem": (lambda x: linalg.hermitian_eigensystem([[1, 0], [0, 1j * x]]),
+                              "matrix entries", None),
+    "DensityMatrix": (lambda x: DensityMatrix([[x, 0], [0, 1]]), "matrix entries", None),
+    "TwoOutcomeMeasurement": (lambda x: TwoOutcomeMeasurement([[1, 0], [0, x]]),
+                              "matrix entries", None),
+    "as_ket": (lambda x: linalg.as_ket([1, x]), "ket amplitudes", (0, None)),
+    "as_kets": (lambda x: linalg.as_kets([[1, 0], [0, 1j * x]]), "ket amplitudes", (1, None)),
+    "OntModel.kets": (lambda x: _model([[1, 0], [x, 0]], [[1, 0], [0, 1]]),
+                      "ket amplitudes", (1, "kets")),
+    "Channel": (lambda x: Channel([np.eye(2), [[0, x], [0, 0]]]), "matrix entries", None),
+    "Channel._of_stack": (lambda x: Channel._of_stack(np.array([[[1, 0], [0, x]]], complex)),
+                          "matrix entries", None),
+    "ProjectiveMeasurement": (lambda x: ProjectiveMeasurement([[1, 0], [0, x]]),
+                              "outcome vectors", None),
+    "SignedKernel": (lambda x: SignedKernel(TWO_POINTS, TWO_POINTS, [[1, x], [0, 1]]),
+                     "kernel matrix entries", None),
+    "Distribution": (lambda x: Distribution(TWO_POINTS, [x, 1]), "weights", (0, None)),
+    "distribution_rows": (lambda x: distribution_rows(TWO_POINTS, [[1, 0], [0, x]]),
+                          "weights", (1, None)),
+    "OntModel.weights": (lambda x: _model([[1, 0], [0, 1]], [[1, 0], [x, 1]]),
+                         "weights", (1, "weights")),
+    "QuantumMeasure": (lambda x: QuantumMeasure(TWO_POINTS, [0, x, 0, 1]), "subset values", None),
+    "DecoherenceFunctional": (lambda x: DecoherenceFunctional(TWO_POINTS, [[1, 1j * x], [0, 0]]),
+                              "functional entries", None),
+    "WignerFrame": (lambda x: _frame([[[1, 0], [0, 0]], [[0, 0], [0, x]]], 1.0),
+                    "frame operators", None),
+    "WignerFrame.norm_const": (lambda x: _frame([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], x),
+                               "norm_const values", None),
+}
+
+
+def _model(kets, weights):
+    return OntModel(TWO_POINTS, ("a", "b"), kets, weights, ())
+
+
+def _frame(operators, norm_const):
+    return WignerFrame(commutative_algebra(2), operators, norm_const, TWO_POINTS)
+
+
+@pytest.mark.parametrize("holder, x", [
+    *((holder, x) for holder in sorted(HOLDERS) for x in HUGE_OR_NOT_FINITE),
+    ("as_kets", 1e200),  # finite, but its norm would overflow
+], ids=repr)
+def test_every_holder_refuses_a_huge_or_non_finite_entry_by_name(holder, x):
+    """Under the suite's error::RuntimeWarning filter: refused by name, with
+    its row where one is named, and without a numpy warning."""
+    call, what, named = HOLDERS[holder]
+    kind = f"too large: magnitude {abs(x):.3e} exceeds " if abs(x) < math.inf else "contain NaN or Inf"
+    with pytest.raises(VerificationFailedError, match=f"^{re.escape(f'{what} {kind}')}") as info:
+        call(x)
+    assert type(info.value) is VerificationFailedError
+    assert (info.value.row, info.value.part) == (named or (None, None))
+
+
+def _bound(parts):
+    return math.sqrt(FLOAT_MAX / (2 * parts))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 2), (4, 3, 3)], ids=str)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_bound_is_the_float_range_over_twice_the_count(shape, dtype):
+    """Each of M real numbers (two per complex entry) at sqrt(max / 2M) is held,
+    and their squares sum without overflow; one ulp more is refused."""
+    parts = math.prod(shape) * (2 if dtype is complex else 1)
+    top = _bound(parts)
+    arr = np.full(shape, top * (1 + 1j) if dtype is complex else top, dtype)
+    assert linalg._as_held(arr, "entries") is arr
+    assert np.sum(np.abs(arr) ** 2) <= FLOAT_MAX
+    arr.reshape(-1)[-1] = np.nextafter(top, math.inf)
+    with pytest.raises(VerificationFailedError, match="^entries too large: "):
+        linalg._as_held(arr, "entries")
+
+
+# name: (call of an array with every real number at ``top``, M for the hold's bound)
+AT_THE_BOUND = {
+    "as_kets": (lambda top: linalg.as_kets(np.full((3, 2), top * (1 + 1j))), 4),  # M per row
+    "Channel": (lambda top: Channel(np.full((2, 2, 2), top * (1 + 1j))), 16),
+    "DecoherenceFunctional": (lambda top: measure_from_decoherence(
+        DecoherenceFunctional(TWO_POINTS, np.full((2, 2), top * (1 + 1j)))), 8),
+    "DensityMatrix": (lambda top: DensityMatrix(np.full((2, 2), top * (1 + 1j))), 8),
+    "ProjectiveMeasurement": (lambda top: ProjectiveMeasurement(np.full((2, 2), top * (1 + 1j))), 8),
+    "SignedKernel": (lambda top: SignedKernel(TWO_POINTS, TWO_POINTS, np.full((2, 2), top)), 4),
+    "Distribution": (lambda top: Distribution(TWO_POINTS, [top, top]), 2),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(AT_THE_BOUND))
+def test_a_holder_at_the_bound_fails_its_own_check_without_a_warning(holder):
+    """Entries at the bound pass the hold; what the holder then computes
+    stays finite, so its own check refuses them by name."""
+    build, parts = AT_THE_BOUND[holder]
+    with pytest.raises(OntokitError) as info:
+        build(_bound(parts))
+    assert "too large" not in str(info.value) and "NaN" not in str(info.value)
+
+
+def test_a_held_functional_at_the_bound_validates_without_a_warning():
+    top = _bound(8)
+    d = DecoherenceFunctional(TWO_POINTS, [[top, -top], [-top, top]])
+    report = validate_decoherence(d)
+    assert not report.clean and math.isfinite(report.min_eigenvalue)
+    q = QuantumMeasure(TWO_POINTS, [0.0, _bound(4), -_bound(4), 1.0])
+    assert not validate_quantum_measure(q).clean
+
+
+def test_no_module_but_linalg_tests_finiteness_or_silences_numpy():
+    """Finiteness and the float range are decided by the one hold in linalg:
+    no other module calls np.isfinite or enters np.errstate."""
+    homes = {
+        path.stem for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("isfinite", "errstate")
+    }
+    assert homes <= {"linalg"}
+
+
+@pytest.mark.parametrize("norm_const, message", [
+    ("1", "entries of norm_const must be numbers"),
+    (None, "entries of norm_const must be numbers"),
+    (1 + 1j, "norm_const has a nonzero imaginary part"),
+], ids=["str", "None", "complex"])
+def test_a_frame_constant_is_a_real_number(norm_const, message):
+    with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$"):
+        _frame([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], norm_const)
+
+
+@pytest.mark.parametrize("frames", [phase_point_operators, commutative_frame])
+def test_a_numpy_integer_gets_the_frame_of_its_python_int(frames):
+    assert frames(np.int64(3)) is frames(3)
+    assert frames(np.int32(3)) is frames(np.uint8(3)) is frames(3)
+    for value in (3.0, True, np.True_):
+        with pytest.raises(VerificationFailedError, match="must be a positive integer"):
+            frames(value)

@@ -378,8 +378,10 @@ class TestKetGate:
 
     @pytest.mark.parametrize("rows, row, message", [
         ([[1.1, 0.0]], 0, "ket norm 1.1 deviates from 1 beyond 1e-10"),
-        ([[1.0, 0.0], [np.nan, 0.0]], 1, "ket contains NaN or Inf amplitudes"),
-        ([[1.0, 0.0], [0.0, 1j], [1e200, 0.0]], 2, "ket norm inf deviates from 1 beyond 1e-10"),
+        ([[1.0, 0.0], [np.nan, 0.0]], 1, "ket amplitudes contain NaN or Inf"),
+        # a norm that would overflow: refused by the hold, before any square is formed
+        ([[1.0, 0.0], [0.0, 1j], [1e200, 0.0]], 2,
+         r"ket amplitudes too large: magnitude 1\.000e\+200 exceeds 4\.740e\+153"),
         # the first row that fails, whichever check it fails
         ([[0.0, 2.0], [np.inf, 0.0]], 0, "ket norm 2.0 deviates from 1 beyond 1e-10"),
     ], ids=["long", "nan", "huge", "first-fails"])

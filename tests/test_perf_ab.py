@@ -53,3 +53,26 @@ def test_summary_counts_the_blocks_the_change_won():
     assert s["won"] == 3  # a tie is not a win
     assert s["blocks"] == 5
     assert s["interval"][0] <= 0.95 <= s["interval"][1]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_every_tree_runs_twice_a_block_centred_on_the_base(k):
+    order = ab.block_order(k)
+    assert order[0] == order[-1] == "base"
+    positions = {name: [i for i, n in enumerate(order) if n == name] for name in set(order)}
+    assert sorted(positions) == ["base", "change", "control"]
+    # the same mean position: a drift linear in time cancels in both ratios
+    assert {sum(p) for p in positions.values()} == {5} and {len(p) for p in positions.values()} == {2}
+
+
+def test_the_change_and_the_control_swap_places_from_block_to_block():
+    assert ab.block_order(0) == ("base", "change", "control", "control", "change", "base")
+    assert ab.block_order(1) == ("base", "control", "change", "change", "control", "base")
+    assert ab.block_order(2) == ab.block_order(0)
+
+
+def test_the_control_ratio_is_read_like_the_change_ratio():
+    base = [(1.0, 1.0), (2.0, 2.0)]
+    control = [(1.0, 1.0), (2.0, 2.2)]
+    s = ab.summary(ab.block_ratios(base, control))
+    assert s["median_ratio"] == pytest.approx(1.025) and s["won"] == 0 and s["blocks"] == 2

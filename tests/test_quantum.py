@@ -84,7 +84,7 @@ def _checked_in_documented_order(build, x):
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise VerificationFailedError("matrix contains NaN or Inf entries")
+        raise VerificationFailedError("matrix entries contain NaN or Inf")
     if m.shape[0] != m.shape[1]:
         raise DimMismatchError("operator must be square")
     mh = m.conj().T

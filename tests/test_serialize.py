@@ -442,7 +442,7 @@ def parse_ket_oracle(doc):
         raise SchemaError("amplitudes", f"expected {dim} amplitude pairs")
     psi = np.array([_pair_oracle(v, f"amplitudes[{i}]") for i, v in enumerate(amps)])
     if not np.isfinite(psi).all():
-        raise SchemaError("amplitudes", "ket contains NaN or Inf amplitudes")
+        raise SchemaError("amplitudes", "ket amplitudes contain NaN or Inf")
     nrm = float(np.sqrt(np.vecdot(psi, psi).real))
     if not abs(nrm - 1.0) <= 1e-10:
         raise SchemaError("amplitudes", f"ket norm {nrm!r} deviates from 1 beyond 1e-10")
@@ -1173,7 +1173,8 @@ def parse_measure_oracle(doc):
         if key != str(mask):
             raise SchemaError(f"measure[{key}]", f"bitmask key must be written {str(mask)!r}")
         if not 0 <= mask < 2 ** space.size:
-            raise SchemaError(f"measure[{key}]", "bitmask out of range")
+            raise SchemaError(f"measure[{key}]",
+                              f"bitmask {mask} out of range for a power set of {2 ** space.size}")
         if not isinstance(v, (int, float)):
             raise SchemaError(f"measure[{key}]", f"expected a real number, got {v!r}")
         try:
