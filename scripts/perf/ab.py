@@ -22,8 +22,11 @@ change's CPU time over the base's; the script prints the median ratio, a
 bootstrap 95 % interval of that median, the number of blocks the change won
 (ratio below 1) and how many check reports differ between the trees.  Beside
 it, the same for the control over the base: an A/A ratio of identical trees,
-which shows the gauge's own bias and spread in the same run.  The last stdout
-line is the same summary as one JSON object.  Every worker is reaped and the
+which shows the gauge's own bias and spread in the same run.  When the
+control's interval excludes 1.0, the gauge is biased in this run, so the
+summary says the run is unresolved (``"resolved": false``) and its change
+ratio cannot be read; the exit code stays 0.  The last stdout line is the
+same summary as one JSON object.  Every worker is reaped and the
 temporary tree removed on every exit path, SIGTERM and Ctrl-C included.
 """
 
@@ -81,6 +84,13 @@ def summary(ratios) -> dict:
     lo, hi = bootstrap_interval(ratios)
     return {"median_ratio": float(np.median(ratios)), "interval": [lo, hi],
             "won": sum(r < 1.0 for r in ratios), "blocks": len(ratios)}
+
+
+def resolved(control: dict) -> bool:
+    """Whether the A/A control's interval holds 1.0: identical trees timed
+    apart means a bias that a change/base ratio of the same run shares."""
+    lo, hi = control["interval"]
+    return lo <= 1.0 <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +210,10 @@ def compare(args) -> dict:
         for w in workers.values():
             w.stop()
         shutil.rmtree(tmp, ignore_errors=True)
+    control = summary(block_ratios(cpu["base"], cpu["control"]))
     return {"base": sha, "workload": args.workload, "seed": args.seed, "items": ready["base"]["items"],
             **summary(block_ratios(cpu["base"], cpu["change"])), "differing_reports": differ,
-            "control": summary(block_ratios(cpu["base"], cpu["control"]))}
+            "control": control, "resolved": resolved(control)}
 
 
 def _terminate(signum, frame):
@@ -235,7 +246,8 @@ def main(argv=None) -> int:
           f"{result['blocks']} blocks, change won {result['won']}; "
           f"A/A control/base CPU {aa['median_ratio']:.3f} [{aa['interval'][0]:.3f}, "
           f"{aa['interval'][1]:.3f}], control won {aa['won']}; "
-          f"{result['differing_reports']} reports differ from {result['base'][:12]}")
+          f"{result['differing_reports']} reports differ from {result['base'][:12]}"
+          + ("" if result["resolved"] else "; unresolved: the A/A interval excludes 1.0"))
     print(json.dumps(result))
     return 0
 

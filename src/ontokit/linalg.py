@@ -6,7 +6,7 @@ Everything in the toolkit runs through this module: matrices are plain
 admitted by one gate here, which names the argument when it refuses one:
 
 - ``_as_held``, :func:`as_matrix`, :func:`as_real`: held arrays, matrices, real arrays;
-- :func:`as_ket`, :func:`as_kets`: unit kets, alone or as the rows of a stack;
+- :func:`as_ket`, :func:`as_kets`: unit kets, alone or as the rows of a stack or a basis;
 - ``_as_ket_pair``: two kets of one dimension;
 - :func:`hermitian_eigensystem`: Hermitian matrices, for states and effects;
 - :func:`as_positive_int`: every dimension, count, power, seed and stream key;

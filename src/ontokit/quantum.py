@@ -159,7 +159,7 @@ class Channel:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Orthonormal basis of outcome vectors (rows of ``vectors``)."""
+    """Orthonormal basis of outcome vectors: the rows of ``vectors``, unit kets by ``as_kets``."""
 
     vectors: np.ndarray
 
@@ -167,16 +167,11 @@ class ProjectiveMeasurement:
         v = linalg.frozen(linalg._as_array(self.vectors, "outcome vectors", complex))
         if v.ndim != 2:
             raise DimMismatchError("vectors must be a 2-d array (outcomes, dim)")
-        if v.shape[0] != v.shape[1]:
-            raise VerificationFailedError(
-                f"{v.shape[0]} outcome vectors do not form a basis of C^{v.shape[1]}"
-            )
-        gram = v.conj() @ linalg._as_held(v, "outcome vectors").T
-        err = linalg.max_abs(gram - np.eye(v.shape[0]))
+        if not v.size or len(linalg.as_kets(v)) != v.shape[1]:
+            raise VerificationFailedError("%d outcome vectors do not form a basis of C^%d" % v.shape)
+        err = linalg.max_abs(v.conj() @ v.T - np.eye(len(v)))
         if err > IDENTITY_TOL:
-            raise VerificationFailedError(
-                f"outcome vectors are not orthonormal: Gram error {err:.3e}"
-            )
+            raise VerificationFailedError(f"outcome vectors are not orthonormal: Gram error {err:.3e}")
         object.__setattr__(self, "vectors", v)
 
     @property

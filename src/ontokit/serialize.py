@@ -445,9 +445,8 @@ def _model_measurement(
         raise SchemaError(f"{place}.basis", "expected a list of kets")
     vectors = _kets(basis, place + ".basis[{}].",
                     lambda *_: SchemaError(f"{place}.basis", "kets have different dimensions"))
-    if vectors.size:
-        _named(lambda part, row: f"{place}.basis[{row}].amplitudes", linalg.as_kets, vectors)
-    pm = _named(f"{place}.basis", ProjectiveMeasurement, vectors)
+    pm = _named(lambda part, row: f"{place}.basis" + ("" if row is None else f"[{row}].amplitudes"),
+                ProjectiveMeasurement, vectors)
     at = f"{place}.responses"
     if not isinstance(responses, list) or len(responses) != pm.n_outcomes:
         raise SchemaError(at, f"expected {pm.n_outcomes} response vectors")

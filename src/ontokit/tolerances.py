@@ -12,7 +12,7 @@ the library); every other threshold is fixed here.
 # -- structural identities of validated objects ------------------------------
 
 # Hermiticity, unit trace and spectra of density matrices and effects, Kraus
-# sums, basis orthonormality, column sums of kernels and distributions, the
+# sums, basis orthogonality, column sums of kernels and distributions, the
 # frame sum, Wigner reconstruction and diagonal outputs into C^k.
 IDENTITY_TOL = 1e-9
 # Range slack of weights, responses and kernel entries: a value within it of
@@ -20,7 +20,7 @@ IDENTITY_TOL = 1e-9
 # Distribution.is_probability.
 NONNEG_TOL = 1e-9
 # Identities that hold up to rounding: frame conditions (Hermitian, unit
-# trace, square, Gram), ket norms, transfer imaginary parts, the PBR basis.
+# trace, square, Gram), ket norms (of every basis too) and transfer imaginary parts.
 TIGHT_IDENTITY_TOL = 1e-10
 
 # -- derived results ---------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Optional
 
 import numpy as np
@@ -154,9 +154,9 @@ class WignerFrame:
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimMismatchError("operators must have shape (count, d, d)")
         count, d, _ = linalg._as_held(ops, "frame operators").shape
-        if count != self.space.size:
+        if count != linalg._of_type(self.space, FiniteSpace, "frame space").size:
             raise DimMismatchError("operator count does not match the point space")
-        if d != self.algebra.dim:
+        if d != linalg._of_type(self.algebra, Algebra, "frame algebra").dim:
             raise DimMismatchError(f"operators of {d} x {d} cannot frame an algebra of "
                                    f"dimension {self.algebra.dim}")
         c = float(linalg._as_held(linalg.as_real(self.norm_const, "norm_const"), "norm_const values"))
@@ -247,6 +247,7 @@ def displacement(n: int, q: int, p: int) -> np.ndarray:
 
 
 def phase_space(n: int) -> FiniteSpace:
+    n = linalg.as_positive_int(n, "n")
     return FiniteSpace(tuple(f"({q},{p})" for q in range(n) for p in range(n)))
 
 
@@ -264,12 +265,21 @@ def _allocate(what: str, nbytes: int, build):
         ) from exc
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find the frame of 3 or 1
+def _cached_frames(what: str):
+    """A frame builder cached by its argument as the integer gate (naming it ``what``)
+    admits it: a Python int, so 16 n^4 cannot wrap and a numpy integer finds its int's
+    frame, while [3] or 3.0 is refused before any lookup.  ``__wrapped__`` builds uncached."""
+    def decorate(build):
+        cached = lru_cache(maxsize=None)(build)
+        builder = wraps(build)(lambda value: cached(linalg.as_positive_int(value, what)))
+        builder.cache_clear, builder.cache_info = cached.cache_clear, cached.cache_info
+        return builder
+    return decorate
+
+
+@_cached_frames("n")
 def phase_point_operators(n: int) -> WignerFrame:
     """The n^2 displaced parity operators for odd n, invariants verified."""
-    if type(n) is not int:  # a numpy integer shares its Python int's frame, and the rest is refused
-        return phase_point_operators(linalg.as_positive_int(n, "n"))
-    n = linalg.as_positive_int(n, "n")  # a Python int: 16 n^4 below cannot wrap
     if n % 2 == 0:
         raise EvenDimensionError(f"phase-point construction requires odd dimension, got {n}")
     if n == 1:
@@ -287,12 +297,9 @@ def phase_point_operators(n: int) -> WignerFrame:
     return _allocate(f"a phase-point frame for n = {n} is n^2 operators of n x n", 16 * n ** 4, build)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_frames("k")
 def commutative_frame(k: int) -> WignerFrame:
     """Diagonal rank-1 projectors; realises C^2 as the distinguished space."""
-    if type(k) is not int:  # as in phase_point_operators: one frame per admitted k
-        return commutative_frame(linalg.as_positive_int(k, "k"))
-    k = linalg.as_positive_int(k, "k")
     if k == 1:
         return WignerFrame(commutative_algebra(1), np.ones((1, 1, 1), complex), 1.0, UNIT_SPACE)
     space = TWO if k == 2 else FiniteSpace(tuple(str(i) for i in range(k)))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ontokit import kernels, linalg, ontomodel, serialize
+from ontokit import kernels, linalg, ontomodel, serialize, wigner
 from test_ontomodel import predicates_oracle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -121,3 +121,12 @@ def test_documents_check_each_row_once(monkeypatch):
     calls.clear()
     serialize.parse_ensemble(json.loads(ensemble_doc.docs["ensemble"]))
     assert calls == {"_check_weight_rows": 1}
+
+
+def test_clear_frame_caches_empties_both_frame_caches():
+    checks = _bench_module("checks")
+    checks.warm_frames("functor")
+    builders = (wigner.phase_point_operators, wigner.commutative_frame)
+    assert all(b.cache_info().currsize > 0 for b in builders)
+    checks.clear_frame_caches()
+    assert [b.cache_info().currsize for b in builders] == [0, 0]

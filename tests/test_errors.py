@@ -14,10 +14,10 @@ import pytest
 import ontokit
 from ontokit import cli, linalg
 from ontokit.antidist import (
-    AntidistProblem, antidist_quantum_check, compression_channel, pbr_demo,
+    AntidistProblem, antidist_quantum_check, compression_channel, pbr_demo, pbr_measurement,
 )
 from ontokit.errors import (
-    DimMismatchError, EvenDimensionError, IndexOutOfRangeError, OntokitError,
+    DimMismatchError, EvenDimensionError, IndexOutOfRangeError, OntokitError, SchemaError,
     VerificationFailedError,
 )
 from ontokit.kernels import (
@@ -38,11 +38,12 @@ from ontokit.sampling import (
     random_cptp_channel, random_density, random_effect, random_ket,
     random_nonorthogonal_pair, random_unitary, rng_for,
 )
+from ontokit.serialize import parse_model
 from ontokit.tolerances import TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
     Algebra, WignerFrame, commutative_algebra, commutative_frame, displacement, displacement_channel,
     displacement_permutation, epistemic_report, matrix_algebra, monoidality_check,
-    phase_point_operators, random_stabilizer_pair,
+    phase_point_operators, phase_space, random_stabilizer_pair,
 )
 
 SRC = pathlib.Path(ontokit.__file__).parent
@@ -515,7 +516,7 @@ HOLDERS = {
     "Channel._of_stack": (lambda x: Channel._of_stack(np.array([[[1, 0], [0, x]]], complex)),
                           "matrix entries", None),
     "ProjectiveMeasurement": (lambda x: ProjectiveMeasurement([[1, 0], [0, x]]),
-                              "outcome vectors", None),
+                              "ket amplitudes", (1, None)),
     "SignedKernel": (lambda x: SignedKernel(TWO_POINTS, TWO_POINTS, [[1, x], [0, 1]]),
                      "kernel matrix entries", None),
     "Distribution": (lambda x: Distribution(TWO_POINTS, [x, 1]), "weights", (0, None)),
@@ -582,7 +583,7 @@ AT_THE_BOUND = {
     "DecoherenceFunctional": (lambda top: measure_from_decoherence(
         DecoherenceFunctional(TWO_POINTS, np.full((2, 2), top * (1 + 1j)))), 8),
     "DensityMatrix": (lambda top: DensityMatrix(np.full((2, 2), top * (1 + 1j))), 8),
-    "ProjectiveMeasurement": (lambda top: ProjectiveMeasurement(np.full((2, 2), top * (1 + 1j))), 8),
+    "ProjectiveMeasurement": (lambda top: ProjectiveMeasurement(np.full((2, 2), top * (1 + 1j))), 4),
     "SignedKernel": (lambda top: SignedKernel(TWO_POINTS, TWO_POINTS, np.full((2, 2), top)), 4),
     "Distribution": (lambda top: Distribution(TWO_POINTS, [top, top]), 2),
 }
@@ -635,3 +636,101 @@ def test_a_numpy_integer_gets_the_frame_of_its_python_int(frames):
     for value in (3.0, True, np.True_):
         with pytest.raises(VerificationFailedError, match="must be a positive integer"):
             frames(value)
+
+
+# ---------------------------------------------------------------------------
+# bases and frames admitted by their gates
+# ---------------------------------------------------------------------------
+
+NOT_A_POSITIVE_INT = [[3], np.array(3), {}, 3.0, True, "3", None]
+
+
+@pytest.mark.parametrize("build, what", [
+    (phase_point_operators, "n"), (commutative_frame, "k"), (phase_space, "n"),
+], ids=["phase_point_operators", "commutative_frame", "phase_space"])
+def test_a_frame_builder_admits_its_argument_before_its_cache(build, what):
+    """The integer gate sees the argument first, so an unhashable one is
+    refused by name, not by the cache's TypeError, and a numpy integer finds
+    the frame its Python int keyed."""
+    for value in NOT_A_POSITIVE_INT:
+        with pytest.raises(VerificationFailedError,
+                           match=f"^{what} must be a positive integer, got ") as info:
+            build(value)
+        assert type(info.value) is VerificationFailedError
+    if build is phase_space:
+        assert build(np.int64(3)) == build(3)
+        return
+    frame = build(np.int64(3))
+    assert frame is build(3) and build.cache_info().currsize >= 1
+    build.cache_clear()
+    assert build.cache_info().currsize == 0
+    assert build(3) is not frame
+
+
+def test_neither_frame_builder_calls_itself_or_types_its_cache():
+    for name in ("phase_point_operators", "commutative_frame"):
+        calls = {node.func.id for node in ast.walk(_definition("wigner", name))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert name not in calls
+    typed = [node for node in ast.walk(ast.parse((SRC / "wigner.py").read_text()))
+             if isinstance(node, ast.keyword) and node.arg == "typed"]
+    assert typed == []
+
+
+@pytest.mark.parametrize("algebra, space, what", [
+    ("matrix", TWO_POINTS, "frame algebra must be of type Algebra, got str"),
+    (commutative_algebra(2), ("0", "1"), "frame space must be of type FiniteSpace, got tuple"),
+    (commutative_algebra(2), None, "frame space must be of type FiniteSpace, got NoneType"),
+], ids=["algebra", "space-tuple", "space-None"])
+def test_a_frame_names_a_wrong_typed_algebra_or_space(algebra, space, what):
+    with pytest.raises(VerificationFailedError, match=f"^{re.escape(what)}$"):
+        WignerFrame(algebra, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), 1.0, space)
+
+
+LONG_BY_4E_10 = np.array([[1.0, 0.0], [0.0, 1.0 + 4e-10]])
+
+
+def test_a_basis_vector_is_a_unit_ket_for_the_library_and_the_reader():
+    """One rule: a basis vector of norm 1 + 4e-10, whose Gram error is within
+    IDENTITY_TOL, fails the ket norm in the library and in the reader alike."""
+    message = "ket norm 1.0000000004 deviates from 1 beyond 1e-10"
+    with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$") as info:
+        ProjectiveMeasurement(LONG_BY_4E_10)
+    assert (info.value.row, info.value.part) == (1, None)
+    ket = [{"dim": 2, "amplitudes": [[x, 0.0] for x in row]} for row in LONG_BY_4E_10.tolist()]
+    doc = {"ontic": ["a", "b"], "states": [{"label": "s", "ket": ket[0]}],
+           "distributions": {"s": [1.0, 0.0]},
+           "measurements": [{"basis": ket, "responses": [[1.0, 0.0], [0.0, 1.0]]}]}
+    with pytest.raises(SchemaError, match=re.escape(f"measurements[0].basis[1].amplitudes: {message}")):
+        parse_model(doc)
+
+
+def test_a_basis_whose_shape_has_no_entry_is_named():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        with pytest.raises(VerificationFailedError, match=r"outcome vectors do not form a basis"):
+            ProjectiveMeasurement(np.zeros(shape))
+
+
+def test_only_linalg_quantum_and_ontomodel_call_the_ket_gate():
+    """A basis is admitted by ProjectiveMeasurement alone: no reader or
+    builder checks its kets or its Gram matrix beside it."""
+    callers = {
+        path.stem for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "as_kets"
+    }
+    assert callers == {"linalg", "quantum", "ontomodel"}
+    assert {type(n).__name__ for n in ast.walk(_definition("antidist", "pbr_measurement"))} \
+        .isdisjoint({"If", "Raise", "Compare"})
+    assert pbr_measurement().n_outcomes == 4
+
+
+def test_an_assignment_is_admitted_as_an_iterable():
+    states = [DensityMatrix.from_ket([1.0, 0.0])]
+    basis = ProjectiveMeasurement(np.eye(2))
+    assert antidist_quantum_check(states, basis, iter([1])) is True
+    for assignment in (5, None):
+        with pytest.raises(VerificationFailedError,
+                           match=f"^assignment must be of type Iterable, got {type(assignment).__name__}$"):
+            antidist_quantum_check(states, basis, assignment)

@@ -1,6 +1,7 @@
 """The A/B gauge's statistics, on fixed numbers: no worker process is started."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -76,3 +77,34 @@ def test_the_control_ratio_is_read_like_the_change_ratio():
     control = [(1.0, 1.0), (2.0, 2.2)]
     s = ab.summary(ab.block_ratios(base, control))
     assert s["median_ratio"] == pytest.approx(1.025) and s["won"] == 0 and s["blocks"] == 2
+
+
+@pytest.mark.parametrize("interval, want", [
+    ([0.97, 1.03], True),
+    ([1.0, 1.0], True),  # a point interval at 1.0 holds it
+    ([1.012, 1.075], False),  # an A/A control of identical trees that read 1.048
+    ([0.93, 0.99], False),
+])
+def test_a_run_is_resolved_only_if_the_control_interval_holds_one(interval, want):
+    assert ab.resolved({"median_ratio": sum(interval) / 2, "interval": interval}) is want
+
+
+def test_a_biased_control_leaves_the_run_unresolved():
+    base = [(1.0, 1.0)] * 4
+    control = [(1.05, 1.05), (1.04, 1.04), (1.06, 1.06), (1.05, 1.05)]
+    assert not ab.resolved(ab.summary(ab.block_ratios(base, control)))
+    assert ab.resolved(ab.summary(ab.block_ratios(base, base)))
+
+
+@pytest.mark.parametrize("control_interval, unresolved", [([0.97, 1.03], False), ([1.012, 1.075], True)])
+def test_the_summary_says_when_the_run_is_unresolved(monkeypatch, capsys, control_interval, unresolved):
+    control = {"median_ratio": 1.048, "interval": control_interval, "won": 5, "blocks": 24}
+    result = {"base": "0" * 40, "workload": "functor", "seed": 1, "items": 220, "median_ratio": 0.99,
+              "interval": [0.97, 1.01], "won": 13, "blocks": 24, "differing_reports": 0,
+              "control": control, "resolved": ab.resolved(control)}
+    monkeypatch.setattr(ab, "compare", lambda args: result)
+    monkeypatch.setattr(ab.signal, "signal", lambda *args: None)  # keep pytest's SIGTERM handler
+    assert ab.main(["--workload", "functor", "--blocks", "24"]) == 0  # unresolved still exits 0
+    line, doc = capsys.readouterr().out.splitlines()
+    assert line.endswith("; unresolved: the A/A interval excludes 1.0") is unresolved
+    assert json.loads(doc)["resolved"] is not unresolved
