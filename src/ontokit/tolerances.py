@@ -12,8 +12,8 @@ the library); every other threshold is fixed here.
 # -- structural identities of validated objects ------------------------------
 
 # Hermiticity, unit trace and spectra of density matrices and effects, Kraus
-# sums, basis orthogonality, column sums of kernels and distributions, the
-# frame sum, Wigner reconstruction and diagonal outputs into C^k.
+# sums, basis orthogonality, column sums of kernels, transfers and
+# distributions, the frame sum, Wigner reconstruction, diagonal outputs into C^k.
 IDENTITY_TOL = 1e-9
 # Range slack of weights, responses and kernel entries: a value within it of
 # its allowed range counts as inside, so it sets SignedKernel.markov and
@@ -25,7 +25,7 @@ TIGHT_IDENTITY_TOL = 1e-10
 
 # -- derived results ---------------------------------------------------------
 
-# Transfer-matrix column sums and compression-channel output residuals.
+# Compression-channel output residuals.
 DERIVED_TOL = 1e-8
 # Residuals (target weight 0, rest weight 1) of an anti-distinguishability
 # certificate.

@@ -40,7 +40,7 @@ from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, p
 from .quantum import Channel, DensityMatrix, tensor
 from .sampling import _pair_dimension, random_cptp_channel, rng_for
 from .tolerances import (
-    DERIVED_TOL, DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
+    DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
 )
 
 
@@ -386,53 +386,14 @@ def _transfer(
     return t.real / out_frame.norm_const, linalg.max_abs(unread) if unread.size else 0.0
 
 
-def transfer_matrix(
-    ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame
-) -> np.ndarray:
-    """Real matrix t[i, j] = Tr(s_i^out f(s_j^in)) / c_out.
-
-    The divisor is the output frame constant, which is the convention under
-    which columns of trace-preserving channels sum to exactly 1 and
-    composition remains matrix multiplication.
-
-    Computed from the frames' factor forms (see :class:`WignerFrame`): one
-    gather of sum_k vec(K_k) vec(K_k)^dag and one product with phi on each
-    side, O(d^5) for phase-point frames where the dense conj(F_out) S F_in^T
-    is O(d^6).  The imaginary part is held to ``TIGHT_IDENTITY_TOL`` and the
-    column sums to ``DERIVED_TOL``.
-    """
-    if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
-        raise DimMismatchError("channel endpoints do not match the frames")
-    t, _ = _transfer(ch, in_frame, out_frame)
-    col_err = linalg.max_abs(t.sum(axis=0) - 1.0)
-    if col_err > DERIVED_TOL:
-        raise VerificationFailedError(f"transfer columns sum error {col_err:.3e}")
-    return t
-
-
-def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> SignedKernel:
-    """Morphism map: a channel to its signed kernel.
-
-    Kernel entries are bounded by max(1, c_in / c_out), the ratio of frame
-    constants (trace-norm contraction against the involutive frame); for
-    like frames this is the usual [-1, 1] range.  The bound is verified.
-
-    The transfer comes from the routine behind :func:`transfer_matrix`, in
-    the frames' factor form.  That routine checks the imaginary part and
-    measures the image entries the output frame does not read, the
-    off-diagonal ones into a commutative algebra, which must stay within
-    ``IDENTITY_TOL``.  The columns are checked once, by the ``SignedKernel``
-    constructor (finiteness, column sums to ``IDENTITY_TOL``, tighter than
-    the ``DERIVED_TOL`` that ``transfer_matrix`` holds), then the entries
-    against the bound.  The result is ``SignedKernel(in space, out space,
-    transfer_matrix(ch, in frame, out frame))``.
-    """
-    out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
-    in_frame = frame_for(matrix_algebra(ch.in_dim))
-    out_frame = frame_for(out_algebra)
-    if out_frame.hilbert_dim != ch.out_dim:
-        raise DimMismatchError("channel endpoints do not match the annotated algebras")
-    # the input frame is the one for ch.in_dim, so both endpoints fit
+def _kernel(ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame) -> SignedKernel:
+    """The transfer of ch between the two frames as a kernel, checked once for
+    both :func:`transfer_matrix` and :func:`functor_morphism`.  In order: the
+    imaginary part (in :func:`_transfer`); each image entry the output frame
+    does not read, off the diagonal into C^k, to ``IDENTITY_TOL``; the columns,
+    by the ``SignedKernel`` constructor; the entries, to max(1, c_in / c_out).
+    That bound holds for every frame the constructor admits, since c = ||s||_1
+    for involutive operators and for rank-1 projectors alike."""
     t, unread = _transfer(ch, in_frame, out_frame)
     if unread > IDENTITY_TOL:
         raise UnrepresentableAlgebraError("channel output is not diagonal; not a morphism into C^k")
@@ -442,6 +403,39 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     if largest > bound + NONNEG_TOL:
         raise VerificationFailedError(f"entry magnitude {largest:.6f} exceeds bound {bound}")
     return kernel
+
+
+def transfer_matrix(
+    ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame
+) -> np.ndarray:
+    """Real read-only matrix t[i, j] = Tr(s_i^out f(s_j^in)) / c_out, checked
+    by :func:`_kernel` once the endpoints match the frames.
+
+    The divisor is the output frame constant, which is the convention under
+    which columns of trace-preserving channels sum to exactly 1 and
+    composition remains matrix multiplication.  Computed from the frames'
+    factor forms (see :class:`WignerFrame`): O(d^5) for phase-point frames
+    where the dense conj(F_out) S F_in^T is O(d^6).
+    """
+    if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
+        raise DimMismatchError("channel endpoints do not match the frames")
+    return _kernel(ch, in_frame, out_frame).matrix
+
+
+def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> SignedKernel:
+    """Morphism map: a channel to its signed kernel, :func:`_kernel` between the
+    frames of ``matrix_algebra(ch.in_dim)`` and ``out_algebra`` (by default
+    ``matrix_algebra(ch.out_dim)``).  A channel whose output is not diagonal
+    has no image in a commutative algebra; the entries stay within max(1,
+    c_in / c_out), which is [-1, 1] for like frames.
+    """
+    out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
+    in_frame = frame_for(matrix_algebra(ch.in_dim))
+    out_frame = frame_for(out_algebra)
+    if out_frame.hilbert_dim != ch.out_dim:
+        raise DimMismatchError("channel endpoints do not match the annotated algebras")
+    # the input frame is the one for ch.in_dim, so both endpoints fit
+    return _kernel(ch, in_frame, out_frame)
 
 
 def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Distribution:

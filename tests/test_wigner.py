@@ -13,6 +13,7 @@ from ontokit import linalg, wigner
 from ontokit.errors import (
     DimMismatchError,
     EvenDimensionError,
+    OntokitError,
     TooLargeError,
     UnrepresentableAlgebraError,
     VerificationFailedError,
@@ -474,6 +475,48 @@ class TestTransferMatrix:
         assert np.allclose(t.sum(axis=0), 1.0, atol=1e-8)
 
 
+# channels of each kind from C^d to C^e, where the kind has one
+AGREEMENT_CHANNELS = {
+    "identity": lambda rng, d, e: Channel.identity(d) if e == d else None,
+    "cptp": random_cptp_channel,
+    "measurement": lambda rng, d, e: measurement_channel(random_effect(rng, d)) if e == 2 else None,
+    # an even channel padded to odd endpoints; C^1 is odd already
+    "pad_odd": lambda rng, d, e: pad_odd(random_cptp_channel(rng, d - 1, max(e - 1, 1))) if e % 2 else None,
+}
+AGREEMENT_ENDPOINTS = [*map(matrix_algebra, (3, 5, 7)), *map(commutative_algebra, (1, 2, 3))]
+AGREEMENT_CASES = [
+    pytest.param(kind, d, algebra, id=f"{kind}-{d}-{algebra.kind[0]}{algebra.dim}")
+    for kind, build in AGREEMENT_CHANNELS.items()
+    for d in (3, 5, 7)
+    for algebra in AGREEMENT_ENDPOINTS
+    if build(rng_for(0), d, algebra.dim) is not None
+]
+
+
+@pytest.mark.parametrize("kind, d, algebra", AGREEMENT_CASES)
+def test_transfer_matrix_is_the_functor_morphism_matrix(kind, d, algebra):
+    # one checked routine behind both names: the same bytes, or the same error
+    ch = AGREEMENT_CHANNELS[kind](rng_for(97, d, algebra.dim), d, algebra.dim)
+    in_frame, out_frame = frame_for(matrix_algebra(d)), frame_for(algebra)
+    builder = phase_point_operators if algebra.kind == "matrix" else commutative_frame
+    assert (in_frame, out_frame) == (phase_point_operators(d), builder(algebra.dim))
+
+    def outcome(call):
+        try:
+            return call().tobytes()
+        except OntokitError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: transfer_matrix(ch, in_frame, out_frame))
+    assert got == outcome(lambda: functor_morphism(ch, algebra).matrix)
+    # only an output off the diagonal of C^k, k >= 2, is refused
+    if algebra.kind == "commutative" and algebra.dim > 1 and kind != "measurement":
+        message = "channel output is not diagonal; not a morphism into C^k"
+        assert got == (UnrepresentableAlgebraError, message)
+    else:
+        assert isinstance(got, bytes)
+
+
 class TestFunctorObject:
     def test_matrix_algebra(self):
         assert functor_object(matrix_algebra(3)).size == 9
@@ -536,13 +579,15 @@ class TestFunctorMorphism:
         v = functor_state(rho)
         assert linalg.max_abs(k.matrix[:, 0] - v.weights) < 1e-10
 
-    def test_entry_bound_verified(self, monkeypatch):
+    @pytest.mark.parametrize("call", [functor_morphism, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT)],
+                             ids=["functor_morphism", "transfer_matrix"])
+    def test_entry_bound_verified(self, monkeypatch, call):
         # like frames bound the entries by max(1, c_in / c_out) = 1
         t = np.eye(9)
         t[:2, 0] = [1.5, -0.5]
         monkeypatch.setattr(wigner, "_transfer", lambda ch, fin, fout: (t, 0.0))
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
-            functor_morphism(Channel.identity(3))
+            call(Channel.identity(3))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3, 5, 7]),
@@ -566,7 +611,7 @@ class TestFunctorMorphism:
     @pytest.mark.parametrize("drift, call, message", [
         (5e-9, functor_morphism, "column sums deviate from 1 by 5.000e-09"),  # within DERIVED_TOL
         (5e-8, functor_morphism, "column sums deviate from 1 by 5.000e-08"),  # the kernel's one gate
-        (5e-8, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT), "transfer columns sum error 5.000e-08"),
+        (5e-8, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT), "column sums deviate from 1 by 5.000e-08"),
     ], ids=["kernel-columns", "kernel-columns-past-derived-tol", "transfer-columns"])
     def test_drifting_columns_raise_the_kernel_and_transfer_errors(self, monkeypatch, drift, call, message):
         # scaling the transfer scales every column sum by 1 + drift
@@ -596,15 +641,28 @@ class TestFunctorMorphism:
             with pytest.raises(ValueError, match="read-only"):
                 k.matrix[0, 0] = 0.5
 
-    def test_kernel_column_failure_is_a_verification_failure(self):
-        # K = sqrt(I + 9e-10 s) passes Channel's Kraus-sum check (error 9.0e-10)
-        # and the transfer column check (DERIVED_TOL), but its columns sum to
-        # 1 + 6.3e-09, outside the IDENTITY_TOL of every SignedKernel
+    @pytest.mark.parametrize("call", [
+        functor_morphism, lambda ch: transfer_matrix(ch, *[phase_point_operators(7)] * 2),
+    ], ids=["functor_morphism", "transfer_matrix"])
+    def test_kernel_column_failure_is_a_verification_failure(self, call):
+        # K = sqrt(I + 9e-10 s) passes Channel's Kraus-sum check (error 9.0e-10),
+        # but its columns sum to 1 + 6.3e-09, outside the IDENTITY_TOL of every
+        # SignedKernel, which both names build
         s = phase_point_operators(7).operators[10]
         w, v = np.linalg.eigh(np.eye(7) + 9e-10 * s)
         ch = Channel(((v * np.sqrt(w)) @ v.conj().T,))
-        with pytest.raises(VerificationFailedError, match="column sums deviate from 1 by 6.300e-09"):
-            functor_morphism(ch)
+        with pytest.raises(VerificationFailedError, match="^column sums deviate from 1 by 6.300e-09$"):
+            call(ch)
+
+    def test_transfer_into_c2_refuses_an_off_diagonal_output(self):
+        # the image of a random qutrit-to-qubit channel has an off-diagonal entry of 0.904
+        ch = random_cptp_channel(rng_for(1), 3, 2)
+        message = "^channel output is not diagonal; not a morphism into C\\^k$"
+        with pytest.raises(UnrepresentableAlgebraError, match=message):
+            functor_morphism(ch, commutative_algebra(2))
+        with pytest.raises(UnrepresentableAlgebraError, match=message):
+            transfer_matrix(ch, QUTRIT, commutative_frame(2))
+        assert wigner._transfer(ch, QUTRIT, commutative_frame(2))[1] > 0.9
 
     def test_mismatched_dimensions(self):
         five = phase_point_operators(5)
