@@ -12,7 +12,7 @@ admitted by one gate here, which names the argument when it refuses one:
 - :func:`as_positive_int`: every dimension, count, power, seed and stream key;
 - ``_as_index``: every index (an outcome, a target, a Z_n point, a bitmask);
 - ``_as_tolerance``: every report tolerance;
-- ``_of_type``: every constructor argument of a library type.
+- ``_of_type``: every library-typed argument of a constructor or a Wigner map.
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ the library); every other threshold is fixed here.
 
 # Hermiticity, unit trace and spectra of density matrices and effects, Kraus
 # sums, basis orthogonality, column sums of kernels, transfers and
-# distributions, the frame sum, Wigner reconstruction, diagonal outputs into C^k.
+# distributions, the frame sum, off-diagonal images of states and channels into C^k.
 IDENTITY_TOL = 1e-9
 # Range slack of weights, responses and kernel entries: a value within it of
 # its allowed range counts as inside, so it sets SignedKernel.markov and
 # Distribution.is_probability.
 NONNEG_TOL = 1e-9
-# Identities that hold up to rounding: frame conditions (Hermitian, unit
-# trace, square, Gram), ket norms (of every basis too) and transfer imaginary parts.
+# Identities that hold up to rounding: frame conditions (Hermitian, unit trace, square,
+# Gram, a commutative frame's diagonal), ket norms (of every basis too), image imaginary parts.
 TIGHT_IDENTITY_TOL = 1e-10
 
 # -- derived results ---------------------------------------------------------

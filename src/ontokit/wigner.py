@@ -15,7 +15,8 @@ multiplication, so the assignment is functorial.
 Frames are generalised just enough to also house commutative algebras C^k
 (diagonal rank-1 projectors, frame constant 1), which realises the
 distinguished object C^2 as the two-point space and makes Born evaluation
-factor through the kernel side exactly.
+factor through the kernel side exactly.  A state is a morphism from the
+unit C, so its Wigner vector is its preparation's image, by the same routine.
 """
 
 from __future__ import annotations
@@ -124,17 +125,19 @@ class WignerFrame:
     the Gram matrix F F^dag, the column sums of F) and keeps what it measured
     as ``residuals``.  Each residual must stay within ``TIGHT_IDENTITY_TOL``,
     except the Gram residual (``TIGHT_IDENTITY_TOL * max(1, c)``) and the sum
-    residual (``IDENTITY_TOL``).  Product frames are checked the same way.
+    residual (``IDENTITY_TOL``).  Product frames are checked the same way, and
+    commutative operators must be diagonal to ``TIGHT_IDENTITY_TOL`` too.
 
     The frame matrix also has a factor form F = (I_B (x) phi) G, which its
     builder states (:meth:`_of_form`): G gathers B w of the d^2 vec entries,
     and each of B blocks of consecutive points reads its own w of them
     through one shared m x w matrix phi.  A phase-point frame has B = w = d,
     block q reading the entries (q + y, q - y) with phi[p, y] = omega^{2py};
-    a commutative frame of k >= 2 points has B = k and phi = [1], reading
-    the diagonal.  Any other frame, from this constructor, is one block
-    whose phi is ``vectors`` itself.  Transfers are computed in this form
-    (:func:`transfer_matrix`); nothing dense is stored beside ``vectors``.
+    a commutative frame of k points has B = k and phi = [1], reading the
+    diagonal.  Any other frame, from this constructor, is one block whose phi
+    is a view of ``vectors``: of its d diagonal columns if commutative, so no
+    commutative frame reads an off-diagonal entry.  Every image is computed in
+    this form (:func:`_through_frames`); nothing dense is stored beside ``vectors``.
     """
 
     algebra: Algebra
@@ -171,6 +174,10 @@ class WignerFrame:
             max_entry=linalg.max_abs(vecs),
         )
         _hold(res, self.algebra.kind, c)
+        if self.algebra.kind == "commutative":
+            off = linalg.max_abs(ops * ~np.eye(d, dtype=bool))
+            if not off <= TIGHT_IDENTITY_TOL:
+                raise VerificationFailedError(f"frame projectors not diagonal: {off:.3e}")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "hilbert_dim", d)
@@ -196,13 +203,14 @@ class WignerFrame:
 
     @cached_property
     def _form(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(phi, entries, n_read) of the factor form, laid out on first use, so a
-        frame that only computes Wigner vectors never lays it out.  ``entries``
-        holds the (row, column) of the n_read vec entries G reads, block-major,
-        then of the others.  The form is the one the frame was built from, or
-        else one block, (all d^2 entries, ``vectors``)."""
+        """(phi, entries, n_read) of the factor form, laid out on first use.
+        ``entries`` holds the (row, column) of the n_read vec entries G reads,
+        block-major, then of the others.  The form is the one the frame was
+        built from, or else one block: the entries of every column of
+        ``vectors`` for a matrix frame, of its diagonal for a commutative one."""
         d = self.hilbert_dim
-        read, phi = self._read_phi or (np.arange(d * d), self.vectors)
+        step = d + 1 if self.algebra.kind == "commutative" else 1
+        read, phi = self._read_phi or (np.arange(0, d * d, step), self.vectors[:, ::step])
         unread = np.ones(d * d, dtype=bool)
         unread[read] = False
         entries = np.divmod(np.concatenate((read, np.flatnonzero(unread))), d)
@@ -299,16 +307,14 @@ def phase_point_operators(n: int) -> WignerFrame:
 
 @_cached_frames("k")
 def commutative_frame(k: int) -> WignerFrame:
-    """Diagonal rank-1 projectors; realises C^2 as the distinguished space."""
-    if k == 1:
-        return WignerFrame(commutative_algebra(1), np.ones((1, 1, 1), complex), 1.0, UNIT_SPACE)
-    space = TWO if k == 2 else FiniteSpace(tuple(str(i) for i in range(k)))
+    """Diagonal rank-1 projectors; realises C as the unit and C^2 as the distinguished space."""
+    space = {1: UNIT_SPACE, 2: TWO}.get(k) or FiniteSpace(tuple(str(i) for i in range(k)))
     return WignerFrame._of_form(commutative_algebra(k), np.arange(k)[:, None] * (k + 1),
                                 np.ones((1, 1), complex), 1.0, space)
 
 
 def frame_for(algebra: Algebra) -> WignerFrame:
-    if algebra.kind == "commutative":
+    if linalg._of_type(algebra, Algebra, "algebra").kind == "commutative":
         return commutative_frame(algebra.dim)
     if algebra.dim % 2 == 0:
         raise UnrepresentableAlgebraError(
@@ -320,7 +326,7 @@ def frame_for(algebra: Algebra) -> WignerFrame:
 def functor_object(algebra: Algebra) -> FiniteSpace:
     """Object map: matrix algebras to phase space (padding even dimensions),
     commutative algebras to their point sets."""
-    if algebra.kind == "matrix" and algebra.dim % 2 == 0:
+    if linalg._of_type(algebra, Algebra, "algebra").kind == "matrix" and algebra.dim % 2 == 0:
         algebra = matrix_algebra(algebra.dim + 1)
     return frame_for(algebra).space
 
@@ -330,19 +336,13 @@ def functor_object(algebra: Algebra) -> FiniteSpace:
 # ---------------------------------------------------------------------------
 
 def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
-    """Quasiprobability vector v_i = Tr(rho s_i)/c with verified reconstruction."""
-    if rho.dim != frame.hilbert_dim:
+    """Quasiprobability vector v_i = Tr(rho s_i) / c: the image of rho's
+    preparation C -> C^d, by :func:`_image` from the unit frame, whose pairs
+    matrix is rho; so a state off the diagonal of C^k is refused as a channel is."""
+    linalg._of_type(rho, DensityMatrix, "state")
+    if rho.dim != linalg._of_type(frame, WignerFrame, "frame").hilbert_dim:
         raise DimMismatchError("state dimension does not match the frame")
-    raw = frame.vectors.conj() @ rho.matrix.reshape(-1) / frame.norm_const
-    if linalg.max_abs(raw.imag) > TIGHT_IDENTITY_TOL:
-        raise VerificationFailedError("Wigner vector has a nonreal component")
-    v = raw.real
-    err = linalg.max_abs(v @ frame.vectors - rho.matrix.reshape(-1))
-    if err > IDENTITY_TOL:
-        raise VerificationFailedError(
-            f"frame reconstruction error {err:.3e}; state not representable in this frame"
-        )
-    return Distribution(frame.space, v)
+    return Distribution(frame.space, _image(rho.matrix, commutative_frame(1), frame))
 
 
 def _through_frames(
@@ -360,44 +360,36 @@ def _through_frames(
     cols = right._gather_offsets(left.hilbert_dim)[1]
     phi_l, _, n = left._form
     phi_r = right._form[0]
-    y = pairs.reshape(-1)[rows + cols].reshape(-1, phi_r.shape[1]) @ phi_r.T
-    y = y.reshape(rows.size, -1)
+    y = pairs.take(rows + cols).reshape(-1, phi_r.shape[1]).dot(phi_r.T).reshape(len(rows), -1)
     read = np.matmul(phi_l.conj(), y[:n].reshape(-1, phi_l.shape[1], y.shape[1]))
     return read.reshape(left.n_points, -1), y[n:]
 
 
-def _transfer(
-    ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame
-) -> tuple[np.ndarray, float]:
-    """The real transfer matrix of ch between the two frames, its imaginary part
-    checked, and the largest modulus of an image entry the output frame does
-    not read: an off-diagonal one for a commutative frame, none (0) otherwise.
-
-    T = conj(F_out) S F_in^T / c_out for the superoperator S[(a, b), (i, j)] =
-    O[(a, i), (b, j)], O = sum_k vec(K_k) vec(K_k)^dag, computed in the two
-    frames' factor forms by :func:`_through_frames`.
-    """
-    count, o, i = ch.kraus.shape
-    kraus = ch.kraus.reshape(count, o * i)
-    t, unread = _through_frames(kraus.T @ kraus.conj(), out_frame, in_frame)
+def _image(pairs: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> np.ndarray:
+    """The real image T = conj(F_out) S F_in^T / c_out, S[(a, b), (i, j)] = O[(a, i), (b, j)],
+    of O = sum_k vec(K_k) vec(K_k)^dag (a channel) or rho (a state, from the unit
+    frame): the one routine of the state, morphism and transfer maps.  Checked in
+    order: the imaginary part, to ``TIGHT_IDENTITY_TOL``; each entry the output frame
+    does not read, off the diagonal into C^k, to ``IDENTITY_TOL``.  The caller checks
+    the columns, as a kernel's or a distribution's."""
+    t, unread = _through_frames(pairs, out_frame, in_frame)
     # the parts are divided by c_out one by one: a complex division costs about three real ones
     if linalg.max_abs(t.imag) / out_frame.norm_const > TIGHT_IDENTITY_TOL:
-        raise VerificationFailedError("transfer matrix has a nonreal component")
-    return t.real / out_frame.norm_const, linalg.max_abs(unread) if unread.size else 0.0
+        raise VerificationFailedError("Wigner image has a nonreal component")
+    if unread.size and linalg.max_abs(unread) > IDENTITY_TOL:
+        raise UnrepresentableAlgebraError("channel output is not diagonal; not a morphism into C^k")
+    return t.real / out_frame.norm_const
 
 
 def _kernel(ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame) -> SignedKernel:
-    """The transfer of ch between the two frames as a kernel, checked once for
-    both :func:`transfer_matrix` and :func:`functor_morphism`.  In order: the
-    imaginary part (in :func:`_transfer`); each image entry the output frame
-    does not read, off the diagonal into C^k, to ``IDENTITY_TOL``; the columns,
-    by the ``SignedKernel`` constructor; the entries, to max(1, c_in / c_out).
-    That bound holds for every frame the constructor admits, since c = ||s||_1
-    for involutive operators and for rank-1 projectors alike."""
-    t, unread = _transfer(ch, in_frame, out_frame)
-    if unread > IDENTITY_TOL:
-        raise UnrepresentableAlgebraError("channel output is not diagonal; not a morphism into C^k")
-    kernel = SignedKernel(in_frame.space, out_frame.space, t)
+    """The :func:`_image` of ch as a kernel, for both :func:`transfer_matrix` and
+    :func:`functor_morphism`: its columns checked by the ``SignedKernel``
+    constructor, then its entries to max(1, c_in / c_out).  That bound holds
+    for every frame the constructor admits, since c = ||s||_1 for involutive
+    operators and for rank-1 projectors alike."""
+    kraus = ch.kraus.reshape(len(ch.kraus), -1)
+    kernel = SignedKernel(in_frame.space, out_frame.space,
+                          _image(kraus.T @ kraus.conj(), in_frame, out_frame))
     bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:
@@ -417,6 +409,9 @@ def transfer_matrix(
     factor forms (see :class:`WignerFrame`): O(d^5) for phase-point frames
     where the dense conj(F_out) S F_in^T is O(d^6).
     """
+    linalg._of_type(ch, Channel, "channel")
+    linalg._of_type(in_frame, WignerFrame, "input frame")
+    linalg._of_type(out_frame, WignerFrame, "output frame")
     if ch.in_dim != in_frame.hilbert_dim or ch.out_dim != out_frame.hilbert_dim:
         raise DimMismatchError("channel endpoints do not match the frames")
     return _kernel(ch, in_frame, out_frame).matrix
@@ -429,6 +424,7 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     has no image in a commutative algebra; the entries stay within max(1,
     c_in / c_out), which is [-1, 1] for like frames.
     """
+    linalg._of_type(ch, Channel, "channel")
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)
     in_frame = frame_for(matrix_algebra(ch.in_dim))
     out_frame = frame_for(out_algebra)
@@ -440,6 +436,7 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
 
 def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Distribution:
     """State map: F of a preparation, i.e. the Wigner vector."""
+    linalg._of_type(rho, DensityMatrix, "state")
     algebra = algebra if algebra is not None else matrix_algebra(rho.dim)
     return wigner_vector(rho, frame_for(algebra))
 
@@ -456,6 +453,7 @@ def pad_odd(ch: Channel) -> Channel:
     channel is exactly trace preserving and satisfies
     pad(f(rho)) = f_pad(pad(rho)) on padded states.
     """
+    linalg._of_type(ch, Channel, "channel")
     pad_in = 1 if ch.in_dim % 2 == 0 else 0
     pad_out = 1 if ch.out_dim % 2 == 0 else 0
     if pad_in == 0 and pad_out == 0:
@@ -580,6 +578,8 @@ def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
 def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
     """Tensor frame {s (x) t} in (a, b) point order: the Kronecker products of
     the two factors' operators, checked densely like every other frame."""
+    linalg._of_type(fa, WignerFrame, "first factor frame")
+    linalg._of_type(fb, WignerFrame, "second factor frame")
     na, da, _ = fa.operators.shape
     nb, db, _ = fb.operators.shape
     count, d = na * nb, da * db

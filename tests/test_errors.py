@@ -42,8 +42,9 @@ from ontokit.serialize import parse_model
 from ontokit.tolerances import TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
     Algebra, WignerFrame, commutative_algebra, commutative_frame, displacement, displacement_channel,
-    displacement_permutation, epistemic_report, matrix_algebra, monoidality_check,
-    phase_point_operators, phase_space, random_stabilizer_pair,
+    displacement_permutation, epistemic_report, frame_for, functor_morphism, functor_object,
+    functor_state, matrix_algebra, monoidality_check, pad_odd, phase_point_operators, phase_space,
+    product_frame, random_stabilizer_pair, transfer_matrix, wigner_vector,
 )
 
 SRC = pathlib.Path(ontokit.__file__).parent
@@ -685,6 +686,38 @@ def test_neither_frame_builder_calls_itself_or_types_its_cache():
 def test_a_frame_names_a_wrong_typed_algebra_or_space(algebra, space, what):
     with pytest.raises(VerificationFailedError, match=f"^{re.escape(what)}$"):
         WignerFrame(algebra, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), 1.0, space)
+
+
+QUTRIT = phase_point_operators(3)
+MIXED = DensityMatrix(np.eye(3) / 3)
+SHIFT = displacement_channel(3, 1, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wigner_vector(np.eye(3) / 3, QUTRIT), "state must be of type DensityMatrix, got ndarray"),
+    (lambda: wigner_vector(MIXED, 3), "frame must be of type WignerFrame, got int"),
+    (lambda: functor_state(np.eye(3) / 3), "state must be of type DensityMatrix, got ndarray"),
+    (lambda: functor_state(MIXED, 3), "algebra must be of type Algebra, got int"),
+    (lambda: functor_object(3), "algebra must be of type Algebra, got int"),
+    (lambda: frame_for(np.eye(3)), "algebra must be of type Algebra, got ndarray"),
+    (lambda: functor_morphism(np.eye(3)), "channel must be of type Channel, got ndarray"),
+    (lambda: functor_morphism(SHIFT, 3), "algebra must be of type Algebra, got int"),
+    (lambda: transfer_matrix(np.eye(3), QUTRIT, QUTRIT), "channel must be of type Channel, got ndarray"),
+    (lambda: transfer_matrix(SHIFT, 3, QUTRIT), "input frame must be of type WignerFrame, got int"),
+    (lambda: transfer_matrix(SHIFT, QUTRIT, QUTRIT.vectors),
+     "output frame must be of type WignerFrame, got ndarray"),
+    (lambda: pad_odd(np.eye(2)), "channel must be of type Channel, got ndarray"),
+    (lambda: product_frame(3, QUTRIT), "first factor frame must be of type WignerFrame, got int"),
+    (lambda: product_frame(QUTRIT, QUTRIT.operators),
+     "second factor frame must be of type WignerFrame, got ndarray"),
+], ids=["wigner_vector-state", "wigner_vector-frame", "functor_state-state", "functor_state-algebra",
+        "functor_object", "frame_for", "functor_morphism-channel", "functor_morphism-algebra",
+        "transfer_matrix-channel", "transfer_matrix-in-frame", "transfer_matrix-out-frame", "pad_odd",
+        "product_frame-first", "product_frame-second"])
+def test_a_wigner_map_names_a_wrong_typed_argument(call, message):
+    # each public entry admits its arguments, not the AttributeError of their first use
+    with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 LONG_BY_4E_10 = np.array([[1.0, 0.0], [0.0, 1.0 + 4e-10]])

@@ -2,7 +2,6 @@
 
 import tracemalloc
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +64,8 @@ from ontokit.wigner import (
 from test_channel_stack import kraus_channel
 
 QUTRIT = phase_point_operators(3)
+# the refusal of an image off the diagonal of C^k, by the state, morphism and transfer maps
+NOT_DIAGONAL = r"channel output is not diagonal; not a morphism into C\^k"
 
 
 def displacement_oracle(n, q, p):
@@ -98,6 +99,14 @@ def transfer_oracle(ch, in_frame, out_frame):
     return (t / out_frame.norm_const).real
 
 
+def through_frames(ch, in_frame, out_frame):
+    """wigner._through_frames of the channel's pairs matrix sum_k vec(K_k) vec(K_k)^dag:
+    the real transfer, and the largest unread image entry (0 if the frame reads all)."""
+    kraus = ch.kraus.reshape(len(ch.kraus), -1)
+    t, unread = wigner._through_frames(kraus.T @ kraus.conj(), out_frame, in_frame)
+    return t.real / out_frame.norm_const, linalg.max_abs(unread) if unread.size else 0.0
+
+
 def dense_transfer(ch, in_frame, out_frame):
     """conj(F_out) S F_in^T / c_out with S = sum_k K (x) conj(K), regrouped from
     sum_k vec(K) vec(K)^dag; and the images f(s_j) = S vec(s_j) as matrices."""
@@ -115,9 +124,9 @@ def channel_with_at_least(rng, in_dim, out_dim, count):
 
 
 def assert_transfer_matches_dense(ch, in_frame, out_frame):
-    """wigner._transfer against the dense formula, to 1e-13: the real transfer,
+    """wigner._through_frames against the dense formula, to 1e-13: the real transfer,
     and the unread image entries (the off-diagonal ones into a commutative frame)."""
-    t, unread = wigner._transfer(ch, in_frame, out_frame)
+    t, unread = through_frames(ch, in_frame, out_frame)
     want, images = dense_transfer(ch, in_frame, out_frame)
     assert t.shape == want.shape
     assert linalg.max_abs(t - want.real) <= 1e-13
@@ -229,6 +238,26 @@ class TestFrames:
         with pytest.raises(VerificationFailedError, match=message):
             WignerFrame(algebra, ops, const, space)
 
+    def test_a_commutative_frame_is_diagonal_to_the_tight_tolerance(self):
+        # diag(1, 0) + E and diag(0, 1) - E, E = off (|0><1| + |1><0|), are Hermitian unit-trace
+        # projectors up to off^2 that sum to I: only their off-diagonal residual grows with off
+        def frame(off):
+            ops = commutative_frame(2).operators + np.multiply.outer([1, -1], [[0, off], [off, 0]])
+            return WignerFrame(commutative_algebra(2), ops, 1.0, TWO)
+
+        assert frame(5e-11).n_points == 2
+        with pytest.raises(VerificationFailedError, match="^frame projectors not diagonal: 2.000e-10$"):
+            frame(2e-10)
+
+    def test_a_rotated_commutative_frame_is_refused(self):
+        # U P U^dag of the two diagonal projectors passes every other frame condition
+        u = random_unitary(rng_for(99), 2)
+        ops = u @ commutative_frame(2).operators @ u.conj().T
+        off = linalg.max_abs(ops * (1.0 - np.eye(2)))
+        assert off > 0.1
+        with pytest.raises(VerificationFailedError, match=f"^frame projectors not diagonal: {off:.3e}$"):
+            WignerFrame(commutative_algebra(2), ops, 1.0, TWO)
+
     @pytest.mark.parametrize(
         "build, arg", [(phase_point_operators, 3), (phase_point_operators, 5), (commutative_frame, 2)]
     )
@@ -300,8 +329,52 @@ class TestWignerVector:
 
     def test_commutative_frame_rejects_off_diagonal(self):
         rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-        with pytest.raises(VerificationFailedError):
+        with pytest.raises(UnrepresentableAlgebraError, match=f"^{NOT_DIAGONAL}$") as info:
             wigner_vector(rho, commutative_frame(2))
+        assert not isinstance(info.value, VerificationFailedError)
+
+    def test_a_nonreal_image_is_refused(self):
+        # an anti-Hermitian part of 5e-10 passes the state's IDENTITY_TOL gate, but it gives
+        # the image an imaginary part of 5e-10 / 3, past TIGHT_IDENTITY_TOL
+        m = np.eye(3, dtype=complex) / 3
+        m[0, 1] += 5e-10j
+        with pytest.raises(VerificationFailedError, match="^Wigner image has a nonreal component$"):
+            wigner_vector(DensityMatrix(m), QUTRIT)
+
+    def test_a_state_off_the_diagonal_has_the_morphism_maps_refusal(self):
+        # a random qutrit state into C^3: refused as its preparation's image is
+        rho = random_density(rng_for(2), 3)
+        for call in (lambda: functor_state(rho, commutative_algebra(3)),
+                     lambda: functor_morphism(preparation_channel(rho), commutative_algebra(3))):
+            with pytest.raises(UnrepresentableAlgebraError, match=f"^{NOT_DIAGONAL}$"):
+                call()
+
+    def test_product_of_commutative_frames_refuses_off_diagonal_images(self):
+        # the product frame of C^2 and C^3 reads the diagonal of C^6 only
+        prod = product_frame(commutative_frame(2), commutative_frame(3))
+        with pytest.raises(UnrepresentableAlgebraError, match=f"^{NOT_DIAGONAL}$"):
+            transfer_matrix(random_cptp_channel(rng_for(1), 3, 6), QUTRIT, prod)
+        with pytest.raises(UnrepresentableAlgebraError, match=f"^{NOT_DIAGONAL}$"):
+            wigner_vector(random_density(rng_for(3), 6), prod)
+        weights = np.arange(1.0, 7.0) / 21.0
+        got = wigner_vector(DensityMatrix(np.diag(weights)), prod).weights
+        assert got.tobytes() == weights.tobytes()
+
+    def test_matches_the_dense_formula(self):
+        # conj(F) vec(rho) / c, the frame matrix read densely, as an independent oracle
+        rng = rng_for(98)
+        frames = [*map(phase_point_operators, range(1, 27, 2)), *map(commutative_frame, (1, 2, 5)),
+                  product_frame(QUTRIT, phase_point_operators(5)),
+                  product_frame(commutative_frame(2), commutative_frame(3))]
+        for frame in frames:
+            d = frame.hilbert_dim
+            states = [random_density(rng, d), DensityMatrix.from_ket(random_ket(rng, d))]
+            if frame.algebra.kind == "commutative":
+                states = [DensityMatrix(np.diag(rng.dirichlet(np.ones(d))))]
+            for rho in states:
+                want = frame.vectors.conj() @ rho.matrix.reshape(-1) / frame.norm_const
+                got = wigner_vector(rho, frame).weights
+                assert linalg.max_abs(got - want) <= 1e-15, (d, frame.algebra.kind)
 
 
 class TestTransferMatrix:
@@ -370,7 +443,9 @@ class TestTransferMatrix:
         *((phase_point_operators(n), n, n) for n in (3, 5, 25)),
         *((commutative_frame(k), k, 1) for k in (2, 5)),
         (product_frame(QUTRIT, phase_point_operators(5)), 1, 225),
-    ], ids=["pp1", "pp3", "pp5", "pp25", "c2", "c5", "prod3x5"])
+        # a commutative frame from the constructor reads its diagonal only
+        (product_frame(commutative_frame(2), commutative_frame(3)), 1, 6),
+    ], ids=["pp1", "pp3", "pp5", "pp25", "c2", "c5", "prod3x5", "prodc2xc3"])
     def test_factor_form_rebuilds_the_frame_matrix_bit_for_bit(self, frame, blocks, width):
         d = frame.hilbert_dim
         phi, (rows, cols), n = frame._form
@@ -382,8 +457,8 @@ class TestTransferMatrix:
         assert rebuilt.tobytes() == frame.vectors.tobytes()
         # every vec entry once, read or not
         assert np.array_equal(np.sort(rows * d + cols), np.arange(d * d))
-        # one block is the stored frame matrix itself, not a copy of it
-        assert (phi is frame.vectors) == (blocks == 1)
+        # the constructor's one block is a view of the stored frame matrix, not a copy
+        assert np.shares_memory(phi, frame.vectors) == (frame._read_phi is None)
 
     @pytest.mark.parametrize("case", ["phi-entry-moved", "read-repeated"])
     def test_a_form_built_frame_is_checked_densely(self, case):
@@ -444,7 +519,7 @@ class TestTransferMatrix:
         u = random_unitary(rng, d)
         rotated = WignerFrame(matrix_algebra(d), u @ phase_point_operators(d).operators @ u.conj().T,
                               float(d), phase_space(d))
-        assert rotated._form[0] is rotated.vectors
+        assert np.shares_memory(rotated._form[0], rotated.vectors)
         for count in (1, 2, 4):
             for in_frame, out_frame in ((rotated, rotated), (phase_point_operators(d), rotated),
                                         (rotated, commutative_frame(2))):
@@ -456,12 +531,12 @@ class TestTransferMatrix:
         rng = rng_for(96)
         built = phase_point_operators(5)
         dense = WignerFrame(matrix_algebra(5), built.operators, 5.0, phase_space(5))
-        assert dense._form[0] is dense.vectors and dense._form[2] == 25
+        assert np.shares_memory(dense._form[0], dense.vectors) and dense._form[2] == 25
         for count in (1, 4):
             for in_frame, out_frame in ((dense, dense), (dense, commutative_frame(2))):
                 ch = channel_with_at_least(rng, 5, out_frame.hilbert_dim, count)
-                t, unread = wigner._transfer(ch, in_frame, out_frame)
-                want, want_unread = wigner._transfer(
+                t, unread = through_frames(ch, in_frame, out_frame)
+                want, want_unread = through_frames(
                     ch, built, built if out_frame is dense else out_frame
                 )
                 assert linalg.max_abs(t - want) <= 1e-13 and abs(unread - want_unread) <= 1e-13
@@ -515,6 +590,38 @@ def test_transfer_matrix_is_the_functor_morphism_matrix(kind, d, algebra):
         assert got == (UnrepresentableAlgebraError, message)
     else:
         assert isinstance(got, bytes)
+
+
+AGREEMENT_STATES = {
+    "maximally-mixed": lambda rng, d: DensityMatrix(np.eye(d) / d),
+    "diagonal": lambda rng, d: DensityMatrix(np.diag(rng.dirichlet(np.ones(d)))),
+    "random": random_density,
+    "ket": lambda rng, d: DensityMatrix.from_ket(random_ket(rng, d)),
+}
+
+
+@pytest.mark.parametrize("kind", list(AGREEMENT_STATES))
+@pytest.mark.parametrize("algebra", AGREEMENT_ENDPOINTS, ids=lambda a: f"{a.kind[0]}{a.dim}")
+def test_state_map_is_the_morphism_map_of_the_preparation(kind, algebra):
+    # a state is a morphism from the unit object: the same image, or the same error
+    rho = AGREEMENT_STATES[kind](rng_for(100, algebra.dim), algebra.dim)
+
+    def outcome(call):
+        try:
+            return call()
+        except OntokitError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: functor_state(rho, algebra).weights)
+    want = outcome(lambda: functor_morphism(preparation_channel(rho), algebra).matrix[:, 0])
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert linalg.max_abs(got - want) < 1e-10
+    # only a state off the diagonal of C^k, k >= 2, is refused
+    refused = algebra.kind == "commutative" and algebra.dim > 1 and kind in ("random", "ket")
+    assert isinstance(got, tuple) == refused
 
 
 class TestFunctorObject:
@@ -585,7 +692,7 @@ class TestFunctorMorphism:
         # like frames bound the entries by max(1, c_in / c_out) = 1
         t = np.eye(9)
         t[:2, 0] = [1.5, -0.5]
-        monkeypatch.setattr(wigner, "_transfer", lambda ch, fin, fout: (t, 0.0))
+        monkeypatch.setattr(wigner, "_image", lambda pairs, fin, fout: t)
         with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
             call(Channel.identity(3))
 
@@ -615,13 +722,9 @@ class TestFunctorMorphism:
     ], ids=["kernel-columns", "kernel-columns-past-derived-tol", "transfer-columns"])
     def test_drifting_columns_raise_the_kernel_and_transfer_errors(self, monkeypatch, drift, call, message):
         # scaling the transfer scales every column sum by 1 + drift
-        transfer = wigner._transfer
-
-        def drifting(ch, fin, fout):
-            t, unread = transfer(ch, fin, fout)
-            return t * (1.0 + drift), unread
-
-        monkeypatch.setattr(wigner, "_transfer", drifting)
+        image = wigner._image
+        monkeypatch.setattr(wigner, "_image",
+                            lambda pairs, fin, fout: image(pairs, fin, fout) * (1.0 + drift))
         with pytest.raises(VerificationFailedError, match=f"^{message}$"):
             call(Channel.identity(3))
 
@@ -657,12 +760,12 @@ class TestFunctorMorphism:
     def test_transfer_into_c2_refuses_an_off_diagonal_output(self):
         # the image of a random qutrit-to-qubit channel has an off-diagonal entry of 0.904
         ch = random_cptp_channel(rng_for(1), 3, 2)
-        message = "^channel output is not diagonal; not a morphism into C\\^k$"
+        message = f"^{NOT_DIAGONAL}$"
         with pytest.raises(UnrepresentableAlgebraError, match=message):
             functor_morphism(ch, commutative_algebra(2))
         with pytest.raises(UnrepresentableAlgebraError, match=message):
             transfer_matrix(ch, QUTRIT, commutative_frame(2))
-        assert wigner._transfer(ch, QUTRIT, commutative_frame(2))[1] > 0.9
+        assert through_frames(ch, QUTRIT, commutative_frame(2))[1] > 0.9
 
     def test_mismatched_dimensions(self):
         five = phase_point_operators(5)
@@ -931,9 +1034,9 @@ class TestProductFrameTooLarge:
         # standing in for frames that would not fit in memory either
         monkeypatch.setattr(wigner.np, "einsum", None)
         n = 201
-        factor = SimpleNamespace(
-            operators=np.broadcast_to(np.zeros((), dtype=complex), (n * n, n, n)),
-        )
+        factor = object.__new__(WignerFrame)  # past the constructor, which would check them
+        object.__setattr__(factor, "operators",
+                           np.broadcast_to(np.zeros((), dtype=complex), (n * n, n, n)))
         with pytest.raises(TooLargeError, match=(
             f"m = {n}, n = {n} is {n ** 4} operators of {n * n} x {n * n} complex entries, "
             f"{16 * n ** 8} bytes, more than numpy can index"
