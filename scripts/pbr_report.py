@@ -19,7 +19,6 @@ def report_dict(rep):
         "overlap": rep.overlap,
         "n": rep.n,
         "gamma": rep.gamma,
-        "parametrization": rep.parametrization,
         "pair_labels": list(rep.pair_labels),
         "outcome_table": [[float(x) for x in row] for row in rep.table],
         "assigned_probabilities": list(rep.assigned_probabilities),

@@ -30,7 +30,6 @@ from .qmeasure import (
 )
 from .serialize import (
     dumps_report,
-    kernel_to_json,
     load_json,
     matrix_to_json,
     parse_ensemble,
@@ -118,7 +117,6 @@ def _cmd_pbr_demo(args) -> int:
         "overlap": result.overlap,
         "n": result.n,
         "gamma": result.gamma,
-        "parametrization": result.parametrization,
         "pair_labels": list(result.pair_labels),
         "outcome_table": [[float(x) for x in row] for row in result.table],
         "assigned_probabilities": list(result.assigned_probabilities),
@@ -206,9 +204,6 @@ def _cmd_wigner_functor_check(args) -> int:
             worst_eval = max(worst_eval, abs(v["quantum"] - v["classical"]))
     mono = monoidality_check(dim, dim, max(1, args.trials // 4), args.seed, tol=tol)
     passed = worst_comp == 0.0 and worst_eval == 0.0 and mono.passed
-    sample = functor_morphism(
-        random_cptp_channel(rng_for(args.seed, 999), dim, dim)
-    )
     report = {
         "command": "wigner-functor-check",
         "dim": dim,
@@ -221,7 +216,6 @@ def _cmd_wigner_functor_check(args) -> int:
             "frame_ok": mono.frame_ok,
             "max_transfer_residual": mono.max_transfer_residual,
         },
-        "sample_kernel": kernel_to_json(sample),
         "passed": passed,
     }
     _emit(report)
@@ -284,7 +278,6 @@ def _cmd_qmeasure_validate(args) -> int:
         "positivity_violations": mreport.positivity_violations,
         "range_violations": mreport.range_violations,
         "sum_rule_violations": mreport.sum_rule_violations,
-        "triple_check": mreport.triple_check,
     }
     _emit(report)
     return 0 if mreport.clean else 1

@@ -338,11 +338,14 @@ def functor_object(algebra: Algebra) -> FiniteSpace:
 def wigner_vector(rho: DensityMatrix, frame: WignerFrame) -> Distribution:
     """Quasiprobability vector v_i = Tr(rho s_i) / c: the image of rho's
     preparation C -> C^d, by :func:`_image` from the unit frame, whose pairs
-    matrix is rho; so a state off the diagonal of C^k is refused as a channel is."""
+    matrix is (rho + rho^dag) / 2, the operator that the preparation's
+    eigensystem is read from; so a state off the diagonal of C^k is refused
+    as a channel is, and the state and morphism maps agree."""
     linalg._of_type(rho, DensityMatrix, "state")
     if rho.dim != linalg._of_type(frame, WignerFrame, "frame").hilbert_dim:
         raise DimMismatchError("state dimension does not match the frame")
-    return Distribution(frame.space, _image(rho.matrix, commutative_frame(1), frame))
+    m = rho.matrix
+    return Distribution(frame.space, _image((m + m.conj().T) / 2, commutative_frame(1), frame))
 
 
 def _through_frames(
@@ -367,11 +370,11 @@ def _through_frames(
 
 def _image(pairs: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> np.ndarray:
     """The real image T = conj(F_out) S F_in^T / c_out, S[(a, b), (i, j)] = O[(a, i), (b, j)],
-    of O = sum_k vec(K_k) vec(K_k)^dag (a channel) or rho (a state, from the unit
-    frame): the one routine of the state, morphism and transfer maps.  Checked in
-    order: the imaginary part, to ``TIGHT_IDENTITY_TOL``; each entry the output frame
-    does not read, off the diagonal into C^k, to ``IDENTITY_TOL``.  The caller checks
-    the columns, as a kernel's or a distribution's."""
+    of O = sum_k vec(K_k) vec(K_k)^dag (a channel) or (rho + rho^dag) / 2 (a state,
+    from the unit frame): the one routine of the state, morphism and transfer maps.
+    Checked in order: the imaginary part, to ``TIGHT_IDENTITY_TOL``; each entry the
+    output frame does not read, off the diagonal into C^k, to ``IDENTITY_TOL``.  The
+    caller checks the columns, as a kernel's or a distribution's."""
     t, unread = _through_frames(pairs, out_frame, in_frame)
     # the parts are divided by c_out one by one: a complex division costs about three real ones
     if linalg.max_abs(t.imag) / out_frame.norm_const > TIGHT_IDENTITY_TOL:

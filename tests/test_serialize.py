@@ -369,13 +369,15 @@ class TestArrayEmitter:
         a = (rng.choice([-1.0, 1.0], magnitudes.size) * magnitudes).reshape(1000, 1000)
         assert dumps_report(a) == recursive_dumps_oracle(a)
 
-    @pytest.mark.parametrize("dim", [1, 3, 7])
-    def test_kernel_round_trips_bit_for_bit(self, dim):
-        k = functor_morphism(random_cptp_channel(rng_for(dim, 999), dim, dim))
+    @pytest.mark.parametrize("seed, dim", [(1, 1), (3, 3), (7, 7), (3, 7), (1, 15)])
+    def test_kernel_round_trips_bit_for_bit(self, seed, dim):
+        # up to a 225 x 225 Wigner kernel, parsed back through the documented schema
+        k = functor_morphism(random_cptp_channel(rng_for(seed, 999), dim, dim))
         doc = kernel_to_json(k)
         assert doc["matrix"] is k.matrix
         back = parse_kernel(json.loads(dumps_report(doc)))
-        assert back.matrix.shape == k.matrix.shape
+        assert back.source == k.source and back.target == k.target
+        assert back.matrix.shape == k.matrix.shape == (dim * dim, dim * dim)
         assert back.matrix.tobytes() == k.matrix.tobytes()
 
 

@@ -300,6 +300,13 @@ class TestFrames:
             WignerFrame(algebra, QUTRIT.operators, 3.0, QUTRIT.space)
 
 
+def _with_anti_hermitian_part(d):
+    """I/d + 5e-10 i |0><1|, within the IDENTITY_TOL Hermiticity gate of a state."""
+    m = np.eye(d, dtype=complex) / d
+    m[0, 1] += 5e-10j
+    return m
+
+
 class TestWignerVector:
     def test_maximally_mixed_uniform(self):
         v = wigner_vector(DensityMatrix(np.eye(3) / 3), QUTRIT)
@@ -333,13 +340,20 @@ class TestWignerVector:
             wigner_vector(rho, commutative_frame(2))
         assert not isinstance(info.value, VerificationFailedError)
 
+    def test_an_anti_hermitian_part_maps_as_the_preparation_does(self):
+        # an anti-Hermitian part of 5e-10 passes the state's IDENTITY_TOL gate; both maps
+        # read the Hermitian part, which the preparation's eigensystem is taken from
+        rho = DensityMatrix(_with_anti_hermitian_part(3))
+        got = functor_state(rho).weights
+        want = functor_morphism(preparation_channel(rho)).matrix[:, 0]
+        assert linalg.max_abs(got - want) <= 1e-15
+
     def test_a_nonreal_image_is_refused(self):
-        # an anti-Hermitian part of 5e-10 passes the state's IDENTITY_TOL gate, but it gives
-        # the image an imaginary part of 5e-10 / 3, past TIGHT_IDENTITY_TOL
-        m = np.eye(3, dtype=complex) / 3
-        m[0, 1] += 5e-10j
+        # the state's anti-Hermitian part alone as the pairs matrix: an imaginary image of
+        # 1.7e-10, past TIGHT_IDENTITY_TOL
+        m = _with_anti_hermitian_part(3)
         with pytest.raises(VerificationFailedError, match="^Wigner image has a nonreal component$"):
-            wigner_vector(DensityMatrix(m), QUTRIT)
+            wigner._image((m - m.conj().T) / 2, commutative_frame(1), QUTRIT)
 
     def test_a_state_off_the_diagonal_has_the_morphism_maps_refusal(self):
         # a random qutrit state into C^3: refused as its preparation's image is
@@ -597,6 +611,8 @@ AGREEMENT_STATES = {
     "diagonal": lambda rng, d: DensityMatrix(np.diag(rng.dirichlet(np.ones(d)))),
     "random": random_density,
     "ket": lambda rng, d: DensityMatrix.from_ket(random_ket(rng, d)),
+    "anti-hermitian-part": lambda rng, d: DensityMatrix(
+        _with_anti_hermitian_part(d) if d > 1 else np.eye(1)),
 }
 
 
