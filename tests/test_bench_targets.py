@@ -65,6 +65,27 @@ def test_model_reports_count_the_oracle_violations(monkeypatch):
         assert report["epistemic_violations"] > 0
 
 
+def test_monoidality_reports_keep_their_fields(monkeypatch):
+    """One functor block (seed 1): the monoidality report of each
+    ``FUNCTOR_MONOIDAL_PAIRS`` request keeps the fields it had when the check
+    ran a layout trial, the request's trials and seed echoed and the residual
+    the constant 0."""
+    inputs, checks = _bench_module("inputs", monkeypatch), _bench_module("checks")
+    items = [item for item in inputs.generate("functor", 1, 1) if item.kind == "monoidality"]
+    assert sorted((item.meta["m"], item.meta["n"]) for item in items) == sorted(
+        inputs.FUNCTOR_MONOIDAL_PAIRS)
+    for item in items:
+        request = json.loads(item.docs["request"])
+        report = json.loads(checks.run(item))
+        assert list(report) == [
+            "command", "m", "n", "trials", "seed", "frame_ok", "max_transfer_residual", "passed",
+        ]
+        assert report == {
+            "command": "wigner-monoidality", **request,
+            "frame_ok": True, "max_transfer_residual": 0, "passed": True,
+        }
+
+
 def test_model_path_builds_no_row_objects(monkeypatch):
     """One validators block (seed 1): reading each model document and
     running the three model checks on it builds no Distribution or

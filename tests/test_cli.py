@@ -361,18 +361,19 @@ def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     assert len(err.splitlines()) == 1 and "Warning" not in err
 
 
-def test_product_stack_too_large_exits_two(capsys, monkeypatch):
-    # numpy's MemoryError on the product Kraus stack is a size refusal, not a failed check
-    def refuse(f, g):
+def test_frame_allocation_failure_exits_two(capsys, monkeypatch):
+    # numpy's MemoryError on the phase-point frame is a size refusal, not a failed check;
+    # 27553 is the largest odd n whose 16 n^4 bytes numpy can index, so its build is reached
+    def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate")
 
-    monkeypatch.setattr(wigner, "tensor", refuse)
-    code, out, err = run_cli(capsys, "wigner", "functor-check", "--dim", "3", "--trials", "1")
+    monkeypatch.setattr(wigner.np, "arange", refuse)
+    code, out, err = run_cli(capsys, "wigner", "functor-check", "--dim", "27553", "--trials", "1")
     assert code == 2
     assert out == ""
     assert err == (
-        "error: TooLargeError: a product Kraus stack for m = 3, n = 3 is 9 operators of 9 x 9 "
-        f"complex entries, {16 * 9 * 9 ** 2} bytes, which could not be allocated\n"
+        "error: TooLargeError: a phase-point frame for n = 27553 is n^2 operators of n x n "
+        f"complex entries, {16 * 27553 ** 4} bytes, which could not be allocated\n"
     )
 
 
@@ -804,11 +805,14 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # functor-check rows were re-recorded a fourth time when the report stopped
 # emitting the kernel of an extra random channel: only the sample_kernel
 # block went.  The pbr-demo row was re-recorded when the constant
-# parametrization line left the report; nothing else moved.
+# parametrization line left the report; nothing else moved.  The two
+# functor-check rows were re-recorded a fifth time when monoidality_check
+# stopped running its layout trial: a diff against the previous output
+# showed that the always-zero max_transfer_residual line alone went.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
-    "functor-check-dim3": "11ac03fb0f5174f69862e12101e0eb0131bf428ae3e90dd6af1f555a2a6c0257",
-    "functor-check-dim7": "0809c9d6627f9357ea9e63bc2554282fabde5b98454f69dc2ddd2df5031a48f9",
+    "functor-check-dim3": "b9087df23074a40ca0f0bac752d11b12efd435fdd2f6d6f864c9a4b11340672c",
+    "functor-check-dim7": "1922a79418f5d26d1d9b7b45f4aeb0761e507fbc3fa03a29f38c41faa6c083a4",
     "pbr-demo": "229f88876e1ab45e5a59c9a431241cd43b0b98df1a3f99dccb6c01b0a7033a6a",
     "qmeasure-validate": "adde2b565c5ec59d8389d8f30443b58bdc8afcbcb8b6d313ca1ad77c74b40495",
     "validate-model": "7d78c365dde5149531f9e671cd1d68ddfe726a6a3249bc8e7f98123086a5095e",

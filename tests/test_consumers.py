@@ -36,7 +36,6 @@ KEPT = {
     "variational_distance": ITEM_3,
     "antidist_quantum_check": ITEM_3,
     "dtensor": "product states of signed kernels (ROADMAP item 8)",
-    "product_frame": "the product frame, oracle or consumer of the certificates (ROADMAP item 5)",
     "check_equivariance": "covariance of the Wigner functor (ROADMAP item 9)",
     "displacement_channel": "covariance of the Wigner functor (ROADMAP item 9)",
     "displacement_permutation": "covariance of the Wigner functor (ROADMAP item 9)",
