@@ -308,10 +308,6 @@ class PbrReport:
     anti_distinguished: bool
     compression_residuals: tuple[float, float]
 
-    @property
-    def passed(self) -> bool:
-        return self.anti_distinguished
-
 
 def pbr_demo(psi, phi, n: Optional[int] = None, tol: float = PBR_TOL) -> PbrReport:
     """Compress, tensor the pair, and verify the four-outcome exclusion.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -79,8 +79,8 @@ class FrameResiduals:
 
     ``hermitian`` is max|s - s^dag|, ``trace`` max|Tr s - 1|, ``square``
     max|s^2 - I| (matrix kind) or max|s^2 - s| (commutative kind), ``gram``
-    max|G - c.I| for the Gram matrix G, ``sum`` max|sum_i s_i - c.I|, and
-    ``max_entry`` the largest entry modulus of any operator.
+    max|phi phi^dag - c.I| from the factor form, ``sum`` max|sum_i s_i - c.I|,
+    and ``max_entry`` the largest entry modulus of any operator.
     """
 
     hermitian: float
@@ -91,7 +91,7 @@ class FrameResiduals:
     max_entry: float
 
 
-def _hold(res: FrameResiduals, kind: str, norm_const: float) -> None:
+def _check_residuals(res: FrameResiduals, kind: str, norm_const: float) -> None:
     """Raise VerificationFailedError unless each residual is within its tolerance."""
     # written as not (residual <= tol), so that a NaN residual fails
     if not res.hermitian <= TIGHT_IDENTITY_TOL:
@@ -121,22 +121,21 @@ class WignerFrame:
     Both arrays are read-only once verified: cached frames are shared by
     every caller.
 
-    The constructor checks every condition densely (one batched ``ops @ ops``,
-    the Gram matrix F F^dag, the column sums of F) and keeps what it measured
-    as ``residuals``.  Each residual must stay within ``TIGHT_IDENTITY_TOL``,
-    except the Gram residual (``TIGHT_IDENTITY_TOL * max(1, c)``) and the sum
-    residual (``IDENTITY_TOL``).  Product frames are checked the same way, and
-    commutative operators must be diagonal to ``TIGHT_IDENTITY_TOL`` too.
-
-    The frame matrix also has a factor form F = (I_B (x) phi) G, which its
-    builder states (:meth:`_of_form`): G gathers B w of the d^2 vec entries,
-    and each of B blocks of consecutive points reads its own w of them
-    through one shared m x w matrix phi.  A phase-point frame has B = w = d,
-    block q reading the entries (q + y, q - y) with phi[p, y] = omega^{2py};
-    a commutative frame of k points has B = k and phi = [1], reading the
-    diagonal.  Any other frame, from this constructor, is one block whose phi
-    is a view of ``vectors``: of its d diagonal columns if commutative, so no
-    commutative frame reads an off-diagonal entry.  Every image is computed in
+    Every frame is checked and held in its factor form F = (I_B (x) phi) G by
+    :meth:`_hold`: G gathers B w distinct vec entries, and each of B blocks of
+    consecutive points reads its own w of them through one m x w matrix phi,
+    so the Gram matrix F F^dag = I_B (x) phi phi^dag is checked from phi, and
+    the Hermitian, trace, square (one batched ``ops @ ops``) and sum conditions
+    on the operators; commutative operators must be diagonal too.  What was
+    measured is kept as ``residuals``; each must stay within
+    ``TIGHT_IDENTITY_TOL``, except the Gram residual (``TIGHT_IDENTITY_TOL *
+    max(1, c)``) and the sum residual (``IDENTITY_TOL``).  A builder states its
+    form (:meth:`_of_form`): a phase-point frame has B = w = d, block q reading
+    the entries (q + y, q - y) with phi[p, y] = omega^{2py}; a commutative
+    frame of k points has B = k and phi = [1], reading the diagonal.  A frame
+    from this constructor is one block that reads every entry, phi a view of
+    ``vectors`` (of its d diagonal columns once checked, if commutative, so no
+    commutative frame reads an off-diagonal entry).  Every image is computed in
     this form (:func:`_through_frames`); nothing dense is stored beside ``vectors``.
     """
 
@@ -147,10 +146,11 @@ class WignerFrame:
     hilbert_dim: int = field(init=False)
     vectors: np.ndarray = field(init=False, repr=False)
     residuals: FrameResiduals = field(init=False, repr=False)
-    # (read, phi) as :meth:`_of_form` built the frame from them, else None
-    _read_phi: Optional[tuple] = field(init=False, repr=False, default=None)
+    # (phi, entries, n_read) of the factor form, as :meth:`_hold` holds it: ``entries`` is the
+    # (row, column) of the n_read vec entries G reads, block-major, then of the others
+    _form: tuple = field(init=False, repr=False)
     # partner dimension -> _gather_offsets(partner)
-    _offsets: dict = field(init=False, repr=False, default_factory=dict)
+    _offsets: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = linalg.frozen(linalg._as_array(self.operators, "frame operators", complex))
@@ -163,25 +163,7 @@ class WignerFrame:
             raise DimMismatchError(f"operators of {d} x {d} cannot frame an algebra of "
                                    f"dimension {self.algebra.dim}")
         c = float(linalg._as_held(linalg.as_real(self.norm_const, "norm_const"), "norm_const values"))
-        vecs = ops.reshape(count, d * d)
-        target = np.eye(d) if self.algebra.kind == "matrix" else ops
-        res = FrameResiduals(
-            hermitian=linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1)))),
-            trace=linalg.max_abs(vecs[:, :: d + 1].sum(axis=1) - 1.0),
-            square=linalg.max_abs(ops @ ops - target),
-            gram=linalg.max_abs(vecs @ vecs.conj().T - c * np.eye(count)),
-            sum=linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)),
-            max_entry=linalg.max_abs(vecs),
-        )
-        _hold(res, self.algebra.kind, c)
-        if self.algebra.kind == "commutative":
-            off = linalg.max_abs(ops * ~np.eye(d, dtype=bool))
-            if not off <= TIGHT_IDENTITY_TOL:
-                raise VerificationFailedError(f"frame projectors not diagonal: {off:.3e}")
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "hilbert_dim", d)
-        object.__setattr__(self, "residuals", res)
+        self._hold(np.arange(d * d)[None], ops.reshape(count, d * d), c, ops)
 
     @property
     def n_points(self) -> int:
@@ -189,32 +171,53 @@ class WignerFrame:
 
     @classmethod
     def _of_form(cls, algebra: Algebra, read, phi, norm_const: float, space: FiniteSpace):
-        """The frame (I_B (x) phi) G: block b of points reads the vec entries
-        ``read[b]`` (a B x w integer array) through the m x w matrix ``phi``.
-        Its operators pass the constructor's dense checks like any frame's,
-        and the frame then holds the form it was built from."""
-        blocks, d = len(read), algebra.dim
-        vecs = np.zeros((blocks, len(phi), d * d), dtype=complex)
-        # vecs[b, p, read[b, y]] = phi[p, y]: the indexed axes (b, y) come first
-        vecs[np.arange(blocks)[:, None], :, read] = phi.T
-        frame = cls(algebra, vecs.reshape(-1, d, d), norm_const, space)
-        object.__setattr__(frame, "_read_phi", (linalg.frozen(read).reshape(-1), linalg.frozen(phi)))
+        """The frame (I_B (x) phi) G that a builder states, block b of points reading
+        the vec entries ``read[b]`` (a B x w integer array) through the m x w matrix
+        ``phi``: held by :meth:`_hold` past the constructor, which reads one block."""
+        frame = object.__new__(cls)
+        for name, value in (("algebra", algebra), ("norm_const", norm_const), ("space", space)):
+            object.__setattr__(frame, name, value)
+        frame._hold(read, linalg.frozen(phi), float(norm_const))
         return frame
 
-    @cached_property
-    def _form(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(phi, entries, n_read) of the factor form, laid out on first use.
-        ``entries`` holds the (row, column) of the n_read vec entries G reads,
-        block-major, then of the others.  The form is the one the frame was
-        built from, or else one block: the entries of every column of
-        ``vectors`` for a matrix frame, of its diagonal for a commutative one."""
-        d = self.hilbert_dim
-        step = d + 1 if self.algebra.kind == "commutative" else 1
-        read, phi = self._read_phi or (np.arange(0, d * d, step), self.vectors[:, ::step])
+    def _hold(self, read: np.ndarray, phi: np.ndarray, c: float, ops: Optional[np.ndarray] = None):
+        """Check the frame (I_B (x) phi) G of constant c, whose block b reads the
+        vec entries ``read[b]`` through ``phi``, and hold it in that form: its
+        operators are ``ops``, else scattered from the form.  Its reads must be
+        distinct, so that the Gram is read off phi; a commutative form keeps its
+        diagonal reads alone, every (d + 1)-th of a builder's (one read a block)
+        or of the constructor's (every entry)."""
+        d, kind = self.algebra.dim, self.algebra.kind
+        if np.bincount(read.reshape(-1), minlength=d * d).max() > 1:
+            raise VerificationFailedError("frame form reads a vec entry more than once")
+        if ops is None:
+            vecs = np.zeros((len(read), len(phi), d * d), dtype=complex)
+            # vecs[b, p, read[b, y]] = phi[p, y]: the indexed axes (b, y) come first
+            vecs[np.arange(len(read))[:, None], :, read] = phi.T
+            vecs.setflags(write=False)
+            ops = vecs.reshape(-1, d, d)
+        vecs = ops.reshape(len(ops), d * d)
+        res = FrameResiduals(
+            hermitian=linalg.max_abs(ops - np.conj(np.transpose(ops, (0, 2, 1)))),
+            trace=linalg.max_abs(vecs[:, :: d + 1].sum(axis=1) - 1.0),
+            square=linalg.max_abs(ops @ ops - (np.eye(d) if kind == "matrix" else ops)),
+            gram=linalg.max_abs(phi @ phi.conj().T - c * np.eye(len(phi))),
+            sum=linalg.max_abs(vecs.sum(axis=0) - c * np.eye(d).reshape(-1)),
+            max_entry=linalg.max_abs(vecs),
+        )
+        _check_residuals(res, kind, c)
+        if kind == "commutative":
+            off = linalg.max_abs(ops * ~np.eye(d, dtype=bool))
+            if not off <= TIGHT_IDENTITY_TOL:
+                raise VerificationFailedError(f"frame projectors not diagonal: {off:.3e}")
+            read, phi = read[:, :: d + 1], phi[:, :: d + 1]
         unread = np.ones(d * d, dtype=bool)
         unread[read] = False
-        entries = np.divmod(np.concatenate((read, np.flatnonzero(unread))), d)
-        return phi, linalg.frozen(entries), read.size
+        entries = np.divmod(np.concatenate((read.reshape(-1), np.flatnonzero(unread))), d)
+        for name, value in (("operators", ops), ("vectors", vecs), ("hilbert_dim", d),
+                            ("residuals", res), ("_form", (phi, linalg.frozen(entries), read.size)),
+                            ("_offsets", {})):
+            object.__setattr__(self, name, value)
 
     def _gather_offsets(self, partner: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat offsets, in the pairs array of :func:`_through_frames` between this
@@ -581,7 +584,7 @@ def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
 
 def product_frame(fa: WignerFrame, fb: WignerFrame) -> WignerFrame:
     """Tensor frame {s (x) t} in (a, b) point order: the Kronecker products of
-    the two factors' operators, checked densely like every other frame."""
+    the two factors' operators, checked by the constructor as one block."""
     linalg._of_type(fa, WignerFrame, "first factor frame")
     linalg._of_type(fb, WignerFrame, "second factor frame")
     na, da, _ = fa.operators.shape
@@ -620,7 +623,8 @@ def monoidality_check(
     fm = phase_point_operators(m)
     fn = phase_point_operators(n)
     try:
-        _hold(_product_residuals(fm, fn), _product_kind(fm, fn), fm.norm_const * fn.norm_const)
+        _check_residuals(_product_residuals(fm, fn), _product_kind(fm, fn),
+                         fm.norm_const * fn.norm_const)
         frame_ok = True
     except VerificationFailedError:
         frame_ok = False

@@ -121,11 +121,13 @@ def test_only_hermitian_eigensystem_calls_eigh():
 
 
 # the builders that hold an array they have just made without running the
-# public constructor, each because it saves a copy, an eigh or a per-row check
+# public constructor, each because it saves a copy, an eigh, a per-row check or
+# (for a frame given by its factor form) the dense Gram product of its frame matrix
 CONSTRUCTOR_BYPASSES = {
     "quantum.py:Channel._of_stack",
     "quantum.py:DensityMatrix._held",
     "kernels.py:distribution_rows",
+    "wigner.py:WignerFrame._of_form",
 }
 
 

@@ -91,6 +91,12 @@ def phase_point_oracle(n):
     )
 
 
+def dense_gram_residual(frame):
+    """max|F F^dag - c I| from the stored frame matrix F, the dense oracle of the Gram check."""
+    vecs = frame.vectors
+    return linalg.max_abs(vecs @ vecs.conj().T - frame.norm_const * np.eye(frame.n_points))
+
+
 def transfer_oracle(ch, in_frame, out_frame):
     """Tr(s_i K s_j K^dag) / c summed over Kraus operators one at a time."""
     t = np.zeros((out_frame.n_points, in_frame.n_points), dtype=complex)
@@ -454,15 +460,15 @@ class TestTransferMatrix:
                 transfer_matrix(ch, fin, fout) - transfer_oracle(ch, fin, fout)
             ) <= 1e-12
 
-    @pytest.mark.parametrize("frame, blocks, width", [
-        (phase_point_operators(1), 1, 1),
-        *((phase_point_operators(n), n, n) for n in (3, 5, 25)),
-        *((commutative_frame(k), k, 1) for k in (2, 5)),
-        (product_frame(QUTRIT, phase_point_operators(5)), 1, 225),
+    @pytest.mark.parametrize("frame, blocks, width, given", [
+        (phase_point_operators(1), 1, 1, False),
+        *((phase_point_operators(n), n, n, False) for n in (3, 5, 25)),
+        *((commutative_frame(k), k, 1, False) for k in (2, 5)),
+        (product_frame(QUTRIT, phase_point_operators(5)), 1, 225, True),
         # a commutative frame from the constructor reads its diagonal only
-        (product_frame(commutative_frame(2), commutative_frame(3)), 1, 6),
+        (product_frame(commutative_frame(2), commutative_frame(3)), 1, 6, True),
     ], ids=["pp1", "pp3", "pp5", "pp25", "c2", "c5", "prod3x5", "prodc2xc3"])
-    def test_factor_form_rebuilds_the_frame_matrix_bit_for_bit(self, frame, blocks, width):
+    def test_factor_form_rebuilds_the_frame_matrix_bit_for_bit(self, frame, blocks, width, given):
         d = frame.hilbert_dim
         phi, (rows, cols), n = frame._form
         assert phi.shape == (frame.n_points // blocks, width) and n == blocks * width
@@ -473,12 +479,19 @@ class TestTransferMatrix:
         assert rebuilt.tobytes() == frame.vectors.tobytes()
         # every vec entry once, read or not
         assert np.array_equal(np.sort(rows * d + cols), np.arange(d * d))
-        # the constructor's one block is a view of the stored frame matrix, not a copy
-        assert np.shares_memory(phi, frame.vectors) == (frame._read_phi is None)
+        # a builder's phi is its own copy; a frame given as operators keeps a view of vectors
+        assert np.shares_memory(phi, frame.vectors) == given
 
-    @pytest.mark.parametrize("case", ["phi-entry-moved", "read-repeated"])
-    def test_a_form_built_frame_is_checked_densely(self, case):
-        # the form a builder states is held only once its operators pass the constructor
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("phi-entry-moved", "not Hermitian", id="phi-entry-moved"),
+        # refused by name before the scattered operators are read (they read as not Hermitian)
+        pytest.param("read-repeated", "^frame form reads a vec entry more than once$",
+                     id="read-repeated"),
+        pytest.param("phi-row-repeated", "^frame operators are not trace-orthogonal$",
+                     id="phi-row-repeated"),
+    ])
+    def test_a_form_built_frame_is_checked_densely(self, case, message):
+        # the form a builder states is held only once its operators pass the checks
         n = 5
         y = np.arange(n)
         q = p = y[:, None]
@@ -488,10 +501,38 @@ class TestTransferMatrix:
         assert exact.operators.tobytes() == phase_point_operators(n).operators.tobytes()
         if case == "phi-entry-moved":
             phi[2, 3] += 1e-6
-        else:
+        elif case == "read-repeated":
             read[0, 1] = read[0, 0]
-        with pytest.raises(VerificationFailedError, match="not Hermitian"):
+        else:
+            # every operator is still a phase-point operator, so the Gram alone fails
+            phi[1] = phi[0]
+        with pytest.raises(VerificationFailedError, match=message):
             WignerFrame._of_form(matrix_algebra(n), read, phi, float(n), phase_space(n))
+
+    def test_every_frame_holds_its_form_from_construction(self):
+        frames = [phase_point_operators.__wrapped__(5), commutative_frame.__wrapped__(3),
+                  product_frame(QUTRIT, QUTRIT),
+                  WignerFrame(matrix_algebra(3), QUTRIT.operators, 3.0, QUTRIT.space)]
+        for frame in frames:
+            # no transfer has run on these uncached frames
+            assert "_form" in frame.__dict__ and frame._offsets == {}
+
+    @pytest.mark.parametrize("build", [
+        lambda: product_frame(QUTRIT, phase_point_operators(5)),
+        lambda: product_frame(commutative_frame(2), commutative_frame(3)),
+        lambda: perturbed(QUTRIT, 1e-12, rng_for(63)),
+    ], ids=["prod3x5", "prodc2xc3", "perturbed3"])
+    def test_the_gram_of_a_frame_given_as_operators_is_the_dense_one(self, build):
+        # its one block's phi is the frame matrix, so phi phi^dag is F F^dag itself
+        frame = build()
+        assert frame.residuals.gram == dense_gram_residual(frame)
+
+    @pytest.mark.parametrize("n", range(3, 27, 2))
+    def test_the_gram_of_a_phase_point_form_is_the_dense_one_within_its_widening(self, n):
+        # phi phi^dag sums the same d products as F F^dag, perhaps in another order
+        frame = phase_point_operators(n)
+        widening = wigner._exact_residuals(frame).gram - frame.residuals.gram
+        assert abs(frame.residuals.gram - dense_gram_residual(frame)) <= 2 * widening
 
     @pytest.mark.parametrize("n", [3, 5, 7, 25])
     def test_phase_point_form_is_the_permuted_dft(self, n):
@@ -907,7 +948,8 @@ class TestMonoidality:
     def test_frame_ok_for_every_odd_dimension(self, d):
         # the certificate alone, as frame_ok decides it
         frame = phase_point_operators(d)
-        wigner._hold(wigner._product_residuals(frame, frame), "matrix", frame.norm_const ** 2)
+        wigner._check_residuals(wigner._product_residuals(frame, frame), "matrix",
+                                frame.norm_const ** 2)
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (3, 1), (1, 5)])
     def test_one_point_frame_is_the_tensor_unit(self, m, n):
