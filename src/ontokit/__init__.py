@@ -26,7 +26,6 @@ from .kernels import (
     ResponseFunction,
     SignedKernel,
     dtensor,
-    dual_state_kernel,
     evaluate,
     kcompose,
     ktensor,
@@ -36,7 +35,6 @@ from .linalg import hermitian_eigenvalues, trace_norm
 from .ontomodel import (
     FunctorFragment,
     OntModel,
-    check_equivariance,
     check_operational_model,
     classify_model,
     maximal_predicates,
@@ -57,7 +55,6 @@ from .quantum import (
     apply_channel,
     born,
     compose,
-    dual_state_quantum,
     measurement_channel,
     overlap,
     preparation_channel,
@@ -70,11 +67,8 @@ from .wigner import (
     commutative_algebra,
     epistemic_report,
     functor_morphism,
-    functor_object,
-    functor_state,
     matrix_algebra,
     monoidality_check,
-    pad_odd,
     phase_point_operators,
     transfer_matrix,
     wigner_vector,

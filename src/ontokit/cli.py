@@ -2,11 +2,11 @@
 
 Exit codes: 0 when every check in the invoked report passes, 1 when a
 check fails, 2 on schema or IO problems (with a diagnostic naming the
-offending field).  Reports are JSON on stdout, deterministic for fixed
-inputs and seed; ONTOKIT_TOL overrides the default tolerance.  The library
-admits every size, count and seed (--n, --dim, --trials, --seed); the CLI
-calls that gate itself only to refuse a flag before a file is read or a
-frame is built.
+offending field) and on an input too large to allocate.  Reports are JSON
+on stdout, deterministic for fixed inputs and seed; ONTOKIT_TOL overrides
+the default tolerance.  The library admits every size, count and seed
+(--n, --dim, --trials, --seed); the CLI calls that gate itself only to
+refuse a flag before a file is read or a frame is built.
 """
 
 from __future__ import annotations
@@ -376,6 +376,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # numpy's message names the bytes it could not allocate
+        sub = getattr(args, f"{args.command}_command", None)
+        command = f"{args.command} {sub}" if sub else args.command
+        sys.stderr.write(f"error: TooLargeError: {command}: {str(exc) or 'out of memory'}\n")
         return 2
 
 

@@ -29,13 +29,9 @@ class MissingMorphismError(OntokitError):
     """A named morphism is absent from a functor fragment."""
 
 
-class MissingActionError(OntokitError):
-    """A channel tested for equivariance has no point permutation."""
-
-
 class IndexOutOfRangeError(OntokitError, IndexError):
     """An index names no element: an outcome past the basis, a target past
-    the ensemble, a residue outside Z_n.  It is also an ``IndexError``."""
+    the ensemble, a bitmask outside the power set.  It is also an ``IndexError``."""
 
 
 class BadOverlapError(OntokitError):

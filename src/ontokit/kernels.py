@@ -168,15 +168,6 @@ def distribution_rows(space: FiniteSpace, weights) -> list[Distribution]:
 
 
 # ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
-def response_as_kernel(chi: ResponseFunction) -> SignedKernel:
-    """A measurement is a kernel into the distinguished two-point space."""
-    return SignedKernel(chi.space, TWO, np.vstack([chi.values, 1.0 - chi.values]))
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -225,10 +216,3 @@ def support_mask(mu: Distribution) -> np.ndarray:
     if not mu.is_probability:
         raise SignedUnsupportedError("support of a signed distribution is not defined")
     return mu.weights > SUPPORT_EPS
-
-
-def dual_state_kernel(mu: Distribution) -> ResponseFunction:
-    """The measurement induced by a state via singleton evaluation."""
-    if not mu.is_probability:
-        raise SignedUnsupportedError("duality is defined for probability states only")
-    return ResponseFunction(mu.space, np.clip(mu.weights, 0.0, 1.0))

@@ -10,7 +10,7 @@ admitted by one gate here, which names the argument when it refuses one:
 - ``_as_ket_pair``: two kets of one dimension;
 - :func:`hermitian_eigensystem`: Hermitian matrices, for states and effects;
 - :func:`as_positive_int`: every dimension, count, power, seed and stream key;
-- ``_as_index``: every index (an outcome, a target, a Z_n point, a bitmask);
+- ``_as_index``: every index (an outcome, a target, a bitmask);
 - ``_as_tolerance``: every report tolerance;
 - ``_of_type``: every library-typed argument of a constructor or a Wigner map.
 """

@@ -5,14 +5,13 @@ A finite ontological model is its matrices: one preparation kernel W
 measurement (ontic points to outcomes); the validators compare W R^T with
 the Born table of the catalogue's kets.  Functor fragments are finite
 tables of (channel, kernel) pairs whose laws, checked as matrix
-identities, are composition, identity, evaluation preservation, and
-equivariance under point permutations.
+identities, are composition, identity and evaluation preservation.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,8 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimMismatchError, MissingActionError, MissingMorphismError, SpaceMismatchError,
-    VerificationFailedError,
+    DimMismatchError, MissingMorphismError, SpaceMismatchError, VerificationFailedError,
 )
 from .kernels import (
     TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows, _labels,
@@ -282,14 +280,6 @@ class OperationalModelReport:
     identity_violations: list = field(default_factory=list)
     evaluation_violations: list = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not (
-            self.composition_violations
-            or self.identity_violations
-            or self.evaluation_violations
-        )
-
 
 def _quantum_probability(meas: Channel, state: Channel) -> float:
     """Born probability of outcome 0 through meas . state, for a state from C and
@@ -355,52 +345,4 @@ def check_operational_model(
                 {"measurement": meas_name, "state": state_name,
                  "quantum": quantum_p, "classical": classical_p}
             )
-    return report
-
-
-@dataclass
-class EquivarianceReport:
-    tolerance: float
-    violations: list = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
-def check_equivariance(
-    frag: FunctorFragment,
-    actions: Mapping[str, Sequence[int]],
-    state_names: Sequence[str],
-    channel_names: Sequence[str],
-    tol: float = FUNCTOR_TOL,
-) -> EquivarianceReport:
-    """Verify F(f . psi) = pi_f . F(psi) on each state and channel: K_f w must
-    equal w moved by ``actions[f]``, the point permutation sending point j to
-    pi_f[j], as :func:`ontokit.wigner.displacement_permutation` gives it."""
-    report = EquivarianceReport(tolerance=linalg._as_tolerance(tol))
-    for s_name in state_names:
-        _, ks = frag.pair(s_name)
-        _fits(ks.source == UNIT_SPACE, f"equivariance state {s_name!r}",
-              "the state must start at the unit space")
-        w = ks.matrix[:, 0]
-        for c_name in channel_names:
-            _, kf = frag.pair(c_name)
-            if c_name not in actions:
-                raise MissingActionError(f"no point permutation for channel {c_name!r}")
-            pi, n = np.asarray(actions[c_name]), kf.target.size
-            test = f"equivariance ({s_name!r}, {c_name!r})"
-            _fits(kf.source == ks.target, test, "the channel must act on the state's space")
-            _fits(pi.shape == (n,) == w.shape and pi.dtype.kind in "iu"
-                  and np.array_equal(np.sort(pi), np.arange(n)),
-                  test, f"pi must be a bijection of the {n} points")
-            pushed, moved = kf.matrix @ w, np.empty_like(w)
-            moved[pi] = w
-            report.checked += n
-            for i in np.flatnonzero(np.abs(pushed - moved) > tol).tolist():
-                report.violations.append(
-                    {"state": s_name, "channel": c_name, "point": kf.target.points[i],
-                     "lhs": float(pushed[i]), "rhs": float(moved[i])}
-                )
     return report

@@ -268,12 +268,6 @@ def tensor(f: Channel, g: Channel) -> Channel:
     return Channel._of_stack(ops, e_f + e_g + e_f * e_g)
 
 
-def dual_state_quantum(psi) -> TwoOutcomeMeasurement:
-    """The measurement induced by a state: effect is its projector."""
-    k = linalg.as_ket(psi)
-    return TwoOutcomeMeasurement(np.outer(k, k.conj()))
-
-
 def preparation_channel(state: DensityMatrix) -> Channel:
     """State as a channel from the trivial system C: one Kraus column
     sqrt(p) v per eigenpair (p, v) with p > EIGEN_WEIGHT_EPS, read off the

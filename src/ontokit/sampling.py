@@ -66,16 +66,6 @@ def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> 
     return Channel._of_stack(raw @ inv_sqrt)
 
 
-def _pair_dimension(dim, pair: str) -> int:
-    """``dim`` through the integer gate, refused below 2 as too small for ``pair``."""
-    if linalg.as_positive_int(dim, "dimension") < 2:
-        raise VerificationFailedError(
-            f"{pair} needs dimension at least 2, got {dim}: "
-            "C^1 has no direction orthogonal to psi"
-        )
-    return int(dim)
-
-
 def random_nonorthogonal_pair(
     rng: np.random.Generator, dim: int, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -86,7 +76,12 @@ def random_nonorthogonal_pair(
     exact by construction.  A dimension below 2 is refused: C^1 has no
     direction orthogonal to psi, so no overlap below 1 exists there.
     """
-    dim = _pair_dimension(dim, "a nonorthogonal pair")
+    dim = linalg.as_positive_int(dim, "dimension")
+    if dim < 2:
+        raise VerificationFailedError(
+            f"a nonorthogonal pair needs dimension at least 2, got {dim}: "
+            "C^1 has no direction orthogonal to psi"
+        )
     if not 0.0 < lo <= hi < 1.0:
         raise VerificationFailedError("need 0 < lo <= hi < 1")
     psi = random_ket(rng, dim)

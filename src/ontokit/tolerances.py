@@ -65,8 +65,7 @@ DEGENERATE_DRAW_EPS = 1e-8
 
 # validate_model, maximal_predicates, `ontokit validate-model`.
 MODEL_TOL = 1e-7
-# check_operational_model, check_equivariance, monoidality_check,
-# `ontokit wigner functor-check`.
+# check_operational_model, monoidality_check, `ontokit wigner functor-check`.
 FUNCTOR_TOL = 1e-8
 # pbr_demo's exclusion verdict, `ontokit pbr-demo`.
 PBR_TOL = 1e-8

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, product_space
 from .quantum import Channel, DensityMatrix
-from .sampling import _pair_dimension
 from .tolerances import (
     DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
 )
@@ -49,7 +48,7 @@ from .tolerances import (
 class Algebra:
     """A representable observable algebra: full matrix or commutative.
 
-    ``matrix`` algebras must have odd dimension (pad even ones first);
+    ``matrix`` algebras must have odd dimension to have a frame;
     dimension-1 is canonicalised to the commutative kind, so the tensor
     unit C maps to the one-point space.
     """
@@ -239,24 +238,6 @@ class WignerFrame:
 # construction
 # ---------------------------------------------------------------------------
 
-def _z_n_point(n, a, b, names: str) -> tuple[int, int, int]:
-    """``n`` through the integer gate and the residues ``a``, ``b`` (named by
-    ``names``) through the index gate, as a point of Z_n x Z_n."""
-    n = linalg.as_positive_int(n, "n")
-    return n, *(linalg._as_index(r, n, f"residue {c}", "Z_{}") for r, c in zip((a, b), names))
-
-
-def displacement(n: int, q: int, p: int) -> np.ndarray:
-    """Weyl displacement tau^{qp} X^q Z^p, with X|x> = |x+1>, Z|x> = omega^x |x>
-    and tau = omega^{(n+1)/2}: the monomial matrix |x> -> tau^{qp} omega^{px} |x+q>.
-    """
-    n, q, p = _z_n_point(n, q, p, "qp")
-    x = np.arange(n)
-    d = np.zeros((n, n), dtype=complex)
-    d[(x + q) % n, x] = np.exp(2j * np.pi * (((n + 1) // 2 * q * p + p * x) % n) / n)
-    return d
-
-
 def phase_space(n: int) -> FiniteSpace:
     n = linalg.as_positive_int(n, "n")
     return FiniteSpace(tuple(f"({q},{p})" for q in range(n) for p in range(n)))
@@ -321,17 +302,10 @@ def frame_for(algebra: Algebra) -> WignerFrame:
         return commutative_frame(algebra.dim)
     if algebra.dim % 2 == 0:
         raise UnrepresentableAlgebraError(
-            f"dimension {algebra.dim} is even: pad with pad_odd or annotate a commutative algebra"
+            f"dimension {algebra.dim} is even: embed it in an odd dimension "
+            "or annotate a commutative algebra"
         )
     return phase_point_operators(algebra.dim)
-
-
-def functor_object(algebra: Algebra) -> FiniteSpace:
-    """Object map: matrix algebras to phase space (padding even dimensions),
-    commutative algebras to their point sets."""
-    if linalg._of_type(algebra, Algebra, "algebra").kind == "matrix" and algebra.dim % 2 == 0:
-        algebra = matrix_algebra(algebra.dim + 1)
-    return frame_for(algebra).space
 
 
 # ---------------------------------------------------------------------------
@@ -438,40 +412,6 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
         raise DimMismatchError("channel endpoints do not match the annotated algebras")
     # the input frame is the one for ch.in_dim, so both endpoints fit
     return _kernel(ch, in_frame, out_frame)
-
-
-def functor_state(rho: DensityMatrix, algebra: Optional[Algebra] = None) -> Distribution:
-    """State map: F of a preparation, i.e. the Wigner vector."""
-    linalg._of_type(rho, DensityMatrix, "state")
-    algebra = algebra if algebra is not None else matrix_algebra(rho.dim)
-    return wigner_vector(rho, frame_for(algebra))
-
-
-# ---------------------------------------------------------------------------
-# padding to odd dimension
-# ---------------------------------------------------------------------------
-
-def pad_odd(ch: Channel) -> Channel:
-    """Embed a channel into odd-dimensional endpoints (top-left corner).
-
-    Each even endpoint gains one dimension; the new input direction is sent
-    to a fixed output basis state by an extra Kraus branch so the padded
-    channel is exactly trace preserving and satisfies
-    pad(f(rho)) = f_pad(pad(rho)) on padded states.
-    """
-    linalg._of_type(ch, Channel, "channel")
-    pad_in = 1 if ch.in_dim % 2 == 0 else 0
-    pad_out = 1 if ch.out_dim % 2 == 0 else 0
-    if pad_in == 0 and pad_out == 0:
-        return ch
-    new_in = ch.in_dim + pad_in
-    new_out = ch.out_dim + pad_out
-    count = len(ch.kraus)
-    ops = np.zeros((count + pad_in, new_out, new_in), dtype=complex)
-    ops[:count, : ch.out_dim, : ch.in_dim] = ch.kraus
-    if pad_in:
-        ops[count, new_out - 1 if pad_out else 0, new_in - 1] = 1.0
-    return Channel._of_stack(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -696,29 +636,3 @@ def epistemic_report(psi, phi) -> EpistemicReport:
         bound_ok=bool(tdist <= scaled + DISTANCE_BOUND_MARGIN),
         gap=float(scaled - tdist),
     )
-
-
-def displacement_permutation(n: int, a: int, b: int) -> np.ndarray:
-    """Index map pi with D(a,b) s_i D(a,b)^dag = s_pi(i) on phase space:
-    point (q, p), index q n + p, goes to (q + a, p + b) mod n."""
-    n, a, b = _z_n_point(n, a, b, "ab")
-    return np.roll(np.arange(n * n).reshape(n, n), (-a, -b), axis=(0, 1)).reshape(-1)
-
-
-def displacement_channel(n: int, a: int, b: int) -> Channel:
-    return Channel((displacement(n, a, b),))
-
-
-def random_stabilizer_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal pair from a displaced computational or Fourier basis.
-
-    These states have nonnegative Wigner vectors with disjoint supports, so
-    their images stay anti-distinguishable on the kernel side.
-    """
-    n = _pair_dimension(n, "an orthogonal pair")
-    om = np.exp(2j * np.pi / n)
-    fourier = np.array([[om ** (j * k) for k in range(n)] for j in range(n)]) / np.sqrt(n)
-    base = fourier if rng.integers(2) else np.eye(n, dtype=complex)
-    u = displacement(n, int(rng.integers(n)), int(rng.integers(n))) @ base
-    j, k = rng.choice(n, size=2, replace=False)
-    return u[:, int(j)].copy(), u[:, int(k)].copy()

@@ -377,6 +377,21 @@ def test_frame_allocation_failure_exits_two(capsys, monkeypatch):
     )
 
 
+def test_transfer_allocation_failure_exits_two(capsys, monkeypatch):
+    # numpy's MemoryError past the frame, here in the transfer's batched product, is a
+    # size refusal too: one line naming the command and numpy's bytes, exit 2
+    message = "Unable to allocate 140. MiB for an array with shape (3025, 3025) and data type complex128"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(wigner.np, "matmul", refuse)
+    code, out, err = run_cli(capsys, "wigner", "functor-check", "--dim", "3", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: TooLargeError: wigner functor-check: {message}\n"
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestAntidist:
     def test_certified_and_refuted(self, capsys, tmp_path):
         ens = tmp_path / "ens.json"

@@ -24,8 +24,7 @@ from ontokit.kernels import (
     Distribution, FiniteSpace, ResponseFunction, SignedKernel, distribution_rows,
 )
 from ontokit.ontomodel import (
-    FunctorFragment, OntModel, check_equivariance, check_operational_model, maximal_predicates,
-    validate_model,
+    FunctorFragment, OntModel, check_operational_model, maximal_predicates, validate_model,
 )
 from ontokit.qmeasure import (
     DecoherenceFunctional, QuantumMeasure, measure_from_decoherence, validate_decoherence,
@@ -41,10 +40,9 @@ from ontokit.sampling import (
 from ontokit.serialize import parse_model
 from ontokit.tolerances import TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
-    Algebra, WignerFrame, commutative_algebra, commutative_frame, displacement, displacement_channel,
-    displacement_permutation, epistemic_report, frame_for, functor_morphism, functor_object,
-    functor_state, matrix_algebra, monoidality_check, pad_odd, phase_point_operators, phase_space,
-    product_frame, random_stabilizer_pair, transfer_matrix, wigner_vector,
+    Algebra, WignerFrame, commutative_algebra, commutative_frame, epistemic_report, frame_for,
+    functor_morphism, matrix_algebra, monoidality_check, phase_point_operators, phase_space,
+    product_frame, transfer_matrix, wigner_vector,
 )
 
 SRC = pathlib.Path(ontokit.__file__).parent
@@ -134,11 +132,6 @@ MU = Distribution(X, [1.0, 0.0])
      "C^1 has no direction orthogonal to psi"),
     (lambda: random_nonorthogonal_pair(rng_for(1), 0, 0.1, 0.5),
      "dimension must be a positive integer, got 0"),
-    (lambda: random_stabilizer_pair(rng_for(1), 1),
-     "an orthogonal pair needs dimension at least 2, got 1: "
-     "C^1 has no direction orthogonal to psi"),
-    (lambda: random_stabilizer_pair(rng_for(1), 2.0),
-     "dimension must be a positive integer, got 2.0"),
     (lambda: AntidistProblem((MU, "x"), 0),
      "ensemble member 1 must be of type Distribution, got str"),
     (lambda: AntidistProblem(MU, 0), "ensemble must be of type Iterable, got Distribution"),
@@ -146,19 +139,11 @@ MU = Distribution(X, [1.0, 0.0])
      "ensemble member 1 must be of type Distribution, got ndarray"),
     (lambda: AntidistProblem((SignedKernel(X, X, np.eye(2)), MU), 1),
      "ensemble member 0 must be of type Distribution, got SignedKernel"),
-    (lambda: displacement(0, 0, 0), "n must be a positive integer, got 0"),
-    (lambda: displacement(2.5, 0, 0), "n must be a positive integer, got 2.5"),
-    (lambda: displacement_permutation(3, 1.5, 0),
-     "residue a must be a non-negative integer, got 1.5"),
-    (lambda: displacement_permutation(3, True, 0),
-     "residue a must be a non-negative integer, got True"),
 ], ids=["channel-int", "channel-none", "channel-empty", "kernel-target-int",
         "kernel-source-labels", "distribution", "response", "model", "measure", "functional",
         "ket-zero", "ket-negative", "ket-float", "unitary-zero", "density-zero", "effect-zero",
-        "channel-out-zero", "channel-in-bool", "pair-c1", "pair-zero", "stabilizer-pair-c1",
-        "stabilizer-pair-float", "ensemble-member-str", "ensemble-lone-distribution",
-        "ensemble-member-ndarray", "ensemble-member-kernel", "displacement-zero",
-        "displacement-float", "permutation-float", "permutation-bool"])
+        "channel-out-zero", "channel-in-bool", "pair-c1", "pair-zero", "ensemble-member-str",
+        "ensemble-lone-distribution", "ensemble-member-ndarray", "ensemble-member-kernel"])
 def test_a_wrong_typed_argument_is_named(build, message):
     with pytest.raises(VerificationFailedError) as info:
         build()
@@ -202,8 +187,11 @@ INTEGER_ENTRIES = {
     "monoidality_check.seed": (lambda v: monoidality_check(1, 3, 1, v), True, False),
     "rng_for.seed": (rng_for, True, False),
     "rng_for.stream": (lambda v: rng_for(1, v), True, False),
-    "displacement.n": (lambda v: displacement(v, 0, 0), False, False),
-    "displacement_permutation.n": (lambda v: displacement_permutation(v, 0, 0), False, False),
+    "phase_space.n": (phase_space, False, False),
+    # the gate itself, in both of its forms
+    "linalg.as_positive_int": (lambda v: linalg.as_positive_int(v, "n"), False, False),
+    "linalg.as_positive_int.zero": (lambda v: linalg.as_positive_int(v, "seed", zero=True),
+                                    True, False),
 }
 
 
@@ -258,13 +246,13 @@ TOL_ENTRIES = {
     "validate_model": lambda tol: validate_model(_two_state_model(), tol=tol),
     "maximal_predicates": lambda tol: maximal_predicates(_two_state_model(), tol=tol),
     "check_operational_model": lambda tol: check_operational_model(NO_MORPHISMS, tol=tol),
-    "check_equivariance": lambda tol: check_equivariance(NO_MORPHISMS, {}, (), (), tol=tol),
     "monoidality_check": lambda tol: monoidality_check(3, 3, 1, 0, tol=tol),
     "pbr_demo": lambda tol: pbr_demo(*PAIR, tol=tol),
     "validate_quantum_measure": lambda tol: validate_quantum_measure(
         QuantumMeasure(X, [0.0, 0.5, 0.5, 1.0]), tol),
     "validate_decoherence": lambda tol: validate_decoherence(_functional(), tol),
     "measure_from_decoherence": lambda tol: measure_from_decoherence(_functional(), tol),
+    "linalg._as_tolerance": linalg._as_tolerance,
 }
 
 
@@ -307,12 +295,8 @@ INDEX_ENTRIES = {
     "born": (lambda k: born(ZERO, ZBASIS, k), 2),
     "AntidistProblem": (lambda k: AntidistProblem((MU, MU), k).target, 2),
     "antidist_quantum_check": (lambda k: antidist_quantum_check([ONE], ZBASIS, [k]), 2),
-    "displacement.q": (lambda k: displacement(3, k, 1), 3),
-    "displacement.p": (lambda k: displacement(3, 1, k), 3),
-    "displacement_permutation.a": (lambda k: displacement_permutation(3, k, 2), 3),
-    "displacement_permutation.b": (lambda k: displacement_permutation(3, 2, k), 3),
-    "displacement_channel.a": (lambda k: displacement_channel(3, k, 0).kraus, 3),
-    "displacement_channel.b": (lambda k: displacement_channel(3, 0, k).kraus, 3),
+    # the gate itself, as a residue of Z_3
+    "linalg._as_index": (lambda k: linalg._as_index(k, 3, "residue q", "Z_{}"), 3),
 }
 # each value as a function of the count it indexes
 INDEX_VALUES = {
@@ -347,7 +331,7 @@ def test_a_negative_index_is_out_of_range(k):
                        match="target index -1 out of range for an ensemble of 1"):
         AntidistProblem((MU,), k)
     with pytest.raises(IndexOutOfRangeError, match="residue q -1 out of range for Z_3"):
-        displacement(3, k, 0)
+        linalg._as_index(k, 3, "residue q", "Z_{}")
 
 
 def test_a_bool_is_no_index():
@@ -690,30 +674,25 @@ def test_a_frame_names_a_wrong_typed_algebra_or_space(algebra, space, what):
 
 QUTRIT = phase_point_operators(3)
 MIXED = DensityMatrix(np.eye(3) / 3)
-SHIFT = displacement_channel(3, 1, 0)
+IDENTITY = Channel.identity(3)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: wigner_vector(np.eye(3) / 3, QUTRIT), "state must be of type DensityMatrix, got ndarray"),
     (lambda: wigner_vector(MIXED, 3), "frame must be of type WignerFrame, got int"),
-    (lambda: functor_state(np.eye(3) / 3), "state must be of type DensityMatrix, got ndarray"),
-    (lambda: functor_state(MIXED, 3), "algebra must be of type Algebra, got int"),
-    (lambda: functor_object(3), "algebra must be of type Algebra, got int"),
     (lambda: frame_for(np.eye(3)), "algebra must be of type Algebra, got ndarray"),
     (lambda: functor_morphism(np.eye(3)), "channel must be of type Channel, got ndarray"),
-    (lambda: functor_morphism(SHIFT, 3), "algebra must be of type Algebra, got int"),
+    (lambda: functor_morphism(IDENTITY, 3), "algebra must be of type Algebra, got int"),
     (lambda: transfer_matrix(np.eye(3), QUTRIT, QUTRIT), "channel must be of type Channel, got ndarray"),
-    (lambda: transfer_matrix(SHIFT, 3, QUTRIT), "input frame must be of type WignerFrame, got int"),
-    (lambda: transfer_matrix(SHIFT, QUTRIT, QUTRIT.vectors),
+    (lambda: transfer_matrix(IDENTITY, 3, QUTRIT), "input frame must be of type WignerFrame, got int"),
+    (lambda: transfer_matrix(IDENTITY, QUTRIT, QUTRIT.vectors),
      "output frame must be of type WignerFrame, got ndarray"),
-    (lambda: pad_odd(np.eye(2)), "channel must be of type Channel, got ndarray"),
     (lambda: product_frame(3, QUTRIT), "first factor frame must be of type WignerFrame, got int"),
     (lambda: product_frame(QUTRIT, QUTRIT.operators),
      "second factor frame must be of type WignerFrame, got ndarray"),
-], ids=["wigner_vector-state", "wigner_vector-frame", "functor_state-state", "functor_state-algebra",
-        "functor_object", "frame_for", "functor_morphism-channel", "functor_morphism-algebra",
-        "transfer_matrix-channel", "transfer_matrix-in-frame", "transfer_matrix-out-frame", "pad_odd",
-        "product_frame-first", "product_frame-second"])
+], ids=["wigner_vector-state", "wigner_vector-frame", "frame_for", "functor_morphism-channel",
+        "functor_morphism-algebra", "transfer_matrix-channel", "transfer_matrix-in-frame",
+        "transfer_matrix-out-frame", "product_frame-first", "product_frame-second"])
 def test_a_wigner_map_names_a_wrong_typed_argument(call, message):
     # each public entry admits its arguments, not the AttributeError of their first use
     with pytest.raises(VerificationFailedError, match=f"^{re.escape(message)}$"):

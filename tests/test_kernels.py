@@ -17,7 +17,6 @@ from ontokit.kernels import (
     _check_response_rows,
     distribution_rows,
     dtensor,
-    dual_state_kernel,
     evaluate,
     kcompose,
     ktensor,
@@ -220,23 +219,6 @@ class TestSupport:
     def test_signed_rejected(self):
         with pytest.raises(SignedUnsupportedError):
             support_mask(Distribution(AB, [1.5, -0.5]))
-
-
-class TestDualState:
-    def test_dual_of_point_mass(self):
-        chi = dual_state_kernel(Distribution(AB, [1.0, 0.0]))
-        assert float(chi.values @ [1.0, 0.0]) == 1.0
-        assert float(chi.values @ [0.0, 1.0]) == 0.0
-
-    def test_dual_of_uniform_against_itself(self):
-        mu = Distribution(TWO, [0.5, 0.5])
-        chi = dual_state_kernel(mu)
-        # sum over points of (1/2)^2 twice
-        assert abs(float(chi.values @ mu.weights) - 0.5) < 1e-15
-
-    def test_signed_rejected(self):
-        with pytest.raises(SignedUnsupportedError):
-            dual_state_kernel(Distribution(AB, [1.5, -0.5]))
 
 
 class TestValidation:

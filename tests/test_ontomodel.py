@@ -9,7 +9,6 @@ import pytest
 from ontokit.antidist import AntidistProblem, antidist_classical
 from ontokit.errors import (
     DimMismatchError,
-    MissingActionError,
     MissingMorphismError,
     SchemaError,
     SpaceMismatchError,
@@ -31,7 +30,6 @@ from ontokit.ontomodel import (
     ModelValidation,
     OntModel,
     PairRecords,
-    check_equivariance,
     check_operational_model,
     classify_model,
     maximal_predicates,
@@ -43,12 +41,14 @@ from ontokit.quantum import (
     ProjectiveMeasurement,
     born,
     compose,
+    measurement_channel,
     overlap,
     preparation_channel,
 )
 from ontokit.sampling import (
     random_cptp_channel,
     random_density,
+    random_effect,
     random_ket,
     random_unitary,
     rng_for,
@@ -57,11 +57,10 @@ from ontokit.serialize import ket_to_json, parse_model
 from ontokit.tolerances import IDENTITY_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
 from ontokit.wigner import (
     commutative_algebra,
-    displacement_channel,
-    displacement_permutation,
     functor_morphism,
     phase_space,
 )
+from test_wigner import displacement_channel_oracle
 
 Z0 = np.array([1, 0], dtype=complex)
 Z1 = np.array([0, 1], dtype=complex)
@@ -842,7 +841,7 @@ class TestOperationalModel:
         report = check_operational_model(
             frag, composition_tests=[("g", "f", "gf")], identity_names=["id"]
         )
-        assert report.clean
+        assert report.composition_violations == report.identity_violations == []
 
     def test_uniform_reset_fragment_fails_composition(self):
         rng = rng_for(105)
@@ -862,7 +861,7 @@ class TestOperationalModel:
             channels={"id": Channel.identity(3)},
             kernels={"id": functor_morphism(Channel.identity(3))},
         )
-        assert check_operational_model(frag, identity_names=["id"]).clean
+        assert check_operational_model(frag, identity_names=["id"]).identity_violations == []
 
     def test_evaluation_preservation(self):
         rng = rng_for(106)
@@ -880,7 +879,7 @@ class TestOperationalModel:
             },
         )
         report = check_operational_model(frag, evaluation_tests=[("meas", "state")])
-        assert report.clean
+        assert report.evaluation_violations == []
 
     @staticmethod
     def endpoint_fragment():
@@ -989,7 +988,7 @@ class TestOperationalModel:
         assert born_p < 0.99
         assert record["quantum"] == pytest.approx(born_p, abs=1e-12)
         assert record["classical"] == pytest.approx(1.0, abs=1e-12)
-        assert not report.clean and report.composition_violations == report.identity_violations == []
+        assert report.composition_violations == report.identity_violations == []
 
     def test_kernels_near_the_column_tolerance(self):
         # columns summing to 1 + 8e-10 are valid kernels; their product sums to
@@ -1003,7 +1002,8 @@ class TestOperationalModel:
             kernels={"f": SignedKernel(space, space, k),
                      "gf": SignedKernel(space, space, product / product.sum(axis=0))},
         )
-        assert check_operational_model(frag, composition_tests=[("f", "f", "gf")]).clean
+        report = check_operational_model(frag, composition_tests=[("f", "f", "gf")])
+        assert report.composition_violations == []
 
     def test_missing_morphism(self):
         frag = FunctorFragment(
@@ -1014,98 +1014,60 @@ class TestOperationalModel:
             check_operational_model(frag, composition_tests=[("id", "id", "nope")])
 
 
-def displacement_fragment_and_action(shifts):
-    """Fragment of displacement channels and a few states, plus each channel's
-    point permutation (D(a,b) moves phase point j to perm[j], so the
-    equivariance equation F(f.psi) = pi_f . F(psi) holds pointwise)."""
-    rng = rng_for(107)
-    channels = {}
-    kernels = {}
-    actions = {}
-    for (a, b) in shifts:
-        name = f"D{a}{b}"
-        ch = displacement_channel(3, a, b)
-        channels[name] = ch
-        kernels[name] = functor_morphism(ch)
-        actions[name] = displacement_permutation(3, a, b)
+def displacement_fragment(n):
+    """The displacements D(a,b) of Z_n x Z_n, two states with their copies
+    displaced by D(1,0) and D(0,1), and one measurement, with their kernels."""
+    rng = rng_for(107, n)
+    channels = {f"D{a},{b}": displacement_channel_oracle(n, a, b)
+                for a in range(n) for b in range(n)}
     for i in range(2):
-        rho = random_density(rng, 3)
-        prep = preparation_channel(rho)
-        channels[f"rho{i}"] = prep
-        kernels[f"rho{i}"] = functor_morphism(prep)
-    return FunctorFragment(channels=channels, kernels=kernels), actions
+        channels[f"rho{i}"] = preparation_channel(random_density(rng, n))
+        for shift in ("D1,0", "D0,1"):
+            channels[f"{shift}.rho{i}"] = compose(channels[shift], channels[f"rho{i}"])
+    channels["meas"] = measurement_channel(random_effect(rng, n))
+    kernels = {name: functor_morphism(ch, commutative_algebra(2) if name == "meas" else None)
+               for name, ch in channels.items()}
+    return FunctorFragment(channels=channels, kernels=kernels)
 
 
-class TestEquivariance:
-    def test_displacements_pass(self):
-        shifts = [(a, b) for a in range(3) for b in range(3)]
-        frag, action = displacement_fragment_and_action(shifts)
-        report = check_equivariance(
-            frag, action, ["rho0", "rho1"], [f"D{a}{b}" for a, b in shifts], tol=1e-9
+def displacement_laws(n):
+    """Each product D(a,b) D(c,e) against D(a+c, b+e), and each displaced state
+    against its displacement after its preparation."""
+    shifts = [(a, b) for a in range(n) for b in range(n)]
+    group = [(f"D{a},{b}", f"D{c},{e}", f"D{(a + c) % n},{(b + e) % n}")
+             for (a, b) in shifts for (c, e) in shifts]
+    moved = [(shift, f"rho{i}", f"{shift}.rho{i}") for shift in ("D1,0", "D0,1") for i in range(2)]
+    return group + moved
+
+
+class TestDisplacementFragment:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_displacement_group_passes(self, n):
+        report = check_operational_model(
+            displacement_fragment(n), composition_tests=displacement_laws(n), identity_names=["D0,0"]
         )
-        assert report.clean
-        assert report.checked == 2 * 9 * 9
+        assert report.composition_violations == report.identity_violations == []
 
-    def test_identity_action_passes(self):
-        frag, action = displacement_fragment_and_action([(0, 0)])
-        report = check_equivariance(frag, action, ["rho0"], ["D00"], tol=1e-12)
-        assert report.clean
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_displaced_states_preserve_evaluation(self, n):
+        states = [f"{shift}rho{i}" for shift in ("", "D1,0.", "D0,1.") for i in range(2)]
+        report = check_operational_model(
+            displacement_fragment(n), evaluation_tests=[("meas", s) for s in states]
+        )
+        assert report.evaluation_violations == []
 
-    def test_swapped_action_fails(self):
-        frag, action = displacement_fragment_and_action([(1, 0)])
-        perm = list(action["D10"])
-        perm[0], perm[1] = perm[1], perm[0]
-        report = check_equivariance(frag, {"D10": perm}, ["rho0"], ["D10"])
-        assert not report.clean
-        # the weights of points 0 and 1 land on each other's true images
-        w = frag.kernels["rho0"].matrix[:, 0]
-        pushed = frag.kernels["D10"].matrix @ w
-        space = phase_space(3)
-        assert report.violations == [
-            {"state": "rho0", "channel": "D10", "point": space.points[i],
-             "lhs": float(pushed[i]), "rhs": float(w[j])}
-            for i, j in sorted([(perm[0], 0), (perm[1], 1)])
-        ]
-        assert report.checked == 9
-
-    def test_records_in_state_channel_point_order(self):
-        frag, action = displacement_fragment_and_action([(1, 0), (0, 1)])
-        swapped = {name: list(perm[::-1]) for name, perm in action.items()}
-        report = check_equivariance(frag, swapped, ["rho1", "rho0"], ["D01", "D10"])
-        keys = [(v["state"], v["channel"], phase_space(3).points.index(v["point"]))
-                for v in report.violations]
-        order = {"rho1": 0, "rho0": 1, "D01": 0, "D10": 1}
-        assert keys == sorted(keys, key=lambda k: (order[k[0]], order[k[1]], k[2]))
-        assert {k[:2] for k in keys} == {(s, c) for s in ("rho0", "rho1") for c in ("D01", "D10")}
-        assert report.checked == 2 * 2 * 9
-
-    def test_missing_action(self):
-        frag, action = displacement_fragment_and_action([(1, 0), (0, 1)])
-        with pytest.raises(MissingActionError, match="'D10'"):
-            check_equivariance(frag, {"D01": action["D01"]}, ["rho0"], ["D01", "D10"])
-
-    @pytest.mark.parametrize(
-        "perm",
-        [
-            [0, 0, 2, 3, 4, 5, 6, 7, 8],  # a repeated entry
-            list(range(8)),  # too short
-            list(range(10)),  # too long
-            [1, 2, 3, 4, 5, 6, 7, 8, 9],  # off the points
-            [-1, 0, 1, 2, 3, 4, 5, 6, 7],  # a negative index
-            [float(i) for i in range(9)],  # not integers
-        ],
-    )
-    def test_permutation_that_is_not_a_bijection(self, perm):
-        frag, _ = displacement_fragment_and_action([(1, 0)])
-        with pytest.raises(SpaceMismatchError, match=re.escape(
-                "equivariance ('rho0', 'D10'): pi must be a bijection of the 9 points")):
-            check_equivariance(frag, {"D10": perm}, ["rho0"], ["D10"])
-
-    def test_endpoints_that_do_not_fit(self):
-        frag, action = displacement_fragment_and_action([(1, 0)])
-        with pytest.raises(SpaceMismatchError, match=re.escape(
-                "equivariance state 'D10': the state must start at the unit space")):
-            check_equivariance(frag, action, ["D10"], ["D10"])
-        with pytest.raises(SpaceMismatchError, match=re.escape(
-                "equivariance ('rho0', 'rho1'): the channel must act on the state's space")):
-            check_equivariance(frag, {"rho1": [0]}, ["rho0"], ["rho1"])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_swapped_kernel_fails_every_law_it_enters(self, n):
+        frag = displacement_fragment(n)
+        k = frag.kernels["D1,0"]
+        swapped = k.matrix.copy()
+        swapped[:, [0, 1]] = swapped[:, [1, 0]]
+        frag.kernels["D1,0"] = SignedKernel(k.source, k.target, swapped)
+        laws = displacement_laws(n)
+        report = check_operational_model(frag, composition_tests=laws, identity_names=["D0,0"])
+        failed = [(v["g"], v["f"], v["gf"]) for v in report.composition_violations]
+        # every law the swapped kernel enters fails, but the two that read it on
+        # both sides: D(1,0) D(0,0) = D(0,0) D(1,0) = D(1,0)
+        unit = (("D1,0", "D0,0", "D1,0"), ("D0,0", "D1,0", "D1,0"))
+        assert failed == [law for law in laws if "D1,0" in law and law not in unit]
+        assert report.identity_violations == []

@@ -18,7 +18,6 @@ from ontokit.quantum import (
     apply_channel,
     born,
     compose,
-    dual_state_quantum,
     measurement_channel,
     overlap,
     preparation_channel,
@@ -352,22 +351,6 @@ class TestOverlap:
         rng = rng_for(51)
         a, b = random_ket(rng, 3), random_ket(rng, 3)
         assert abs(overlap(a, b) - np.conj(overlap(b, a))) < 1e-12
-
-
-def effect_probability(state, m):
-    """Tr(E rho), the probability of the effect outcome."""
-    return float(np.trace(m.effect @ state.matrix).real)
-
-
-class TestDuality:
-    def test_dual_of_zero(self):
-        m = dual_state_quantum(Z0)
-        assert effect_probability(DensityMatrix.from_ket(Z0), m) == 1.0
-        assert effect_probability(DensityMatrix.from_ket(Z1), m) == 0.0
-
-    def test_dual_of_plus_on_zero(self):
-        m = dual_state_quantum(PLUS)
-        assert abs(effect_probability(DensityMatrix.from_ket(Z0), m) - 0.5) < 1e-12
 
 
 class TestMeasurementChannel:

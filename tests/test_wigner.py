@@ -1,6 +1,7 @@
-"""Phase-point frames, transfer matrices, functor laws, padding."""
+"""Phase-point frames, transfer matrices, functor laws, covariance, odd embeddings."""
 
 import importlib.util
+import itertools
 import pathlib
 import tracemalloc
 from dataclasses import fields
@@ -19,10 +20,12 @@ from ontokit.errors import (
     UnrepresentableAlgebraError,
     VerificationFailedError,
 )
-from ontokit.kernels import TWO, UNIT_SPACE, SignedKernel, evaluate, kcompose
+from ontokit.kernels import TWO, UNIT_SPACE, ResponseFunction, SignedKernel, evaluate, kcompose
 from ontokit.quantum import (
     Channel,
     DensityMatrix,
+    ProjectiveMeasurement,
+    TwoOutcomeMeasurement,
     apply_channel,
     born,
     compose,
@@ -45,27 +48,24 @@ from ontokit.wigner import (
     WignerFrame,
     commutative_algebra,
     commutative_frame,
-    displacement,
-    displacement_channel,
-    displacement_permutation,
     epistemic_report,
     frame_for,
     functor_morphism,
-    functor_object,
-    functor_state,
     matrix_algebra,
     monoidality_check,
-    pad_odd,
     phase_point_operators,
     phase_space,
     product_frame,
-    random_stabilizer_pair,
     transfer_matrix,
     wigner_vector,
 )
-from test_channel_stack import kraus_channel, tensor_oracle
+from test_channel_stack import kraus_channel, odd_embedding, tensor_oracle
 
 QUTRIT = phase_point_operators(3)
+# the computational and the Fourier basis of C^3, which every displacement permutes up
+# to phases: two states of one basis are an orthogonal pair of stabilizer states
+STABILIZER_BASES = (np.eye(3, dtype=complex),
+                    np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3))
 # the refusal of an image off the diagonal of C^k, by the state, morphism and transfer maps
 NOT_DIAGONAL = r"channel output is not diagonal; not a morphism into C\^k"
 
@@ -77,6 +77,24 @@ def displacement_oracle(n, q, p):
     z = np.diag(om ** np.arange(n))
     tau = om ** ((n + 1) // 2)
     return tau ** (q * p) * np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
+
+
+def displacement_permutation_oracle(n, a, b):
+    """Index map pi with D(a,b) s_i D(a,b)^dag = s_pi(i): point (q, p), index
+    q n + p, goes to (q + a, p + b) mod n."""
+    q, p = np.divmod(np.arange(n * n), n)
+    return (q + a) % n * n + (p + b) % n
+
+
+def displacement_channel_oracle(n, a, b):
+    return Channel([displacement_oracle(n, a, b)])
+
+
+def permutation_matrix(perm):
+    """The 0/1 matrix sending basis vector j to basis vector perm[j]."""
+    m = np.zeros((len(perm), len(perm)))
+    m[perm, np.arange(len(perm))] = 1.0
+    return m
 
 
 def phase_point_oracle(n):
@@ -162,10 +180,6 @@ class TestFrames:
     def test_closed_form_matches_matrix_power_oracle(self, n):
         ops = phase_point_operators(n).operators
         assert linalg.max_abs(ops - phase_point_oracle(n)) <= 1e-12
-        for q in range(n):
-            for p in range(n):
-                err = linalg.max_abs(displacement(n, q, p) - displacement_oracle(n, q, p))
-                assert err <= 1e-12
 
     @pytest.mark.parametrize("n", [25, 35])
     def test_large_frames_verify_and_match_matrix_power_oracle(self, n):
@@ -352,7 +366,7 @@ class TestWignerVector:
         # an anti-Hermitian part of 5e-10 passes the state's IDENTITY_TOL gate; both maps
         # read the Hermitian part, which the preparation's eigensystem is taken from
         rho = DensityMatrix(_with_anti_hermitian_part(3))
-        got = functor_state(rho).weights
+        got = wigner_vector(rho, QUTRIT).weights
         want = functor_morphism(preparation_channel(rho)).matrix[:, 0]
         assert linalg.max_abs(got - want) <= 1e-15
 
@@ -366,7 +380,7 @@ class TestWignerVector:
     def test_a_state_off_the_diagonal_has_the_morphism_maps_refusal(self):
         # a random qutrit state into C^3: refused as its preparation's image is
         rho = random_density(rng_for(2), 3)
-        for call in (lambda: functor_state(rho, commutative_algebra(3)),
+        for call in (lambda: wigner_vector(rho, commutative_frame(3)),
                      lambda: functor_morphism(preparation_channel(rho), commutative_algebra(3))):
             with pytest.raises(UnrepresentableAlgebraError, match=f"^{NOT_DIAGONAL}$"):
                 call()
@@ -410,29 +424,29 @@ class TestTransferMatrix:
         t = transfer_matrix(depolarizing, QUTRIT, QUTRIT)
         assert linalg.max_abs(t - 1.0 / 9.0) < 1e-10
 
-    def test_displacement_is_permutation(self):
-        for a in range(3):
-            for b in range(3):
-                t = transfer_matrix(displacement_channel(3, a, b), QUTRIT, QUTRIT)
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_displacement_is_permutation(self, n):
+        frame = phase_point_operators(n)
+        for a in range(n):
+            for b in range(n):
+                t = transfer_matrix(displacement_channel_oracle(n, a, b), frame, frame)
                 # 0/1 entries, one 1 per column
                 assert linalg.max_abs(t - np.round(t)) < 1e-9
                 assert np.allclose(np.sort(t, axis=0)[-1], 1.0, atol=1e-9)
                 assert np.allclose(t.sum(axis=0), 1.0, atol=1e-9)
-                perm = displacement_permutation(3, a, b)
-                expected = np.zeros((9, 9))
-                for j, i in enumerate(perm):
-                    expected[i, j] = 1.0
+                expected = permutation_matrix(displacement_permutation_oracle(n, a, b))
                 assert linalg.max_abs(t - expected) < 1e-9
 
-    def test_conjugation_permutes_frame(self):
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_conjugation_permutes_frame(self, n):
         # oracle behind the permutation: D sigma_i D^dag = sigma_perm(i)
-        for a in range(3):
-            for b in range(3):
-                d = displacement(3, a, b)
-                perm = displacement_permutation(3, a, b)
-                for i, op in enumerate(QUTRIT.operators):
-                    conj = d @ op @ d.conj().T
-                    assert linalg.max_abs(conj - QUTRIT.operators[perm[i]]) < 1e-9
+        ops = phase_point_operators(n).operators
+        for a in range(n):
+            for b in range(n):
+                d = displacement_oracle(n, a, b)
+                perm = displacement_permutation_oracle(n, a, b)
+                conj = d @ ops @ d.conj().T
+                assert linalg.max_abs(conj - ops[perm]) < 1e-9
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_matches_per_kraus_oracle_random(self, d):
@@ -446,7 +460,7 @@ class TestTransferMatrix:
 
     def test_matches_per_kraus_oracle_padded_commutative_and_product(self):
         rng = rng_for(89)
-        padded = pad_odd(random_cptp_channel(rng, 2, 4))
+        padded = odd_embedding(random_cptp_channel(rng, 2, 4))
         meas = measurement_channel(random_effect(rng, 3))
         pair = tensor(random_cptp_channel(rng, 3, 3), random_cptp_channel(rng, 3, 3))
         prod = product_frame(QUTRIT, QUTRIT)
@@ -612,8 +626,9 @@ AGREEMENT_CHANNELS = {
     "identity": lambda rng, d, e: Channel.identity(d) if e == d else None,
     "cptp": random_cptp_channel,
     "measurement": lambda rng, d, e: measurement_channel(random_effect(rng, d)) if e == 2 else None,
-    # an even channel padded to odd endpoints; C^1 is odd already
-    "pad_odd": lambda rng, d, e: pad_odd(random_cptp_channel(rng, d - 1, max(e - 1, 1))) if e % 2 else None,
+    # an even channel embedded in odd endpoints; C^1 is odd already
+    "pad_odd": lambda rng, d, e: (odd_embedding(random_cptp_channel(rng, d - 1, max(e - 1, 1)))
+                                  if e % 2 else None),
 }
 AGREEMENT_ENDPOINTS = [*map(matrix_algebra, (3, 5, 7)), *map(commutative_algebra, (1, 2, 3))]
 AGREEMENT_CASES = [
@@ -671,7 +686,7 @@ def test_state_map_is_the_morphism_map_of_the_preparation(kind, algebra):
         except OntokitError as exc:
             return type(exc), str(exc)
 
-    got = outcome(lambda: functor_state(rho, algebra).weights)
+    got = outcome(lambda: wigner_vector(rho, frame_for(algebra)).weights)
     want = outcome(lambda: functor_morphism(preparation_channel(rho), algebra).matrix[:, 0])
     assert type(got) is type(want)
     if isinstance(want, tuple):
@@ -684,15 +699,20 @@ def test_state_map_is_the_morphism_map_of_the_preparation(kind, algebra):
 
 
 class TestFunctorObject:
+    # the object map: an algebra goes to the point set of its frame
     def test_matrix_algebra(self):
-        assert functor_object(matrix_algebra(3)).size == 9
+        assert frame_for(matrix_algebra(3)).space.size == 9
 
     def test_distinguished_and_unit(self):
-        assert functor_object(commutative_algebra(2)) == TWO
-        assert functor_object(commutative_algebra(1)) == UNIT_SPACE
+        assert frame_for(commutative_algebra(2)).space == TWO
+        assert frame_for(commutative_algebra(1)).space == UNIT_SPACE
 
     def test_even_pads_first(self):
-        assert functor_object(matrix_algebra(4)).size == 25
+        # an even matrix algebra has no frame; its odd embedding has one more dimension
+        message = "dimension 4 is even: embed it in an odd dimension or annotate a commutative algebra"
+        with pytest.raises(UnrepresentableAlgebraError, match=f"^{message}$"):
+            frame_for(matrix_algebra(4))
+        assert frame_for(matrix_algebra(5)).space.size == 25
 
 
 class TestFunctorMorphism:
@@ -742,7 +762,7 @@ class TestFunctorMorphism:
         rng = rng_for(86)
         rho = random_density(rng, 3)
         k = functor_morphism(preparation_channel(rho))
-        v = functor_state(rho)
+        v = wigner_vector(rho, QUTRIT)
         assert linalg.max_abs(k.matrix[:, 0] - v.weights) < 1e-10
 
     @pytest.mark.parametrize("call", [functor_morphism, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT)],
@@ -759,9 +779,9 @@ class TestFunctorMorphism:
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3, 5, 7]),
            st.integers(min_value=1, max_value=4), st.booleans())
     def test_kernel_equals_the_checked_transfer_bit_for_bit(self, seed, dim, count, commutative):
-        # a d = 2 channel is padded to d = 3; a commutative output is a measurement after it
+        # a d = 2 channel is embedded in d = 3; a commutative output is a measurement after it
         rng = rng_for(seed)
-        ch = pad_odd(kraus_channel(rng, dim, dim, count))
+        ch = odd_embedding(kraus_channel(rng, dim, dim, count))
         out_algebra = matrix_algebra(ch.out_dim)
         if commutative:
             ch = compose(measurement_channel(random_effect(rng, ch.out_dim)), ch)
@@ -838,7 +858,8 @@ class TestFunctorMorphism:
             functor_morphism(Channel.identity(3), out_algebra=commutative_algebra(2))
 
     def test_rejects_even_unannotated(self):
-        with pytest.raises(UnrepresentableAlgebraError):
+        message = "dimension 2 is even: embed it in an odd dimension or annotate a commutative algebra"
+        with pytest.raises(UnrepresentableAlgebraError, match=f"^{message}$"):
             functor_morphism(Channel.identity(2))
 
     def test_rejects_nondiagonal_into_commutative(self):
@@ -872,8 +893,6 @@ class TestPadding:
 
     def test_pad_preserves_born(self):
         rng = rng_for(87)
-        from ontokit.quantum import ProjectiveMeasurement
-
         for _ in range(50):
             psi = random_ket(rng, 2)
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -893,8 +912,8 @@ class TestPadding:
         rng = rng_for(88)
         f = random_cptp_channel(rng, 2, 2)
         g = random_cptp_channel(rng, 2, 2)
-        lhs = pad_odd(compose(g, f))
-        rhs = compose(pad_odd(g), pad_odd(f))
+        lhs = odd_embedding(compose(g, f))
+        rhs = compose(odd_embedding(g), odd_embedding(f))
         for i in range(3):
             for j in range(3):
                 e = np.zeros((3, 3), dtype=complex)
@@ -908,15 +927,15 @@ class TestPadding:
         f = random_cptp_channel(rng, 2, 2)
         rho = random_density(rng, 2)
         lhs = pad_density(apply_channel(f, rho))
-        rhs = apply_channel(pad_odd(f), pad_density(rho))
+        rhs = apply_channel(odd_embedding(f), pad_density(rho))
         assert linalg.max_abs(lhs.matrix - rhs.matrix) < 1e-10
 
     def test_padded_functor_composes(self):
         rng = rng_for(90)
         f = random_cptp_channel(rng, 2, 2)
         g = random_cptp_channel(rng, 2, 2)
-        lhs = functor_morphism(pad_odd(compose(g, f))).matrix
-        rhs = kcompose(functor_morphism(pad_odd(g)), functor_morphism(pad_odd(f))).matrix
+        lhs = functor_morphism(odd_embedding(compose(g, f))).matrix
+        rhs = kcompose(functor_morphism(odd_embedding(g)), functor_morphism(odd_embedding(f))).matrix
         assert linalg.max_abs(lhs - rhs) < 1e-8
 
 
@@ -1264,11 +1283,9 @@ class TestCertificateTransport:
         of the anti-distinguishing measurement evaluates to (0, 1) on the
         image states, because evaluation is preserved exactly."""
         rng = rng_for(92)
-        from ontokit.quantum import dual_state_quantum
-
         for _ in range(10):
             psi, phi = random_orthogonal_pair(rng, 3)
-            meas = measurement_channel(dual_state_quantum(phi))
+            meas = measurement_channel(TwoOutcomeMeasurement(np.outer(phi, phi.conj())))
             k_meas = functor_morphism(meas, out_algebra=commutative_algebra(2))
             k_psi = functor_morphism(preparation_channel(DensityMatrix.from_ket(psi)))
             k_phi = functor_morphism(preparation_channel(DensityMatrix.from_ket(phi)))
@@ -1278,33 +1295,113 @@ class TestCertificateTransport:
             assert abs(on_phi - 1.0) < 1e-8
 
 
+# odd dimensions, 9 the square of a prime: Z_9 x Z_9 is not a field's plane
+COVARIANT_DIMS = [3, 5, 7, 9]
+
+
+class TestDisplacementCovariance:
+    """The phase-point frames are covariant: a displacement moves each point of
+    phase space, so the functor sends it to a permutation, and every state and
+    channel image is permuted alongside its displaced preimage."""
+
+    @pytest.mark.parametrize("kind", list(AGREEMENT_STATES))
+    @pytest.mark.parametrize("n", COVARIANT_DIMS)
+    def test_state_image_is_permuted(self, n, kind):
+        rho = AGREEMENT_STATES[kind](rng_for(108, n), n)
+        frame = phase_point_operators(n)
+        w = wigner_vector(rho, frame).weights
+        for a in range(n):
+            for b in range(n):
+                d = displacement_oracle(n, a, b)
+                moved = wigner_vector(DensityMatrix(d @ rho.matrix @ d.conj().T), frame).weights
+                # F(D . rho) = pi_D . F(rho): the weight of point j lands on pi_D(j)
+                assert linalg.max_abs(moved[displacement_permutation_oracle(n, a, b)] - w) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", COVARIANT_DIMS)
+    def test_channel_image_is_conjugated_by_permutations(self, n, seed):
+        rng = rng_for(109, n, seed)
+        ch = random_cptp_channel(rng, n, n)
+        meas = measurement_channel(random_effect(rng, n))
+        k, k_meas = functor_morphism(ch).matrix, functor_morphism(meas, commutative_algebra(2)).matrix
+        for _ in range(4):
+            (a, b), (c, e) = rng.integers(n, size=(2, 2)).tolist()
+            before, after = displacement_channel_oracle(n, a, b), displacement_channel_oracle(n, c, e)
+            p_before = permutation_matrix(displacement_permutation_oracle(n, a, b))
+            p_after = permutation_matrix(displacement_permutation_oracle(n, c, e))
+            moved = functor_morphism(compose(after, compose(ch, before))).matrix
+            assert linalg.max_abs(moved - p_after @ k @ p_before) < 1e-10
+            read = functor_morphism(compose(meas, before), commutative_algebra(2)).matrix
+            assert linalg.max_abs(read - k_meas @ p_before) < 1e-10
+
+    @pytest.mark.parametrize("n", COVARIANT_DIMS)
+    def test_displacements_compose_as_their_points_add(self, n):
+        # D(a,b) D(c,e) is D(a+c, b+e) up to a phase, which the kernels do not see
+        shifts = [(a, b) for a in range(n) for b in range(n)]
+        kernels = {ab: functor_morphism(displacement_channel_oracle(n, *ab)) for ab in shifts}
+        for (a, b), (c, e) in itertools.product(shifts[: 2 * n], shifts):
+            product = kcompose(kernels[a, b], kernels[c, e]).matrix
+            assert linalg.max_abs(product - kernels[(a + c) % n, (b + e) % n].matrix) < 1e-12
+
+    @pytest.mark.parametrize("n", COVARIANT_DIMS)
+    def test_a_wrong_permutation_breaks_covariance(self, n):
+        rho = random_density(rng_for(110, n), n)
+        frame = phase_point_operators(n)
+        d = displacement_oracle(n, 1, 0)
+        w = wigner_vector(rho, frame).weights
+        moved = wigner_vector(DensityMatrix(d @ rho.matrix @ d.conj().T), frame).weights
+        perm = displacement_permutation_oracle(n, 1, 0)
+        assert linalg.max_abs(moved[perm] - w) < 1e-12
+        perm[[0, 1]] = perm[[1, 0]]
+        assert linalg.max_abs(moved[perm] - w) > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_stabilizer_states_have_nonnegative_images(self, n):
+        # a displaced computational or Fourier basis state is uniform on n points
+        fourier = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n)
+        frame = phase_point_operators(n)
+        for basis in (np.eye(n, dtype=complex), fourier):
+            for a, b in [(0, 0), (1, 0), (0, n - 1), (n // 2, 2)]:
+                psi = displacement_oracle(n, a, b) @ basis[:, (a + b) % n]
+                w = wigner_vector(DensityMatrix.from_ket(psi), frame).weights
+                assert np.sort(w)[: n * n - n] == pytest.approx(0.0, abs=1e-12)
+                assert np.sort(w)[n * n - n:] == pytest.approx(1.0 / n, abs=1e-12)
+
+    def test_product_displacement_is_the_product_permutation(self):
+        prod = product_frame(QUTRIT, phase_point_operators(5))
+        for (a, b), (c, e) in [((0, 0), (0, 0)), ((1, 2), (0, 3)), ((2, 1), (4, 4))]:
+            ch = tensor(displacement_channel_oracle(3, a, b), displacement_channel_oracle(5, c, e))
+            expected = np.kron(permutation_matrix(displacement_permutation_oracle(3, a, b)),
+                               permutation_matrix(displacement_permutation_oracle(5, c, e)))
+            assert linalg.max_abs(transfer_matrix(ch, prod, prod) - expected) < 1e-10
+
+
 class TestDualityPreservation:
     def test_functor_does_not_preserve_duality(self):
         """The image of a state's induced quantum measurement differs from
         the kernel-side measurement induced by the image state, so the
         functor is not duality preserving (it is not maximally epistemic)."""
-        from ontokit.kernels import dual_state_kernel, response_as_kernel
-        from ontokit.quantum import dual_state_quantum
-
         psi = np.array([1, 0, 0], dtype=complex)  # stabilizer: image is a
         rho = DensityMatrix.from_ket(psi)          # probability distribution
-        image_state = functor_state(rho)
+        image_state = wigner_vector(rho, QUTRIT)
         assert image_state.is_probability
+        # the quantum dual of psi measures its projector; the kernel dual of a
+        # probability state is its singleton evaluation, a kernel into TWO
         quantum_dual = functor_morphism(
-            measurement_channel(dual_state_quantum(psi)),
+            measurement_channel(TwoOutcomeMeasurement(np.outer(psi, psi.conj()))),
             out_algebra=commutative_algebra(2),
         )
-        kernel_dual = response_as_kernel(dual_state_kernel(image_state))
+        w = image_state.weights
+        kernel_dual = SignedKernel(QUTRIT.space, TWO, np.vstack([w, 1.0 - w]))
         assert linalg.max_abs(quantum_dual.matrix - kernel_dual.matrix) > 0.5
 
     def test_kernel_duality_undefined_for_negative_images(self):
-        from ontokit.errors import SignedUnsupportedError
-        from ontokit.kernels import dual_state_kernel
-
+        # a non-stabilizer ket has a negative image weight, which no response reads
         psi = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
-        v = functor_state(DensityMatrix.from_ket(psi))
-        with pytest.raises(SignedUnsupportedError):
-            dual_state_kernel(v)
+        v = wigner_vector(DensityMatrix.from_ket(psi), QUTRIT)
+        assert not v.is_probability
+        with pytest.raises(VerificationFailedError, match=r"^response values must lie in \[0, 1\]$"):
+            ResponseFunction(v.space, v.weights)
 
 
 class TestEpistemicReport:
@@ -1376,7 +1473,7 @@ class TestEpistemicReport:
     def test_no_eigendecomposition(self, monkeypatch):
         rng = rng_for(97)
         pairs = [random_nonorthogonal_pair(rng, d, 0.05, 0.97)[:2] for d in (3, 3, 5)]
-        pairs.append(random_stabilizer_pair(rng, 3))
+        pairs.append((STABILIZER_BASES[1][:, 0], STABILIZER_BASES[1][:, 1]))
         for d in (3, 5):
             phase_point_operators(d)
         calls = []
@@ -1387,12 +1484,11 @@ class TestEpistemicReport:
         assert calls == []
 
     def test_stabilizer_pairs_certified(self):
-        rng = rng_for(91)
-        for _ in range(10):
-            psi, phi = random_stabilizer_pair(rng, 3)
-            rep = epistemic_report(psi, phi)
-            assert abs(rep.overlap) < 1e-9
-            assert not rep.refuted_psi and not rep.refuted_phi
+        for basis in STABILIZER_BASES:
+            for j, k in itertools.permutations(range(3), 2):
+                rep = epistemic_report(basis[:, j], basis[:, k])
+                assert abs(rep.overlap) < 1e-9
+                assert not rep.refuted_psi and not rep.refuted_phi
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_non_stabilizer_pairs_beyond_sixteen_points_match_linprog(self, n):
