@@ -245,8 +245,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     extends to a trace-preserving channel on all d^n dimensions without
     building them.  The map needs t = gamma / sqrt(1 - gamma^2) =
     tan(arcsin gamma), in [0, 1] because gamma <= 1/sqrt(2);
-    ``parametrization`` records this choice as "tan_arcsin_gamma".  The channel
-    holds its Kraus residual |t^2 + 2 s^2 - 1| in closed form; its exact outputs
+    ``parametrization`` records this choice as "tan_arcsin_gamma".  Its exact outputs
     (see :func:`apply_channel`) are verified against their targets within ``DERIVED_TOL``.
     """
     ov = overlap(psi, phi)  # validates both kets and their dimensions
@@ -265,8 +264,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     # gamma may exceed 1/sqrt(2) by rounding; the residual check below decides
     t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
     s = np.sqrt((1.0 - t * t) / 2.0)
-    channel = Channel._of_stack(np.array([[[1, 0], [0, t]], [[0, s], [0, s]]], dtype=complex),
-                                abs(t * t + 2 * s * s - 1))
+    channel = Channel._of_stack(np.array([[[1, 0], [0, t]], [[0, s], [0, s]]], dtype=complex))
     out_psi = apply_channel(channel, DensityMatrix._projector(psi_span))
     out_phi = apply_channel(channel, DensityMatrix._projector(phi_span))
     res_psi = linalg.max_abs(out_psi.matrix - np.diag([1.0, 0.0]))

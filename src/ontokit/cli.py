@@ -298,7 +298,8 @@ input schemas (numbers are decimal; outputs use 17 significant digits):
 
 labels (points, ontic, from, to and each state's label) are JSON strings.
 
-exit codes: 0 all checks pass, 1 check failure, 2 schema/IO error.
+exit codes: 0 all checks pass, 1 check failure, 2 refused: a schema, IO or usage
+error, any other OntokitError the library raises, or an allocation that failed.
 --tol, else ONTOKIT_TOL, overrides the default tolerance; it must be finite and > 0.
 """
 

@@ -107,41 +107,35 @@ class Channel:
     matrices and holds a copy of it.  The library's channel builders hand
     the stack they have just made to ``_of_stack``, which runs the same
     finiteness and Kraus-sum checks and holds that stack itself.
-    ``kraus_residual`` is max|sum_k K^dag K - I| as the check measured it, or
-    as the builder knows it: 0 for :meth:`identity`, a closed form for the
-    compression channel, its factors' bound for a :func:`tensor` product.
     """
 
     kraus: np.ndarray
-    kraus_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self._hold(_kraus_stack(linalg._of_type(self.kraus, Iterable, "Kraus set")))
 
     @classmethod
-    def _of_stack(cls, stack: np.ndarray, residual: float | None = None) -> "Channel":
+    def _of_stack(cls, stack: np.ndarray) -> "Channel":
         """The channel holding ``stack``, a C-contiguous (count, out, in) complex
-        array shared with nothing, checked unless the caller bounds its ``residual``."""
+        array shared with nothing, checked as the constructor checks a copy."""
         ch = object.__new__(cls)
-        ch._hold(stack, residual)
+        ch._hold(stack)
         return ch
 
-    def _hold(self, stack: np.ndarray, residual: float | None = None) -> None:
+    def _hold(self, stack: np.ndarray) -> None:
         """Hold ``stack``, read-only, once ``linalg._as_held`` holds its entries
-        and its operators resolve the identity (within ``residual``, when given)."""
-        if residual is None:
-            count, out, inp = linalg._as_held(stack, "matrix entries").shape
-            # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
-            flat = stack.reshape(count * out, inp)
-            kraus_sum = flat.conj().T @ flat
-            kraus_sum.reshape(-1)[:: inp + 1] -= 1.0  # minus I, on the diagonal in place
-            residual = linalg.max_abs(kraus_sum)
+        and its operators resolve the identity: max|sum_k K^dag K - I| is measured."""
+        count, out, inp = linalg._as_held(stack, "matrix entries").shape
+        # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
+        flat = stack.reshape(count * out, inp)
+        kraus_sum = flat.conj().T @ flat
+        kraus_sum.reshape(-1)[:: inp + 1] -= 1.0  # minus I, on the diagonal in place
+        residual = linalg.max_abs(kraus_sum)
         if residual > IDENTITY_TOL:
             raise VerificationFailedError(f"Kraus sum deviates from identity by {residual:.3e}")
         # read-only: writes into a checked channel fail at once
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
-        object.__setattr__(self, "kraus_residual", residual)
 
     @property
     def in_dim(self) -> int:
@@ -153,8 +147,8 @@ class Channel:
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
-        """I on C^dim: the exact stack holds residual 0, no Kraus sum formed."""
-        return cls._of_stack(np.eye(linalg.as_positive_int(dim, "dim"), dtype=complex)[None], 0.0)
+        """I on C^dim, one Kraus operator."""
+        return cls._of_stack(np.eye(linalg.as_positive_int(dim, "dim"), dtype=complex)[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,15 +251,12 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
-    """Parallel composition; Kraus sets combine by Kronecker product, f-major.
-    The products' Kraus sum is (sum K^dag K) (x) (sum L^dag L), so the stack is
-    not checked again: it holds the bound e_f + e_g + e_f e_g on the exact
-    products' residual (rounding not covered), refused past ``IDENTITY_TOL``."""
-    a, b, e_f, e_g = f.kraus, g.kraus, f.kraus_residual, g.kraus_residual
+    """Parallel composition; Kraus sets combine by Kronecker product, f-major."""
+    a, b = f.kraus, g.kraus
     # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l]
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
     ops = ops.reshape(len(a) * len(b), f.out_dim * g.out_dim, f.in_dim * g.in_dim)
-    return Channel._of_stack(ops, e_f + e_g + e_f * e_g)
+    return Channel._of_stack(ops)
 
 
 def preparation_channel(state: DensityMatrix) -> Channel:

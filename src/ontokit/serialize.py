@@ -396,14 +396,16 @@ def _space(labels, field: str) -> FiniteSpace:
 
 
 def _number_rows(docs: list, name: str, keys, space: FiniteSpace, check, part=None) -> np.ndarray:
-    """Rows of numbers, each read flat, as one (rows x points) float array: a
-    regular list with one call, else row by row, a non-number named after
+    """Flat rows of numbers as one (rows x points) float array: a regular list
+    with one call, else row by row, a malformed row or entry named after
     ``name[key]``; a row of another length fails ``check``, as ``part`` or ``name[key]``."""
     w = _number_array(docs)
     if w is not None and w.ndim == 2 and w.shape[1] == space.size:
         return w
-    rows = [_real_array(row, f"{name}[{key}]").reshape(-1) for key, row in zip(keys, docs)]
+    rows = [_real_array(row, f"{name}[{key}]") for key, row in zip(keys, docs)]
     for key, row in zip(keys, rows):
+        if row.ndim != 1:  # a bare number, or a list of lists
+            raise SchemaError(f"{name}[{key}]", "expected a flat list of numbers")
         if row.size != space.size:
             _named(part or f"{name}[{key}]", check, space, row[None])
     return np.array(rows).reshape(len(rows), space.size)

@@ -364,13 +364,13 @@ def _image(pairs: np.ndarray, in_frame: WignerFrame, out_frame: WignerFrame) -> 
 def _kernel(ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame) -> SignedKernel:
     """The :func:`_image` of ch as a kernel, for both :func:`transfer_matrix` and
     :func:`functor_morphism`: its columns checked by the ``SignedKernel``
-    constructor, then its entries to max(1, c_in / c_out).  That bound holds
-    for every frame the constructor admits, since c = ||s||_1 for involutive
-    operators and for rank-1 projectors alike."""
+    constructor, then its entries to c_in / c_out: |Tr(s_a ch(s_b))| <=
+    ||s_a||_inf ||ch(s_b)||_1 <= ||s_b||_1 by Hölder's inequality, and every
+    frame the constructor admits has ||s||_inf = 1 and ||s||_1 = c."""
     kraus = ch.kraus.reshape(len(ch.kraus), -1)
     kernel = SignedKernel(in_frame.space, out_frame.space,
                           _image(kraus.T @ kraus.conj(), in_frame, out_frame))
-    bound = max(1.0, in_frame.norm_const / out_frame.norm_const)
+    bound = in_frame.norm_const / out_frame.norm_const
     largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:
         raise VerificationFailedError(f"entry magnitude {largest:.6f} exceeds bound {bound}")
@@ -401,8 +401,8 @@ def functor_morphism(ch: Channel, out_algebra: Optional[Algebra] = None) -> Sign
     """Morphism map: a channel to its signed kernel, :func:`_kernel` between the
     frames of ``matrix_algebra(ch.in_dim)`` and ``out_algebra`` (by default
     ``matrix_algebra(ch.out_dim)``).  A channel whose output is not diagonal
-    has no image in a commutative algebra; the entries stay within max(1,
-    c_in / c_out), which is [-1, 1] for like frames.
+    has no image in a commutative algebra; the entries stay within
+    c_in / c_out, which is [-1, 1] for like frames.
     """
     linalg._of_type(ch, Channel, "channel")
     out_algebra = out_algebra if out_algebra is not None else matrix_algebra(ch.out_dim)

@@ -322,6 +322,18 @@ FRAME_TOO_LARGE = (
     (["antidist", "DOC", "--target", "0"],
      {"points": ["a", "b"], "weights": [[_nested(70, 1.0), 0.0], [0.0, 1.0]]},
      "schema error: weights[0]: nested more than 64 levels deep\n"),
+    # a weight or response row is one flat list of numbers, not a nested or bare one
+    (["antidist", "DOC", "--target", "0"],
+     {"points": ["a", "b"], "weights": [[[0.5], [0.5]], [[0.0], [1.0]]]},
+     "schema error: weights[0]: expected a flat list of numbers\n"),
+    (["antidist", "DOC", "--target", "0"], {"points": ["a"], "weights": [1.0, [1.0]]},
+     "schema error: weights[0]: expected a flat list of numbers\n"),
+    (["validate-model", "DOC"], {**_model_with_basis([KET_2, KET_2_ONE]), "distributions": {"s": [[1.0]]}},
+     "schema error: distributions[s]: expected a flat list of numbers\n"),
+    (["validate-model", "DOC"],
+     {**_model_with_basis([KET_2, KET_2_ONE]),
+      "measurements": [{"basis": [KET_2, KET_2_ONE], "responses": [[[1.0]], [[0.0]]]}]},
+     "schema error: measurements[0].responses[0]: expected a flat list of numbers\n"),
     # one kind per document, not the first key that happens to be read
     (["qmeasure", "validate", "DOC"],
      {**_decoherence_on(2), "measure": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}},
@@ -348,7 +360,8 @@ FRAME_TOO_LARGE = (
         "decoherence-overflow-skew", "huge-antidist-weights", "huge-model-weights", "huge-measure-value",
         "measure-bitmask-range", "measure-key-spelling", "measure-string-value", "nan-antidist",
         "measure-huge-value", "wigner-frame-huge", "functor-check-huge", "ragged-weights",
-        "basis-mixed-dims", "basis-not-a-list", "weights-70-deep", "qmeasure-both-kinds",
+        "basis-mixed-dims", "basis-not-a-list", "weights-70-deep", "nested-weights", "bare-weights",
+        "nested-model-weights", "nested-model-responses", "qmeasure-both-kinds",
         "functor-check-even", "null-point-label", "number-point-label", "list-point-label",
         "map-point-label"])
 def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
@@ -359,6 +372,20 @@ def test_degenerate_input_exits_two(capsys, tmp_path, argv, doc, named):
     assert out == ""
     assert named in err
     assert len(err.splitlines()) == 1 and "Warning" not in err
+
+
+def test_help_states_the_exit_codes_main_returns(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("exit codes: 0 all checks pass, 1 check failure, 2 refused: a schema, IO or usage "
+            "error, any other OntokitError the library raises, or an allocation that failed.") in text
+    # a library refusal that is no schema error, and a usage error, exit 2 as stated
+    assert run_cli(capsys, "wigner", "functor-check", "--dim", "2")[0] == 2
+    with pytest.raises(SystemExit) as info:
+        main(["wigner", "frame", "three"])
+    assert info.value.code == 2
 
 
 def test_frame_allocation_failure_exits_two(capsys, monkeypatch):

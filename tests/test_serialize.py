@@ -598,7 +598,7 @@ def _need_oracle(doc, field, context=""):
 
 
 def _real_oracle(doc, field):
-    """A list of real numbers, a non-number entry named by its index."""
+    """A flat list of real numbers, a non-number entry named by its index."""
     def depth(v, where):
         if isinstance(v, list):
             return 1 + max([depth(x, f"{where}[{i}]") for i, x in enumerate(v)], default=0)
@@ -609,11 +609,14 @@ def _real_oracle(doc, field):
     if depth(doc, field) > 64:
         raise SchemaError(field, "nested more than 64 levels deep")
     try:
-        return np.asarray(doc, dtype=float)
+        values = np.asarray(doc, dtype=float)
     except OverflowError as exc:
         raise SchemaError(field, str(exc)) from exc
     except ValueError as exc:
         raise SchemaError(field, "ragged lists: entries differ in length or depth") from exc
+    if values.ndim != 1:
+        raise SchemaError(field, "expected a flat list of numbers")
+    return values
 
 
 def _ket_at_oracle(doc, place):

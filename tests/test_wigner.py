@@ -765,15 +765,24 @@ class TestFunctorMorphism:
         v = wigner_vector(rho, QUTRIT)
         assert linalg.max_abs(k.matrix[:, 0] - v.weights) < 1e-10
 
-    @pytest.mark.parametrize("call", [functor_morphism, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT)],
-                             ids=["functor_morphism", "transfer_matrix"])
-    def test_entry_bound_verified(self, monkeypatch, call):
-        # like frames bound the entries by max(1, c_in / c_out) = 1
-        t = np.eye(9)
-        t[:2, 0] = [1.5, -0.5]
-        monkeypatch.setattr(wigner, "_image", lambda pairs, fin, fout: t)
-        with pytest.raises(VerificationFailedError, match="entry magnitude 1.500000 exceeds bound 1.0"):
-            call(Channel.identity(3))
+    @pytest.mark.parametrize("call, column, bound", [
+        (lambda: functor_morphism(Channel.identity(3)), [1.5, -0.5], "1.0"),
+        (lambda: transfer_matrix(Channel.identity(3), QUTRIT, QUTRIT), [1.5, -0.5], "1.0"),
+        (lambda: functor_morphism(preparation_channel(DensityMatrix(np.eye(3) / 3))), [0.5, 0.5],
+         "0.3333333333333333"),
+    ], ids=["functor_morphism", "transfer_matrix", "preparation"])
+    def test_entry_bound_verified(self, monkeypatch, call, column, bound):
+        # |Tr(s_a F(s_b))| <= ||s_a||_inf ||s_b||_1 bounds the entries by c_in / c_out:
+        # 1 for like frames, 1/3 from C into the qutrit frame
+        def image(pairs, fin, fout):
+            t = np.eye(fout.n_points, fin.n_points)
+            t[:2, 0] = column
+            return t
+
+        monkeypatch.setattr(wigner, "_image", image)
+        largest = f"{max(map(abs, column)):.6f}"
+        with pytest.raises(VerificationFailedError, match=f"entry magnitude {largest} exceeds bound {bound}$"):
+            call()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3, 5, 7]),
@@ -1247,9 +1256,9 @@ class TestMonoidalityLayout:
         calls = []
         hold = Channel._hold
 
-        def spy(self, stack, residual=None):
+        def spy(self, stack):
             calls.append(("Channel", stack.shape))
-            hold(self, stack, residual)
+            hold(self, stack)
 
         def recorded(name, call):
             def spy_call(*args, **kwargs):
