@@ -10,7 +10,6 @@ identities, are composition, identity and evaluation preservation.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -173,77 +172,40 @@ def classify_model(model: OntModel) -> Classification:
     return Classification(kind="ontic")
 
 
-class PairRecords(Sequence):
-    """Violating (psi, phi) pairs as a read-only sequence over arrays.
-
-    ``pairs`` holds the (psi, phi) row indices in row-major order and
-    ``mass`` and ``born`` the values at those pairs.  ``len()`` and truth
-    read the index array only; indexing, slicing and iteration build each
-    record ``{"psi", "phi", "support_mass", "born"}`` as it is read, with
-    Python floats.  A view equals a list of the same records.
-    """
-
-    __slots__ = ("_labels", "_pairs", "_mass", "_born")
-
-    def __init__(self, labels: tuple[str, ...], pairs: np.ndarray, mass: np.ndarray,
-                 born: np.ndarray):
-        self._labels, self._pairs, self._mass, self._born = labels, pairs, mass, born
-
-    def _record(self, a: int, b: int, mass: float, born: float) -> dict:
-        return {"psi": self._labels[a], "phi": self._labels[b], "support_mass": mass, "born": born}
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        a, b = self._pairs[i].tolist()  # numpy raises IndexError past either end
-        return self._record(a, b, self._mass[i].item(), self._born[i].item())
-
-    def __iter__(self):
-        rows = zip(self._pairs.tolist(), self._mass.tolist(), self._born.tolist())
-        return (self._record(a, b, sm, bv) for (a, b), sm, bv in rows)
-
-    def __eq__(self, other):
-        if isinstance(other, PairRecords):
-            other = list(other)
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
-
-@dataclass
+@dataclass(eq=False)
 class MaximalPredicates:
+    """The two Leifer-Maroney verdicts and what they were read from.
+
+    ``support_mass[psi, phi]`` is mu_psi(supp mu_phi) and ``born[psi, phi]``
+    is |<phi|psi>|^2, both (states, states); each violation field is the
+    (k, 2) integer array of the violating (psi, phi) state rows, in row-major
+    order, as ``np.argwhere`` returns them."""
+
     maximally_epistemic: bool
     maximally_nontrivial: bool
-    epistemic_violations: PairRecords
-    nontrivial_violations: PairRecords
+    epistemic_violations: np.ndarray
+    nontrivial_violations: np.ndarray
+    support_mass: np.ndarray
+    born: np.ndarray
 
 
 def maximal_predicates(model: OntModel, tol: float = MODEL_TOL) -> MaximalPredicates:
     """Check mu_psi(supp mu_phi) = |<phi|psi>|^2 over all ordered pairs, and
     the if-and-only-if between orthogonality and vanishing support mass.
-    Row psi, column phi: the masses are W S^T with S = W > SUPPORT_EPS.
-
-    The two violation lists are :class:`PairRecords` views over the
-    violating pairs in row-major order: counting them costs nothing, and a
-    record is built only when it is read (a Dirac model violates on every
-    non-orthogonal pair)."""
+    Row psi, column phi: the masses are W S^T with S = W > SUPPORT_EPS."""
     tol = linalg._as_tolerance(tol)
     w = model.weights
     mass = w @ (w > SUPPORT_EPS).T
     born = np.abs(model.kets.conj() @ model.kets.T) ** 2
-
-    def records(bad: np.ndarray) -> PairRecords:
-        return PairRecords(model.labels, np.argwhere(bad), mass[bad], born[bad])
-
-    me = records(np.abs(mass - born) > tol)
-    mn = records((born <= tol) != (mass <= tol))
+    me = np.argwhere(np.abs(mass - born) > tol)
+    mn = np.argwhere((born <= tol) != (mass <= tol))
     return MaximalPredicates(
-        maximally_epistemic=not me,
-        maximally_nontrivial=not mn,
+        maximally_epistemic=not len(me),
+        maximally_nontrivial=not len(mn),
         epistemic_violations=me,
         nontrivial_violations=mn,
+        support_mass=mass,
+        born=born,
     )
 
 

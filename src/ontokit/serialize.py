@@ -236,12 +236,9 @@ def _need(doc: dict, field: str, context: str = ""):
 def _named(field, build, *args):
     """``build(*args)``, with a fault in it named as ``field``, or as
     ``field(part, row)`` of the failed check (see ``VerificationFailedError``)
-    when ``field`` is a function: a SchemaError passes through, any other
-    exception becomes one."""
+    when ``field`` is a function: any exception becomes a SchemaError."""
     try:
         return build(*args)
-    except SchemaError:
-        raise
     except Exception as exc:
         if callable(field):
             field = field(getattr(exc, "part", None), getattr(exc, "row", None))

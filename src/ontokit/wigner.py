@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -218,6 +218,40 @@ class WignerFrame:
                             ("_offsets", {})):
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def _exact_residuals(self) -> FrameResiduals:
+        """Bounds on the exact residuals of the stored operators: each measured
+        residual widened by the rounding of the check that measured it.  Frames
+        are immutable, so the bounds are computed once and kept on the frame:
+        a cache keyed by the frame would keep it alive past its own cache.
+
+        An entry that sums k nonzero terms of l1 mass M, its target among them,
+        is measured to within (k - 1) eps M in any summation order (Higham,
+        Accuracy and Stability of Numerical Algorithms, 4.2; eps = 2^-52, twice
+        the unit roundoff, covers complex addition).  Exact zeros round nothing,
+        so k and M are read from the nonzeros of ``vectors``.  The Gram and square
+        checks multiply before they sum, which counts as one term more.
+        """
+        res, d, c = self.residuals, self.hilbert_dim, float(self.norm_const)
+        m = res.max_entry
+        eps = float(np.finfo(float).eps)
+
+        def widened(residual, summands, extra_terms, scale, target) -> float:
+            # row r of summands bounds the terms of one checked entry, up to scale
+            k = np.count_nonzero(summands, axis=1).max() + extra_terms
+            return residual + float((k - 1) * eps * (summands.sum(axis=1).max() * scale + target))
+
+        mags = np.abs(self.vectors)
+        unit = 1.0 if self.algebra.kind == "matrix" else m  # the square check's target entry
+        return FrameResiduals(
+            hermitian=res.hermitian + (2 - 1) * eps * 2.0 * m,  # s_kl - conj(s_lk)
+            trace=widened(res.trace, mags[:, :: d + 1], 1, 1.0, 1.0),
+            square=widened(res.square, mags.reshape(-1, d), 2, m, unit),
+            gram=widened(res.gram, mags, 2, m, c),
+            sum=widened(res.sum, mags.T, 1, 1.0, c),
+            max_entry=m * (1.0 + eps),
+        )
+
     def _gather_offsets(self, partner: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat offsets, in the pairs array of :func:`_through_frames` between this
         frame and one of dimension ``partner``, of this frame's entries: as the
@@ -366,12 +400,20 @@ def _kernel(ch: Channel, in_frame: WignerFrame, out_frame: WignerFrame) -> Signe
     :func:`functor_morphism`: its columns checked by the ``SignedKernel``
     constructor, then its entries to c_in / c_out: |Tr(s_a ch(s_b))| <=
     ||s_a||_inf ||ch(s_b)||_1 <= ||s_b||_1 by Hölder's inequality, and every
-    frame the constructor admits has ||s||_inf = 1 and ||s||_1 = c."""
+    frame the constructor admits has ||s||_inf = 1 and ||s||_1 = c.  An image or
+    bound that numpy cannot allocate is a TooLargeError naming the transfer."""
     kraus = ch.kraus.reshape(len(ch.kraus), -1)
-    kernel = SignedKernel(in_frame.space, out_frame.space,
-                          _image(kraus.T @ kraus.conj(), in_frame, out_frame))
+    try:
+        kernel = SignedKernel(in_frame.space, out_frame.space,
+                              _image(kraus.T @ kraus.conj(), in_frame, out_frame))
+        largest = linalg.max_abs(kernel.matrix)
+    except MemoryError as exc:
+        n_in, n_out = in_frame.n_points, out_frame.n_points
+        raise TooLargeError(
+            f"a transfer from {n_in} to {n_out} points is {n_out} x {n_in} real entries, "
+            f"{8 * n_out * n_in} bytes, which could not be computed in the memory available"
+        ) from exc
     bound = in_frame.norm_const / out_frame.norm_const
-    largest = linalg.max_abs(kernel.matrix)
     if largest > bound + NONNEG_TOL:
         raise VerificationFailedError(f"entry magnitude {largest:.6f} exceeds bound {bound}")
     return kernel
@@ -438,39 +480,6 @@ class MonoidalityReport:
         return self.frame_ok
 
 
-@lru_cache(maxsize=None)
-def _exact_residuals(f: WignerFrame) -> FrameResiduals:
-    """Bounds on the exact residuals of f's stored operators: each measured
-    residual widened by the rounding of the check that measured it.  Frames
-    are immutable, so the bounds are computed once per frame.
-
-    An entry that sums k nonzero terms of l1 mass M, its target among them,
-    is measured to within (k - 1) eps M in any summation order (Higham,
-    Accuracy and Stability of Numerical Algorithms, 4.2; eps = 2^-52, twice
-    the unit roundoff, covers complex addition).  Exact zeros round nothing,
-    so k and M are read from the nonzeros of f.vectors.  The Gram and square
-    checks multiply before they sum, which counts as one term more.
-    """
-    res, d, c, m = f.residuals, f.hilbert_dim, float(f.norm_const), f.residuals.max_entry
-    eps = float(np.finfo(float).eps)
-
-    def widened(residual, summands, extra_terms, scale, target) -> float:
-        # row r of summands bounds the terms of one checked entry, up to scale
-        k = np.count_nonzero(summands, axis=1).max() + extra_terms
-        return residual + float((k - 1) * eps * (summands.sum(axis=1).max() * scale + target))
-
-    mags = np.abs(f.vectors)
-    unit = 1.0 if f.algebra.kind == "matrix" else m  # the square check's target entry
-    return FrameResiduals(
-        hermitian=res.hermitian + (2 - 1) * eps * 2.0 * m,  # s_kl - conj(s_lk)
-        trace=widened(res.trace, mags[:, :: d + 1], 1, 1.0, 1.0),
-        square=widened(res.square, mags.reshape(-1, d), 2, m, unit),
-        gram=widened(res.gram, mags, 2, m, c),
-        sum=widened(res.sum, mags.T, 1, 1.0, c),
-        max_entry=m * (1.0 + eps),
-    )
-
-
 def _product_kind(fa: WignerFrame, fb: WignerFrame) -> str:
     """The kind of the tensor frame: a factor of Hilbert dimension 1 is the unit
     of either kind, and mixed products are neither involutive nor idempotent."""
@@ -488,7 +497,7 @@ def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
     Tr(s (x) t) = Tr s Tr t, (s (x) t)^2 = s^2 (x) t^2, the Gram matrix is
     G_a (x) G_b and the sum is (sum s) (x) (sum t).  Writing each factor
     quantity as its target plus an error bounded entrywise by the factor's
-    exact residual (h, t, q, g, s from :func:`_exact_residuals`, with m the
+    exact residual (h, t, q, g, s from :attr:`WignerFrame._exact_residuals`, with m the
     largest entry modulus and c the frame constant) bounds the product's by
 
         hermitian  h_a m_b + m_a h_b
@@ -504,7 +513,7 @@ def _product_residuals(fa: WignerFrame, fb: WignerFrame) -> FrameResiduals:
     |s^2 - 1| <= |s^2 - s| + |s - 1|, its square plus its trace residual.
     """
     kind = _product_kind(fa, fb)
-    a, b = _exact_residuals(fa), _exact_residuals(fb)
+    a, b = fa._exact_residuals, fb._exact_residuals
     qa, qb = (r.square + (r.trace if f.algebra.kind != kind else 0.0)
               for r, f in ((a, fa), (b, fb)))
     ca, cb = float(fa.norm_const), float(fb.norm_const)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from ontokit import wigner
+from ontokit import cli, wigner
 from ontokit.cli import main
 from ontokit.quantum import DensityMatrix
 from ontokit.serialize import dumps_report, ket_to_json
@@ -405,14 +405,29 @@ def test_frame_allocation_failure_exits_two(capsys, monkeypatch):
 
 
 def test_transfer_allocation_failure_exits_two(capsys, monkeypatch):
-    # numpy's MemoryError past the frame, here in the transfer's batched product, is a
-    # size refusal too: one line naming the command and numpy's bytes, exit 2
+    # numpy's MemoryError in a transfer, here in its batched product, is the library's
+    # TooLargeError naming the transfer and its bytes: one line, exit 2
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(wigner.np, "matmul", refuse)
+    code, out, err = run_cli(capsys, "wigner", "functor-check", "--dim", "3", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: TooLargeError: a transfer from 9 to 9 points is 9 x 9 real entries, 648 bytes, "
+        "which could not be computed in the memory available\n"
+    )
+
+
+def test_any_other_allocation_failure_exits_two(capsys, monkeypatch):
+    # numpy's MemoryError outside the library's size refusals, here in drawing a channel,
+    # is a size refusal too: one line naming the command and numpy's bytes, exit 2
     message = "Unable to allocate 140. MiB for an array with shape (3025, 3025) and data type complex128"
 
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(wigner.np, "matmul", refuse)
+    monkeypatch.setattr(cli, "random_cptp_channel", refuse)
     code, out, err = run_cli(capsys, "wigner", "functor-check", "--dim", "3", "--trials", "1")
     assert (code, out) == (2, "")
     assert err == f"error: TooLargeError: wigner functor-check: {message}\n"

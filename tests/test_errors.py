@@ -14,11 +14,12 @@ import pytest
 import ontokit
 from ontokit import cli, linalg
 from ontokit.antidist import (
-    AntidistProblem, antidist_quantum_check, compression_channel, pbr_demo, pbr_measurement,
+    AntidistCertificate, AntidistProblem, antidist_quantum_check, compression_channel, pbr_demo,
+    pbr_measurement, smallest_compression_power,
 )
 from ontokit.errors import (
-    DimMismatchError, EvenDimensionError, IndexOutOfRangeError, OntokitError, SchemaError,
-    VerificationFailedError,
+    BadOverlapError, DimMismatchError, EvenDimensionError, IndexOutOfRangeError,
+    MissingMorphismError, OntokitError, SchemaError, SpaceMismatchError, VerificationFailedError,
 )
 from ontokit.kernels import (
     Distribution, FiniteSpace, ResponseFunction, SignedKernel, distribution_rows,
@@ -31,7 +32,8 @@ from ontokit.qmeasure import (
     validate_quantum_measure,
 )
 from ontokit.quantum import (
-    Channel, DensityMatrix, ProjectiveMeasurement, TwoOutcomeMeasurement, born, overlap,
+    Channel, DensityMatrix, ProjectiveMeasurement, TwoOutcomeMeasurement, apply_channel, born,
+    overlap,
 )
 from ontokit.sampling import (
     random_cptp_channel, random_density, random_effect, random_ket,
@@ -746,3 +748,46 @@ def test_an_assignment_is_admitted_as_an_iterable():
         with pytest.raises(VerificationFailedError,
                            match=f"^assignment must be of type Iterable, got {type(assignment).__name__}$"):
             antidist_quantum_check(states, basis, assignment)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: AntidistProblem((), 0), VerificationFailedError, "ensemble must be nonempty"),
+    (lambda: AntidistProblem((MU, Distribution(FiniteSpace(("c",)), [1.0])), 0),
+     SpaceMismatchError, "ensemble members live on different spaces"),
+    (lambda: AntidistCertificate(ResponseFunction(X, [0.0, 1.0]), (0.5, 1.0)),
+     VerificationFailedError, r"certificate residuals \(0.5, 1.0\) exceed tolerance"),
+    (lambda: smallest_compression_power(1.0),
+     BadOverlapError, r"overlap modulus 1.0 must be in \(0, 1\)"),
+    (lambda: FiniteSpace(()), VerificationFailedError, "a finite space needs at least one point"),
+    (lambda: SignedKernel(X, X, np.eye(3)),
+     SpaceMismatchError, r"kernel matrix shape \(3, 3\) does not match \(2, 2\)"),
+    (lambda: FunctorFragment({"f": Channel.identity(2)}, {}),
+     MissingMorphismError, r"unpaired morphism names: \['f'\]"),
+    (lambda: QuantumMeasure(X, np.zeros(3)),
+     VerificationFailedError, "expected 4 subset values, got 3"),
+    (lambda: ProjectiveMeasurement(np.ones(2)),
+     DimMismatchError, r"vectors must be a 2-d array \(outcomes, dim\)"),
+    (lambda: ProjectiveMeasurement([[1.0, 0.0], [0.6, 0.8]]),
+     VerificationFailedError, "outcome vectors are not orthonormal: Gram error 6.000e-01"),
+    (lambda: apply_channel(Channel.identity(2), DensityMatrix.from_ket([1.0, 0.0, 0.0])),
+     DimMismatchError, "channel input dimension does not match state"),
+    (lambda: random_nonorthogonal_pair(rng_for(1), 2, lo=0.5, hi=0.4),
+     VerificationFailedError, "need 0 < lo <= hi < 1"),
+    (lambda: Algebra("banana", 3), VerificationFailedError, "unknown algebra kind 'banana'"),
+], ids=[
+    "empty-ensemble", "ensemble-spaces", "certificate-residuals", "compression-overlap",
+    "empty-space", "kernel-shape", "unpaired-morphism", "subset-value-count",
+    "basis-not-2d", "basis-not-orthonormal", "channel-state-dims", "overlap-range",
+    "algebra-kind",
+])
+def test_each_refusal_is_named(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+def test_an_unreadable_input_exits_two(capsys, tmp_path):
+    # a directory where a file is expected is an io error: one stderr line, exit 2
+    code = cli.main(["antidist", str(tmp_path), "--target", "0"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"io error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"

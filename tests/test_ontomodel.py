@@ -29,7 +29,6 @@ from ontokit.ontomodel import (
     MaximalPredicates,
     ModelValidation,
     OntModel,
-    PairRecords,
     check_operational_model,
     classify_model,
     maximal_predicates,
@@ -188,7 +187,7 @@ class TestMaximalPredicates:
         result = maximal_predicates(model)
         # mu_zero(supp mu_plus) = 1 while the Born overlap is 1/2
         assert not result.maximally_epistemic
-        assert result.nontrivial_violations == []
+        assert result.nontrivial_violations.shape == (0, 2)
 
     def test_single_state_catalog(self):
         model = dirac_model([("zero", Z0)], [ZBASIS])
@@ -266,24 +265,51 @@ def classify_oracle(model):
 
 
 def predicates_oracle(model, tol=1e-7):
-    """mu_psi(supp mu_phi) against |<phi|psi>|^2, one ordered pair at a time."""
+    """mu_psi(supp mu_phi) against |<phi|psi>|^2, one ordered pair at a time:
+    the masses and Born values as matrices, each violation as a record."""
     me, mn = [], []
     states = catalogue(model)
-    for la, ka, mu_a in states:
-        for lb, kb, mu_b in states:
-            mass = float(mu_a.weights[support_mask(mu_b)].sum())
-            ov_sq = float(abs(overlap(kb, ka)) ** 2)
-            if abs(mass - ov_sq) > tol:
-                me.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
-            if (ov_sq <= tol) != (mass <= tol):
-                mn.append({"psi": la, "phi": lb, "support_mass": mass, "born": ov_sq})
-    return MaximalPredicates(not me, not mn, me, mn)
+    mass, born_sq = np.zeros((len(states),) * 2), np.zeros((len(states),) * 2)
+    for a, (la, ka, mu_a) in enumerate(states):
+        for b, (lb, kb, mu_b) in enumerate(states):
+            m = mass[a, b] = float(mu_a.weights[support_mask(mu_b)].sum())
+            ov_sq = born_sq[a, b] = float(abs(overlap(kb, ka)) ** 2)
+            record = {"psi": la, "phi": lb, "support_mass": m, "born": ov_sq}
+            if abs(m - ov_sq) > tol:
+                me.append(record)
+            if (ov_sq <= tol) != (m <= tol):
+                mn.append(record)
+    return MaximalPredicates(not me, not mn, me, mn, mass, born_sq)
+
+
+def violation_records(model, preds, pairs):
+    """The (psi, phi) rows of ``pairs`` as the oracle's records, read off the
+    matrices that ``preds`` holds."""
+    return [
+        {"psi": model.labels[a], "phi": model.labels[b],
+         "support_mass": float(preds.support_mass[a, b]), "born": float(preds.born[a, b])}
+        for a, b in pairs.tolist()
+    ]
+
+
+def assert_same_predicates(model, tol=1e-7):
+    """Verdicts, (k, 2) integer pair arrays that map to the oracle's records in
+    its row-major order, and held matrices, all within 1e-15 of the oracle."""
+    got, want = maximal_predicates(model, tol), predicates_oracle(model, tol)
+    assert_same((got.maximally_epistemic, got.maximally_nontrivial),
+                (want.maximally_epistemic, want.maximally_nontrivial))
+    for name in ("epistemic_violations", "nontrivial_violations"):
+        pairs, records = getattr(got, name), getattr(want, name)
+        assert pairs.dtype.kind == "i" and pairs.shape == (len(records), 2), (name, pairs.shape)
+        assert_same(violation_records(model, got, pairs), records, name)
+    for name in ("support_mass", "born"):
+        matrix = getattr(got, name)
+        assert matrix.shape == (len(model.labels),) * 2, name
+        assert np.abs(matrix - getattr(want, name)).max(initial=0.0) <= 1e-15, name
 
 
 def assert_same(got, want, path="report"):
     """Equal structure, keys, order and verdicts; floats within 1e-15."""
-    if isinstance(got, PairRecords):
-        got = list(got)  # a lazy view is compared as the list of its records
     if hasattr(want, "__dataclass_fields__"):
         got, want = vars(got), vars(want)
     if isinstance(want, float):
@@ -303,7 +329,7 @@ def assert_same(got, want, path="report"):
 def assert_matches_oracles(model, tol=1e-7):
     assert_same(validate_model(model, tol), validate_oracle(model, tol))
     assert_same(classify_model(model), classify_oracle(model))
-    assert_same(maximal_predicates(model, tol), predicates_oracle(model, tol))
+    assert_same_predicates(model, tol)
 
 
 def random_bases(rng, dim, count):
@@ -381,10 +407,10 @@ class TestMatrixFormAgainstOracles:
         model = free_model(rng, kets, weights, 2)
         assert_matches_oracles(model)
         # an e-weight belongs to the support iff it clears SUPPORT_EPS
-        # the least tolerance the gate admits, so every pair with mass != born is a record
-        records = maximal_predicates(model, tol=np.nextafter(0.0, 1.0)).epistemic_violations
-        mass = {(v["psi"], v["phi"]): v["support_mass"] for v in records}
-        assert mass[("s0", "s1")] == pytest.approx(1.0 if scale > 1 else e, abs=1e-15)
+        # the least tolerance the gate admits, so every pair with mass != born violates
+        preds = maximal_predicates(model, tol=np.nextafter(0.0, 1.0))
+        assert [0, 1] in preds.epistemic_violations.tolist()
+        assert preds.support_mass[0, 1] == pytest.approx(1.0 if scale > 1 else e, abs=1e-15)
 
     @pytest.mark.parametrize("ov,kind", [
         (0.5 * STRICT_MARGIN, "ontic"),
@@ -409,9 +435,7 @@ class TestMatrixFormAgainstOracles:
         catalog = [("a", psi), ("b", random_ket(rng, 3)), ("a_again", psi.copy())]
         model = dirac_model(catalog, random_bases(rng, 3, 2))
         assert_matches_oracles(model)
-        assert ("a", "a_again") in [
-            (v["psi"], v["phi"]) for v in maximal_predicates(model).epistemic_violations
-        ]
+        assert [0, 2] in maximal_predicates(model).epistemic_violations.tolist()  # (a, a_again)
 
     def test_orthogonal_catalogue(self):
         rng = rng_for(607)
@@ -581,88 +605,44 @@ def test_two_hundred_state_dirac_model():
     preds = maximal_predicates(model)
     assert len(preds.epistemic_violations) == s * (s - 1)
     assert len(preds.nontrivial_violations) == s * (s - 1)
-    for v in preds.epistemic_violations:
-        assert v["psi"] != v["phi"] and v["support_mass"] == 0.0
+    psi, phi = preds.epistemic_violations.T
+    assert (psi != phi).all() and (preds.support_mass[psi, phi] == 0.0).all()
 
 
-class TestPairRecords:
-    """The violation lists of maximal_predicates are lazy views over the
-    violating index pairs; read, they are the oracle's lists."""
-
-    def views(self, model, tol=1e-7):
-        preds = maximal_predicates(model, tol)
-        want = predicates_oracle(model, tol)
-        return (
-            (preds.epistemic_violations, want.epistemic_violations),
-            (preds.nontrivial_violations, want.nontrivial_violations),
-        )
+class TestViolationPairs:
+    """The violation fields of maximal_predicates are the (k, 2) integer arrays
+    of violating (psi, phi) rows, in row-major order; mapped through the held
+    matrices, they are the oracle's records."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_reads_match_the_oracle(self, seed):
+    def test_pairs_match_the_oracle(self, seed):
         rng = rng_for(620, seed)
         model = with_distributions(random_dirac(rng, 9, 3, 2), {"s2": np.full(9, 1.0 / 9)})
-        for view, want in self.views(model):
-            assert isinstance(view, PairRecords)
-            assert len(view) == len(want) > 0 and bool(view)
-            assert_same(view[0], want[0])
-            assert_same(view[-1], want[-1])
-            assert_same(view[len(view) - 2], want[-2])
-            for sl in (slice(1, 4), slice(None, None, -2), slice(-3, None), slice(5, 2)):
-                got = view[sl]
-                assert type(got) is list
-                assert_same(got, want[sl])
-            assert_same(list(view), want)  # iteration, in row-major pair order
-            assert_same([view[i] for i in range(len(view))], want)
-            for bad in (len(view), -len(view) - 1):
-                with pytest.raises(IndexError):
-                    view[bad]
-            record = view[0]
-            assert list(record) == ["psi", "phi", "support_mass", "born"]
-            assert type(record["support_mass"]) is float and type(record["born"]) is float
+        assert_same_predicates(model)
+        preds = maximal_predicates(model)
+        for pairs in (preds.epistemic_violations, preds.nontrivial_violations):
+            assert len(pairs) > 0
+            assert pairs.tolist() == sorted(pairs.tolist())  # row-major
 
-    def test_equality_with_lists_of_records(self):
+    def test_overlapping_dirac_pair(self):
         model = dirac_model([("zero", Z0), ("plus", PLUS)], [ZBASIS])
         preds, want = maximal_predicates(model), predicates_oracle(model)
-        # here the matrix and the per-pair values agree to the last bit
-        assert preds.epistemic_violations == want.epistemic_violations
-        assert preds.nontrivial_violations == want.nontrivial_violations
-        view = preds.epistemic_violations
-        records = list(view)
-        assert view == records and records == view
-        assert view == maximal_predicates(model).epistemic_violations
-        assert view != records[:1] and view != [] and view != tuple(records)
-        assert [(r["psi"], r["phi"]) for r in view] == [("zero", "plus"), ("plus", "zero")]
+        for pairs in (preds.epistemic_violations, preds.nontrivial_violations):
+            assert pairs.tolist() == [[0, 1], [1, 0]]
+        # here the matrices and the per-pair values agree to the last bit
+        assert violation_records(model, preds, preds.epistemic_violations) == want.epistemic_violations
+        assert preds.support_mass.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
-    def test_empty_view(self):
+    def test_no_violation_is_an_empty_pair_array(self):
         rng = rng_for(621)
         u = random_unitary(rng, 3)
         catalog = [(f"e{i}", u[:, i]) for i in range(3)]
         model = dirac_model(catalog, [ProjectiveMeasurement(np.eye(3))])
-        for view, want in self.views(model):
-            assert want == [] and view == [] and list(view) == [] and view[:] == []
-            assert len(view) == 0 and not view
-            with pytest.raises(IndexError):
-                view[0]
-            with pytest.raises(IndexError):
-                view[-1]
-
-    def test_counting_builds_no_record(self, monkeypatch):
-        built = []
-        record = PairRecords._record
-
-        def counting(self, *args):
-            built.append(args)
-            return record(self, *args)
-
-        monkeypatch.setattr(PairRecords, "_record", counting)
-        s = 200
-        preds = maximal_predicates(random_dirac(rng_for(608), s, 4, 2))
-        assert len(preds.epistemic_violations) == len(preds.nontrivial_violations) == s * (s - 1)
-        assert preds.epistemic_violations and preds.nontrivial_violations
-        assert not preds.maximally_epistemic and not preds.maximally_nontrivial
-        assert built == []
-        first = preds.epistemic_violations[0]
-        assert len(built) == 1 and (first["psi"], first["phi"]) == ("s0", "s1")
+        assert_same_predicates(model)
+        preds = maximal_predicates(model)
+        assert preds.maximally_epistemic is True and preds.maximally_nontrivial is True
+        for pairs in (preds.epistemic_violations, preds.nontrivial_violations):
+            assert pairs.shape == (0, 2) and pairs.dtype.kind == "i"
 
 
 class TestModelChecksInCatalogueOrder:

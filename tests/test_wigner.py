@@ -1,9 +1,14 @@
 """Phase-point frames, transfer matrices, functor laws, covariance, odd embeddings."""
 
+import gc
 import importlib.util
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -545,7 +550,7 @@ class TestTransferMatrix:
     def test_the_gram_of_a_phase_point_form_is_the_dense_one_within_its_widening(self, n):
         # phi phi^dag sums the same d products as F F^dag, perhaps in another order
         frame = phase_point_operators(n)
-        widening = wigner._exact_residuals(frame).gram - frame.residuals.gram
+        widening = frame._exact_residuals.gram - frame.residuals.gram
         assert abs(frame.residuals.gram - dense_gram_residual(frame)) <= 2 * widening
 
     @pytest.mark.parametrize("n", [3, 5, 7, 25])
@@ -949,6 +954,21 @@ class TestPadding:
 
 
 class TestMonoidality:
+    def test_a_certified_frame_is_freed_with_its_last_reference(self, monkeypatch):
+        # the certificate's bounds are kept on each factor frame, not in a cache keyed
+        # by it, so a frame the frame cache has let go of is freed
+        refs = []
+
+        def build(n):
+            frame = phase_point_operators.__wrapped__(n)  # uncached
+            refs.append(weakref.ref(frame))
+            return frame
+
+        monkeypatch.setattr(wigner, "phase_point_operators", build)
+        assert monoidality_check(9, 3).frame_ok
+        gc.collect()
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+
     def test_product_frame_conditions(self):
         prod = product_frame(QUTRIT, QUTRIT)
         assert prod.operators.shape == (81, 9, 9)
@@ -1134,6 +1154,63 @@ class TestProductFrameTooLarge:
             f"{16 * n ** 8} bytes, more than numpy can index"
         )):
             product_frame(factor, factor)
+
+
+class TestTransferTooLarge:
+    """numpy's MemoryError in a transfer, in its image or in its entry bound, is a
+    TooLargeError naming the transfer and its bytes, from both Wigner maps."""
+
+    QUTRIT_TRANSFER = ("^a transfer from 9 to 9 points is 9 x 9 real entries, 648 bytes, "
+                       "which could not be computed in the memory available$")
+
+    @pytest.mark.parametrize("caller", ["_image", "_kernel"])
+    @pytest.mark.parametrize("transfer", [
+        functor_morphism, lambda ch: transfer_matrix(ch, QUTRIT, QUTRIT),
+    ], ids=["functor_morphism", "transfer_matrix"])
+    def test_failed_allocation_is_too_large(self, monkeypatch, caller, transfer):
+        # max_abs refuses only the calls made in `caller`: the image's imaginary-part
+        # check, or the kernel's entry bound
+        ch = random_cptp_channel(rng_for(71), 3, 3)
+        max_abs = linalg.max_abs
+
+        def refuse(a):
+            if sys._getframe(1).f_code.co_name == caller:
+                raise MemoryError("Unable to allocate")
+            return max_abs(a)
+
+        monkeypatch.setattr(wigner.linalg, "max_abs", refuse)
+        with pytest.raises(TooLargeError, match=self.QUTRIT_TRANSFER) as info:
+            transfer(ch)
+        assert isinstance(info.value.__cause__, MemoryError)
+
+    def test_address_space_limit_is_too_large(self):
+        # a child process builds the d = 31 frame and a channel, then lowers its address
+        # space to what it holds plus 4 MiB, which the transfer's 961 x 961 arrays exceed
+        child = "\n".join([
+            "import resource",
+            "from ontokit.sampling import random_cptp_channel, rng_for",
+            "from ontokit.wigner import functor_morphism, phase_point_operators",
+            "functor_morphism(random_cptp_channel(rng_for(1), 3, 3))  # BLAS is warmed up",
+            "phase_point_operators(31)",
+            "ch = random_cptp_channel(rng_for(1), 31, 31)",
+            "vm = next(int(line.split()[1]) for line in open('/proc/self/status')",
+            "          if line.startswith('VmSize:'))",
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]",
+            "resource.setrlimit(resource.RLIMIT_AS, ((vm + 4096) * 1024, hard))",
+            "try:",
+            "    functor_morphism(ch)",
+            "except Exception as exc:",
+            "    print(f'{type(exc).__name__}: {exc}')",
+        ])
+        src = pathlib.Path(wigner.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == (
+            "TooLargeError: a transfer from 961 to 961 points is 961 x 961 real entries, "
+            f"{8 * 961 * 961} bytes, which could not be computed in the memory available\n"
+        )
 
 
 DENSE_PAIRS = ["3x3", "3x5", "5x5"]
