@@ -22,6 +22,8 @@ def main() -> None:
         "plus.json": ket_to_json(np.array([inv, inv], dtype=complex)),
         "qutrit_zero.json": ket_to_json(np.array([1, 0, 0], dtype=complex)),
         "qutrit_superposition.json": ket_to_json(np.array([inv, inv, 0], dtype=complex)),
+        # the Fourier ket (1, w, w^2)/sqrt(3), w = exp(2 pi i / 3): a stabilizer state
+        "qutrit_fourier.json": ket_to_json(np.exp(2j * np.pi * np.arange(3) / 3) / np.sqrt(3)),
         "ensemble_disjoint.json": {
             "points": ["a", "b", "c"],
             "weights": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],

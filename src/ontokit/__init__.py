@@ -31,7 +31,7 @@ from .kernels import (
     ktensor,
     variational_distance,
 )
-from .linalg import hermitian_eigenvalues, trace_norm
+from .linalg import trace_norm
 from .ontomodel import (
     FunctorFragment,
     OntModel,

@@ -1,12 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 when every check in the invoked report passes, 1 when a
-check fails, 2 on schema or IO problems (with a diagnostic naming the
-offending field) and on an input too large to allocate.  Reports are JSON
-on stdout, deterministic for fixed inputs and seed; ONTOKIT_TOL overrides
-the default tolerance.  The library admits every size, count and seed
-(--n, --dim, --trials, --seed); the CLI calls that gate itself only to
-refuse a flag before a file is read or a frame is built.
+Reports are JSON on stdout, deterministic for fixed inputs and seed;
+ONTOKIT_TOL overrides the default tolerance.  The library admits every
+size, count and seed (--n, --dim, --trials, --seed); the CLI calls that
+gate itself only to refuse a flag before a file is read or a frame is built.
 """
 
 from __future__ import annotations
@@ -15,8 +12,6 @@ import argparse
 import csv
 import os
 import sys
-
-import numpy as np
 
 from .antidist import AntidistProblem, antidist_classical, pbr_demo
 from .errors import OntokitError, SchemaError
@@ -157,8 +152,8 @@ def _cmd_wigner_state(args) -> int:
         "dim": psi.size,
         "points": list(vec.space.points),
         "weights": [float(w) for w in vec.weights],
-        "min_weight": float(np.min(vec.weights)),
-        "negative": bool(np.min(vec.weights) < 0),
+        "min_weight": float(vec.weights.min()),
+        "negative": not vec.is_probability,
     }
     _emit(report)
     return 0
@@ -285,16 +280,18 @@ input schemas (numbers are decimal; outputs use 17 significant digits):
 
   ket       {"dim": n, "amplitudes": [[re, im], ...]}
   matrix    [[[re, im], ...], ...]           (rows of [re, im] pairs)
-  channel   {"in_dim": m, "out_dim": n, "kraus": [matrix, ...],
-             "trace_preserving": true}   (only trace-preserving channels)
-  kernel    {"from": [labels], "to": [labels], "matrix": [[real]],
-             "convention": "column-stochastic"}
   ensemble  {"points": [labels], "weights": [[real], ...]}
   model     {"ontic": [labels], "states": [{"label": str, "ket": ket}],
              "distributions": {label: [real]},
              "measurements": [{"basis": [ket, ...], "responses": [[real]]}]}
   qmeasure  {"points": [labels], "decoherence": matrix}
             or {"points": [labels], "measure": {"<bitmask>": real}}, not both
+
+read by the library only (ontokit.serialize), by no command:
+  channel   {"in_dim": m, "out_dim": n, "kraus": [matrix, ...],
+             "trace_preserving": true}   (only trace-preserving channels)
+  kernel    {"from": [labels], "to": [labels], "matrix": [[real]],
+             "convention": "column-stochastic"}
 
 labels (points, ontic, from, to and each state's label) are JSON strings.
 

@@ -92,7 +92,7 @@ class SignedKernel:
         if col_err > IDENTITY_TOL:
             raise VerificationFailedError(f"column sums deviate from 1 by {col_err:.3e}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "markov", bool(m.min() >= -NONNEG_TOL))
+        object.__setattr__(self, "markov", not _signed(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,7 @@ class Distribution:
 
     @property
     def is_probability(self) -> bool:
-        return bool(self.weights.min() >= -NONNEG_TOL)
+        return not _signed(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +136,10 @@ def _check_weight_rows(space: FiniteSpace, w: np.ndarray, part: str | None = Non
             raise VerificationFailedError(f"weights sum to {total!r}, expected 1", i, part)
 
 
-def _signed_rows(w: np.ndarray) -> np.ndarray:
-    """Which weight rows break a model's sign rule: an entry below -NONNEG_TOL."""
-    return w.min(axis=1) < -NONNEG_TOL
+def _signed(w: np.ndarray, axis=None):
+    """The sign rule of SignedKernel.markov, Distribution.is_probability and a
+    model's weight rows: whether ``w`` (along ``axis``) has an entry below -NONNEG_TOL."""
+    return w.min(axis=axis) < -NONNEG_TOL
 
 
 def _check_response_rows(space: FiniteSpace, v: np.ndarray, part: str | None = None) -> None:

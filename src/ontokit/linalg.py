@@ -191,11 +191,6 @@ def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def hermitian_eigenvalues(a) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix in nondecreasing order."""
-    return hermitian_eigensystem(a)[0]
-
-
 def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(a))))
+    return float(np.sum(np.abs(hermitian_eigensystem(a)[0])))

@@ -22,9 +22,9 @@ from .errors import (
 )
 from .kernels import (
     TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows, _labels,
-    _signed_rows,
+    _signed,
 )
-from .quantum import Channel, ProjectiveMeasurement
+from .quantum import Channel, ProjectiveMeasurement, _strict_overlap
 from .tolerances import FUNCTOR_TOL, MODEL_TOL, STRICT_MARGIN, SUPPORT_EPS
 
 
@@ -66,7 +66,7 @@ class OntModel:
         _check_weight_rows(self.ontic, weights, "weights")
         if len(weights) != len(labels):
             raise VerificationFailedError("each state needs exactly one weight row")
-        signed = _signed_rows(weights)
+        signed = _signed(weights, axis=1)
         if signed.any():
             raise VerificationFailedError(f"distribution for {labels[signed.argmax()]!r} is signed")
         measurements = []
@@ -156,7 +156,7 @@ def classify_model(model: OntModel) -> Classification:
     ov = np.abs(model.kets.conj() @ model.kets.T)  # moduli of the Gram matrix
     w = model.weights
     positive = (w > 0).astype(float)
-    candidates = (ov > STRICT_MARGIN) & (ov < 1.0 - STRICT_MARGIN) & (positive @ positive.T > 0)
+    candidates = _strict_overlap(ov) & (positive @ positive.T > 0)
     for i in np.flatnonzero(candidates.any(axis=1)).tolist():
         # one row of the upper triangle at a time: O(states * ontic) memory
         js = i + 1 + np.flatnonzero(candidates[i, i + 1:])

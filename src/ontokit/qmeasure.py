@@ -85,7 +85,7 @@ class DecoherenceFunctional:
         return (
             linalg.max_abs(m - mh),
             abs(complex(m.sum()) - 1.0),
-            float(linalg.hermitian_eigenvalues((m + mh) / 2)[0]),
+            float(linalg.hermitian_eigensystem((m + mh) / 2)[0][0]),
         )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatchError, VerificationFailedError
-from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL
+from .tolerances import EIGEN_WEIGHT_EPS, IDENTITY_TOL, STRICT_MARGIN
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +213,12 @@ class TwoOutcomeMeasurement:
 def overlap(psi, phi) -> complex:
     """Inner product <psi|phi>, conjugate-linear in the first argument."""
     return complex(np.vdot(*linalg._as_ket_pair(psi, phi)))
+
+
+def _strict_overlap(modulus):
+    """The strict-overlap rule, elementwise: whether |<psi|phi>| lies inside (0, 1)
+    by STRICT_MARGIN at each end, so the pair is nonorthogonal and distinct."""
+    return (modulus > STRICT_MARGIN) & (modulus < 1.0 - STRICT_MARGIN)
 
 
 def born(state: DensityMatrix, m: ProjectiveMeasurement, k: int) -> float:

@@ -29,7 +29,7 @@ from .kernels import (
     SignedKernel,
     _check_response_rows,
     _check_weight_rows,
-    _signed_rows,
+    _signed,
     distribution_rows,
 )
 from .ontomodel import OntModel
@@ -495,7 +495,7 @@ def parse_model(doc) -> OntModel:
     if extra:
         unnamed = weights[[row_of[key] for key in extra]]
         _named(lambda part, row: f"distributions[{extra[row]}]", _check_weight_rows, ontic, unnamed)
-        for key, signed in zip(extra, _signed_rows(unnamed).tolist()):
+        for key, signed in zip(extra, _signed(unnamed, axis=1).tolist()):
             if signed:
                 raise SchemaError(f"distributions[{key}]", "distribution is signed")
 

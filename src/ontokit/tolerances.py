@@ -16,8 +16,8 @@ the library); every other threshold is fixed here.
 # distributions, the frame sum, off-diagonal images of states and channels into C^k.
 IDENTITY_TOL = 1e-9
 # Range slack of weights, responses and kernel entries: a value within it of
-# its allowed range counts as inside, so it sets SignedKernel.markov and
-# Distribution.is_probability.
+# its allowed range counts as inside, so it sets SignedKernel.markov,
+# Distribution.is_probability and the "negative" of `ontokit wigner state`.
 NONNEG_TOL = 1e-9
 # Identities that hold up to rounding: frame conditions (Hermitian, unit trace, square,
 # Gram, a commutative frame's diagonal), ket norms (of every basis too), image imaginary parts.
@@ -36,8 +36,8 @@ CERTIFICATE_TOL = 1e-7
 # Anti-distinguishability is feasible once the greatest rest weight reaches
 # 1 - FEAS_TOL.
 FEAS_TOL = 1e-9
-# classify_model: a catalogue overlap strictly inside (0, 1) and a
-# variational distance below 1, each by this margin.
+# classify_model and epistemic_report's witness: a pair's overlap strictly inside
+# (0, 1), and (classify_model) a variational distance below 1, each by this margin.
 STRICT_MARGIN = 1e-9
 # epistemic_report: the trace distance may exceed (n/2) l1 by this much.
 DISTANCE_BOUND_MARGIN = 1e-9

@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .kernels import TWO, UNIT_SPACE, Distribution, FiniteSpace, SignedKernel, product_space
-from .quantum import Channel, DensityMatrix
+from .quantum import Channel, DensityMatrix, _strict_overlap
 from .tolerances import (
     DISTANCE_BOUND_MARGIN, FUNCTOR_TOL, IDENTITY_TOL, NONNEG_TOL, TIGHT_IDENTITY_TOL,
 )
@@ -595,7 +595,7 @@ class EpistemicReport:
 
     @property
     def epistemic_witness(self) -> bool:
-        return self.refuted_psi and self.refuted_phi and 0.0 < self.overlap < 1.0
+        return self.refuted_psi and self.refuted_phi and _strict_overlap(self.overlap)
 
 
 def _pure_trace_distance(psi: np.ndarray, phi: np.ndarray) -> float:

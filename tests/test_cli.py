@@ -16,7 +16,9 @@ from ontokit import cli, wigner
 from ontokit.cli import main
 from ontokit.quantum import DensityMatrix
 from ontokit.serialize import dumps_report, ket_to_json
+from ontokit.tolerances import NONNEG_TOL
 from ontokit.wigner import phase_point_operators, phase_space, wigner_vector
+from test_wigner import stabilizer_kets
 
 
 @pytest.fixture()
@@ -118,6 +120,18 @@ class TestWigner:
         doc = json.loads(out)
         assert doc["negative"] is True
         assert abs(sum(doc["weights"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_no_closed_form_stabilizer_state_is_negative(self, capsys, tmp_path, n):
+        # "negative" reads the library's sign rule, as Distribution.is_probability
+        # does: a rounding minimum of about -1e-16 is no negativity
+        psi = tmp_path / "psi.json"
+        for ket in stabilizer_kets(n):
+            psi.write_text(dumps_report(ket_to_json(ket)))
+            code, out, _ = run_cli(capsys, "wigner", "state", str(psi))
+            doc = json.loads(out)
+            assert code == 0 and doc["negative"] is False
+            assert doc["min_weight"] >= -NONNEG_TOL
 
     def test_state_csv(self, capsys, tmp_path):
         psi = tmp_path / "psi.json"
@@ -381,6 +395,7 @@ def test_help_states_the_exit_codes_main_returns(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert ("exit codes: 0 all checks pass, 1 check failure, 2 refused: a schema, IO or usage "
             "error, any other OntokitError the library raises, or an allocation that failed.") in text
+    assert text.lower().count("exit codes") == 1
     # a library refusal that is no schema error, and a usage error, exit 2 as stated
     assert run_cli(capsys, "wigner", "functor-check", "--dim", "2")[0] == 2
     with pytest.raises(SystemExit) as info:
@@ -865,7 +880,9 @@ def test_bad_tolerance_exits_two(capsys, tmp_path, state_files, monkeypatch, com
 # parametrization line left the report; nothing else moved.  The two
 # functor-check rows were re-recorded a fifth time when monoidality_check
 # stopped running its layout trial: a diff against the previous output
-# showed that the always-zero max_transfer_residual line alone went.
+# showed that the always-zero max_transfer_residual line alone went.  The
+# wigner-state-json row was recorded after "negative" began to read the sign
+# rule: the Fourier ket's minimum weight, -1.1e-16, is rounding, not negativity.
 GOLDEN_STDOUT = {
     "antidist": "869b60a504603c29e5f8a4f2eafe65947ad506a3f353fd847215b66b20b79526",
     "functor-check-dim3": "b9087df23074a40ca0f0bac752d11b12efd435fdd2f6d6f864c9a4b11340672c",
@@ -877,6 +894,7 @@ GOLDEN_STDOUT = {
     "wigner-frame-3": "07ef2bff3260a7d22a5c83fd0026c9a7a8ce6c05abe21923143728392dc91cdc",
     "wigner-frame-7": "522f6d5633595eafe974ab731ec938a7354d26a00e02ffd91a5a0c8a506f1704",
     "wigner-state-csv": "41677fb8b8a44367da9d8bd3a1889836d26ed3c0dcf49433d8eb5d427d597d05",
+    "wigner-state-json": "59834dacef31e8c375019294259b48b2dd784ea6c1b709cd6116813fe15f3499",
 }
 
 GOLDEN_ARGV = {
@@ -890,6 +908,7 @@ GOLDEN_ARGV = {
     "wigner-frame-3": "wigner frame 3",
     "wigner-frame-7": "wigner frame 7",
     "wigner-state-csv": "wigner state {ex}/qutrit_superposition.json --csv",
+    "wigner-state-json": "wigner state {ex}/qutrit_fourier.json",
 }
 
 

@@ -3,6 +3,7 @@
 import gc
 import importlib.util
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -47,7 +48,7 @@ from ontokit.sampling import (
     random_unitary,
     rng_for,
 )
-from ontokit.tolerances import DEGENERATE_DRAW_EPS, TIGHT_IDENTITY_TOL
+from ontokit.tolerances import DEGENERATE_DRAW_EPS, STRICT_MARGIN, TIGHT_IDENTITY_TOL
 from ontokit.wigner import (
     FrameResiduals,
     WignerFrame,
@@ -93,6 +94,15 @@ def displacement_permutation_oracle(n, a, b):
 
 def displacement_channel_oracle(n, a, b):
     return Channel([displacement_oracle(n, a, b)])
+
+
+def stabilizer_kets(n):
+    """The n + n^2 closed-form stabilizer kets of odd n: |k>, and
+    sum_x omega^(a x^2 + b x) |x> / sqrt(n) for a, b in Z_n."""
+    x = np.arange(n)
+    chirps = [np.exp(2j * np.pi * ((a * x * x + b * x) % n) / n) / np.sqrt(n)
+              for a in range(n) for b in range(n)]
+    return [*np.eye(n, dtype=complex), *chirps]
 
 
 def permutation_matrix(perm):
@@ -1453,6 +1463,16 @@ class TestDisplacementCovariance:
                 assert np.sort(w)[: n * n - n] == pytest.approx(0.0, abs=1e-12)
                 assert np.sort(w)[n * n - n:] == pytest.approx(1.0 / n, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_every_closed_form_stabilizer_state_is_a_probability(self, n):
+        # Gross's discrete Hudson theorem: their minima are rounding, about -1e-16,
+        # which the sign rule's NONNEG_TOL slack reads as zero
+        kets = stabilizer_kets(n)
+        assert len(kets) == n + n * n
+        frame = phase_point_operators(n)
+        for psi in kets:
+            assert wigner_vector(DensityMatrix.from_ket(psi), frame).is_probability
+
     def test_product_displacement_is_the_product_permutation(self):
         prod = product_frame(QUTRIT, phase_point_operators(5))
         for (a, b), (c, e) in [((0, 0), (0, 0)), ((1, 2), (0, 3)), ((2, 1), (4, 4))]:
@@ -1533,6 +1553,44 @@ class TestEpistemicReport:
             assert rep.scaled_l1 == 0.0
             assert rep.trace_distance == 0.0
             assert rep.bound_ok
+
+    def test_identical_and_phase_shifted_pairs_are_no_witness(self):
+        # each vector refutes the other, but the pair is not distinct: its overlap,
+        # read to rounding (1 - 2.2e-16 on some), is within STRICT_MARGIN of 1
+        rng = rng_for(98)
+        for _ in range(200):
+            psi = random_ket(rng, 3)
+            for phi in (psi.copy(), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * psi):
+                rep = epistemic_report(psi, phi)
+                assert rep.refuted_psi and rep.refuted_phi
+                assert not rep.epistemic_witness
+
+    def test_orthogonal_pairs_are_no_witness(self):
+        rng = rng_for(99)
+        refuted = 0
+        for _ in range(300):
+            rep = epistemic_report(*random_orthogonal_pair(rng, 3))
+            assert rep.overlap < STRICT_MARGIN and not rep.epistemic_witness
+            refuted += rep.refuted_psi and rep.refuted_phi
+        assert refuted > 0  # the signed images refute both sides of some pairs
+
+    @pytest.mark.parametrize("overlap,strict", [
+        (0.5 * STRICT_MARGIN, False),
+        (2.0 * STRICT_MARGIN, True),
+        (1.0 - 0.5 * STRICT_MARGIN, False),
+        (1.0 - 2.0 * STRICT_MARGIN, True),
+    ])
+    def test_witness_needs_an_overlap_inside_by_the_margin(self, overlap, strict):
+        # the rule classify_model reads a catalogue pair by, at each end
+        rng = rng_for(100)
+        refuted = 0
+        for _ in range(40):
+            psi, perp = random_orthogonal_pair(rng, 3)
+            rep = epistemic_report(psi, overlap * psi + math.sqrt(1.0 - overlap ** 2) * perp)
+            both = rep.refuted_psi and rep.refuted_phi
+            assert rep.epistemic_witness == (both and strict)
+            refuted += both
+        assert refuted > 0
 
     @pytest.mark.parametrize("d", range(3, 16, 2))
     def test_closed_form_trace_distance_matches_eigensolver(self, d):
