@@ -34,10 +34,11 @@ from .errors import (
     VerificationFailedError,
 )
 from .kernels import Distribution, ResponseFunction, support_mask
-from .quantum import Channel, DensityMatrix, ProjectiveMeasurement, apply_channel, born, overlap
+from .quantum import (
+    Channel, DensityMatrix, ProjectiveMeasurement, _strict_overlap, apply_channel, born, overlap,
+)
 from .tolerances import (
-    CERTIFICATE_TOL, DERIVED_TOL, FEAS_TOL, NEVER_FIRES_TOL,
-    OVERLAP_INTERIOR_MARGIN, PBR_TOL, POWER_MARGIN, SUPPORT_EPS,
+    CERTIFICATE_TOL, DERIVED_TOL, FEAS_TOL, NEVER_FIRES_TOL, PBR_TOL, POWER_MARGIN, SUPPORT_EPS,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -115,31 +116,40 @@ def _knapsack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return chi
 
 
-def antidist_classical(problem: AntidistProblem) -> Optional[AntidistCertificate]:
-    """Decide anti-distinguishability of the target; None means REFUTED.
+def _response(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """The anti-distinguishability decision on raw weight rows: a the
+    target's, b the rest's.  None means REFUTED, else a response in [0, 1]
+    with chi.a = 0 and chi.b = 1.
 
     chi = 0 lies on the convex slice {chi in [0,1]^k : chi.a = 0} with
     chi.b = 0, so chi.b = 1 is reachable on it iff the greatest chi.b there,
-    hi, reaches 1, and then chi_hi / hi is a certificate.  Weights with
-    |a_i| <= SUPPORT_EPS are read as 0: chi_i is free there and fires unless
-    b_i < -SUPPORT_EPS.  For a probability ensemble hi is thus the rest's
-    mass off the target's support, and the certificate is 1/hi there.
+    hi, reaches 1 - FEAS_TOL, and then chi_hi / hi is the response.  Weights
+    with |a_i| <= SUPPORT_EPS are read as 0: chi_i is free there and fires
+    unless b_i < -SUPPORT_EPS.  For a probability ensemble hi is thus the
+    rest's mass off the target's support, and the response is 1/hi there.
     """
+    supp = np.abs(a) > SUPPORT_EPS
+    fire = ~supp & (b >= -SUPPORT_EPS)
+    b_supp = b[supp]
+    chi_supp = _knapsack(a[supp], b_supp)
+    hi = float(b[fire].sum()) + float(chi_supp @ b_supp)
+    if hi < 1.0 - FEAS_TOL:
+        return None
+    chi = fire.astype(float)
+    chi[supp] = chi_supp
+    return min(1.0, 1.0 / hi) * chi
+
+
+def antidist_classical(problem: AntidistProblem) -> Optional[AntidistCertificate]:
+    """Decide anti-distinguishability of the target (see :func:`_response`);
+    None means REFUTED, else the response is checked as a certificate."""
     a = problem.ensemble[problem.target].weights
     b = np.zeros(a.size)
     for i, d in enumerate(problem.ensemble):
         if i != problem.target:
             b = b + d.weights
-    supp = np.abs(a) > SUPPORT_EPS
-    fire = ~supp & (b >= -SUPPORT_EPS)
-    b_supp = b[supp]
-    chi_supp = _knapsack(a[supp], b_supp)
-    chi = fire.astype(float)
-    chi[supp] = chi_supp
-    hi = float(b[fire].sum()) + float(chi_supp @ b_supp)
-    if hi < 1.0 - FEAS_TOL:
-        return None
-    return _certificate(min(1.0, 1.0 / hi) * chi, problem, a, b)
+    chi = _response(a, b)
+    return None if chi is None else _certificate(chi, problem, a, b)
 
 
 def _antidist_partition(ensemble: tuple[Distribution, ...]) -> Optional[list[ResponseFunction]]:
@@ -250,7 +260,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     """
     ov = overlap(psi, phi)  # validates both kets and their dimensions
     g0 = abs(ov)
-    if g0 < OVERLAP_INTERIOR_MARGIN or g0 > 1.0 - OVERLAP_INTERIOR_MARGIN:
+    if not _strict_overlap(g0):
         raise BadOverlapError(f"|<psi|phi>| = {g0!r} must lie strictly inside (0, 1)")
     n = smallest_compression_power(g0) if n is None else linalg.as_positive_int(n, "n")
     if g0 ** n > INV_SQRT2 + POWER_MARGIN:

@@ -209,7 +209,7 @@ def variational_distance(mu: Distribution, nu: Distribution) -> float:
     if mu.space != nu.space:
         raise SpaceMismatchError("distributions live on different spaces")
     diff = mu.weights - nu.weights
-    return float(max(diff[diff > 0].sum(), -diff[diff < 0].sum()))
+    return float(max(np.maximum(diff, 0.0).sum(), np.maximum(-diff, 0.0).sum()))
 
 
 def support_mask(mu: Distribution) -> np.ndarray:

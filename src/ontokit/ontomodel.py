@@ -17,15 +17,16 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .antidist import _response
 from .errors import (
     DimMismatchError, MissingMorphismError, SpaceMismatchError, VerificationFailedError,
 )
 from .kernels import (
     TWO, UNIT_SPACE, FiniteSpace, SignedKernel, _check_response_rows, _check_weight_rows, _labels,
-    _signed,
+    _signed, distribution_rows, variational_distance,
 )
 from .quantum import Channel, ProjectiveMeasurement, _strict_overlap
-from .tolerances import FUNCTOR_TOL, MODEL_TOL, STRICT_MARGIN, SUPPORT_EPS
+from .tolerances import FUNCTOR_TOL, MODEL_TOL, SUPPORT_EPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,43 +132,32 @@ class Classification:
 
 
 def classify_model(model: OntModel) -> Classification:
-    """Epistemic iff some catalogue pair overlaps (strictly between 0 and 1)
-    while its ontic distributions have variational distance below 1.
+    """Epistemic iff some catalogue pair overlaps strictly while neither
+    member is anti-distinguishable from the other: the pair rule of
+    ``epistemic_report``.  ``witness_distance`` is the witness's
+    variational distance.
 
-    Only pairs whose positive supports meet are measured: the product
-    (W > 0) (W > 0)^T screens the rest out.  Let w_i and w_j be rows of W,
-    with entries >= -NONNEG_TOL and sums 1, and let P = {x : w_i[x] > 0}.
-    If w_j[x] <= 0 on all of P, then
-
-        sum max(w_i - w_j, 0) >= sum_P w_i = 1 - sum_{x not in P} w_i >= 1,
-
-    so the pair can never pass dist < 1 - STRICT_MARGIN.  The sums are 1
-    only within IDENTITY_TOL (= STRICT_MARGIN), and rounding keeps the
-    bound: max(w_i - w_j, 0) >= w_i entry by entry, numpy sums both rows in
-    the same order and rounded addition is monotone, so the computed
-    distance is at least the row sum that the model admitted, which is at
-    least 1 - STRICT_MARGIN.  The screen is on W > 0, not on SUPPORT_EPS:
-    shared entries at or below SUPPORT_EPS, over enough points or with row
-    sums at the low end of their tolerance, can bring a pair below
-    1 - STRICT_MARGIN.  The per-row loop then runs on the rows with a
-    candidate and measures only their candidates, so the first witness in
-    catalogue order and its distance are those of the unscreened loop.
+    Only pairs whose positive supports meet are decided: the product
+    (W > 0) (W > 0)^T screens the rest out.  If w_j > 0 nowhere that
+    w_i > 0, the response that is 1 off w_i's positive support, and on it
+    just large enough to balance w_i's entries below -SUPPORT_EPS, never
+    fires on w_i and misses only entries of w_j that are <= 0.  So w_i's
+    greatest rest weight is at least w_j's row sum, which the model
+    admitted within IDENTITY_TOL <= FEAS_TOL of 1, and w_i is not refuted
+    (to rounding; tests compare the unscreened loop at the lowest admitted
+    row sum).  Candidates are decided in catalogue order, so the first
+    witness is that of the unscreened loop.
     """
     ov = np.abs(model.kets.conj() @ model.kets.T)  # moduli of the Gram matrix
     w = model.weights
     positive = (w > 0).astype(float)
     candidates = _strict_overlap(ov) & (positive @ positive.T > 0)
-    for i in np.flatnonzero(candidates.any(axis=1)).tolist():
-        # one row of the upper triangle at a time: O(states * ontic) memory
-        js = i + 1 + np.flatnonzero(candidates[i, i + 1:])
-        diff = w[i] - w[js]
-        dist = np.maximum(np.maximum(diff, 0.0).sum(axis=1), np.maximum(-diff, 0.0).sum(axis=1))
-        hits = np.flatnonzero(dist < 1.0 - STRICT_MARGIN)
-        if hits.size:
-            j = js[hits[0]]
+    for i, j in np.argwhere(np.triu(candidates, 1)).tolist():
+        if _response(w[i], w[j]) is None and _response(w[j], w[i]) is None:
             return Classification(
                 kind="epistemic", witness=(model.labels[i], model.labels[j]),
-                witness_overlap=float(ov[i, j]), witness_distance=float(dist[hits[0]]),
+                witness_overlap=float(ov[i, j]),
+                witness_distance=variational_distance(*distribution_rows(model.ontic, w[[i, j]])),
             )
     return Classification(kind="ontic")
 

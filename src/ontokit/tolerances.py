@@ -34,18 +34,16 @@ CERTIFICATE_TOL = 1e-7
 # -- decision margins --------------------------------------------------------
 
 # Anti-distinguishability is feasible once the greatest rest weight reaches
-# 1 - FEAS_TOL.
+# 1 - FEAS_TOL; classify_model's support screen needs IDENTITY_TOL <= FEAS_TOL.
 FEAS_TOL = 1e-9
-# classify_model and epistemic_report's witness: a pair's overlap strictly inside
-# (0, 1), and (classify_model) a variational distance below 1, each by this margin.
+# A pair's overlap strictly inside (0, 1) by this margin at each end: classify_model,
+# epistemic_report's witness and compression_channel.
 STRICT_MARGIN = 1e-9
 # epistemic_report: the trace distance may exceed (n/2) l1 by this much.
 DISTANCE_BOUND_MARGIN = 1e-9
 # antidist_quantum_check: an assigned Born probability at most this never
 # occurs.
 NEVER_FIRES_TOL = 1e-9
-# compression_channel: |<psi|phi>| must lie this far inside (0, 1).
-OVERLAP_INTERIOR_MARGIN = 1e-10
 # Compression power: overlap^n within this of 1/sqrt(2) passes.
 POWER_MARGIN = 1e-12
 

@@ -36,7 +36,7 @@ from ontokit.quantum import Channel, DensityMatrix, apply_channel, born, overlap
 from ontokit.sampling import random_ket, random_nonorthogonal_pair, rng_for
 from ontokit.serialize import dumps_report
 from ontokit.tolerances import (
-    DEGENERATE_DRAW_EPS, FEAS_TOL, NEVER_FIRES_TOL, PBR_TOL, SUPPORT_EPS,
+    DEGENERATE_DRAW_EPS, FEAS_TOL, NEVER_FIRES_TOL, PBR_TOL, STRICT_MARGIN, SUPPORT_EPS,
 )
 from ontokit.wigner import phase_point_operators, wigner_vector
 
@@ -74,6 +74,12 @@ def random_orthogonal_pair(rng, dim):
         raw = random_ket(rng, dim)
         perp = raw - np.vdot(psi, raw) * psi
     return psi, perp / np.linalg.norm(perp)
+
+
+def tilted_pair(ov):
+    """The first seeded qutrit pair of ``random_orthogonal_pair``, tilted to overlap ``ov``."""
+    psi, perp = random_orthogonal_pair(rng_for(100), 3)
+    return psi, ov * psi + math.sqrt(1.0 - ov * ov) * perp
 
 
 def scipy_feasible(a, b):
@@ -804,6 +810,23 @@ class TestCompressionChannel:
             compression_channel([1, 0], [1, 0])
         with pytest.raises(BadOverlapError):
             compression_channel([1, 0], [0.9, np.sqrt(1 - 0.81)], n=1)
+
+    @pytest.mark.parametrize("ov,admitted", [
+        (5e-10, False),
+        (2.0 * STRICT_MARGIN, True),
+        (1.0 - 0.5 * STRICT_MARGIN, False),
+        (1.0 - 2.0 * STRICT_MARGIN, True),
+    ])
+    def test_overlap_is_admitted_by_the_strict_overlap_rule(self, ov, admitted):
+        # the rule epistemic_report and classify_model read a pair by: a pair at
+        # overlap 5e-10 is orthogonal to them, so it is not compressed either
+        psi, phi = tilted_pair(ov)
+        if admitted:
+            rep = pbr_demo(psi, phi)
+            assert rep.anti_distinguished and rep.n == smallest_compression_power(rep.overlap)
+        else:
+            with pytest.raises(BadOverlapError, match=r"must lie strictly inside \(0, 1\)$"):
+                compression_channel(psi, phi)
 
     def test_kets_of_different_dimensions_rejected(self):
         with pytest.raises(DimMismatchError, match="^kets have different dimensions$"):

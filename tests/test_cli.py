@@ -18,6 +18,7 @@ from ontokit.quantum import DensityMatrix
 from ontokit.serialize import dumps_report, ket_to_json
 from ontokit.tolerances import NONNEG_TOL
 from ontokit.wigner import phase_point_operators, phase_space, wigner_vector
+from test_antidist import tilted_pair
 from test_wigner import stabilizer_kets
 
 
@@ -88,6 +89,18 @@ class TestPbrDemo:
         assert code == 2
         assert out == ""
         assert err.startswith("error: BadOverlapError: n = 1 leaves overlap 0.900000 above")
+
+    def test_pair_at_overlap_5e_10_exits_two_and_is_no_witness(self, capsys, tmp_path):
+        # orthogonal by the strict-overlap rule, so pbr-demo refuses the pair
+        # that wigner epistemic reads as no witness
+        psi, phi = tmp_path / "psi.json", tmp_path / "phi.json"
+        for path, ket in zip((psi, phi), tilted_pair(5e-10)):
+            path.write_text(dumps_report(ket_to_json(ket)))
+        code, out, err = run_cli(capsys, "pbr-demo", "--psi", str(psi), "--phi", str(phi))
+        assert code == 2 and out == ""
+        assert err.startswith("error: BadOverlapError: ") and err.count("\n") == 1
+        code, out, _ = run_cli(capsys, "wigner", "epistemic", "--psi", str(psi), "--phi", str(phi))
+        assert code == 0 and json.loads(out)["epistemic_witness"] is False
 
 
 def test_lemmas_is_not_a_command(capsys):

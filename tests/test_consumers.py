@@ -34,7 +34,6 @@ KEPT = {
     "kcompose": ITEM_3,
     "ktensor": ITEM_3,
     "evaluate": ITEM_3,
-    "variational_distance": ITEM_3,
     "antidist_quantum_check": ITEM_3,
     "dtensor": "product states of signed kernels (ROADMAP item 8)",
     "parse_kernel": "functor documents (ROADMAP item 12)",

@@ -1,6 +1,7 @@
 """Model validation, epistemic classification, functor-fragment checks."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from ontokit.kernels import (
     FiniteSpace,
     ResponseFunction,
     SignedKernel,
+    distribution_rows,
     support_mask,
     variational_distance,
 )
@@ -53,7 +55,7 @@ from ontokit.sampling import (
     rng_for,
 )
 from ontokit.serialize import ket_to_json, parse_model
-from ontokit.tolerances import IDENTITY_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
+from ontokit.tolerances import FEAS_TOL, IDENTITY_TOL, NONNEG_TOL, STRICT_MARGIN, SUPPORT_EPS
 from ontokit.wigner import (
     commutative_algebra,
     functor_morphism,
@@ -248,19 +250,18 @@ def validate_oracle(model, tol=1e-7):
 
 def classify_oracle(model):
     """First catalogue pair, in row-major order, that overlaps strictly while
-    its distributions stay below variational distance 1."""
-    states = catalogue(model)
-    for i, (la, ka, mu_a) in enumerate(states):
-        for lb, kb, mu_b in states[i + 1:]:
-            ov = abs(overlap(ka, kb))
-            if not (STRICT_MARGIN < ov < 1.0 - STRICT_MARGIN):
-                continue
-            d = variational_distance(mu_a, mu_b)
-            if d < 1.0 - STRICT_MARGIN:
-                return Classification(
-                    kind="epistemic", witness=(la, lb),
-                    witness_overlap=float(ov), witness_distance=float(d),
-                )
+    antidist_classical refutes each member against the other, with no
+    support screen; the witness distance is variational_distance's."""
+    ov = np.abs(model.kets.conj() @ model.kets.T)
+    rows = distribution_rows(model.ontic, model.weights)
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        pair = (rows[i], rows[j])
+        if STRICT_MARGIN < ov[i, j] < 1.0 - STRICT_MARGIN and all(
+                antidist_classical(AntidistProblem(pair, t)) is None for t in (0, 1)):
+            return Classification(
+                kind="epistemic", witness=(model.labels[i], model.labels[j]),
+                witness_overlap=float(ov[i, j]), witness_distance=variational_distance(*pair),
+            )
     return Classification(kind="ontic")
 
 
@@ -411,6 +412,8 @@ class TestMatrixFormAgainstOracles:
         preds = maximal_predicates(model, tol=np.nextafter(0.0, 1.0))
         assert [0, 1] in preds.epistemic_violations.tolist()
         assert preds.support_mass[0, 1] == pytest.approx(1.0 if scale > 1 else e, abs=1e-15)
+        # so (s0, s1) refute each other iff e clears it, and come first in catalogue order
+        assert classify_model(model).witness == (("s0", "s1") if scale > 1 else ("s2", "s3"))
 
     @pytest.mark.parametrize("ov,kind", [
         (0.5 * STRICT_MARGIN, "ontic"),
@@ -448,29 +451,9 @@ class TestMatrixFormAgainstOracles:
         assert preds.maximally_epistemic and preds.maximally_nontrivial
 
 
-def classify_rows_oracle(model):
-    """classify_model before the support screen: one pass per catalogue row
-    over all of its strictly overlapping partners further down."""
-    ov = np.abs(model.kets.conj() @ model.kets.T)
-    strict = (ov > STRICT_MARGIN) & (ov < 1.0 - STRICT_MARGIN)
-    w = model.weights
-    for i in range(len(w)):
-        js = i + 1 + np.flatnonzero(strict[i, i + 1:])
-        diff = w[i] - w[js]
-        dist = np.maximum(np.maximum(diff, 0.0).sum(axis=1), np.maximum(-diff, 0.0).sum(axis=1))
-        hits = np.flatnonzero(dist < 1.0 - STRICT_MARGIN)
-        if hits.size:
-            j = js[hits[0]]
-            return Classification(
-                kind="epistemic", witness=(model.labels[i], model.labels[j]),
-                witness_overlap=float(ov[i, j]), witness_distance=float(dist[hits[0]]),
-            )
-    return Classification(kind="ontic")
-
-
 def assert_same_verdict(model):
-    """The screened classification equals the per-row loop's, bit for bit."""
-    got, want = classify_model(model), classify_rows_oracle(model)
+    """The screened classification equals the unscreened pair loop's, bit for bit."""
+    got, want = classify_model(model), classify_oracle(model)
     assert got.kind == want.kind
     assert got.witness == want.witness
     assert got.witness_overlap == want.witness_overlap
@@ -508,6 +491,22 @@ def lowest_admitted_sum():
     return float(np.nextafter(s, 2.0))
 
 
+def threshold_pair(rng):
+    """Two weight rows on 2 to 7 points: point r and some others belong to row
+    r and carry its mass; each point not its own gets a mass 10^u, u uniform
+    in [-13, -8], with probability 1/2."""
+    k = int(rng.integers(2, 8))
+    owner = np.r_[0, 1, rng.integers(-1, 2, k - 2)]
+    w = np.zeros((2, k))
+    for r in (0, 1):
+        own = owner == r
+        shared = ~own & (rng.random(k) < 0.5)
+        w[r, shared] = 10.0 ** rng.uniform(-13.0, -8.0, np.count_nonzero(shared))
+        w[r, own] = rng.uniform(0.1, 1.0, np.count_nonzero(own))
+        w[r, own] *= (1.0 - w[r, shared].sum()) / w[r, own].sum()
+    return w
+
+
 class TestSupportScreen:
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("seed", range(8))
@@ -543,11 +542,12 @@ class TestSupportScreen:
         assert_same_verdict(model)
 
     @pytest.mark.parametrize("shared,kind", [
-        (0.5 * STRICT_MARGIN, "ontic"),
-        (STRICT_MARGIN, None),
-        (2.0 * STRICT_MARGIN, "epistemic"),
+        (0.5 * FEAS_TOL, "ontic"),
+        (FEAS_TOL, None),
+        (2.0 * FEAS_TOL, "epistemic"),
     ])
-    def test_distance_at_the_strict_margin(self, shared, kind):
+    def test_shared_mass_at_the_feasibility_margin(self, shared, kind):
+        # each row's greatest rest weight is 1 - shared: refuted once shared clears FEAS_TOL
         w0 = [1.0 - shared, shared, 0.0]
         w1 = [0.0, shared, 1.0 - shared]
         verdict = assert_same_verdict(two_state_model(rng_for(613), w0, w1))
@@ -562,8 +562,8 @@ class TestSupportScreen:
         assert assert_same_verdict(model).kind == kind
 
     def test_disjoint_rows_at_the_lowest_admitted_sum(self):
-        # the screen's bound needs admitted row sums of at least 1 - STRICT_MARGIN
-        assert IDENTITY_TOL <= STRICT_MARGIN
+        # the screen's bound needs admitted row sums of at least 1 - FEAS_TOL
+        assert IDENTITY_TOL <= FEAS_TOL
         s = lowest_admitted_sum()
         for w0, w1 in (
             ([s, 0.0, 0.0], [0.0, 0.0, s]),
@@ -572,10 +572,11 @@ class TestSupportScreen:
             model = two_state_model(rng_for(615), w0, w1)
             assert assert_same_verdict(model).kind == "ontic"
 
-    def test_mass_below_support_eps_can_witness(self):
-        # shared entries at or below SUPPORT_EPS still count: over 4000
-        # points they add up to 2 STRICT_MARGIN, and on one point they tip
-        # rows that sum to the lowest admitted value
+    def test_mass_below_support_eps_cannot_witness(self):
+        # the pair rule reads shared entries at or below SUPPORT_EPS as 0, so
+        # no pair is refuted: not over 4000 points, where they add up to
+        # 2 STRICT_MARGIN, nor on one point in rows that sum to the lowest
+        # admitted value (the variational distance read both as epistemic)
         e = 0.5 * SUPPORT_EPS
         many = np.full(4000, e)
         s = lowest_admitted_sum()
@@ -583,8 +584,28 @@ class TestSupportScreen:
             (np.r_[1.0 - many.sum(), many, 0.0], np.r_[0.0, many, 1.0 - many.sum()]),
             ([s - e, e, 0.0], [0.0, e, s - e]),
         ):
-            verdict = assert_same_verdict(two_state_model(rng_for(616), w0, w1))
-            assert verdict.kind == "epistemic" and verdict.witness == ("s0", "s1")
+            assert assert_same_verdict(two_state_model(rng_for(616), w0, w1)).kind == "ontic"
+
+    def test_where_the_distance_rule_differs(self):
+        # shared masses from 1e-13 to 1e-8 straddle SUPPORT_EPS and FEAS_TOL;
+        # the rule classify_model used before the pair rule, a variational
+        # distance below 1 - STRICT_MARGIN, differs on 292 of 2000 pairs, and
+        # each moves from ontic to epistemic: the rows share at most
+        # STRICT_MARGIN pointwise, sum min(w0, w1), while each puts more than
+        # FEAS_TOL on the other's support, so each refutes the other
+        rng = rng_for(618)
+        moved = []
+        for _ in range(2000):
+            model = two_state_model(rng_for(619), *threshold_pair(rng))
+            distance = variational_distance(*distribution_rows(model.ontic, model.weights))
+            before = "epistemic" if distance < 1.0 - STRICT_MARGIN else "ontic"
+            after = assert_same_verdict(model).kind
+            if before != after:
+                moved.append((before, after))
+                w0, w1 = model.weights
+                assert np.minimum(w0, w1).sum() <= STRICT_MARGIN
+                assert min(w0 @ (w1 > SUPPORT_EPS), w1 @ (w0 > SUPPORT_EPS)) > FEAS_TOL
+        assert moved == [("ontic", "epistemic")] * 292
 
     def test_every_pair_overlapping(self):
         rng = rng_for(617)
