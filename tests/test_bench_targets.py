@@ -25,6 +25,7 @@ def _bench_module(name, monkeypatch=None):
     ``sys.modules`` while the test runs, where dataclasses look it up."""
     path = BENCH / f"{name}.py"
     module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
     if monkeypatch is not None:
         monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
