@@ -217,7 +217,6 @@ class CompressionResult:
     overlap: complex
     n: int
     gamma: float
-    parametrization: ClassVar[str] = "tan_arcsin_gamma"
     psi_span: np.ndarray
     phi_span: np.ndarray
     output_psi: DensityMatrix
@@ -254,8 +253,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     complement onto |0> adds exactly I - P_span to its Kraus sum, so it
     extends to a trace-preserving channel on all d^n dimensions without
     building them.  The map needs t = gamma / sqrt(1 - gamma^2) =
-    tan(arcsin gamma), in [0, 1] because gamma <= 1/sqrt(2);
-    ``parametrization`` records this choice as "tan_arcsin_gamma".  Its exact outputs
+    tan(arcsin gamma), in [0, 1] because gamma <= 1/sqrt(2).  Its exact outputs
     (see :func:`apply_channel`) are verified against their targets within ``DERIVED_TOL``.
     """
     ov = overlap(psi, phi)  # validates both kets and their dimensions
@@ -274,7 +272,7 @@ def compression_channel(psi, phi, n: Optional[int] = None) -> CompressionResult:
     # gamma may exceed 1/sqrt(2) by rounding; the residual check below decides
     t = min(gamma / np.sqrt(1.0 - gamma * gamma), 1.0)
     s = np.sqrt((1.0 - t * t) / 2.0)
-    channel = Channel._of_stack(np.array([[[1, 0], [0, t]], [[0, s], [0, s]]], dtype=complex))
+    channel = Channel([[[1, 0], [0, t]], [[0, s], [0, s]]])
     out_psi = apply_channel(channel, DensityMatrix._projector(psi_span))
     out_phi = apply_channel(channel, DensityMatrix._projector(phi_span))
     res_psi = linalg.max_abs(out_psi.matrix - np.diag([1.0, 0.0]))

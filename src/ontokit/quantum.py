@@ -80,22 +80,6 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _kraus_stack(kraus) -> np.ndarray:
-    """The Kraus set as one (count, out, in) complex array, a read-only copy
-    that the caller's arrays do not share."""
-    try:
-        stack = linalg.frozen(linalg._as_array(kraus, "Kraus set", complex))
-    except VerificationFailedError:
-        # operators of different shapes, or one that as_matrix names as malformed
-        list(map(linalg.as_matrix, kraus))
-        raise DimMismatchError("all Kraus operators must share one shape") from None
-    if stack.shape[:1] == (0,):
-        raise VerificationFailedError("channel needs at least one Kraus operator")
-    if stack.ndim != 3 or 0 in stack.shape[1:]:
-        raise DimMismatchError(f"expected a 2-d matrix, got shape {stack.shape[1:]}")
-    return stack
-
-
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Trace-preserving completely positive map in Kraus form: the Kraus
@@ -103,28 +87,26 @@ class Channel:
 
     ``kraus`` is the Kraus set as one read-only (count, out, in) complex
     array: ``kraus[k]`` is operator k, and iteration and ``len`` run over
-    the operators.  The constructor takes any sequence of equal-shape
-    matrices and holds a copy of it.  The library's channel builders hand
-    the stack they have just made to ``_of_stack``, which runs the same
-    finiteness and Kraus-sum checks and holds that stack itself.
+    the operators.  The constructor, which every channel builder calls,
+    takes any sequence of equal-shape matrices and holds a copy of it once
+    ``linalg._as_held`` holds its entries and max|sum_k K^dag K - I| is
+    measured within IDENTITY_TOL.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        self._hold(_kraus_stack(linalg._of_type(self.kraus, Iterable, "Kraus set")))
-
-    @classmethod
-    def _of_stack(cls, stack: np.ndarray) -> "Channel":
-        """The channel holding ``stack``, a C-contiguous (count, out, in) complex
-        array shared with nothing, checked as the constructor checks a copy."""
-        ch = object.__new__(cls)
-        ch._hold(stack)
-        return ch
-
-    def _hold(self, stack: np.ndarray) -> None:
-        """Hold ``stack``, read-only, once ``linalg._as_held`` holds its entries
-        and its operators resolve the identity: max|sum_k K^dag K - I| is measured."""
+        kraus = linalg._of_type(self.kraus, Iterable, "Kraus set")
+        try:
+            stack = linalg.frozen(linalg._as_array(kraus, "Kraus set", complex))
+        except VerificationFailedError:
+            # operators of different shapes, or one that as_matrix names as malformed
+            list(map(linalg.as_matrix, kraus))
+            raise DimMismatchError("all Kraus operators must share one shape") from None
+        if stack.shape[:1] == (0,):
+            raise VerificationFailedError("channel needs at least one Kraus operator")
+        if stack.ndim != 3 or 0 in stack.shape[1:]:
+            raise DimMismatchError(f"expected a 2-d matrix, got shape {stack.shape[1:]}")
         count, out, inp = linalg._as_held(stack, "matrix entries").shape
         # sum_k K^dag K = flat^dag flat, flat the operators stacked row-wise
         flat = stack.reshape(count * out, inp)
@@ -133,8 +115,6 @@ class Channel:
         residual = linalg.max_abs(kraus_sum)
         if residual > IDENTITY_TOL:
             raise VerificationFailedError(f"Kraus sum deviates from identity by {residual:.3e}")
-        # read-only: writes into a checked channel fail at once
-        stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
 
     @property
@@ -148,7 +128,7 @@ class Channel:
     @classmethod
     def identity(cls, dim: int) -> "Channel":
         """I on C^dim, one Kraus operator."""
-        return cls._of_stack(np.eye(linalg.as_positive_int(dim, "dim"), dtype=complex)[None])
+        return cls(np.eye(linalg.as_positive_int(dim, "dim"), dtype=complex)[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +233,7 @@ def compose(g: Channel, f: Channel) -> Channel:
             f"cannot compose: f outputs dim {f.out_dim}, g expects {g.in_dim}"
         )
     ops = (g.kraus[:, None] @ f.kraus[None]).reshape(-1, g.out_dim, f.in_dim)
-    return Channel._of_stack(ops)
+    return Channel(ops)
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
@@ -262,7 +242,7 @@ def tensor(f: Channel, g: Channel) -> Channel:
     # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l]
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
     ops = ops.reshape(len(a) * len(b), f.out_dim * g.out_dim, f.in_dim * g.in_dim)
-    return Channel._of_stack(ops)
+    return Channel(ops)
 
 
 def preparation_channel(state: DensityMatrix) -> Channel:
@@ -271,7 +251,7 @@ def preparation_channel(state: DensityMatrix) -> Channel:
     eigensystem that validating the state computed."""
     w, v = state.eigensystem
     keep = w > EIGEN_WEIGHT_EPS
-    return Channel._of_stack(np.ascontiguousarray((np.sqrt(w[keep]) * v[:, keep]).T)[:, :, None])
+    return Channel((np.sqrt(w[keep]) * v[:, keep]).T[:, :, None])
 
 
 def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
@@ -287,4 +267,4 @@ def measurement_channel(m: TwoOutcomeMeasurement) -> Channel:
     outcome, j = np.nonzero(weights > EIGEN_WEIGHT_EPS)
     ops = np.zeros((outcome.size, 2, m.dim), dtype=complex)
     ops[np.arange(outcome.size), outcome] = np.sqrt(weights[outcome, j])[:, None] * v[:, j].T.conj()
-    return Channel._of_stack(ops)
+    return Channel(ops)

@@ -76,6 +76,17 @@ def random_orthogonal_pair(rng, dim):
     return psi, perp / np.linalg.norm(perp)
 
 
+def test_nonorthogonal_pair_redraws_a_direction_that_vanishes_on_psi(monkeypatch):
+    """A second draw parallel to psi leaves no orthogonal part: the pair
+    draws a third ket for its direction, and keeps the drawn overlap."""
+    e0, e1 = np.eye(3, dtype=complex)[:2]
+    draws = [e0, 1j * e0, 1j * e1]
+    monkeypatch.setattr("ontokit.sampling.random_ket", lambda rng, dim: draws.pop(0))
+    psi, phi, g = random_nonorthogonal_pair(rng_for(5), 3, 0.3, 0.6)
+    assert draws == []
+    assert phi[2] == 0 and abs(abs(np.vdot(psi, phi)) - g) < 1e-15
+
+
 def tilted_pair(ov):
     """The first seeded qutrit pair of ``random_orthogonal_pair``, tilted to overlap ``ov``."""
     psi, perp = random_orthogonal_pair(rng_for(100), 3)
@@ -756,13 +767,12 @@ class TestCompressionChannel:
             assert abs(fid - 0.5) < 1e-8
 
     def test_selected_parametrization_reported(self):
-        res = compression_channel([1, 0], [0.6, 0.8])
-        assert res.parametrization == "tan_arcsin_gamma"
+        assert pbr_demo([1, 0], [0.6, 0.8]).parametrization == "tan_arcsin_gamma"
 
     def test_small_overlap_uses_exact_parametrization(self):
         res = compression_channel([1, 0], [0.01, np.sqrt(1 - 0.01 ** 2)])
         assert res.n == 1
-        assert res.parametrization == "tan_arcsin_gamma"
+        assert pbr_demo([1, 0], [0.01, np.sqrt(1 - 0.01 ** 2)]).parametrization == "tan_arcsin_gamma"
         assert res.residual_psi < 1e-12 and res.residual_phi < 1e-12
 
     def test_channel_fixes_compressed_inputs(self):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ontokit import kernels, linalg, ontomodel, serialize, wigner
+from ontokit import kernels, linalg, ontomodel, quantum, serialize, wigner
 from test_ontomodel import predicates_oracle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -85,6 +85,26 @@ def test_monoidality_reports_keep_their_fields(monkeypatch):
             "command": "wigner-monoidality", **request,
             "frame_ok": True, "max_transfer_residual": 0, "passed": True,
         }
+
+
+def test_each_functor_law_check_admits_eight_channels_through_the_constructor(monkeypatch):
+    """One functor block (seed 1): a functor_law check builds f, g, two
+    composites, two identities, a preparation and a measurement channel, and
+    each passes ``Channel.__post_init__``, the span the traced pass counts."""
+    inputs, checks = _bench_module("inputs", monkeypatch), _bench_module("checks")
+    items = [item for item in inputs.generate("functor", 1, 1) if item.kind == "functor_law"]
+    post_init = quantum.Channel.__post_init__
+    admitted = []
+
+    def spy(self):
+        post_init(self)
+        admitted.append(self)
+
+    monkeypatch.setattr(quantum.Channel, "__post_init__", spy)
+    for item in items:
+        admitted.clear()
+        checks.run(item)
+        assert len(admitted) == 8
 
 
 def test_model_path_builds_no_row_objects(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ontokit import linalg, quantum
+from ontokit import linalg
 from ontokit.antidist import compression_channel, smallest_compression_power
 from ontokit.errors import DimMismatchError, VerificationFailedError
 from ontokit.ontomodel import FunctorFragment, _quantum_probability, check_operational_model
@@ -179,35 +179,38 @@ def test_writes_through_the_given_array_do_not_reach_the_channel():
     ids=["inf", "sub-normalised"],
 )
 def test_builder_path_runs_the_constructor_checks(stack, message):
-    for build in (Channel, Channel._of_stack):
-        with pytest.raises(VerificationFailedError, match=f"^{message}$"):
-            build(stack.copy())
+    with pytest.raises(VerificationFailedError, match=f"^{message}$"):
+        Channel(stack)
 
 
-def test_builders_hold_the_stack_they_built(monkeypatch):
-    # the public constructor copies (through _kraus_stack); the builders do not
-    copies = []
-    kraus_stack = quantum._kraus_stack
-    monkeypatch.setattr(quantum, "_kraus_stack", lambda k: copies.append(k) or kraus_stack(k))
+def test_builders_hold_a_copy_of_the_stack_they_built(monkeypatch):
+    """Each of the seven builders admits its channel through the one
+    constructor, once per channel, and the channel holds a read-only copy
+    that shares no memory with the array the builder handed over."""
+    handed = []
+    post_init = Channel.__post_init__
+
+    def spy(self):
+        handed.append(self.kraus)
+        post_init(self)
+
+    monkeypatch.setattr(Channel, "__post_init__", spy)
     rng = rng_for(7)
-    stack = np.eye(3, dtype=complex)[None].copy()
-    held = Channel._of_stack(stack)
-    assert held.kraus is stack and not stack.flags.writeable
+    state, effect = random_density(rng, 3), random_effect(rng, 3)
     f = random_cptp_channel(rng, 2, 2)
     g = random_cptp_channel(rng, 2, 3)
+    assert len(handed) == 2
     built = [
-        f, compose(g, f), tensor(f, g),
-        preparation_channel(random_density(rng, 3)),
-        measurement_channel(random_effect(rng, 3)),
+        f, g, compose(g, f), tensor(f, g),
+        preparation_channel(state), measurement_channel(effect),
         compression_channel(np.array([1.0, 0.0]), np.array([0.8, 0.6])).channel,
         Channel.identity(3),
     ]
-    assert copies == []
-    for ch in built:
+    assert len(handed) == len(built)
+    for stack, ch in zip(handed, built):
         assert ch.kraus.flags.c_contiguous and not ch.kraus.flags.writeable
-    assert not any(np.shares_memory(built[1].kraus, x.kraus) for x in (f, g))
-    Channel(stack)
-    assert len(copies) == 1
+        assert not np.shares_memory(ch.kraus, stack)
+    assert not any(np.shares_memory(built[2].kraus, x.kraus) for x in (f, g))
 
 
 def test_constructor_keeps_the_given_operators():
@@ -379,13 +382,13 @@ def test_a_law_check_measures_each_new_kraus_sum_once(monkeypatch):
     g_ops = random_cptp_channel(rng, 3, 3).kraus
     state, effect = random_density(rng, 3), random_effect(rng, 3)
     measured = []
-    hold = Channel._hold
+    post_init = Channel.__post_init__
 
-    def spy(self, stack):
-        measured.append(stack)
-        return hold(self, stack)
+    def spy(self):
+        post_init(self)
+        measured.append(self)
 
-    monkeypatch.setattr(Channel, "_hold", spy)
+    monkeypatch.setattr(Channel, "__post_init__", spy)
     f, g = Channel(f_ops), Channel(g_ops)
     gf, gf_again = compose(g, f), compose(g, f)
     ident, ident_again = Channel.identity(3), Channel.identity(3)
@@ -406,7 +409,7 @@ def test_a_law_check_measures_each_new_kraus_sum_once(monkeypatch):
     assert laws.evaluation_violations == []
     expected = [f, g, gf, gf_again, ident, ident_again, prep, meas]
     assert len(measured) == len(expected)
-    assert all(stack is ch.kraus for stack, ch in zip(measured, expected))
+    assert all(held is ch for held, ch in zip(measured, expected))
 
 
 # ---------------------------------------------------------------------------

@@ -500,8 +500,6 @@ HOLDERS = {
     "OntModel.kets": (lambda x: _model([[1, 0], [x, 0]], [[1, 0], [0, 1]]),
                       "ket amplitudes", (1, "kets")),
     "Channel": (lambda x: Channel([np.eye(2), [[0, x], [0, 0]]]), "matrix entries", None),
-    "Channel._of_stack": (lambda x: Channel._of_stack(np.array([[[1, 0], [0, x]]], complex)),
-                          "matrix entries", None),
     "ProjectiveMeasurement": (lambda x: ProjectiveMeasurement([[1, 0], [0, x]]),
                               "ket amplitudes", (1, None)),
     "SignedKernel": (lambda x: SignedKernel(TWO_POINTS, TWO_POINTS, [[1, x], [0, 1]]),

@@ -189,6 +189,13 @@ class TestVariationalDistance:
         assert abs(d - variational_subset_oracle(uniform, point)) < 1e-15
         assert abs(d - 0.5) < 1e-15
 
+    @pytest.mark.parametrize("other", [ABC, TWO], ids=["size", "labels"])
+    def test_space_mismatch(self, other):
+        mu = Distribution(AB, [0.5, 0.5])
+        nu = Distribution(other, np.full(other.size, 1 / other.size))
+        with pytest.raises(SpaceMismatchError, match="^distributions live on different spaces$"):
+            variational_distance(mu, nu)
+
     def test_self_distance_zero(self):
         rng = rng_for(67)
         mu = random_distribution(rng, ABC)

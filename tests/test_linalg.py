@@ -124,7 +124,6 @@ def test_only_hermitian_eigensystem_calls_eigh():
 # public constructor, each because it saves a copy, an eigh, a per-row check or
 # (for a frame given by its factor form) the dense Gram product of its frame matrix
 CONSTRUCTOR_BYPASSES = {
-    "quantum.py:Channel._of_stack",
     "quantum.py:DensityMatrix._held",
     "kernels.py:distribution_rows",
     "wigner.py:WignerFrame._of_form",
